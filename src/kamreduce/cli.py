@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from .errors import (
     ArtifactError,
@@ -38,15 +39,9 @@ from .errors import (
     SchemaError,
     ZeroAcceptanceError,
 )
-from .serialize import (
-    RunManifest,
-    load_json,
-    to_jsonable,
-    verify_checksums,
-    write_array,
-    write_checksums,
-    write_json,
-)
+
+if TYPE_CHECKING:
+    from .serialize import RunManifest
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -75,6 +70,8 @@ class _JsonlLog:
         self._fh = open(path, "w", encoding="utf-8")
 
     def emit(self, event: str, **fields):
+        from .serialize import to_jsonable
+
         rec = {"event": event}
         rec.update(fields)
         line = json.dumps(to_jsonable(rec), sort_keys=True, separators=(",", ":"))
@@ -239,6 +236,7 @@ def _resolve_frequency(manifest: RunManifest, base, settings):
 def cmd_frequencies(manifest: RunManifest) -> int:
     t0 = time.perf_counter()
     from . import diophantine as dio
+    from .serialize import write_checksums, write_json
 
     outdir = _prepare_out(manifest)
     log = _JsonlLog(os.path.join(outdir, "log.jsonl"))
@@ -306,14 +304,24 @@ def cmd_frequencies(manifest: RunManifest) -> int:
 
 
 def _write_timings(outdir, timings: dict) -> None:
-    # not checksummed and not JSON: the one artifact allowed to differ
-    # between replays
-    with open(os.path.join(outdir, "timings.txt"), "w") as fh:
-        for key in sorted(timings):
-            fh.write(f"{key}: {timings[key]:.6f} s\n")
+    """Merge timings into timings.txt; keys of earlier commands are kept.
+
+    Not checksummed and not JSON: the one artifact allowed to differ between
+    replays.
+    """
+    path = os.path.join(outdir, "timings.txt")
+    lines = {}
+    if os.path.isfile(path):
+        with open(path) as fh:
+            lines = {line.split(":", 1)[0]: line for line in fh if ":" in line}
+    lines.update({key: f"{key}: {value:.6f} s\n" for key, value in timings.items()})
+    with open(path, "w") as fh:
+        fh.writelines(lines[key] for key in sorted(lines))
 
 
 def _fail(outdir, log, code: int, reason: str, **detail) -> int:
+    from .serialize import write_checksums, write_json
+
     log.emit("error", reason=reason, **detail)
     write_json(os.path.join(outdir, "error.json"), dict(detail, error=reason))
     write_checksums(outdir)
@@ -324,6 +332,7 @@ def cmd_reduce(manifest: RunManifest) -> int:
     t0 = time.perf_counter()
     from .engine import run_schedule
     from .floquet import floquet_spectrum
+    from .serialize import write_array, write_checksums, write_json
 
     outdir = _prepare_out(manifest)
     log = _JsonlLog(os.path.join(outdir, "log.jsonl"))
@@ -450,7 +459,7 @@ def _load_reduced(manifest: RunManifest, outdir: str):
     import numpy as np
 
     from .engine import ReducedSystem
-    from .serialize import load_array
+    from .serialize import load_array, load_json
     from .torus import OperatorSeries
 
     path = os.path.join(outdir, "reduced.json")
@@ -490,7 +499,9 @@ def cmd_verify(manifest: RunManifest) -> int:
         monodromy_quasienergies,
         propagate_direct,
         reconstruct_solution,
+        step_plan,
     )
+    from .serialize import verify_checksums, write_checksums, write_json
 
     outdir = _prepare_out(manifest)
     verify_checksums(outdir)
@@ -508,10 +519,18 @@ def cmd_verify(manifest: RunManifest) -> int:
     phi0 = np.zeros(reduced.n)
     ts = np.linspace(t_max / num_times, t_max, num_times)
 
+    timings = {}
+    t1 = time.perf_counter()
     recon = reconstruct_solution(reduced, psi0, phi0, ts)
+    timings["verify.reconstruct_s"] = time.perf_counter() - t1
+    t1 = time.perf_counter()
     direct = propagate_direct(base, P, omega, psi0, phi0, ts, dt=dt)
+    timings["verify.direct_s"] = time.perf_counter() - t1
     dev = float(np.max(np.linalg.norm(recon - direct, axis=1)))
+    dt_direct, steps = step_plan(base, ts, dt)
     report = {
+        "dt": dt_direct,
+        "integrator": "exponential-midpoint",
         "max_deviation": dev,
         "norm_drift_direct": float(
             np.max(np.abs(np.linalg.norm(direct, axis=1) - 1.0))
@@ -521,13 +540,17 @@ def cmd_verify(manifest: RunManifest) -> int:
         ),
         "num_times": num_times,
         "passed": bool(dev <= tol),
+        "steps_direct": int(steps.sum()),
         "t_max": t_max,
         "tol": tol,
     }
 
     if reduced.n == 1:
         T = 2.0 * np.pi / float(omega[0])
+        t1 = time.perf_counter()
         nu, _, info = monodromy_quasienergies(base, P, omega, dt=dt, reduced=reduced)
+        timings["verify.monodromy_s"] = time.perf_counter() - t1
+        report["steps_period"] = int(step_plan(base, [T], dt)[1][0])
         lam = np.mod(reduced.lambda_inf, 2.0 * np.pi / T)
         err = np.abs(nu - lam)
         err = np.minimum(err, 2.0 * np.pi / T - err)  # circle distance
@@ -539,7 +562,8 @@ def cmd_verify(manifest: RunManifest) -> int:
         }
 
     write_json(os.path.join(outdir, "verify.json"), report)
-    _write_timings(outdir, {"verify_s": time.perf_counter() - t0})
+    timings["verify_s"] = time.perf_counter() - t0
+    _write_timings(outdir, timings)
     write_checksums(outdir)
     status = "ok" if report["passed"] else "FAILED"
     print(f"verify: max deviation {dev:.3e} (tol {tol:.1e}) -> {status}")
@@ -548,6 +572,7 @@ def cmd_verify(manifest: RunManifest) -> int:
 
 def cmd_spectrum(manifest: RunManifest, kmax: int | None = None) -> int:
     from .floquet import floquet_spectrum
+    from .serialize import verify_checksums, write_checksums, write_json
 
     outdir = _prepare_out(manifest)
     verify_checksums(outdir)
@@ -585,6 +610,7 @@ def cmd_model(manifest: RunManifest) -> int:
     t0 = time.perf_counter()
     import numpy as np
 
+    from .serialize import write_checksums, write_json
     from .torus import delta_norm
 
     outdir = _prepare_out(manifest)
@@ -675,8 +701,10 @@ def _apply_threads(threads: int | None) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_threads(args.threads)
     try:
+        _apply_threads(args.threads)
+        from .serialize import RunManifest
+
         manifest = RunManifest.load(args.manifest)
         manifest = manifest.replace(seed=args.seed, out=args.out)
         if args.command == "frequencies":

@@ -8,14 +8,17 @@ the frequency certified in test_engine (its certificate covers every N up to
 
 import hashlib
 import json
+import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from kamreduce import cli
-from kamreduce.serialize import load_json
+from kamreduce.serialize import RunManifest, load_json
 
 OMEGA = 0.13799890521733005
 # omega hitting lambda_2 - lambda_1 = 3 omega exactly (d = 4/3 ladder)
@@ -153,6 +156,41 @@ def test_verify_reference_run(finished_run):
     assert rep["quasi_energy"]["max_error"] < 1e-6
 
 
+def test_verify_records_its_step_rule(finished_run):
+    _, manifest, outdir = finished_run
+    assert _run("verify", manifest) == cli.EXIT_OK
+    rep = load_json(outdir / "verify.json")
+    base, _ = cli._build_model(RunManifest.load(manifest))
+    # the exponential midpoint rule, counted here without floquet
+    dt = 0.5 * 0.1 / float(np.max(np.abs(base.lam)))
+    steps, t = 0, 0.0
+    for t_target in np.linspace(10.0 / 20, 10.0, 20):
+        steps += math.ceil((t_target - t) / dt - 1e-12)
+        t = t_target
+    assert rep["integrator"] == "exponential-midpoint"
+    assert rep["dt"] == dt
+    assert rep["steps_direct"] == steps
+    assert rep["steps_period"] == math.ceil(2.0 * np.pi / OMEGA / dt - 1e-12)
+
+
+def test_reduce_then_verify_keeps_both_timings(tmp_path):
+    manifest = _write(tmp_path, _doc(str(tmp_path / "r")))
+    assert _run("reduce", manifest) == cli.EXIT_OK
+    assert _run("verify", manifest) == cli.EXIT_OK
+    lines = (tmp_path / "r" / "timings.txt").read_text().splitlines()
+    keys = [line.split(":")[0] for line in lines]
+    assert keys == sorted(keys)
+    assert set(keys) == {
+        "build_s",
+        "reduce_s",
+        "verify_s",
+        "verify.direct_s",
+        "verify.monodromy_s",
+        "verify.reconstruct_s",
+    }
+    assert "timings.txt" not in load_json(tmp_path / "r" / "checksums.json")
+
+
 def test_verify_epsilon_zero_pure_scheme_error(tmp_path):
     doc = _doc(str(tmp_path / "r"))
     doc["settings"] = dict(doc["settings"], epsilon=0.0)
@@ -238,6 +276,24 @@ def test_model_command_reports_lambda_table(tmp_path):
     assert info["N"] == 8 and info["kind"] == "abstract"
     assert np.allclose(info["lambda"], np.arange(1, 9) ** (4.0 / 3.0))
     assert abs(info["norm"] - 1e-3) < 1e-12
+
+
+def test_import_defers_numpy_until_threads_are_pinned():
+    # --threads sets the BLAS pool size through the environment, which only
+    # takes effect if numpy has not been imported yet
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, kamreduce.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_nonpositive_threads_usage_error(tmp_path):
+    manifest = _write(tmp_path, _doc(str(tmp_path / "m")))
+    assert _run("model", manifest, extra=("--threads", "0")) == cli.EXIT_SCHEMA
 
 
 def test_seed_override_changes_sampled_frequency(tmp_path):

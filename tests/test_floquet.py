@@ -2,10 +2,13 @@
 
 Oracles: hand-built spectra with known collisions, scipy.linalg.expm for
 constant Hamiltonians, a central-difference check that the reconstructed
-solution actually solves i dpsi/dt = H(omega t) psi, and dt-halving studies
-for the integrator order.  The reduction used by the end-to-end cases is the
+solution actually solves i dpsi/dt = H(omega t) psi, dt-halving studies
+for the integrator order, and a step-by-step eigh loop for the batched
+Taylor stepping kernel.  The reduction used by the end-to-end cases is the
 small n=1 instance from the engine tests (frequency certified there).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +17,12 @@ import scipy.linalg
 from kamreduce.engine import KamSettings, ReducedSystem, run_schedule
 from kamreduce.errors import DivisorTooSmall, KamError
 from kamreduce.floquet import (
+    _CHUNK,
     FloquetSpectrum,
+    _expm_taylor,
+    _hamiltonian_at,
+    _step_product,
+    _taylor_degree,
     floquet_spectrum,
     monodromy_quasienergies,
     propagate_columns,
@@ -215,3 +223,57 @@ def test_fundamental_solution_times_out_columns(small_run):
     e0[0] = 1.0
     direct = propagate_direct(A, P, OMEGA_N1, e0, np.zeros(1), [T])[0]
     assert np.linalg.norm(Phi[:, 0] - direct) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# stepping kernel
+# ---------------------------------------------------------------------------
+
+def _eigh_exp(H, h):
+    """exp(-i h H) for a hermitian batch through its eigendecomposition."""
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * h * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+
+
+@pytest.mark.parametrize("b", [1e-20, 1e-9, 0.05, 0.3, 1.0])
+def test_taylor_degree_is_smallest_with_tail_below_unit_roundoff(b):
+    def tail(m):
+        return math.fsum(b**k / math.factorial(k) for k in range(m + 1, m + 60))
+
+    m = _taylor_degree(b)
+    assert tail(m) <= 2.0**-53
+    assert m == 0 or tail(m - 1) > 2.0**-53
+
+
+@pytest.mark.parametrize("N, bound", [(24, 0.05), (24, 0.9), (6, 5.0), (24, 40.0)])
+def test_step_exponential_matches_eigh(N, bound):
+    # bounds above 1 take the scaling-and-squaring branch
+    rng = np.random.default_rng(N + int(bound * 10))
+    X = rng.standard_normal((40, N, N)) + 1j * rng.standard_normal((40, N, N))
+    H = X + np.conj(np.swapaxes(X, -1, -2))
+    H *= bound / np.max(np.sum(np.abs(H), axis=-2))
+    assert np.max(np.abs(_expm_taylor(-1j * H) - _eigh_exp(H, 1.0))) <= 1e-14
+
+
+def test_step_exponential_rejects_non_finite_input():
+    with pytest.raises(KamError, match="non-finite"):
+        _expm_taylor(np.full((1, 2, 2), np.nan + 0j))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, _CHUNK + 1])
+def test_step_product_matches_sequential_eigh(small_run, steps):
+    A, P, _ = small_run
+    phi0, t0, h = np.array([0.3]), 1.7, 0.01
+    mids = t0 + (np.arange(steps) + 0.5) * h
+    H = _hamiltonian_at(A, P, phi0[None, :] + mids[:, None] * OMEGA_N1[None, :])
+    expect = np.eye(A.N, dtype=complex)
+    for E in _eigh_exp(H, h):
+        expect = E @ expect
+    got = _step_product(A, P, OMEGA_N1, phi0, t0, h, steps)
+    assert np.max(np.abs(got - expect)) <= 1e-13
+
+
+def test_fundamental_solution_unitary_to_roundoff(small_run):
+    A, P, _ = small_run
+    Phi = propagate_columns(A, P, OMEGA_N1, 2.0 * np.pi / OMEGA_N1[0])
+    assert np.max(np.abs(Phi.conj().T @ Phi - np.eye(A.N))) <= 1e-12
