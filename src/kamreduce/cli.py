@@ -379,6 +379,7 @@ def cmd_reduce(manifest: RunManifest) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return code
         timings["reduce_s"] = time.perf_counter() - t1
+        timings.update(state.timings)
 
         for rec in state.records:
             log.emit("step", l=rec["l"], norm=rec["norm_out"], K=rec["K_step"])

@@ -16,9 +16,13 @@ Numerical notes that matter here:
   exact arithmetic, so we compute E*[A,D] with [A,D]_ij = (a_i - a_j) D_ij
   entrywise.  Every term then scales with ||B|| or ||P||, leaving no fixed
   noise floor.
-* exp(B) for anti-hermitian B goes through the eigendecomposition of the
-  hermitian iB, which is structurally unitary; e^{-i theta} - 1 is formed as
-  -2 sin^2(theta/2) - i sin(theta) to keep D accurate for small B.
+* exp(B) is a Paterson-Stockmeyer Taylor polynomial, the same kernel that
+  floquet steps with.  D = E - I is the polynomial without its constant
+  term, never E minus I, and its degree keeps the remainder below 2^-53 ||B||,
+  so D stays accurate relative to ||B|| however small B is.  E is unitary to
+  roundoff, which is all E*[A,D] needs.
+* P+ is trimmed to its live band after chopping: all-zero outer shells are
+  dropped, which changes no coefficient and no norm.
 * Coefficients below an absolute floor are zeroed after each step so the
   weighted-l1 strip norms measure signal rather than accumulated roundoff.
 
@@ -33,6 +37,8 @@ eigenvalues after every step, which raises FrequencyExcluded on violation.
 
 from __future__ import annotations
 
+import math
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -152,6 +158,8 @@ class KamState:
     records: tuple = ()
     converged: bool = False
     diverged: bool = False
+    # (name, seconds) per phase and step; wall times, kept out of the records
+    timings: tuple = field(default=(), compare=False)
 
     @property
     def norm(self) -> float:
@@ -226,16 +234,103 @@ def diag_split(P: OperatorSeries, tol: float = 1e-12):
     return shift, mu_add, off
 
 
+# scaling and squaring brings a batch's 1-norm bound to at most this
+_SCALE_BOUND = 1.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _taylor_degree(b: float, tol: float = _UNIT_ROUNDOFF) -> int:
+    """Smallest m whose Taylor remainder bound at 1-norm b is <= tol.
+
+    The remainder sum_{k > m} b^k / k! is at most the first omitted term
+    b^(m+1) / (m+1)! times the geometric tail factor 1 / (1 - b / (m+2)).
+    """
+    m, term = 0, b
+    while term > tol * (1.0 - b / (m + 2)):
+        m += 1
+        term *= b / (m + 1)
+    return m
+
+
+def _taylor_polynomial(A: np.ndarray, m: int, constant: bool = True) -> np.ndarray:
+    """sum_{k <= m} A^k / k! for a batch (C, N, N), by Paterson-Stockmeyer.
+
+    With block size s = ceil(sqrt(m)) it forms A^2 .. A^s and runs Horner in
+    A^s over the blocks B_j = sum_{i < s} A^i / (js + i)!: about 2 sqrt(m)
+    batched products instead of m.  constant=False leaves out the k = 0
+    term, which gives exp(A) - I without subtracting I.
+    """
+    C, N, _ = A.shape
+    s = math.isqrt(m - 1) + 1 if m else 1
+    r = m // s
+    pows = np.empty((s,) + A.shape, dtype=complex)        # pows[i] = A^(i+1)
+    pows[0] = A
+    for i in range(1, s):
+        np.matmul(pows[i - 1], A, out=pows[i])
+    inv = [1.0 / math.factorial(k) for k in range(m + 1)] + [0.0] * s
+    weights = np.array([[inv[j * s + i] for i in range(1, s)] for j in range(r + 1)])
+    # one real (r + 1, s - 1) x (s - 1, 2 C N N) product forms every block
+    flat = pows[: s - 1].view(float).reshape(s - 1, 2 * A.size)
+    blocks = (weights @ flat).view(complex).reshape((r + 1,) + A.shape)
+    identity = np.array(inv[: r * s + 1 : s])[:, None, None]
+    if not constant:
+        identity[0] = 0.0
+    blocks.reshape(r + 1, C, N * N)[:, :, :: N + 1] += identity
+    if m % s == 0 and r:                                  # top block is I / m!
+        r -= 1
+        E = pows[-1] * inv[m] + blocks[r]
+    else:
+        E = blocks[r]
+    for j in range(r - 1, -1, -1):
+        E = pows[-1] @ E
+        E += blocks[j]
+    return E
+
+
+def _scaled_bound(A: np.ndarray):
+    """(b, q): the batch's 1-norm bound after scaling A by 2^-q, and q.
+
+    q is the fewest halvings that bring the bound to _SCALE_BOUND or below.
+    """
+    b = float(np.max(np.sum(np.abs(A), axis=-2)))
+    if not math.isfinite(b):
+        raise KamError("non-finite matrix in a Taylor exponential")
+    q = math.ceil(math.log2(b / _SCALE_BOUND)) if b > _SCALE_BOUND else 0
+    return b / 2.0**q, q
+
+
+def _expm_taylor(A: np.ndarray) -> np.ndarray:
+    """exp(A) for a batch (C, N, N): one Taylor degree for the whole batch.
+
+    The degree comes from the batch's largest 1-norm b, with a remainder
+    below 2^-53; above _SCALE_BOUND the batch is scaled by 2^-q first and
+    the result squared q times.  This is the step exponential of verify.
+    """
+    b, q = _scaled_bound(A)
+    E = _taylor_polynomial(A / 2.0**q if q else A, _taylor_degree(b))
+    for _ in range(q):
+        E = E @ E
+    return E
+
+
 def matrix_exp_antihermitian(Bg: np.ndarray):
     """exp(B) for anti-hermitian matrix values, batched over leading axes.
 
-    Returns (E, D) with D = E - I computed from the eigenphases directly,
-    accurate for small B.  E is a product of unitaries by construction.
+    Returns (E, D) with D = E - I formed directly as the Taylor polynomial
+    without its constant term; its remainder is at most 2^-53 b at the
+    batch's 1-norm bound b, so D stays accurate relative to ||B|| however
+    small B is.  Above _SCALE_BOUND it squares in D-form, D <- 2D + D D.
     """
-    theta, V = np.linalg.eigh(1j * np.asarray(Bg))
-    phase_m1 = -2.0 * np.sin(theta / 2.0) ** 2 - 1j * np.sin(theta)   # e^{-i theta} - 1
-    D = (V * phase_m1[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
-    E = D + np.eye(D.shape[-1], dtype=complex)
+    Bg = np.asarray(Bg, dtype=complex)
+    shape = Bg.shape
+    A = Bg.reshape((-1,) + shape[-2:])
+    b, q = _scaled_bound(A)
+    D = _taylor_polynomial(A / 2.0**q if q else A, _taylor_degree(b, _UNIT_ROUNDOFF * b),
+                           constant=False)
+    for _ in range(q):
+        D = 2.0 * D + D @ D
+    D = D.reshape(shape)
+    E = D + np.eye(shape[-1], dtype=complex)
     return E, D
 
 
@@ -374,6 +469,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
 
     K_work = settings.work_cutoff()
     theta = settings.guard_theta(base)
+    clock = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", GuardWarning)
         try:
@@ -397,7 +493,10 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         guard_msgs.append(str(item.message))
         warnings.warn(str(item.message), GuardWarning)
     B = sol.B
+    t_solve = time.perf_counter() - clock
+    clock = time.perf_counter()
     gB = g_norm(B, base, state.s)
+    t_norms = time.perf_counter() - clock
     if gB > 0.5:
         msg = f"||B||_G = {gB:.3g} exceeds 1/2"
         guard_msgs.append(msg)
@@ -405,6 +504,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
             raise GuardViolated(msg)
         warnings.warn(msg, GuardWarning)
 
+    clock = time.perf_counter()
     P_plus, cinfo = conjugate(
         base, P, B, w,
         K_out=K_work,
@@ -413,6 +513,9 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         majorant_s=s_next,
         with_info=True,
     )
+    # outer shells that chopping left all-zero carry no mass: drop them
+    P_plus = P_plus.trim()
+    t_conjugate = time.perf_counter() - clock
 
     # absorb the diagonal of P into the base
     shift, mu_add, _ = diag_split(P)
@@ -452,7 +555,9 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
 
     # the shifted eigenvalues must still clear the second non-resonance
     # condition at the reduced gamma over the full horizon
+    clock = time.perf_counter()
     cert = check_dio2(w, new_base, gamma_next, settings.tau, settings.horizon(), N)
+    t_recertify = time.perf_counter() - clock
     if not cert.passed:
         raise FrequencyExcluded(
             f"second non-resonance condition violated after step {l_next} "
@@ -462,7 +567,9 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         )
 
     # the bound on chopped mass is folded in so the report never understates
+    clock = time.perf_counter()
     norm_next = delta_norm(P_plus, new_base, s_next) + cinfo["chopped_norm_bound"]
+    t_norms += time.perf_counter() - clock
     eps_bound = settings.eps_schedule(l_next)
     eps_ok = (settings.epsilon == 0.0) or (norm_next <= eps_bound)
     if not eps_ok:
@@ -482,6 +589,9 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "K_budget": int(min(K_budget, 10**9)),
         "K_step": K_step,
         "K_B": B.K,
+        "B_truncation": sol.truncation_residue,
+        "grid_M": cinfo["grid"],
+        "K_P": P_plus.K,
         "gamma_in": state.gamma,
         "gamma_out": gamma_next,
         "C_mu": C_mu_next,
@@ -512,6 +622,12 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         records=state.records + (rec,),
         converged=norm_next <= settings.tol,
         diverged=False,
+        timings=state.timings + (
+            (f"step{l_next}.solve_s", t_solve),
+            (f"step{l_next}.conjugate_s", t_conjugate),
+            (f"step{l_next}.norms_s", t_norms),
+            (f"step{l_next}.recertify_s", t_recertify),
+        ),
     )
 
 

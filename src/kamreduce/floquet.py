@@ -14,20 +14,26 @@ midpoint rule, and the monodromy matrix (n = 1) is diagonalized on its own.
 
 Both propagators share one stepping kernel, _step_product.  It builds the
 midpoint Hamiltonians of a chunk of steps as one batch, forms each step
-exp(-i h H) as a Paterson-Stockmeyer Taylor polynomial whose remainder is
-bounded below 2^-53 (scaling and squaring above a fixed norm bound), and
+exp(-i h H) with engine._expm_taylor, a Paterson-Stockmeyer Taylor
+polynomial whose remainder is bounded below 2^-53 (scaling and squaring
+above a fixed norm bound; the reduction's exp(B) uses the same kernel), and
 multiplies the chunk's steps together as a tree.  Steps are therefore
 unitary to roundoff rather than by construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ReducedSystem, matrix_exp_antihermitian
+# _taylor_degree is verify's degree rule, re-exported next to the step kernel
+from .engine import (  # noqa: F401
+    ReducedSystem,
+    _expm_taylor,
+    _taylor_degree,
+    matrix_exp_antihermitian,
+)
 from .errors import DivisorTooSmall, KamError
 from .torus import DiagonalPart, OperatorSeries, k_box
 
@@ -167,72 +173,6 @@ def _hamiltonian_at(base: DiagonalPart, P: OperatorSeries | None, phis: np.ndarr
 # steps per batch of the step kernel: 32 complex 24 x 24 matrices are 295 KB,
 # so a batch with its powers and Horner blocks stays in a 2 MB L2 cache
 _CHUNK = 32
-# scaling and squaring brings the batch's 1-norm bound to at most this
-_SCALE_BOUND = 1.0
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _taylor_degree(b: float) -> int:
-    """Smallest m whose Taylor remainder bound at 1-norm b is <= 2^-53.
-
-    The remainder sum_{k > m} b^k / k! is at most the first omitted term
-    b^(m+1) / (m+1)! times the geometric tail factor 1 / (1 - b / (m+2)).
-    """
-    m, term = 0, b
-    while term > _UNIT_ROUNDOFF * (1.0 - b / (m + 2)):
-        m += 1
-        term *= b / (m + 1)
-    return m
-
-
-def _taylor_polynomial(A: np.ndarray, m: int) -> np.ndarray:
-    """sum_{k <= m} A^k / k! for a batch (C, N, N), by Paterson-Stockmeyer.
-
-    With block size s = ceil(sqrt(m)) it forms A^2 .. A^s and runs Horner in
-    A^s over the blocks B_j = sum_{i < s} A^i / (js + i)!: about 2 sqrt(m)
-    batched products instead of m.
-    """
-    C, N, _ = A.shape
-    s = math.isqrt(m - 1) + 1 if m else 1
-    r = m // s
-    pows = np.empty((s,) + A.shape, dtype=complex)        # pows[i] = A^(i+1)
-    pows[0] = A
-    for i in range(1, s):
-        np.matmul(pows[i - 1], A, out=pows[i])
-    inv = [1.0 / math.factorial(k) for k in range(m + 1)] + [0.0] * s
-    weights = np.array([[inv[j * s + i] for i in range(1, s)] for j in range(r + 1)])
-    # one real (r + 1, s - 1) x (s - 1, 2 C N N) product forms every block
-    flat = pows[: s - 1].view(float).reshape(s - 1, 2 * A.size)
-    blocks = (weights @ flat).view(complex).reshape((r + 1,) + A.shape)
-    identity = np.array(inv[: r * s + 1 : s])[:, None, None]
-    blocks.reshape(r + 1, C, N * N)[:, :, :: N + 1] += identity
-    if m % s == 0 and r:                                  # top block is I / m!
-        r -= 1
-        E = pows[-1] * inv[m] + blocks[r]
-    else:
-        E = blocks[r]
-    for j in range(r - 1, -1, -1):
-        E = pows[-1] @ E
-        E += blocks[j]
-    return E
-
-
-def _expm_taylor(A: np.ndarray) -> np.ndarray:
-    """exp(A) for a batch (C, N, N): one Taylor degree for the whole batch.
-
-    The degree comes from the batch's largest 1-norm b; above _SCALE_BOUND
-    the batch is scaled by 2^-q first and the result squared q times.
-    """
-    b = float(np.max(np.sum(np.abs(A), axis=-2)))
-    if not math.isfinite(b):
-        raise KamError("non-finite matrix in a step exponential")
-    q = math.ceil(math.log2(b / _SCALE_BOUND)) if b > _SCALE_BOUND else 0
-    E = _taylor_polynomial(A / 2.0**q if q else A, _taylor_degree(b / 2.0**q))
-    for _ in range(q):
-        E = E @ E
-    return E
-
-
 def _ordered_product(E: np.ndarray) -> np.ndarray:
     """E[-1] @ ... @ E[1] @ E[0], multiplied pairwise level by level."""
     while len(E) > 1:

@@ -324,15 +324,22 @@ def solve_variable(
             messages.append(f"C* guard violated: C_mu/C_lambda = {c_mu / c_lam:.3g} >= {guard_Cstar}")
             warnings.warn(messages[-1], GuardWarning)
 
+    # pair p is (i, j) = (ii[p], jj[p]) with i < j; B_ji is solved, B_ij mirrors it
+    ii, jj = np.triu_indices(N, 1)
+    pairs = list(zip(ii.tolist(), jj.tolist()))
+
     if mu_zero:
         zero_mu_base = DiagonalPart(lam=base.lam, d=base.d, delta=base.delta, n=n)
         sol = solve_constant(P, zero_mu_base, omega, floor_scale)
-        B = sol.B if K_out is None else sol.B.truncate(K_out)
+        # K_out caps the generator's band; it never pads it
+        B = sol.B if K_out is None else sol.B.truncate(min(K_out, sol.B.K))
+        trunc = float(np.sum(np.abs(sol.B.coeffs[..., jj, ii]))
+                      - np.sum(np.abs(B.coeffs[..., jj, ii])))
         resid = _variable_residual(B, P, base, omega)
         return HomologicalSolution(B=B, residual=resid, min_divisor=sol.min_divisor,
-                                   guard_ok=guard_ok, guard_messages=tuple(messages))
+                                   guard_ok=guard_ok, guard_messages=tuple(messages),
+                                   truncation_residue=max(trunc, 0.0))
 
-    pairs = [(i, j) for i in range(N) for j in range(N) if i < j]
     K_mu = base.K
     band = P.K + K_mu
     if work_K is not None:
@@ -341,14 +348,13 @@ def solve_variable(
     else:
         M = int(next_fast_len(max(oversample * (2 * band + 2), 2 * band + 2)))
     K_alias = (M - 2) // 2
-    grid_axes = tuple(range(1, n + 1))
+    ctr = (K_mu,) * n
 
-    # stacked scalar data per pair on the shared grid
-    mu_stack = base.mu  # (N, modes)
-    mud = np.stack([mu_stack[j] - mu_stack[i] for i, j in pairs])
-    E1 = np.array([base.lam[j] - base.lam[i] for i, j in pairs])
+    # stacked scalar data on the shared grid, pair axis last
+    mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)      # (modes..., pairs)
+    E1 = base.lam[jj] - base.lam[ii]
     w_s = np.exp(s * k_norm1_grid(n, K_mu)).reshape(-1)
-    E2 = np.abs(mud.reshape(len(pairs), -1)) @ w_s
+    E2 = w_s @ np.abs(mud).reshape(-1, len(pairs))
     for p, (i, j) in enumerate(pairs):
         if E2[p] > 0 and E1[p] ** guard_theta < guard_C * E2[p]:
             guard_ok = False
@@ -360,42 +366,40 @@ def solve_variable(
         warnings.warn("; ".join(messages[:3]), GuardWarning)
 
     # primitive of mu_j - mu_i (zero average by construction of mu)
-    kdw_mu = _k_dot_omega(n, K_mu, omega)
-    floor_mu = _divisor_floor(n, K_mu, floor_scale)
+    kdw_mu = _k_dot_omega(n, K_mu, omega)[..., None]
+    floor_mu = _divisor_floor(n, K_mu, floor_scale)[..., None]
     live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
-    bad = live & (np.abs(kdw_mu) < floor_mu)[None, ...]
-    bad[(slice(None),) + (K_mu,) * n] = False
+    bad = live & (np.abs(kdw_mu) < floor_mu)
+    bad[ctr] = False
     if np.any(bad):
         idx = np.argwhere(bad)[0]
-        p = int(idx[0])
-        k = tuple(int(x) - K_mu for x in idx[1:])
+        p = int(idx[n])
+        k = tuple(int(x) - K_mu for x in idx[:n])
         raise DivisorTooSmall(
             f"|omega.k| below floor for pair {pairs[p]} at k={k}",
             i=pairs[p][0] + 1, j=pairs[p][1] + 1, k=k,
         )
     Hd = np.zeros_like(mud)
     np.divide(mud, 1j * kdw_mu, out=Hd, where=np.abs(kdw_mu) > 0)
-    Hd[(slice(None),) + (K_mu,) * n] = 0.0
+    Hd[ctr] = 0.0
 
-    Hg = _stack_to_grid(Hd, n, K_mu, M)
+    Hg = coeffs_to_grid(Hd, n, K_mu, M)
     unimod = float(np.max(np.abs(np.abs(np.exp(1j * Hg)) - 1.0)))
     if unimod > 1e-12:
         warnings.warn(f"integrating factor unimodularity defect {unimod:.2e}", GuardWarning)
     factor = np.exp(1j * Hg)
 
-    b_stack = np.stack([-P.coeffs[..., j, i] for i, j in pairs])
-    bg = _stack_to_grid(b_stack, n, P.K, M)
-    btil = _grid_to_stack(factor * bg, n, K_alias)
+    bg = coeffs_to_grid(-P.coeffs[..., jj, ii], n, P.K, M)
+    btil = grid_to_coeffs(factor * bg, n, K_alias)
 
-    kdw = _k_dot_omega(n, K_alias, omega)
-    den = kdw[None, ...] + E1.reshape((-1,) + (1,) * n)
-    floor = _divisor_floor(n, K_alias, floor_scale)
+    den = _k_dot_omega(n, K_alias, omega)[..., None] + E1
+    floor = _divisor_floor(n, K_alias, floor_scale)[..., None]
     live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
-    bad = live & (np.abs(den) < floor[None, ...])
+    bad = live & (np.abs(den) < floor)
     if np.any(bad):
         idx = np.argwhere(bad)[0]
-        p = int(idx[0])
-        k = tuple(int(x) - K_alias for x in idx[1:])
+        p = int(idx[n])
+        k = tuple(int(x) - K_alias for x in idx[:n])
         raise DivisorTooSmall(
             f"|omega.k + E1| below floor for pair {pairs[p]} at k={k}",
             i=pairs[p][0] + 1, j=pairs[p][1] + 1, k=k, value=float(np.abs(den[tuple(idx)])),
@@ -403,44 +407,26 @@ def solve_variable(
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     uc = np.zeros_like(btil)
     np.divide(btil, den, out=uc, where=live & (np.abs(den) > 0))
-    ug = _stack_to_grid(uc, n, K_alias, M)
+    ug = coeffs_to_grid(uc, n, K_alias, M)
     chig = np.conj(factor) * ug
-    chic = _grid_to_stack(chig, n, K_alias)
+    chic = grid_to_coeffs(chig, n, K_alias)
 
     if K_out is None:
-        K_out = min(K_alias, max(_tight_cutoff(chic[p], n, K_alias, 1e-15) for p in range(len(pairs))))
+        K_out = min(K_alias, max(_tight_cutoff(chic[..., p], n, K_alias, 1e-15)
+                                 for p in range(len(pairs))))
     K_B = min(K_out, K_alias)
-    sl = (slice(None),) + tuple(slice(K_alias - K_B, K_alias + K_B + 1) for _ in range(n))
+    sl = tuple(slice(K_alias - K_B, K_alias + K_B + 1) for _ in range(n))
     chic_cut = chic[sl]
     trunc = float(np.sum(np.abs(chic)) - np.sum(np.abs(chic_cut)))
 
     Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
-    rev = (slice(None, None, -1),) * n
-    for p, (i, j) in enumerate(pairs):
-        Bc[..., j, i] = chic_cut[p]
-        Bc[..., i, j] = -np.conj(chic_cut[p][rev])
+    Bc[..., jj, ii] = chic_cut
+    Bc[..., ii, jj] = -np.conj(chic_cut[(slice(None, None, -1),) * n])
     B = OperatorSeries(n, K_B, N, Bc)
     resid = _variable_residual(B, P, base, omega)
     return HomologicalSolution(B=B, residual=resid, min_divisor=min_div,
                                guard_ok=guard_ok, guard_messages=tuple(messages),
                                truncation_residue=max(trunc, 0.0))
-
-
-def _stack_to_grid(stack: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
-    """coeffs (npair, modes...) -> grid values (npair, M...)."""
-    out = np.zeros((stack.shape[0],) + (M,) * n, dtype=complex)
-    idx = (np.arange(-K, K + 1)) % M
-    out[np.ix_(np.arange(stack.shape[0]), *([idx] * n))] = stack
-    axes = tuple(range(1, n + 1))
-    return np.fft.ifftn(out, axes=axes) * (M**n)
-
-
-def _grid_to_stack(values: np.ndarray, n: int, K: int) -> np.ndarray:
-    axes = tuple(range(1, n + 1))
-    M = values.shape[1]
-    table = np.fft.fftn(values, axes=axes) / (M**n)
-    idx = (np.arange(-K, K + 1)) % M
-    return table[np.ix_(np.arange(values.shape[0]), *([idx] * n))]
 
 
 def _variable_residual(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart, omega) -> float:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import fftn, ifftn, next_fast_len
 
 from .errors import AliasingError, HermiticityError, KamError
 
@@ -94,17 +94,23 @@ def _fft_to_centered(table: np.ndarray, n: int, K: int) -> np.ndarray:
 
 
 def coeffs_to_grid(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
-    """Evaluate a coefficient block on the equispaced M**n grid (zero-padded FFT)."""
+    """Evaluate a coefficient block on the equispaced M**n grid (zero-padded FFT).
+
+    The first n axes are modes; any trailing axes are batch axes.
+    """
     table = _centered_to_fft(coeffs, n, K, M)
-    return np.fft.ifftn(table, axes=tuple(range(n))) * (M**n)
+    return ifftn(table, axes=tuple(range(n)), norm="forward", overwrite_x=True)
 
 
 def grid_to_coeffs(values: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Centered coefficients |k|_inf <= K from grid samples (alias-folding beyond M/2)."""
+    """Centered coefficients |k|_inf <= K from grid samples (alias-folding beyond M/2).
+
+    The first n axes are grid axes; any trailing axes are batch axes.
+    """
     M = values.shape[0]
     if M < 2 * K + 2:
         raise AliasingError(f"grid size {M} < 2K+2 = {2 * K + 2}")
-    table = np.fft.fftn(values, axes=tuple(range(n))) / (M**n)
+    table = fftn(values, axes=tuple(range(n)), norm="forward")
     return _fft_to_centered(table, n, K)
 
 
@@ -287,11 +293,6 @@ class OperatorSeries:
     def entry(self, i: int, j: int) -> TorusSeries:
         return TorusSeries(self.n, self.K, self.coeffs[..., i, j])
 
-    def with_entry(self, i: int, j: int, f: TorusSeries) -> "OperatorSeries":
-        c = self.coeffs.copy()
-        c[..., i, j] = f.pad_to(self.K).coeffs if f.K <= self.K else f.truncate(self.K).coeffs
-        return OperatorSeries(self.n, self.K, self.N, c)
-
     def coeff(self, k) -> np.ndarray:
         k = (k,) if np.isscalar(k) else tuple(k)
         return np.array(self.coeffs[tuple(x + self.K for x in k)])
@@ -321,6 +322,16 @@ class OperatorSeries:
             return self.pad_to(K)
         sl = tuple(slice(self.K - K, self.K + K + 1) for _ in range(self.n))
         return OperatorSeries(self.n, K, self.N, self.coeffs[sl])
+
+    def trim(self) -> "OperatorSeries":
+        """Drop the all-zero outer |k|_inf shells; every coefficient is kept.
+
+        The result's cutoff is the live band: the largest |k|_inf that
+        carries a nonzero coefficient (0 for the zero series).
+        """
+        live = np.argwhere(np.any(self.coeffs != 0, axis=(-2, -1)))
+        K_live = int(np.max(np.abs(live - self.K))) if len(live) else 0
+        return self.truncate(K_live)
 
     def __add__(self, other: "OperatorSeries") -> "OperatorSeries":
         K = max(self.K, other.K)
@@ -356,11 +367,6 @@ class OperatorSeries:
         residue = float(np.sum(np.abs(full)) - np.sum(np.abs(out.coeffs)))
         return out, max(residue, 0.0)
 
-    def commutator(self, other: "OperatorSeries", K_out: int | None = None):
-        ab, r1 = self.matmul(other, K_out)
-        ba, r2 = other.matmul(self, K_out)
-        return ab - ba, r1 + r2
-
     # -- structure -----------------------------------------------------------
 
     def hermiticity_defect(self) -> float:
@@ -375,20 +381,6 @@ class OperatorSeries:
     def is_hermitian(self, tol: float = 1e-11) -> bool:
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
         return self.hermiticity_defect() <= tol * scale
-
-    def hermitize(self) -> "OperatorSeries":
-        mirror = np.conj(self.coeffs[(slice(None, None, -1),) * self.n].swapaxes(-1, -2))
-        return OperatorSeries(self.n, self.K, self.N, 0.5 * (self.coeffs + mirror))
-
-    def antihermitize(self) -> "OperatorSeries":
-        mirror = np.conj(self.coeffs[(slice(None, None, -1),) * self.n].swapaxes(-1, -2))
-        return OperatorSeries(self.n, self.K, self.N, 0.5 * (self.coeffs - mirror))
-
-    def diagonal_part(self) -> "OperatorSeries":
-        c = np.zeros_like(self.coeffs)
-        idx = np.arange(self.N)
-        c[..., idx, idx] = self.coeffs[..., idx, idx]
-        return OperatorSeries(self.n, self.K, self.N, c)
 
     def offdiagonal_part(self) -> "OperatorSeries":
         c = self.coeffs.copy()

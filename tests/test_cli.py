@@ -23,6 +23,7 @@ from kamreduce.serialize import RunManifest, load_json
 OMEGA = 0.13799890521733005
 # omega hitting lambda_2 - lambda_1 = 3 omega exactly (d = 4/3 ladder)
 OMEGA_RESONANT = (2.0 ** (4.0 / 3.0) - 1.0) / 3.0
+STEP_PHASES = ("solve", "conjugate", "norms", "recertify")
 
 
 def _doc(out, **overrides):
@@ -180,6 +181,7 @@ def test_reduce_then_verify_keeps_both_timings(tmp_path):
     lines = (tmp_path / "r" / "timings.txt").read_text().splitlines()
     keys = [line.split(":")[0] for line in lines]
     assert keys == sorted(keys)
+    steps = load_json(tmp_path / "r" / "steps.json")
     assert set(keys) == {
         "build_s",
         "reduce_s",
@@ -187,8 +189,24 @@ def test_reduce_then_verify_keeps_both_timings(tmp_path):
         "verify.direct_s",
         "verify.monodromy_s",
         "verify.reconstruct_s",
-    }
+    } | {f"step{rec['l']}.{phase}_s" for rec in steps for phase in STEP_PHASES}
     assert "timings.txt" not in load_json(tmp_path / "r" / "checksums.json")
+
+
+def test_reduce_times_each_step_phase(finished_run):
+    _, _, outdir = finished_run
+    steps = load_json(outdir / "steps.json")
+    assert len(steps) >= 2
+    times = {}
+    for line in (outdir / "timings.txt").read_text().splitlines():
+        key, value = line.split(": ")
+        times[key] = float(value.removesuffix(" s"))
+    for rec in steps:
+        for phase in STEP_PHASES:
+            assert times[f"step{rec['l']}.{phase}_s"] >= 0.0
+    # wall times never reach the checksummed ledger
+    assert not any(key.endswith("_s") for rec in steps for key in rec)
+    assert "timings.txt" not in load_json(outdir / "checksums.json")
 
 
 def test_verify_epsilon_zero_pure_scheme_error(tmp_path):

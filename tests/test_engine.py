@@ -122,6 +122,35 @@ def test_matrix_exp_matches_expm():
     assert np.max(np.abs((E - D) - np.eye(4))) < 1e-14
 
 
+@pytest.mark.parametrize("norm", [1e-12, 1e-10, 1e-5, 1e-2, 0.5, 1.0, 3.0])
+def test_matrix_exp_difference_accurate_relative_to_norm(norm):
+    # D = expm(B) - I, taken as B phi1(B) from the corner block of
+    # expm([[B, I], [0, 0]]) so the reference does not cancel for small B;
+    # norm 3 takes the scaling-and-squaring branch
+    N = 6
+    rng = np.random.default_rng(int(1e3 * norm) + 3)
+    raw = rng.standard_normal((5, N, N)) + 1j * rng.standard_normal((5, N, N))
+    B = raw - np.conj(np.swapaxes(raw, -1, -2))
+    B *= norm / np.max(np.linalg.norm(B, 2, axis=(-2, -1)))
+    _, D = matrix_exp_antihermitian(B)
+    for m in range(len(B)):
+        aug = np.zeros((2 * N, 2 * N), dtype=complex)
+        aug[:N, :N] = B[m]
+        aug[:N, N:] = np.eye(N)
+        ref = B[m] @ scipy.linalg.expm(aug)[:N, N:]
+        scale = np.linalg.norm(B[m], 2)
+        assert np.linalg.norm(D[m] - ref, 2) <= 1e-14 * scale
+        if norm >= 1e-2:
+            direct = scipy.linalg.expm(B[m]) - np.eye(N)
+            assert np.linalg.norm(D[m] - direct, 2) <= 1e-13 * scale
+
+
+def test_matrix_exp_keeps_unbatched_shape_and_zero():
+    E, D = matrix_exp_antihermitian(np.zeros((3, 3), dtype=complex))
+    assert E.shape == D.shape == (3, 3)
+    assert np.array_equal(E, np.eye(3)) and not np.any(D)
+
+
 def test_conjugate_zero_generator_strips_diagonal():
     rng = np.random.default_rng(11)
     base = abstract_base(4, 1, 4.0 / 3.0, 0.2)
@@ -244,6 +273,23 @@ def test_ledger_follows_update_formulas(run_n2):
         assert rec["gamma_out"] > 0
         assert rec["eps_bound_ok"]
         assert rec["K_step"] <= rec["K_sched"]
+
+
+def test_step_records_carry_work_counters(run_n2):
+    _, P, state, _ = run_n2
+    # mu = 0 in step 1: the generator keeps P's band, not the work cutoff
+    assert state.records[0]["K_B"] == state.generators[0].K == P.K
+    for rec in state.records:
+        assert rec["grid_M"] >= 2 * (SETTINGS_N2.work_cutoff() + rec["K_B"]) + 2
+        assert 0 <= rec["K_P"] <= SETTINGS_N2.work_cutoff()
+        assert rec["B_truncation"] >= 0.0
+    # P after the last step is trimmed to the band the record reports
+    assert state.P.K == state.records[-1]["K_P"]
+    names = [name for name, _ in state.timings]
+    assert names[:4] == ["step1.solve_s", "step1.conjugate_s", "step1.norms_s",
+                         "step1.recertify_s"]
+    assert len(names) == 4 * state.l
+    assert all(t >= 0.0 for _, t in state.timings)
 
 
 def test_composed_transformations_unitary(run_n2):

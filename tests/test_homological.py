@@ -318,6 +318,33 @@ def test_variable_matches_constant_when_mu_zero():
     assert sv.residual < 1e-12
 
 
+def test_variable_mu_zero_never_pads_generator():
+    rng = np.random.default_rng(43)
+    omega = np.array([GOLDEN])
+    base = base_for(4)
+    P = random_hermitian(4, 1, 3, rng, s=0.4)
+    sol = solve_variable(P, base, omega, K_out=20)
+    assert sol.B.K == P.K
+    assert sol.truncation_residue == 0.0
+    ref = solve_constant(P, base, omega).B
+    assert np.array_equal(sol.B.coeffs, ref.coeffs)
+
+
+def test_variable_mu_zero_reports_truncated_mass():
+    rng = np.random.default_rng(47)
+    omega = np.array([GOLDEN])
+    base = base_for(4)
+    P = random_hermitian(4, 1, 3, rng, s=0.4)
+    sol = solve_variable(P, base, omega, K_out=1)
+    full = solve_constant(P, base, omega).B.coeffs
+    assert sol.B.K == 1
+    # the mass of the solved entries B_ji (i < j) beyond |k| = 1, as for mu != 0
+    low = np.tril(np.ones((4, 4), dtype=bool), -1)
+    dropped = np.abs(full[[0, 1, 5, 6]][:, low]).sum()
+    assert dropped > 0
+    assert sol.truncation_residue == pytest.approx(dropped, rel=1e-12)
+
+
 def test_variable_equation_defect_small():
     rng = np.random.default_rng(43)
     for n, omega in ((1, np.array([GOLDEN])), (2, np.array([GOLDEN, np.sqrt(2.0) - 1.0]))):

@@ -10,9 +10,11 @@ from kamreduce.torus import (
     DiagonalPart,
     OperatorSeries,
     TorusSeries,
+    coeffs_to_grid,
     delta_norm,
     directional_derivative,
     g_norm,
+    grid_to_coeffs,
     k_box,
     lipschitz_seminorm,
     series_from_doc,
@@ -83,6 +85,44 @@ def test_roundtrip_matches_direct_summation_oracle():
         assert np.max(np.abs(vals - oracle)) < 1e-11 * np.max(np.abs(oracle))
         back, err = transform_roundtrip(f, M)
         assert err < 1e-12 * np.max(np.abs(f.coeffs))
+
+
+@pytest.mark.parametrize("n, batch", [(1, (3,)), (2, (4, 2)), (2, ())])
+def test_transforms_match_numpy_fft_with_trailing_batch_axes(n, batch):
+    rng = np.random.default_rng(29 + n)
+    K, M = 3, 10
+    coeffs = rng.normal(size=(2 * K + 1,) * n + batch) + 1j * rng.normal(size=(2 * K + 1,) * n + batch)
+    axes = tuple(range(n))
+    table = np.zeros((M,) * n + batch, dtype=complex)
+    idx = np.arange(-K, K + 1) % M
+    table[np.ix_(*([idx] * n))] = coeffs
+    ref = np.fft.ifftn(table, axes=axes) * M**n
+    vals = coeffs_to_grid(coeffs, n, K, M)
+    assert vals.shape == (M,) * n + batch
+    assert np.max(np.abs(vals - ref)) < 1e-13
+    back_ref = (np.fft.fftn(ref, axes=axes) / M**n)[np.ix_(*([idx] * n))]
+    back = grid_to_coeffs(vals, n, K)
+    assert np.max(np.abs(back - back_ref)) < 1e-14
+    assert np.max(np.abs(back - coeffs)) < 1e-14
+
+
+def test_trim_keeps_coefficients_and_a_live_outer_shell():
+    rng = np.random.default_rng(31)
+    inner = random_hermitian(3, 2, 2, rng)
+    padded = inner.pad_to(6)
+    trimmed = padded.trim()
+    assert trimmed.K == 2
+    assert np.array_equal(trimmed.coeffs, inner.coeffs)
+    # one nonzero entry at |k|_inf = 4 keeps that shell and all within it
+    c = padded.coeffs.copy()
+    c[6 + 4, 6 - 1, 0, 2] = 1e-300
+    trimmed = OperatorSeries(2, 6, 3, c).trim()
+    assert trimmed.K == 4
+    assert np.array_equal(trimmed.pad_to(6).coeffs, c)
+    shell = np.ones((9, 9), dtype=bool)
+    shell[1:-1, 1:-1] = False
+    assert np.any(trimmed.coeffs[shell] != 0)
+    assert OperatorSeries.zero(2, 5, 3).trim().K == 0
 
 
 def test_roundtrip_rejects_undersampled_grid():
