@@ -90,15 +90,21 @@ def _prepare_out(manifest: RunManifest) -> str:
 
 def _build_base(manifest: RunManifest):
     """Just the diagonal part (cheap path for frequency work)."""
-    from . import models, oscillator
+    from . import models
 
     spec = manifest.model
     if spec["kind"] == "abstract":
         return models.abstract_base(spec["N"], spec["n"], spec["d"], spec["delta"])
-    osc = oscillator.build_oscillator(
+    osc = _build_oscillator(spec)
+    return osc.as_base(delta=spec.get("delta", 0.0), n=_forcing_dim(spec))
+
+
+def _build_oscillator(spec: dict):
+    from . import oscillator
+
+    return oscillator.build_oscillator(
         oscillator.OscillatorSpec(alpha=spec["alpha"], N=spec["N"])
     )
-    return osc.as_base(delta=spec.get("delta", 0.0), n=_forcing_dim(spec))
 
 
 def _forcing_dim(spec: dict) -> int:
@@ -118,8 +124,8 @@ def _forcing_series(spec: dict):
     return TorusSeries.from_modes(n, max(K, 1), modes)
 
 
-def _build_model(manifest: RunManifest):
-    """Full (base, P) pair for reduction and verification."""
+def _build_model(manifest: RunManifest, osc=None):
+    """Full (base, P) pair for reduction and verification; osc: the oscillator, if built."""
     from . import models, oscillator
     from .torus import delta_norm
 
@@ -137,9 +143,7 @@ def _build_model(manifest: RunManifest):
             seed=spec.get("model_seed", manifest.seed),
             decay=spec.get("decay", 0.5),
         )
-    osc = oscillator.build_oscillator(
-        oscillator.OscillatorSpec(alpha=spec["alpha"], N=spec["N"])
-    )
+    osc = _build_oscillator(spec) if osc is None else osc
     g = _forcing_series(spec)
     v_kind = spec.get("v_kind", "abspower")
     pspec = oscillator.PerturbationSpec(
@@ -331,7 +335,6 @@ def _fail(outdir, log, code: int, reason: str, **detail) -> int:
 def cmd_reduce(manifest: RunManifest) -> int:
     t0 = time.perf_counter()
     from .engine import run_schedule
-    from .floquet import floquet_spectrum
     from .serialize import write_array, write_checksums, write_json
 
     outdir = _prepare_out(manifest)
@@ -426,18 +429,7 @@ def cmd_reduce(manifest: RunManifest) -> int:
             doc["mu_inf"] = "mu_inf.npy"
         write_json(os.path.join(outdir, "reduced.json"), doc)
 
-        kspec = (manifest.spectrum or {}).get("Kmax", 2)
-        spec = floquet_spectrum(reduced, kspec)
-        write_json(
-            os.path.join(outdir, "spectrum.json"),
-            {
-                "Kmax": kspec,
-                "k": [list(map(int, row)) for row in spec.k],
-                "mode": list(map(int, spec.mode)),
-                "multiplicity": list(map(int, spec.multiplicity)),
-                "nu": list(spec.nu),
-            },
-        )
+        _write_spectrum(outdir, reduced, (manifest.spectrum or {}).get("Kmax", 2))
         log.emit(
             "reduce.done",
             converged=True,
@@ -571,25 +563,33 @@ def cmd_verify(manifest: RunManifest) -> int:
     return EXIT_OK if report["passed"] else EXIT_FAILURE
 
 
-def cmd_spectrum(manifest: RunManifest, kmax: int | None = None) -> int:
+def _write_spectrum(outdir: str, reduced, Kmax: int):
+    """Write spectrum.json, the Floquet exponents for |k|_inf <= Kmax; returns them."""
     from .floquet import floquet_spectrum
-    from .serialize import verify_checksums, write_checksums, write_json
+    from .serialize import write_json
 
-    outdir = _prepare_out(manifest)
-    verify_checksums(outdir)
-    reduced = _load_reduced(manifest, outdir)
-    K = kmax if kmax is not None else (manifest.spectrum or {}).get("Kmax", 2)
-    spec = floquet_spectrum(reduced, K)
+    spec = floquet_spectrum(reduced, Kmax)
     write_json(
         os.path.join(outdir, "spectrum.json"),
         {
-            "Kmax": K,
+            "Kmax": Kmax,
             "k": [list(map(int, row)) for row in spec.k],
             "mode": list(map(int, spec.mode)),
             "multiplicity": list(map(int, spec.multiplicity)),
             "nu": list(spec.nu),
         },
     )
+    return spec
+
+
+def cmd_spectrum(manifest: RunManifest, kmax: int | None = None) -> int:
+    from .serialize import verify_checksums, write_checksums
+
+    outdir = _prepare_out(manifest)
+    verify_checksums(outdir)
+    reduced = _load_reduced(manifest, outdir)
+    K = kmax if kmax is not None else (manifest.spectrum or {}).get("Kmax", 2)
+    spec = _write_spectrum(outdir, reduced, K)
     header = "nu,mode,multiplicity," + ",".join(
         f"k{i + 1}" for i in range(reduced.n)
     )
@@ -615,24 +615,22 @@ def cmd_model(manifest: RunManifest) -> int:
     from .torus import delta_norm
 
     outdir = _prepare_out(manifest)
-    base, P = _build_model(manifest)
+    spec = manifest.model
+    osc = _build_oscillator(spec) if spec["kind"] == "oscillator" else None
+    base, P = _build_model(manifest, osc)
     settings = _settings(manifest)
     doc = {
         "K": P.K,
-        "kind": manifest.model["kind"],
+        "kind": spec["kind"],
         "lambda": list(base.lam),
         "N": base.N,
         "n": base.n,
         "norm": delta_norm(P, base, settings.s),
         "scenario": manifest.scenario,
     }
-    if manifest.model["kind"] == "oscillator":
+    if osc is not None:
         from . import oscillator
 
-        spec = manifest.model
-        osc = oscillator.build_oscillator(
-            oscillator.OscillatorSpec(alpha=spec["alpha"], N=spec["N"])
-        )
         doc["certificate"] = osc.certificate
         d_exact = 2.0 * spec["alpha"] / (spec["alpha"] + 2.0)
         doc["d_exact"] = d_exact

@@ -693,28 +693,27 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
     return state, rs
 
 
+def _compose(generators, values, N: int, batch: tuple = ()) -> np.ndarray:
+    """exp(B_1) exp(B_2) ... (identity if none), values(B) = B at the points, batch + (N, N)."""
+    U = np.broadcast_to(np.eye(N, dtype=complex), batch + (N, N)).copy()
+    for B in generators:
+        E, _ = matrix_exp_antihermitian(values(B))
+        U = U @ E
+    return U
+
+
 def compose_transformations(generators, phi, N: int | None = None) -> np.ndarray:
     """U(phi) = exp(B_1(phi)) exp(B_2(phi)) ... as a dense unitary matrix.
 
     An empty generator list composes to the identity (N must then be given).
     """
     gens = list(generators)
-    if not gens:
-        if N is None:
-            raise KamError("empty generator list: pass N for the identity size")
-        return np.eye(N, dtype=complex)
+    if not gens and N is None:
+        raise KamError("empty generator list: pass N for the identity size")
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    U = np.eye(gens[0].N, dtype=complex)
-    for B in gens:
-        E, _ = matrix_exp_antihermitian(B(phi))
-        U = U @ E
-    return U
+    return _compose(gens, lambda B: B(phi), gens[0].N if gens else N)
 
 
 def compose_on_grid(generators, N: int, n: int, M: int) -> np.ndarray:
     """U on the full M**n grid, shape (M,)*n + (N, N); identity if no generators."""
-    U = np.broadcast_to(np.eye(N, dtype=complex), (M,) * n + (N, N)).copy()
-    for B in generators:
-        E, _ = matrix_exp_antihermitian(B.grid(M))
-        U = U @ E
-    return U
+    return _compose(generators, lambda B: B.grid(M), N, (M,) * n)

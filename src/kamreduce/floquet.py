@@ -30,9 +30,9 @@ import numpy as np
 # _taylor_degree is verify's degree rule, re-exported next to the step kernel
 from .engine import (  # noqa: F401
     ReducedSystem,
+    _compose,
     _expm_taylor,
     _taylor_degree,
-    matrix_exp_antihermitian,
 )
 from .errors import DivisorTooSmall, KamError
 from .torus import DiagonalPart, OperatorSeries, k_box
@@ -116,17 +116,12 @@ def _phase_integral(reduced: ReducedSystem, phi0: np.ndarray, ts: np.ndarray,
     return out
 
 
-def _compose_at(generators, phis: np.ndarray, N: int) -> np.ndarray:
-    """U(phi) for a batch of angles, shape (T, N, N)."""
-    T = phis.shape[0]
-    U = np.broadcast_to(np.eye(N, dtype=complex), (T, N, N)).copy()
-    for B in generators:
-        ks = k_box(B.n, B.K)
-        phases = np.exp(1j * (phis @ ks.T))              # (T, m)
-        Bg = phases @ B.coeffs.reshape(-1, N * N)
-        E, _ = matrix_exp_antihermitian(Bg.reshape(T, N, N))
-        U = U @ E
-    return U
+def _at_angles(phis: np.ndarray):
+    """B -> B(phi) for a batch of angles phis (T, n), shape (T, N, N)."""
+    def values(B: OperatorSeries) -> np.ndarray:
+        phases = np.exp(1j * (phis @ k_box(B.n, B.K).T))   # (T, m)
+        return (phases @ B.coeffs.reshape(-1, B.N * B.N)).reshape(len(phis), B.N, B.N)
+    return values
 
 
 def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
@@ -143,12 +138,12 @@ def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
     if psi0.shape != (N,):
         raise KamError(f"psi0 must have shape ({N},)")
     phis = phi0[None, :] + np.outer(ts, reduced.omega)
-    U0 = _compose_at(reduced.generators, phi0[None, :], N)[0]
+    U0 = _compose(reduced.generators, _at_angles(phi0[None, :]), N, (1,))[0]
     chi0 = np.conj(U0.T) @ psi0
     F = _phase_integral(reduced, phi0, ts)               # (T, N)
     phase = np.exp(-1j * (np.outer(ts, reduced.lambda_inf) + F))
     chi = phase * chi0[None, :]
-    U = _compose_at(reduced.generators, phis, N)
+    U = _compose(reduced.generators, _at_angles(phis), N, (len(phis),))
     return np.einsum("tij,tj->ti", U, chi)
 
 
@@ -289,7 +284,7 @@ def monodromy_quasienergies(
     if reduced is None:
         order = np.argsort(nu)
         return nu[order], M, info
-    U0 = _compose_at(reduced.generators, np.zeros((1, 1)), N)[0]
+    U0 = _compose(reduced.generators, _at_angles(np.zeros((1, 1))), N, (1,))[0]
     overlap = np.abs(np.conj(U0.T) @ eigvecs) ** 2           # (mode, eig)
     from scipy.optimize import linear_sum_assignment
 

@@ -36,6 +36,7 @@ from .torus import (
     DiagonalPart,
     OperatorSeries,
     TorusSeries,
+    _grid_opnorm_max,
     _k_dot_omega,
     coeffs_to_grid,
     delta_norm,
@@ -446,8 +447,6 @@ def _variable_residual(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart,
     gap = a[..., :, None] - a[..., None, :]
     defect = gap * Bg - 1j * dBg + Pg_off
     W = base.weight()
-    dflat = (W[:, None] * defect).reshape(-1, N, N)
-    pflat = (W[:, None] * Pg_off).reshape(-1, N, N)
-    dnorm = float(np.max(np.linalg.svd(dflat, compute_uv=False)[:, 0]))
-    pnorm = float(np.max(np.linalg.svd(pflat, compute_uv=False)[:, 0]))
+    dnorm = _grid_opnorm_max(W[:, None] * defect)
+    pnorm = _grid_opnorm_max(W[:, None] * Pg_off)
     return dnorm / max(pnorm, 1e-300)

@@ -12,10 +12,12 @@ Norm conventions:
 * ``sup_norm_s``: weighted-l1 coefficient bound  sum_k |fhat_k| e^{s|k|_1},
   an upper bound for the sup of |f| on the complex strip of width s (equals
   an upper bound of the real-torus sup at s = 0).
-* ``delta_norm``: sup over a real grid of the spectral norm of W P(phi) with
-  W = diag(lambda_i^(-delta/d)), combined for s > 0 with the entrywise
-  coefficient-majorant bound, which dominates the strip sup.
-* ``g_norm``: max of the unweighted and the W-conjugated delta-type norms.
+* ``delta_norm``: ||W P|| with W = diag(lambda_i^(-delta/d)), one rule per
+  strip width.  s > 0: ||W |P|_s||_2 for the entrywise majorant |P|_s =
+  sum_k |Phat_k| e^{s|k|_1}, an upper bound on the strip |Im phi| < s (the
+  spectral norm is monotone in entrywise moduli).  s = 0: the max of
+  ||W P(phi)||_2 over a real grid, a sample of the real-torus sup, not a bound.
+* ``g_norm``: max of the unweighted and W-conjugated norms, same two rules.
 """
 
 from __future__ import annotations
@@ -516,20 +518,19 @@ def sup_norm_s(f: TorusSeries, s: float) -> float:
     return float(np.sum(np.abs(f.coeffs) * w))
 
 
-def _grid_opnorm_max(P: OperatorSeries, wl: np.ndarray, wr: np.ndarray, M: int) -> float:
-    vals = P.grid(M)
-    vals = wl[:, None] * vals * wr[None, :]
-    flat = vals.reshape(-1, P.N, P.N)
-    svs = np.linalg.svd(flat, compute_uv=False)
-    return float(np.max(svs[:, 0]))
+def _grid_opnorm_max(values: np.ndarray) -> float:
+    """Max over grid points of the top singular value of values (..., N, N)."""
+    flat = values.reshape((-1,) + values.shape[-2:])
+    return float(np.max(np.linalg.svd(flat, compute_uv=False)[:, 0]))
 
 
-def _weighted_norm(P: OperatorSeries, wl: np.ndarray, wr: np.ndarray, s: float, M: int) -> float:
-    out = _grid_opnorm_max(P, wl, wr, M)
+def _weighted_norm(P: OperatorSeries, weightings, s: float, M: int) -> float:
+    """max over (wl, wr) of ||diag(wl) P diag(wr)||: majorant if s > 0, real M**n grid if s = 0."""
     if s > 0:
-        maj = wl[:, None] * P.majorant_matrix(s) * wr[None, :]
-        out = max(out, float(np.linalg.norm(maj, 2)))
-    return out
+        maj = P.majorant_matrix(s)
+        return max(float(np.linalg.norm(wl[:, None] * maj * wr[None, :], 2)) for wl, wr in weightings)
+    vals = P.grid(M)
+    return max(_grid_opnorm_max(wl[:, None] * vals * wr[None, :]) for wl, wr in weightings)
 
 
 def default_norm_grid(K: int) -> int:
@@ -537,31 +538,29 @@ def default_norm_grid(K: int) -> int:
 
 
 def delta_norm(P: OperatorSeries, base: DiagonalPart, s: float, grid_size: int | None = None) -> float:
-    """||A^(-delta/d) P||-type norm at strip width s.
+    """||W P||, W = diag(lambda_i^(-delta/d)), at strip width s.
 
-    Max over a real equispaced grid of ||W P(phi)||_2 with
-    W = diag(lambda_i^(-delta/d)); for s > 0 the entrywise strip majorant
-    bound is folded in, so the result upper-bounds the strip sup.
+    s > 0: ||W |P|_s||_2 for the entrywise majorant |P|_s, an upper bound
+    on the strip |Im phi| < s; no grid is formed.  s = 0: the max of
+    ||W P(phi)||_2 over a real grid of grid_size points per angle, a sample
+    of the real-torus sup, not a bound.
     """
     if s < 0:
         raise KamError("strip width s must be nonnegative")
     if base.N != P.N:
         raise KamError("base and P dimension mismatch")
-    W = base.weight()
     M = grid_size or default_norm_grid(P.K)
-    return _weighted_norm(P, W, np.ones(P.N), s, M)
+    return _weighted_norm(P, [(base.weight(), np.ones(P.N))], s, M)
 
 
 def g_norm(B: OperatorSeries, base: DiagonalPart, s: float, grid_size: int | None = None) -> float:
-    """max(||B||_{0,s}, ||W B W^{-1}||_{0,s}) with W = diag(lambda_i^(-delta/d))."""
+    """max(||B||_{0,s}, ||W B W^{-1}||_{0,s}), W and rules as in delta_norm (one majorant)."""
     if s < 0:
         raise KamError("strip width s must be nonnegative")
     W = base.weight()
     M = grid_size or default_norm_grid(B.K)
     ones = np.ones(B.N)
-    plain = _weighted_norm(B, ones, ones, s, M)
-    conjug = _weighted_norm(B, W, 1.0 / W, s, M)
-    return max(plain, conjug)
+    return _weighted_norm(B, [(ones, ones), (W, 1.0 / W)], s, M)
 
 
 def lipschitz_seminorm(family, norm_fn) -> float:

@@ -1,0 +1,17 @@
+"""Every name a kamreduce module exports in __all__ resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import kamreduce
+
+MODULES = ["kamreduce"] + [f"kamreduce.{m.name}" for m in pkgutil.iter_modules(kamreduce.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing

@@ -1,0 +1,96 @@
+"""Property tests of the strip norms on random hermitian series (hypothesis).
+
+For s > 0, delta_norm and g_norm are the spectral norms of the weighted
+entrywise majorant |P|_s = sum_k |Phat_k| e^{s|k|_1}.  These tests check
+that the value bounds ||W P(phi)||_2 at complex angles inside the strip and
+on the real grid, that it is that majorant norm exactly, and that it is
+reached without any grid or grid SVD sweep.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kamreduce import torus
+from kamreduce.torus import DiagonalPart, OperatorSeries, delta_norm, g_norm, k_box
+
+D = 4.0 / 3.0
+
+cases = st.tuples(
+    st.sampled_from([1, 2]),                                      # n
+    st.integers(1, 8),                                            # N
+    st.integers(0, 3),                                            # K
+    st.floats(0.0, 0.5, exclude_min=True),                        # s
+    st.floats(0.0, D - 1.0, exclude_max=True),                    # delta
+    st.integers(0, 2**32 - 1),                                    # coefficient seed
+)
+
+
+def draw(case):
+    n, N, K, s, delta, seed = case
+    rng = np.random.default_rng(seed)
+    shape = (2 * K + 1,) * n + (N, N)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    mirror = np.conj(c[(slice(None, None, -1),) * n].swapaxes(-1, -2))
+    P = OperatorSeries(n, K, N, 0.5 * (c + mirror))
+    base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D, d=D, delta=delta, n=n)
+    return P, base, s, rng
+
+
+def values_at(P: OperatorSeries, z: np.ndarray) -> np.ndarray:
+    """P at a batch of complex angles z (T, n), by direct mode summation."""
+    phases = np.exp(1j * (z @ k_box(P.n, P.K).T))                 # (T, m)
+    return (phases @ P.coeffs.reshape(-1, P.N * P.N)).reshape(len(z), P.N, P.N)
+
+
+def top_singular_value(mats: np.ndarray) -> float:
+    return float(np.max(np.linalg.svd(mats, compute_uv=False)[:, 0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_strip_norms_bound_complex_angles_and_real_grid(case):
+    P, base, s, rng = draw(case)
+    W = base.weight()
+    x = rng.uniform(0.0, 2.0 * np.pi, size=(64, P.n))
+    y = rng.uniform(-s, s, size=(64, P.n))
+    y[:8] = s * rng.choice([-1.0, 1.0], size=(8, P.n))           # strip corners
+    vals = values_at(P, x + 1j * y)
+    M = 16
+    axes = [2.0 * np.pi * np.arange(M) / M] * P.n
+    real = values_at(P, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.n))
+    slack = 1.0 - 1e-12                                           # roundoff of the sums
+    dn = delta_norm(P, base, s)
+    assert dn >= slack * top_singular_value(W[:, None] * vals)
+    assert dn >= slack * top_singular_value(W[:, None] * real)
+    gn = g_norm(P, base, s)
+    assert gn >= slack * top_singular_value(vals)
+    assert gn >= slack * top_singular_value(W[:, None] * vals / W[None, :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_strip_norms_are_the_weighted_majorant_norm(case):
+    P, base, s, _ = draw(case)
+    W = base.weight()
+    maj = P.majorant_matrix(s)
+    assert delta_norm(P, base, s) == np.linalg.norm(W[:, None] * maj, 2)
+    plain = np.linalg.norm(maj, 2)
+    conjugated = np.linalg.norm(W[:, None] * maj * (1.0 / W)[None, :], 2)
+    assert g_norm(P, base, s) == max(plain, conjugated)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases)
+def test_strip_norms_form_no_grid(case):
+    P, base, s, _ = draw(case)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a strip norm at s > 0 formed a grid or a grid SVD")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus.np.linalg, "svd", refuse)
+        mp.setattr(torus, "coeffs_to_grid", refuse)
+        delta_norm(P, base, s)
+        g_norm(P, base, s)
