@@ -489,8 +489,8 @@ def cmd_verify(manifest: RunManifest) -> int:
     import numpy as np
 
     from .floquet import (
-        monodromy_quasienergies,
         propagate_direct,
+        quasienergies_from_period_map,
         reconstruct_solution,
         step_plan,
     )
@@ -517,10 +517,19 @@ def cmd_verify(manifest: RunManifest) -> int:
     recon = reconstruct_solution(reduced, psi0, phi0, ts)
     timings["verify.reconstruct_s"] = time.perf_counter() - t1
     t1 = time.perf_counter()
-    direct = propagate_direct(base, P, omega, psi0, phi0, ts, dt=dt)
+    if reduced.n == 1:
+        # one sweep of the fundamental solution through ts and the period T
+        # gives both the trajectory Phi(t_m) psi0 and the period map Phi(T)
+        T = 2.0 * np.pi / float(omega[0])
+        times = np.union1d(ts, [T])
+        Phi = propagate_direct(base, P, omega, np.eye(N, dtype=complex), phi0, times, dt=dt)
+        direct = Phi[np.searchsorted(times, ts)] @ psi0
+    else:
+        times = ts
+        direct = propagate_direct(base, P, omega, psi0, phi0, ts, dt=dt)
     timings["verify.direct_s"] = time.perf_counter() - t1
     dev = float(np.max(np.linalg.norm(recon - direct, axis=1)))
-    dt_direct, steps = step_plan(base, ts, dt)
+    dt_direct, steps = step_plan(base, times, dt)
     report = {
         "dt": dt_direct,
         "integrator": "exponential-midpoint",
@@ -533,17 +542,17 @@ def cmd_verify(manifest: RunManifest) -> int:
         ),
         "num_times": num_times,
         "passed": bool(dev <= tol),
-        "steps_direct": int(steps.sum()),
+        "steps_direct": int(steps[: np.searchsorted(times, ts[-1]) + 1].sum()),
         "t_max": t_max,
         "tol": tol,
     }
 
     if reduced.n == 1:
-        T = 2.0 * np.pi / float(omega[0])
         t1 = time.perf_counter()
-        nu, _, info = monodromy_quasienergies(base, P, omega, dt=dt, reduced=reduced)
+        period = np.searchsorted(times, T)
+        nu, info = quasienergies_from_period_map(Phi[period], T, reduced)
         timings["verify.monodromy_s"] = time.perf_counter() - t1
-        report["steps_period"] = int(step_plan(base, [T], dt)[1][0])
+        report["steps_period"] = int(steps[: period + 1].sum())
         lam = np.mod(reduced.lambda_inf, 2.0 * np.pi / T)
         err = np.abs(nu - lam)
         err = np.minimum(err, 2.0 * np.pi / T - err)  # circle distance

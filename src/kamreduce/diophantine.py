@@ -137,13 +137,6 @@ class ResonanceSet:
     alpha: float
     gap: object  # float or callable omega -> float
 
-    def gap_at(self, omega: np.ndarray) -> float:
-        return float(self.gap(omega)) if callable(self.gap) else float(self.gap)
-
-    def contains(self, omega: np.ndarray) -> bool:
-        kvec = np.asarray(self.k, dtype=float)
-        return abs(self.gap_at(omega) - float(omega @ kvec)) <= self.alpha
-
     def empty_by_gap_domination(self, c_lambda: float, gap_scale: float, omega_sup: float = 1.0) -> bool:
         """Emptiness certificate: the lambda-gap dominates any reachable omega . k.
 

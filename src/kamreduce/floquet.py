@@ -11,6 +11,10 @@ U the composed conjugation.  The Floquet exponents are lambda_inf_j + omega.k.
 Everything here that claims to verify the engine is computed without it:
 direct propagation uses only the original coefficients and an exponential
 midpoint rule, and the monodromy matrix (n = 1) is diagonalized on its own.
+For n = 1, verify makes one sweep: it propagates the fundamental solution
+through the output times and the period T together, reads the direct
+trajectory as Phi(t_m) psi0 and hands Phi(T) to
+quasienergies_from_period_map.
 
 Both propagators share one stepping kernel, _step_product.  It builds the
 midpoint Hamiltonians of a chunk of steps as one batch, forms each step
@@ -45,6 +49,7 @@ __all__ = [
     "propagate_columns",
     "step_plan",
     "monodromy_quasienergies",
+    "quasienergies_from_period_map",
 ]
 
 
@@ -147,22 +152,35 @@ def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
     return np.einsum("tij,tj->ti", U, chi)
 
 
-def _hamiltonian_at(base: DiagonalPart, P: OperatorSeries | None, phis: np.ndarray) -> np.ndarray:
-    """H(phi) = diag(lambda + mu(phi)) + P(phi) for a batch of angles."""
-    T = phis.shape[0]
+def _hamiltonian(base: DiagonalPart, P: OperatorSeries | None):
+    """phis -> H(phi) = diag(lambda + mu(phi)) + P(phi) for a batch of angles.
+
+    The mode boxes and coefficient layouts are built once, here, so a
+    propagation loop that evaluates many batches pays for them once.
+    """
     N = base.N
-    H = np.zeros((T, N, N), dtype=complex)
     idx = np.arange(N)
-    H[:, idx, idx] = base.lam
-    if base.mu is not None and base.K > 0:
-        ks = k_box(base.n, base.K)
-        phases = np.exp(1j * (phis @ ks.T))
-        H[:, idx, idx] += phases @ base.mu.reshape(N, -1).T
+    live_mu = base.mu is not None and base.K > 0
+    if live_mu:
+        ks_mu, mu = k_box(base.n, base.K).T, base.mu.reshape(N, -1).T
     if P is not None:
-        ks = k_box(P.n, P.K)
-        phases = np.exp(1j * (phis @ ks.T))
-        H += (phases @ P.coeffs.reshape(-1, N * N)).reshape(T, N, N)
-    return H
+        ks_P, coeffs_P = k_box(P.n, P.K).T, P.coeffs.reshape(-1, N * N)
+
+    def at(phis: np.ndarray) -> np.ndarray:
+        T = phis.shape[0]
+        H = np.zeros((T, N, N), dtype=complex)
+        H[:, idx, idx] = base.lam
+        if live_mu:
+            H[:, idx, idx] += np.exp(1j * (phis @ ks_mu)) @ mu
+        if P is not None:
+            H += (np.exp(1j * (phis @ ks_P)) @ coeffs_P).reshape(T, N, N)
+        return H
+    return at
+
+
+def _hamiltonian_at(base: DiagonalPart, P: OperatorSeries | None, phis: np.ndarray) -> np.ndarray:
+    """H(phi) for one batch of angles phis (T, n), shape (T, N, N)."""
+    return _hamiltonian(base, P)(phis)
 
 
 # steps per batch of the step kernel: 32 complex 24 x 24 matrices are 295 KB,
@@ -185,11 +203,12 @@ def _step_product(base, P, omega, phi0, t0: float, h: float, steps: int) -> np.n
     the chunk's steps are multiplied together as a tree.
     """
     U = np.eye(base.N, dtype=complex)
+    hamiltonian = _hamiltonian(base, P)
     for done in range(0, steps, _CHUNK):
         take = min(_CHUNK, steps - done)
         mids = t0 + (done + np.arange(take) + 0.5) * h
         phis = phi0[None, :] + mids[:, None] * omega[None, :]
-        A = _hamiltonian_at(base, P, phis)
+        A = hamiltonian(phis)
         A *= -1j * h
         E = _expm_taylor(A)
         U = _ordered_product(E) @ U
@@ -233,14 +252,17 @@ def propagate_direct(
     The step is exp(-i h H(t + h/2)), with h = span / steps from step_plan,
     which also guards dt * max|lambda| < dt_cap.  Each step exponential is a Taylor
     polynomial whose remainder is bounded below 2^-53, so steps are unitary
-    to roundoff and the norm drifts only at roundoff.  Returns (len(ts), N).
+    to roundoff and the norm drifts only at roundoff.  psi0 is one state (N,)
+    or a block of states (N, c), all carried by the same steps; with the
+    identity it gives the fundamental solution Phi(t) at every output time.
+    Returns shape (len(ts),) + psi0.shape.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     psi = np.asarray(psi0, dtype=complex)
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     _, steps = step_plan(base, ts, dt, dt_cap)
-    out = np.empty((len(ts), len(psi)), dtype=complex)
+    out = np.empty((len(ts),) + psi.shape, dtype=complex)
     t = 0.0
     for m, (t_target, n) in enumerate(zip(ts, steps)):
         if n:
@@ -248,6 +270,41 @@ def propagate_direct(
         t = t_target
         out[m] = psi
     return out
+
+
+def quasienergies_from_period_map(
+    M: np.ndarray,
+    T: float,
+    reduced: ReducedSystem | None = None,
+    unitarity_tol: float = 1e-8,
+):
+    """Quasi-energies of a period map M = Phi(T) (n = 1).
+
+    Checks unitarity of M and returns its quasi-energies
+    nu_j = -arg(eig_j) / T in [0, 2 pi / T) with an info dict.  When a
+    reduced system is supplied, eigenvalues are matched to the predicted
+    exp(-i lambda_inf_j T) branches by eigenvector overlap with U(0) e_j and
+    returned in mode order; otherwise they come out sorted.
+    """
+    N = M.shape[0]
+    defect = float(np.max(np.abs(np.conj(M.T) @ M - np.eye(N))))
+    if defect > unitarity_tol:
+        raise KamError(f"monodromy unitarity defect {defect:.3e} exceeds {unitarity_tol:g}")
+    eigvals, eigvecs = np.linalg.eig(M)
+    eigvals /= np.abs(eigvals)
+    nu = np.mod(-np.angle(eigvals), 2.0 * np.pi) / T        # in [0, 2 pi / T)
+    info = {"unitarity_defect": defect, "period": T}
+    if reduced is None:
+        return np.sort(nu), info
+    U0 = _compose(reduced.generators, _at_angles(np.zeros((1, 1))), N, (1,))[0]
+    overlap = np.abs(np.conj(U0.T) @ eigvecs) ** 2           # (mode, eig)
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(-overlap)
+    perm = np.empty(N, dtype=int)
+    perm[rows] = cols
+    info["min_overlap"] = float(np.min(overlap[rows, cols]))
+    return nu[perm], info
 
 
 def monodromy_quasienergies(
@@ -261,38 +318,16 @@ def monodromy_quasienergies(
     """Quasi-energies from the period map of a periodically forced system (n = 1).
 
     Propagates the full N x N fundamental solution over one period
-    T = 2 pi / omega, checks unitarity of the monodromy, and returns its
-    quasi-energies nu_j = -arg(eig_j) / T in [0, 2 pi / T).  When a reduced
-    system is supplied, eigenvalues are matched to the predicted
-    exp(-i lambda_inf_j T) branches by eigenvector overlap with U(0) e_j and
-    returned in mode order; otherwise they come out sorted.
+    T = 2 pi / omega and hands it to quasienergies_from_period_map.
+    Returns (nu, M, info).
     """
     w = float(np.atleast_1d(np.asarray(omega, dtype=float))[0])
     if np.atleast_1d(np.asarray(omega)).size != 1:
         raise KamError("monodromy map requires a single frequency (n = 1)")
-    N = base.N
     T = 2.0 * np.pi / w
-    cols = propagate_columns(base, P, np.array([w]), T, dt)
-    M = cols
-    defect = float(np.max(np.abs(np.conj(M.T) @ M - np.eye(N))))
-    if defect > unitarity_tol:
-        raise KamError(f"monodromy unitarity defect {defect:.3e} exceeds {unitarity_tol:g}")
-    eigvals, eigvecs = np.linalg.eig(M)
-    eigvals /= np.abs(eigvals)
-    nu = np.mod(-np.angle(eigvals), 2.0 * np.pi) / T        # in [0, 2 pi / T)
-    info = {"unitarity_defect": defect, "period": T}
-    if reduced is None:
-        order = np.argsort(nu)
-        return nu[order], M, info
-    U0 = _compose(reduced.generators, _at_angles(np.zeros((1, 1))), N, (1,))[0]
-    overlap = np.abs(np.conj(U0.T) @ eigvecs) ** 2           # (mode, eig)
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols_idx = linear_sum_assignment(-overlap)
-    perm = np.empty(N, dtype=int)
-    perm[rows] = cols_idx
-    info["min_overlap"] = float(np.min(overlap[rows, cols_idx]))
-    return nu[perm], M, info
+    M = propagate_columns(base, P, np.array([w]), T, dt)
+    nu, info = quasienergies_from_period_map(M, T, reduced, unitarity_tol)
+    return nu, M, info
 
 
 def propagate_columns(base, P, omega, T: float, dt: float | None = None) -> np.ndarray:

@@ -161,11 +161,6 @@ class TorusSeries:
         return TorusSeries(n, K, c)
 
     @staticmethod
-    def from_grid(values: np.ndarray, K: int) -> "TorusSeries":
-        values = np.asarray(values, dtype=complex)
-        return TorusSeries(values.ndim, K, grid_to_coeffs(values, values.ndim, K))
-
-    @staticmethod
     def from_modes(n: int, K: int, modes: dict) -> "TorusSeries":
         """Build from a {k-tuple: coefficient} mapping."""
         c = np.zeros((2 * K + 1,) * n, dtype=complex)
@@ -252,9 +247,6 @@ class TorusSeries:
         flipped = np.conj(self.coeffs[(slice(None, None, -1),) * self.n])
         return float(np.max(np.abs(self.coeffs - flipped)))
 
-    def is_real_on_real(self, tol: float = 1e-12) -> bool:
-        return self.mirror_defect() <= tol * max(1.0, float(np.max(np.abs(self.coeffs))))
-
     def average(self) -> complex:
         return complex(self.coeffs[(self.K,) * self.n])
 
@@ -285,12 +277,6 @@ class OperatorSeries:
     @staticmethod
     def zero(n: int, K: int, N: int) -> "OperatorSeries":
         return OperatorSeries(n, K, N, np.zeros((2 * K + 1,) * n + (N, N), dtype=complex))
-
-    @staticmethod
-    def from_grid(values: np.ndarray, K: int) -> "OperatorSeries":
-        values = np.asarray(values, dtype=complex)
-        n = values.ndim - 2
-        return OperatorSeries(n, K, values.shape[-1], grid_to_coeffs(values, n, K))
 
     def entry(self, i: int, j: int) -> TorusSeries:
         return TorusSeries(self.n, self.K, self.coeffs[..., i, j])
@@ -351,11 +337,6 @@ class OperatorSeries:
     def __neg__(self) -> "OperatorSeries":
         return OperatorSeries(self.n, self.K, self.N, -self.coeffs)
 
-    def adjoint(self) -> "OperatorSeries":
-        """phi-pointwise conjugate transpose on the real torus."""
-        c = np.conj(self.coeffs[(slice(None, None, -1),) * self.n].swapaxes(-1, -2))
-        return OperatorSeries(self.n, self.K, self.N, c)
-
     def matmul(self, other: "OperatorSeries", K_out: int | None = None):
         """Exact grid product self(phi) @ other(phi); returns (series, residue)."""
         K_full = self.K + other.K
@@ -379,10 +360,6 @@ class OperatorSeries:
     def antihermiticity_defect(self) -> float:
         mirror = np.conj(self.coeffs[(slice(None, None, -1),) * self.n].swapaxes(-1, -2))
         return float(np.max(np.abs(self.coeffs + mirror)))
-
-    def is_hermitian(self, tol: float = 1e-11) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        return self.hermiticity_defect() <= tol * scale
 
     def offdiagonal_part(self) -> "OperatorSeries":
         c = self.coeffs.copy()

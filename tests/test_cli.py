@@ -171,7 +171,14 @@ def test_verify_records_its_step_rule(finished_run):
     assert rep["integrator"] == "exponential-midpoint"
     assert rep["dt"] == dt
     assert rep["steps_direct"] == steps
-    assert rep["steps_period"] == math.ceil(2.0 * np.pi / OMEGA / dt - 1e-12)
+    # the period map comes from the same sweep, whose grid also holds T
+    T = 2.0 * np.pi / OMEGA
+    grid = sorted(set(np.linspace(10.0 / 20, 10.0, 20)) | {T})
+    period, t = 0, 0.0
+    for t_target in grid[: grid.index(T) + 1]:
+        period += math.ceil((t_target - t) / dt - 1e-12)
+        t = t_target
+    assert rep["steps_period"] == period
 
 
 def test_reduce_then_verify_keeps_both_timings(tmp_path):

@@ -27,6 +27,7 @@ from kamreduce.floquet import (
     monodromy_quasienergies,
     propagate_columns,
     propagate_direct,
+    quasienergies_from_period_map,
     reconstruct_solution,
 )
 from kamreduce.models import abstract_base, build_abstract_model
@@ -223,6 +224,55 @@ def test_fundamental_solution_times_out_columns(small_run):
     e0[0] = 1.0
     direct = propagate_direct(A, P, OMEGA_N1, e0, np.zeros(1), [T])[0]
     assert np.linalg.norm(Phi[:, 0] - direct) < 1e-10
+
+
+def test_propagate_block_equals_single_vector_calls(small_run):
+    A, P, _ = small_run
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((A.N, 3)) + 1j * rng.standard_normal((A.N, 3))
+    ts = [0.7, 2.0, 3.1]
+    got = propagate_direct(A, P, OMEGA_N1, block, np.array([0.4]), ts)
+    assert got.shape == (len(ts), A.N, 3)
+    for c in range(3):
+        one = propagate_direct(A, P, OMEGA_N1, block[:, c], np.array([0.4]), ts)
+        assert np.max(np.abs(got[:, :, c] - one)) <= 1e-14
+
+
+@pytest.mark.parametrize("t_max", [20.0, 60.0])
+def test_one_sweep_gives_trajectory_and_period_map(small_run, t_max):
+    # verify's n = 1 sweep: Phi through ts and T, on both sides of T = 45.5
+    A, P, reduced = small_run
+    T = 2.0 * np.pi / OMEGA_N1[0]
+    ts = np.linspace(t_max / 12, t_max, 12)
+    times = np.union1d(ts, [T])
+    assert len(times) == len(ts) + 1
+    Phi = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), times)
+    psi0 = np.ones(A.N, dtype=complex) / np.sqrt(A.N)
+    traj = Phi[np.searchsorted(times, ts)] @ psi0
+    ref = propagate_direct(A, P, OMEGA_N1, psi0, np.zeros(1), ts)
+    # before T both sweeps take the same steps; the interval holding T is
+    # stepped in two parts, which moves later times by the scheme's error
+    before = ts < T
+    assert np.max(np.abs(traj[before] - ref[before])) <= 1e-13
+    if not before.all():
+        assert np.max(np.abs(traj[~before] - ref[~before])) <= 1e-12
+    M = Phi[np.searchsorted(times, T)]
+    assert np.max(np.abs(M - propagate_columns(A, P, OMEGA_N1, T))) <= 1e-10
+    nu, info = quasienergies_from_period_map(M, T, reduced)
+    nu_ref, _, _ = monodromy_quasienergies(A, P, OMEGA_N1, reduced=reduced)
+    assert np.max(np.abs(nu - nu_ref)) <= 1e-10
+    assert info["period"] == T and info["min_overlap"] > 0.99
+
+
+@pytest.mark.parametrize("with_reduced", [False, True])
+def test_period_map_quasienergies_are_the_monodromy_ones(small_run, with_reduced):
+    A, P, reduced = small_run
+    reduced = reduced if with_reduced else None
+    T = 2.0 * np.pi / OMEGA_N1[0]
+    nu, info = quasienergies_from_period_map(propagate_columns(A, P, OMEGA_N1, T), T, reduced)
+    nu_ref, _, info_ref = monodromy_quasienergies(A, P, OMEGA_N1, reduced=reduced)
+    assert np.array_equal(nu, nu_ref)
+    assert info == info_ref
 
 
 # ---------------------------------------------------------------------------
