@@ -82,6 +82,12 @@ __all__ = [
     "compose_on_grid",
 ]
 
+# fixed step constants; no manifest sets them
+OVERSAMPLE = 1      # conjugation grid oversampling
+SOLVER_PAD = 12     # modes the homological working grid keeps beyond P.K + K_mu
+C_GUARD = 1.0       # Kuksin guard |E1|^theta >= C_GUARD * E2
+CSTAR = 10.0        # C* guard C_mu / C_lambda < CSTAR
+
 
 @dataclass(frozen=True)
 class KamSettings:
@@ -97,13 +103,9 @@ class KamSettings:
     K_work: int | None = None          # series cutoff cap; default 4 K_base
     cert_horizon: int | None = None    # re-certification |k|_1 range; default 2 K_work
     theta: float | None = None         # Kuksin guard exponent; default (delta/(d-1)+1)/2
-    C_guard: float = 1.0
-    Cstar: float = 10.0
     gamma_budget: float = 0.1          # max fraction of gamma spent per step
     gamma_star_frac: float = 0.5       # warn when gamma falls below this fraction
     chop_floor: float = 1e-15
-    oversample: int = 1
-    solver_pad: int = 12
     strict_guards: bool = False
 
     def __post_init__(self):
@@ -370,6 +372,7 @@ def conjugate(
 
     KD = (M - 2) // 2
     Dc = grid_to_coeffs(D, n, KD)
+    del D
     kdw = _k_dot_omega(n, KD, omega)
     Ed = coeffs_to_grid(1j * kdw[..., None, None] * Dc, n, KD, M)
     del Dc
@@ -477,10 +480,10 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
                 P, base, w,
                 s=state.s,
                 K_out=K_work,
-                work_K=P.K + base.K + settings.solver_pad,
+                work_K=P.K + base.K + SOLVER_PAD,
                 guard_theta=theta,
-                guard_C=settings.C_guard,
-                guard_Cstar=settings.Cstar,
+                guard_C=C_GUARD,
+                guard_Cstar=CSTAR,
             )
         except DivisorTooSmall as exc:
             # at this level a vanished divisor means the frequency is resonant
@@ -508,7 +511,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     P_plus, cinfo = conjugate(
         base, P, B, w,
         K_out=K_work,
-        oversample=settings.oversample,
+        oversample=OVERSAMPLE,
         chop_floor=settings.chop_floor,
         majorant_s=s_next,
         with_info=True,

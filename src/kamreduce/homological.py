@@ -10,23 +10,26 @@ With mu = 0 this is solved coefficient-wise:
 
     Bhat_ijk = - Phat_ijk / (omega.k + lambda_i - lambda_j),   i != j.
 
-With mu != 0 each scalar pair equation
+With mu != 0 each entry pair is one scalar equation
 
     -i (omega . d/dphi) chi + E1 chi + E2 h chi = b
 
-is solved exactly by an integrating factor: with H the zero-average torus
+solved exactly by Kuksin's integrating factor: with H the zero-average torus
 primitive of h (Hhat_k = hhat_k / (i omega.k)),
 
     chi = e^{-i E2 H} u,        uhat_k = (e^{i E2 H} b)hat_k / (omega.k + E1).
 
-All grid products are oversampled; every solve reports its equation residual
-so truncation is certified rather than assumed.
+One kernel solves a stack of pairs on one grid: solve_variable calls it
+with all N(N-1)/2 pairs, solve_kuksin with one.  Every solve reports its
+relative defect as a bound: the defect D is formed exactly in coefficients
+and ||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is
+divided by the same norm of the right-hand side.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -36,13 +39,11 @@ from .torus import (
     DiagonalPart,
     OperatorSeries,
     TorusSeries,
-    _grid_opnorm_max,
     _k_dot_omega,
     coeffs_to_grid,
-    delta_norm,
     grid_to_coeffs,
+    k_box,
     k_norm1_grid,
-    sup_norm_s,
 )
 
 __all__ = [
@@ -61,24 +62,83 @@ def _divisor_floor(n: int, K: int, floor_scale: float, tau: float = 2.0) -> np.n
     return floor_scale / (1.0 + k_norm1_grid(n, K) ** tau)
 
 
+def _check_divisors(den, floor, live, n: int, K: int, what: str, pairs=None) -> None:
+    """Raise DivisorTooSmall at the first live entry with |den| < floor.
+
+    The first n axes are modes (k = index - K).  Trailing axes are the
+    (N, N) entries, one pair axis labelled by pairs, or none.
+    """
+    bad = live & (np.abs(den) < floor)
+    if not np.any(bad):
+        return
+    idx = tuple(int(x) for x in np.argwhere(bad)[0])
+    k = tuple(idx[a] - K for a in range(n))
+    i = j = None
+    if pairs is not None:
+        i, j = (x + 1 for x in pairs[idx[n]])
+    elif len(idx) == n + 2:
+        i, j = idx[n] + 1, idx[n + 1] + 1
+    where = f"k={k}" if i is None else f"(i,j,k)=({i},{j},{k})"
+    raise DivisorTooSmall(f"{what} below floor at {where}", i=i, j=j, k=k,
+                          value=float(np.abs(np.broadcast_to(den, bad.shape)[idx])))
+
+
+def _box(n: int, K: int, K_big: int) -> tuple:
+    """Index of the |k|_inf <= K block inside a centred block of band K_big."""
+    return tuple(slice(K_big - K, K_big + K + 1) for _ in range(n))
+
+
 @dataclass(frozen=True)
 class HomologicalSolution:
     """Generator B with its certification data."""
 
     B: OperatorSeries
-    residual: float              # relative defect of the homological equation
+    # ||W |D|_s||_2 / ||W |P_off|_s||_2 for the defect D of the equation, a
+    # bound on the relative defect over the strip of the solve's width s
+    residual: float
     min_divisor: float
     guard_ok: bool = True
     guard_messages: tuple = ()
     truncation_residue: float = 0.0
 
 
-def _l1_max_entry(coeffs: np.ndarray, n: int) -> float:
-    """max_ij sum_k |chat_ijk| (cheap operator-style coefficient norm)."""
-    if coeffs.ndim == n:
-        return float(np.sum(np.abs(coeffs)))
-    flat = np.abs(coeffs).reshape(-1, coeffs.shape[-2], coeffs.shape[-1])
-    return float(np.max(np.sum(flat, axis=0)))
+def _relative_defect(chi, gap, mud, rhs, omega, s: float, W) -> float:
+    """||W |D|_s||_2 / ||W |rhs|_s||_2 for D = (gap + mud) chi - i (omega.d) chi - rhs.
+
+    chi, rhs and mud are centred coefficient blocks with trailing (N, N)
+    entry axes; gap is (N, N) and mud (or None) multiplies chi entrywise.
+    D's coefficients are formed, not sampled: the product mud chi is taken
+    on an alias-free grid.  |D|_s dominates |D_ij(phi)| on |Im phi| <= s,
+    so the ratio bounds the relative defect there.
+    """
+    n = len(omega)
+    K_chi, K_rhs = (chi.shape[0] - 1) // 2, (rhs.shape[0] - 1) // 2
+    K_mu = 0 if mud is None else (mud.shape[0] - 1) // 2
+    K_D = max(K_chi + K_mu, K_rhs)
+    D = np.zeros((2 * K_D + 1,) * n + chi.shape[n:], dtype=complex)
+    D[_box(n, K_chi, K_D)] += (_k_dot_omega(n, K_chi, omega)[..., None, None] + gap) * chi
+    if mud is not None:
+        K_prod = K_chi + K_mu
+        M = int(next_fast_len(2 * K_prod + 2))
+        prod = coeffs_to_grid(mud, n, K_mu, M) * coeffs_to_grid(chi, n, K_chi, M)
+        D[_box(n, K_prod, K_D)] += grid_to_coeffs(prod, n, K_prod)
+    D[_box(n, K_rhs, K_D)] -= rhs
+    N = chi.shape[-1]
+    dn = np.linalg.norm(W[:, None] * OperatorSeries(n, K_D, N, D).majorant_matrix(s), 2)
+    rn = np.linalg.norm(W[:, None] * OperatorSeries(n, K_rhs, N, rhs).majorant_matrix(s), 2)
+    return float(dn) / max(float(rn), 1e-300)
+
+
+def _generator_residual(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart,
+                        omega, s: float) -> float:
+    """Relative defect bound of [A,B] - i Bdot + (P - diag P) at strip width s."""
+    mud = None
+    if base.mu is not None and np.any(base.mu):
+        # entry (i, j) of [A, B] is (a_i - a_j) B_ij
+        mud = np.moveaxis(base.mu[:, None] - base.mu[None, :], (0, 1), (-2, -1))
+    gap = base.lam[:, None] - base.lam[None, :]
+    rhs = -P.offdiagonal_part().coeffs
+    return _relative_defect(B.coeffs, gap, mud, rhs, omega, s, base.weight())
 
 
 def solve_constant(
@@ -89,8 +149,8 @@ def solve_constant(
 ) -> HomologicalSolution:
     """Coefficient-wise solve for constant diagonal part (mu = 0).
 
-    Only the off-diagonal part of P is removed; B_ii = 0, so the equation
-    residual is measured on off-diagonal entries.
+    Only the off-diagonal part of P is removed; B_ii = 0.  The residual is
+    the defect bound on the real torus (s = 0).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if base.mu is not None and np.max(np.abs(base.mu)) > 0:
@@ -100,29 +160,15 @@ def solve_constant(
     gap = base.lam[:, None] - base.lam[None, :]
     den = kdw[..., None, None] + gap
     offmask = ~np.eye(N, dtype=bool)
-    floor = _divisor_floor(n, K, floor_scale)[..., None, None]
-    bad = (np.abs(den) < floor) & offmask & (np.abs(P.coeffs) > 0)
-    if np.any(bad):
-        idx = tuple(int(x) for x in np.argwhere(bad)[0])
-        k = tuple(idx[a] - K for a in range(n))
-        raise DivisorTooSmall(
-            f"divisor below floor at (i,j,k)=({idx[-2] + 1},{idx[-1] + 1},{k})",
-            i=idx[-2] + 1, j=idx[-1] + 1, k=k, value=float(np.abs(den[idx])),
-        )
+    live = offmask & (np.abs(P.coeffs) > 0)
+    _check_divisors(den, _divisor_floor(n, K, floor_scale)[..., None, None], live, n, K,
+                    "divisor")
     Bc = np.zeros_like(P.coeffs)
     np.divide(-P.coeffs, den, out=Bc, where=offmask & (np.abs(den) > 0))
     B = OperatorSeries(n, K, N, Bc)
-    defect = den * Bc + P.coeffs
-    idxN = np.arange(N)
-    defect[..., idxN, idxN] = 0.0
-    Poff = P.coeffs.copy()
-    Poff[..., idxN, idxN] = 0.0
-    scale = _l1_max_entry(Poff, n)
-    residual = _l1_max_entry(defect, n) / max(scale, 1e-300)
-    min_div = float(np.min(np.abs(den[offmask & (np.abs(P.coeffs) > 0)]))) if np.any(
-        offmask & (np.abs(P.coeffs) > 0)
-    ) else np.inf
-    return HomologicalSolution(B=B, residual=residual, min_divisor=min_div)
+    min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
+    return HomologicalSolution(B=B, residual=_generator_residual(B, P, base, omega, 0.0),
+                               min_divisor=min_div)
 
 
 def torus_primitive(h: TorusSeries, omega, floor_scale: float = DEFAULT_FLOOR_SCALE) -> TorusSeries:
@@ -131,39 +177,89 @@ def torus_primitive(h: TorusSeries, omega, floor_scale: float = DEFAULT_FLOOR_SC
     scale = float(np.max(np.abs(h.coeffs))) if h.coeffs.size else 0.0
     if abs(h.average()) > 1e-10 * max(scale, 1e-300):
         raise KamError("torus_primitive requires a zero-average input")
-    kdw = _k_dot_omega(h.n, h.K, omega)
-    floor = _divisor_floor(h.n, h.K, floor_scale)
-    ctr = (h.K,) * h.n
-    bad = (np.abs(kdw) < floor) & (np.abs(h.coeffs) > 0)
-    bad[ctr] = False
-    if np.any(bad):
-        idx = tuple(int(x) for x in np.argwhere(bad)[0])
-        k = tuple(idx[a] - h.K for a in range(h.n))
-        raise DivisorTooSmall(f"|omega.k| below floor at k={k}", k=k,
-                              value=float(np.abs(kdw[idx])))
-    Hc = np.zeros_like(h.coeffs)
-    mask = np.abs(kdw) > 0
-    np.divide(h.coeffs, 1j * kdw, out=Hc, where=mask)
-    Hc[ctr] = 0.0
+    Hc = _primitive(h.coeffs, h.n, h.K, omega, floor_scale, np.abs(h.coeffs) > 0)
     return TorusSeries(h.n, h.K, Hc)
+
+
+def _primitive(c, n: int, K: int, omega, floor_scale: float, live, pairs=None):
+    """Coefficients c / (i omega.k) with the k = 0 mode dropped; batch axes trail.
+
+    A live entry whose |omega.k| falls below the floor raises DivisorTooSmall.
+    """
+    shape = (2 * K + 1,) * n + (1,) * (c.ndim - n)
+    kdw = _k_dot_omega(n, K, omega).reshape(shape)
+    ctr = (K,) * n
+    live[ctr] = False
+    _check_divisors(kdw, _divisor_floor(n, K, floor_scale).reshape(shape), live, n, K,
+                    "|omega.k|", pairs)
+    H = np.zeros_like(c)
+    np.divide(c, 1j * kdw, out=H, where=np.abs(kdw) > 0)
+    H[ctr] = 0.0
+    return H
 
 
 def _tight_cutoff(coeffs: np.ndarray, n: int, K: int, tol: float) -> int:
     """Smallest K' such that all shells beyond K' carry |c| < tol * max|c|."""
-    mx = float(np.max(np.abs(coeffs)))
+    mags = np.max(np.abs(coeffs).reshape((2 * K + 1) ** n, -1), axis=1)
+    mx = float(np.max(mags))
     if mx == 0.0:
         return 0
-    kinf = np.zeros((2 * K + 1,) * n)
-    rng = np.abs(np.arange(-K, K + 1))
-    for a in range(n):
-        kinf = np.maximum(kinf, rng.reshape([-1 if i == a else 1 for i in range(n)]))
-    flat_k = kinf.reshape(-1)
-    if coeffs.ndim > n:
-        mags = np.max(np.abs(coeffs).reshape(len(flat_k), -1), axis=1)
+    return int(np.max(np.abs(k_box(n, K))[mags >= tol * mx]))
+
+
+def _working_grid(band: int, oversample: int, work_K: int | None = None) -> int:
+    """Grid of the pair solve: oversampled, or alias-free up to an explicit work_K."""
+    if work_K is not None:
+        return int(next_fast_len(2 * max(work_K, band) + 2))
+    return int(next_fast_len(max(oversample * (2 * band + 2), 2 * band + 2)))
+
+
+def _solve_pairs(b, mud, E1, omega, M: int, K_out, floor_scale: float, pairs=None):
+    """Integrating-factor solve of -i (omega.d) chi + (E1 + mud) chi = b, pair axis last.
+
+    b and mud (zero average) are centred coefficient stacks with one pair
+    per trailing index and E1 holds one constant per pair; all products are
+    taken on one grid of M points per axis.  K_out caps the band of chi;
+    None keeps every shell above 1e-15 of the largest coefficient.  Returns
+    (chi, min_divisor, unimodularity_defect, truncated l1 mass).
+    """
+    n = len(omega)
+    K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
+    K_alias = (M - 2) // 2
+    if np.any(mud):
+        # mud has zero average by construction of mu
+        live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
+        Hd = _primitive(mud, n, K_mu, omega, floor_scale, live, pairs)
+        factor = np.exp(1j * coeffs_to_grid(Hd, n, K_mu, M))
+        unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
+        if unimod > 1e-12:
+            warnings.warn(f"integrating factor unimodularity defect {unimod:.2e}", GuardWarning)
+        btil = grid_to_coeffs(factor * coeffs_to_grid(b, n, K_b, M), n, K_alias)
     else:
-        mags = np.abs(coeffs).reshape(-1)
-    alive = flat_k[mags >= tol * mx]
-    return int(np.max(alive)) if len(alive) else 0
+        # no variable part: the factor is 1 and the solve is one division
+        factor, unimod = None, 0.0
+        btil = np.zeros((2 * K_alias + 1,) * n + b.shape[n:], dtype=complex)
+        btil[_box(n, K_b, K_alias)] = b
+
+    den = _k_dot_omega(n, K_alias, omega)[..., None] + E1
+    live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
+    _check_divisors(den, _divisor_floor(n, K_alias, floor_scale)[..., None], live, n,
+                    K_alias, "|omega.k + E1|", pairs)
+    min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
+    uc = np.zeros_like(btil)
+    np.divide(btil, den, out=uc, where=live & (np.abs(den) > 0))
+    if factor is None:
+        chic = uc
+    else:
+        chig = np.conj(factor) * coeffs_to_grid(uc, n, K_alias, M)
+        chic = grid_to_coeffs(chig, n, K_alias)
+
+    if K_out is None:
+        K_out = min(K_alias, max(_tight_cutoff(chic[..., p], n, K_alias, 1e-15)
+                                 for p in range(chic.shape[-1])))
+    chic_cut = chic[_box(n, min(K_out, K_alias), K_alias)]
+    trunc = float(np.sum(np.abs(chic)) - np.sum(np.abs(chic_cut)))
+    return chic_cut, min_div, unimod, max(trunc, 0.0)
 
 
 def solve_kuksin(
@@ -181,10 +277,12 @@ def solve_kuksin(
 ):
     """Solve -i (omega.d/dphi) chi + E1 chi + E2 h chi = b by integrating factor.
 
-    h should be normalized (||h||_s <= 1); E2 >= 0 carries the size.  The
-    smallness guard E1^theta >= C E2 is advisory: a violation emits a
+    The one-pair call of the kernel solve_variable runs.  h should be
+    normalized (||h||_s <= 1) and of zero average; E2 >= 0 carries the size.
+    The smallness guard E1^theta >= C E2 is advisory: a violation emits a
     GuardWarning, never a silent pass.  Returns chi, or (chi, info) with
-    info = {residual, min_divisor, unimodularity_defect, guard_ok, K_out}.
+    info = {residual, min_divisor, unimodularity_defect, guard_ok, K_out};
+    residual is the relative defect bound on the real torus.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n = b.n
@@ -197,92 +295,22 @@ def solve_kuksin(
             f"kuksin guard |E1|^theta >= C*E2 violated: |{E1}|^{guard_theta} < {guard_C}*{E2}",
             GuardWarning,
         )
-
-    trivial_factor = E2 == 0.0 or h is None or float(np.max(np.abs(h.coeffs))) == 0.0
-    if trivial_factor:
-        K_u = b.K if K_out is None else max(K_out, b.K)
-        bt = b.pad_to(K_u)
-        kdw = _k_dot_omega(n, K_u, omega)
-        den = kdw + E1
-        floor = _divisor_floor(n, K_u, floor_scale)
-        bad = (np.abs(den) < floor) & (np.abs(bt.coeffs) > 0)
-        if np.any(bad):
-            idx = tuple(int(x) for x in np.argwhere(bad)[0])
-            k = tuple(idx[a] - K_u for a in range(n))
-            raise DivisorTooSmall(f"|omega.k + E1| below floor at k={k}", k=k,
-                                  value=float(np.abs(den[idx])))
-        chic = np.zeros_like(bt.coeffs)
-        np.divide(bt.coeffs, den, out=chic, where=np.abs(den) > 0)
-        chi = TorusSeries(n, K_u, chic)
-        if K_out is not None:
-            chi = chi.truncate(K_out)
-        info = {
-            "residual": 0.0 if K_out is None or K_out >= b.K else None,
-            "min_divisor": float(np.min(np.abs(den[np.abs(bt.coeffs) > 0])))
-            if np.any(np.abs(bt.coeffs) > 0) else np.inf,
-            "unimodularity_defect": 0.0,
-            "guard_ok": guard_ok,
-            "K_out": chi.K,
-        }
-        if info["residual"] is None:
-            info["residual"] = _kuksin_residual(chi, b, h, E1, E2, omega)
-        return (chi, info) if with_info else chi
-
-    H = torus_primitive(h, omega, floor_scale)
-    band = b.K + h.K
-    M = int(next_fast_len(max(oversample * (2 * band + 2), 2 * band + 2)))
-    K_alias = (M - 2) // 2
-    Hg = coeffs_to_grid(E2 * H.coeffs, n, H.K, M)
-    unimod = float(np.max(np.abs(np.abs(np.exp(1j * Hg)) - 1.0)))
-    if unimod > 1e-12:
-        warnings.warn(f"integrating factor unimodularity defect {unimod:.2e}", GuardWarning)
-    factor = np.exp(1j * Hg)
-    bg = coeffs_to_grid(b.coeffs, n, b.K, M)
-    btil = grid_to_coeffs(factor * bg, n, K_alias)
-    kdw = _k_dot_omega(n, K_alias, omega)
-    den = kdw + E1
-    floor = _divisor_floor(n, K_alias, floor_scale)
-    live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
-    bad = (np.abs(den) < floor) & live
-    if np.any(bad):
-        idx = tuple(int(x) for x in np.argwhere(bad)[0])
-        k = tuple(idx[a] - K_alias for a in range(n))
-        raise DivisorTooSmall(f"|omega.k + E1| below floor at k={k}", k=k,
-                              value=float(np.abs(den[idx])))
-    uc = np.zeros_like(btil)
-    np.divide(btil, den, out=uc, where=live & (np.abs(den) > 0))
-    ug = coeffs_to_grid(uc, n, K_alias, M)
-    chig = np.conj(factor) * ug
-    chic_full = grid_to_coeffs(chig, n, K_alias)
-    if K_out is None:
-        K_out = _tight_cutoff(chic_full, n, K_alias, 1e-15)
-    chi = TorusSeries(n, K_alias, chic_full).truncate(min(K_out, K_alias))
-    info = {
-        "residual": _kuksin_residual(chi, b, h, E1, E2, omega, M=M),
-        "min_divisor": float(np.min(np.abs(den[live]))) if np.any(live) else np.inf,
-        "unimodularity_defect": unimod,
-        "guard_ok": guard_ok,
-        "K_out": chi.K,
-    }
-    return (chi, info) if with_info else chi
-
-
-def _kuksin_residual(chi, b, h, E1, E2, omega, M=None):
-    """sup-grid relative residual of the scalar equation."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n = b.n
-    Kh = h.K if (h is not None and E2 > 0) else 0
-    band = chi.K + Kh
-    M = int(next_fast_len(max(M or 0, 2 * band + 2)))
-    kdw = _k_dot_omega(n, chi.K, omega)
-    dchi = coeffs_to_grid(1j * kdw * chi.coeffs, n, chi.K, M)
-    chig = coeffs_to_grid(chi.coeffs, n, chi.K, M)
-    bg = coeffs_to_grid(b.coeffs, n, b.K, M)
-    r = -1j * dchi + E1 * chig - bg
-    if h is not None and E2 > 0:
-        r = r + E2 * coeffs_to_grid(h.coeffs, n, h.K, M) * chig
-    scale = float(np.max(np.abs(bg)))
-    return float(np.max(np.abs(r))) / max(scale, 1e-300)
+    if h is None or E2 == 0.0:
+        mud = np.zeros((1,) * n + (1,), dtype=complex)
+    else:
+        if abs(h.average()) > 1e-10 * max(float(np.max(np.abs(h.coeffs))), 1e-300):
+            raise KamError("solve_kuksin requires a zero-average h")
+        mud = E2 * h.coeffs[..., None]
+    M = _working_grid(b.K + (mud.shape[0] - 1) // 2, oversample)
+    chic, min_div, unimod, _ = _solve_pairs(b.coeffs[..., None], mud, np.array([float(E1)]),
+                                            omega, M, K_out, floor_scale)
+    chi = TorusSeries(n, (chic.shape[0] - 1) // 2, chic[..., 0])
+    if not with_info:
+        return chi
+    residual = _relative_defect(chic[..., None], np.array([[float(E1)]]), mud[..., None],
+                                b.coeffs[..., None, None], omega, 0.0, np.ones(1))
+    return chi, {"residual": residual, "min_divisor": min_div, "unimodularity_defect": unimod,
+                 "guard_ok": guard_ok, "K_out": chi.K}
 
 
 def solve_variable(
@@ -304,7 +332,7 @@ def solve_variable(
     entry is solved by the scalar integrating-factor equation with
     b = -P_ji, E2 h = mu_j - mu_i, and the (i, j) entry is its anti-hermitian
     mirror Bhat_ij(k) = -conj(Bhat_ji(-k)).  Returns the generator together
-    with the measured relative equation defect.
+    with the relative equation defect, bounded at strip width s.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n, N = P.n, P.N
@@ -315,9 +343,18 @@ def solve_variable(
                       GuardWarning)
     messages = []
     guard_ok = True
+    # pair p is (i, j) = (ii[p], jj[p]) with i < j; B_ji is solved, B_ij mirrors it
+    ii, jj = np.triu_indices(N, 1)
+    pairs = list(zip(ii.tolist(), jj.tolist()))
 
-    mu_zero = base.mu is None or float(np.max(np.abs(base.mu))) == 0.0
-    if not mu_zero:
+    if base.mu is None or float(np.max(np.abs(base.mu))) == 0.0:
+        sol = solve_constant(P, base, omega, floor_scale)
+        # K_out caps the generator's band; it never pads it
+        B = sol.B if K_out is None else sol.B.truncate(min(K_out, sol.B.K))
+        min_div = sol.min_divisor
+        trunc = max(float(np.sum(np.abs(sol.B.coeffs[..., jj, ii]))
+                          - np.sum(np.abs(B.coeffs[..., jj, ii]))), 0.0)
+    else:
         c_mu = base.c_mu(s)
         c_lam = base.c_lambda()
         if c_mu / c_lam >= guard_Cstar:
@@ -325,128 +362,29 @@ def solve_variable(
             messages.append(f"C* guard violated: C_mu/C_lambda = {c_mu / c_lam:.3g} >= {guard_Cstar}")
             warnings.warn(messages[-1], GuardWarning)
 
-    # pair p is (i, j) = (ii[p], jj[p]) with i < j; B_ji is solved, B_ij mirrors it
-    ii, jj = np.triu_indices(N, 1)
-    pairs = list(zip(ii.tolist(), jj.tolist()))
+        # stacked scalar data, pair axis last
+        mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)      # (modes..., pairs)
+        E1 = base.lam[jj] - base.lam[ii]
+        w_s = np.exp(s * k_norm1_grid(n, base.K)).reshape(-1)
+        E2 = w_s @ np.abs(mud).reshape(-1, len(pairs))
+        for p, (i, j) in enumerate(pairs):
+            if E2[p] > 0 and E1[p] ** guard_theta < guard_C * E2[p]:
+                guard_ok = False
+                messages.append(
+                    f"kuksin guard failed for pair ({i + 1},{j + 1}): "
+                    f"E1^theta={E1[p] ** guard_theta:.3g} < C*E2={guard_C * E2[p]:.3g}"
+                )
+        if messages:
+            warnings.warn("; ".join(messages[:3]), GuardWarning)
 
-    if mu_zero:
-        zero_mu_base = DiagonalPart(lam=base.lam, d=base.d, delta=base.delta, n=n)
-        sol = solve_constant(P, zero_mu_base, omega, floor_scale)
-        # K_out caps the generator's band; it never pads it
-        B = sol.B if K_out is None else sol.B.truncate(min(K_out, sol.B.K))
-        trunc = float(np.sum(np.abs(sol.B.coeffs[..., jj, ii]))
-                      - np.sum(np.abs(B.coeffs[..., jj, ii])))
-        resid = _variable_residual(B, P, base, omega)
-        return HomologicalSolution(B=B, residual=resid, min_divisor=sol.min_divisor,
-                                   guard_ok=guard_ok, guard_messages=tuple(messages),
-                                   truncation_residue=max(trunc, 0.0))
-
-    K_mu = base.K
-    band = P.K + K_mu
-    if work_K is not None:
-        # explicit alias-free working cutoff (memory control for large N, n)
-        M = int(next_fast_len(2 * max(work_K, band) + 2))
-    else:
-        M = int(next_fast_len(max(oversample * (2 * band + 2), 2 * band + 2)))
-    K_alias = (M - 2) // 2
-    ctr = (K_mu,) * n
-
-    # stacked scalar data on the shared grid, pair axis last
-    mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)      # (modes..., pairs)
-    E1 = base.lam[jj] - base.lam[ii]
-    w_s = np.exp(s * k_norm1_grid(n, K_mu)).reshape(-1)
-    E2 = w_s @ np.abs(mud).reshape(-1, len(pairs))
-    for p, (i, j) in enumerate(pairs):
-        if E2[p] > 0 and E1[p] ** guard_theta < guard_C * E2[p]:
-            guard_ok = False
-            messages.append(
-                f"kuksin guard failed for pair ({i + 1},{j + 1}): "
-                f"E1^theta={E1[p] ** guard_theta:.3g} < C*E2={guard_C * E2[p]:.3g}"
-            )
-    if messages:
-        warnings.warn("; ".join(messages[:3]), GuardWarning)
-
-    # primitive of mu_j - mu_i (zero average by construction of mu)
-    kdw_mu = _k_dot_omega(n, K_mu, omega)[..., None]
-    floor_mu = _divisor_floor(n, K_mu, floor_scale)[..., None]
-    live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
-    bad = live & (np.abs(kdw_mu) < floor_mu)
-    bad[ctr] = False
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        p = int(idx[n])
-        k = tuple(int(x) - K_mu for x in idx[:n])
-        raise DivisorTooSmall(
-            f"|omega.k| below floor for pair {pairs[p]} at k={k}",
-            i=pairs[p][0] + 1, j=pairs[p][1] + 1, k=k,
-        )
-    Hd = np.zeros_like(mud)
-    np.divide(mud, 1j * kdw_mu, out=Hd, where=np.abs(kdw_mu) > 0)
-    Hd[ctr] = 0.0
-
-    Hg = coeffs_to_grid(Hd, n, K_mu, M)
-    unimod = float(np.max(np.abs(np.abs(np.exp(1j * Hg)) - 1.0)))
-    if unimod > 1e-12:
-        warnings.warn(f"integrating factor unimodularity defect {unimod:.2e}", GuardWarning)
-    factor = np.exp(1j * Hg)
-
-    bg = coeffs_to_grid(-P.coeffs[..., jj, ii], n, P.K, M)
-    btil = grid_to_coeffs(factor * bg, n, K_alias)
-
-    den = _k_dot_omega(n, K_alias, omega)[..., None] + E1
-    floor = _divisor_floor(n, K_alias, floor_scale)[..., None]
-    live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
-    bad = live & (np.abs(den) < floor)
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        p = int(idx[n])
-        k = tuple(int(x) - K_alias for x in idx[:n])
-        raise DivisorTooSmall(
-            f"|omega.k + E1| below floor for pair {pairs[p]} at k={k}",
-            i=pairs[p][0] + 1, j=pairs[p][1] + 1, k=k, value=float(np.abs(den[tuple(idx)])),
-        )
-    min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
-    uc = np.zeros_like(btil)
-    np.divide(btil, den, out=uc, where=live & (np.abs(den) > 0))
-    ug = coeffs_to_grid(uc, n, K_alias, M)
-    chig = np.conj(factor) * ug
-    chic = grid_to_coeffs(chig, n, K_alias)
-
-    if K_out is None:
-        K_out = min(K_alias, max(_tight_cutoff(chic[..., p], n, K_alias, 1e-15)
-                                 for p in range(len(pairs))))
-    K_B = min(K_out, K_alias)
-    sl = tuple(slice(K_alias - K_B, K_alias + K_B + 1) for _ in range(n))
-    chic_cut = chic[sl]
-    trunc = float(np.sum(np.abs(chic)) - np.sum(np.abs(chic_cut)))
-
-    Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
-    Bc[..., jj, ii] = chic_cut
-    Bc[..., ii, jj] = -np.conj(chic_cut[(slice(None, None, -1),) * n])
-    B = OperatorSeries(n, K_B, N, Bc)
-    resid = _variable_residual(B, P, base, omega)
-    return HomologicalSolution(B=B, residual=resid, min_divisor=min_div,
-                               guard_ok=guard_ok, guard_messages=tuple(messages),
-                               truncation_residue=max(trunc, 0.0))
-
-
-def _variable_residual(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart, omega) -> float:
-    """Relative sup-grid defect of [A,B] - i Bdot + (P - diag P) in the weighted norm."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n, N = P.n, P.N
-    band = max(B.K + base.K, P.K)
-    M = int(next_fast_len(2 * band + 2))
-    a = base.values_on_grid(M)             # (M..., N)
-    Bg = B.grid(M)
-    kdw = _k_dot_omega(n, B.K, omega)
-    dBg = coeffs_to_grid(1j * kdw[..., None, None] * B.coeffs, n, B.K, M)
-    Pg = P.grid(M)
-    idxN = np.arange(N)
-    Pg_off = Pg.copy()
-    Pg_off[..., idxN, idxN] = 0.0
-    gap = a[..., :, None] - a[..., None, :]
-    defect = gap * Bg - 1j * dBg + Pg_off
-    W = base.weight()
-    dnorm = _grid_opnorm_max(W[:, None] * defect)
-    pnorm = _grid_opnorm_max(W[:, None] * Pg_off)
-    return dnorm / max(pnorm, 1e-300)
+        M = _working_grid(P.K + base.K, oversample, work_K)
+        chic, min_div, _, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M, K_out,
+                                               floor_scale, pairs)
+        K_B = (chic.shape[0] - 1) // 2
+        Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
+        Bc[..., jj, ii] = chic
+        Bc[..., ii, jj] = -np.conj(chic[(slice(None, None, -1),) * n])
+        B = OperatorSeries(n, K_B, N, Bc)
+    return HomologicalSolution(B=B, residual=_generator_residual(B, P, base, omega, s),
+                               min_divisor=min_div, guard_ok=guard_ok,
+                               guard_messages=tuple(messages), truncation_residue=trunc)

@@ -377,6 +377,27 @@ def test_variable_pairwise_galerkin_oracle():
         assert grid_gap(sol.B.entry(j, i), oracle) < 1e-9 * sup_norm_s(b, 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_variable_pairs_are_one_pair_kuksin_solves(n):
+    # the stacked solve the engine runs and the scalar solve gate 2 checks
+    # against the dense oracle are one kernel: every pair agrees on one grid
+    rng = np.random.default_rng(79 + n)
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])[:n]
+    N, K_out = 5, 12
+    mu = random_mu(N, n, 2, rng, amp=0.08)
+    base = base_for(N, n=n, mu=mu, K=2)
+    P = random_hermitian(N, n, 3, rng, s=0.5)
+    B = solve_variable(P, base, omega, K_out=K_out).B
+    for i, j in itertools.combinations(range(N), 2):
+        # E2 = 1 and h = mu_j - mu_i, so E2 h is the pair's mu difference bit for bit
+        mud = base.mu_series(j) - base.mu_series(i)
+        chi = solve_kuksin(-P.entry(j, i), mud, base.lam[j] - base.lam[i], 1.0, omega,
+                           K_out=K_out)
+        entry = B.entry(j, i)
+        assert chi.K == entry.K
+        assert np.max(np.abs(chi.coeffs - entry.coeffs)) <= 1e-14 * np.max(np.abs(entry.coeffs))
+
+
 def test_variable_antihermitian_by_construction():
     rng = np.random.default_rng(53)
     mu = random_mu(4, 1, 2, rng)

@@ -5,15 +5,30 @@ entrywise majorant |P|_s = sum_k |Phat_k| e^{s|k|_1}.  These tests check
 that the value bounds ||W P(phi)||_2 at complex angles inside the strip and
 on the real grid, that it is that majorant norm exactly, and that it is
 reached without any grid or grid SVD sweep.
+
+The homological residual is the same kind of bound: times ||W |P_off|_s||_2
+it must dominate ||W D(phi)||_2 for the defect D = [A,B] - i omega.dB + P_off
+of solve_variable's generator, at strip points and on the real grid, and it
+is reached without a grid SVD.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kamreduce import torus
-from kamreduce.torus import DiagonalPart, OperatorSeries, delta_norm, g_norm, k_box
+from kamreduce import homological, torus
+from kamreduce.homological import solve_variable
+from kamreduce.torus import (
+    DiagonalPart,
+    OperatorSeries,
+    delta_norm,
+    directional_derivative,
+    g_norm,
+    k_box,
+)
 
 D = 4.0 / 3.0
 
@@ -94,3 +109,80 @@ def test_strip_norms_form_no_grid(case):
         mp.setattr(torus, "coeffs_to_grid", refuse)
         delta_norm(P, base, s)
         g_norm(P, base, s)
+
+
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+defect_cases = st.tuples(
+    st.sampled_from([1, 2]),                                      # n
+    st.integers(2, 6),                                            # N
+    st.integers(0, 3),                                            # K of P
+    st.integers(1, 3),                                            # K of mu
+    st.floats(0.0, 0.3),                                          # s
+    st.sampled_from([None, 0, 1, 2]),                             # K_out: a cap leaves a defect
+    st.integers(0, 2**32 - 1),                                    # coefficient seed
+)
+
+
+def solve_case(case):
+    """A random hermitian P against lambda + mu with zero-average real mu, solved."""
+    n, N, K, K_mu, s, K_out, seed = case
+    P, _, _, rng = draw((n, N, K, 0.1, 0.2, seed))
+    shape = (N,) + (2 * K_mu + 1,) * n
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    mu = 0.05 * (c + np.conj(c[(slice(None),) + (slice(None, None, -1),) * n]))
+    mu[(slice(None),) + (K_mu,) * n] = 0.0
+    base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D, d=D, delta=0.2, n=n,
+                        mu=mu, K=K_mu)
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])[:n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")                           # guards are advisory here
+        sol = solve_variable(P, base, omega, s=s, K_out=K_out)
+    return sol, P, base, omega, s, rng
+
+
+def defect_at(sol, P, base, omega, z):
+    """[A,B] - i omega.dB + P_off at complex angles z, by direct mode summation."""
+    B = sol.B
+    mu = np.exp(1j * (z @ k_box(base.n, base.K).T)) @ base.mu.reshape(base.N, -1).T
+    a = base.lam + mu                                             # (T, N)
+    idx = np.arange(P.N)
+    Poff = values_at(P, z)
+    Poff[:, idx, idx] = 0.0
+    return ((a[:, :, None] - a[:, None, :]) * values_at(B, z)
+            - 1j * values_at(directional_derivative(B, omega), z) + Poff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(defect_cases)
+def test_homological_residual_bounds_the_defect(case):
+    sol, P, base, omega, s, rng = solve_case(case)
+    n, W = P.n, base.weight()
+    x = rng.uniform(0.0, 2.0 * np.pi, size=(64, n))
+    y = rng.uniform(-s, s, size=(64, n))
+    y[:8] = s * rng.choice([-1.0, 1.0], size=(8, n))             # strip corners
+    M = 16
+    axes = [2.0 * np.pi * np.arange(M) / M] * n
+    real = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    scale = np.linalg.norm(W[:, None] * P.offdiagonal_part().majorant_matrix(s), 2)
+    # the slack is 1e-12 of the scale the residual is relative to: the
+    # defect of an exact solve is roundoff, in the solver and in this sum
+    bound = (sol.residual + 1e-12) * scale
+    for z in (x + 1j * y, real.astype(complex)):
+        assert top_singular_value(W[:, None] * defect_at(sol, P, base, omega, z)) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(defect_cases)
+def test_homological_residual_runs_no_grid_svd(case):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homological.np.linalg, "svd", counting)
+        solve_case(case)
+    assert not [shape for shape in shapes if len(shape) > 2]
