@@ -24,7 +24,6 @@ from .errors import (
     ConvergenceError,
     DivisorTooSmall,
     FrequencyExcluded,
-    GuardViolated,
     GuardWarning,
     HermiticityError,
     KamError,
@@ -40,7 +39,6 @@ __all__ = [
     "ConvergenceError",
     "DivisorTooSmall",
     "FrequencyExcluded",
-    "GuardViolated",
     "GuardWarning",
     "HermiticityError",
     "KamError",

@@ -34,7 +34,6 @@ from .errors import (
     ConvergenceError,
     DivisorTooSmall,
     FrequencyExcluded,
-    GuardViolated,
     KamError,
     SchemaError,
     ZeroAcceptanceError,
@@ -182,6 +181,17 @@ def _cert_dict(cert):
     return doc
 
 
+def _certify(omega, base, settings):
+    """Both non-resonance certificates of an explicit omega over settings.horizon()."""
+    from . import diophantine as dio
+
+    horizon = settings.horizon()
+    return (
+        dio.check_dio1(omega, settings.gamma, settings.tau, horizon),
+        dio.check_dio2(omega, base, settings.gamma, settings.tau, horizon, base.N),
+    )
+
+
 def _resolve_frequency(manifest: RunManifest, base, settings):
     """Explicit omega (certified up front) or a seeded sampling request."""
     import numpy as np
@@ -189,13 +199,9 @@ def _resolve_frequency(manifest: RunManifest, base, settings):
     from . import diophantine as dio
 
     freq = manifest.frequency
-    horizon = settings.horizon()
     if "omega" in freq:
         omega = np.asarray([float(w) for w in freq["omega"]], dtype=float)
-        cert1 = dio.check_dio1(omega, settings.gamma, settings.tau, horizon)
-        cert2 = dio.check_dio2(
-            omega, base, settings.gamma, settings.tau, horizon, base.N
-        )
+        cert1, cert2 = _certify(omega, base, settings)
         if not (cert1.passed and cert2.passed):
             detail = cert1.violating_k if not cert1.passed else cert2.violating_triple
             raise FrequencyExcluded(
@@ -281,12 +287,7 @@ def cmd_frequencies(manifest: RunManifest) -> int:
             import numpy as np
 
             omega = np.asarray(manifest.frequency["omega"], dtype=float)
-            cert1 = dio.check_dio1(
-                omega, settings.gamma, settings.tau, settings.horizon()
-            )
-            cert2 = dio.check_dio2(
-                omega, base, settings.gamma, settings.tau, settings.horizon(), base.N
-            )
+            cert1, cert2 = _certify(omega, base, settings)
             doc["certificate"] = {
                 "dio1": _cert_dict(cert1),
                 "dio2": _cert_dict(cert2),
@@ -732,7 +733,7 @@ def main(argv=None) -> int:
     except (FrequencyExcluded, ZeroAcceptanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FREQUENCY
-    except (ConvergenceError, GuardViolated) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except DivisorTooSmall as exc:

@@ -29,8 +29,8 @@ Numerical notes that matter here:
 Constant bookkeeping per step (measured norms, p = ||P_l||):
 gamma+ = gamma - p (1 + K_step^tau), C_mu+ = C_mu + p, C_omega+ = C_omega + p,
 C_lambda+ = C_lambda - 2p.  The scheduled threshold K_l = l K_base is capped
-so the gamma deduction never exceeds a configured fraction of gamma_l (the
-literal schedule bankrupts gamma at desk scales for tau > 2); safety comes
+so the gamma deduction never exceeds the fraction GAMMA_BUDGET of gamma_l
+(the literal schedule bankrupts gamma at desk scales for tau > 2); safety comes
 from re-certifying the second non-resonance condition against the shifted
 eigenvalues after every step, which raises FrequencyExcluded on violation.
 """
@@ -50,7 +50,6 @@ from .errors import (
     ConvergenceError,
     DivisorTooSmall,
     FrequencyExcluded,
-    GuardViolated,
     GuardWarning,
     HermiticityError,
     KamError,
@@ -87,11 +86,14 @@ OVERSAMPLE = 1      # conjugation grid oversampling
 SOLVER_PAD = 12     # modes the homological working grid keeps beyond P.K + K_mu
 C_GUARD = 1.0       # Kuksin guard |E1|^theta >= C_GUARD * E2
 CSTAR = 10.0        # C* guard C_mu / C_lambda < CSTAR
+GAMMA_BUDGET = 0.1  # max fraction of gamma spent per step
+GAMMA_STAR = 0.5    # warn when gamma falls below this fraction of its initial value
+CHOP_FLOOR = 1e-15  # coefficients below this are zeroed after each step
 
 
 @dataclass(frozen=True)
 class KamSettings:
-    """Iteration parameters and guard configuration."""
+    """Iteration parameters: the choices a manifest makes."""
 
     epsilon: float
     s: float
@@ -100,13 +102,6 @@ class KamSettings:
     K_base: int
     tol: float = 1e-12
     l_max: int = 10
-    K_work: int | None = None          # series cutoff cap; default 4 K_base
-    cert_horizon: int | None = None    # re-certification |k|_1 range; default 2 K_work
-    theta: float | None = None         # Kuksin guard exponent; default (delta/(d-1)+1)/2
-    gamma_budget: float = 0.1          # max fraction of gamma spent per step
-    gamma_star_frac: float = 0.5       # warn when gamma falls below this fraction
-    chop_floor: float = 1e-15
-    strict_guards: bool = False
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -115,16 +110,14 @@ class KamSettings:
             raise KamError("s, gamma and tol must be positive")
         if self.K_base < 1 or self.l_max < 0:
             raise KamError("K_base >= 1 and l_max >= 0 required")
-        if self.theta is not None and not (0.0 < self.theta < 1.0):
-            raise KamError("theta must lie in (0, 1)")
-        if not (0.0 < self.gamma_budget <= 1.0):
-            raise KamError("gamma_budget must lie in (0, 1]")
 
     def work_cutoff(self) -> int:
-        return self.K_work if self.K_work is not None else 4 * self.K_base
+        """Series cutoff of every step."""
+        return 4 * self.K_base
 
     def horizon(self) -> int:
-        return self.cert_horizon if self.cert_horizon is not None else 2 * self.work_cutoff()
+        """|k|_1 range of the non-resonance certificates."""
+        return 2 * self.work_cutoff()
 
     def sigma(self, l: int) -> float:
         return self.s / (4.0 * l * l)
@@ -136,11 +129,6 @@ class KamSettings:
 
     def K_schedule(self, l: int) -> int:
         return l * self.K_base
-
-    def guard_theta(self, base: DiagonalPart) -> float:
-        if self.theta is not None:
-            return self.theta
-        return (base.delta / (base.d - 1.0) + 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -369,6 +357,9 @@ def conjugate(
     G = D * (a[..., :, None] - a[..., None, :])      # [A, D]
     Pg = P.grid(M)
     G += Pg @ E
+    idx = np.arange(N)
+    P_diag = Pg[..., idx, idx]
+    del Pg
 
     KD = (M - 2) // 2
     Dc = grid_to_coeffs(D, n, KD)
@@ -381,9 +372,7 @@ def conjugate(
 
     R = Eh @ G
     del G
-    idx = np.arange(N)
-    R[..., idx, idx] -= Pg[..., idx, idx]
-    del Pg
+    R[..., idx, idx] -= P_diag
 
     coeffs = grid_to_coeffs(R, n, K_out)
     del R
@@ -456,7 +445,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         raise KamError("strip exhausted; initial s too small for the schedule")
 
     K_sched = settings.K_schedule(l_next)
-    K_budget = _budget_cutoff(normP, state.gamma, settings.tau, settings.gamma_budget)
+    K_budget = _budget_cutoff(normP, state.gamma, settings.tau, GAMMA_BUDGET)
     K_step = min(K_sched, K_budget)
     guard_msgs = []
     if K_step < 1:
@@ -471,7 +460,6 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
             )
 
     K_work = settings.work_cutoff()
-    theta = settings.guard_theta(base)
     clock = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", GuardWarning)
@@ -481,7 +469,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
                 s=state.s,
                 K_out=K_work,
                 work_K=P.K + base.K + SOLVER_PAD,
-                guard_theta=theta,
+                guard_theta=(base.delta / (base.d - 1.0) + 1.0) / 2.0,
                 guard_C=C_GUARD,
                 guard_Cstar=CSTAR,
             )
@@ -503,8 +491,6 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     if gB > 0.5:
         msg = f"||B||_G = {gB:.3g} exceeds 1/2"
         guard_msgs.append(msg)
-        if settings.strict_guards:
-            raise GuardViolated(msg)
         warnings.warn(msg, GuardWarning)
 
     clock = time.perf_counter()
@@ -512,7 +498,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         base, P, B, w,
         K_out=K_work,
         oversample=OVERSAMPLE,
-        chop_floor=settings.chop_floor,
+        chop_floor=CHOP_FLOOR,
         majorant_s=s_next,
         with_info=True,
     )
@@ -530,8 +516,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         mu_stack[sl] += base.mu
     slp = (slice(None),) + tuple(slice(K_mu - P.K, K_mu + P.K + 1) for _ in range(n))
     mu_stack[slp] += mu_add
-    if settings.chop_floor > 0:
-        mu_stack = chop(mu_stack, settings.chop_floor)
+    mu_stack = chop(mu_stack, CHOP_FLOOR)
     K_tight = max((_tight_cutoff(mu_stack[i], n, K_mu, 1e-16) for i in range(N)), default=0)
     if K_tight < K_mu:
         sl = (slice(None),) + tuple(slice(K_mu - K_tight, K_mu + K_tight + 1) for _ in range(n))
@@ -551,8 +536,8 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
             f"constant ledger exhausted at step {l_next}: "
             f"gamma = {gamma_next:.3e}, C_lambda = {C_lambda_next:.3e}"
         )
-    if gamma_next < settings.gamma_star_frac * settings.gamma:
-        msg = f"gamma fell below {settings.gamma_star_frac} of its initial value"
+    if gamma_next < GAMMA_STAR * settings.gamma:
+        msg = f"gamma fell below {GAMMA_STAR} of its initial value"
         guard_msgs.append(msg)
         warnings.warn(msg, GuardWarning)
 
@@ -661,7 +646,7 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
     while not state.converged and state.l < settings.l_max:
         try:
             state = kam_step(state, w, settings)
-        except (ConvergenceError, GuardViolated) as exc:
+        except ConvergenceError as exc:
             warnings.warn(f"iteration stopped: {exc}", GuardWarning)
             diverged = True
             break

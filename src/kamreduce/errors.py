@@ -36,12 +36,8 @@ class FrequencyExcluded(KamError):
         self.step = step
 
 
-class GuardViolated(KamError):
-    """A smallness/structure guard failed in strict mode."""
-
-
 class GuardWarning(UserWarning):
-    """A smallness/structure guard failed; continuing in non-strict mode."""
+    """A smallness/structure guard failed; the run continues and records it."""
 
 
 class ConvergenceError(KamError):

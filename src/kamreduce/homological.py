@@ -20,7 +20,9 @@ primitive of h (Hhat_k = hhat_k / (i omega.k)),
     chi = e^{-i E2 H} u,        uhat_k = (e^{i E2 H} b)hat_k / (omega.k + E1).
 
 One kernel solves a stack of pairs on one grid: solve_variable calls it
-with all N(N-1)/2 pairs, solve_kuksin with one.  Every solve reports its
+with all N(N-1)/2 pairs, whatever mu (with mu = 0 the factor is 1 and the
+solve is the division above), solve_kuksin with one.  solve_constant forms
+the division directly and serves as the reference.  Every solve reports its
 relative defect as a bound: the defect D is formed exactly in coefficients
 and ||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is
 divided by the same norm of the right-hand side.
@@ -219,14 +221,16 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, floor_scale: float, pairs=Non
 
     b and mud (zero average) are centred coefficient stacks with one pair
     per trailing index and E1 holds one constant per pair; all products are
-    taken on one grid of M points per axis.  K_out caps the band of chi;
-    None keeps every shell above 1e-15 of the largest coefficient.  Returns
-    (chi, min_divisor, unimodularity_defect, truncated l1 mass).
+    taken on one grid of M points per axis.  With mud = 0 the factor is 1:
+    the solve divides on b's own band and every nonzero coefficient is live.
+    K_out caps the band of chi, never pads it; None keeps every shell above
+    1e-15 of the largest coefficient.  Returns (chi, min_divisor,
+    unimodularity_defect, truncated l1 mass).
     """
     n = len(omega)
     K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
-    K_alias = (M - 2) // 2
     if np.any(mud):
+        K = (M - 2) // 2
         # mud has zero average by construction of mu
         live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
         Hd = _primitive(mud, n, K_mu, omega, floor_scale, live, pairs)
@@ -234,30 +238,27 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, floor_scale: float, pairs=Non
         unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
         if unimod > 1e-12:
             warnings.warn(f"integrating factor unimodularity defect {unimod:.2e}", GuardWarning)
-        btil = grid_to_coeffs(factor * coeffs_to_grid(b, n, K_b, M), n, K_alias)
+        btil = grid_to_coeffs(factor * coeffs_to_grid(b, n, K_b, M), n, K)
+        live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
     else:
         # no variable part: the factor is 1 and the solve is one division
-        factor, unimod = None, 0.0
-        btil = np.zeros((2 * K_alias + 1,) * n + b.shape[n:], dtype=complex)
-        btil[_box(n, K_b, K_alias)] = b
+        factor, unimod, K, btil = None, 0.0, K_b, b
+        live = b != 0
 
-    den = _k_dot_omega(n, K_alias, omega)[..., None] + E1
-    live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
-    _check_divisors(den, _divisor_floor(n, K_alias, floor_scale)[..., None], live, n,
-                    K_alias, "|omega.k + E1|", pairs)
+    den = _k_dot_omega(n, K, omega)[..., None] + E1
+    _check_divisors(den, _divisor_floor(n, K, floor_scale)[..., None], live, n, K,
+                    "|omega.k + E1|", pairs)
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     uc = np.zeros_like(btil)
     np.divide(btil, den, out=uc, where=live & (np.abs(den) > 0))
     if factor is None:
         chic = uc
     else:
-        chig = np.conj(factor) * coeffs_to_grid(uc, n, K_alias, M)
-        chic = grid_to_coeffs(chig, n, K_alias)
+        chic = grid_to_coeffs(np.conj(factor) * coeffs_to_grid(uc, n, K, M), n, K)
 
     if K_out is None:
-        K_out = min(K_alias, max(_tight_cutoff(chic[..., p], n, K_alias, 1e-15)
-                                 for p in range(chic.shape[-1])))
-    chic_cut = chic[_box(n, min(K_out, K_alias), K_alias)]
+        K_out = max(_tight_cutoff(chic[..., p], n, K, 1e-15) for p in range(chic.shape[-1]))
+    chic_cut = chic[_box(n, min(K_out, K), K)]
     trunc = float(np.sum(np.abs(chic)) - np.sum(np.abs(chic_cut)))
     return chic_cut, min_div, unimod, max(trunc, 0.0)
 
@@ -331,8 +332,9 @@ def solve_variable(
     Pairs are arranged with E1 = lambda_j - lambda_i > 0 (i < j): the (j, i)
     entry is solved by the scalar integrating-factor equation with
     b = -P_ji, E2 h = mu_j - mu_i, and the (i, j) entry is its anti-hermitian
-    mirror Bhat_ij(k) = -conj(Bhat_ji(-k)).  Returns the generator together
-    with the relative equation defect, bounded at strip width s.
+    mirror Bhat_ij(k) = -conj(Bhat_ji(-k)).  With mu = 0 each pair is one
+    division on P's band.  Returns the generator together with the relative
+    equation defect, bounded at strip width s.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n, N = P.n, P.N
@@ -343,48 +345,40 @@ def solve_variable(
                       GuardWarning)
     messages = []
     guard_ok = True
+    c_mu = base.c_mu(s)
+    c_lam = base.c_lambda()
+    if c_mu / c_lam >= guard_Cstar:
+        guard_ok = False
+        messages.append(f"C* guard violated: C_mu/C_lambda = {c_mu / c_lam:.3g} >= {guard_Cstar}")
+        warnings.warn(messages[-1], GuardWarning)
+
     # pair p is (i, j) = (ii[p], jj[p]) with i < j; B_ji is solved, B_ij mirrors it
     ii, jj = np.triu_indices(N, 1)
     pairs = list(zip(ii.tolist(), jj.tolist()))
-
-    if base.mu is None or float(np.max(np.abs(base.mu))) == 0.0:
-        sol = solve_constant(P, base, omega, floor_scale)
-        # K_out caps the generator's band; it never pads it
-        B = sol.B if K_out is None else sol.B.truncate(min(K_out, sol.B.K))
-        min_div = sol.min_divisor
-        trunc = max(float(np.sum(np.abs(sol.B.coeffs[..., jj, ii]))
-                          - np.sum(np.abs(B.coeffs[..., jj, ii]))), 0.0)
-    else:
-        c_mu = base.c_mu(s)
-        c_lam = base.c_lambda()
-        if c_mu / c_lam >= guard_Cstar:
+    # stacked scalar data, pair axis last
+    mu = np.zeros((N,) + (1,) * n) if base.mu is None else base.mu
+    mud = np.moveaxis(mu[jj] - mu[ii], 0, -1)                   # (modes..., pairs)
+    E1 = base.lam[jj] - base.lam[ii]
+    w_s = np.exp(s * k_norm1_grid(n, (mud.shape[0] - 1) // 2)).reshape(-1)
+    E2 = w_s @ np.abs(mud).reshape(-1, len(pairs))
+    for p, (i, j) in enumerate(pairs):
+        if E2[p] > 0 and E1[p] ** guard_theta < guard_C * E2[p]:
             guard_ok = False
-            messages.append(f"C* guard violated: C_mu/C_lambda = {c_mu / c_lam:.3g} >= {guard_Cstar}")
-            warnings.warn(messages[-1], GuardWarning)
+            messages.append(
+                f"kuksin guard failed for pair ({i + 1},{j + 1}): "
+                f"E1^theta={E1[p] ** guard_theta:.3g} < C*E2={guard_C * E2[p]:.3g}"
+            )
+    if messages:
+        warnings.warn("; ".join(messages[:3]), GuardWarning)
 
-        # stacked scalar data, pair axis last
-        mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)      # (modes..., pairs)
-        E1 = base.lam[jj] - base.lam[ii]
-        w_s = np.exp(s * k_norm1_grid(n, base.K)).reshape(-1)
-        E2 = w_s @ np.abs(mud).reshape(-1, len(pairs))
-        for p, (i, j) in enumerate(pairs):
-            if E2[p] > 0 and E1[p] ** guard_theta < guard_C * E2[p]:
-                guard_ok = False
-                messages.append(
-                    f"kuksin guard failed for pair ({i + 1},{j + 1}): "
-                    f"E1^theta={E1[p] ** guard_theta:.3g} < C*E2={guard_C * E2[p]:.3g}"
-                )
-        if messages:
-            warnings.warn("; ".join(messages[:3]), GuardWarning)
-
-        M = _working_grid(P.K + base.K, oversample, work_K)
-        chic, min_div, _, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M, K_out,
-                                               floor_scale, pairs)
-        K_B = (chic.shape[0] - 1) // 2
-        Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
-        Bc[..., jj, ii] = chic
-        Bc[..., ii, jj] = -np.conj(chic[(slice(None, None, -1),) * n])
-        B = OperatorSeries(n, K_B, N, Bc)
+    M = _working_grid(P.K + base.K, oversample, work_K)
+    chic, min_div, _, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M, K_out,
+                                           floor_scale, pairs)
+    K_B = (chic.shape[0] - 1) // 2
+    Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
+    Bc[..., jj, ii] = chic
+    Bc[..., ii, jj] = -np.conj(chic[(slice(None, None, -1),) * n])
+    B = OperatorSeries(n, K_B, N, Bc)
     return HomologicalSolution(B=B, residual=_generator_residual(B, P, base, omega, s),
                                min_divisor=min_div, guard_ok=guard_ok,
                                guard_messages=tuple(messages), truncation_residue=trunc)

@@ -241,13 +241,6 @@ _SETTINGS = {
         "K_base": {"type": "integer", "minimum": 1},
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "l_max": {"type": "integer", "minimum": 1},
-        "K_work": {"type": "integer", "minimum": 1},
-        "cert_horizon": {"type": "integer", "minimum": 1},
-        "theta": {"type": "number", "exclusiveMinimum": 0},
-        "gamma_budget": {"type": "number", "exclusiveMinimum": 0},
-        "gamma_star_frac": {"type": "number", "minimum": 0},
-        "chop_floor": {"type": "number", "minimum": 0},
-        "strict_guards": {"type": "boolean"},
     },
 }
 

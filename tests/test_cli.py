@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from kamreduce import cli
+from kamreduce.errors import SchemaError
 from kamreduce.serialize import RunManifest, load_json
 
 OMEGA = 0.13799890521733005
@@ -124,6 +125,23 @@ def test_reduce_divergent_epsilon_exit_code(tmp_path):
 def test_schema_error_exit_code(tmp_path):
     doc = _doc(str(tmp_path / "r"))
     del doc["settings"]["gamma"]
+    assert _run("reduce", _write(tmp_path, doc)) == cli.EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("field, value", [
+    ("K_work", 16),
+    ("cert_horizon", 32),
+    ("theta", 0.5),
+    ("gamma_budget", 0.1),
+    ("gamma_star_frac", 0.5),
+    ("chop_floor", 1e-15),
+    ("strict_guards", False),
+])
+def test_fixed_step_constants_are_not_settings(tmp_path, field, value):
+    doc = _doc(str(tmp_path / "r"))
+    doc["settings"][field] = value
+    with pytest.raises(SchemaError, match="settings"):
+        RunManifest.from_dict(doc)
     assert _run("reduce", _write(tmp_path, doc)) == cli.EXIT_SCHEMA
 
 

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from kamreduce import homological
 from kamreduce.errors import DivisorTooSmall, GuardWarning, KamError
 from kamreduce.homological import (
     HomologicalSolution,
@@ -343,6 +344,29 @@ def test_variable_mu_zero_reports_truncated_mass():
     dropped = np.abs(full[[0, 1, 5, 6]][:, low]).sum()
     assert dropped > 0
     assert sol.truncation_residue == pytest.approx(dropped, rel=1e-12)
+
+
+def test_variable_mu_zero_is_one_kernel_call():
+    rng = np.random.default_rng(53)
+    omega = np.array([GOLDEN])
+    base = base_for(4)
+    P = random_hermitian(4, 1, 3, rng, s=0.4)
+    calls = {"defect": 0, "constant": 0}
+    defect = homological._relative_defect
+
+    def counting_defect(*args, **kwargs):
+        calls["defect"] += 1
+        return defect(*args, **kwargs)
+
+    def refuse_constant(*args, **kwargs):
+        calls["constant"] += 1
+        raise AssertionError("solve_variable called solve_constant")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homological, "_relative_defect", counting_defect)
+        mp.setattr(homological, "solve_constant", refuse_constant)
+        solve_variable(P, base, omega, s=0.2, K_out=2)
+    assert calls == {"defect": 1, "constant": 0}
 
 
 def test_variable_equation_defect_small():
