@@ -7,25 +7,31 @@ Two conditions are certified for a frequency omega in [0,1]^n:
                      >= gamma |i^d - j^d| / (1 + |k|_1^tau)  for i != j <= Nmax,
                                                               |k|_1 <= Kmax
 
-The second condition is checked with a gap-domination prune: triples whose
-lambda-gap dwarfs the reachable |omega . k| cannot violate the bound and are
-skipped (and the same criterion certifies all pairs beyond any finite Nmax once
-the gap clears a recorded threshold, since the gaps grow like |i^d - j^d|).
+For one frequency, check_dio2 evaluates the second condition densely with a
+gap-domination prune: triples whose lambda-gap dwarfs the reachable |omega . k|
+cannot violate the bound and are skipped (and the same criterion certifies all
+pairs beyond any finite Nmax once the gap clears a recorded threshold, since
+the gaps grow like |i^d - j^d|).  Certificates record the exact minimizing
+margin so a caller can read off the largest gamma the frequency would still
+pass.
 
-Certificates record the exact minimizing margin so a caller can read off the
-largest gamma the frequency would still pass.
+Batches of sampled frequencies (sample_admissible, optimize_frequency,
+rejection_table) only compare the margin against a threshold gamma_max, so
+they use a window instead: for each k, only the pairs whose -gap lies within
+gamma_max max|i^d - j^d| / (1 + |k|_1^tau) of omega . k can fall below
+gamma_max, and only those are evaluated.  Margins below gamma_max are exactly
+the dense ones; the rest are only known to be >= gamma_max.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import KamError, ZeroAcceptanceError
-from .torus import DiagonalPart
+from .torus import DiagonalPart, k_box
 
 __all__ = [
     "Frequency",
@@ -50,24 +56,17 @@ def default_tau(n: int, d: float) -> float:
 
 def half_k_lattice(n: int, Kmax: int) -> np.ndarray:
     """Nonzero k with |k|_1 <= Kmax, one of each +-k pair (first nonzero > 0)."""
-    out = []
-    for k in itertools.product(range(-Kmax, Kmax + 1), repeat=n):
-        if sum(abs(x) for x in k) == 0 or sum(abs(x) for x in k) > Kmax:
-            continue
-        lead = next(x for x in k if x != 0)
-        if lead > 0:
-            out.append(k)
-    return np.array(out, dtype=float).reshape(-1, n)
+    ks = full_k_lattice(n, Kmax, include_zero=False)
+    lead = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+    return ks[lead > 0]
 
 
 def full_k_lattice(n: int, Kmax: int, include_zero: bool = True) -> np.ndarray:
-    out = []
-    for k in itertools.product(range(-Kmax, Kmax + 1), repeat=n):
-        l1 = sum(abs(x) for x in k)
-        if l1 > Kmax or (l1 == 0 and not include_zero):
-            continue
-        out.append(k)
-    return np.array(out, dtype=float).reshape(-1, n)
+    """k with |k|_1 <= Kmax in lexicographic order."""
+    ks = k_box(n, Kmax)
+    l1 = np.sum(np.abs(ks), axis=1)
+    keep = (l1 <= Kmax) & ((l1 > 0) | include_zero)
+    return ks[keep].astype(float)
 
 
 @dataclass(frozen=True)
@@ -190,6 +189,9 @@ def _dio2_margins(
     """
     k1 = np.sum(np.abs(ks), axis=1)
     weight = (1.0 + k1**tau)
+    # one product for all columns: BLAS may round a column subset's product
+    # differently, and _dio2_windowed_margins must reproduce these values
+    proj = omegas @ ks.T
     S = omegas.shape[0]
     margins = np.full(S, np.inf)
     argpair = np.zeros(S, dtype=int)
@@ -200,18 +202,65 @@ def _dio2_margins(
         safe = (omega_sup * k1 <= 0.5 * c_lambda * scale[p])
         if gamma_for_prune is not None:
             safe &= (gamma_for_prune / weight <= 0.5 * c_lambda)
-        use = ~safe
-        pruned += int(np.sum(safe))
-        if not np.any(use):
+        use = np.nonzero(~safe)[0]
+        pruned += len(ks) - len(use)
+        if len(use) == 0:
             continue
-        vals = np.abs(gaps[p] + omegas @ ks[use].T) * (weight[use] / scale[p])[None, :]
+        vals = np.abs(gaps[p] + np.take(proj, use, axis=1)) * (weight[use] / scale[p])[None, :]
         sub = np.argmin(vals, axis=1)
         best = vals[np.arange(S), sub]
         better = best < margins
         margins[better] = best[better]
         argpair[better] = p
-        argk[better] = np.nonzero(use)[0][sub[better]]
+        argk[better] = use[sub[better]]
     return margins, argpair, argk, pruned / max(total, 1)
+
+
+def _dio2_windowed_margins(
+    omegas: np.ndarray,
+    gaps: np.ndarray,
+    scale: np.ndarray,
+    ks: np.ndarray,
+    tau: float,
+    gamma_max: float,
+) -> np.ndarray:
+    """Per-sample min margin |gap + omega.k| w(k)/scale, exact below gamma_max.
+
+    A margin below gamma_max needs |gap_p + omega.k| < gamma_max scale_p/w(k)
+    <= R_k = gamma_max max(scale)/w(k), so for every (sample, k) only the pairs
+    whose -gap lies in [omega.k - R_k, omega.k + R_k] are evaluated, found by
+    bisection in the sorted -gaps.  The values are formed exactly as
+    _dio2_margins forms them, so every margin below gamma_max equals the dense
+    one bit for bit; any other entry is only known to be >= gamma_max (inf
+    when no pair is in range).  R_k carries a relative safety factor that
+    covers the roundoff of the margin, and rounding the window ends is
+    monotone, so no candidate is lost at the boundary.  Columns of one |k|_1
+    shell share w and are searched together, so memory is one shell's
+    candidates, not samples x pairs x modes.
+    """
+    k1 = np.sum(np.abs(ks), axis=1)
+    weight = 1.0 + k1**tau
+    proj = omegas @ ks.T
+    order = np.argsort(-gaps, kind="stable")
+    neg = -gaps[order]
+    margins = np.full(omegas.shape[0], np.inf)
+    if len(gaps) == 0:
+        return margins
+    reach = gamma_max * float(np.max(scale)) * (1.0 + 1e-9)
+    for shell in np.unique(k1):
+        cols = np.nonzero(k1 == shell)[0]
+        x = proj[:, cols].ravel()                    # entry e = sample * len(cols) + column
+        r = reach / float(np.min(weight[cols]))
+        lo = np.searchsorted(neg, x - r, side="left")
+        count = np.searchsorted(neg, x + r, side="right") - lo
+        ent = np.repeat(np.arange(len(x)), count)    # the entry of each candidate
+        rank = np.arange(len(ent)) - (np.cumsum(count) - count)[ent]  # its place in the window
+        p = order[lo[ent] + rank]
+        sample, j = np.divmod(ent, len(cols))
+        col = cols[j]
+        vals = np.abs(gaps[p] + x[ent]) * (weight[col] / scale[p])
+        np.minimum.at(margins, sample, vals)
+    return margins
 
 
 def check_dio1(omega, gamma: float, tau: float, Kmax: int) -> Dio1Certificate:
@@ -300,9 +349,9 @@ def sample_admissible(
     omegas = rng.random((num_samples, n))
     ks1 = half_k_lattice(n, Kmax)
     m1 = _dio1_margins(omegas, ks1, tau)
-    pairs, gaps, scale = _pair_table(base, Nmax)
+    _, gaps, scale = _pair_table(base, Nmax)
     ks2 = full_k_lattice(n, Kmax, include_zero=True)
-    m2, _, _, _ = _dio2_margins(omegas, gaps, scale, ks2, tau, base.c_lambda(), gamma_for_prune=gamma)
+    m2 = _dio2_windowed_margins(omegas, gaps, scale, ks2, tau, gamma)
     ok = (m1 >= gamma) & (m2 >= gamma)
     n_ok = int(np.sum(ok))
     rejection = 1.0 - n_ok / num_samples
@@ -358,13 +407,10 @@ def rejection_table(
     rng = np.random.default_rng(seed)
     omegas = rng.random((num_samples, n))
     m1 = _dio1_margins(omegas, half_k_lattice(n, Kmax), tau)
-    pairs, gaps, scale = _pair_table(base, Nmax)
+    _, gaps, scale = _pair_table(base, Nmax)
     ks2 = full_k_lattice(n, Kmax, include_zero=True)
-    # Prune at the grid maximum: dropped combinations are certified to have
-    # margin >= max(grid), so they cannot flip the verdict at any grid gamma.
-    m2, _, _, _ = _dio2_margins(
-        omegas, gaps, scale, ks2, tau, base.c_lambda(), gamma_for_prune=max(grid)
-    )
+    # margins at or above max(grid) cannot flip the verdict at any grid gamma
+    m2 = _dio2_windowed_margins(omegas, gaps, scale, ks2, tau, max(grid))
     margin = np.minimum(m1, m2)
     return [(g, float(np.mean(margin < g))) for g in grid]
 
@@ -397,25 +443,11 @@ def optimize_frequency(
         robust_K = max(1, Kmax // 4)
     rng = np.random.default_rng(seed)
     omegas = rng.random((num_candidates, n))
-    pairs, gaps, scale = _pair_table(base, Nmax)
-    # passing at Kmax implies passing at any smaller horizon, so a low-K pass
-    # is a safe (and much cheaper) pre-filter before the full certification
-    K_pre = min(Kmax, max(robust_K, 8))
-    m1 = _dio1_margins(omegas, half_k_lattice(n, K_pre), tau)
-    m2, _, _, _ = _dio2_margins(omegas, gaps, scale,
-                                full_k_lattice(n, K_pre, include_zero=True),
-                                tau, base.c_lambda(), gamma_for_prune=gamma)
-    pre = (m1 >= gamma) & (m2 >= gamma)
-    if np.any(pre) and Kmax > K_pre:
-        sub = omegas[pre]
-        m1f = _dio1_margins(sub, half_k_lattice(n, Kmax), tau)
-        m2f, _, _, _ = _dio2_margins(sub, gaps, scale,
-                                     full_k_lattice(n, Kmax, include_zero=True),
-                                     tau, base.c_lambda(), gamma_for_prune=gamma)
-        ok = np.zeros(num_candidates, dtype=bool)
-        ok[np.nonzero(pre)[0]] = (m1f >= gamma) & (m2f >= gamma)
-    else:
-        ok = pre
+    _, gaps, scale = _pair_table(base, Nmax)
+    m1 = _dio1_margins(omegas, half_k_lattice(n, Kmax), tau)
+    m2 = _dio2_windowed_margins(omegas, gaps, scale,
+                                full_k_lattice(n, Kmax, include_zero=True), tau, gamma)
+    ok = (m1 >= gamma) & (m2 >= gamma)
     if not np.any(ok):
         raise ZeroAcceptanceError(
             f"no admissible frequency among {num_candidates} samples at gamma={gamma}"

@@ -9,16 +9,21 @@ from kamreduce.diophantine import (
     Dio2Certificate,
     Frequency,
     ResonanceSet,
+    _dio1_margins,
+    _dio2_margins,
+    _pair_table,
     check_dio1,
     check_dio2,
     default_tau,
     full_k_lattice,
     half_k_lattice,
+    rejection_table,
     resonance_measure_bound,
     resonance_measure_estimate,
     sample_admissible,
 )
 from kamreduce.errors import ZeroAcceptanceError
+from kamreduce.models import abstract_base
 from kamreduce.torus import DiagonalPart
 
 
@@ -158,6 +163,42 @@ def test_rejection_monotone_in_horizon():
     _, r_bigN = sample_admissible(1, base, 0.08, 3.0, Kmax=3, Nmax=10, **kwargs)
     assert r_bigK >= r_small - 1e-12
     assert r_bigN >= r_small - 1e-12
+
+
+def test_windowed_sampling_matches_the_dense_margins_on_gate_7_inputs():
+    # gate 7's rejection table, rebuilt from the dense kernel that check_dio2 runs
+    base = abstract_base(12, 2, 4.0 / 3.0, 0.2)
+    grid = [0.02 + 0.03 * i for i in range(7)]
+    tau, Kmax, N, samples, seed = 9.0, 20, 12, 10**4, 777
+    omegas = np.random.default_rng(seed).random((samples, 2))
+    _, gaps, scale = _pair_table(base, N)
+    m1 = _dio1_margins(omegas, half_k_lattice(2, Kmax), tau)
+    m2 = _dio2_margins(omegas, gaps, scale, full_k_lattice(2, Kmax), tau,
+                       base.c_lambda(), gamma_for_prune=max(grid))[0]
+    margin = np.minimum(m1, m2)
+    dense = [(g, float(np.mean(margin < g))) for g in grid]
+    assert rejection_table(2, base, grid, tau, Kmax, N, samples, seed) == dense
+    # sample_admissible draws the same stream: its first 1000 omegas
+    gamma = max(grid)
+    accepted, rejection = sample_admissible(2, base, gamma, tau, Kmax, N, 1000, seed)
+    want = omegas[:1000][margin[:1000] >= gamma]
+    assert np.array_equal(np.array([f.omega for f in accepted]), want)
+    assert rejection == 1.0 - len(want) / 1000
+
+
+def test_k_lattices_match_the_itertools_enumeration():
+    for n in (1, 2, 3):
+        for K in range(7):
+            box = list(itertools.product(range(-K, K + 1), repeat=n))
+            full = [k for k in box if sum(abs(x) for x in k) <= K]
+            nonzero = [k for k in full if any(k)]
+            half = [k for k in nonzero if next(x for x in k if x) > 0]
+            for got, want in ((full_k_lattice(n, K), full),
+                              (full_k_lattice(n, K, include_zero=False), nonzero),
+                              (half_k_lattice(n, K), half)):
+                want = np.array(want, dtype=float).reshape(-1, n)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_zero_acceptance_is_signaled():

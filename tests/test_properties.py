@@ -10,6 +10,10 @@ The homological residual is the same kind of bound: times ||W |P_off|_s||_2
 it must dominate ||W D(phi)||_2 for the defect D = [A,B] - i omega.dB + P_off
 of solve_variable's generator, at strip points and on the real grid, and it
 is reached without a grid SVD.
+
+The windowed second-order Diophantine margins that frequency sampling uses
+are the dense kernel's margins wherever those fall below the window's
+threshold, and at least the threshold everywhere else.
 """
 
 import warnings
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kamreduce import homological, torus
+from kamreduce import diophantine, homological, torus
 from kamreduce.homological import solve_variable
 from kamreduce.torus import (
     DiagonalPart,
@@ -186,3 +190,35 @@ def test_homological_residual_runs_no_grid_svd(case):
         mp.setattr(homological.np.linalg, "svd", counting)
         solve_case(case)
     assert not [shape for shape in shapes if len(shape) > 2]
+
+
+dio_cases = st.tuples(
+    st.sampled_from([1, 2, 3]),                                   # n
+    st.integers(2, 12),                                           # N
+    st.floats(1.0, 10.0),                                         # tau: small -> wide windows
+    st.integers(0, 4),                                            # Kmax
+    st.floats(1e-3, 1.0),                                         # gamma_max
+    st.integers(0, 2**32 - 1),                                    # seed
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dio_cases)
+def test_windowed_dio2_margins_are_the_dense_ones_below_gamma_max(case):
+    n, N, tau, Kmax, gamma_max, seed = case
+    rng = np.random.default_rng(seed)
+    # an unsorted lambda table, so that some gaps are negative
+    lam = rng.permutation(np.arange(1, N + 1, dtype=float) ** D + rng.uniform(-0.3, 0.3, N))
+    idx = np.arange(1, N + 1, dtype=float)
+    i, j = np.triu_indices(N, 1)
+    gaps = lam[j] - lam[i]
+    scale = np.abs(idx[j] ** D - idx[i] ** D)
+    c_lambda = float(np.min(np.abs(gaps) / scale))
+    omegas = rng.random((64, n))
+    ks = diophantine.full_k_lattice(n, Kmax)
+    windowed = diophantine._dio2_windowed_margins(omegas, gaps, scale, ks, tau, gamma_max)
+    dense = diophantine._dio2_margins(omegas, gaps, scale, ks, tau, c_lambda,
+                                      gamma_for_prune=gamma_max)[0]
+    below = dense < gamma_max
+    assert np.array_equal(windowed[below], dense[below])
+    assert np.all(windowed[~below] >= gamma_max)
