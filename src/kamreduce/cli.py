@@ -509,32 +509,31 @@ def cmd_verify(manifest: RunManifest) -> int:
 
     omega = reduced.omega
     N = base.N
+    identity = np.eye(N, dtype=complex)
     psi0 = np.ones(N, dtype=complex) / np.sqrt(N)
     phi0 = np.zeros(reduced.n)
     ts = np.linspace(t_max / num_times, t_max, num_times)
+    # for n = 1 the sweep also lands on the period T: Phi(T) is the period map
+    T = 2.0 * np.pi / float(omega[0]) if reduced.n == 1 else None
+    times = ts if T is None else np.union1d(ts, [T])
 
     timings = {}
     t1 = time.perf_counter()
-    recon = reconstruct_solution(reduced, psi0, phi0, ts)
+    R = reconstruct_solution(reduced, identity, phi0, ts)
     timings["verify.reconstruct_s"] = time.perf_counter() - t1
     t1 = time.perf_counter()
-    if reduced.n == 1:
-        # one sweep of the fundamental solution through ts and the period T
-        # gives both the trajectory Phi(t_m) psi0 and the period map Phi(T)
-        T = 2.0 * np.pi / float(omega[0])
-        times = np.union1d(ts, [T])
-        Phi = propagate_direct(base, P, omega, np.eye(N, dtype=complex), phi0, times, dt=dt)
-        direct = Phi[np.searchsorted(times, ts)] @ psi0
-    else:
-        times = ts
-        direct = propagate_direct(base, P, omega, psi0, phi0, ts, dt=dt)
+    Phi = propagate_direct(base, P, omega, identity, phi0, times, dt=dt)
     timings["verify.direct_s"] = time.perf_counter() - t1
+    Phi_t = Phi[np.searchsorted(times, ts)]
+    direct, recon = Phi_t @ psi0, R @ psi0
     dev = float(np.max(np.linalg.norm(recon - direct, axis=1)))
+    op_dev = float(np.max(np.linalg.norm(R - Phi_t, ord=2, axis=(1, 2))))
     dt_direct, steps = step_plan(base, times, dt)
     report = {
         "dt": dt_direct,
         "integrator": "exponential-midpoint",
         "max_deviation": dev,
+        "max_operator_deviation": op_dev,
         "norm_drift_direct": float(
             np.max(np.abs(np.linalg.norm(direct, axis=1) - 1.0))
         ),
@@ -542,13 +541,14 @@ def cmd_verify(manifest: RunManifest) -> int:
             np.max(np.abs(np.linalg.norm(recon, axis=1) - 1.0))
         ),
         "num_times": num_times,
-        "passed": bool(dev <= tol),
+        "passed": bool(op_dev <= tol),
         "steps_direct": int(steps[: np.searchsorted(times, ts[-1]) + 1].sum()),
         "t_max": t_max,
         "tol": tol,
+        "unitarity_drift": float(np.max(np.abs(Phi_t.mT.conj() @ Phi_t - identity))),
     }
 
-    if reduced.n == 1:
+    if T is not None:
         t1 = time.perf_counter()
         period = np.searchsorted(times, T)
         nu, info = quasienergies_from_period_map(Phi[period], T, reduced)
@@ -569,7 +569,7 @@ def cmd_verify(manifest: RunManifest) -> int:
     _write_timings(outdir, timings)
     write_checksums(outdir)
     status = "ok" if report["passed"] else "FAILED"
-    print(f"verify: max deviation {dev:.3e} (tol {tol:.1e}) -> {status}")
+    print(f"verify: max deviation {dev:.3e}, operator {op_dev:.3e} (tol {tol:.1e}) -> {status}")
     return EXIT_OK if report["passed"] else EXIT_FAILURE
 
 

@@ -415,6 +415,20 @@ def rejection_table(
     return [(g, float(np.mean(margin < g))) for g in grid]
 
 
+def _raw_divisor_margins(proj: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """min of |omega.k| and of |gap +- omega.k| over all gaps, per row of proj (S, m).
+
+    |gap + x| for x = +-proj is the distance from x to -gap, so only the two
+    sorted neighbours of x can be nearest; rounding is monotone in that
+    distance, so the result is the dense minimum bit for bit.
+    """
+    neg = np.append(np.sort(-gaps), np.inf)       # neg[-1] is also the left sentinel
+    x = np.concatenate([proj, -proj], axis=1)
+    hi = np.searchsorted(neg, x)
+    near = np.minimum(np.abs(x - neg[hi - 1]), np.abs(x - neg[hi]))
+    return np.minimum(np.min(np.abs(proj), axis=1), np.min(near, axis=1))
+
+
 def optimize_frequency(
     n: int,
     base: DiagonalPart,
@@ -454,13 +468,7 @@ def optimize_frequency(
         )
     cand = omegas[ok]
     ks_r = half_k_lattice(n, robust_K)
-    proj = cand @ ks_r.T                                     # (S, m)
-    metric = np.min(np.abs(proj), axis=1)                    # primitives
-    for p in range(len(gaps)):
-        vals = np.min(np.abs(gaps[p] + proj), axis=1)
-        np.minimum(metric, vals, out=metric)
-        vals = np.min(np.abs(gaps[p] - proj), axis=1)        # other half-lattice sign
-        np.minimum(metric, vals, out=metric)
+    metric = _raw_divisor_margins(cand @ ks_r.T, gaps)
     best = int(np.argmax(metric))
     w = cand[best]
     freq = Frequency(

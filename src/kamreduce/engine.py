@@ -84,8 +84,6 @@ __all__ = [
 # fixed step constants; no manifest sets them
 OVERSAMPLE = 1      # conjugation grid oversampling
 SOLVER_PAD = 12     # modes the homological working grid keeps beyond P.K + K_mu
-C_GUARD = 1.0       # Kuksin guard |E1|^theta >= C_GUARD * E2
-CSTAR = 10.0        # C* guard C_mu / C_lambda < CSTAR
 GAMMA_BUDGET = 0.1  # max fraction of gamma spent per step
 GAMMA_STAR = 0.5    # warn when gamma falls below this fraction of its initial value
 CHOP_FLOOR = 1e-15  # coefficients below this are zeroed after each step
@@ -470,8 +468,6 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
                 K_out=K_work,
                 work_K=P.K + base.K + SOLVER_PAD,
                 guard_theta=(base.delta / (base.d - 1.0) + 1.0) / 2.0,
-                guard_C=C_GUARD,
-                guard_Cstar=CSTAR,
             )
         except DivisorTooSmall as exc:
             # at this level a vanished divisor means the frequency is resonant

@@ -11,13 +11,15 @@ U the composed conjugation.  The Floquet exponents are lambda_inf_j + omega.k.
 Everything here that claims to verify the engine is computed without it:
 direct propagation uses only the original coefficients and an exponential
 midpoint rule, and the monodromy matrix (n = 1) is diagonalized on its own.
-For n = 1, verify makes one sweep: it propagates the fundamental solution
-through the output times and the period T together, reads the direct
-trajectory as Phi(t_m) psi0 and hands Phi(T) to
-quasienergies_from_period_map.
+verify makes one sweep for every n: it propagates the fundamental solution
+Phi from the identity through the output times (and, for n = 1, the period
+T), reconstructs the whole propagator U(phi_t) e^{-i (Lambda t + F(t))}
+U(phi0)^* at the same times, and compares the two as operators; for n = 1
+it hands Phi(T) to quasienergies_from_period_map.
 
-Both propagators share one stepping kernel, _step_product.  It builds the
-midpoint Hamiltonians of a chunk of steps as one batch, forms each step
+One propagator, propagate_direct, carries a state or a block of states
+through a shared stepping kernel, _step_product.  It builds the midpoint
+Hamiltonians of a chunk of steps as one batch, forms each step
 exp(-i h H) with engine._expm_taylor, a Paterson-Stockmeyer Taylor
 polynomial whose remainder is bounded below 2^-53 (scaling and squaring
 above a fixed norm bound; the reduction's exp(B) uses the same kernel), and
@@ -46,7 +48,6 @@ __all__ = [
     "floquet_spectrum",
     "reconstruct_solution",
     "propagate_direct",
-    "propagate_columns",
     "step_plan",
     "monodromy_quasienergies",
     "quasienergies_from_period_map",
@@ -130,26 +131,27 @@ def _at_angles(phis: np.ndarray):
 
 
 def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
-    """Almost-periodic solution psi(t) = U(phi0 + omega t) chi(t), shape (T, N).
+    """Almost-periodic solution psi(t) = U(phi0 + omega t) chi(t), shape (T,) + psi0.shape.
 
-    chi(0) = U(phi0)* psi0 and each chi_i evolves by the explicit phase
-    lambda_inf_i t + F_i(t); the Euclidean norm is conserved exactly up to
-    roundoff because every factor is unitary.
+    psi0 is one state (N,) or a block of states (N, c); with the identity
+    the result is the reduced propagator U(phi_t) e^{-i (Lambda t + F(t))}
+    U(phi0)^* at every output time.  chi(0) = U(phi0)* psi0 and each chi_i
+    evolves by the explicit phase lambda_inf_i t + F_i(t); the Euclidean
+    norm is conserved exactly up to roundoff because every factor is unitary.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     psi0 = np.asarray(psi0, dtype=complex)
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     N = reduced.N
-    if psi0.shape != (N,):
-        raise KamError(f"psi0 must have shape ({N},)")
+    if psi0.ndim not in (1, 2) or psi0.shape[0] != N:
+        raise KamError(f"psi0 must have shape ({N},) or ({N}, c)")
     phis = phi0[None, :] + np.outer(ts, reduced.omega)
     U0 = _compose(reduced.generators, _at_angles(phi0[None, :]), N, (1,))[0]
-    chi0 = np.conj(U0.T) @ psi0
+    chi0 = np.conj(U0.T) @ psi0.reshape(N, -1)           # (N, c)
     F = _phase_integral(reduced, phi0, ts)               # (T, N)
     phase = np.exp(-1j * (np.outer(ts, reduced.lambda_inf) + F))
-    chi = phase * chi0[None, :]
     U = _compose(reduced.generators, _at_angles(phis), N, (len(phis),))
-    return np.einsum("tij,tj->ti", U, chi)
+    return (U @ (phase[:, :, None] * chi0[None])).reshape((len(ts),) + psi0.shape)
 
 
 def _hamiltonian(base: DiagonalPart, P: OperatorSeries | None):
@@ -176,11 +178,6 @@ def _hamiltonian(base: DiagonalPart, P: OperatorSeries | None):
             H += (np.exp(1j * (phis @ ks_P)) @ coeffs_P).reshape(T, N, N)
         return H
     return at
-
-
-def _hamiltonian_at(base: DiagonalPart, P: OperatorSeries | None, phis: np.ndarray) -> np.ndarray:
-    """H(phi) for one batch of angles phis (T, n), shape (T, N, N)."""
-    return _hamiltonian(base, P)(phis)
 
 
 # steps per batch of the step kernel: 32 complex 24 x 24 matrices are 295 KB,
@@ -317,23 +314,19 @@ def monodromy_quasienergies(
 ):
     """Quasi-energies from the period map of a periodically forced system (n = 1).
 
-    Propagates the full N x N fundamental solution over one period
-    T = 2 pi / omega and hands it to quasienergies_from_period_map.
-    Returns (nu, M, info).
+    Propagates the identity over one period T = 2 pi / omega with
+    propagate_direct, from phi0 = 0, and hands the fundamental solution
+    M = Phi(T) to quasienergies_from_period_map.  Returns (nu, M, info).
     """
     w = float(np.atleast_1d(np.asarray(omega, dtype=float))[0])
     if np.atleast_1d(np.asarray(omega)).size != 1:
         raise KamError("monodromy map requires a single frequency (n = 1)")
     T = 2.0 * np.pi / w
-    M = propagate_columns(base, P, np.array([w]), T, dt)
+    M = propagate_direct(base, P, [w], np.eye(base.N), np.zeros(1), [T], dt)[0]
     nu, info = quasienergies_from_period_map(M, T, reduced, unitarity_tol)
     return nu, M, info
 
 
 def propagate_columns(base, P, omega, T: float, dt: float | None = None) -> np.ndarray:
-    """Fundamental solution Phi(T) with Phi(0) = I, by the same midpoint rule."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    _, (steps,) = step_plan(base, [T], dt)
-    if not steps:
-        return np.eye(base.N, dtype=complex)
-    return _step_product(base, P, omega, np.zeros(len(omega)), 0.0, T / steps, steps)
+    """Phi(T) from Phi(0) = I; kept only because bench/tracer.py names it."""
+    return propagate_direct(base, P, omega, np.eye(base.N), np.zeros(np.size(omega)), [T], dt)[0]

@@ -56,12 +56,15 @@ __all__ = [
     "solve_variable",
 ]
 
-DEFAULT_FLOOR_SCALE = 1e-12
+# fixed solver constants; no caller sets them
+FLOOR_SCALE = 1e-12  # divisor floor at k = 0, relaxed polynomially in |k|_1
+C_GUARD = 1.0        # Kuksin guard |E1|^theta >= C_GUARD * E2
+CSTAR = 10.0         # C* guard C_mu / C_lambda < CSTAR
 
 
-def _divisor_floor(n: int, K: int, floor_scale: float, tau: float = 2.0) -> np.ndarray:
-    """Absolute floor 1e-12-scaled, relaxed polynomially in |k|_1."""
-    return floor_scale / (1.0 + k_norm1_grid(n, K) ** tau)
+def _divisor_floor(n: int, K: int, tau: float = 2.0) -> np.ndarray:
+    """Absolute floor FLOOR_SCALE, relaxed polynomially in |k|_1."""
+    return FLOOR_SCALE / (1.0 + k_norm1_grid(n, K) ** tau)
 
 
 def _check_divisors(den, floor, live, n: int, K: int, what: str, pairs=None) -> None:
@@ -147,7 +150,6 @@ def solve_constant(
     P: OperatorSeries,
     base: DiagonalPart,
     omega,
-    floor_scale: float = DEFAULT_FLOOR_SCALE,
 ) -> HomologicalSolution:
     """Coefficient-wise solve for constant diagonal part (mu = 0).
 
@@ -163,8 +165,7 @@ def solve_constant(
     den = kdw[..., None, None] + gap
     offmask = ~np.eye(N, dtype=bool)
     live = offmask & (np.abs(P.coeffs) > 0)
-    _check_divisors(den, _divisor_floor(n, K, floor_scale)[..., None, None], live, n, K,
-                    "divisor")
+    _check_divisors(den, _divisor_floor(n, K)[..., None, None], live, n, K, "divisor")
     Bc = np.zeros_like(P.coeffs)
     np.divide(-P.coeffs, den, out=Bc, where=offmask & (np.abs(den) > 0))
     B = OperatorSeries(n, K, N, Bc)
@@ -173,17 +174,17 @@ def solve_constant(
                                min_divisor=min_div)
 
 
-def torus_primitive(h: TorusSeries, omega, floor_scale: float = DEFAULT_FLOOR_SCALE) -> TorusSeries:
+def torus_primitive(h: TorusSeries, omega) -> TorusSeries:
     """Zero-average primitive H with (omega . d/dphi) H = h (requires hhat_0 = 0)."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     scale = float(np.max(np.abs(h.coeffs))) if h.coeffs.size else 0.0
     if abs(h.average()) > 1e-10 * max(scale, 1e-300):
         raise KamError("torus_primitive requires a zero-average input")
-    Hc = _primitive(h.coeffs, h.n, h.K, omega, floor_scale, np.abs(h.coeffs) > 0)
+    Hc = _primitive(h.coeffs, h.n, h.K, omega, np.abs(h.coeffs) > 0)
     return TorusSeries(h.n, h.K, Hc)
 
 
-def _primitive(c, n: int, K: int, omega, floor_scale: float, live, pairs=None):
+def _primitive(c, n: int, K: int, omega, live, pairs=None):
     """Coefficients c / (i omega.k) with the k = 0 mode dropped; batch axes trail.
 
     A live entry whose |omega.k| falls below the floor raises DivisorTooSmall.
@@ -192,7 +193,7 @@ def _primitive(c, n: int, K: int, omega, floor_scale: float, live, pairs=None):
     kdw = _k_dot_omega(n, K, omega).reshape(shape)
     ctr = (K,) * n
     live[ctr] = False
-    _check_divisors(kdw, _divisor_floor(n, K, floor_scale).reshape(shape), live, n, K,
+    _check_divisors(kdw, _divisor_floor(n, K).reshape(shape), live, n, K,
                     "|omega.k|", pairs)
     H = np.zeros_like(c)
     np.divide(c, 1j * kdw, out=H, where=np.abs(kdw) > 0)
@@ -216,7 +217,7 @@ def _working_grid(band: int, oversample: int, work_K: int | None = None) -> int:
     return int(next_fast_len(max(oversample * (2 * band + 2), 2 * band + 2)))
 
 
-def _solve_pairs(b, mud, E1, omega, M: int, K_out, floor_scale: float, pairs=None):
+def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     """Integrating-factor solve of -i (omega.d) chi + (E1 + mud) chi = b, pair axis last.
 
     b and mud (zero average) are centred coefficient stacks with one pair
@@ -233,7 +234,7 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, floor_scale: float, pairs=Non
         K = (M - 2) // 2
         # mud has zero average by construction of mu
         live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
-        Hd = _primitive(mud, n, K_mu, omega, floor_scale, live, pairs)
+        Hd = _primitive(mud, n, K_mu, omega, live, pairs)
         factor = np.exp(1j * coeffs_to_grid(Hd, n, K_mu, M))
         unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
         if unimod > 1e-12:
@@ -246,7 +247,7 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, floor_scale: float, pairs=Non
         live = b != 0
 
     den = _k_dot_omega(n, K, omega)[..., None] + E1
-    _check_divisors(den, _divisor_floor(n, K, floor_scale)[..., None], live, n, K,
+    _check_divisors(den, _divisor_floor(n, K)[..., None], live, n, K,
                     "|omega.k + E1|", pairs)
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     uc = np.zeros_like(btil)
@@ -272,16 +273,14 @@ def solve_kuksin(
     K_out: int | None = None,
     oversample: int = 4,
     guard_theta: float = 0.5,
-    guard_C: float = 1.0,
-    floor_scale: float = DEFAULT_FLOOR_SCALE,
     with_info: bool = False,
 ):
     """Solve -i (omega.d/dphi) chi + E1 chi + E2 h chi = b by integrating factor.
 
     The one-pair call of the kernel solve_variable runs.  h should be
     normalized (||h||_s <= 1) and of zero average; E2 >= 0 carries the size.
-    The smallness guard E1^theta >= C E2 is advisory: a violation emits a
-    GuardWarning, never a silent pass.  Returns chi, or (chi, info) with
+    The smallness guard E1^theta >= C_GUARD E2 is advisory: a violation emits
+    a GuardWarning, never a silent pass.  Returns chi, or (chi, info) with
     info = {residual, min_divisor, unimodularity_defect, guard_ok, K_out};
     residual is the relative defect bound on the real torus.
     """
@@ -290,10 +289,10 @@ def solve_kuksin(
     if E2 < 0:
         raise KamError("E2 must be nonnegative")
     guard_ok = True
-    if E2 > 0 and abs(E1) ** guard_theta < guard_C * E2:
+    if E2 > 0 and abs(E1) ** guard_theta < C_GUARD * E2:
         guard_ok = False
         warnings.warn(
-            f"kuksin guard |E1|^theta >= C*E2 violated: |{E1}|^{guard_theta} < {guard_C}*{E2}",
+            f"kuksin guard |E1|^theta >= C*E2 violated: |{E1}|^{guard_theta} < {C_GUARD}*{E2}",
             GuardWarning,
         )
     if h is None or E2 == 0.0:
@@ -304,7 +303,7 @@ def solve_kuksin(
         mud = E2 * h.coeffs[..., None]
     M = _working_grid(b.K + (mud.shape[0] - 1) // 2, oversample)
     chic, min_div, unimod, _ = _solve_pairs(b.coeffs[..., None], mud, np.array([float(E1)]),
-                                            omega, M, K_out, floor_scale)
+                                            omega, M, K_out)
     chi = TorusSeries(n, (chic.shape[0] - 1) // 2, chic[..., 0])
     if not with_info:
         return chi
@@ -323,9 +322,6 @@ def solve_variable(
     oversample: int = 4,
     work_K: int | None = None,
     guard_theta: float = 0.5,
-    guard_C: float = 1.0,
-    guard_Cstar: float = 10.0,
-    floor_scale: float = DEFAULT_FLOOR_SCALE,
 ) -> HomologicalSolution:
     """Remove the off-diagonal part of P against A = diag(lambda_i + mu_i(phi)).
 
@@ -347,9 +343,9 @@ def solve_variable(
     guard_ok = True
     c_mu = base.c_mu(s)
     c_lam = base.c_lambda()
-    if c_mu / c_lam >= guard_Cstar:
+    if c_mu / c_lam >= CSTAR:
         guard_ok = False
-        messages.append(f"C* guard violated: C_mu/C_lambda = {c_mu / c_lam:.3g} >= {guard_Cstar}")
+        messages.append(f"C* guard violated: C_mu/C_lambda = {c_mu / c_lam:.3g} >= {CSTAR}")
         warnings.warn(messages[-1], GuardWarning)
 
     # pair p is (i, j) = (ii[p], jj[p]) with i < j; B_ji is solved, B_ij mirrors it
@@ -362,18 +358,17 @@ def solve_variable(
     w_s = np.exp(s * k_norm1_grid(n, (mud.shape[0] - 1) // 2)).reshape(-1)
     E2 = w_s @ np.abs(mud).reshape(-1, len(pairs))
     for p, (i, j) in enumerate(pairs):
-        if E2[p] > 0 and E1[p] ** guard_theta < guard_C * E2[p]:
+        if E2[p] > 0 and E1[p] ** guard_theta < C_GUARD * E2[p]:
             guard_ok = False
             messages.append(
                 f"kuksin guard failed for pair ({i + 1},{j + 1}): "
-                f"E1^theta={E1[p] ** guard_theta:.3g} < C*E2={guard_C * E2[p]:.3g}"
+                f"E1^theta={E1[p] ** guard_theta:.3g} < C*E2={C_GUARD * E2[p]:.3g}"
             )
     if messages:
         warnings.warn("; ".join(messages[:3]), GuardWarning)
 
     M = _working_grid(P.K + base.K, oversample, work_K)
-    chic, min_div, _, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M, K_out,
-                                           floor_scale, pairs)
+    chic, min_div, _, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M, K_out, pairs)
     K_B = (chic.shape[0] - 1) // 2
     Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
     Bc[..., jj, ii] = chic

@@ -22,6 +22,8 @@ from kamreduce.errors import SchemaError
 from kamreduce.serialize import RunManifest, load_json
 
 OMEGA = 0.13799890521733005
+# certified in test_engine for two angles (tau = 9, every N up to 12)
+OMEGA_N2 = [0.12902675768352256, 0.10778545957448527]
 # omega hitting lambda_2 - lambda_1 = 3 omega exactly (d = 4/3 ladder)
 OMEGA_RESONANT = (2.0 ** (4.0 / 3.0) - 1.0) / 3.0
 STEP_PHASES = ("solve", "conjugate", "norms", "recertify")
@@ -75,6 +77,17 @@ def _run(cmd, manifest_path, out=None, extra=()):
 def finished_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_run")
     manifest = _write(tmp, _doc(str(tmp / "run")))
+    assert _run("reduce", manifest) == cli.EXIT_OK
+    return tmp, manifest, tmp / "run"
+
+
+@pytest.fixture(scope="module")
+def finished_n2_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_run_n2")
+    doc = _doc(str(tmp / "run"), frequency={"omega": OMEGA_N2})
+    doc["model"] = dict(doc["model"], N=6, n=2)
+    doc["settings"] = dict(doc["settings"], tau=9.0)
+    manifest = _write(tmp, doc)
     assert _run("reduce", manifest) == cli.EXIT_OK
     return tmp, manifest, tmp / "run"
 
@@ -173,6 +186,33 @@ def test_verify_reference_run(finished_run):
     rep = load_json(outdir / "verify.json")
     assert rep["passed"] and rep["max_deviation"] < 1e-4
     assert rep["quasi_energy"]["max_error"] < 1e-6
+
+
+@pytest.mark.parametrize("run", ["finished_run", "finished_n2_run"])
+def test_verify_propagates_the_identity_once(request, monkeypatch, run):
+    from kamreduce import floquet
+
+    _, manifest, _ = request.getfixturevalue(run)
+    blocks = []
+    propagate = floquet.propagate_direct
+
+    def counted(base, P, omega, psi0, *args, **kwargs):
+        blocks.append(np.shape(psi0))
+        return propagate(base, P, omega, psi0, *args, **kwargs)
+
+    monkeypatch.setattr(floquet, "propagate_direct", counted)
+    assert _run("verify", manifest) == cli.EXIT_OK
+    N = RunManifest.load(manifest).model["N"]
+    assert blocks == [(N, N)]
+
+
+def test_verify_checks_the_whole_propagator_for_two_angles(finished_n2_run):
+    _, manifest, outdir = finished_n2_run
+    assert _run("verify", manifest) == cli.EXIT_OK
+    rep = load_json(outdir / "verify.json")
+    assert rep["passed"] and "quasi_energy" not in rep
+    assert rep["max_deviation"] <= rep["max_operator_deviation"] <= rep["tol"]
+    assert rep["unitarity_drift"] < 1e-10
 
 
 def test_verify_records_its_step_rule(finished_run):

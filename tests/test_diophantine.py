@@ -12,6 +12,7 @@ from kamreduce.diophantine import (
     _dio1_margins,
     _dio2_margins,
     _pair_table,
+    _raw_divisor_margins,
     check_dio1,
     check_dio2,
     default_tau,
@@ -184,6 +185,25 @@ def test_windowed_sampling_matches_the_dense_margins_on_gate_7_inputs():
     want = omegas[:1000][margin[:1000] >= gamma]
     assert np.array_equal(np.array([f.omega for f in accepted]), want)
     assert rejection == 1.0 - len(want) / 1000
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_raw_divisor_ranking_matches_the_dense_loop(seed):
+    # unsorted lambda gives gaps of both signs; a repeated eigenvalue and a
+    # projection placed on a gap give exact ties and exact zeros
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    lam = rng.permutation(np.arange(1, 9) ** (4.0 / 3.0)) * rng.uniform(0.05, 0.5)
+    lam[5] = lam[2]
+    gaps = np.array([lam[j] - lam[i] for i in range(8) for j in range(i + 1, 8)])
+    proj = rng.random((60, n)) @ half_k_lattice(n, 4).T
+    proj[0, 0] = -gaps[7]
+    dense = np.min(np.abs(proj), axis=1)
+    for g in gaps:
+        dense = np.minimum(dense, np.min(np.abs(g + proj), axis=1))
+        dense = np.minimum(dense, np.min(np.abs(g - proj), axis=1))
+    assert np.array_equal(_raw_divisor_margins(proj, gaps), dense)
+    assert np.array_equal(_raw_divisor_margins(proj, gaps[:0]), np.min(np.abs(proj), axis=1))
 
 
 def test_k_lattices_match_the_itertools_enumeration():

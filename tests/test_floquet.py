@@ -20,12 +20,11 @@ from kamreduce.floquet import (
     _CHUNK,
     FloquetSpectrum,
     _expm_taylor,
-    _hamiltonian_at,
+    _hamiltonian,
     _step_product,
     _taylor_degree,
     floquet_spectrum,
     monodromy_quasienergies,
-    propagate_columns,
     propagate_direct,
     quasienergies_from_period_map,
     reconstruct_solution,
@@ -217,7 +216,7 @@ def test_monodromy_unitarity_guard(small_run):
 def test_fundamental_solution_times_out_columns(small_run):
     A, P, _ = small_run
     T = 1.2
-    Phi = propagate_columns(A, P, OMEGA_N1, T)
+    Phi = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
     defect = np.max(np.abs(Phi.conj().T @ Phi - np.eye(A.N)))
     assert defect < 1e-10
     e0 = np.zeros(A.N, dtype=complex)
@@ -235,6 +234,18 @@ def test_propagate_block_equals_single_vector_calls(small_run):
     assert got.shape == (len(ts), A.N, 3)
     for c in range(3):
         one = propagate_direct(A, P, OMEGA_N1, block[:, c], np.array([0.4]), ts)
+        assert np.max(np.abs(got[:, :, c] - one)) <= 1e-14
+
+
+def test_reconstruct_block_equals_single_vector_calls(small_run):
+    _, _, reduced = small_run
+    rng = np.random.default_rng(6)
+    block = rng.standard_normal((reduced.N, 3)) + 1j * rng.standard_normal((reduced.N, 3))
+    ts = [0.7, 2.0, 3.1]
+    got = reconstruct_solution(reduced, block, np.array([0.4]), ts)
+    assert got.shape == (len(ts), reduced.N, 3)
+    for c in range(3):
+        one = reconstruct_solution(reduced, block[:, c], np.array([0.4]), ts)
         assert np.max(np.abs(got[:, :, c] - one)) <= 1e-14
 
 
@@ -257,7 +268,8 @@ def test_one_sweep_gives_trajectory_and_period_map(small_run, t_max):
     if not before.all():
         assert np.max(np.abs(traj[~before] - ref[~before])) <= 1e-12
     M = Phi[np.searchsorted(times, T)]
-    assert np.max(np.abs(M - propagate_columns(A, P, OMEGA_N1, T))) <= 1e-10
+    period_map = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
+    assert np.max(np.abs(M - period_map)) <= 1e-10
     nu, info = quasienergies_from_period_map(M, T, reduced)
     nu_ref, _, _ = monodromy_quasienergies(A, P, OMEGA_N1, reduced=reduced)
     assert np.max(np.abs(nu - nu_ref)) <= 1e-10
@@ -269,7 +281,8 @@ def test_period_map_quasienergies_are_the_monodromy_ones(small_run, with_reduced
     A, P, reduced = small_run
     reduced = reduced if with_reduced else None
     T = 2.0 * np.pi / OMEGA_N1[0]
-    nu, info = quasienergies_from_period_map(propagate_columns(A, P, OMEGA_N1, T), T, reduced)
+    M = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
+    nu, info = quasienergies_from_period_map(M, T, reduced)
     nu_ref, _, info_ref = monodromy_quasienergies(A, P, OMEGA_N1, reduced=reduced)
     assert np.array_equal(nu, nu_ref)
     assert info == info_ref
@@ -315,7 +328,7 @@ def test_step_product_matches_sequential_eigh(small_run, steps):
     A, P, _ = small_run
     phi0, t0, h = np.array([0.3]), 1.7, 0.01
     mids = t0 + (np.arange(steps) + 0.5) * h
-    H = _hamiltonian_at(A, P, phi0[None, :] + mids[:, None] * OMEGA_N1[None, :])
+    H = _hamiltonian(A, P)(phi0[None, :] + mids[:, None] * OMEGA_N1[None, :])
     expect = np.eye(A.N, dtype=complex)
     for E in _eigh_exp(H, h):
         expect = E @ expect
@@ -325,5 +338,6 @@ def test_step_product_matches_sequential_eigh(small_run, steps):
 
 def test_fundamental_solution_unitary_to_roundoff(small_run):
     A, P, _ = small_run
-    Phi = propagate_columns(A, P, OMEGA_N1, 2.0 * np.pi / OMEGA_N1[0])
+    T = 2.0 * np.pi / OMEGA_N1[0]
+    Phi = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
     assert np.max(np.abs(Phi.conj().T @ Phi - np.eye(A.N))) <= 1e-12
