@@ -59,13 +59,15 @@ from .torus import (
     DiagonalPart,
     OperatorSeries,
     TorusSeries,
+    _box,
     _k_dot_omega,
+    _mirror,
     chop,
     coeffs_to_grid,
     delta_norm,
     g_norm,
     grid_to_coeffs,
-    k_norm1_grid,
+    strip_weight,
 )
 
 __all__ = [
@@ -202,9 +204,9 @@ def diag_split(P: OperatorSeries, tol: float = 1e-12):
     """
     n, K, N = P.n, P.K, P.N
     idx = np.arange(N)
-    diag = np.moveaxis(P.coeffs[..., idx, idx], -1, 0)   # (N, modes...)
-    ctr = (slice(None),) + (K,) * n
-    avg = diag[ctr].copy()
+    mu_add = P.coeffs[..., idx, idx]                     # (modes..., N), a copy
+    ctr = (K,) * n
+    avg = mu_add[ctr].copy()
     scale = max(float(np.max(np.abs(P.coeffs))), 1e-300)
     if np.max(np.abs(avg.imag)) > tol * scale:
         raise HermiticityError(
@@ -212,12 +214,10 @@ def diag_split(P: OperatorSeries, tol: float = 1e-12):
             f"(relative tolerance {tol:g})"
         )
     shift = avg.real
-    mu_add = diag.copy()
     mu_add[ctr] = 0.0
     # enforce exact realness on the real torus (hermitian P guarantees it up
     # to roundoff): average with the mirrored conjugate
-    rev = (slice(None),) + (slice(None, None, -1),) * n
-    mu_add = 0.5 * (mu_add + np.conj(mu_add[rev]))
+    mu_add = np.moveaxis(0.5 * (mu_add + _mirror(mu_add, n)), -1, 0)
     off = P.offdiagonal_part()
     return shift, mu_add, off
 
@@ -374,8 +374,8 @@ def conjugate(
 
     coeffs = grid_to_coeffs(R, n, K_out)
     del R
-    rev = (slice(None, None, -1),) * n
-    herm_defect = float(np.max(np.abs(coeffs - np.conj(np.swapaxes(coeffs[rev], -1, -2)))))
+    mirror = _mirror(coeffs, n)
+    herm_defect = float(np.max(np.abs(coeffs - mirror)))
     # the output is quadratically small, so roundoff is judged against the
     # magnitudes that actually flow through the arithmetic
     scale = max(
@@ -387,7 +387,7 @@ def conjugate(
         raise HermiticityError(f"conjugation output hermiticity defect {herm_defect:.2e}")
     if herm_defect > 1e-11 * scale:
         warnings.warn(f"conjugation hermiticity defect {herm_defect:.2e}", GuardWarning)
-    coeffs = 0.5 * (coeffs + np.conj(np.swapaxes(coeffs[rev], -1, -2)))
+    coeffs = 0.5 * (coeffs + mirror)
     chopped = 0
     chopped_bound = 0.0
     if chop_floor > 0.0:
@@ -399,7 +399,7 @@ def conjugate(
             # reported ||P+|| can never understate the truth
             mass = np.abs(removed)
             if majorant_s > 0:
-                mass = mass * np.exp(majorant_s * k_norm1_grid(n, K_out))[..., None, None]
+                mass = mass * strip_weight(n, K_out, majorant_s)[..., None, None]
             chopped_bound = float(np.sum(mass))
         coeffs = kept
     P_plus = OperatorSeries(n, K_out, N, coeffs)
@@ -508,15 +508,12 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     K_mu = max(base.K, P.K)
     mu_stack = np.zeros((N,) + (2 * K_mu + 1,) * n, dtype=complex)
     if base.mu is not None:
-        sl = (slice(None),) + tuple(slice(K_mu - base.K, K_mu + base.K + 1) for _ in range(n))
-        mu_stack[sl] += base.mu
-    slp = (slice(None),) + tuple(slice(K_mu - P.K, K_mu + P.K + 1) for _ in range(n))
-    mu_stack[slp] += mu_add
+        mu_stack[(slice(None),) + _box(n, base.K, K_mu)] += base.mu
+    mu_stack[(slice(None),) + _box(n, P.K, K_mu)] += mu_add
     mu_stack = chop(mu_stack, CHOP_FLOOR)
     K_tight = max((_tight_cutoff(mu_stack[i], n, K_mu, 1e-16) for i in range(N)), default=0)
     if K_tight < K_mu:
-        sl = (slice(None),) + tuple(slice(K_mu - K_tight, K_mu + K_tight + 1) for _ in range(n))
-        mu_stack = mu_stack[sl]
+        mu_stack = mu_stack[(slice(None),) + _box(n, K_tight, K_mu)]
         K_mu = K_tight
     mu_zero = float(np.max(np.abs(mu_stack))) == 0.0 if mu_stack.size else True
     new_base = DiagonalPart(lam=new_lam, d=base.d, delta=base.delta, n=n,

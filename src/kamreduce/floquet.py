@@ -14,7 +14,8 @@ midpoint rule, and the monodromy matrix (n = 1) is diagonalized on its own.
 verify makes one sweep for every n: it propagates the fundamental solution
 Phi from the identity through the output times (and, for n = 1, the period
 T), reconstructs the whole propagator U(phi_t) e^{-i (Lambda t + F(t))}
-U(phi0)^* at the same times, and compares the two as operators; for n = 1
+U(phi0)^* at the same times, with the generators evaluated at the flow's
+angles by OperatorSeries.at, and compares the two as operators; for n = 1
 it hands Phi(T) to quasienergies_from_period_map.
 
 One propagator, propagate_direct, carries a state or a block of states
@@ -122,14 +123,6 @@ def _phase_integral(reduced: ReducedSystem, phi0: np.ndarray, ts: np.ndarray,
     return out
 
 
-def _at_angles(phis: np.ndarray):
-    """B -> B(phi) for a batch of angles phis (T, n), shape (T, N, N)."""
-    def values(B: OperatorSeries) -> np.ndarray:
-        phases = np.exp(1j * (phis @ k_box(B.n, B.K).T))   # (T, m)
-        return (phases @ B.coeffs.reshape(-1, B.N * B.N)).reshape(len(phis), B.N, B.N)
-    return values
-
-
 def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
     """Almost-periodic solution psi(t) = U(phi0 + omega t) chi(t), shape (T,) + psi0.shape.
 
@@ -146,11 +139,11 @@ def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
     if psi0.ndim not in (1, 2) or psi0.shape[0] != N:
         raise KamError(f"psi0 must have shape ({N},) or ({N}, c)")
     phis = phi0[None, :] + np.outer(ts, reduced.omega)
-    U0 = _compose(reduced.generators, _at_angles(phi0[None, :]), N, (1,))[0]
+    U0 = _compose(reduced.generators, lambda B: B.at(phi0[None, :]), N, (1,))[0]
     chi0 = np.conj(U0.T) @ psi0.reshape(N, -1)           # (N, c)
     F = _phase_integral(reduced, phi0, ts)               # (T, N)
     phase = np.exp(-1j * (np.outer(ts, reduced.lambda_inf) + F))
-    U = _compose(reduced.generators, _at_angles(phis), N, (len(phis),))
+    U = _compose(reduced.generators, lambda B: B.at(phis), N, (len(phis),))
     return (U @ (phase[:, :, None] * chi0[None])).reshape((len(ts),) + psi0.shape)
 
 
@@ -293,7 +286,7 @@ def quasienergies_from_period_map(
     info = {"unitarity_defect": defect, "period": T}
     if reduced is None:
         return np.sort(nu), info
-    U0 = _compose(reduced.generators, _at_angles(np.zeros((1, 1))), N, (1,))[0]
+    U0 = _compose(reduced.generators, lambda B: B.at(np.zeros((1, 1))), N, (1,))[0]
     overlap = np.abs(np.conj(U0.T) @ eigvecs) ** 2           # (mode, eig)
     from scipy.optimize import linear_sum_assignment
 

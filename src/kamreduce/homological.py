@@ -41,11 +41,14 @@ from .torus import (
     DiagonalPart,
     OperatorSeries,
     TorusSeries,
+    _box,
     _k_dot_omega,
+    _mirror,
     coeffs_to_grid,
     grid_to_coeffs,
     k_box,
     k_norm1_grid,
+    strip_weight,
 )
 
 __all__ = [
@@ -88,11 +91,6 @@ def _check_divisors(den, floor, live, n: int, K: int, what: str, pairs=None) -> 
                           value=float(np.abs(np.broadcast_to(den, bad.shape)[idx])))
 
 
-def _box(n: int, K: int, K_big: int) -> tuple:
-    """Index of the |k|_inf <= K block inside a centred block of band K_big."""
-    return tuple(slice(K_big - K, K_big + K + 1) for _ in range(n))
-
-
 @dataclass(frozen=True)
 class HomologicalSolution:
     """Generator B with its certification data."""
@@ -116,19 +114,16 @@ def _relative_defect(chi, gap, mud, rhs, omega, s: float, W) -> float:
     on an alias-free grid.  |D|_s dominates |D_ij(phi)| on |Im phi| <= s,
     so the ratio bounds the relative defect there.
     """
-    n = len(omega)
+    n, N = len(omega), chi.shape[-1]
     K_chi, K_rhs = (chi.shape[0] - 1) // 2, (rhs.shape[0] - 1) // 2
     K_mu = 0 if mud is None else (mud.shape[0] - 1) // 2
     K_D = max(K_chi + K_mu, K_rhs)
     D = np.zeros((2 * K_D + 1,) * n + chi.shape[n:], dtype=complex)
     D[_box(n, K_chi, K_D)] += (_k_dot_omega(n, K_chi, omega)[..., None, None] + gap) * chi
     if mud is not None:
-        K_prod = K_chi + K_mu
-        M = int(next_fast_len(2 * K_prod + 2))
-        prod = coeffs_to_grid(mud, n, K_mu, M) * coeffs_to_grid(chi, n, K_chi, M)
-        D[_box(n, K_prod, K_D)] += grid_to_coeffs(prod, n, K_prod)
+        prod, _ = OperatorSeries(n, K_mu, N, mud).product(OperatorSeries(n, K_chi, N, chi))
+        D[_box(n, prod.K, K_D)] += prod.coeffs
     D[_box(n, K_rhs, K_D)] -= rhs
-    N = chi.shape[-1]
     dn = np.linalg.norm(W[:, None] * OperatorSeries(n, K_D, N, D).majorant_matrix(s), 2)
     rn = np.linalg.norm(W[:, None] * OperatorSeries(n, K_rhs, N, rhs).majorant_matrix(s), 2)
     return float(dn) / max(float(rn), 1e-300)
@@ -355,7 +350,7 @@ def solve_variable(
     mu = np.zeros((N,) + (1,) * n) if base.mu is None else base.mu
     mud = np.moveaxis(mu[jj] - mu[ii], 0, -1)                   # (modes..., pairs)
     E1 = base.lam[jj] - base.lam[ii]
-    w_s = np.exp(s * k_norm1_grid(n, (mud.shape[0] - 1) // 2)).reshape(-1)
+    w_s = strip_weight(n, (mud.shape[0] - 1) // 2, s).reshape(-1)
     E2 = w_s @ np.abs(mud).reshape(-1, len(pairs))
     for p, (i, j) in enumerate(pairs):
         if E2[p] > 0 and E1[p] ** guard_theta < C_GUARD * E2[p]:
@@ -372,7 +367,7 @@ def solve_variable(
     K_B = (chic.shape[0] - 1) // 2
     Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
     Bc[..., jj, ii] = chic
-    Bc[..., ii, jj] = -np.conj(chic[(slice(None, None, -1),) * n])
+    Bc[..., ii, jj] = -_mirror(chic, n)
     B = OperatorSeries(n, K_B, N, Bc)
     return HomologicalSolution(B=B, residual=_generator_residual(B, P, base, omega, s),
                                min_divisor=min_div, guard_ok=guard_ok,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KamError
-from .torus import DiagonalPart, OperatorSeries, delta_norm, k_norm1_grid
+from .torus import DiagonalPart, OperatorSeries, _mirror, delta_norm, strip_weight
 
 __all__ = ["abstract_base", "random_perturbation", "build_abstract_model"]
 
@@ -41,9 +41,8 @@ def random_perturbation(
     env = (idx[:, None] ** delta + idx[None, :] ** delta) / 2.0
     env = env / (1.0 + (idx[:, None] - idx[None, :]) ** 2)
     c *= env
-    c *= np.exp(-decay * k_norm1_grid(n, K))[..., None, None]
-    rev = (slice(None, None, -1),) * n
-    c = 0.5 * (c + np.conj(np.swapaxes(c[rev], -1, -2)))
+    c *= strip_weight(n, K, -decay)[..., None, None]
+    c = 0.5 * (c + _mirror(c, n))
     return OperatorSeries(n, K, N, c)
 
 

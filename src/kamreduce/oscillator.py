@@ -1,4 +1,4 @@
-"""Anharmonic-oscillator instance: -d^2/dx^2 + Q(x) with Q ~ |x|^alpha.
+"""Anharmonic-oscillator instance: -d^2/dx^2 + Q(x) with Q(x) = |x|^alpha.
 
 Discretization is a sinc (uniform-grid) DVR on [-L, L]: the kinetic matrix is
 T_jj = pi^2 / (3 h^2), T_jk = 2 (-1)^(j-k) / (h^2 (j-k)^2), the potential is
@@ -36,19 +36,19 @@ __all__ = [
     "delta_boundedness_check",
 ]
 
+# fixed discretization constants; no caller sets them
+PAD = 1.6          # box = PAD * WKB turning point + 2 (constant room)
+OVERSAMPLE = 3.0   # grid points per de Broglie half-wavelength
+REFINE_L = 1.25    # box enlargement of the doubled-resolution solve
+QUAD_TOL = 1e-9    # relative change allowed between the two quadratures
+
 
 @dataclass(frozen=True)
 class OscillatorSpec:
-    """Potential Q(x) = sum c |x|^p (default the pure power |x|^alpha)."""
+    """Potential Q(x) = |x|^alpha."""
 
     alpha: float
     N: int
-    q_terms: tuple = ()            # ((coeff, power), ...); empty means ((1, alpha),)
-    L: float | None = None         # half-width override
-    M: int | None = None           # grid-point override
-    pad: float = 1.6               # box = pad * WKB turning point (+ constant room)
-    oversample: float = 3.0        # grid points per de Broglie half-wavelength
-    refine_L: float = 1.25
     certify_tol: float = 1e-8
 
     def __post_init__(self):
@@ -60,14 +60,8 @@ class OscillatorSpec:
         if self.N < 1:
             raise KamError("N must be positive")
 
-    def terms(self) -> tuple:
-        return self.q_terms if self.q_terms else ((1.0, self.alpha),)
-
     def potential(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for c, p in self.terms():
-            out = out + c * np.abs(x) ** p
-        return out
+        return np.abs(x) ** self.alpha
 
     def growth_exponent(self) -> float:
         """d = 2 alpha / (alpha + 2) of lambda_i ~ i^d."""
@@ -169,7 +163,7 @@ def build_oscillator(spec: OscillatorSpec) -> OscillatorResult:
     """Solve, then certify the first N eigenvalues by resolution doubling.
 
     The reported eigenpairs come from the doubled solve (twice the point
-    count on a box enlarged by refine_L); the coarse companion is kept on the
+    count on a box enlarged by REFINE_L); the coarse companion is kept on the
     result so matrix-element quadratures can be certified against it without
     re-diagonalizing.
     """
@@ -185,17 +179,12 @@ def build_oscillator(spec: OscillatorSpec) -> OscillatorResult:
         else:
             hi = mid
     x_turn = hi
-    L = spec.L if spec.L is not None else spec.pad * x_turn + 2.0
-    if spec.M is not None:
-        M = spec.M
-    else:
-        h_target = np.pi / (np.sqrt(E_top) * spec.oversample)
-        M = int(np.ceil(2.0 * L / h_target)) + 1
-    if M < spec.N + 8:
-        M = spec.N + 8
+    L = PAD * x_turn + 2.0
+    h_target = np.pi / (np.sqrt(E_top) * OVERSAMPLE)
+    M = max(int(np.ceil(2.0 * L / h_target)) + 1, spec.N + 8)
 
     w, V, x, h = _sinc_dvr_solve(spec, L, M)
-    L2, M2 = spec.refine_L * L, 2 * M
+    L2, M2 = REFINE_L * L, 2 * M
     w2, V2, x2, h2 = _sinc_dvr_solve(spec, L2, M2)
 
     N = spec.N
@@ -268,12 +257,11 @@ def perturbation_matrix(
     osc: OscillatorResult,
     N: int | None = None,
     K: int | None = None,
-    quad_tol: float = 1e-9,
 ) -> OperatorSeries:
     """P_ij(phi) = sum_m <psi_i, v_m psi_j> g_m(phi) as an OperatorSeries.
 
     Each x-quadrature is certified against the coarser resolution kept on the
-    oscillator result; an entry differing by more than quad_tol (relative to
+    oscillator result; an entry differing by more than QUAD_TOL (relative to
     the matrix scale) raises with its (i, j, term) indices.  The theorem
     boundary beta < (alpha - 2) / 2 is advisory: exceeding it warns.
     """
@@ -298,11 +286,11 @@ def perturbation_matrix(
         Mat_c = (Pc * vc[None, :]) @ Pc.T * osc.coarse_h
         scale = max(float(np.max(np.abs(Mat))), 1e-300)
         err = np.abs(Mat - Mat_c) / scale
-        if np.any(err >= quad_tol):
+        if np.any(err >= QUAD_TOL):
             i, j = np.unravel_index(int(np.argmax(err)), err.shape)
             raise ConvergenceError(
                 f"quadrature not converged at entry ({i + 1}, {j + 1}) of term {m}: "
-                f"relative change {err[i, j]:.3e} >= {quad_tol:g}"
+                f"relative change {err[i, j]:.3e} >= {QUAD_TOL:g}"
             )
         gp = g.pad_to(K)
         coeffs += gp.coeffs[..., None, None] * Mat[(None,) * n]

@@ -2,10 +2,15 @@
 
 Scalar series f(phi) = sum_{|k|_inf <= K} fhat_k e^{i k.phi} are stored as a
 complex array of shape (2K+1,)*n with axis index t <-> k = t - K.  Matrix
-valued series carry two trailing axes (N, N).  All transforms are plain FFTs
-on equispaced grids; products are computed on grids large enough to be exact
-for the sum of the input bandwidths and then truncated, with the discarded
-mass tracked.
+valued series carry two trailing axes (N, N).  TorusSeries and
+OperatorSeries share one implementation, _Series, which differs between
+them only by those trailing axes: padding and truncation by _box,
+arithmetic, grid sampling, evaluation at a batch of angles (at, by direct
+mode summation) and one alias-free grid product (product entrywise, matmul
+for operators).  All transforms are plain FFTs on equispaced grids; products
+are computed on grids large enough to be exact for the sum of the input
+bandwidths and then truncated, with the discarded mass tracked.  _mirror is
+the one k -> -k conjugate mirror.
 
 Norm conventions:
 
@@ -22,14 +27,12 @@ Norm conventions:
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import fftn, ifftn, next_fast_len
 
-from .errors import AliasingError, HermiticityError, KamError
+from .errors import AliasingError, KamError
 
 __all__ = [
     "TorusSeries",
@@ -40,12 +43,10 @@ __all__ = [
     "sup_norm_s",
     "delta_norm",
     "g_norm",
-    "lipschitz_seminorm",
     "k_box",
     "k_norm1_grid",
+    "strip_weight",
 ]
-
-_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -58,22 +59,45 @@ def k_box(n: int, K: int) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
 
+def _axis_sum(rows) -> np.ndarray:
+    """sum_a rows[a][t_a] over the mode box, one row of 2K+1 values per axis."""
+    n = len(rows)
+    out = np.zeros((len(rows[0]),) * n)
+    for a, row in enumerate(rows):
+        out = out + row.reshape([-1 if i == a else 1 for i in range(n)])
+    return out
+
+
 def k_norm1_grid(n: int, K: int) -> np.ndarray:
     """|k|_1 over the mode box, shaped like a coefficient array."""
-    axes = [np.abs(np.arange(-K, K + 1))] * n
-    out = np.zeros((2 * K + 1,) * n)
-    for a, ax in enumerate(axes):
-        out = out + ax.reshape([-1 if i == a else 1 for i in range(n)])
-    return out
+    return _axis_sum([np.abs(np.arange(-K, K + 1))] * n)
+
+
+def strip_weight(n: int, K: int, s: float) -> np.ndarray:
+    """e^{s |k|_1} over the mode box, shaped like a coefficient array."""
+    return np.exp(s * k_norm1_grid(n, K))
 
 
 def _k_dot_omega(n: int, K: int, omega: np.ndarray) -> np.ndarray:
     """omega . k over the mode box, shaped like a coefficient array."""
-    out = np.zeros((2 * K + 1,) * n)
     rng = np.arange(-K, K + 1)
-    for a in range(n):
-        out = out + omega[a] * rng.reshape([-1 if i == a else 1 for i in range(n)])
-    return out
+    return _axis_sum([omega[a] * rng for a in range(n)])
+
+
+def _box(n: int, K: int, K_big: int) -> tuple:
+    """Index of the |k|_inf <= K block inside a centred block of band K_big."""
+    return tuple(slice(K_big - K, K_big + K + 1) for _ in range(n))
+
+
+def _mirror(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """conj(chat(-k)): the coefficients of conj(f(phi)) on the real torus.
+
+    The first n axes are modes.  Two trailing axes are an operator's (N, N)
+    and are transposed, giving the adjoint; one trailing axis is a stack of
+    scalar series.
+    """
+    out = np.conj(coeffs[(slice(None, None, -1),) * n])
+    return out.swapaxes(-1, -2) if coeffs.ndim == n + 2 else out
 
 
 def _centered_to_fft(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
@@ -116,11 +140,6 @@ def grid_to_coeffs(values: np.ndarray, n: int, K: int) -> np.ndarray:
     return _fft_to_centered(table, n, K)
 
 
-def _phase_matrix(K: int, phi: np.ndarray) -> np.ndarray:
-    """exp(i k phi) for k = -K..K and a vector of angles, shape (len(phi), 2K+1)."""
-    return np.exp(1j * np.outer(phi, np.arange(-K, K + 1)))
-
-
 def chop(coeffs: np.ndarray, floor: float) -> np.ndarray:
     """Zero out coefficients below an absolute floor (noise control)."""
     out = coeffs.copy()
@@ -132,21 +151,116 @@ def chop(coeffs: np.ndarray, floor: float) -> np.ndarray:
 # series containers
 
 
+class _Series:
+    """The one implementation behind TorusSeries and OperatorSeries.
+
+    Subclasses are frozen dataclasses with fields n, K and coeffs.  _tail is
+    the shape of the trailing value axes, () or (N, N), and _value turns one
+    coefficient or value into the subclass's scalar or matrix type.
+    """
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=complex)
+        want = (2 * self.K + 1,) * self.n + self._tail
+        if c.shape != want:
+            raise KamError(f"coefficient shape {c.shape} != {want}")
+        c = c.copy()
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+
+    def _like(self, K: int, coeffs: np.ndarray):
+        """A series of the same kind with cutoff K and the given coefficients."""
+        return replace(self, K=K, coeffs=coeffs)
+
+    def coeff(self, k):
+        k = (k,) if np.isscalar(k) else tuple(k)
+        return self._value(self.coeffs[tuple(x + self.K for x in k)])
+
+    def grid(self, M: int) -> np.ndarray:
+        return coeffs_to_grid(self.coeffs, self.n, self.K, M)
+
+    def at(self, phis: np.ndarray) -> np.ndarray:
+        """Values at a batch of angles phis (T, n), shape (T,) + trailing axes."""
+        phases = np.exp(1j * (phis @ k_box(self.n, self.K).T))   # (T, m)
+        values = phases @ self.coeffs.reshape(phases.shape[1], -1)
+        return values.reshape((len(phis),) + self._tail)
+
+    def __call__(self, phi):
+        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        return self._value(self.at(phi[None, :])[0])
+
+    def pad_to(self, K: int):
+        if K < self.K:
+            raise KamError("pad_to cannot shrink the cutoff")
+        if K == self.K:
+            return self
+        c = np.zeros((2 * K + 1,) * self.n + self._tail, dtype=complex)
+        c[_box(self.n, self.K, K)] = self.coeffs
+        return self._like(K, c)
+
+    def truncate(self, K: int):
+        if K >= self.K:
+            return self.pad_to(K)
+        return self._like(K, self.coeffs[_box(self.n, K, self.K)])
+
+    def trim(self):
+        """Drop the all-zero outer |k|_inf shells; every coefficient is kept.
+
+        The result's cutoff is the live band: the largest |k|_inf that
+        carries a nonzero coefficient (0 for the zero series).
+        """
+        live = np.argwhere(np.any(self.coeffs != 0, axis=tuple(range(self.n, self.coeffs.ndim))))
+        K_live = int(np.max(np.abs(live - self.K))) if len(live) else 0
+        return self.truncate(K_live)
+
+    def __add__(self, other):
+        K = max(self.K, other.K)
+        return self._like(K, self.pad_to(K).coeffs + other.pad_to(K).coeffs)
+
+    def __sub__(self, other):
+        K = max(self.K, other.K)
+        return self._like(K, self.pad_to(K).coeffs - other.pad_to(K).coeffs)
+
+    def __mul__(self, scalar: complex):
+        return self._like(self.K, self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._like(self.K, -self.coeffs)
+
+    def _grid_product(self, other, K_out: int | None, op):
+        """op(self(phi), other(phi)) on an alias-free grid, truncated to K_out.
+
+        Returns (series, residue); residue is the plain l1 mass of the
+        discarded coefficients.
+        """
+        K_full = self.K + other.K
+        M = next_fast_len(2 * K_full + 2)
+        full = grid_to_coeffs(op(self.grid(M), other.grid(M)), self.n, K_full)
+        out = self._like(K_full, full).truncate(K_full if K_out is None else K_out)
+        residue = float(np.sum(np.abs(full)) - np.sum(np.abs(out.coeffs)))
+        return out, max(residue, 0.0)
+
+    def product(self, other, K_out: int | None = None):
+        """Exact entrywise grid product, truncated to K_out; returns (series, residue)."""
+        return self._grid_product(other, K_out, np.multiply)
+
+    def mirror_defect(self) -> float:
+        """Max |c - _mirror(c)|: zero iff real (scalar) or hermitian (operator) on the torus."""
+        return float(np.max(np.abs(self.coeffs - _mirror(self.coeffs, self.n))))
+
+
 @dataclass(frozen=True)
-class TorusSeries:
+class TorusSeries(_Series):
     """Scalar truncated Fourier series on the n-torus."""
 
     n: int
     K: int
     coeffs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.K + 1,) * self.n:
-            raise KamError(f"coefficient shape {c.shape} != {(2 * self.K + 1,) * self.n}")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+    _tail = ()
+    _value = staticmethod(complex)
 
     # -- constructors -------------------------------------------------------
 
@@ -171,81 +285,11 @@ class TorusSeries:
             c[tuple(x + K for x in k)] = v
         return TorusSeries(n, K, c)
 
-    # -- basic algebra -------------------------------------------------------
-
-    def coeff(self, k) -> complex:
-        k = (k,) if np.isscalar(k) else tuple(k)
-        return complex(self.coeffs[tuple(x + self.K for x in k)])
-
-    def grid(self, M: int) -> np.ndarray:
-        return coeffs_to_grid(self.coeffs, self.n, self.K, M)
-
-    def __call__(self, phi) -> complex:
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        out = self.coeffs
-        for a in range(self.n):
-            out = np.tensordot(_phase_matrix(self.K, phi[a : a + 1]), out, axes=(1, 0))[0]
-        return complex(out)
-
-    def pad_to(self, K: int) -> "TorusSeries":
-        if K < self.K:
-            raise KamError("pad_to cannot shrink the cutoff")
-        if K == self.K:
-            return self
-        c = np.zeros((2 * K + 1,) * self.n, dtype=complex)
-        sl = tuple(slice(K - self.K, K + self.K + 1) for _ in range(self.n))
-        c[sl] = self.coeffs
-        return TorusSeries(self.n, K, c)
-
-    def truncate(self, K: int) -> "TorusSeries":
-        if K >= self.K:
-            return self.pad_to(K)
-        sl = tuple(slice(self.K - K, self.K + K + 1) for _ in range(self.n))
-        return TorusSeries(self.n, K, self.coeffs[sl])
-
-    def __add__(self, other: "TorusSeries") -> "TorusSeries":
-        K = max(self.K, other.K)
-        return TorusSeries(self.n, K, self.pad_to(K).coeffs + other.pad_to(K).coeffs)
-
-    def __sub__(self, other: "TorusSeries") -> "TorusSeries":
-        K = max(self.K, other.K)
-        return TorusSeries(self.n, K, self.pad_to(K).coeffs - other.pad_to(K).coeffs)
-
-    def __mul__(self, scalar: complex) -> "TorusSeries":
-        return TorusSeries(self.n, self.K, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TorusSeries":
-        return TorusSeries(self.n, self.K, -self.coeffs)
+    # -- structure ------------------------------------------------------------
 
     def conj(self) -> "TorusSeries":
         """Complex conjugate on the real torus: chat(k) -> conj(chat(-k))."""
-        c = np.conj(self.coeffs[(slice(None, None, -1),) * self.n])
-        return TorusSeries(self.n, self.K, c)
-
-    def product(self, other: "TorusSeries", K_out: int | None = None):
-        """Exact grid product, truncated to K_out; returns (series, residue).
-
-        residue is the plain l1 mass of the discarded coefficients.
-        """
-        K_full = self.K + other.K
-        if K_out is None:
-            K_out = K_full
-        M = next_fast_len(2 * K_full + 2)
-        vals = self.grid(M) * other.grid(M)
-        full = grid_to_coeffs(vals, self.n, K_full)
-        fs = TorusSeries(self.n, K_full, full)
-        out = fs.truncate(K_out) if K_out < K_full else fs.pad_to(K_out)
-        residue = float(np.sum(np.abs(full)) - np.sum(np.abs(out.coeffs)))
-        return out, max(residue, 0.0)
-
-    # -- structure tests -----------------------------------------------------
-
-    def mirror_defect(self) -> float:
-        """Max |chat(-k) - conj(chat(k))|; zero iff real valued on the real torus."""
-        flipped = np.conj(self.coeffs[(slice(None, None, -1),) * self.n])
-        return float(np.max(np.abs(self.coeffs - flipped)))
+        return TorusSeries(self.n, self.K, _mirror(self.coeffs, self.n))
 
     def average(self) -> complex:
         return complex(self.coeffs[(self.K,) * self.n])
@@ -257,7 +301,7 @@ class TorusSeries:
 
 
 @dataclass(frozen=True)
-class OperatorSeries:
+class OperatorSeries(_Series):
     """Matrix-valued truncated Fourier series; trailing axes are (N, N)."""
 
     n: int
@@ -265,14 +309,11 @@ class OperatorSeries:
     N: int
     coeffs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        want = (2 * self.K + 1,) * self.n + (self.N, self.N)
-        if c.shape != want:
-            raise KamError(f"coefficient shape {c.shape} != {want}")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+    _value = staticmethod(np.array)
+
+    @property
+    def _tail(self) -> tuple:
+        return (self.N, self.N)
 
     @staticmethod
     def zero(n: int, K: int, N: int) -> "OperatorSeries":
@@ -281,85 +322,17 @@ class OperatorSeries:
     def entry(self, i: int, j: int) -> TorusSeries:
         return TorusSeries(self.n, self.K, self.coeffs[..., i, j])
 
-    def coeff(self, k) -> np.ndarray:
-        k = (k,) if np.isscalar(k) else tuple(k)
-        return np.array(self.coeffs[tuple(x + self.K for x in k)])
-
-    def grid(self, M: int) -> np.ndarray:
-        return coeffs_to_grid(self.coeffs, self.n, self.K, M)
-
-    def __call__(self, phi) -> np.ndarray:
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        out = self.coeffs
-        for a in range(self.n):
-            out = np.tensordot(_phase_matrix(self.K, phi[a : a + 1]), out, axes=(1, 0))[0]
-        return out
-
-    def pad_to(self, K: int) -> "OperatorSeries":
-        if K < self.K:
-            raise KamError("pad_to cannot shrink the cutoff")
-        if K == self.K:
-            return self
-        c = np.zeros((2 * K + 1,) * self.n + (self.N, self.N), dtype=complex)
-        sl = tuple(slice(K - self.K, K + self.K + 1) for _ in range(self.n))
-        c[sl] = self.coeffs
-        return OperatorSeries(self.n, K, self.N, c)
-
-    def truncate(self, K: int) -> "OperatorSeries":
-        if K >= self.K:
-            return self.pad_to(K)
-        sl = tuple(slice(self.K - K, self.K + K + 1) for _ in range(self.n))
-        return OperatorSeries(self.n, K, self.N, self.coeffs[sl])
-
-    def trim(self) -> "OperatorSeries":
-        """Drop the all-zero outer |k|_inf shells; every coefficient is kept.
-
-        The result's cutoff is the live band: the largest |k|_inf that
-        carries a nonzero coefficient (0 for the zero series).
-        """
-        live = np.argwhere(np.any(self.coeffs != 0, axis=(-2, -1)))
-        K_live = int(np.max(np.abs(live - self.K))) if len(live) else 0
-        return self.truncate(K_live)
-
-    def __add__(self, other: "OperatorSeries") -> "OperatorSeries":
-        K = max(self.K, other.K)
-        return OperatorSeries(self.n, K, self.N, self.pad_to(K).coeffs + other.pad_to(K).coeffs)
-
-    def __sub__(self, other: "OperatorSeries") -> "OperatorSeries":
-        K = max(self.K, other.K)
-        return OperatorSeries(self.n, K, self.N, self.pad_to(K).coeffs - other.pad_to(K).coeffs)
-
-    def __mul__(self, scalar: complex) -> "OperatorSeries":
-        return OperatorSeries(self.n, self.K, self.N, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "OperatorSeries":
-        return OperatorSeries(self.n, self.K, self.N, -self.coeffs)
-
     def matmul(self, other: "OperatorSeries", K_out: int | None = None):
         """Exact grid product self(phi) @ other(phi); returns (series, residue)."""
-        K_full = self.K + other.K
-        if K_out is None:
-            K_out = K_full
-        M = next_fast_len(2 * K_full + 2)
-        vals = self.grid(M) @ other.grid(M)
-        full = grid_to_coeffs(vals, self.n, K_full)
-        fs = OperatorSeries(self.n, K_full, self.N, full)
-        out = fs.truncate(K_out) if K_out < K_full else fs.pad_to(K_out)
-        residue = float(np.sum(np.abs(full)) - np.sum(np.abs(out.coeffs)))
-        return out, max(residue, 0.0)
+        return self._grid_product(other, K_out, np.matmul)
 
     # -- structure -----------------------------------------------------------
 
-    def hermiticity_defect(self) -> float:
-        """Max coefficient defect of Phat(-k) = Phat(k)^H."""
-        mirror = np.conj(self.coeffs[(slice(None, None, -1),) * self.n].swapaxes(-1, -2))
-        return float(np.max(np.abs(self.coeffs - mirror)))
+    # max coefficient defect of Phat(-k) = Phat(k)^H
+    hermiticity_defect = _Series.mirror_defect
 
     def antihermiticity_defect(self) -> float:
-        mirror = np.conj(self.coeffs[(slice(None, None, -1),) * self.n].swapaxes(-1, -2))
-        return float(np.max(np.abs(self.coeffs + mirror)))
+        return float(np.max(np.abs(self.coeffs + _mirror(self.coeffs, self.n))))
 
     def offdiagonal_part(self) -> "OperatorSeries":
         c = self.coeffs.copy()
@@ -369,7 +342,7 @@ class OperatorSeries:
 
     def majorant_matrix(self, s: float) -> np.ndarray:
         """Entrywise sum_k |Phat_ijk| e^{s|k|_1}; dominates |P_ij| on the strip."""
-        w = np.exp(s * k_norm1_grid(self.n, self.K))
+        w = strip_weight(self.n, self.K, s)
         flat = np.abs(self.coeffs).reshape(-1, self.N, self.N)
         return np.tensordot(w.reshape(-1), flat, axes=(0, 0))
 
@@ -449,8 +422,7 @@ class DiagonalPart:
         """Witness constant max_i ||mu_i||_s / i^delta (0 when mu vanishes)."""
         if self.mu is None:
             return 0.0
-        w = np.exp(s * k_norm1_grid(self.n, self.K)).reshape(-1)
-        norms = np.abs(self.mu.reshape(self.N, -1)) @ w
+        norms = np.abs(self.mu.reshape(self.N, -1)) @ strip_weight(self.n, self.K, s).reshape(-1)
         if self.delta == 0.0:
             return float(np.max(norms))
         return float(np.max(norms / np.arange(1, self.N + 1) ** self.delta))
@@ -470,10 +442,7 @@ def transform_roundtrip(f: TorusSeries | OperatorSeries, grid_size: int):
         raise AliasingError(f"grid size {grid_size} < 2K+2 = {2 * f.K + 2}")
     vals = f.grid(grid_size)
     back = grid_to_coeffs(vals, f.n, f.K)
-    err = float(np.max(np.abs(back - f.coeffs)))
-    if isinstance(f, OperatorSeries):
-        return OperatorSeries(f.n, f.K, f.N, back), err
-    return TorusSeries(f.n, f.K, back), err
+    return f._like(f.K, back), float(np.max(np.abs(back - f.coeffs)))
 
 
 def directional_derivative(f: TorusSeries | OperatorSeries, omega) -> "TorusSeries | OperatorSeries":
@@ -482,17 +451,14 @@ def directional_derivative(f: TorusSeries | OperatorSeries, omega) -> "TorusSeri
     if omega.shape != (f.n,):
         raise KamError(f"omega must have length n={f.n}")
     w = 1j * _k_dot_omega(f.n, f.K, omega)
-    if isinstance(f, OperatorSeries):
-        return OperatorSeries(f.n, f.K, f.N, f.coeffs * w[..., None, None])
-    return TorusSeries(f.n, f.K, f.coeffs * w)
+    return f._like(f.K, f.coeffs * w.reshape(w.shape + (1,) * len(f._tail)))
 
 
 def sup_norm_s(f: TorusSeries, s: float) -> float:
     """Weighted-l1 bound sum_k |fhat_k| e^{s |k|_1} (s >= 0)."""
     if s < 0:
         raise KamError("strip width s must be nonnegative")
-    w = np.exp(s * k_norm1_grid(f.n, f.K))
-    return float(np.sum(np.abs(f.coeffs) * w))
+    return float(np.sum(np.abs(f.coeffs) * strip_weight(f.n, f.K, s)))
 
 
 def _grid_opnorm_max(values: np.ndarray) -> float:
@@ -538,74 +504,3 @@ def g_norm(B: OperatorSeries, base: DiagonalPart, s: float, grid_size: int | Non
     M = grid_size or default_norm_grid(B.K)
     ones = np.ones(B.N)
     return _weighted_norm(B, [(ones, ones), (W, 1.0 / W)], s, M)
-
-
-def lipschitz_seminorm(family, norm_fn) -> float:
-    """max over pairs of norm(f(w) - f(w')) / |w - w'| for an omega-indexed family.
-
-    family: sequence of (omega_vector, series); norm_fn: series -> float.
-    """
-    family = list(family)
-    if len(family) < 2:
-        raise KamError("lipschitz_seminorm needs at least two samples")
-    out = 0.0
-    for (w1, f1), (w2, f2) in itertools.combinations(family, 2):
-        dw = float(np.linalg.norm(np.asarray(w1, float) - np.asarray(w2, float)))
-        if dw == 0.0:
-            raise KamError("duplicate omega in family")
-        out = max(out, norm_fn(f1 - f2) / dw)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# serialization (exact round-trip JSON documents)
-
-
-def series_to_doc(f: TorusSeries | OperatorSeries) -> dict:
-    """JSON-ready document {n, K, N, entries: [{i, j, coeffs: [{k, re, im}]}]}.
-
-    Zero coefficients are omitted; floats serialize via repr and round-trip
-    exactly.
-    """
-    if isinstance(f, TorusSeries):
-        N = 1
-        pairs = [(0, 0, f.coeffs)]
-    else:
-        N = f.N
-        pairs = [(i, j, f.coeffs[..., i, j]) for i in range(N) for j in range(N)]
-    kbox = k_box(f.n, f.K)
-    entries = []
-    for i, j, block in pairs:
-        flat = np.asarray(block).reshape(-1)
-        nz = np.nonzero(flat)[0]
-        if len(nz) == 0 and N > 1:
-            continue
-        entries.append(
-            {
-                "i": i,
-                "j": j,
-                "coeffs": [
-                    {"k": [int(x) for x in kbox[t]], "re": float(flat[t].real), "im": float(flat[t].imag)}
-                    for t in nz
-                ],
-            }
-        )
-    return {"n": f.n, "K": f.K, "N": N, "entries": entries}
-
-
-def series_from_doc(doc: dict) -> TorusSeries | OperatorSeries:
-    n, K, N = int(doc["n"]), int(doc["K"]), int(doc["N"])
-    if N == 1:
-        c = np.zeros((2 * K + 1,) * n, dtype=complex)
-        for e in doc["entries"]:
-            for item in e["coeffs"]:
-                idx = tuple(int(x) + K for x in item["k"])
-                c[idx] = item["re"] + 1j * item["im"]
-        return TorusSeries(n, K, c)
-    c = np.zeros((2 * K + 1,) * n + (N, N), dtype=complex)
-    for e in doc["entries"]:
-        i, j = int(e["i"]), int(e["j"])
-        for item in e["coeffs"]:
-            idx = tuple(int(x) + K for x in item["k"])
-            c[idx + (i, j)] = item["re"] + 1j * item["im"]
-    return OperatorSeries(n, K, N, c)

@@ -14,8 +14,12 @@ is reached without a grid SVD.
 The windowed second-order Diophantine margins that frequency sampling uses
 are the dense kernel's margins wherever those fall below the window's
 threshold, and at least the threshold everywhere else.
+
+Scalar and operator series share one implementation, so every shared
+operation on an OperatorSeries is the same operation on each of its entries.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -28,6 +32,7 @@ from kamreduce.homological import solve_variable
 from kamreduce.torus import (
     DiagonalPart,
     OperatorSeries,
+    _mirror,
     delta_norm,
     directional_derivative,
     g_norm,
@@ -222,3 +227,75 @@ def test_windowed_dio2_margins_are_the_dense_ones_below_gamma_max(case):
     below = dense < gamma_max
     assert np.array_equal(windowed[below], dense[below])
     assert np.all(windowed[~below] >= gamma_max)
+
+
+series_cases = st.tuples(
+    st.sampled_from([1, 2, 3]),                                   # n
+    st.integers(1, 4),                                            # N
+    st.integers(0, 3),                                            # K of P
+    st.integers(0, 3),                                            # K of Q
+    st.integers(0, 7),                                            # K_out of the products
+    st.integers(0, 2**32 - 1),                                    # coefficient seed
+)
+
+
+def banded(n, N, K, rng):
+    """A random operator series whose entries have their own live bands (-1: zero)."""
+    shape = (2 * K + 1,) * n + (N, N)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    kinf = np.max(np.abs(k_box(n, K)), axis=1).reshape((2 * K + 1,) * n)
+    c[kinf[..., None, None] > rng.integers(-1, K + 1, size=(N, N))] = 0.0
+    return OperatorSeries(n, K, N, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_cases)
+def test_operator_series_operations_act_on_each_entry(case):
+    n, N, K, K2, K_out, seed = case
+    rng = np.random.default_rng(seed)
+    P, Q = banded(n, N, K, rng), banded(n, N, K2, rng)
+    z = complex(*rng.normal(size=2))
+    M = 2 * K + 2
+    phis = rng.uniform(0.0, 2.0 * np.pi, size=(5, n))
+    tol = 1e-13 * (1.0 + np.sum(np.abs(P.coeffs)) * (1.0 + np.sum(np.abs(Q.coeffs))))
+    trimmed = P.trim()
+    rev = (slice(None, None, -1),) * n
+    herm = 0.0
+    for i, j in itertools.product(range(N), repeat=2):
+        p, q = P.entry(i, j), Q.entry(i, j)
+        for whole, part in [
+            (P.pad_to(K + 1), p.pad_to(K + 1)),
+            (P.truncate(K // 2), p.truncate(K // 2)),
+            (trimmed, p.trim().pad_to(trimmed.K)),
+            (P + Q, p + q),
+            (P - Q, p - q),
+            (z * P, z * p),
+            (P * z, p * z),
+            (-P, -p),
+        ]:
+            assert whole.K == part.K
+            assert np.array_equal(whole.entry(i, j).coeffs, part.coeffs)
+        assert np.max(np.abs(P.grid(M)[..., i, j] - p.grid(M))) <= tol
+        assert np.max(np.abs(P.at(phis)[:, i, j] - p.at(phis))) <= tol
+        assert abs(P(phis[0])[i, j] - p(phis[0])) <= tol
+        pq, _ = P.product(Q, K_out)
+        assert np.max(np.abs(pq.entry(i, j).coeffs - p.product(q, K_out)[0].coeffs)) <= tol
+        herm = max(herm, np.max(np.abs(p.coeffs - np.conj(P.entry(j, i).coeffs[rev]))))
+    assert trimmed.K == max(P.entry(i, j).trim().K for i in range(N) for j in range(N))
+
+    # at on the grid points is the grid
+    axes = [2.0 * np.pi * np.arange(M) / M] * n
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    assert np.max(np.abs(P.at(points).reshape(P.grid(M).shape) - P.grid(M))) <= tol
+
+    # for diagonal operands the matrix product is the entrywise one
+    diagonal = np.eye(N, dtype=bool)
+    Pd = OperatorSeries(n, K, N, np.where(diagonal, P.coeffs, 0.0))
+    Qd = OperatorSeries(n, K2, N, np.where(diagonal, Q.coeffs, 0.0))
+    (mm, mm_residue), (pr, pr_residue) = Pd.matmul(Qd, K_out), Pd.product(Qd, K_out)
+    assert mm.K == pr.K == K_out
+    assert np.max(np.abs(mm.coeffs - pr.coeffs)) <= tol
+    assert abs(mm_residue - pr_residue) <= tol
+
+    # the mirror is the adjoint at -k: entry (i, j) meets conj(P_ji(-k))
+    assert P.hermiticity_defect() == np.max(np.abs(P.coeffs - _mirror(P.coeffs, n))) == herm

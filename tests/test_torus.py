@@ -1,7 +1,5 @@
 """Torus-series algebra: transforms, norms, structure preservation."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -16,9 +14,6 @@ from kamreduce.torus import (
     g_norm,
     grid_to_coeffs,
     k_box,
-    lipschitz_seminorm,
-    series_from_doc,
-    series_to_doc,
     sup_norm_s,
     transform_roundtrip,
 )
@@ -275,20 +270,6 @@ def test_g_norm_diag_weight_invariance():
     assert abs(g - p) < 1e-12 * p
 
 
-def test_lipschitz_seminorm_linear_family():
-    # f(omega) = omega_1 * e^{i phi}: seminorm equals 1 exactly
-    fam = []
-    for w1 in (0.2, 0.5, 0.9):
-        fam.append((np.array([w1]), TorusSeries.from_modes(1, 1, {1: w1})))
-    val = lipschitz_seminorm(fam, lambda f: sup_norm_s(f, 0.0))
-    assert abs(val - 1.0) < 1e-14
-
-
-def test_lipschitz_seminorm_needs_two_samples():
-    with pytest.raises(KamError):
-        lipschitz_seminorm([(np.array([0.1]), TorusSeries.zero(1, 1))], lambda f: 0.0)
-
-
 # ---------------------------------------------------------------------------
 # products
 
@@ -324,30 +305,3 @@ def test_product_of_real_series_is_real():
     g = random_scalar(2, 3, rng, real=True)
     fg, _ = f.product(g)
     assert fg.mirror_defect() < 1e-12 * max(1.0, np.max(np.abs(fg.coeffs)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_series_doc_roundtrip_exact():
-    rng = np.random.default_rng(43)
-    f = random_scalar(2, 3, rng, real=False)
-    doc = series_to_doc(f)
-    blob = json.dumps(doc)
-    back = series_from_doc(json.loads(blob))
-    assert back.n == f.n and back.K == f.K
-    assert np.array_equal(back.coeffs, f.coeffs)  # bit-exact
-
-    P = random_hermitian(4, 1, 2, rng)
-    doc = series_to_doc(P)
-    back = series_from_doc(json.loads(json.dumps(doc)))
-    assert np.array_equal(back.coeffs, P.coeffs)
-
-
-def test_series_doc_deterministic_bytes():
-    rng = np.random.default_rng(47)
-    P = random_hermitian(3, 1, 2, rng)
-    b1 = json.dumps(series_to_doc(P), sort_keys=True)
-    b2 = json.dumps(series_to_doc(P), sort_keys=True)
-    assert b1 == b2
