@@ -26,7 +26,7 @@ the dense ones; the rest are only known to be >= gamma_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class Dio1Certificate:
     min_margin: float          # min over k of |omega.k| |k|_1^tau
     violating_k: tuple | None = None
 
-    @property
-    def max_passing_gamma(self) -> float:
-        return self.min_margin
-
 
 @dataclass(frozen=True)
 class Dio2Certificate:
@@ -94,10 +90,6 @@ class Dio2Certificate:
     violating_triple: tuple | None = None
     pruned_fraction: float = 0.0
     tail_safe_gap: float = math.inf  # pairs with |i^d - j^d| above this pass for any |k|_1 <= K_max
-
-    @property
-    def max_passing_gamma(self) -> float:
-        return self.min_margin
 
 
 @dataclass(frozen=True)
@@ -135,19 +127,6 @@ class ResonanceSet:
     k: tuple
     alpha: float
     gap: object  # float or callable omega -> float
-
-    def empty_by_gap_domination(self, c_lambda: float, gap_scale: float, omega_sup: float = 1.0) -> bool:
-        """Emptiness certificate: the lambda-gap dominates any reachable omega . k.
-
-        gap_scale is |i^d - j^d|.  Requires alpha <= (c_lambda/2) gap_scale and
-        |k|_1 <= (c_lambda/2) gap_scale / omega_sup; then
-        |gap - omega.k| >= c_lambda*gap_scale - |k|_1*omega_sup > alpha on the box.
-        """
-        k1 = float(np.sum(np.abs(self.k)))
-        return (
-            self.alpha <= 0.5 * c_lambda * gap_scale
-            and omega_sup * k1 <= 0.5 * c_lambda * gap_scale
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,18 @@ base: constant part into lambda, oscillatory part into mu.
 
 Numerical notes that matter here:
 
-* E*AE - A is NOT computed by subtraction (it cancels the large diagonal and
-  loses ~8 digits at lambda_N ~ 50).  For unitary E and D = E - I,
-  E*AE - A = E*[A,D] + (E*E - I)A, and the second term is identically zero in
-  exact arithmetic, so we compute E*[A,D] with [A,D]_ij = (a_i - a_j) D_ij
-  entrywise.  Every term then scales with ||B|| or ||P||, leaving no fixed
-  noise floor.
-* exp(B) is a Paterson-Stockmeyer Taylor polynomial, the same kernel that
-  floquet steps with.  D = E - I is the polynomial without its constant
-  term, never E minus I, and its degree keeps the remainder below 2^-53 ||B||,
-  so D stays accurate relative to ||B|| however small B is.  E is unitary to
-  roundoff, which is all E*[A,D] needs.
+* P+ is a Lie series, never formed through E.  With L(X) = XB - BX and the
+  homological defect D = [A,B] - i omega.dB + P_off, the A terms cancel
+  exactly at every order, leaving
+
+      P+ = D + sum_{k>=1} [L^k(diag P)/k! + k L^k(P_off)/(k+1)! + L^k(D)/(k+1)!],
+
+  so nothing cancels the large diagonal lambda_N.  Each L is one alias-free
+  grid commutator.
+* ||W L(X)|| <= 2g ||W X|| with g = g_norm(B) = max(||B||, ||W B W^-1||),
+  so the order is the smallest whose remainder bound falls below
+  CHOP_FLOOR, what chopping discards anyway.  That remainder and the mass
+  truncation at K_out drops are added to the reported norm.
 * P+ is trimmed to its live band after chopping: all-zero outer shells are
   dropped, which changes no coefficient and no norm.
 * Coefficients below an absolute floor are zeroed after each step so the
@@ -54,19 +55,16 @@ from .errors import (
     HermiticityError,
     KamError,
 )
-from .homological import _tight_cutoff, solve_variable
+from .homological import _generator_defect, _tight_cutoff, solve_variable
 from .torus import (
     DiagonalPart,
     OperatorSeries,
-    TorusSeries,
     _box,
-    _k_dot_omega,
     _mirror,
     chop,
-    coeffs_to_grid,
+    coeffs_to_grid,  # noqa: F401  unused; bench/test_bench.py traces it in this namespace
     delta_norm,
     g_norm,
-    grid_to_coeffs,
     strip_weight,
 )
 
@@ -79,12 +77,10 @@ __all__ = [
     "conjugate",
     "kam_step",
     "run_schedule",
-    "compose_transformations",
     "compose_on_grid",
 ]
 
 # fixed step constants; no manifest sets them
-OVERSAMPLE = 1      # conjugation grid oversampling
 SOLVER_PAD = 12     # modes the homological working grid keeps beyond P.K + K_mu
 GAMMA_BUDGET = 0.1  # max fraction of gamma spent per step
 GAMMA_STAR = 0.5    # warn when gamma falls below this fraction of its initial value
@@ -177,11 +173,6 @@ class ReducedSystem:
     def N(self) -> int:
         return len(self.lambda_inf)
 
-    def mu_series(self, i: int) -> TorusSeries:
-        if self.mu_inf is None:
-            return TorusSeries.zero(self.n, self.K_mu)
-        return TorusSeries(self.n, self.K_mu, self.mu_inf[i])
-
     def as_base(self) -> DiagonalPart:
         if self.mu_inf is None:
             return DiagonalPart(lam=self.lambda_inf, d=self.d, delta=self.delta, n=self.n)
@@ -240,13 +231,12 @@ def _taylor_degree(b: float, tol: float = _UNIT_ROUNDOFF) -> int:
     return m
 
 
-def _taylor_polynomial(A: np.ndarray, m: int, constant: bool = True) -> np.ndarray:
+def _taylor_polynomial(A: np.ndarray, m: int) -> np.ndarray:
     """sum_{k <= m} A^k / k! for a batch (C, N, N), by Paterson-Stockmeyer.
 
     With block size s = ceil(sqrt(m)) it forms A^2 .. A^s and runs Horner in
     A^s over the blocks B_j = sum_{i < s} A^i / (js + i)!: about 2 sqrt(m)
-    batched products instead of m.  constant=False leaves out the k = 0
-    term, which gives exp(A) - I without subtracting I.
+    batched products instead of m.
     """
     C, N, _ = A.shape
     s = math.isqrt(m - 1) + 1 if m else 1
@@ -261,8 +251,6 @@ def _taylor_polynomial(A: np.ndarray, m: int, constant: bool = True) -> np.ndarr
     flat = pows[: s - 1].view(float).reshape(s - 1, 2 * A.size)
     blocks = (weights @ flat).view(complex).reshape((r + 1,) + A.shape)
     identity = np.array(inv[: r * s + 1 : s])[:, None, None]
-    if not constant:
-        identity[0] = 0.0
     blocks.reshape(r + 1, C, N * N)[:, :, :: N + 1] += identity
     if m % s == 0 and r:                                  # top block is I / m!
         r -= 1
@@ -275,105 +263,84 @@ def _taylor_polynomial(A: np.ndarray, m: int, constant: bool = True) -> np.ndarr
     return E
 
 
-def _scaled_bound(A: np.ndarray):
-    """(b, q): the batch's 1-norm bound after scaling A by 2^-q, and q.
+def _expm_taylor(A: np.ndarray) -> np.ndarray:
+    """exp(A) for a batch (C, N, N): one Taylor degree for the whole batch.
 
-    q is the fewest halvings that bring the bound to _SCALE_BOUND or below.
+    The degree comes from the batch's largest 1-norm b, with a remainder
+    below 2^-53; above _SCALE_BOUND the batch is scaled by 2^-q, the fewest
+    halvings that bring b to _SCALE_BOUND or below, and the result squared
+    q times.  This is the step exponential of verify.
     """
     b = float(np.max(np.sum(np.abs(A), axis=-2)))
     if not math.isfinite(b):
         raise KamError("non-finite matrix in a Taylor exponential")
     q = math.ceil(math.log2(b / _SCALE_BOUND)) if b > _SCALE_BOUND else 0
-    return b / 2.0**q, q
-
-
-def _expm_taylor(A: np.ndarray) -> np.ndarray:
-    """exp(A) for a batch (C, N, N): one Taylor degree for the whole batch.
-
-    The degree comes from the batch's largest 1-norm b, with a remainder
-    below 2^-53; above _SCALE_BOUND the batch is scaled by 2^-q first and
-    the result squared q times.  This is the step exponential of verify.
-    """
-    b, q = _scaled_bound(A)
-    E = _taylor_polynomial(A / 2.0**q if q else A, _taylor_degree(b))
+    E = _taylor_polynomial(A / 2.0**q if q else A, _taylor_degree(b / 2.0**q))
     for _ in range(q):
         E = E @ E
     return E
 
 
 def matrix_exp_antihermitian(Bg: np.ndarray):
-    """exp(B) for anti-hermitian matrix values, batched over leading axes.
-
-    Returns (E, D) with D = E - I formed directly as the Taylor polynomial
-    without its constant term; its remainder is at most 2^-53 b at the
-    batch's 1-norm bound b, so D stays accurate relative to ||B|| however
-    small B is.  Above _SCALE_BOUND it squares in D-form, D <- 2D + D D.
-    """
+    """(E, E - I) with E = exp(B) for anti-hermitian values B, batched over leading axes."""
     Bg = np.asarray(Bg, dtype=complex)
-    shape = Bg.shape
-    A = Bg.reshape((-1,) + shape[-2:])
-    b, q = _scaled_bound(A)
-    D = _taylor_polynomial(A / 2.0**q if q else A, _taylor_degree(b, _UNIT_ROUNDOFF * b),
-                           constant=False)
-    for _ in range(q):
-        D = 2.0 * D + D @ D
-    D = D.reshape(shape)
-    E = D + np.eye(shape[-1], dtype=complex)
-    return E, D
+    E = _expm_taylor(Bg.reshape((-1,) + Bg.shape[-2:])).reshape(Bg.shape)
+    return E, E - np.eye(Bg.shape[-1])
 
 
-def conjugate(
-    base: DiagonalPart,
-    P: OperatorSeries,
-    B: OperatorSeries,
-    omega,
-    K_out: int | None = None,
-    oversample: int = 1,
-    chop_floor: float = 0.0,
-    majorant_s: float = 0.0,
-    with_info: bool = False,
-):
-    """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B).
+def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, omega,
+              K_out: int, s: float):
+    """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B), as a Lie series.
 
-    Everything is evaluated on one oversampled grid and transformed back to
-    cutoff K_out; the result is hermitized after measuring the defect.
+    With L(X) = XB - BX and the generator's defect D = [A,B] - i omega.dB
+    + P_off (homological._generator_defect), the series is summed to order
+    m by Horner:
+
+        S_m = Y_m,  S_k = Y_k + L(S_{k+1}),  P+ = S_0 = D + L(S_1),
+        Y_k = diag P / k! + k P_off / (k+1)! + D / (k+1)!,
+
+    each L one alias-free commutator and each S_k truncated at K_out.  P+
+    is hermitized after its defect is measured, then chopped at CHOP_FLOOR.
+
+    In ||X|| = delta_norm(X, base, s), a bound on the strip for s > 0,
+    ||L(X)|| <= b ||X|| with b = 2 g_norm(B, base, s), and ||Y_k|| <= p / k!
+    with p = ||diag P|| + ||P_off|| + ||D||.  Hence
+
+    * lie_tail_bound = p b^(m+1) / (m+1)! / (1 - b / (m+2)) bounds the
+      terms past order m, and m is the smallest order that puts it at or
+      below CHOP_FLOOR (m = 0 for B = 0, where P+ = P_off exactly);
+    * truncation_bound = sum_k b^k ||X_k - S_k||, X_k being level k before
+      truncation, bounds what truncation at K_out loses: each dropped part
+      is measured exactly and then passes k more commutators.
+
+    Returns (P+, info): P+ has band at most K_out; info holds lie_order,
+    the two bounds, hermiticity_defect, the chopped count,
+    chopped_norm_bound and grid, the widest commutator grid (0 if none).
     """
     omega = _omega_vec(omega)
     n, N = P.n, P.N
     if B.antihermiticity_defect() > 1e-10 * max(1.0, float(np.max(np.abs(B.coeffs)))):
         warnings.warn("generator is not anti-hermitian to 1e-10", GuardWarning)
-    if K_out is None:
-        K_out = max(P.K, B.K)
-    band = max(P.K, B.K, base.K)
-    M = int(next_fast_len(oversample * max(2 * (K_out + B.K) + 2, 2 * band + 2)))
+    off = P.offdiagonal_part()
+    diag = P - off
+    D = _generator_defect(B, P, base, omega)
+    p = sum(delta_norm(X, base, s) for X in (diag, off, D))
+    b = 2.0 * g_norm(B, base, s)
+    m = _taylor_degree(b, CHOP_FLOOR / max(p, 1e-300))
+    tail = p * b ** (m + 1) / math.factorial(m + 1) / (1.0 - b / (m + 2))
 
-    E, D = matrix_exp_antihermitian(B.grid(M))
-    Eh = np.conj(np.swapaxes(E, -1, -2))
-    unitarity = float(np.max(np.abs(Eh @ E - np.eye(N))))
+    S, M, truncation = None, 0, 0.0
+    for k in range(m, -1, -1):
+        X = D * (1.0 / math.factorial(k + 1))
+        if k:
+            X = X + diag * (1.0 / math.factorial(k)) + off * (k / math.factorial(k + 1))
+        if S is not None:
+            M = max(M, int(next_fast_len(2 * (S.K + B.K) + 2)))   # the commutator's grid
+            X = X + S.commutator(B)
+        S = X.truncate(min(X.K, K_out))
+        truncation += b**k * delta_norm(X - S, base, s)
 
-    a = base.values_on_grid(M)                       # (M.., N)
-    G = D * (a[..., :, None] - a[..., None, :])      # [A, D]
-    Pg = P.grid(M)
-    G += Pg @ E
-    idx = np.arange(N)
-    P_diag = Pg[..., idx, idx]
-    del Pg
-
-    KD = (M - 2) // 2
-    Dc = grid_to_coeffs(D, n, KD)
-    del D
-    kdw = _k_dot_omega(n, KD, omega)
-    Ed = coeffs_to_grid(1j * kdw[..., None, None] * Dc, n, KD, M)
-    del Dc
-    G += (-1j) * Ed
-    del Ed
-
-    R = Eh @ G
-    del G
-    R[..., idx, idx] -= P_diag
-
-    coeffs = grid_to_coeffs(R, n, K_out)
-    del R
+    coeffs = S.coeffs
     mirror = _mirror(coeffs, n)
     herm_defect = float(np.max(np.abs(coeffs - mirror)))
     # the output is quadratically small, so roundoff is judged against the
@@ -388,28 +355,18 @@ def conjugate(
     if herm_defect > 1e-11 * scale:
         warnings.warn(f"conjugation hermiticity defect {herm_defect:.2e}", GuardWarning)
     coeffs = 0.5 * (coeffs + mirror)
-    chopped = 0
-    chopped_bound = 0.0
-    if chop_floor > 0.0:
-        kept = chop(coeffs, chop_floor)
-        removed = coeffs - kept
-        chopped = int(np.count_nonzero(coeffs) - np.count_nonzero(kept))
-        if chopped:
-            # crude but sufficient norm bound on the discarded mass so the
-            # reported ||P+|| can never understate the truth
-            mass = np.abs(removed)
-            if majorant_s > 0:
-                mass = mass * strip_weight(n, K_out, majorant_s)[..., None, None]
-            chopped_bound = float(np.sum(mass))
-        coeffs = kept
-    P_plus = OperatorSeries(n, K_out, N, coeffs)
-    if not with_info:
-        return P_plus
-    return P_plus, {
-        "unitarity_defect": unitarity,
+    kept = chop(coeffs, CHOP_FLOOR)
+    chopped = int(np.count_nonzero(coeffs) - np.count_nonzero(kept))
+    # crude but sufficient norm bound on the discarded mass so the reported
+    # ||P+|| can never understate the truth
+    mass = np.abs(coeffs - kept) * strip_weight(n, S.K, s)[..., None, None]
+    return OperatorSeries(n, S.K, N, kept), {
+        "lie_order": m,
+        "lie_tail_bound": tail,
+        "truncation_bound": truncation,
         "hermiticity_defect": herm_defect,
         "chopped": chopped,
-        "chopped_norm_bound": chopped_bound,
+        "chopped_norm_bound": float(np.sum(mass)),
         "grid": M,
     }
 
@@ -490,14 +447,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         warnings.warn(msg, GuardWarning)
 
     clock = time.perf_counter()
-    P_plus, cinfo = conjugate(
-        base, P, B, w,
-        K_out=K_work,
-        oversample=OVERSAMPLE,
-        chop_floor=CHOP_FLOOR,
-        majorant_s=s_next,
-        with_info=True,
-    )
+    P_plus, cinfo = conjugate(base, P, B, w, K_work, s_next)
     # outer shells that chopping left all-zero carry no mass: drop them
     P_plus = P_plus.trim()
     t_conjugate = time.perf_counter() - clock
@@ -547,9 +497,13 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
             step=l_next,
         )
 
-    # the bound on chopped mass is folded in so the report never understates
+    # the bounds on chopped, truncated and series-tail mass are folded in so
+    # the report never understates; the last two are in base's weight W and
+    # grow by at most max W_new / W in new_base's
     clock = time.perf_counter()
-    norm_next = delta_norm(P_plus, new_base, s_next) + cinfo["chopped_norm_bound"]
+    reweight = float(np.max(new_base.weight() / base.weight()))
+    norm_next = (delta_norm(P_plus, new_base, s_next) + cinfo["chopped_norm_bound"]
+                 + reweight * (cinfo["lie_tail_bound"] + cinfo["truncation_bound"]))
     t_norms += time.perf_counter() - clock
     eps_bound = settings.eps_schedule(l_next)
     eps_ok = (settings.epsilon == 0.0) or (norm_next <= eps_bound)
@@ -581,7 +535,9 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "hom_residual": sol.residual,
         "min_divisor": sol.min_divisor,
         "B_g_norm": gB,
-        "unitarity_defect": cinfo["unitarity_defect"],
+        "lie_order": cinfo["lie_order"],
+        "lie_tail_bound": cinfo["lie_tail_bound"],
+        "truncation_bound": cinfo["truncation_bound"],
         "hermiticity_defect": cinfo["hermiticity_defect"],
         "chopped": cinfo["chopped"],
         "chopped_norm_bound": cinfo["chopped_norm_bound"],
@@ -681,18 +637,6 @@ def _compose(generators, values, N: int, batch: tuple = ()) -> np.ndarray:
         E, _ = matrix_exp_antihermitian(values(B))
         U = U @ E
     return U
-
-
-def compose_transformations(generators, phi, N: int | None = None) -> np.ndarray:
-    """U(phi) = exp(B_1(phi)) exp(B_2(phi)) ... as a dense unitary matrix.
-
-    An empty generator list composes to the identity (N must then be given).
-    """
-    gens = list(generators)
-    if not gens and N is None:
-        raise KamError("empty generator list: pass N for the identity size")
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    return _compose(gens, lambda B: B(phi), gens[0].N if gens else N)
 
 
 def compose_on_grid(generators, N: int, n: int, M: int) -> np.ndarray:

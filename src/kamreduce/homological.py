@@ -21,11 +21,12 @@ primitive of h (Hhat_k = hhat_k / (i omega.k)),
 
 One kernel solves a stack of pairs on one grid: solve_variable calls it
 with all N(N-1)/2 pairs, whatever mu (with mu = 0 the factor is 1 and the
-solve is the division above), solve_kuksin with one.  solve_constant forms
-the division directly and serves as the reference.  Every solve reports its
-relative defect as a bound: the defect D is formed exactly in coefficients
-and ||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is
-divided by the same norm of the right-hand side.
+solve is the division above), solve_kuksin with one; solve_constant is the
+division alone, for mu = 0.  Every solve reports its relative defect as a
+bound: _defect forms the defect D exactly in coefficients, and
+||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is divided
+by the same norm of the right-hand side.  The conjugation step takes the
+generator's defect from the same function, through _generator_defect.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
 FLOOR_SCALE = 1e-12  # divisor floor at k = 0, relaxed polynomially in |k|_1
 C_GUARD = 1.0        # Kuksin guard |E1|^theta >= C_GUARD * E2
 CSTAR = 10.0         # C* guard C_mu / C_lambda < CSTAR
+OVERSAMPLE = 4       # grid oversampling of a pair solve without an explicit work_K
 
 
 def _divisor_floor(n: int, K: int, tau: float = 2.0) -> np.ndarray:
@@ -105,14 +107,13 @@ class HomologicalSolution:
     truncation_residue: float = 0.0
 
 
-def _relative_defect(chi, gap, mud, rhs, omega, s: float, W) -> float:
-    """||W |D|_s||_2 / ||W |rhs|_s||_2 for D = (gap + mud) chi - i (omega.d) chi - rhs.
+def _defect(chi, gap, mud, rhs, omega) -> OperatorSeries:
+    """D = (gap + mud) chi - i (omega.d) chi - rhs, formed exactly in coefficients.
 
     chi, rhs and mud are centred coefficient blocks with trailing (N, N)
     entry axes; gap is (N, N) and mud (or None) multiplies chi entrywise.
     D's coefficients are formed, not sampled: the product mud chi is taken
-    on an alias-free grid.  |D|_s dominates |D_ij(phi)| on |Im phi| <= s,
-    so the ratio bounds the relative defect there.
+    on an alias-free grid, and D keeps its whole band.
     """
     n, N = len(omega), chi.shape[-1]
     K_chi, K_rhs = (chi.shape[0] - 1) // 2, (rhs.shape[0] - 1) // 2
@@ -124,21 +125,33 @@ def _relative_defect(chi, gap, mud, rhs, omega, s: float, W) -> float:
         prod, _ = OperatorSeries(n, K_mu, N, mud).product(OperatorSeries(n, K_chi, N, chi))
         D[_box(n, prod.K, K_D)] += prod.coeffs
     D[_box(n, K_rhs, K_D)] -= rhs
-    dn = np.linalg.norm(W[:, None] * OperatorSeries(n, K_D, N, D).majorant_matrix(s), 2)
-    rn = np.linalg.norm(W[:, None] * OperatorSeries(n, K_rhs, N, rhs).majorant_matrix(s), 2)
+    return OperatorSeries(n, K_D, N, D)
+
+
+def _relative_defect(D: OperatorSeries, rhs: np.ndarray, s: float, W) -> float:
+    """||W |D|_s||_2 / ||W |rhs|_s||_2, a bound on the relative defect on |Im phi| <= s."""
+    rhs = OperatorSeries(D.n, (rhs.shape[0] - 1) // 2, D.N, rhs)
+    dn = np.linalg.norm(W[:, None] * D.majorant_matrix(s), 2)
+    rn = np.linalg.norm(W[:, None] * rhs.majorant_matrix(s), 2)
     return float(dn) / max(float(rn), 1e-300)
 
 
-def _generator_residual(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart,
-                        omega, s: float) -> float:
-    """Relative defect bound of [A,B] - i Bdot + (P - diag P) at strip width s."""
+def _generator_defect(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart,
+                      omega) -> OperatorSeries:
+    """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, in coefficients."""
     mud = None
     if base.mu is not None and np.any(base.mu):
         # entry (i, j) of [A, B] is (a_i - a_j) B_ij
         mud = np.moveaxis(base.mu[:, None] - base.mu[None, :], (0, 1), (-2, -1))
     gap = base.lam[:, None] - base.lam[None, :]
-    rhs = -P.offdiagonal_part().coeffs
-    return _relative_defect(B.coeffs, gap, mud, rhs, omega, s, base.weight())
+    return _defect(B.coeffs, gap, mud, -P.offdiagonal_part().coeffs, omega)
+
+
+def _generator_residual(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart,
+                        omega, s: float) -> float:
+    """Relative defect bound of [A,B] - i Bdot + (P - diag P) at strip width s."""
+    return _relative_defect(_generator_defect(B, P, base, omega),
+                            P.offdiagonal_part().coeffs, s, base.weight())
 
 
 def solve_constant(
@@ -205,11 +218,11 @@ def _tight_cutoff(coeffs: np.ndarray, n: int, K: int, tol: float) -> int:
     return int(np.max(np.abs(k_box(n, K))[mags >= tol * mx]))
 
 
-def _working_grid(band: int, oversample: int, work_K: int | None = None) -> int:
+def _working_grid(band: int, work_K: int | None = None) -> int:
     """Grid of the pair solve: oversampled, or alias-free up to an explicit work_K."""
     if work_K is not None:
         return int(next_fast_len(2 * max(work_K, band) + 2))
-    return int(next_fast_len(max(oversample * (2 * band + 2), 2 * band + 2)))
+    return int(next_fast_len(OVERSAMPLE * (2 * band + 2)))
 
 
 def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
@@ -266,7 +279,6 @@ def solve_kuksin(
     E2: float,
     omega,
     K_out: int | None = None,
-    oversample: int = 4,
     guard_theta: float = 0.5,
     with_info: bool = False,
 ):
@@ -296,14 +308,15 @@ def solve_kuksin(
         if abs(h.average()) > 1e-10 * max(float(np.max(np.abs(h.coeffs))), 1e-300):
             raise KamError("solve_kuksin requires a zero-average h")
         mud = E2 * h.coeffs[..., None]
-    M = _working_grid(b.K + (mud.shape[0] - 1) // 2, oversample)
+    M = _working_grid(b.K + (mud.shape[0] - 1) // 2)
     chic, min_div, unimod, _ = _solve_pairs(b.coeffs[..., None], mud, np.array([float(E1)]),
                                             omega, M, K_out)
     chi = TorusSeries(n, (chic.shape[0] - 1) // 2, chic[..., 0])
     if not with_info:
         return chi
-    residual = _relative_defect(chic[..., None], np.array([[float(E1)]]), mud[..., None],
-                                b.coeffs[..., None, None], omega, 0.0, np.ones(1))
+    rhs = b.coeffs[..., None, None]
+    D = _defect(chic[..., None], np.array([[float(E1)]]), mud[..., None], rhs, omega)
+    residual = _relative_defect(D, rhs, 0.0, np.ones(1))
     return chi, {"residual": residual, "min_divisor": min_div, "unimodularity_defect": unimod,
                  "guard_ok": guard_ok, "K_out": chi.K}
 
@@ -314,7 +327,6 @@ def solve_variable(
     omega,
     s: float = 0.0,
     K_out: int | None = None,
-    oversample: int = 4,
     work_K: int | None = None,
     guard_theta: float = 0.5,
 ) -> HomologicalSolution:
@@ -362,7 +374,7 @@ def solve_variable(
     if messages:
         warnings.warn("; ".join(messages[:3]), GuardWarning)
 
-    M = _working_grid(P.K + base.K, oversample, work_K)
+    M = _working_grid(P.K + base.K, work_K)
     chic, min_div, _, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M, K_out, pairs)
     K_B = (chic.shape[0] - 1) // 2
     Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)

@@ -6,11 +6,11 @@ valued series carry two trailing axes (N, N).  TorusSeries and
 OperatorSeries share one implementation, _Series, which differs between
 them only by those trailing axes: padding and truncation by _box,
 arithmetic, grid sampling, evaluation at a batch of angles (at, by direct
-mode summation) and one alias-free grid product (product entrywise, matmul
-for operators).  All transforms are plain FFTs on equispaced grids; products
-are computed on grids large enough to be exact for the sum of the input
-bandwidths and then truncated, with the discarded mass tracked.  _mirror is
-the one k -> -k conjugate mirror.
+mode summation) and one alias-free grid product (product entrywise; matmul
+and commutator for operators).  All transforms are plain FFTs on equispaced
+grids; products are computed on grids large enough to be exact for the sum
+of the input bandwidths and then truncated, with the discarded mass
+tracked.  _mirror is the one k -> -k conjugate mirror.
 
 Norm conventions:
 
@@ -38,7 +38,6 @@ __all__ = [
     "TorusSeries",
     "OperatorSeries",
     "DiagonalPart",
-    "transform_roundtrip",
     "directional_derivative",
     "sup_norm_s",
     "delta_norm",
@@ -147,6 +146,14 @@ def chop(coeffs: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
+def _commute(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y - y @ x over the leading axes, one slice of y @ x at a time."""
+    out = x @ y
+    for a, b, o in zip(x, y, out):
+        o -= b @ a
+    return out
+
+
 # ---------------------------------------------------------------------------
 # series containers
 
@@ -238,7 +245,9 @@ class _Series:
         K_full = self.K + other.K
         M = next_fast_len(2 * K_full + 2)
         full = grid_to_coeffs(op(self.grid(M), other.grid(M)), self.n, K_full)
-        out = self._like(K_full, full).truncate(K_full if K_out is None else K_out)
+        if K_out is None:
+            return self._like(K_full, full), 0.0
+        out = self._like(K_full, full).truncate(K_out)
         residue = float(np.sum(np.abs(full)) - np.sum(np.abs(out.coeffs)))
         return out, max(residue, 0.0)
 
@@ -269,12 +278,6 @@ class TorusSeries(_Series):
         return TorusSeries(n, K, np.zeros((2 * K + 1,) * n, dtype=complex))
 
     @staticmethod
-    def constant(n: int, value: complex, K: int = 0) -> "TorusSeries":
-        c = np.zeros((2 * K + 1,) * n, dtype=complex)
-        c[(K,) * n] = value
-        return TorusSeries(n, K, c)
-
-    @staticmethod
     def from_modes(n: int, K: int, modes: dict) -> "TorusSeries":
         """Build from a {k-tuple: coefficient} mapping."""
         c = np.zeros((2 * K + 1,) * n, dtype=complex)
@@ -286,10 +289,6 @@ class TorusSeries(_Series):
         return TorusSeries(n, K, c)
 
     # -- structure ------------------------------------------------------------
-
-    def conj(self) -> "TorusSeries":
-        """Complex conjugate on the real torus: chat(k) -> conj(chat(-k))."""
-        return TorusSeries(self.n, self.K, _mirror(self.coeffs, self.n))
 
     def average(self) -> complex:
         return complex(self.coeffs[(self.K,) * self.n])
@@ -325,6 +324,10 @@ class OperatorSeries(_Series):
     def matmul(self, other: "OperatorSeries", K_out: int | None = None):
         """Exact grid product self(phi) @ other(phi); returns (series, residue)."""
         return self._grid_product(other, K_out, np.matmul)
+
+    def commutator(self, other: "OperatorSeries") -> "OperatorSeries":
+        """Exact grid commutator self other - other self, at band self.K + other.K."""
+        return self._grid_product(other, None, _commute)[0]
 
     # -- structure -----------------------------------------------------------
 
@@ -393,11 +396,6 @@ class DiagonalPart:
     def N(self) -> int:
         return len(self.lam)
 
-    def mu_series(self, i: int) -> TorusSeries:
-        if self.mu is None:
-            return TorusSeries.zero(self.n, self.K)
-        return TorusSeries(self.n, self.K, self.mu[i])
-
     def values_on_grid(self, M: int) -> np.ndarray:
         """a_i(phi) = lambda_i + mu_i(phi) on the M**n grid, shape (M,)*n + (N,)."""
         base = np.broadcast_to(self.lam, (M,) * self.n + (self.N,)).astype(complex)
@@ -430,19 +428,6 @@ class DiagonalPart:
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def transform_roundtrip(f: TorusSeries | OperatorSeries, grid_size: int):
-    """Sample f on an equispaced grid and transform back to coefficients.
-
-    grid_size must be at least 2K+2 per angle; the round-trip is then exact
-    up to roundoff.  Returns (reconstructed, max coefficient error).
-    """
-    if grid_size < 2 * f.K + 2:
-        raise AliasingError(f"grid size {grid_size} < 2K+2 = {2 * f.K + 2}")
-    vals = f.grid(grid_size)
-    back = grid_to_coeffs(vals, f.n, f.K)
-    return f._like(f.K, back), float(np.max(np.abs(back - f.coeffs)))
 
 
 def directional_derivative(f: TorusSeries | OperatorSeries, omega) -> "TorusSeries | OperatorSeries":

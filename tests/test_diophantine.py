@@ -35,6 +35,17 @@ def base_power(N, d=4 / 3, delta=0.2, n=1):
     return DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** d, d=d, delta=delta, n=n)
 
 
+def empty_by_gap_domination(rs, c_lambda, gap_scale, omega_sup=1.0):
+    """Emptiness certificate: the lambda-gap dominates any reachable omega . k.
+
+    gap_scale is |i^d - j^d|.  Requires alpha <= (c_lambda/2) gap_scale and
+    |k|_1 <= (c_lambda/2) gap_scale / omega_sup; then
+    |gap - omega.k| >= c_lambda*gap_scale - |k|_1*omega_sup > alpha on the box.
+    """
+    k1 = float(np.sum(np.abs(rs.k)))
+    return rs.alpha <= 0.5 * c_lambda * gap_scale and omega_sup * k1 <= 0.5 * c_lambda * gap_scale
+
+
 def dio1_margin_oracle(omega, tau, Kmax):
     """Pure-python enumeration of min |omega.k| |k|_1^tau, no shared code."""
     omega = np.atleast_1d(omega)
@@ -72,8 +83,8 @@ def test_dio1_zero_gamma_is_vacuous():
 
 def test_dio1_margin_reports_max_passing_gamma():
     cert = check_dio1(GOLDEN, gamma=0.05, tau=1.5, Kmax=12)
-    assert check_dio1(GOLDEN, cert.max_passing_gamma * 0.999, 1.5, 12).passed
-    assert not check_dio1(GOLDEN, cert.max_passing_gamma * 1.001, 1.5, 12).passed
+    assert check_dio1(GOLDEN, cert.min_margin * 0.999, 1.5, 12).passed
+    assert not check_dio1(GOLDEN, cert.min_margin * 1.001, 1.5, 12).passed
 
 
 def test_dio2_oracle_small_case():
@@ -264,7 +275,7 @@ def test_measure_bound_with_lipschitz_gap():
 def test_emptiness_certificate_matches_montecarlo():
     # big lambda-gap, small k: certified empty, and MC finds nothing
     rs = ResonanceSet(i=2, j=9, k=(1,), alpha=0.3, gap=50.0)
-    assert rs.empty_by_gap_domination(c_lambda=1.0, gap_scale=50.0)
+    assert empty_by_gap_domination(rs, c_lambda=1.0, gap_scale=50.0)
     assert resonance_measure_estimate(rs, 20000, seed=4) == 0.0
 
 

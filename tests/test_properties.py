@@ -11,6 +11,11 @@ it must dominate ||W D(phi)||_2 for the defect D = [A,B] - i omega.dB + P_off
 of solve_variable's generator, at strip points and on the real grid, and it
 is reached without a grid SVD.
 
+One conjugation step, formed as a Lie series of alias-free commutators,
+matches the dense oracle that builds exp(B) pointwise with scipy, and the
+series-tail, truncation and chopping bounds it reports dominate its
+distance to a reference formed at a larger cutoff and a higher order.
+
 The windowed second-order Diophantine margins that frequency sampling uses
 are the dense kernel's margins wherever those fall below the window's
 threshold, and at least the threshold everywhere else.
@@ -20,14 +25,17 @@ operation on an OperatorSeries is the same operation on each of its entries.
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kamreduce import diophantine, homological, torus
+from kamreduce.engine import conjugate
 from kamreduce.homological import solve_variable
 from kamreduce.torus import (
     DiagonalPart,
@@ -195,6 +203,89 @@ def test_homological_residual_runs_no_grid_svd(case):
         mp.setattr(homological.np.linalg, "svd", counting)
         solve_case(case)
     assert not [shape for shape in shapes if len(shape) > 2]
+
+
+conjugation_cases = st.tuples(
+    st.integers(1, 5),                                            # N
+    st.integers(0, 3),                                            # K of P
+    st.integers(0, 2),                                            # K of B
+    st.integers(0, 1),                                            # K of mu (0: mu = 0)
+    st.integers(0, 6),                                            # K_out
+    st.floats(0.01, 0.1),                                         # s
+    st.floats(0.0, 0.3),                                          # g of B
+    st.integers(0, 2**32 - 1),                                    # coefficient seed
+)
+
+
+def conjugation_case(case):
+    """Hermitian P, and anti-hermitian B scaled to g_norm(B, base, s) = g, against lambda + mu."""
+    N, K, K_B, K_mu, K_out, s, g, seed = case
+    P, _, _, rng = draw((1, N, K, s, 0.2, seed))
+    H, _, _, _ = draw((1, N, K_B, s, 0.2, rng.integers(2**32)))
+    mu = None
+    if K_mu:
+        c = rng.normal(size=(N, 3)) + 1j * rng.normal(size=(N, 3))
+        mu = 0.05 * (c + np.conj(c[:, ::-1]))
+        mu[:, 1] = 0.0
+    base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D, d=D, delta=0.2, n=1,
+                        mu=mu, K=K_mu)
+    B = 1j * H
+    gB = g_norm(B, base, s)
+    B = B * (g / gB) if gB > 0 else B
+    return base, P, B, np.array([GOLDEN]), K_out, s
+
+
+def dense_conjugation(base, P, B, omega, M):
+    """E*(A+P)E - A - i E*(omega . dE) - diag P on M points, E = expm(B) point by point."""
+    E = np.stack([scipy.linalg.expm(b) for b in B.grid(M)])
+    k = np.fft.fftfreq(M, d=1.0 / M)
+    dE = np.fft.ifft(np.fft.fft(E, axis=0) * (1j * k * omega[0])[:, None, None], axis=0)
+    Eh = np.conj(np.swapaxes(E, -1, -2))
+    idx = np.arange(P.N)
+    H = P.grid(M)
+    diag = H[:, idx, idx] + base.values_on_grid(M)
+    H[:, idx, idx] = diag
+    out = Eh @ H @ E - 1j * (Eh @ dE)
+    out[:, idx, idx] -= diag
+    return out
+
+
+def lie_reference(base, P, B, omega, order):
+    """The Lie series of P+ to the given order, with no cutoff and no chopping."""
+    off = P.offdiagonal_part()
+    D = homological._generator_defect(B, P, base, omega)
+    S = None
+    for k in range(order, -1, -1):
+        Y = D * (1.0 / math.factorial(k + 1))
+        if k:
+            Y = Y + (P - off) * (1.0 / math.factorial(k)) + off * (k / math.factorial(k + 1))
+        S = Y if S is None else Y + S.commutator(B)
+    return S
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugation_cases)
+def test_conjugate_matches_the_dense_expm_oracle(case):
+    base, P, B, omega, _, s = conjugation_case(case)
+    M = 128
+    R, _ = conjugate(base, P, B, omega, 40, s)
+    oracle = dense_conjugation(base, P, B, omega, M)
+    assert np.max(np.abs(R.grid(M) - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(P.coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugation_cases)
+def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
+    base, P, B, omega, K_out, s = conjugation_case(case)
+    R, info = conjugate(base, P, B, omega, K_out, s)
+    assert R.K <= K_out
+    ref = lie_reference(base, P, B, omega, info["lie_order"] + 6)
+    gap = delta_norm(ref - R, base, s)
+    bound = info["lie_tail_bound"] + info["truncation_bound"] + info["chopped_norm_bound"]
+    # roundoff: the reference's coefficients carry ~1e-16 of its largest one,
+    # and the strip weights scale each by at most e^{s K}
+    slack = 1e-14 * np.sum(np.abs(ref.coeffs)) * math.exp(s * ref.K)
+    assert gap <= bound + slack
 
 
 dio_cases = st.tuples(
