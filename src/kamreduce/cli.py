@@ -182,14 +182,10 @@ def _cert_dict(cert):
 
 
 def _certify(omega, base, settings):
-    """Both non-resonance certificates of an explicit omega over settings.horizon()."""
+    """An explicit omega with both non-resonance certificates over settings.horizon()."""
     from . import diophantine as dio
 
-    horizon = settings.horizon()
-    return (
-        dio.check_dio1(omega, settings.gamma, settings.tau, horizon),
-        dio.check_dio2(omega, base, settings.gamma, settings.tau, horizon, base.N),
-    )
+    return dio.certify(omega, base, settings.gamma, settings.tau, settings.horizon(), base.N)
 
 
 def _resolve_frequency(manifest: RunManifest, base, settings):
@@ -200,43 +196,32 @@ def _resolve_frequency(manifest: RunManifest, base, settings):
 
     freq = manifest.frequency
     if "omega" in freq:
-        omega = np.asarray([float(w) for w in freq["omega"]], dtype=float)
-        cert1, cert2 = _certify(omega, base, settings)
-        if not (cert1.passed and cert2.passed):
-            detail = cert1.violating_k if not cert1.passed else cert2.violating_triple
+        chosen = _certify(np.asarray([float(w) for w in freq["omega"]], dtype=float),
+                          base, settings)
+        if not (chosen.dio1.passed and chosen.dio2.passed):
+            detail = (chosen.dio1.violating_k if not chosen.dio1.passed
+                      else chosen.dio2.violating_triple)
             raise FrequencyExcluded(
                 f"manifest frequency fails its certificate at {detail}",
                 triple=detail,
                 step=0,
             )
-        info = {
-            "source": "manifest",
-            "dio1": _cert_dict(cert1),
-            "dio2": _cert_dict(cert2),
-        }
-        return omega, info
-    req = freq["sample"]
-    chosen, info = dio.optimize_frequency(
-        n=base.n,
-        base=base,
-        gamma=settings.gamma,
-        tau=settings.tau,
-        Kmax=req["Kmax"],
-        Nmax=req.get("Nmax", base.N),
-        num_candidates=req["num_candidates"],
-        seed=manifest.seed,
-        robust_K=req.get("robust_K"),
-    )
-    out = {
-        "source": "sampled",
-        "dio1": _cert_dict(chosen.dio1),
-        "dio2": _cert_dict(chosen.dio2),
-        "min_raw_divisor": info["min_raw_divisor"],
-        "robust_K": info["robust_K"],
-        "admissible": info["admissible"],
-        "candidates": info["candidates"],
-    }
-    return chosen.omega, out
+        info = {"source": "manifest"}
+    else:
+        req = freq["sample"]
+        chosen, info = dio.optimize_frequency(
+            n=base.n,
+            base=base,
+            gamma=settings.gamma,
+            tau=settings.tau,
+            Kmax=req["Kmax"],
+            Nmax=req.get("Nmax", base.N),
+            num_candidates=req["num_candidates"],
+            seed=manifest.seed,
+            robust_K=req.get("robust_K"),
+        )
+        info = dict(info, source="sampled")
+    return chosen.omega, dict(info, dio1=_cert_dict(chosen.dio1), dio2=_cert_dict(chosen.dio2))
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +272,12 @@ def cmd_frequencies(manifest: RunManifest) -> int:
             import numpy as np
 
             omega = np.asarray(manifest.frequency["omega"], dtype=float)
-            cert1, cert2 = _certify(omega, base, settings)
+            chosen = _certify(omega, base, settings)
             doc["certificate"] = {
-                "dio1": _cert_dict(cert1),
-                "dio2": _cert_dict(cert2),
+                "dio1": _cert_dict(chosen.dio1),
+                "dio2": _cert_dict(chosen.dio2),
                 "omega": list(omega),
-                "passed": bool(cert1.passed and cert2.passed),
+                "passed": bool(chosen.dio1.passed and chosen.dio2.passed),
             }
         else:
             omega, info = _resolve_frequency(manifest, base, settings)

@@ -7,20 +7,17 @@ Two conditions are certified for a frequency omega in [0,1]^n:
                      >= gamma |i^d - j^d| / (1 + |k|_1^tau)  for i != j <= Nmax,
                                                               |k|_1 <= Kmax
 
-For one frequency, check_dio2 evaluates the second condition densely with a
-gap-domination prune: triples whose lambda-gap dwarfs the reachable |omega . k|
-cannot violate the bound and are skipped (and the same criterion certifies all
-pairs beyond any finite Nmax once the gap clears a recorded threshold, since
-the gaps grow like |i^d - j^d|).  Certificates record the exact minimizing
-margin so a caller can read off the largest gamma the frequency would still
-pass.
-
-Batches of sampled frequencies (sample_admissible, optimize_frequency,
-rejection_table) only compare the margin against a threshold gamma_max, so
-they use a window instead: for each k, only the pairs whose -gap lies within
-gamma_max max|i^d - j^d| / (1 + |k|_1^tau) of omega . k can fall below
-gamma_max, and only those are evaluated.  Margins below gamma_max are exactly
-the dense ones; the rest are only known to be >= gamma_max.
+Each condition has one kernel, shared by the certificate of one frequency
+and by batches of sampled frequencies (sample_admissible, optimize_frequency,
+rejection_table).  The first-order one forms every |omega . k| |k|_1^tau
+from one product omegas @ ks.T.  The second-order one is a window: a margin
+below a ceiling needs |gap + omega . k| < ceiling max|i^d - j^d| / w(k), so
+for each k only the pairs whose -gap lies that close to omega . k are
+evaluated.  Margins below the ceiling are exact; the rest are only known to
+be at least the ceiling.  Samplers take gamma as the ceiling.  check_dio2
+takes the smallest k = 0 margin, which is itself evaluated, so its
+min_margin is the exact minimum over all (i, j, k) and a caller can read off
+the largest gamma the frequency would still pass.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ __all__ = [
     "default_tau",
     "check_dio1",
     "check_dio2",
+    "certify",
     "sample_admissible",
     "optimize_frequency",
     "rejection_table",
@@ -56,17 +54,15 @@ def default_tau(n: int, d: float) -> float:
 
 def half_k_lattice(n: int, Kmax: int) -> np.ndarray:
     """Nonzero k with |k|_1 <= Kmax, one of each +-k pair (first nonzero > 0)."""
-    ks = full_k_lattice(n, Kmax, include_zero=False)
+    ks = full_k_lattice(n, Kmax)
     lead = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
     return ks[lead > 0]
 
 
-def full_k_lattice(n: int, Kmax: int, include_zero: bool = True) -> np.ndarray:
+def full_k_lattice(n: int, Kmax: int) -> np.ndarray:
     """k with |k|_1 <= Kmax in lexicographic order."""
     ks = k_box(n, Kmax)
-    l1 = np.sum(np.abs(ks), axis=1)
-    keep = (l1 <= Kmax) & ((l1 > 0) | include_zero)
-    return ks[keep].astype(float)
+    return ks[np.sum(np.abs(ks), axis=1) <= Kmax].astype(float)
 
 
 @dataclass(frozen=True)
@@ -86,32 +82,25 @@ class Dio2Certificate:
     tau: float
     K_max: int
     N_max: int
-    min_margin: float          # min over (i,j,k) of |gap + omega.k| (1+|k|^tau)/|i^d-j^d|
+    # exact min over (i,j,k), k = 0 included, of |gap + omega.k| (1+|k|^tau)/|i^d-j^d|
+    min_margin: float
     violating_triple: tuple | None = None
-    pruned_fraction: float = 0.0
+    pruned_fraction: float = 0.0     # share of (pair, k) combinations the window never evaluates
     tail_safe_gap: float = math.inf  # pairs with |i^d - j^d| above this pass for any |k|_1 <= K_max
 
 
 @dataclass(frozen=True)
 class Frequency:
-    """A sampled frequency with its nonresonance certificates."""
+    """A frequency with its two nonresonance certificates."""
 
     omega: np.ndarray
-    gamma: float
-    tau: float
-    certified_K: int
-    certified_N: int
-    dio1: Dio1Certificate | None = None
-    dio2: Dio2Certificate | None = None
+    dio1: Dio1Certificate
+    dio2: Dio2Certificate
 
     def __post_init__(self):
         w = np.asarray(self.omega, dtype=float).copy()
         w.flags.writeable = False
         object.__setattr__(self, "omega", w)
-
-    @property
-    def n(self) -> int:
-        return len(self.omega)
 
 
 @dataclass(frozen=True)
@@ -133,99 +122,49 @@ class ResonanceSet:
 # vectorized kernels (shared by the certificate and the sampling paths)
 
 
-def _dio1_margins(omegas: np.ndarray, ks: np.ndarray, tau: float) -> np.ndarray:
-    """min_k |omega.k| |k|_1^tau per sample; omegas (S, n), ks (m, n)."""
+def _dio1_values(omegas: np.ndarray, ks: np.ndarray, tau: float) -> np.ndarray:
+    """|omega.k| |k|_1^tau per sample and k; omegas (S, n), ks (m, n)."""
     k1 = np.sum(np.abs(ks), axis=1)
-    vals = np.abs(omegas @ ks.T) * k1[None, :] ** tau
-    return np.min(vals, axis=1)
+    return np.abs(omegas @ ks.T) * k1[None, :] ** tau
 
 
 def _pair_table(base: DiagonalPart, Nmax: int):
+    """Pairs i < j among the first Nmax modes: (i, j, lam_j - lam_i, |j^d - i^d|)."""
     N = min(Nmax, base.N)
-    idx = np.arange(1, N + 1, dtype=float)
-    pairs = [(i, j) for i in range(N) for j in range(N) if i < j]
-    gaps = np.array([base.lam[j] - base.lam[i] for i, j in pairs])
-    scale = np.array([abs(idx[j] ** base.d - idx[i] ** base.d) for i, j in pairs])
-    return pairs, gaps, scale
+    # scalar pow: numpy's vectorised power can round differently
+    powers = np.array([float(m) ** base.d for m in range(1, N + 1)])
+    i, j = np.triu_indices(N, 1)
+    return i, j, base.lam[j] - base.lam[i], np.abs(powers[j] - powers[i])
 
 
-def _dio2_margins(
-    omegas: np.ndarray,
-    gaps: np.ndarray,
-    scale: np.ndarray,
-    ks: np.ndarray,
-    tau: float,
-    c_lambda: float,
-    gamma_for_prune: float | None = None,
-    omega_sup: float = 1.0,
-):
-    """Per-sample min margin over (pair, k) plus argmin bookkeeping.
+def _dio2_value(gap, x, weight, scale):
+    """The second-order margin |gap + omega.k| w(k) / |i^d - j^d|, formed one way everywhere."""
+    return np.abs(gap + x) * (weight / scale)
 
-    Returns (margins (S,), argpair (S,), argk (S,), pruned_fraction).
-    Pruned combinations are those certified safe by gap domination; they are
-    assigned an infinite margin (they cannot be the minimizer for any gamma
-    below the prune threshold).
+
+def _dio2_window(omegas: np.ndarray, gaps: np.ndarray, scale: np.ndarray,
+                 ks: np.ndarray, tau: float, ceiling: float):
+    """Every (sample, pair, k) margin that can fall below ceiling, one |k|_1 shell at a time.
+
+    Yields (sample, pair, column of ks, margin) arrays.  A margin at or below
+    the ceiling needs |gap_p + omega.k| <= R_k = ceiling max(scale)/w(k), so
+    for every (sample, k) only the pairs whose -gap lies in
+    [omega.k - R_k, omega.k + R_k] are evaluated, found by bisection in the
+    sorted -gaps.  R_k carries a relative safety factor that covers the
+    roundoff of the margin, and rounding the window ends is monotone, so no
+    such margin is lost at the boundary; every margin left out is above the
+    ceiling.  Columns of one shell share w and are searched together, so
+    memory is one shell's candidates, not samples x pairs x modes.
     """
-    k1 = np.sum(np.abs(ks), axis=1)
-    weight = (1.0 + k1**tau)
-    # one product for all columns: BLAS may round a column subset's product
-    # differently, and _dio2_windowed_margins must reproduce these values
-    proj = omegas @ ks.T
-    S = omegas.shape[0]
-    margins = np.full(S, np.inf)
-    argpair = np.zeros(S, dtype=int)
-    argk = np.zeros(S, dtype=int)
-    total = len(gaps) * len(ks)
-    pruned = 0
-    for p in range(len(gaps)):
-        safe = (omega_sup * k1 <= 0.5 * c_lambda * scale[p])
-        if gamma_for_prune is not None:
-            safe &= (gamma_for_prune / weight <= 0.5 * c_lambda)
-        use = np.nonzero(~safe)[0]
-        pruned += len(ks) - len(use)
-        if len(use) == 0:
-            continue
-        vals = np.abs(gaps[p] + np.take(proj, use, axis=1)) * (weight[use] / scale[p])[None, :]
-        sub = np.argmin(vals, axis=1)
-        best = vals[np.arange(S), sub]
-        better = best < margins
-        margins[better] = best[better]
-        argpair[better] = p
-        argk[better] = use[sub[better]]
-    return margins, argpair, argk, pruned / max(total, 1)
-
-
-def _dio2_windowed_margins(
-    omegas: np.ndarray,
-    gaps: np.ndarray,
-    scale: np.ndarray,
-    ks: np.ndarray,
-    tau: float,
-    gamma_max: float,
-) -> np.ndarray:
-    """Per-sample min margin |gap + omega.k| w(k)/scale, exact below gamma_max.
-
-    A margin below gamma_max needs |gap_p + omega.k| < gamma_max scale_p/w(k)
-    <= R_k = gamma_max max(scale)/w(k), so for every (sample, k) only the pairs
-    whose -gap lies in [omega.k - R_k, omega.k + R_k] are evaluated, found by
-    bisection in the sorted -gaps.  The values are formed exactly as
-    _dio2_margins forms them, so every margin below gamma_max equals the dense
-    one bit for bit; any other entry is only known to be >= gamma_max (inf
-    when no pair is in range).  R_k carries a relative safety factor that
-    covers the roundoff of the margin, and rounding the window ends is
-    monotone, so no candidate is lost at the boundary.  Columns of one |k|_1
-    shell share w and are searched together, so memory is one shell's
-    candidates, not samples x pairs x modes.
-    """
+    if len(gaps) == 0:
+        return
     k1 = np.sum(np.abs(ks), axis=1)
     weight = 1.0 + k1**tau
+    # one product for all columns: BLAS may round a column subset's product differently
     proj = omegas @ ks.T
     order = np.argsort(-gaps, kind="stable")
     neg = -gaps[order]
-    margins = np.full(omegas.shape[0], np.inf)
-    if len(gaps) == 0:
-        return margins
-    reach = gamma_max * float(np.max(scale)) * (1.0 + 1e-9)
+    reach = ceiling * float(np.max(scale)) * (1.0 + 1e-9)
     for shell in np.unique(k1):
         cols = np.nonzero(k1 == shell)[0]
         x = proj[:, cols].ravel()                    # entry e = sample * len(cols) + column
@@ -237,9 +176,7 @@ def _dio2_windowed_margins(
         p = order[lo[ent] + rank]
         sample, j = np.divmod(ent, len(cols))
         col = cols[j]
-        vals = np.abs(gaps[p] + x[ent]) * (weight[col] / scale[p])
-        np.minimum.at(margins, sample, vals)
-    return margins
+        yield sample, p, col, _dio2_value(gaps[p], x[ent], weight[col], scale[p])
 
 
 def check_dio1(omega, gamma: float, tau: float, Kmax: int) -> Dio1Certificate:
@@ -250,7 +187,7 @@ def check_dio1(omega, gamma: float, tau: float, Kmax: int) -> Dio1Certificate:
     if gamma < 0:
         raise KamError("gamma must be nonnegative")
     ks = half_k_lattice(len(omega), Kmax)
-    vals = np.abs(ks @ omega) * np.sum(np.abs(ks), axis=1) ** tau
+    vals = _dio1_values(omega[None, :], ks, tau)[0]
     worst = int(np.argmin(vals))
     margin = float(vals[worst])
     passed = margin >= gamma or gamma == 0.0
@@ -272,26 +209,33 @@ def check_dio2(
     Kmax: int,
     Nmax: int | None = None,
 ) -> Dio2Certificate:
-    """Certify the lambda-gap condition over pairs i<j<=Nmax and |k|_1 <= Kmax."""
+    """Certify the lambda-gap condition over pairs i<j<=Nmax and |k|_1 <= Kmax.
+
+    min_margin is the exact minimum over all (i, j, k), k = 0 included, and
+    violating_triple its minimizer (the lowest pair, then the lowest k, on
+    ties).  With no pair the margin is inf and the check passes.
+    """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     Nmax = base.N if Nmax is None else min(Nmax, base.N)
-    pairs, gaps, scale = _pair_table(base, Nmax)
-    ks = full_k_lattice(len(omega), Kmax, include_zero=True)
-    c_lam = base.c_lambda()
-    wsup = float(np.max(np.abs(omega)))
-    margins, argpair, argk, pruned = _dio2_margins(
-        omega[None, :], gaps, scale, ks, tau, c_lam,
-        gamma_for_prune=gamma, omega_sup=max(wsup, 1e-300),
-    )
-    margin = float(margins[0])
+    ii, jj, gaps, scale = _pair_table(base, Nmax)
+    ks = full_k_lattice(len(omega), Kmax)
+    # the k = 0 margins are evaluated too, so their minimum is a ceiling at
+    # or above the true minimum, and the window below it holds the minimizer
+    ceiling = float(np.min(_dio2_value(gaps, 0.0, 1.0 + 0.0**tau, scale), initial=np.inf))
+    found = list(_dio2_window(omega[None, :], gaps, scale, ks, tau, ceiling))
+    margin, evaluated = math.inf, 0
+    if found:
+        _, p, col, vals = map(np.concatenate, zip(*found))
+        best = np.lexsort((col, p, vals))[0]
+        margin, evaluated = float(vals[best]), len(vals)
     passed = margin >= gamma or gamma == 0.0
     viol = None
     if not passed:
-        i, j = pairs[int(argpair[0])]
-        viol = (i + 1, j + 1, tuple(int(x) for x in ks[int(argk[0])]))
+        viol = (int(ii[p[best]]) + 1, int(jj[p[best]]) + 1, tuple(int(x) for x in ks[col[best]]))
     # pairs beyond Nmax are safe once c_lam * g - sup|omega| Kmax >= gamma * g
-    denom = c_lam - gamma
-    tail = (wsup * Kmax / denom) if denom > 0 else math.inf
+    denom = base.c_lambda() - gamma
+    tail = (float(np.max(np.abs(omega))) * Kmax / denom) if denom > 0 else math.inf
+    total = len(gaps) * len(ks)
     return Dio2Certificate(
         passed=passed,
         gamma=gamma,
@@ -300,9 +244,37 @@ def check_dio2(
         N_max=Nmax,
         min_margin=margin,
         violating_triple=viol,
-        pruned_fraction=pruned,
+        pruned_fraction=(total - evaluated) / max(total, 1),
         tail_safe_gap=tail,
     )
+
+
+def certify(omega, base: DiagonalPart, gamma: float, tau: float, Kmax: int,
+            Nmax: int) -> Frequency:
+    """omega with both certificates over |k|_1 <= Kmax and pairs i < j <= Nmax."""
+    return Frequency(omega=omega,
+                     dio1=check_dio1(omega, gamma, tau, Kmax),
+                     dio2=check_dio2(omega, base, gamma, tau, Kmax, Nmax))
+
+
+def _sampled_margins(n: int, base: DiagonalPart, ceiling: float, tau: float,
+                     Kmax: int, Nmax: int, num_samples: int, seed: int):
+    """Seeded uniform omegas (S, n) in [0,1]^n with the smaller of their two margins.
+
+    The second-order part comes from the window, so a margin is exact below
+    the ceiling and only known to be at least the ceiling elsewhere.  The
+    whole batch is drawn from one seeded generator, so results are
+    reproducible and independent of chunking.
+    """
+    if num_samples < 1:
+        raise KamError("num_samples must be positive")
+    omegas = np.random.default_rng(seed).random((num_samples, n))
+    margin = np.min(_dio1_values(omegas, half_k_lattice(n, Kmax), tau), axis=1)
+    _, _, gaps, scale = _pair_table(base, Nmax)
+    for sample, _, _, vals in _dio2_window(omegas, gaps, scale, full_k_lattice(n, Kmax),
+                                           tau, ceiling):
+        np.minimum.at(margin, sample, vals)
+    return omegas, margin
 
 
 def sample_admissible(
@@ -318,42 +290,17 @@ def sample_admissible(
 ):
     """Uniform omega in [0,1]^n filtered by both nonresonance conditions.
 
-    Returns (accepted frequencies with certificates, rejection_fraction).
-    The entire batch is drawn from one seeded generator, so results are
-    reproducible and independent of chunking.
+    Returns (the first `keep` accepted frequencies with certificates,
+    rejection_fraction).
     """
-    if num_samples < 1:
-        raise KamError("num_samples must be positive")
-    rng = np.random.default_rng(seed)
-    omegas = rng.random((num_samples, n))
-    ks1 = half_k_lattice(n, Kmax)
-    m1 = _dio1_margins(omegas, ks1, tau)
-    _, gaps, scale = _pair_table(base, Nmax)
-    ks2 = full_k_lattice(n, Kmax, include_zero=True)
-    m2 = _dio2_windowed_margins(omegas, gaps, scale, ks2, tau, gamma)
-    ok = (m1 >= gamma) & (m2 >= gamma)
-    n_ok = int(np.sum(ok))
-    rejection = 1.0 - n_ok / num_samples
-    if n_ok == 0:
+    omegas, margin = _sampled_margins(n, base, gamma, tau, Kmax, Nmax, num_samples, seed)
+    ok = np.nonzero(margin >= gamma)[0]
+    if len(ok) == 0:
         raise ZeroAcceptanceError(
             f"no admissible frequency among {num_samples} samples at gamma={gamma}"
         )
-    accepted = []
-    limit = n_ok if keep is None else min(keep, n_ok)
-    for idx in np.nonzero(ok)[0][:limit]:
-        w = omegas[idx]
-        accepted.append(
-            Frequency(
-                omega=w,
-                gamma=gamma,
-                tau=tau,
-                certified_K=Kmax,
-                certified_N=Nmax,
-                dio1=check_dio1(w, gamma, tau, Kmax),
-                dio2=check_dio2(w, base, gamma, tau, Kmax, Nmax),
-            )
-        )
-    return accepted, rejection
+    accepted = [certify(omegas[i], base, gamma, tau, Kmax, Nmax) for i in ok[:keep]]
+    return accepted, 1.0 - len(ok) / num_samples
 
 
 def rejection_table(
@@ -381,16 +328,8 @@ def rejection_table(
         raise KamError("gamma grid must not be empty")
     if any(g <= 0 for g in grid):
         raise KamError("gamma values must be positive")
-    if num_samples < 1:
-        raise KamError("num_samples must be positive")
-    rng = np.random.default_rng(seed)
-    omegas = rng.random((num_samples, n))
-    m1 = _dio1_margins(omegas, half_k_lattice(n, Kmax), tau)
-    _, gaps, scale = _pair_table(base, Nmax)
-    ks2 = full_k_lattice(n, Kmax, include_zero=True)
     # margins at or above max(grid) cannot flip the verdict at any grid gamma
-    m2 = _dio2_windowed_margins(omegas, gaps, scale, ks2, tau, max(grid))
-    margin = np.minimum(m1, m2)
+    _, margin = _sampled_margins(n, base, max(grid), tau, Kmax, Nmax, num_samples, seed)
     return [(g, float(np.mean(margin < g))) for g in grid]
 
 
@@ -434,38 +373,22 @@ def optimize_frequency(
     """
     if robust_K is None:
         robust_K = max(1, Kmax // 4)
-    rng = np.random.default_rng(seed)
-    omegas = rng.random((num_candidates, n))
-    _, gaps, scale = _pair_table(base, Nmax)
-    m1 = _dio1_margins(omegas, half_k_lattice(n, Kmax), tau)
-    m2 = _dio2_windowed_margins(omegas, gaps, scale,
-                                full_k_lattice(n, Kmax, include_zero=True), tau, gamma)
-    ok = (m1 >= gamma) & (m2 >= gamma)
-    if not np.any(ok):
+    omegas, margin = _sampled_margins(n, base, gamma, tau, Kmax, Nmax, num_candidates, seed)
+    cand = omegas[margin >= gamma]
+    if len(cand) == 0:
         raise ZeroAcceptanceError(
             f"no admissible frequency among {num_candidates} samples at gamma={gamma}"
         )
-    cand = omegas[ok]
-    ks_r = half_k_lattice(n, robust_K)
-    metric = _raw_divisor_margins(cand @ ks_r.T, gaps)
+    gaps = _pair_table(base, Nmax)[2]
+    metric = _raw_divisor_margins(cand @ half_k_lattice(n, robust_K).T, gaps)
     best = int(np.argmax(metric))
-    w = cand[best]
-    freq = Frequency(
-        omega=w,
-        gamma=gamma,
-        tau=tau,
-        certified_K=Kmax,
-        certified_N=Nmax,
-        dio1=check_dio1(w, gamma, tau, Kmax),
-        dio2=check_dio2(w, base, gamma, tau, Kmax, Nmax),
-    )
     info = {
         "min_raw_divisor": float(metric[best]),
         "robust_K": int(robust_K),
-        "admissible": int(np.sum(ok)),
+        "admissible": len(cand),
         "candidates": int(num_candidates),
     }
-    return freq, info
+    return certify(cand[best], base, gamma, tau, Kmax, Nmax), info
 
 
 def resonance_measure_bound(rs: ResonanceSet) -> float:

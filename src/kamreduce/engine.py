@@ -11,8 +11,8 @@ base: constant part into lambda, oscillatory part into mu.
 Numerical notes that matter here:
 
 * P+ is a Lie series, never formed through E.  With L(X) = XB - BX and the
-  homological defect D = [A,B] - i omega.dB + P_off, the A terms cancel
-  exactly at every order, leaving
+  homological defect D = [A,B] - i omega.dB + P_off, which the solve forms
+  once and returns, the A terms cancel exactly at every order, leaving
 
       P+ = D + sum_{k>=1} [L^k(diag P)/k! + k L^k(P_off)/(k+1)! + L^k(D)/(k+1)!],
 
@@ -55,7 +55,7 @@ from .errors import (
     HermiticityError,
     KamError,
 )
-from .homological import _generator_defect, _tight_cutoff, solve_variable
+from .homological import _tight_cutoff, solve_variable
 from .torus import (
     DiagonalPart,
     OperatorSeries,
@@ -288,13 +288,13 @@ def matrix_exp_antihermitian(Bg: np.ndarray):
     return E, E - np.eye(Bg.shape[-1])
 
 
-def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, omega,
+def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: OperatorSeries,
               K_out: int, s: float):
     """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B), as a Lie series.
 
     With L(X) = XB - BX and the generator's defect D = [A,B] - i omega.dB
-    + P_off (homological._generator_defect), the series is summed to order
-    m by Horner:
+    + P_off (HomologicalSolution.D), the series is summed to order m by
+    Horner:
 
         S_m = Y_m,  S_k = Y_k + L(S_{k+1}),  P+ = S_0 = D + L(S_1),
         Y_k = diag P / k! + k P_off / (k+1)! + D / (k+1)!,
@@ -317,13 +317,11 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, omega,
     the two bounds, hermiticity_defect, the chopped count,
     chopped_norm_bound and grid, the widest commutator grid (0 if none).
     """
-    omega = _omega_vec(omega)
     n, N = P.n, P.N
     if B.antihermiticity_defect() > 1e-10 * max(1.0, float(np.max(np.abs(B.coeffs)))):
         warnings.warn("generator is not anti-hermitian to 1e-10", GuardWarning)
     off = P.offdiagonal_part()
     diag = P - off
-    D = _generator_defect(B, P, base, omega)
     p = sum(delta_norm(X, base, s) for X in (diag, off, D))
     b = 2.0 * g_norm(B, base, s)
     m = _taylor_degree(b, CHOP_FLOOR / max(p, 1e-300))
@@ -447,7 +445,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         warnings.warn(msg, GuardWarning)
 
     clock = time.perf_counter()
-    P_plus, cinfo = conjugate(base, P, B, w, K_work, s_next)
+    P_plus, cinfo = conjugate(base, P, B, sol.D, K_work, s_next)
     # outer shells that chopping left all-zero carry no mass: drop them
     P_plus = P_plus.trim()
     t_conjugate = time.perf_counter() - clock

@@ -23,9 +23,9 @@ through a shared stepping kernel, _step_product.  It builds the midpoint
 Hamiltonians of a chunk of steps as one batch, forms each step
 exp(-i h H) with engine._expm_taylor, a Paterson-Stockmeyer Taylor
 polynomial whose remainder is bounded below 2^-53 (scaling and squaring
-above a fixed norm bound; the reduction's exp(B) uses the same kernel), and
-multiplies the chunk's steps together as a tree.  Steps are therefore
-unitary to roundoff rather than by construction.
+above a fixed norm bound; the composition of the exp(B_l) uses the same
+kernel), and multiplies the chunk's steps together as a tree.  Steps are
+therefore unitary to roundoff rather than by construction.
 """
 
 from __future__ import annotations

@@ -150,12 +150,9 @@ def _sinc_dvr_solve(spec: OscillatorSpec, L: float, M: int):
     # because there are no nodes beyond the last turning point)
     V = V / np.sqrt(h)
     absV = np.abs(V)
-    thresh = 0.05 * np.max(absV, axis=0)
-    signs = np.empty(M)
-    for c in range(M):
-        idx = np.nonzero(absV[:, c] >= thresh[c])[0][-1]
-        signs[c] = 1.0 if V[idx, c] >= 0 else -1.0
-    V = V * signs
+    significant = absV >= 0.05 * np.max(absV, axis=0)
+    last = M - 1 - np.argmax(significant[::-1], axis=0)
+    V = V * np.where(V[last, np.arange(M)] >= 0, 1.0, -1.0)
     return w, V.T, x, h
 
 

@@ -6,11 +6,11 @@ valued series carry two trailing axes (N, N).  TorusSeries and
 OperatorSeries share one implementation, _Series, which differs between
 them only by those trailing axes: padding and truncation by _box,
 arithmetic, grid sampling, evaluation at a batch of angles (at, by direct
-mode summation) and one alias-free grid product (product entrywise; matmul
-and commutator for operators).  All transforms are plain FFTs on equispaced
+mode summation) and one alias-free grid product (product entrywise;
+commutator for operators).  All transforms are plain FFTs on equispaced
 grids; products are computed on grids large enough to be exact for the sum
-of the input bandwidths and then truncated, with the discarded mass
-tracked.  _mirror is the one k -> -k conjugate mirror.
+of the input bandwidths and keep that whole band.  _mirror is the one
+k -> -k conjugate mirror.
 
 Norm conventions:
 
@@ -236,24 +236,15 @@ class _Series:
     def __neg__(self):
         return self._like(self.K, -self.coeffs)
 
-    def _grid_product(self, other, K_out: int | None, op):
-        """op(self(phi), other(phi)) on an alias-free grid, truncated to K_out.
+    def _grid_product(self, other, op):
+        """op(self(phi), other(phi)) on an alias-free grid, at band self.K + other.K."""
+        K = self.K + other.K
+        M = next_fast_len(2 * K + 2)
+        return self._like(K, grid_to_coeffs(op(self.grid(M), other.grid(M)), self.n, K))
 
-        Returns (series, residue); residue is the plain l1 mass of the
-        discarded coefficients.
-        """
-        K_full = self.K + other.K
-        M = next_fast_len(2 * K_full + 2)
-        full = grid_to_coeffs(op(self.grid(M), other.grid(M)), self.n, K_full)
-        if K_out is None:
-            return self._like(K_full, full), 0.0
-        out = self._like(K_full, full).truncate(K_out)
-        residue = float(np.sum(np.abs(full)) - np.sum(np.abs(out.coeffs)))
-        return out, max(residue, 0.0)
-
-    def product(self, other, K_out: int | None = None):
-        """Exact entrywise grid product, truncated to K_out; returns (series, residue)."""
-        return self._grid_product(other, K_out, np.multiply)
+    def product(self, other):
+        """Exact entrywise grid product, at band self.K + other.K."""
+        return self._grid_product(other, np.multiply)
 
     def mirror_defect(self) -> float:
         """Max |c - _mirror(c)|: zero iff real (scalar) or hermitian (operator) on the torus."""
@@ -321,13 +312,9 @@ class OperatorSeries(_Series):
     def entry(self, i: int, j: int) -> TorusSeries:
         return TorusSeries(self.n, self.K, self.coeffs[..., i, j])
 
-    def matmul(self, other: "OperatorSeries", K_out: int | None = None):
-        """Exact grid product self(phi) @ other(phi); returns (series, residue)."""
-        return self._grid_product(other, K_out, np.matmul)
-
     def commutator(self, other: "OperatorSeries") -> "OperatorSeries":
         """Exact grid commutator self other - other self, at band self.K + other.K."""
-        return self._grid_product(other, None, _commute)[0]
+        return self._grid_product(other, _commute)
 
     # -- structure -----------------------------------------------------------
 
@@ -409,12 +396,12 @@ class DiagonalPart:
         return self.lam ** (-self.delta / self.d)
 
     def c_lambda(self) -> float:
-        """Witness constant min_{i!=j} |lambda_i - lambda_j| / |i^d - j^d|."""
+        """Witness constant min_{i!=j} |lambda_i - lambda_j| / |i^d - j^d| (inf for N = 1)."""
         idx = np.arange(1, self.N + 1, dtype=float)
         gaps = np.abs(self.lam[:, None] - self.lam[None, :])
         denom = np.abs(idx[:, None] ** self.d - idx[None, :] ** self.d)
         mask = ~np.eye(self.N, dtype=bool)
-        return float(np.min(gaps[mask] / denom[mask]))
+        return float(np.min(gaps[mask] / denom[mask], initial=np.inf))
 
     def c_mu(self, s: float = 0.0) -> float:
         """Witness constant max_i ||mu_i||_s / i^delta (0 when mu vanishes)."""

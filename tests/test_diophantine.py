@@ -1,16 +1,17 @@
 """Nonresonance certificates, admissible sampling, slab measure bounds."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kamreduce import cli
 from kamreduce.diophantine import (
     Dio2Certificate,
     Frequency,
     ResonanceSet,
-    _dio1_margins,
-    _dio2_margins,
+    _dio1_values,
     _pair_table,
     _raw_divisor_margins,
     check_dio1,
@@ -25,10 +26,12 @@ from kamreduce.diophantine import (
 )
 from kamreduce.errors import ZeroAcceptanceError
 from kamreduce.models import abstract_base
+from kamreduce.serialize import RunManifest
 from kamreduce.torus import DiagonalPart
 
 
 GOLDEN = (np.sqrt(5) - 1) / 2
+MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 
 
 def base_power(N, d=4 / 3, delta=0.2, n=1):
@@ -44,6 +47,26 @@ def empty_by_gap_domination(rs, c_lambda, gap_scale, omega_sup=1.0):
     """
     k1 = float(np.sum(np.abs(rs.k)))
     return rs.alpha <= 0.5 * c_lambda * gap_scale and omega_sup * k1 <= 0.5 * c_lambda * gap_scale
+
+
+def pruned_dio2_margins(omegas, gaps, scale, ks, tau, c_lambda, gamma):
+    """Per-sample min margin over (pair, k), dense but for a gap-domination prune.
+
+    For omegas in [0,1]^n, a combination with |k|_1 <= c_lambda scale / 2
+    and gamma / w(k) <= c_lambda / 2 has |gap + omega.k| >= c_lambda scale / 2,
+    so its margin is at least gamma; it is skipped and counts as inf.
+    Margins below gamma are therefore the dense ones.
+    """
+    k1 = np.sum(np.abs(ks), axis=1)
+    weight = 1.0 + k1**tau
+    proj = omegas @ ks.T
+    margins = np.full(omegas.shape[0], np.inf)
+    for p in range(len(gaps)):
+        use = ~((k1 <= 0.5 * c_lambda * scale[p]) & (gamma / weight <= 0.5 * c_lambda))
+        if np.any(use):
+            vals = np.abs(gaps[p] + proj[:, use]) * (weight[use] / scale[p])[None, :]
+            margins = np.minimum(margins, np.min(vals, axis=1))
+    return margins
 
 
 def dio1_margin_oracle(omega, tau, Kmax):
@@ -87,6 +110,18 @@ def test_dio1_margin_reports_max_passing_gamma():
     assert not check_dio1(GOLDEN, cert.min_margin * 1.001, 1.5, 12).passed
 
 
+def test_dio2_margin_reports_max_passing_gamma():
+    # the margin is the exact minimum, k = 0 included, so it is the largest passing gamma
+    manifest = RunManifest.load(MANIFESTS / "reference-n1.json")
+    base, settings = cli._build_base(manifest), cli._settings(manifest)
+    omega = np.asarray(manifest.frequency["omega"])
+    args = (settings.tau, settings.horizon())
+    cert = check_dio2(omega, base, settings.gamma, *args)
+    assert cert.passed
+    assert check_dio2(omega, base, cert.min_margin * 0.999, *args).passed
+    assert not check_dio2(omega, base, cert.min_margin * 1.001, *args).passed
+
+
 def test_dio2_oracle_small_case():
     # brute-force enumeration oracle on a small instance
     base = base_power(5)
@@ -117,30 +152,6 @@ def test_dio2_exact_resonance_fails():
     i, j, k = cert.violating_triple
     lam_gap = base.lam[j - 1] - base.lam[i - 1]
     assert abs(lam_gap + omega @ np.array(k)) < 1e-12
-
-
-def test_dio2_prune_never_hides_a_violation():
-    # every pruned (pair, k) combination must satisfy the bound outright
-    base = base_power(8)
-    rng = np.random.default_rng(2)
-    tau = 4.0
-    Kmax = 5
-    gamma = 0.05
-    ks = full_k_lattice(1, Kmax)
-    c_lam = base.c_lambda()
-    for _ in range(20):
-        omega = rng.random(1)
-        for i in range(8):
-            for j in range(i + 1, 8):
-                g = abs((j + 1) ** base.d - (i + 1) ** base.d)
-                for k in ks:
-                    k1 = abs(k[0])
-                    pruned = (np.max(np.abs(omega)) * k1 <= 0.5 * c_lam * g) and (
-                        gamma / (1 + k1**tau) <= 0.5 * c_lam
-                    )
-                    if pruned:
-                        val = abs(base.lam[j] - base.lam[i] + omega @ k)
-                        assert val >= gamma * g / (1 + k1**tau)
 
 
 def test_sample_admissible_reproducible_and_certified():
@@ -178,15 +189,15 @@ def test_rejection_monotone_in_horizon():
 
 
 def test_windowed_sampling_matches_the_dense_margins_on_gate_7_inputs():
-    # gate 7's rejection table, rebuilt from the dense kernel that check_dio2 runs
+    # gate 7's rejection table, rebuilt from the pruned dense kernel
     base = abstract_base(12, 2, 4.0 / 3.0, 0.2)
     grid = [0.02 + 0.03 * i for i in range(7)]
     tau, Kmax, N, samples, seed = 9.0, 20, 12, 10**4, 777
     omegas = np.random.default_rng(seed).random((samples, 2))
-    _, gaps, scale = _pair_table(base, N)
-    m1 = _dio1_margins(omegas, half_k_lattice(2, Kmax), tau)
-    m2 = _dio2_margins(omegas, gaps, scale, full_k_lattice(2, Kmax), tau,
-                       base.c_lambda(), gamma_for_prune=max(grid))[0]
+    _, _, gaps, scale = _pair_table(base, N)
+    m1 = np.min(_dio1_values(omegas, half_k_lattice(2, Kmax), tau), axis=1)
+    m2 = pruned_dio2_margins(omegas, gaps, scale, full_k_lattice(2, Kmax), tau,
+                             base.c_lambda(), max(grid))
     margin = np.minimum(m1, m2)
     dense = [(g, float(np.mean(margin < g))) for g in grid]
     assert rejection_table(2, base, grid, tau, Kmax, N, samples, seed) == dense
@@ -222,11 +233,8 @@ def test_k_lattices_match_the_itertools_enumeration():
         for K in range(7):
             box = list(itertools.product(range(-K, K + 1), repeat=n))
             full = [k for k in box if sum(abs(x) for x in k) <= K]
-            nonzero = [k for k in full if any(k)]
-            half = [k for k in nonzero if next(x for x in k if x) > 0]
-            for got, want in ((full_k_lattice(n, K), full),
-                              (full_k_lattice(n, K, include_zero=False), nonzero),
-                              (half_k_lattice(n, K), half)):
+            half = [k for k in full if any(k) and next(x for x in k if x) > 0]
+            for got, want in ((full_k_lattice(n, K), full), (half_k_lattice(n, K), half)):
                 want = np.array(want, dtype=float).reshape(-1, n)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()

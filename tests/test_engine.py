@@ -34,6 +34,7 @@ from kamreduce.errors import (
     HermiticityError,
     KamError,
 )
+from kamreduce.homological import _generator_defect
 from kamreduce.models import abstract_base, build_abstract_model, random_perturbation
 from kamreduce.torus import (
     DiagonalPart,
@@ -134,7 +135,7 @@ def test_conjugate_zero_generator_strips_diagonal():
     base = abstract_base(4, 1, 4.0 / 3.0, 0.2)
     P = _random_hermitian(4, 1, 2, rng)
     B = OperatorSeries.zero(1, 2, 4)
-    R, info = conjugate(base, P, B, np.array([0.1]), 4, 0.05)
+    R, info = conjugate(base, P, B, _generator_defect(B, P, base, np.array([0.1])), 4, 0.05)
     # B = 0: order 0, and the result is exactly P minus its diagonal
     expect = P.coeffs.copy()
     idx = np.arange(4)
@@ -162,7 +163,7 @@ def test_conjugate_matches_dense_grid_oracle():
 
     # K_out deep enough that the discarded tail needs ||B||^9 ~ 1e-17
     K_out = 16
-    R, info = conjugate(base, P, B, omega, K_out, 0.05)
+    R, info = conjugate(base, P, B, _generator_defect(B, P, base, omega), K_out, 0.05)
     assert info["lie_order"] >= 1 and R.K <= K_out
 
     M = 64

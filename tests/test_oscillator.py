@@ -19,6 +19,7 @@ from kamreduce.oscillator import (
     OscillatorSpec,
     PerturbationSpec,
     asymptotic_exponent_fit,
+    _sinc_dvr_solve,
     build_oscillator,
     delta_boundedness_check,
     perturbation_matrix,
@@ -50,6 +51,13 @@ def quartic64():
 # ---------------------------------------------------------------------------
 # eigenvalue machinery
 # ---------------------------------------------------------------------------
+
+def test_sinc_dvr_signs_match_the_column_loop():
+    # every eigenvector is positive at its last sample of at least 5% of its peak
+    w, V, x, h = _sinc_dvr_solve(OscillatorSpec(alpha=4.0, N=6), 6.0, 61)
+    assert np.allclose(V @ V.T * h, np.eye(61), atol=1e-12)
+    for v in V:
+        assert v[np.nonzero(np.abs(v) >= 0.05 * np.max(np.abs(v)))[0][-1]] >= 0
 
 def test_harmonic_eigenvalues_exact(harmonic40):
     expect = 2.0 * np.arange(1, 41) - 1.0

@@ -18,7 +18,9 @@ distance to a reference formed at a larger cutoff and a higher order.
 
 The windowed second-order Diophantine margins that frequency sampling uses
 are the dense kernel's margins wherever those fall below the window's
-threshold, and at least the threshold everywhere else.
+ceiling, and at least the ceiling everywhere else.  The certificate of one
+frequency reports the dense minimum over every (i, j, k), k = 0 included,
+bit for bit.
 
 Scalar and operator series share one implementation, so every shared
 operation on an OperatorSeries is the same operation on each of its entries.
@@ -40,12 +42,15 @@ from kamreduce.homological import solve_variable
 from kamreduce.torus import (
     DiagonalPart,
     OperatorSeries,
+    TorusSeries,
     _mirror,
     delta_norm,
     directional_derivative,
     g_norm,
     k_box,
 )
+
+from test_diophantine import pruned_dio2_margins
 
 D = 4.0 / 3.0
 
@@ -185,6 +190,9 @@ def test_homological_residual_bounds_the_defect(case):
     # the slack is 1e-12 of the scale the residual is relative to: the
     # defect of an exact solve is roundoff, in the solver and in this sum
     bound = (sol.residual + 1e-12) * scale
+    # the solution carries the defect it was measured on
+    assert np.array_equal(sol.D.coeffs,
+                          homological._generator_defect(sol.B, P, base, omega).coeffs)
     for z in (x + 1j * y, real.astype(complex)):
         assert top_singular_value(W[:, None] * defect_at(sol, P, base, omega, z)) <= bound
 
@@ -268,7 +276,7 @@ def lie_reference(base, P, B, omega, order):
 def test_conjugate_matches_the_dense_expm_oracle(case):
     base, P, B, omega, _, s = conjugation_case(case)
     M = 128
-    R, _ = conjugate(base, P, B, omega, 40, s)
+    R, _ = conjugate(base, P, B, homological._generator_defect(B, P, base, omega), 40, s)
     oracle = dense_conjugation(base, P, B, omega, M)
     assert np.max(np.abs(R.grid(M) - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(P.coeffs)))
 
@@ -277,7 +285,7 @@ def test_conjugate_matches_the_dense_expm_oracle(case):
 @given(conjugation_cases)
 def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
     base, P, B, omega, K_out, s = conjugation_case(case)
-    R, info = conjugate(base, P, B, omega, K_out, s)
+    R, info = conjugate(base, P, B, homological._generator_defect(B, P, base, omega), K_out, s)
     assert R.K <= K_out
     ref = lie_reference(base, P, B, omega, info["lie_order"] + 6)
     gap = delta_norm(ref - R, base, s)
@@ -312,12 +320,46 @@ def test_windowed_dio2_margins_are_the_dense_ones_below_gamma_max(case):
     c_lambda = float(np.min(np.abs(gaps) / scale))
     omegas = rng.random((64, n))
     ks = diophantine.full_k_lattice(n, Kmax)
-    windowed = diophantine._dio2_windowed_margins(omegas, gaps, scale, ks, tau, gamma_max)
-    dense = diophantine._dio2_margins(omegas, gaps, scale, ks, tau, c_lambda,
-                                      gamma_for_prune=gamma_max)[0]
+    windowed = np.full(len(omegas), np.inf)
+    for sample, _, _, vals in diophantine._dio2_window(omegas, gaps, scale, ks, tau, gamma_max):
+        np.minimum.at(windowed, sample, vals)
+    dense = pruned_dio2_margins(omegas, gaps, scale, ks, tau, c_lambda, gamma_max)
     below = dense < gamma_max
     assert np.array_equal(windowed[below], dense[below])
     assert np.all(windowed[~below] >= gamma_max)
+
+
+certificate_cases = st.tuples(
+    st.sampled_from([1, 2, 3]),                                   # n
+    st.integers(1, 8),                                            # N
+    st.integers(1, 8),                                            # Nmax: 1 leaves no pair
+    st.floats(1.0, 10.0),                                         # tau
+    st.integers(0, 4),                                            # Kmax
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),                 # gamma
+    st.integers(0, 2**32 - 1),                                    # seed
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificate_cases)
+def test_dio2_certificate_is_the_dense_minimum(case):
+    n, N, Nmax, tau, Kmax, gamma, seed = case
+    rng = np.random.default_rng(seed)
+    base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D + rng.uniform(-0.3, 0.3, N),
+                        d=D, delta=0.2, n=n)
+    omega = rng.random(n)
+    cert = diophantine.check_dio2(omega, base, gamma, tau, Kmax, Nmax)
+    # every pair i < j <= Nmax against every |k|_1 <= Kmax, k = 0 included
+    ii, jj, gaps, scale = diophantine._pair_table(base, Nmax)
+    ks = diophantine.full_k_lattice(n, Kmax)
+    weight = 1.0 + np.sum(np.abs(ks), axis=1) ** tau
+    dense = np.abs(gaps[:, None] + omega[None, :] @ ks.T) * (weight[None, :] / scale[:, None])
+    assert cert.min_margin == np.min(dense, initial=np.inf)
+    assert cert.passed == (cert.min_margin >= gamma or gamma == 0.0)
+    if not cert.passed:
+        i, j, k = cert.violating_triple
+        p = np.nonzero((ii == i - 1) & (jj == j - 1))[0][0]
+        assert dense[p, np.nonzero((ks == k).all(axis=1))[0][0]] == cert.min_margin
 
 
 series_cases = st.tuples(
@@ -325,7 +367,6 @@ series_cases = st.tuples(
     st.integers(1, 4),                                            # N
     st.integers(0, 3),                                            # K of P
     st.integers(0, 3),                                            # K of Q
-    st.integers(0, 7),                                            # K_out of the products
     st.integers(0, 2**32 - 1),                                    # coefficient seed
 )
 
@@ -342,7 +383,7 @@ def banded(n, N, K, rng):
 @settings(max_examples=60, deadline=None)
 @given(series_cases)
 def test_operator_series_operations_act_on_each_entry(case):
-    n, N, K, K2, K_out, seed = case
+    n, N, K, K2, seed = case
     rng = np.random.default_rng(seed)
     P, Q = banded(n, N, K, rng), banded(n, N, K2, rng)
     z = complex(*rng.normal(size=2))
@@ -369,8 +410,7 @@ def test_operator_series_operations_act_on_each_entry(case):
         assert np.max(np.abs(P.grid(M)[..., i, j] - p.grid(M))) <= tol
         assert np.max(np.abs(P.at(phis)[:, i, j] - p.at(phis))) <= tol
         assert abs(P(phis[0])[i, j] - p(phis[0])) <= tol
-        pq, _ = P.product(Q, K_out)
-        assert np.max(np.abs(pq.entry(i, j).coeffs - p.product(q, K_out)[0].coeffs)) <= tol
+        assert np.max(np.abs(P.product(Q).entry(i, j).coeffs - p.product(q).coeffs)) <= tol
         herm = max(herm, np.max(np.abs(p.coeffs - np.conj(P.entry(j, i).coeffs[rev]))))
     assert trimmed.K == max(P.entry(i, j).trim().K for i in range(N) for j in range(N))
 
@@ -379,14 +419,15 @@ def test_operator_series_operations_act_on_each_entry(case):
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     assert np.max(np.abs(P.at(points).reshape(P.grid(M).shape) - P.grid(M))) <= tol
 
-    # for diagonal operands the matrix product is the entrywise one
-    diagonal = np.eye(N, dtype=bool)
-    Pd = OperatorSeries(n, K, N, np.where(diagonal, P.coeffs, 0.0))
-    Qd = OperatorSeries(n, K2, N, np.where(diagonal, Q.coeffs, 0.0))
-    (mm, mm_residue), (pr, pr_residue) = Pd.matmul(Qd, K_out), Pd.product(Qd, K_out)
-    assert mm.K == pr.K == K_out
-    assert np.max(np.abs(mm.coeffs - pr.coeffs)) <= tol
-    assert abs(mm_residue - pr_residue) <= tol
+    # the commutator's entries are sums of entrywise products
+    PQ = P.commutator(Q)
+    assert PQ.K == K + K2
+    for i, j in itertools.product(range(N), repeat=2):
+        want = TorusSeries.zero(n, K + K2)
+        for m in range(N):
+            want = (want + P.entry(i, m).product(Q.entry(m, j))
+                    - Q.entry(i, m).product(P.entry(m, j)))
+        assert np.max(np.abs(PQ.entry(i, j).coeffs - want.coeffs)) <= tol
 
     # the mirror is the adjoint at -k: entry (i, j) meets conj(P_ji(-k))
     assert P.hermiticity_defect() == np.max(np.abs(P.coeffs - _mirror(P.coeffs, n))) == herm

@@ -201,7 +201,7 @@ def test_sup_norm_submultiplicative():
         n = 1 + trial % 2
         f = random_scalar(n, 3, rng, s=0.4, real=False)
         g = random_scalar(n, 3, rng, s=0.4, real=False)
-        fg, _ = f.product(g)
+        fg = f.product(g)
         for s in (0.0, 0.25):
             assert sup_norm_s(fg, s) <= sup_norm_s(f, s) * sup_norm_s(g, s) * (1 + 1e-12)
 
@@ -282,31 +282,30 @@ def test_g_norm_diag_weight_invariance():
 def test_product_single_modes():
     f = TorusSeries.from_modes(1, 2, {1: 2.0})
     g = TorusSeries.from_modes(1, 2, {2: 0.5})
-    fg, residue = f.product(g)
-    assert residue == 0.0
+    fg = f.product(g)
     assert abs(fg.coeff(3) - 1.0) < 1e-14
 
 
-def test_product_truncation_residue_tracked():
+def test_product_keeps_the_full_band():
     f = TorusSeries.from_modes(1, 2, {2: 1.0})
     g = TorusSeries.from_modes(1, 2, {2: 1.0})
-    fg, residue = f.product(g, K_out=2)
-    assert np.max(np.abs(fg.coeffs)) < 1e-14  # the k=4 mode was dropped
-    assert abs(residue - 1.0) < 1e-12
+    fg = f.product(g)
+    assert fg.K == 4 and abs(fg.coeff(4) - 1.0) < 1e-14
 
 
-def test_matmul_matches_pointwise():
+def test_commutator_matches_pointwise():
     rng = np.random.default_rng(37)
     A = random_hermitian(4, 1, 2, rng)
     B = random_hermitian(4, 1, 3, rng)
-    AB, _ = A.matmul(B)
+    AB = A.commutator(B)
     phi = np.array([1.234])
-    assert np.max(np.abs(AB(phi) - A(phi) @ B(phi))) < 1e-12
+    assert AB.K == 5
+    assert np.max(np.abs(AB(phi) - (A(phi) @ B(phi) - B(phi) @ A(phi)))) < 1e-12
 
 
 def test_product_of_real_series_is_real():
     rng = np.random.default_rng(41)
     f = random_scalar(2, 3, rng, real=True)
     g = random_scalar(2, 3, rng, real=True)
-    fg, _ = f.product(g)
+    fg = f.product(g)
     assert fg.mirror_defect() < 1e-12 * max(1.0, np.max(np.abs(fg.coeffs)))
