@@ -475,10 +475,9 @@ def cmd_verify(manifest: RunManifest) -> int:
     import numpy as np
 
     from .floquet import (
-        propagate_direct,
+        propagate_step_doubled,
         quasienergies_from_period_map,
         reconstruct_solution,
-        step_plan,
     )
     from .serialize import verify_checksums, write_checksums, write_json
 
@@ -490,7 +489,6 @@ def cmd_verify(manifest: RunManifest) -> int:
     t_max = cfg.get("t_max", 50.0)
     num_times = cfg.get("num_times", 60)
     tol = cfg.get("tol", 1e-4)
-    dt = cfg.get("dt")
 
     omega = reduced.omega
     N = base.N
@@ -507,16 +505,16 @@ def cmd_verify(manifest: RunManifest) -> int:
     R = reconstruct_solution(reduced, identity, phi0, ts)
     timings["verify.reconstruct_s"] = time.perf_counter() - t1
     t1 = time.perf_counter()
-    Phi = propagate_direct(base, P, omega, identity, phi0, times, dt=dt)
+    Phi, dt, steps, estimate = propagate_step_doubled(base, P, omega, identity, phi0, times)
     timings["verify.direct_s"] = time.perf_counter() - t1
     Phi_t = Phi[np.searchsorted(times, ts)]
     direct, recon = Phi_t @ psi0, R @ psi0
     dev = float(np.max(np.linalg.norm(recon - direct, axis=1)))
     op_dev = float(np.max(np.linalg.norm(R - Phi_t, ord=2, axis=(1, 2))))
-    dt_direct, steps = step_plan(base, times, dt)
     report = {
-        "dt": dt_direct,
-        "integrator": "exponential-midpoint",
+        "dt": dt,
+        "integrator": "cf4",
+        "integrator_error_estimate": estimate,
         "max_deviation": dev,
         "max_operator_deviation": op_dev,
         "norm_drift_direct": float(

@@ -314,7 +314,6 @@ MANIFEST_SCHEMA = {
             "properties": {
                 "t_max": {"type": "number", "exclusiveMinimum": 0},
                 "num_times": {"type": "integer", "minimum": 2},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },

@@ -190,20 +190,22 @@ def test_verify_reference_run(finished_run):
 
 @pytest.mark.parametrize("run", ["finished_run", "finished_n2_run"])
 def test_verify_propagates_the_identity_once(request, monkeypatch, run):
+    # once per grid of the step doubling: the coarse and the fine sweep each
+    # carry the whole identity, and no other sweep runs
     from kamreduce import floquet
 
     _, manifest, _ = request.getfixturevalue(run)
     blocks = []
-    propagate = floquet.propagate_direct
+    sweep = floquet._sweep
 
-    def counted(base, P, omega, psi0, *args, **kwargs):
-        blocks.append(np.shape(psi0))
-        return propagate(base, P, omega, psi0, *args, **kwargs)
+    def counted(base, P, omega, psi, *args):
+        blocks.append(np.shape(psi))
+        return sweep(base, P, omega, psi, *args)
 
-    monkeypatch.setattr(floquet, "propagate_direct", counted)
+    monkeypatch.setattr(floquet, "_sweep", counted)
     assert _run("verify", manifest) == cli.EXIT_OK
     N = RunManifest.load(manifest).model["N"]
-    assert blocks == [(N, N)]
+    assert blocks == [(N, N), (N, N)]
 
 
 def test_verify_checks_the_whole_propagator_for_two_angles(finished_n2_run):
@@ -220,23 +222,33 @@ def test_verify_records_its_step_rule(finished_run):
     assert _run("verify", manifest) == cli.EXIT_OK
     rep = load_json(outdir / "verify.json")
     base, _ = cli._build_model(RunManifest.load(manifest))
-    # the exponential midpoint rule, counted here without floquet
-    dt = 0.5 * 0.1 / float(np.max(np.abs(base.lam)))
-    steps, t = 0, 0.0
-    for t_target in np.linspace(10.0 / 20, 10.0, 20):
-        steps += math.ceil((t_target - t) / dt - 1e-12)
-        t = t_target
-    assert rep["integrator"] == "exponential-midpoint"
-    assert rep["dt"] == dt
-    assert rep["steps_direct"] == steps
+    # CF4 on the fine grid: two steps per coarse step of 3.2 / max|lambda|,
+    # counted here without floquet
+    coarse = 3.2 / float(np.max(np.abs(base.lam)))
+
+    def steps(grid):
+        total, t = 0, 0.0
+        for t_target in grid:
+            total += 2 * math.ceil((t_target - t) / coarse - 1e-12)
+            t = t_target
+        return total
+
+    assert rep["integrator"] == "cf4"
+    assert rep["dt"] == coarse / 2
+    assert 0 < rep["integrator_error_estimate"] <= 1e-10
+    assert rep["steps_direct"] == steps(np.linspace(10.0 / 20, 10.0, 20))
     # the period map comes from the same sweep, whose grid also holds T
     T = 2.0 * np.pi / OMEGA
     grid = sorted(set(np.linspace(10.0 / 20, 10.0, 20)) | {T})
-    period, t = 0, 0.0
-    for t_target in grid[: grid.index(T) + 1]:
-        period += math.ceil((t_target - t) / dt - 1e-12)
-        t = t_target
-    assert rep["steps_period"] == period
+    assert rep["steps_period"] == steps(grid[: grid.index(T) + 1])
+
+
+def test_verify_step_is_not_a_setting(tmp_path):
+    doc = _doc(str(tmp_path / "r"))
+    doc["verify"]["dt"] = 0.002
+    with pytest.raises(SchemaError, match="verify"):
+        RunManifest.from_dict(doc)
+    assert _run("verify", _write(tmp_path, doc)) == cli.EXIT_SCHEMA
 
 
 def test_reduce_then_verify_keeps_both_timings(tmp_path):

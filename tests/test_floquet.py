@@ -3,8 +3,9 @@
 Oracles: hand-built spectra with known collisions, scipy.linalg.expm for
 constant Hamiltonians, a central-difference check that the reconstructed
 solution actually solves i dpsi/dt = H(omega t) psi, dt-halving studies
-for the integrator order, and a step-by-step eigh loop for the batched
-Taylor stepping kernel.  The reduction used by the end-to-end cases is the
+for the integrator order and its step-doubling error estimate, a
+step-by-step eigh loop for the batched CF4 stepping kernel, and
+linear_sum_assignment for the period map's mode matching.  The reduction used by the end-to-end cases is the
 small n=1 instance from the engine tests (frequency certified there).
 """
 
@@ -18,16 +19,20 @@ from kamreduce.engine import KamSettings, ReducedSystem, run_schedule
 from kamreduce.errors import DivisorTooSmall, KamError
 from kamreduce.floquet import (
     _CHUNK,
+    _ERROR_TOL,
     FloquetSpectrum,
     _expm_taylor,
     _hamiltonian,
+    _match_modes,
     _step_product,
     _taylor_degree,
     floquet_spectrum,
     monodromy_quasienergies,
     propagate_direct,
+    propagate_step_doubled,
     quasienergies_from_period_map,
     reconstruct_solution,
+    step_plan,
 )
 from kamreduce.models import abstract_base, build_abstract_model
 from kamreduce.torus import DiagonalPart, OperatorSeries
@@ -147,17 +152,59 @@ def test_propagate_norm_drift(small_run):
     assert drift < 1e-9
 
 
-def test_propagate_second_order_in_dt(small_run):
+def test_propagate_fourth_order_in_dt(small_run):
     A, P, _ = small_run
     psi0 = np.ones(A.N, dtype=complex) / np.sqrt(A.N)
     ts = [5.0]
-    ref = propagate_direct(A, P, OMEGA_N1, psi0, np.zeros(1), ts, dt=1e-4)[0]
+    ref = propagate_direct(A, P, OMEGA_N1, psi0, np.zeros(1), ts, dt=1e-2)[0]
     errs = []
-    for dt in (8e-3, 4e-3, 2e-3):
+    for dt in (0.28, 0.14, 0.07):
         val = propagate_direct(A, P, OMEGA_N1, psi0, np.zeros(1), ts, dt=dt)[0]
         errs.append(np.linalg.norm(val - ref))
-    assert errs[0] / errs[1] > 3.0
-    assert errs[1] / errs[2] > 3.0
+    assert errs[0] / errs[1] >= 12.0
+    assert errs[1] / errs[2] >= 12.0
+
+
+def _two_level(coupling):
+    """lambda = (1, 2.3) with a cosine coupling of the given size, forced at 0.1."""
+    base = DiagonalPart(lam=np.array([1.0, 2.3]), d=1.5, delta=0.0, n=1)
+    c = np.zeros((3, 2, 2), dtype=complex)
+    c[0] = c[2] = [[0.0, coupling], [coupling, 0.0]]
+    return base, OperatorSeries(1, 1, 2, c), np.array([0.1])
+
+
+def test_step_doubling_estimate_tracks_the_error(small_run):
+    A, P, _ = small_run
+    ts = np.linspace(0.5, 10.0, 20)
+    identity = np.eye(A.N, dtype=complex)
+    Phi, dt, steps, estimate = propagate_step_doubled(A, P, OMEGA_N1, identity, np.zeros(1), ts)
+    dt0, steps0 = step_plan(A, ts)
+    assert dt == dt0 and np.array_equal(steps, steps0)  # no halving
+    assert np.array_equal(Phi, propagate_direct(A, P, OMEGA_N1, identity, np.zeros(1), ts))
+    # a reference at h max|lambda| = 0.25 is ~1e-3 of the error away from exact
+    fine = 0.25 / float(np.max(np.abs(A.lam)))
+    ref = propagate_direct(A, P, OMEGA_N1, identity, np.zeros(1), ts, dt=fine)
+    error = float(np.max(np.linalg.norm(Phi - ref, ord=2, axis=(1, 2))))
+    assert error / 3.0 <= estimate <= 3.0 * error
+
+
+def test_step_doubling_refines_a_strongly_forced_system():
+    base, P, omega = _two_level(0.2)
+    ts = np.linspace(1.0, 10.0, 10)
+    dt0, steps0 = step_plan(base, ts)
+    Phi, dt, steps, estimate = propagate_step_doubled(base, P, omega, np.eye(2), np.zeros(1), ts)
+    halvings = round(math.log2(dt0 / dt))
+    assert halvings >= 1 and dt == dt0 / 2**halvings
+    assert np.array_equal(steps, steps0 * 2**halvings)
+    assert estimate <= _ERROR_TOL
+    ref = propagate_direct(base, P, omega, np.eye(2), np.zeros(1), ts, dt=dt / 8)
+    assert np.max(np.linalg.norm(Phi - ref, ord=2, axis=(1, 2))) <= 3.0 * estimate
+
+
+def test_step_doubling_gives_up_after_four_halvings():
+    base, P, omega = _two_level(2.0)
+    with pytest.raises(KamError, match="after 4 step halvings"):
+        propagate_step_doubled(base, P, omega, np.eye(2), np.zeros(1), np.linspace(1.0, 10.0, 10))
 
 
 def test_propagate_epsilon_zero_is_exact_phase():
@@ -263,10 +310,11 @@ def test_one_sweep_gives_trajectory_and_period_map(small_run, t_max):
     ref = propagate_direct(A, P, OMEGA_N1, psi0, np.zeros(1), ts)
     # before T both sweeps take the same steps; the interval holding T is
     # stepped in two parts, which moves later times by the scheme's error
+    # over that interval, below the error verify accepts for a whole sweep
     before = ts < T
     assert np.max(np.abs(traj[before] - ref[before])) <= 1e-13
     if not before.all():
-        assert np.max(np.abs(traj[~before] - ref[~before])) <= 1e-12
+        assert np.max(np.abs(traj[~before] - ref[~before])) <= _ERROR_TOL
     M = Phi[np.searchsorted(times, T)]
     period_map = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
     assert np.max(np.abs(M - period_map)) <= 1e-10
@@ -323,15 +371,20 @@ def test_step_exponential_rejects_non_finite_input():
         _expm_taylor(np.full((1, 2, 2), np.nan + 0j))
 
 
-@pytest.mark.parametrize("steps", [0, 1, 7, _CHUNK + 1])
+@pytest.mark.parametrize("steps", [0, 1, 7, 2 * _CHUNK + 1])
 def test_step_product_matches_sequential_eigh(small_run, steps):
+    # the CF4 step of Blanes & Moan, one exponential after another
     A, P, _ = small_run
     phi0, t0, h = np.array([0.3]), 1.7, 0.01
-    mids = t0 + (np.arange(steps) + 0.5) * h
-    H = _hamiltonian(A, P)(phi0[None, :] + mids[:, None] * OMEGA_N1[None, :])
+    gauss = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+    a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+    hamiltonian = _hamiltonian(A, P)
     expect = np.eye(A.N, dtype=complex)
-    for E in _eigh_exp(H, h):
-        expect = E @ expect
+    for j in range(steps):
+        nodes = t0 + (j + gauss) * h
+        H1, H2 = hamiltonian(phi0[None, :] + nodes[:, None] * OMEGA_N1[None, :])
+        expect = _eigh_exp(a2 * H1 + a1 * H2, h) @ expect
+        expect = _eigh_exp(a1 * H1 + a2 * H2, h) @ expect
     got = _step_product(A, P, OMEGA_N1, phi0, t0, h, steps)
     assert np.max(np.abs(got - expect)) <= 1e-13
 
@@ -341,3 +394,56 @@ def test_fundamental_solution_unitary_to_roundoff(small_run):
     T = 2.0 * np.pi / OMEGA_N1[0]
     Phi = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
     assert np.max(np.abs(Phi.conj().T @ Phi - np.eye(A.N))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# period-map mode matching
+# ---------------------------------------------------------------------------
+
+def _counted_assignment(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.linear_sum_assignment
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    return solve, calls
+
+
+def _assignment(solve, overlap):
+    rows, cols = solve(-overlap)
+    perm = np.empty(len(overlap), dtype=int)
+    perm[rows] = cols
+    return perm
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_match_modes_is_the_optimal_assignment(monkeypatch, seed):
+    # |V|^2 of a unitary near a permutation: doubly stochastic, rows peaked
+    solve, calls = _counted_assignment(monkeypatch)
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(2, 25))
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    G = X + X.conj().T
+    G *= rng.uniform(0.05, 0.6) / np.linalg.norm(G, 2)
+    V = rng.permutation(np.eye(N)) @ scipy.linalg.expm(1j * G)
+    overlap = np.abs(V) ** 2
+    assert np.all(overlap.max(axis=1) > 0.5)
+    assert np.array_equal(_match_modes(overlap), _assignment(solve, overlap))
+    assert calls == []
+
+
+def test_match_modes_falls_back_when_a_row_is_split(monkeypatch):
+    # modes 0 and 1 each split evenly between eigenvectors 1 and 2
+    solve, calls = _counted_assignment(monkeypatch)
+    c = math.sqrt(0.5)
+    V = np.array([[0.0, c, c], [0.0, c, -c], [1.0, 0.0, 0.0]])
+    overlap = np.abs(V) ** 2
+    perm = _match_modes(overlap)
+    assert calls == [(3, 3)]
+    assert np.array_equal(perm, _assignment(solve, overlap))
+    assert sorted(perm) == [0, 1, 2] and perm[2] == 0
