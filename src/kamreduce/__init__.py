@@ -28,6 +28,7 @@ from .errors import (
     HermiticityError,
     KamError,
     SchemaError,
+    ToleranceExceeded,
     ZeroAcceptanceError,
 )
 
@@ -43,6 +44,7 @@ __all__ = [
     "HermiticityError",
     "KamError",
     "SchemaError",
+    "ToleranceExceeded",
     "ZeroAcceptanceError",
     "__version__",
 ]

@@ -2,27 +2,27 @@
 runs, verification, and spectrum export.
 
 Every command reads one JSON manifest (schema in serialize.MANIFEST_SCHEMA)
-and writes its artifacts under the manifest's output directory.  The same
-manifest + seed reproduces every JSON artifact byte for byte; wall-clock
-measurements go to timings.txt, the one file left out of checksums.json.
+and writes its artifacts under the manifest's output directory.  All five
+run in one frame, _command, which alone creates that directory, writes the
+command's own event log log.<command>.jsonl (<command>.start, then
+<command>.done or error), merges <command>_s, the whole command's wall time,
+and the body's phase timings into timings.txt, writes error.json on a typed
+failure and rewrites checksums.json, except after an ArtifactError.  The
+same manifest + seed reproduces every artifact but timings.txt byte for
+byte; timings.txt is the one file left out of checksums.json.
 
-Exit codes
-----------
-0   success
-1   verification tolerance exceeded / other failure
-2   manifest schema error (message carries the offending field path)
-3   frequency excluded (resonance hit, failed certificate, or empty sample)
-4   divergence / no convergence within the step budget
-5   small divisor below its floor during verification
-6   artifact missing or checksum mismatch
+FAILURES maps each typed failure to its exit code and to the reason
+error.json records; 0 is success.
 
-Heavy imports happen inside the command bodies so that --threads can pin the
-BLAS pool size before numpy is loaded.
+Heavy imports happen inside the frame and the command bodies so that
+--threads can pin the BLAS pool size before numpy is loaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -36,6 +36,7 @@ from .errors import (
     FrequencyExcluded,
     KamError,
     SchemaError,
+    ToleranceExceeded,
     ZeroAcceptanceError,
 )
 
@@ -50,8 +51,22 @@ EXIT_DIVERGENCE = 4
 EXIT_DIVISOR = 5
 EXIT_ARTIFACT = 6
 
+# (exception class, exit code, reason recorded in error.json); the first row
+# the failure is an instance of decides, so KamError comes last
+FAILURES = (
+    (SchemaError, EXIT_SCHEMA, "schema"),
+    (FrequencyExcluded, EXIT_FREQUENCY, "frequency-excluded"),
+    (ZeroAcceptanceError, EXIT_FREQUENCY, "frequency-excluded"),
+    (ConvergenceError, EXIT_DIVERGENCE, "divergence"),
+    (DivisorTooSmall, EXIT_DIVISOR, "small-divisor"),
+    (ArtifactError, EXIT_ARTIFACT, "artifact"),
+    (ToleranceExceeded, EXIT_FAILURE, "tolerance-exceeded"),
+    (KamError, EXIT_FAILURE, "failure"),
+)
+
 __all__ = [
     "main",
+    "FAILURES",
     "EXIT_OK",
     "EXIT_FAILURE",
     "EXIT_SCHEMA",
@@ -63,29 +78,111 @@ __all__ = [
 
 
 class _JsonlLog:
-    """Deterministic JSON-lines event log (no timestamps, sorted keys)."""
+    """Deterministic JSON-lines event log (no timestamps, sorted keys).
+
+    The events are written when the log is closed, so a command replaces its
+    earlier log only after its own checksum check has read the directory.
+    """
 
     def __init__(self, path):
-        self._fh = open(path, "w", encoding="utf-8")
+        self._path, self._lines = path, []
 
     def emit(self, event: str, **fields):
         from .serialize import to_jsonable
 
         rec = {"event": event}
         rec.update(fields)
-        line = json.dumps(to_jsonable(rec), sort_keys=True, separators=(",", ":"))
-        self._fh.write(line + "\n")
-        self._fh.flush()
+        self._lines.append(json.dumps(to_jsonable(rec), sort_keys=True, separators=(",", ":")))
 
     def close(self):
-        self._fh.close()
+        with open(self._path, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in self._lines)
 
 
-def _prepare_out(manifest: RunManifest) -> str:
-    outdir = manifest.out
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+def _write_timings(outdir, timings: dict) -> None:
+    """Merge timings into timings.txt; keys of earlier commands are kept.
 
+    Not checksummed and not JSON: the one artifact allowed to differ between
+    replays.
+    """
+    path = os.path.join(outdir, "timings.txt")
+    lines = {}
+    if os.path.isfile(path):
+        with open(path) as fh:
+            lines = {line.split(":", 1)[0]: line for line in fh if ":" in line}
+    lines.update({key: f"{key}: {value:.6f} s\n" for key, value in timings.items()})
+    with open(path, "w") as fh:
+        fh.writelines(lines[key] for key in sorted(lines))
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """header, then one line of comma-separated reprs per row."""
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
+
+
+@contextlib.contextmanager
+def _timed(timings: dict, key: str):
+    t0 = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - t0
+
+
+def _command(body):
+    """The frame of a command; body(manifest, log, timings, args) does its work.
+
+    The body returns the fields of <command>.done (or None); success removes
+    an earlier command's error.json.  A typed failure is reported on stderr,
+    and once the manifest names its output directory it is logged and
+    written to error.json with the reason from FAILURES and the fields the
+    exception carries.  A failure before that (--threads, a manifest that
+    cannot be read or is not a JSON object, a bad out) leaves no record.  checksums.json is not rewritten after an ArtifactError: a
+    directory whose checksums just failed is never re-blessed.
+    """
+    name = body.__name__.removeprefix("cmd_")
+
+    @functools.wraps(body)
+    def command(args) -> int:
+        t0 = time.perf_counter()
+        log, timings, failure = None, {}, None
+        try:
+            _apply_threads(args.threads)
+            from .serialize import RunManifest, write_checksums, write_json
+
+            doc = RunManifest.read(args.manifest, seed=args.seed, out=args.out)
+            outdir = doc.get("out")
+            if isinstance(outdir, str) and outdir:
+                os.makedirs(outdir, exist_ok=True)
+                log = _JsonlLog(os.path.join(outdir, f"log.{name}.jsonl"))
+                log.emit(f"{name}.start")
+            done = body(RunManifest.from_dict(doc), log, timings, args)
+            log.emit(f"{name}.done", **(done or {}))
+            with contextlib.suppress(FileNotFoundError):   # no earlier failure's record stays
+                os.remove(os.path.join(outdir, "error.json"))
+        except KamError as exc:
+            failure = exc
+            code, reason = next((c, r) for cls, c, r in FAILURES if isinstance(exc, cls))
+            print(f"error: {exc}", file=sys.stderr)
+            if log is not None:
+                record = dict(vars(exc), detail=str(exc))
+                log.emit("error", reason=reason, **record)
+                write_json(os.path.join(outdir, "error.json"), dict(record, error=reason))
+        finally:
+            if log is not None:
+                log.close()
+        if log is not None:
+            timings[f"{name}_s"] = time.perf_counter() - t0
+            _write_timings(outdir, timings)
+            if not isinstance(failure, ArtifactError):
+                write_checksums(outdir)
+        return EXIT_OK if failure is None else code
+
+    return command
+
+
+# ---------------------------------------------------------------------------
+# models and frequencies
+# ---------------------------------------------------------------------------
 
 def _build_base(manifest: RunManifest):
     """Just the diagonal part (cheap path for frequency work)."""
@@ -168,45 +265,32 @@ def _settings(manifest: RunManifest):
     return KamSettings(**manifest.settings)
 
 
-def _cert_dict(cert):
+def _cert_dict(cert) -> dict:
+    """A certificate as a JSON record; an infinite margin becomes null."""
     import dataclasses
     import math
 
-    if cert is None:
-        return None
-    doc = dataclasses.asdict(cert)
-    for key, value in list(doc.items()):
-        if isinstance(value, float) and math.isinf(value):
-            doc[key] = None
-    return doc
+    return {key: None if isinstance(value, float) and math.isinf(value) else value
+            for key, value in dataclasses.asdict(cert).items()}
 
 
-def _certify(omega, base, settings):
-    """An explicit omega with both non-resonance certificates over settings.horizon()."""
-    from . import diophantine as dio
+def _frequency(manifest: RunManifest, base, settings):
+    """(chosen, record) for the manifest's frequency.
 
-    return dio.certify(omega, base, settings.gamma, settings.tau, settings.horizon(), base.N)
-
-
-def _resolve_frequency(manifest: RunManifest, base, settings):
-    """Explicit omega (certified up front) or a seeded sampling request."""
+    An explicit omega gets both non-resonance certificates over
+    settings.horizon(); a sampling request draws a certified one with the
+    manifest seed.  The record holds the certificates, omega and, for a
+    sample, the sampler's figures.
+    """
     import numpy as np
 
     from . import diophantine as dio
 
     freq = manifest.frequency
     if "omega" in freq:
-        chosen = _certify(np.asarray([float(w) for w in freq["omega"]], dtype=float),
-                          base, settings)
-        if not (chosen.dio1.passed and chosen.dio2.passed):
-            detail = (chosen.dio1.violating_k if not chosen.dio1.passed
-                      else chosen.dio2.violating_triple)
-            raise FrequencyExcluded(
-                f"manifest frequency fails its certificate at {detail}",
-                triple=detail,
-                step=0,
-            )
-        info = {"source": "manifest"}
+        omega = np.asarray(freq["omega"], dtype=float)
+        chosen = dio.certify(omega, base, settings.gamma, settings.tau, settings.horizon(), base.N)
+        info = {}
     else:
         req = freq["sample"]
         chosen, info = dio.optimize_frequency(
@@ -220,227 +304,172 @@ def _resolve_frequency(manifest: RunManifest, base, settings):
             seed=manifest.seed,
             robust_K=req.get("robust_K"),
         )
-        info = dict(info, source="sampled")
-    return chosen.omega, dict(info, dio1=_cert_dict(chosen.dio1), dio2=_cert_dict(chosen.dio2))
+    return chosen, dict(info, dio1=_cert_dict(chosen.dio1), dio2=_cert_dict(chosen.dio2),
+                        omega=list(chosen.omega))
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_frequencies(manifest: RunManifest) -> int:
-    t0 = time.perf_counter()
+@_command
+def cmd_model(manifest: RunManifest, log, timings, args):
+    from .serialize import write_json
+    from .torus import delta_norm
+
+    spec = manifest.model
+    osc = _build_oscillator(spec) if spec["kind"] == "oscillator" else None
+    base, P = _build_model(manifest, osc)
+    settings = _settings(manifest)
+    doc = {
+        "K": P.K,
+        "kind": spec["kind"],
+        "lambda": list(base.lam),
+        "N": base.N,
+        "n": base.n,
+        "norm": delta_norm(P, base, settings.s),
+        "scenario": manifest.scenario,
+    }
+    if osc is not None:
+        from . import oscillator
+
+        doc["certificate"] = osc.certificate
+        d_exact = 2.0 * spec["alpha"] / (spec["alpha"] + 2.0)
+        doc["d_exact"] = d_exact
+        if base.N >= 25:
+            lo = max(10, base.N // 4)
+            d_fit, stderr = oscillator.asymptotic_exponent_fit(
+                osc.eigenvalues, range(lo, base.N + 1)
+            )
+            doc["d_fit"] = d_fit
+            doc["d_fit_stderr"] = stderr
+            doc["d_relative_error"] = abs(d_fit - d_exact) / d_exact
+    write_json(os.path.join(manifest.out, "model.json"), doc)
+    print(f"model: N={doc['N']} n={doc['n']} norm={doc['norm']:.3e} in {manifest.out}")
+
+
+@_command
+def cmd_frequencies(manifest: RunManifest, log, timings, args):
     from . import diophantine as dio
-    from .serialize import write_checksums, write_json
+    from .serialize import write_json
 
-    outdir = _prepare_out(manifest)
-    log = _JsonlLog(os.path.join(outdir, "log.jsonl"))
-    try:
-        settings = _settings(manifest)
-        base = _build_base(manifest)
-        log.emit("frequencies.start", scenario=manifest.scenario, seed=manifest.seed)
-        doc = {"scenario": manifest.scenario, "seed": manifest.seed}
-
-        cfg = manifest.frequencies
-        if cfg is not None:
-            tau = cfg.get("tau", settings.tau)
-            Kmax = cfg.get("Kmax", settings.horizon())
-            table = dio.rejection_table(
-                n=base.n,
-                base=base,
-                gamma_grid=cfg["gamma_grid"],
-                tau=tau,
-                Kmax=Kmax,
-                Nmax=base.N,
-                num_samples=cfg["num_samples"],
-                seed=manifest.seed,
-            )
-            doc["rejection"] = {
-                "Kmax": Kmax,
-                "num_samples": cfg["num_samples"],
-                "table": [{"gamma": g, "fraction": f} for g, f in table],
-                "tau": tau,
-            }
-            lines = ["gamma,rejection_fraction"]
-            lines += [f"{g!r},{f!r}" for g, f in table]
-            with open(os.path.join(outdir, "rejection.csv"), "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-            for g, f in table:
-                log.emit("frequencies.gamma", gamma=g, fraction=f)
-
-        if "omega" in manifest.frequency:
-            import numpy as np
-
-            omega = np.asarray(manifest.frequency["omega"], dtype=float)
-            chosen = _certify(omega, base, settings)
-            doc["certificate"] = {
-                "dio1": _cert_dict(chosen.dio1),
-                "dio2": _cert_dict(chosen.dio2),
-                "omega": list(omega),
-                "passed": bool(chosen.dio1.passed and chosen.dio2.passed),
-            }
-        else:
-            omega, info = _resolve_frequency(manifest, base, settings)
-            doc["chosen"] = dict(info, omega=list(omega))
-
-        write_json(os.path.join(outdir, "frequencies.json"), doc)
-        log.emit("frequencies.done")
-    finally:
-        log.close()
-    _write_timings(outdir, {"frequencies_s": time.perf_counter() - t0})
-    write_checksums(outdir)
-    print(f"frequencies: artifacts in {outdir}")
-    return EXIT_OK
-
-
-def _write_timings(outdir, timings: dict) -> None:
-    """Merge timings into timings.txt; keys of earlier commands are kept.
-
-    Not checksummed and not JSON: the one artifact allowed to differ between
-    replays.
-    """
-    path = os.path.join(outdir, "timings.txt")
-    lines = {}
-    if os.path.isfile(path):
-        with open(path) as fh:
-            lines = {line.split(":", 1)[0]: line for line in fh if ":" in line}
-    lines.update({key: f"{key}: {value:.6f} s\n" for key, value in timings.items()})
-    with open(path, "w") as fh:
-        fh.writelines(lines[key] for key in sorted(lines))
-
-
-def _fail(outdir, log, code: int, reason: str, **detail) -> int:
-    from .serialize import write_checksums, write_json
-
-    log.emit("error", reason=reason, **detail)
-    write_json(os.path.join(outdir, "error.json"), dict(detail, error=reason))
-    write_checksums(outdir)
-    return code
-
-
-def cmd_reduce(manifest: RunManifest) -> int:
-    t0 = time.perf_counter()
-    from .engine import run_schedule
-    from .serialize import write_array, write_checksums, write_json
-
-    outdir = _prepare_out(manifest)
-    log = _JsonlLog(os.path.join(outdir, "log.jsonl"))
-    timings = {}
-    try:
-        write_json(os.path.join(outdir, "manifest_echo.json"), manifest.to_dict())
-        settings = _settings(manifest)
-        base, P = _build_model(manifest)
-        timings["build_s"] = time.perf_counter() - t0
-        log.emit(
-            "reduce.start",
-            scenario=manifest.scenario,
-            seed=manifest.seed,
-            N=base.N,
+    settings = _settings(manifest)
+    base = _build_base(manifest)
+    doc = {"scenario": manifest.scenario, "seed": manifest.seed}
+    cfg = manifest.frequencies
+    if cfg is not None:
+        tau = cfg.get("tau", settings.tau)
+        Kmax = cfg.get("Kmax", settings.horizon())
+        table = dio.rejection_table(
             n=base.n,
-            epsilon=settings.epsilon,
+            base=base,
+            gamma_grid=cfg["gamma_grid"],
+            tau=tau,
+            Kmax=Kmax,
+            Nmax=base.N,
+            num_samples=cfg["num_samples"],
+            seed=manifest.seed,
         )
-
-        try:
-            omega, freq_info = _resolve_frequency(manifest, base, settings)
-        except (FrequencyExcluded, ZeroAcceptanceError) as exc:
-            code = _fail(
-                outdir, log, EXIT_FREQUENCY, "frequency-excluded", detail=str(exc)
-            )
-            print(f"error: {exc}", file=sys.stderr)
-            return code
-        write_json(
-            os.path.join(outdir, "frequency.json"),
-            dict(freq_info, omega=list(omega)),
-        )
-
-        t1 = time.perf_counter()
-        try:
-            state, reduced = run_schedule(base, P, omega, settings)
-        except FrequencyExcluded as exc:
-            code = _fail(
-                outdir,
-                log,
-                EXIT_FREQUENCY,
-                "frequency-excluded",
-                detail=str(exc),
-                step=exc.step,
-            )
-            print(f"error: {exc}", file=sys.stderr)
-            return code
-        timings["reduce_s"] = time.perf_counter() - t1
-        timings.update(state.timings)
-
-        for rec in state.records:
-            log.emit("step", l=rec["l"], norm=rec["norm_out"], K=rec["K_step"])
-        write_json(os.path.join(outdir, "steps.json"), list(state.records))
-
-        if not state.converged:
-            reason = "divergence" if state.diverged else "no-convergence"
-            code = _fail(
-                outdir,
-                log,
-                EXIT_DIVERGENCE,
-                reason,
-                norm_history=list(state.norm_history),
-                steps=state.l,
-            )
-            _write_timings(outdir, timings)
-            write_checksums(outdir)
-            print(f"error: {reason} after {state.l} steps", file=sys.stderr)
-            return code
-
-        gen_meta = []
-        for idx, gen in enumerate(reduced.generators):
-            name = f"generator_{idx:02d}.npy"
-            write_array(os.path.join(outdir, name), gen.coeffs)
-            gen_meta.append({"K": gen.K, "file": name, "n": gen.n})
-        doc = {
-            "converged": True,
-            "d": reduced.d,
-            "delta": reduced.delta,
-            "epsilon": reduced.epsilon,
-            "generators": gen_meta,
-            "K_mu": reduced.K_mu,
-            "lambda_inf": list(reduced.lambda_inf),
-            "lambda_ref": list(reduced.lambda_ref),
-            "mu_inf": None,
-            "n": reduced.n,
-            "norm_history": list(state.norm_history),
-            "omega": list(omega),
-            "shift_constant": reduced.shift_constant,
-            "steps": state.l,
+        doc["rejection"] = {
+            "Kmax": Kmax,
+            "num_samples": cfg["num_samples"],
+            "table": [{"gamma": g, "fraction": f} for g, f in table],
+            "tau": tau,
         }
-        if reduced.mu_inf is not None:
-            write_array(os.path.join(outdir, "mu_inf.npy"), reduced.mu_inf)
-            doc["mu_inf"] = "mu_inf.npy"
-        write_json(os.path.join(outdir, "reduced.json"), doc)
+        _write_csv(os.path.join(manifest.out, "rejection.csv"), "gamma,rejection_fraction", table)
+        for g, f in table:
+            log.emit("frequencies.gamma", gamma=g, fraction=f)
 
-        _write_spectrum(outdir, reduced, (manifest.spectrum or {}).get("Kmax", 2))
-        log.emit(
-            "reduce.done",
-            converged=True,
-            steps=state.l,
-            final_norm=state.norm_history[-1],
+    chosen, record = _frequency(manifest, base, settings)
+    if "omega" in manifest.frequency:
+        doc["certificate"] = dict(record, passed=bool(chosen.dio1.passed and chosen.dio2.passed))
+    else:
+        doc["chosen"] = dict(record, source="sampled")
+    write_json(os.path.join(manifest.out, "frequencies.json"), doc)
+    print(f"frequencies: artifacts in {manifest.out}")
+
+
+@_command
+def cmd_reduce(manifest: RunManifest, log, timings, args):
+    from .engine import run_schedule
+    from .serialize import write_array, write_json
+
+    outdir = manifest.out
+    write_json(os.path.join(outdir, "manifest_echo.json"), manifest.to_dict())
+    settings = _settings(manifest)
+    with _timed(timings, "build_s"):
+        base, P = _build_model(manifest)
+    log.emit("reduce.model", N=base.N, n=base.n, epsilon=settings.epsilon)
+
+    chosen, record = _frequency(manifest, base, settings)
+    if not (chosen.dio1.passed and chosen.dio2.passed):
+        detail = (chosen.dio1.violating_k if not chosen.dio1.passed
+                  else chosen.dio2.violating_triple)
+        raise FrequencyExcluded(
+            f"manifest frequency fails its certificate at {detail}", triple=detail, step=0
         )
-    finally:
-        log.close()
-    _write_timings(outdir, timings)
-    write_checksums(outdir)
+    source = "manifest" if "omega" in manifest.frequency else "sampled"
+    write_json(os.path.join(outdir, "frequency.json"), dict(record, source=source))
+
+    with _timed(timings, "reduce.schedule_s"):
+        state, reduced = run_schedule(base, P, chosen.omega, settings)
+    timings.update(state.timings)
+    for rec in state.records:
+        log.emit("step", l=rec["l"], norm=rec["norm_out"], K=rec["K_step"])
+    write_json(os.path.join(outdir, "steps.json"), list(state.records))
+    if not state.converged:
+        raise ConvergenceError(
+            f"divergence after {state.l} steps",
+            norm_history=list(state.norm_history),
+            steps=state.l,
+        )
+
+    gen_meta = []
+    for idx, gen in enumerate(reduced.generators):
+        name = f"generator_{idx:02d}.npy"
+        write_array(os.path.join(outdir, name), gen.coeffs)
+        gen_meta.append({"K": gen.K, "file": name, "n": gen.n})
+    doc = {
+        "converged": True,
+        "d": reduced.d,
+        "delta": reduced.delta,
+        "epsilon": reduced.epsilon,
+        "generators": gen_meta,
+        "K_mu": reduced.K_mu,
+        "lambda_inf": list(reduced.lambda_inf),
+        "lambda_ref": list(reduced.lambda_ref),
+        "mu_inf": None,
+        "n": reduced.n,
+        "norm_history": list(state.norm_history),
+        "omega": list(chosen.omega),
+        "shift_constant": reduced.shift_constant,
+        "steps": state.l,
+    }
+    if reduced.mu_inf is not None:
+        write_array(os.path.join(outdir, "mu_inf.npy"), reduced.mu_inf)
+        doc["mu_inf"] = "mu_inf.npy"
+    write_json(os.path.join(outdir, "reduced.json"), doc)
+
+    _write_spectrum(outdir, reduced, (manifest.spectrum or {}).get("Kmax", 2))
     print(
         f"reduce: converged in {state.l} steps, final norm "
         f"{state.norm_history[-1]:.3e}; artifacts in {outdir}"
     )
-    return EXIT_OK
+    return {"converged": True, "steps": state.l, "final_norm": state.norm_history[-1]}
 
 
-def _load_reduced(manifest: RunManifest, outdir: str):
-    """Rebuild a ReducedSystem from reduced.json plus its .npy companions."""
+def _load_reduced(outdir: str):
+    """Rebuild a ReducedSystem from reduced.json plus its .npy companions.
+
+    The checksums are checked first, so only artifacts that pass are read.
+    """
     import numpy as np
 
     from .engine import ReducedSystem
-    from .serialize import load_array, load_json
+    from .serialize import load_array, load_json, verify_checksums
     from .torus import OperatorSeries
 
+    verify_checksums(outdir)
     path = os.path.join(outdir, "reduced.json")
     if not os.path.isfile(path):
         raise ArtifactError(f"missing reduced.json in {outdir} (run `reduce` first)")
@@ -470,8 +499,8 @@ def _load_reduced(manifest: RunManifest, outdir: str):
     )
 
 
-def cmd_verify(manifest: RunManifest) -> int:
-    t0 = time.perf_counter()
+@_command
+def cmd_verify(manifest: RunManifest, log, timings, args):
     import numpy as np
 
     from .floquet import (
@@ -479,11 +508,9 @@ def cmd_verify(manifest: RunManifest) -> int:
         quasienergies_from_period_map,
         reconstruct_solution,
     )
-    from .serialize import verify_checksums, write_checksums, write_json
+    from .serialize import write_json
 
-    outdir = _prepare_out(manifest)
-    verify_checksums(outdir)
-    reduced = _load_reduced(manifest, outdir)
+    reduced = _load_reduced(manifest.out)
     base, P = _build_model(manifest)
     cfg = manifest.verify or {}
     t_max = cfg.get("t_max", 50.0)
@@ -500,13 +527,10 @@ def cmd_verify(manifest: RunManifest) -> int:
     T = 2.0 * np.pi / float(omega[0]) if reduced.n == 1 else None
     times = ts if T is None else np.union1d(ts, [T])
 
-    timings = {}
-    t1 = time.perf_counter()
-    R = reconstruct_solution(reduced, identity, phi0, ts)
-    timings["verify.reconstruct_s"] = time.perf_counter() - t1
-    t1 = time.perf_counter()
-    Phi, dt, steps, estimate = propagate_step_doubled(base, P, omega, identity, phi0, times)
-    timings["verify.direct_s"] = time.perf_counter() - t1
+    with _timed(timings, "verify.reconstruct_s"):
+        R = reconstruct_solution(reduced, identity, phi0, ts)
+    with _timed(timings, "verify.direct_s"):
+        Phi, dt, steps, estimate = propagate_step_doubled(base, P, omega, identity, phi0, times)
     Phi_t = Phi[np.searchsorted(times, ts)]
     direct, recon = Phi_t @ psi0, R @ psi0
     dev = float(np.max(np.linalg.norm(recon - direct, axis=1)))
@@ -532,10 +556,9 @@ def cmd_verify(manifest: RunManifest) -> int:
     }
 
     if T is not None:
-        t1 = time.perf_counter()
-        period = np.searchsorted(times, T)
-        nu, info = quasienergies_from_period_map(Phi[period], T, reduced)
-        timings["verify.monodromy_s"] = time.perf_counter() - t1
+        with _timed(timings, "verify.monodromy_s"):
+            period = np.searchsorted(times, T)
+            nu, info = quasienergies_from_period_map(Phi[period], T, reduced)
         report["steps_period"] = int(steps[: period + 1].sum())
         lam = np.mod(reduced.lambda_inf, 2.0 * np.pi / T)
         err = np.abs(nu - lam)
@@ -547,13 +570,13 @@ def cmd_verify(manifest: RunManifest) -> int:
             "unitarity_defect": info.get("unitarity_defect"),
         }
 
-    write_json(os.path.join(outdir, "verify.json"), report)
-    timings["verify_s"] = time.perf_counter() - t0
-    _write_timings(outdir, timings)
-    write_checksums(outdir)
-    status = "ok" if report["passed"] else "FAILED"
-    print(f"verify: max deviation {dev:.3e}, operator {op_dev:.3e} (tol {tol:.1e}) -> {status}")
-    return EXIT_OK if report["passed"] else EXIT_FAILURE
+    write_json(os.path.join(manifest.out, "verify.json"), report)
+    if not report["passed"]:
+        raise ToleranceExceeded(
+            f"verify: max deviation {dev:.3e}, operator {op_dev:.3e} above tol {tol:.1e}"
+        )
+    print(f"verify: max deviation {dev:.3e}, operator {op_dev:.3e} (tol {tol:.1e}) -> ok")
+    return {"max_operator_deviation": op_dev}
 
 
 def _write_spectrum(outdir: str, reduced, Kmax: int):
@@ -575,71 +598,16 @@ def _write_spectrum(outdir: str, reduced, Kmax: int):
     return spec
 
 
-def cmd_spectrum(manifest: RunManifest, kmax: int | None = None) -> int:
-    from .serialize import verify_checksums, write_checksums
-
-    outdir = _prepare_out(manifest)
-    verify_checksums(outdir)
-    reduced = _load_reduced(manifest, outdir)
-    K = kmax if kmax is not None else (manifest.spectrum or {}).get("Kmax", 2)
-    spec = _write_spectrum(outdir, reduced, K)
-    header = "nu,mode,multiplicity," + ",".join(
-        f"k{i + 1}" for i in range(reduced.n)
-    )
-    lines = [header]
-    for idx in range(len(spec)):
-        kcols = ",".join(str(int(c)) for c in spec.k[idx])
-        lines.append(
-            f"{float(spec.nu[idx])!r},{int(spec.mode[idx])},"
-            f"{int(spec.multiplicity[idx])},{kcols}"
-        )
-    with open(os.path.join(outdir, "spectrum.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    write_checksums(outdir)
-    print(f"spectrum: {len(spec)} lines (|k| <= {K}) in {outdir}")
-    return EXIT_OK
-
-
-def cmd_model(manifest: RunManifest) -> int:
-    t0 = time.perf_counter()
-    import numpy as np
-
-    from .serialize import write_checksums, write_json
-    from .torus import delta_norm
-
-    outdir = _prepare_out(manifest)
-    spec = manifest.model
-    osc = _build_oscillator(spec) if spec["kind"] == "oscillator" else None
-    base, P = _build_model(manifest, osc)
-    settings = _settings(manifest)
-    doc = {
-        "K": P.K,
-        "kind": spec["kind"],
-        "lambda": list(base.lam),
-        "N": base.N,
-        "n": base.n,
-        "norm": delta_norm(P, base, settings.s),
-        "scenario": manifest.scenario,
-    }
-    if osc is not None:
-        from . import oscillator
-
-        doc["certificate"] = osc.certificate
-        d_exact = 2.0 * spec["alpha"] / (spec["alpha"] + 2.0)
-        doc["d_exact"] = d_exact
-        if base.N >= 25:
-            lo = max(10, base.N // 4)
-            d_fit, stderr = oscillator.asymptotic_exponent_fit(
-                osc.eigenvalues, range(lo, base.N + 1)
-            )
-            doc["d_fit"] = d_fit
-            doc["d_fit_stderr"] = stderr
-            doc["d_relative_error"] = abs(d_fit - d_exact) / d_exact
-    write_json(os.path.join(outdir, "model.json"), doc)
-    _write_timings(outdir, {"model_s": time.perf_counter() - t0})
-    write_checksums(outdir)
-    print(f"model: N={doc['N']} n={doc['n']} norm={doc['norm']:.3e} in {outdir}")
-    return EXIT_OK
+@_command
+def cmd_spectrum(manifest: RunManifest, log, timings, args):
+    reduced = _load_reduced(manifest.out)
+    K = args.kmax if args.kmax is not None else (manifest.spectrum or {}).get("Kmax", 2)
+    spec = _write_spectrum(manifest.out, reduced, K)
+    header = "nu,mode,multiplicity," + ",".join(f"k{i + 1}" for i in range(reduced.n))
+    rows = [(float(nu), int(mode), int(mult), *map(int, k))
+            for nu, mode, mult, k in zip(spec.nu, spec.mode, spec.multiplicity, spec.k)]
+    _write_csv(os.path.join(manifest.out, "spectrum.csv"), header, rows)
+    print(f"spectrum: {len(spec)} lines (|k| <= {K}) in {manifest.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -693,41 +661,8 @@ def _apply_threads(threads: int | None) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        _apply_threads(args.threads)
-        from .serialize import RunManifest
-
-        manifest = RunManifest.load(args.manifest)
-        manifest = manifest.replace(seed=args.seed, out=args.out)
-        if args.command == "frequencies":
-            return cmd_frequencies(manifest)
-        if args.command == "reduce":
-            return cmd_reduce(manifest)
-        if args.command == "verify":
-            return cmd_verify(manifest)
-        if args.command == "spectrum":
-            return cmd_spectrum(manifest, kmax=args.kmax)
-        if args.command == "model":
-            return cmd_model(manifest)
-        raise KamError(f"unknown command {args.command!r}")
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (FrequencyExcluded, ZeroAcceptanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FREQUENCY
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except DivisorTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVISOR
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARTIFACT
-    except KamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    # looked up at call time, so a wrapper bound in this module's namespace runs
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

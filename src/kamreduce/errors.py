@@ -2,7 +2,15 @@
 
 
 class KamError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Keyword fields become attributes: the record a failure carries (the
+    offending indices, step or field), which the CLI writes to error.json.
+    """
+
+    def __init__(self, message="", **record):
+        super().__init__(message)
+        self.__dict__.update(record)
 
 
 class AliasingError(KamError):
@@ -14,26 +22,11 @@ class HermiticityError(KamError):
 
 
 class DivisorTooSmall(KamError):
-    """A small divisor fell below the configured floor.
-
-    Carries the offending indices so callers can report the resonant triple.
-    """
-
-    def __init__(self, message, i=None, j=None, k=None, value=None):
-        super().__init__(message)
-        self.i = i
-        self.j = j
-        self.k = k
-        self.value = value
+    """A small divisor fell below the configured floor; carries i, j, k and value."""
 
 
 class FrequencyExcluded(KamError):
-    """The frequency left the admissible set during iteration (resonance hit)."""
-
-    def __init__(self, message, triple=None, step=None):
-        super().__init__(message)
-        self.triple = triple
-        self.step = step
+    """The frequency left the admissible set (resonance hit); carries triple and step."""
 
 
 class GuardWarning(UserWarning):
@@ -41,7 +34,10 @@ class GuardWarning(UserWarning):
 
 
 class ConvergenceError(KamError):
-    """A discretization failed its convergence-by-refinement certificate."""
+    """The KAM schedule or a discretization did not converge.
+
+    A schedule that stopped carries its norm_history and steps.
+    """
 
 
 class ZeroAcceptanceError(KamError):
@@ -49,12 +45,12 @@ class ZeroAcceptanceError(KamError):
 
 
 class SchemaError(KamError):
-    """A manifest or artifact document failed validation."""
-
-    def __init__(self, message, field_path=None):
-        super().__init__(message)
-        self.field_path = field_path
+    """A manifest or artifact document failed validation; carries its field_path."""
 
 
 class ArtifactError(KamError):
     """A run artifact is missing or fails its checksum."""
+
+
+class ToleranceExceeded(KamError):
+    """The reduced solution and direct propagation differ by more than tol."""

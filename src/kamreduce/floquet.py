@@ -25,7 +25,8 @@ Hamiltonians of a chunk of steps are built as one batch, each exponential
 is an engine._expm_taylor Taylor polynomial with remainder below 2^-53,
 and the chunk's exponentials are multiplied together as a tree, so steps
 are unitary to roundoff.  step_plan holds the step rule: nested coarse and
-fine grids below the Magnus convergence radius h ||H|| < pi.
+fine grids below the Magnus convergence radius h ||H|| < pi, whose coarse
+step also spans at most an eighth of the shortest forcing period.
 propagate_step_doubled compares the two sweeps for the error estimate that
 verify records.
 """
@@ -186,6 +187,11 @@ _CF4_WEIGHTS = np.array([[_A2, _A1], [_A1, _A2]])
 # h max|lambda| of the coarse step, and the Magnus convergence radius
 # h ||H|| < pi that every step must stay below
 _COARSE_STEP = 3.2
+# the most of the shortest forcing period 2 pi / max|omega.k| a coarse step
+# may span.  A two-level model, lambda = (1, 2.3) and a 0.05 cos phi
+# coupling, forced at omega = 1.7 to t = 50, fails after four halvings when
+# only max|lambda| sizes the step, and passes with this bound
+_PERIOD_SHARE = 1.0 / 8.0
 _MAGNUS_BOUND = math.pi
 # step doubling: the largest accepted error estimate, and the most halvings
 _ERROR_TOL = 1e-10
@@ -229,14 +235,27 @@ def _step_product(base, P, omega, phi0, t0: float, h: float, steps: int) -> np.n
     return U
 
 
-def step_plan(base: DiagonalPart, ts, dt: float | None = None):
+def _forcing_rate(base: DiagonalPart, P: OperatorSeries | None, omega) -> float:
+    """max |omega.k| over the modes k at which P or mu is nonzero; 0 if none."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    live = []
+    if P is not None:
+        live.append((P.n, P.K, np.abs(P.coeffs).reshape((2 * P.K + 1) ** P.n, -1)))
+    if base.mu is not None and base.K > 0:
+        live.append((base.n, base.K, np.abs(base.mu).reshape(base.N, -1).T))
+    return max((float(np.abs(k_box(n, K) @ omega)[size.max(axis=1) > 0].max(initial=0.0))
+                for n, K, size in live), default=0.0)
+
+
+def step_plan(base: DiagonalPart, P: OperatorSeries | None, omega, ts, dt: float | None = None):
     """The step rule of the propagators: checked dt and steps per interval.
 
     Interval m runs from ts[m-1] (0 for m = 0) to ts[m] in equal steps, so
     every output time is landed on exactly.  By default the steps are the
-    fine grid of verify's step doubling: the coarse step h_c = 3.2 /
-    max|lambda| takes ceil(span / h_c) steps and the fine one exactly twice
-    as many, so the two grids nest; dt is then h_c / 2.  A given dt takes
+    fine grid of verify's step doubling: the coarse step h_c = min(3.2 /
+    max|lambda|, (2 pi / max|omega.k|) / 8), k over the live modes of P and
+    mu, takes ceil(span / h_c) steps and the fine one exactly twice as many,
+    so the two grids nest; dt is then h_c / 2.  A given dt takes
     ceil(span / dt) steps.  Either way dt * max|lambda| must stay below the
     Magnus convergence radius pi.  Returns (dt, steps) with steps an int
     array.
@@ -248,6 +267,9 @@ def step_plan(base: DiagonalPart, ts, dt: float | None = None):
     spans = np.diff(ts, prepend=0.0)
     if dt is None:
         h_c = _COARSE_STEP / lam_max
+        rate = _forcing_rate(base, P, omega)
+        if rate > 0:
+            h_c = min(h_c, _PERIOD_SHARE * 2.0 * np.pi / rate)
         return h_c / 2.0, 2 * np.ceil(spans / h_c - 1e-12).astype(int)
     if dt * lam_max >= _MAGNUS_BOUND:
         raise KamError(
@@ -299,7 +321,7 @@ def propagate_direct(
     psi0.shape.
     """
     omega, psi, phi0, ts = _inputs(omega, psi0, phi0, ts)
-    _, steps = step_plan(base, ts, dt)
+    _, steps = step_plan(base, P, omega, ts, dt)
     return _sweep(base, P, omega, psi, phi0, ts, steps)
 
 
@@ -315,7 +337,7 @@ def propagate_step_doubled(base: DiagonalPart, P: OperatorSeries | None, omega, 
     e) for the accepted fine sweep, psi_t as from propagate_direct.
     """
     omega, psi, phi0, ts = _inputs(omega, psi0, phi0, ts)
-    dt, steps = step_plan(base, ts)
+    dt, steps = step_plan(base, P, omega, ts)
     coarse = _sweep(base, P, omega, psi, phi0, ts, steps // 2)
     for _ in range(_MAX_HALVINGS + 1):
         fine = _sweep(base, P, omega, psi, phi0, ts, steps)

@@ -140,7 +140,12 @@ def write_array(path, arr) -> str:
 
 
 def load_array(path) -> np.ndarray:
-    return np.load(path)
+    """The stored array as a read-only view of read-only memory, which a series keeps uncopied."""
+    arr = np.load(path)
+    for a in (arr, arr.base):
+        if a is not None:
+            a.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +343,26 @@ def _validate_manifest(doc: dict) -> None:
     raise SchemaError(f"manifest invalid at {path}: {best.message}", field_path=path)
 
 
+def _check_angles(doc: dict) -> None:
+    """The cross-field checks: every forcing key and an explicit omega have n angles.
+
+    n is the abstract model's n, or the forcing keys' one dimension.
+    """
+    model = doc["model"]
+    if model["kind"] == "abstract":
+        n = model["n"]
+    else:
+        dims = sorted({key.count(",") + 1 for key in model["forcing"]})
+        if len(dims) > 1:
+            raise SchemaError(f"manifest invalid at model.forcing: keys mix {dims} angles",
+                              field_path="model.forcing")
+        n = dims[0]
+    omega = doc["frequency"].get("omega")
+    if omega is not None and len(omega) != n:
+        raise SchemaError(f"manifest invalid at frequency.omega: {len(omega)} angles "
+                          f"for a model with n = {n}", field_path="frequency.omega")
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to replay a run: scenario, model, settings, seed.
@@ -361,6 +386,7 @@ class RunManifest:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunManifest":
         _validate_manifest(doc)
+        _check_angles(doc)
         return cls(
             scenario=doc["scenario"],
             seed=doc["seed"],
@@ -388,20 +414,23 @@ class RunManifest:
                 doc[name] = value
         return doc
 
-    @classmethod
-    def load(cls, path) -> "RunManifest":
+    @staticmethod
+    def read(path, **overrides) -> dict:
+        """The manifest document at path with the overrides that are not None; not validated."""
         try:
             doc = load_json(path)
+        except OSError as exc:
+            raise SchemaError(f"manifest cannot be read: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SchemaError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise SchemaError("manifest must be a JSON object")
-        return cls.from_dict(doc)
+        doc.update({k: v for k, v in overrides.items() if v is not None})
+        return doc
+
+    @classmethod
+    def load(cls, path) -> "RunManifest":
+        return cls.from_dict(cls.read(path))
 
     def dump(self, path) -> str:
         return write_json(path, self.to_dict())
-
-    def replace(self, **kw) -> "RunManifest":
-        doc = self.to_dict()
-        doc.update({k: v for k, v in kw.items() if v is not None})
-        return RunManifest.from_dict(doc)

@@ -154,6 +154,18 @@ def _commute(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frozen(c: np.ndarray) -> bool:
+    """c is a read-only view of a read-only array of its own size, as load_array returns.
+
+    numpy refuses to make such a view writeable, and it keeps no larger
+    buffer alive.  An array that owns its memory is not frozen: whoever
+    passed it can make it writeable again.
+    """
+    owner = c.base
+    return (isinstance(owner, np.ndarray) and not (c.flags.writeable or owner.flags.writeable)
+            and owner.nbytes == c.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # series containers
 
@@ -171,8 +183,9 @@ class _Series:
         want = (2 * self.K + 1,) * self.n + self._tail
         if c.shape != want:
             raise KamError(f"coefficient shape {c.shape} != {want}")
-        c = c.copy()
-        c.flags.writeable = False
+        if not _frozen(c):
+            c = c.copy()
+            c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     def _like(self, K: int, coeffs: np.ndarray):

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ OMEGA_N2 = [0.12902675768352256, 0.10778545957448527]
 # omega hitting lambda_2 - lambda_1 = 3 omega exactly (d = 4/3 ladder)
 OMEGA_RESONANT = (2.0 ** (4.0 / 3.0) - 1.0) / 3.0
 STEP_PHASES = ("solve", "conjugate", "norms", "recertify")
+COMMANDS = ("model", "frequencies", "reduce", "verify", "spectrum")
+ROOT = Path(__file__).resolve().parents[1]
+MANIFESTS = ROOT / "manifests"
 
 
 def _doc(out, **overrides):
@@ -73,6 +77,23 @@ def _run(cmd, manifest_path, out=None, extra=()):
     return cli.main(argv + list(extra))
 
 
+def _events(outdir, cmd):
+    lines = (outdir / f"log.{cmd}.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines]
+
+
+def _assert_failed(code, outdir, cmd, exit_code, reason):
+    """The exit code, error.json's reason and the command's start and error events."""
+    assert code == exit_code
+    err = load_json(outdir / "error.json")
+    assert err["error"] == reason
+    events = _events(outdir, cmd)
+    assert events[0]["event"] == f"{cmd}.start"
+    record = {key: value for key, value in err.items() if key != "error"}
+    assert events[-1] == dict(record, event="error", reason=reason)
+    return err
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_run")
@@ -106,9 +127,10 @@ def test_reduce_reference_artifacts(finished_run):
     assert steps[0]["l"] == 1 and steps[0]["hom_residual"] < 1e-9
     assert (outdir / "spectrum.json").is_file()
     assert (outdir / "checksums.json").is_file()
-    events = [json.loads(line) for line in (outdir / "log.jsonl").read_text().splitlines()]
+    events = _events(outdir, "reduce")
     assert events[0]["event"] == "reduce.start"
-    assert events[-1]["event"] == "reduce.done"
+    assert events[-1] == {"converged": True, "event": "reduce.done", "final_norm":
+                          red["norm_history"][-1], "steps": red["steps"]}
 
 
 def test_reduce_epsilon_zero_immediate(tmp_path):
@@ -121,24 +143,48 @@ def test_reduce_epsilon_zero_immediate(tmp_path):
 
 def test_reduce_resonant_frequency_exit_code(tmp_path):
     doc = _doc(str(tmp_path / "r"), frequency={"omega": [OMEGA_RESONANT]})
-    assert _run("reduce", _write(tmp_path, doc)) == cli.EXIT_FREQUENCY
-    err = load_json(tmp_path / "r" / "error.json")
-    assert err["error"] == "frequency-excluded"
+    code = _run("reduce", _write(tmp_path, doc))
+    err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_FREQUENCY, "frequency-excluded")
+    assert err["step"] == 0
+    assert not (tmp_path / "r" / "frequency.json").exists()
 
 
 def test_reduce_divergent_epsilon_exit_code(tmp_path):
     doc = _doc(str(tmp_path / "r"))
     doc["settings"] = dict(doc["settings"], epsilon=0.3)
     code = _run("reduce", _write(tmp_path, doc))
-    assert code == cli.EXIT_DIVERGENCE
-    err = load_json(tmp_path / "r" / "error.json")
-    assert "norm_history" in err
+    err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_DIVERGENCE, "divergence")
+    assert err["steps"] == len(load_json(tmp_path / "r" / "steps.json"))
+    assert len(err["norm_history"]) == err["steps"] + 1
+    # the failed run leaves a checksummed record
+    sums = load_json(tmp_path / "r" / "checksums.json")
+    assert {"error.json", "log.reduce.jsonl", "steps.json"} <= set(sums)
 
 
 def test_schema_error_exit_code(tmp_path):
     doc = _doc(str(tmp_path / "r"))
     del doc["settings"]["gamma"]
-    assert _run("reduce", _write(tmp_path, doc)) == cli.EXIT_SCHEMA
+    code = _run("reduce", _write(tmp_path, doc))
+    err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_SCHEMA, "schema")
+    assert err["field_path"] == "settings"
+
+
+@pytest.mark.parametrize("name, edit, field", [
+    # two angles for an n = 1 model
+    ("reference-n1", lambda doc: doc["frequency"].update(omega=[0.11617668600029396, 0.3]),
+     "frequency.omega"),
+    # forcing keys of one and of two angles
+    ("oscillator-quartic", lambda doc: doc["model"].update(forcing={"1": 0.5, "-1,0": 0.5}),
+     "model.forcing"),
+])
+def test_manifests_whose_angle_counts_disagree_are_schema_errors(tmp_path, name, edit, field):
+    doc = json.loads((MANIFESTS / f"{name}.json").read_text())
+    edit(doc)
+    code = _run("reduce", _write(tmp_path, doc), out=tmp_path / "r")
+    err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_SCHEMA, "schema")
+    assert err["field_path"] == field and field in err["detail"]
+    assert sorted(os.listdir(tmp_path / "r")) == [
+        "checksums.json", "error.json", "log.reduce.jsonl", "timings.txt"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -186,6 +232,8 @@ def test_verify_reference_run(finished_run):
     rep = load_json(outdir / "verify.json")
     assert rep["passed"] and rep["max_deviation"] < 1e-4
     assert rep["quasi_energy"]["max_error"] < 1e-6
+    assert _events(outdir, "verify")[-1] == {
+        "event": "verify.done", "max_operator_deviation": rep["max_operator_deviation"]}
 
 
 @pytest.mark.parametrize("run", ["finished_run", "finished_n2_run"])
@@ -251,22 +299,31 @@ def test_verify_step_is_not_a_setting(tmp_path):
     assert _run("verify", _write(tmp_path, doc)) == cli.EXIT_SCHEMA
 
 
-def test_reduce_then_verify_keeps_both_timings(tmp_path):
-    manifest = _write(tmp_path, _doc(str(tmp_path / "r")))
-    assert _run("reduce", manifest) == cli.EXIT_OK
-    assert _run("verify", manifest) == cli.EXIT_OK
+def test_five_commands_in_one_directory_keep_their_logs_and_timings(tmp_path):
+    doc = _doc(str(tmp_path / "r"))
+    doc["frequencies"] = {"gamma_grid": [0.05, 0.1], "num_samples": 50, "Kmax": 8}
+    manifest = _write(tmp_path, doc)
+    logs = {}
+    for cmd in COMMANDS:
+        assert _run(cmd, manifest) == cli.EXIT_OK
+        logs[cmd] = (tmp_path / "r" / f"log.{cmd}.jsonl").read_bytes()
+    for cmd in COMMANDS:
+        # no later command erased an earlier one's log
+        assert (tmp_path / "r" / f"log.{cmd}.jsonl").read_bytes() == logs[cmd]
+        events = _events(tmp_path / "r", cmd)
+        assert (events[0]["event"], events[-1]["event"]) == (f"{cmd}.start", f"{cmd}.done")
     lines = (tmp_path / "r" / "timings.txt").read_text().splitlines()
     keys = [line.split(":")[0] for line in lines]
     assert keys == sorted(keys)
     steps = load_json(tmp_path / "r" / "steps.json")
-    assert set(keys) == {
+    assert set(keys) == {f"{cmd}_s" for cmd in COMMANDS} | {
         "build_s",
-        "reduce_s",
-        "verify_s",
+        "reduce.schedule_s",
         "verify.direct_s",
         "verify.monodromy_s",
         "verify.reconstruct_s",
     } | {f"step{rec['l']}.{phase}_s" for rec in steps for phase in STEP_PHASES}
+    assert not (tmp_path / "r" / "error.json").exists()
     assert "timings.txt" not in load_json(tmp_path / "r" / "checksums.json")
 
 
@@ -303,14 +360,37 @@ def test_verify_corrupted_artifact_checksum(finished_run, tmp_path):
     shutil.copytree(outdir, copy)
     with open(copy / "steps.json", "a") as fh:
         fh.write(" ")
-    doc = _doc(str(copy))
-    assert _run("verify", _write(tmp_path, doc)) == cli.EXIT_ARTIFACT
+    sums = (copy / "checksums.json").read_bytes()
+    code = _run("verify", _write(tmp_path, _doc(str(copy))))
+    err = _assert_failed(code, copy, "verify", cli.EXIT_ARTIFACT, "artifact")
+    assert "steps.json" in err["detail"]
+    # a directory whose checksums failed is not blessed again
+    assert (copy / "checksums.json").read_bytes() == sums
 
 
 def test_verify_missing_artifacts(tmp_path):
     doc = _doc(str(tmp_path / "empty"))
     (tmp_path / "empty").mkdir()
-    assert _run("verify", _write(tmp_path, doc)) == cli.EXIT_ARTIFACT
+    code = _run("verify", _write(tmp_path, doc))
+    _assert_failed(code, tmp_path / "empty", "verify", cli.EXIT_ARTIFACT, "artifact")
+    assert not (tmp_path / "empty" / "checksums.json").exists()
+
+
+def test_verify_over_tolerance_exit_code(finished_run, tmp_path):
+    _, _, outdir = finished_run
+    copy = tmp_path / "copy"
+    shutil.copytree(outdir, copy)
+    doc = _doc(str(copy), verify={"t_max": 10.0, "num_times": 20, "tol": 1e-15})
+    code = _run("verify", _write(tmp_path, doc))
+    err = _assert_failed(code, copy, "verify", cli.EXIT_FAILURE, "tolerance-exceeded")
+    rep = load_json(copy / "verify.json")
+    assert not rep["passed"] and rep["max_operator_deviation"] > rep["tol"]
+    assert "above tol" in err["detail"]
+    assert "verify.json" in load_json(copy / "checksums.json")
+    # a later success leaves no stale failure record behind
+    assert _run("verify", _write(tmp_path, _doc(str(copy)))) == cli.EXIT_OK
+    assert not (copy / "error.json").exists()
+    assert "error.json" not in load_json(copy / "checksums.json")
 
 
 def test_spectrum_table_and_kmax_flag(finished_run, tmp_path):
@@ -389,6 +469,9 @@ def test_import_defers_numpy_until_threads_are_pinned():
 def test_nonpositive_threads_usage_error(tmp_path):
     manifest = _write(tmp_path, _doc(str(tmp_path / "m")))
     assert _run("model", manifest, extra=("--threads", "0")) == cli.EXIT_SCHEMA
+    # as is a manifest that cannot be read; neither names a directory to record in
+    assert _run("model", str(tmp_path / "missing.json"), out=tmp_path / "m") == cli.EXIT_SCHEMA
+    assert not (tmp_path / "m").exists()
 
 
 def test_seed_override_changes_sampled_frequency(tmp_path):
@@ -402,3 +485,10 @@ def test_seed_override_changes_sampled_frequency(tmp_path):
     ) == cli.EXIT_OK
     second = load_json(tmp_path / "f" / "frequencies.json")["chosen"]["omega"]
     assert first != second
+
+
+def test_readme_exit_codes_are_the_failure_table():
+    section = (ROOT / "README.md").read_text().split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    table = [(cls.strip(" `"), int(code), reason.strip(" `")) for cls, code, reason in rows]
+    assert table == [(cls.__name__, code, reason) for cls, code, reason in cli.FAILURES]

@@ -165,12 +165,12 @@ def test_propagate_fourth_order_in_dt(small_run):
     assert errs[1] / errs[2] >= 12.0
 
 
-def _two_level(coupling):
-    """lambda = (1, 2.3) with a cosine coupling of the given size, forced at 0.1."""
+def _two_level(coupling, omega=0.1):
+    """lambda = (1, 2.3) with a cosine coupling of the given size, forced at omega."""
     base = DiagonalPart(lam=np.array([1.0, 2.3]), d=1.5, delta=0.0, n=1)
     c = np.zeros((3, 2, 2), dtype=complex)
     c[0] = c[2] = [[0.0, coupling], [coupling, 0.0]]
-    return base, OperatorSeries(1, 1, 2, c), np.array([0.1])
+    return base, OperatorSeries(1, 1, 2, c), np.array([omega])
 
 
 def test_step_doubling_estimate_tracks_the_error(small_run):
@@ -178,7 +178,7 @@ def test_step_doubling_estimate_tracks_the_error(small_run):
     ts = np.linspace(0.5, 10.0, 20)
     identity = np.eye(A.N, dtype=complex)
     Phi, dt, steps, estimate = propagate_step_doubled(A, P, OMEGA_N1, identity, np.zeros(1), ts)
-    dt0, steps0 = step_plan(A, ts)
+    dt0, steps0 = step_plan(A, P, OMEGA_N1, ts)
     assert dt == dt0 and np.array_equal(steps, steps0)  # no halving
     assert np.array_equal(Phi, propagate_direct(A, P, OMEGA_N1, identity, np.zeros(1), ts))
     # a reference at h max|lambda| = 0.25 is ~1e-3 of the error away from exact
@@ -191,13 +191,27 @@ def test_step_doubling_estimate_tracks_the_error(small_run):
 def test_step_doubling_refines_a_strongly_forced_system():
     base, P, omega = _two_level(0.2)
     ts = np.linspace(1.0, 10.0, 10)
-    dt0, steps0 = step_plan(base, ts)
+    dt0, steps0 = step_plan(base, P, omega, ts)
     Phi, dt, steps, estimate = propagate_step_doubled(base, P, omega, np.eye(2), np.zeros(1), ts)
     halvings = round(math.log2(dt0 / dt))
     assert halvings >= 1 and dt == dt0 / 2**halvings
     assert np.array_equal(steps, steps0 * 2**halvings)
     assert estimate <= _ERROR_TOL
     ref = propagate_direct(base, P, omega, np.eye(2), np.zeros(1), ts, dt=dt / 8)
+    assert np.max(np.linalg.norm(Phi - ref, ord=2, axis=(1, 2))) <= 3.0 * estimate
+
+
+def test_coarse_step_resolves_a_fast_forcing():
+    # max|lambda| alone would allow a coarse step of 3.2 / 2.3 = 1.39, more
+    # than a third of the forcing period 2 pi / 1.7
+    base, P, omega = _two_level(0.05, omega=1.7)
+    ts = np.linspace(50.0 / 60, 50.0, 60)
+    dt0, _ = step_plan(base, P, omega, ts)
+    assert dt0 == 2.0 * np.pi / 1.7 / 8 / 2
+    assert step_plan(base, None, omega, ts)[0] == 3.2 / 2.3 / 2
+    Phi, dt, _, estimate = propagate_step_doubled(base, P, omega, np.eye(2), np.zeros(1), ts)
+    assert estimate <= _ERROR_TOL
+    ref = propagate_direct(base, P, omega, np.eye(2), np.zeros(1), ts, dt=dt / 4)
     assert np.max(np.linalg.norm(Phi - ref, ord=2, axis=(1, 2))) <= 3.0 * estimate
 
 

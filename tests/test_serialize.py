@@ -165,6 +165,27 @@ def test_manifest_schema_error_names_field():
         RunManifest.from_dict(doc)
 
 
+def test_manifest_angle_counts_agree():
+    def field(doc):
+        with pytest.raises(SchemaError) as info:
+            RunManifest.from_dict(doc)
+        return info.value.field_path
+
+    doc = _manifest_doc()
+    doc["frequency"] = {"omega": [0.1, 0.3]}
+    assert field(doc) == "frequency.omega"
+    doc["model"]["n"] = 2
+    assert RunManifest.from_dict(doc).model["n"] == 2
+    doc["model"] = {"kind": "oscillator", "alpha": 4.0, "N": 8, "beta": 0.5,
+                    "forcing": {"1,0": 0.5, "0,1": 0.5}}
+    assert RunManifest.from_dict(doc).frequency == {"omega": [0.1, 0.3]}
+    doc["frequency"] = {"omega": [0.1]}
+    assert field(doc) == "frequency.omega"
+    doc["frequency"] = {"sample": {"Kmax": 8, "num_candidates": 10}}
+    doc["model"]["forcing"] = {"1": 0.5, "-1,0": 0.5}
+    assert field(doc) == "model.forcing"
+
+
 def test_manifest_frequency_exactly_one_variant():
     doc = _manifest_doc()
     doc["frequency"] = {
@@ -178,12 +199,12 @@ def test_manifest_frequency_exactly_one_variant():
         RunManifest.from_dict(doc)
 
 
-def test_manifest_replace_overrides():
-    m = RunManifest.from_dict(_manifest_doc())
-    m2 = m.replace(seed=99, out="elsewhere")
-    assert m2.seed == 99 and m2.out == "elsewhere"
-    assert m.seed == 7  # original untouched
-    assert m2.replace(seed=None).seed == 99  # None means keep
+def test_manifest_read_applies_overrides(tmp_path):
+    RunManifest.from_dict(_manifest_doc()).dump(tmp_path / "m.json")
+    doc = RunManifest.read(tmp_path / "m.json", seed=99, out="elsewhere")
+    assert (doc["seed"], doc["out"]) == (99, "elsewhere")
+    assert RunManifest.read(tmp_path / "m.json", seed=None)["seed"] == 7  # None means keep
+    assert RunManifest.from_dict(doc).seed == 99
 
 
 def test_manifest_rejects_bad_json(tmp_path):

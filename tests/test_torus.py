@@ -279,6 +279,25 @@ def test_g_norm_diag_weight_invariance():
 # products
 
 
+def test_series_copies_all_but_a_loaded_array(tmp_path):
+    from kamreduce.serialize import load_array, write_array
+
+    c = np.random.default_rng(3).normal(size=(5, 2, 2)) + 0j
+    series = OperatorSeries(1, 2, 2, c)
+    assert series.coeffs is not c and not series.coeffs.flags.writeable
+    c[0] = 7.0
+    assert series.coeffs[0, 0, 0] != 7.0
+    # a read-only view of a larger buffer would keep all of it alive
+    wide = series.pad_to(4).coeffs
+    assert not np.shares_memory(OperatorSeries(1, 2, 2, wide[2:7]).coeffs, wide)
+    # an artifact is read-only down to its memory and is held as loaded
+    write_array(tmp_path / "c.npy", c)
+    loaded = load_array(tmp_path / "c.npy")
+    assert OperatorSeries(1, 2, 2, loaded).coeffs is loaded
+    with pytest.raises(ValueError):
+        loaded.flags.writeable = True
+
+
 def test_product_single_modes():
     f = TorusSeries.from_modes(1, 2, {1: 2.0})
     g = TorusSeries.from_modes(1, 2, {2: 0.5})
