@@ -7,9 +7,12 @@ run in one frame, _command, which alone creates that directory, writes the
 command's own event log log.<command>.jsonl (<command>.start, then
 <command>.done or error), merges <command>_s, the whole command's wall time,
 and the body's phase timings into timings.txt, writes error.json on a typed
-failure and rewrites checksums.json, except after an ArtifactError.  The
-same manifest + seed reproduces every artifact but timings.txt byte for
-byte; timings.txt is the one file left out of checksums.json.
+failure and rewrites checksums.json, except after a SchemaError or an
+ArtifactError.  verify and spectrum check the checksums of just the
+artifacts they read, so a record the frame rewrote after a failure never
+fails them.  The same manifest + seed reproduces every artifact but
+timings.txt byte for byte; timings.txt is the one file left out of
+checksums.json.
 
 FAILURES maps each typed failure to its exit code and to the reason
 error.json records; 0 is success.
@@ -57,7 +60,7 @@ FAILURES = (
     (SchemaError, EXIT_SCHEMA, "schema"),
     (FrequencyExcluded, EXIT_FREQUENCY, "frequency-excluded"),
     (ZeroAcceptanceError, EXIT_FREQUENCY, "frequency-excluded"),
-    (ConvergenceError, EXIT_DIVERGENCE, "divergence"),
+    (ConvergenceError, EXIT_DIVERGENCE, "no-convergence"),
     (DivisorTooSmall, EXIT_DIVISOR, "small-divisor"),
     (ArtifactError, EXIT_ARTIFACT, "artifact"),
     (ToleranceExceeded, EXIT_FAILURE, "tolerance-exceeded"),
@@ -78,25 +81,22 @@ __all__ = [
 
 
 class _JsonlLog:
-    """Deterministic JSON-lines event log (no timestamps, sorted keys).
-
-    The events are written when the log is closed, so a command replaces its
-    earlier log only after its own checksum check has read the directory.
-    """
+    """Deterministic JSON-lines event log (no timestamps, sorted keys)."""
 
     def __init__(self, path):
-        self._path, self._lines = path, []
+        self._fh = open(path, "w", encoding="utf-8")
 
     def emit(self, event: str, **fields):
         from .serialize import to_jsonable
 
         rec = {"event": event}
         rec.update(fields)
-        self._lines.append(json.dumps(to_jsonable(rec), sort_keys=True, separators=(",", ":")))
+        line = json.dumps(to_jsonable(rec), sort_keys=True, separators=(",", ":"))
+        self._fh.write(line + "\n")
+        self._fh.flush()
 
     def close(self):
-        with open(self._path, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in self._lines)
+        self._fh.close()
 
 
 def _write_timings(outdir, timings: dict) -> None:
@@ -136,8 +136,10 @@ def _command(body):
     and once the manifest names its output directory it is logged and
     written to error.json with the reason from FAILURES and the fields the
     exception carries.  A failure before that (--threads, a manifest that
-    cannot be read or is not a JSON object, a bad out) leaves no record.  checksums.json is not rewritten after an ArtifactError: a
-    directory whose checksums just failed is never re-blessed.
+    cannot be read or is not a JSON object, a bad out) leaves no record.
+    checksums.json is left as it was after a SchemaError, which comes before
+    the command has read anything, and after an ArtifactError: a directory
+    is never blessed unchecked, nor once its checksums have failed.
     """
     name = body.__name__.removeprefix("cmd_")
 
@@ -173,7 +175,7 @@ def _command(body):
         if log is not None:
             timings[f"{name}_s"] = time.perf_counter() - t0
             _write_timings(outdir, timings)
-            if not isinstance(failure, ArtifactError):
+            if not isinstance(failure, (SchemaError, ArtifactError)):
                 write_checksums(outdir)
         return EXIT_OK if failure is None else code
 
@@ -192,7 +194,7 @@ def _build_base(manifest: RunManifest):
     if spec["kind"] == "abstract":
         return models.abstract_base(spec["N"], spec["n"], spec["d"], spec["delta"])
     osc = _build_oscillator(spec)
-    return osc.as_base(delta=spec.get("delta", 0.0), n=_forcing_dim(spec))
+    return osc.as_base(delta=spec.get("delta", 0.0), n=_forcing_series(spec).n)
 
 
 def _build_oscillator(spec: dict):
@@ -203,21 +205,13 @@ def _build_oscillator(spec: dict):
     )
 
 
-def _forcing_dim(spec: dict) -> int:
-    key = next(iter(spec["forcing"]))
-    return key.count(",") + 1
-
-
 def _forcing_series(spec: dict):
     from .torus import TorusSeries
 
-    modes = {}
-    for key, value in spec["forcing"].items():
-        k = tuple(int(p) for p in key.split(","))
-        modes[k] = complex(value)
-    K = max(max(abs(c) for c in k) for k in modes)
-    n = _forcing_dim(spec)
-    return TorusSeries.from_modes(n, max(K, 1), modes)
+    modes = {tuple(map(int, key.split(","))): complex(value)
+             for key, value in spec["forcing"].items()}
+    K = max(max(map(abs, k)) for k in modes)
+    return TorusSeries.from_modes(len(next(iter(modes))), max(K, 1), modes)
 
 
 def _build_model(manifest: RunManifest, osc=None):
@@ -389,6 +383,11 @@ def cmd_frequencies(manifest: RunManifest, log, timings, args):
     print(f"frequencies: artifacts in {manifest.out}")
 
 
+# the ReducedSystem fields that reduced.json holds as they are, and as float lists
+_REDUCED_SCALARS = ("converged", "d", "delta", "epsilon", "K_mu", "n", "shift_constant")
+_REDUCED_VECTORS = ("lambda_inf", "lambda_ref", "omega")
+
+
 @_command
 def cmd_reduce(manifest: RunManifest, log, timings, args):
     from .engine import run_schedule
@@ -429,22 +428,9 @@ def cmd_reduce(manifest: RunManifest, log, timings, args):
         name = f"generator_{idx:02d}.npy"
         write_array(os.path.join(outdir, name), gen.coeffs)
         gen_meta.append({"K": gen.K, "file": name, "n": gen.n})
-    doc = {
-        "converged": True,
-        "d": reduced.d,
-        "delta": reduced.delta,
-        "epsilon": reduced.epsilon,
-        "generators": gen_meta,
-        "K_mu": reduced.K_mu,
-        "lambda_inf": list(reduced.lambda_inf),
-        "lambda_ref": list(reduced.lambda_ref),
-        "mu_inf": None,
-        "n": reduced.n,
-        "norm_history": list(state.norm_history),
-        "omega": list(chosen.omega),
-        "shift_constant": reduced.shift_constant,
-        "steps": state.l,
-    }
+    doc = {name: getattr(reduced, name) for name in _REDUCED_SCALARS + _REDUCED_VECTORS}
+    doc.update(generators=gen_meta, mu_inf=None, norm_history=list(state.norm_history),
+               steps=state.l)
     if reduced.mu_inf is not None:
         write_array(os.path.join(outdir, "mu_inf.npy"), reduced.mu_inf)
         doc["mu_inf"] = "mu_inf.npy"
@@ -461,7 +447,8 @@ def cmd_reduce(manifest: RunManifest, log, timings, args):
 def _load_reduced(outdir: str):
     """Rebuild a ReducedSystem from reduced.json plus its .npy companions.
 
-    The checksums are checked first, so only artifacts that pass are read.
+    Each of these artifacts is read only once its checksum passes; the other
+    files in outdir, which the command does not read, are not checked.
     """
     import numpy as np
 
@@ -469,11 +456,15 @@ def _load_reduced(outdir: str):
     from .serialize import load_array, load_json, verify_checksums
     from .torus import OperatorSeries
 
-    verify_checksums(outdir)
     path = os.path.join(outdir, "reduced.json")
     if not os.path.isfile(path):
         raise ArtifactError(f"missing reduced.json in {outdir} (run `reduce` first)")
+    verify_checksums(outdir, ["reduced.json"])
     doc = load_json(path)
+    files = [meta["file"] for meta in doc["generators"]]
+    if doc["mu_inf"] is not None:
+        files.append(doc["mu_inf"])
+    verify_checksums(outdir, files)
     gens = []
     for meta in doc["generators"]:
         coeffs = load_array(os.path.join(outdir, meta["file"]))
@@ -484,18 +475,10 @@ def _load_reduced(outdir: str):
     if doc["mu_inf"] is not None:
         mu = load_array(os.path.join(outdir, doc["mu_inf"]))
     return ReducedSystem(
-        lambda_inf=np.asarray(doc["lambda_inf"], dtype=float),
+        **{name: doc[name] for name in _REDUCED_SCALARS},
+        **{name: np.asarray(doc[name], dtype=float) for name in _REDUCED_VECTORS},
         mu_inf=mu,
-        K_mu=doc["K_mu"],
-        n=doc["n"],
-        omega=np.asarray(doc["omega"], dtype=float),
         generators=tuple(gens),
-        lambda_ref=np.asarray(doc["lambda_ref"], dtype=float),
-        epsilon=doc["epsilon"],
-        converged=doc["converged"],
-        shift_constant=doc["shift_constant"],
-        delta=doc["delta"],
-        d=doc["d"],
     )
 
 

@@ -140,12 +140,10 @@ def write_array(path, arr) -> str:
 
 
 def load_array(path) -> np.ndarray:
-    """The stored array as a read-only view of read-only memory, which a series keeps uncopied."""
-    arr = np.load(path)
-    for a in (arr, arr.base):
-        if a is not None:
-            a.flags.writeable = False
-    return arr
+    """The stored array, frozen (torus.freeze) so that a series keeps it uncopied."""
+    from .torus import freeze
+
+    return freeze(np.load(path))
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +170,20 @@ def write_checksums(outdir) -> dict:
     return sums
 
 
-def verify_checksums(outdir) -> dict:
-    """Recompute and compare; raises ArtifactError on any mismatch."""
+def verify_checksums(outdir, names=None) -> dict:
+    """Recompute and compare; raises ArtifactError on any mismatch.
+
+    names: the artifacts to check, each of which the table must list; all
+    that it lists when None.
+    """
     table_path = os.path.join(outdir, CHECKSUM_FILE)
     if not os.path.isfile(table_path):
         raise ArtifactError(f"missing {CHECKSUM_FILE} in {outdir}")
     sums = load_json(table_path)
-    for name, expected in sums.items():
+    for name in sums if names is None else names:
+        expected = sums.get(name)
+        if expected is None:
+            raise ArtifactError(f"{name} is not in {CHECKSUM_FILE}")
         full = os.path.join(outdir, name)
         if not os.path.isfile(full):
             raise ArtifactError(f"missing artifact {name}")

@@ -41,6 +41,7 @@ __all__ = [
     "directional_derivative",
     "sup_norm_s",
     "delta_norm",
+    "freeze",
     "g_norm",
     "k_box",
     "k_norm1_grid",
@@ -154,12 +155,25 @@ def _commute(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frozen(c: np.ndarray) -> bool:
-    """c is a read-only view of a read-only array of its own size, as load_array returns.
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """arr as a read-only view that a series keeps without copying.
 
-    numpy refuses to make such a view writeable, and it keeps no larger
-    buffer alive.  An array that owns its memory is not frozen: whoever
-    passed it can make it writeable again.
+    The caller hands arr over, and arr must be the whole of the memory it
+    lives in, as np.load returns it.  Its owner is made read-only too, and
+    numpy refuses to make a view of a read-only owner writeable.
+    """
+    view = arr.view()
+    for a in (view.base, view):
+        a.flags.writeable = False
+    return view
+
+
+def _frozen(c: np.ndarray) -> bool:
+    """c is what freeze returns: a read-only view of a read-only owner of its size.
+
+    The size check keeps a series from holding a larger buffer alive.  An
+    array that owns its memory is not frozen: whoever passed it can make it
+    writeable again.
     """
     owner = c.base
     return (isinstance(owner, np.ndarray) and not (c.flags.writeable or owner.flags.writeable)

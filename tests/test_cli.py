@@ -153,7 +153,7 @@ def test_reduce_divergent_epsilon_exit_code(tmp_path):
     doc = _doc(str(tmp_path / "r"))
     doc["settings"] = dict(doc["settings"], epsilon=0.3)
     code = _run("reduce", _write(tmp_path, doc))
-    err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_DIVERGENCE, "divergence")
+    err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_DIVERGENCE, "no-convergence")
     assert err["steps"] == len(load_json(tmp_path / "r" / "steps.json"))
     assert len(err["norm_history"]) == err["steps"] + 1
     # the failed run leaves a checksummed record
@@ -183,8 +183,8 @@ def test_manifests_whose_angle_counts_disagree_are_schema_errors(tmp_path, name,
     code = _run("reduce", _write(tmp_path, doc), out=tmp_path / "r")
     err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_SCHEMA, "schema")
     assert err["field_path"] == field and field in err["detail"]
-    assert sorted(os.listdir(tmp_path / "r")) == [
-        "checksums.json", "error.json", "log.reduce.jsonl", "timings.txt"]
+    # a schema error comes before the command reads anything: nothing is blessed
+    assert sorted(os.listdir(tmp_path / "r")) == ["error.json", "log.reduce.jsonl", "timings.txt"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -358,14 +358,62 @@ def test_verify_corrupted_artifact_checksum(finished_run, tmp_path):
     _, _, outdir = finished_run
     copy = tmp_path / "copy"
     shutil.copytree(outdir, copy)
+    with open(copy / "generator_00.npy", "ab") as fh:
+        fh.write(b" ")
+    sums = (copy / "checksums.json").read_bytes()
+    manifest = _write(tmp_path, _doc(str(copy)))
+    code = _run("verify", manifest)
+    err = _assert_failed(code, copy, "verify", cli.EXIT_ARTIFACT, "artifact")
+    assert "generator_00.npy" in err["detail"]
+    # a directory whose checksums failed is not blessed again, nor by a
+    # command that stops at its manifest before checking anything
+    assert (copy / "checksums.json").read_bytes() == sums
+    bad = _doc(str(copy), verify={"t_max": -1.0})
+    assert _run("verify", _write(tmp_path, bad, "bad.json")) == cli.EXIT_SCHEMA
+    assert (copy / "checksums.json").read_bytes() == sums
+    assert _run("spectrum", manifest) == cli.EXIT_ARTIFACT
+
+
+def test_verify_checks_only_the_artifacts_it_reads(finished_run, tmp_path):
+    _, _, outdir = finished_run
+    copy = tmp_path / "copy"
+    shutil.copytree(outdir, copy)
     with open(copy / "steps.json", "a") as fh:
         fh.write(" ")
+    assert _run("verify", _write(tmp_path, _doc(str(copy)))) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("failure", ["damaged", "interrupted"])
+def test_verify_passes_again_once_a_failed_run_is_restored(finished_run, tmp_path,
+                                                          monkeypatch, failure):
+    # the failed verify rewrites its log, and error.json, over a directory
+    # whose checksums.json it leaves alone; neither blocks the next verify
+    from kamreduce import floquet
+
+    _, _, outdir = finished_run
+    copy = tmp_path / "copy"
+    shutil.copytree(outdir, copy)
+    manifest = _write(tmp_path, _doc(str(copy)))
+    assert _run("verify", manifest) == cli.EXIT_OK
     sums = (copy / "checksums.json").read_bytes()
-    code = _run("verify", _write(tmp_path, _doc(str(copy))))
-    err = _assert_failed(code, copy, "verify", cli.EXIT_ARTIFACT, "artifact")
-    assert "steps.json" in err["detail"]
-    # a directory whose checksums failed is not blessed again
+    generator = (copy / "generator_00.npy").read_bytes()
+    if failure == "damaged":
+        (copy / "generator_00.npy").write_bytes(generator + b" ")
+        assert _run("verify", manifest) == cli.EXIT_ARTIFACT
+        (copy / "generator_00.npy").write_bytes(generator)
+    else:
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(floquet, "propagate_step_doubled", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                _run("verify", manifest)
+        # each event reached the log as it was emitted
+        assert [e["event"] for e in _events(copy, "verify")] == ["verify.start"]
     assert (copy / "checksums.json").read_bytes() == sums
+    assert _run("verify", manifest) == cli.EXIT_OK
+    assert not (copy / "error.json").exists()
 
 
 def test_verify_missing_artifacts(tmp_path):

@@ -141,6 +141,19 @@ def test_checksums_detect_missing_file(tmp_path):
         verify_checksums(tmp_path / "nowhere")
 
 
+def test_checksums_of_named_artifacts(tmp_path):
+    write_json(tmp_path / "one.json", {"v": 1})
+    write_json(tmp_path / "two.json", {"v": 2})
+    write_checksums(tmp_path)
+    (tmp_path / "two.json").write_text('{"v": 3}\n')
+    verify_checksums(tmp_path, ["one.json"])  # two.json is not checked
+    with pytest.raises(ArtifactError, match="mismatch for two.json"):
+        verify_checksums(tmp_path, ["one.json", "two.json"])
+    write_json(tmp_path / "three.json", {"v": 3})
+    with pytest.raises(ArtifactError, match="three.json is not in"):
+        verify_checksums(tmp_path, ["three.json"])
+
+
 # ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------

@@ -281,6 +281,7 @@ def test_g_norm_diag_weight_invariance():
 
 def test_series_copies_all_but_a_loaded_array(tmp_path):
     from kamreduce.serialize import load_array, write_array
+    from kamreduce.torus import freeze
 
     c = np.random.default_rng(3).normal(size=(5, 2, 2)) + 0j
     series = OperatorSeries(1, 2, 2, c)
@@ -290,7 +291,11 @@ def test_series_copies_all_but_a_loaded_array(tmp_path):
     # a read-only view of a larger buffer would keep all of it alive
     wide = series.pad_to(4).coeffs
     assert not np.shares_memory(OperatorSeries(1, 2, 2, wide[2:7]).coeffs, wide)
-    # an artifact is read-only down to its memory and is held as loaded
+    # a frozen array, as an artifact is loaded, is held as it is and stays read-only
+    frozen = freeze(c.copy())
+    assert OperatorSeries(1, 2, 2, frozen).coeffs is frozen
+    with pytest.raises(ValueError):
+        frozen.flags.writeable = True
     write_array(tmp_path / "c.npy", c)
     loaded = load_array(tmp_path / "c.npy")
     assert OperatorSeries(1, 2, 2, loaded).coeffs is loaded
