@@ -418,7 +418,7 @@ def cmd_reduce(manifest: RunManifest, log, timings, args):
     write_json(os.path.join(outdir, "steps.json"), list(state.records))
     if not state.converged:
         raise ConvergenceError(
-            f"divergence after {state.l} steps",
+            f"stopped after {state.l} steps: {state.stopped}",
             norm_history=list(state.norm_history),
             steps=state.l,
         )

@@ -25,7 +25,13 @@ Numerical notes that matter here:
 * P+ is trimmed to its live band after chopping: all-zero outer shells are
   dropped, which changes no coefficient and no norm.
 * Coefficients below an absolute floor are zeroed after each step so the
-  weighted-l1 strip norms measure signal rather than accumulated roundoff.
+  weighted-l1 strip norms measure signal rather than accumulated roundoff;
+  the absorbed diagonal mu is then cut to its live band, as P+ is.
+
+A step's record is the one account of what it found: its guard_messages
+are the solve's findings, the conjugation's, then the step's own, each
+warned once where it is measured.  An unconverged schedule says why it
+stopped in KamState.stopped.
 
 Constant bookkeeping per step (measured norms, p = ||P_l||):
 gamma+ = gamma - p (1 + K_step^tau), C_mu+ = C_mu + p, C_omega+ = C_omega + p,
@@ -40,26 +46,25 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .diophantine import Frequency, check_dio2
+from .diophantine import check_dio2
 from .errors import (
     ConvergenceError,
     DivisorTooSmall,
     FrequencyExcluded,
-    GuardWarning,
     HermiticityError,
     KamError,
 )
-from .homological import _tight_cutoff, solve_variable
+from .homological import _guard, solve_variable
 from .torus import (
     DiagonalPart,
     OperatorSeries,
     _box,
+    _live_band,
     _mirror,
     chop,
     coeffs_to_grid,  # noqa: F401  unused; bench/test_bench.py traces it in this namespace
@@ -143,7 +148,8 @@ class KamState:
     generators: tuple = ()
     records: tuple = ()
     converged: bool = False
-    diverged: bool = False
+    # why the schedule ended unconverged (None while it runs or once converged)
+    stopped: str | None = None
     # (name, seconds) per phase and step; wall times, kept out of the records
     timings: tuple = field(default=(), compare=False)
 
@@ -180,13 +186,7 @@ class ReducedSystem:
                             n=self.n, mu=self.mu_inf, K=self.K_mu)
 
 
-def _omega_vec(omega) -> np.ndarray:
-    if isinstance(omega, Frequency):
-        return np.asarray(omega.omega, dtype=float)
-    return np.atleast_1d(np.asarray(omega, dtype=float))
-
-
-def diag_split(P: OperatorSeries, tol: float = 1e-12):
+def diag_split(P: OperatorSeries):
     """Split P into (constant diagonal shift, oscillatory diagonal, off-diagonal).
 
     The shift is the angular average of P_ii (must be real for hermitian P);
@@ -199,10 +199,10 @@ def diag_split(P: OperatorSeries, tol: float = 1e-12):
     ctr = (K,) * n
     avg = mu_add[ctr].copy()
     scale = max(float(np.max(np.abs(P.coeffs))), 1e-300)
-    if np.max(np.abs(avg.imag)) > tol * scale:
+    if np.max(np.abs(avg.imag)) > 1e-12 * scale:
         raise HermiticityError(
             f"diagonal average has imaginary part {np.max(np.abs(avg.imag)):.2e} "
-            f"(relative tolerance {tol:g})"
+            "(relative tolerance 1e-12)"
         )
     shift = avg.real
     mu_add[ctr] = 0.0
@@ -315,11 +315,13 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
 
     Returns (P+, info): P+ has band at most K_out; info holds lie_order,
     the two bounds, hermiticity_defect, the chopped count,
-    chopped_norm_bound and grid, the widest commutator grid (0 if none).
+    chopped_norm_bound, grid_M, the widest commutator grid (0 if none), and
+    guard_messages, the advisory guards met, each also warned once.
     """
     n, N = P.n, P.N
+    guards = []
     if B.antihermiticity_defect() > 1e-10 * max(1.0, float(np.max(np.abs(B.coeffs)))):
-        warnings.warn("generator is not anti-hermitian to 1e-10", GuardWarning)
+        _guard(guards, "generator is not anti-hermitian to 1e-10")
     off = P.offdiagonal_part()
     diag = P - off
     p = sum(delta_norm(X, base, s) for X in (diag, off, D))
@@ -351,7 +353,7 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
     if herm_defect > 1e-9 * scale:
         raise HermiticityError(f"conjugation output hermiticity defect {herm_defect:.2e}")
     if herm_defect > 1e-11 * scale:
-        warnings.warn(f"conjugation hermiticity defect {herm_defect:.2e}", GuardWarning)
+        _guard(guards, f"conjugation hermiticity defect {herm_defect:.2e}")
     coeffs = 0.5 * (coeffs + mirror)
     kept = chop(coeffs, CHOP_FLOOR)
     chopped = int(np.count_nonzero(coeffs) - np.count_nonzero(kept))
@@ -365,7 +367,8 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
         "hermiticity_defect": herm_defect,
         "chopped": chopped,
         "chopped_norm_bound": float(np.sum(mass)),
-        "grid": M,
+        "grid_M": M,
+        "guard_messages": tuple(guards),
     }
 
 
@@ -381,7 +384,7 @@ def _budget_cutoff(normP: float, gamma: float, tau: float, budget: float) -> int
 
 def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     """One conjugation step with constant updates and re-certification."""
-    w = _omega_vec(omega)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
     base, P = state.base, state.P
     n, N = P.n, P.N
     l_next = state.l + 1
@@ -404,8 +407,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     if K_step < 1:
         if normP * 2.0 < state.gamma:
             K_step = 1
-            guard_msgs.append("gamma budget forced K_step = 1")
-            warnings.warn(guard_msgs[-1], GuardWarning)
+            _guard(guard_msgs, "gamma budget forced K_step = 1")
         else:
             raise ConvergenceError(
                 f"smallness lost at step {l_next}: ||P|| (1 + K^tau) = "
@@ -414,35 +416,23 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
 
     K_work = settings.work_cutoff()
     clock = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", GuardWarning)
-        try:
-            sol = solve_variable(
-                P, base, w,
-                s=state.s,
-                K_out=K_work,
-                work_K=P.K + base.K + SOLVER_PAD,
-                guard_theta=(base.delta / (base.d - 1.0) + 1.0) / 2.0,
-            )
-        except DivisorTooSmall as exc:
-            # at this level a vanished divisor means the frequency is resonant
-            raise FrequencyExcluded(
-                f"resonant divisor during step {l_next}: {exc}",
-                triple=(exc.i, exc.j, exc.k),
-                step=l_next,
-            ) from exc
-    for item in caught:
-        guard_msgs.append(str(item.message))
-        warnings.warn(str(item.message), GuardWarning)
+    try:
+        sol = solve_variable(P, base, w, s=state.s, K_out=K_work,
+                             work_K=P.K + base.K + SOLVER_PAD)
+    except DivisorTooSmall as exc:
+        # at this level a vanished divisor means the frequency is resonant
+        raise FrequencyExcluded(
+            f"resonant divisor during step {l_next}: {exc}",
+            triple=(exc.i, exc.j, exc.k),
+            step=l_next,
+        ) from exc
     B = sol.B
     t_solve = time.perf_counter() - clock
     clock = time.perf_counter()
     gB = g_norm(B, base, state.s)
     t_norms = time.perf_counter() - clock
     if gB > 0.5:
-        msg = f"||B||_G = {gB:.3g} exceeds 1/2"
-        guard_msgs.append(msg)
-        warnings.warn(msg, GuardWarning)
+        _guard(guard_msgs, f"||B||_G = {gB:.3g} exceeds 1/2")
 
     clock = time.perf_counter()
     P_plus, cinfo = conjugate(base, P, B, sol.D, K_work, s_next)
@@ -458,14 +448,13 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     if base.mu is not None:
         mu_stack[(slice(None),) + _box(n, base.K, K_mu)] += base.mu
     mu_stack[(slice(None),) + _box(n, P.K, K_mu)] += mu_add
+    # P+'s band rule: chop, then drop the all-zero outer shells
     mu_stack = chop(mu_stack, CHOP_FLOOR)
-    K_tight = max((_tight_cutoff(mu_stack[i], n, K_mu, 1e-16) for i in range(N)), default=0)
-    if K_tight < K_mu:
-        mu_stack = mu_stack[(slice(None),) + _box(n, K_tight, K_mu)]
-        K_mu = K_tight
-    mu_zero = float(np.max(np.abs(mu_stack))) == 0.0 if mu_stack.size else True
+    K_live = _live_band(np.moveaxis(mu_stack, 0, -1), n, K_mu)
+    mu_stack = mu_stack[(slice(None),) + _box(n, K_live, K_mu)]
+    mu_zero = not np.any(mu_stack)
     new_base = DiagonalPart(lam=new_lam, d=base.d, delta=base.delta, n=n,
-                            mu=None if mu_zero else mu_stack, K=0 if mu_zero else K_mu)
+                            mu=None if mu_zero else mu_stack, K=0 if mu_zero else K_live)
 
     # constant ledger with measured norms
     gamma_next = state.gamma - normP * (1.0 + float(K_step) ** settings.tau)
@@ -478,9 +467,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
             f"gamma = {gamma_next:.3e}, C_lambda = {C_lambda_next:.3e}"
         )
     if gamma_next < GAMMA_STAR * settings.gamma:
-        msg = f"gamma fell below {GAMMA_STAR} of its initial value"
-        guard_msgs.append(msg)
-        warnings.warn(msg, GuardWarning)
+        _guard(guard_msgs, f"gamma fell below {GAMMA_STAR} of its initial value")
 
     # the shifted eigenvalues must still clear the second non-resonance
     # condition at the reduced gamma over the full horizon
@@ -506,10 +493,8 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     eps_bound = settings.eps_schedule(l_next)
     eps_ok = (settings.epsilon == 0.0) or (norm_next <= eps_bound)
     if not eps_ok:
-        msg = (f"||P_{l_next}|| = {norm_next:.3e} exceeds the scheduled "
-               f"majorant {eps_bound:.3e}")
-        guard_msgs.append(msg)
-        warnings.warn(msg, GuardWarning)
+        _guard(guard_msgs, f"||P_{l_next}|| = {norm_next:.3e} exceeds the scheduled "
+                           f"majorant {eps_bound:.3e}")
 
     rec = {
         "l": l_next,
@@ -523,7 +508,6 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "K_step": K_step,
         "K_B": B.K,
         "B_truncation": sol.truncation_residue,
-        "grid_M": cinfo["grid"],
         "K_P": P_plus.K,
         "gamma_in": state.gamma,
         "gamma_out": gamma_next,
@@ -533,15 +517,11 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "hom_residual": sol.residual,
         "min_divisor": sol.min_divisor,
         "B_g_norm": gB,
-        "lie_order": cinfo["lie_order"],
-        "lie_tail_bound": cinfo["lie_tail_bound"],
-        "truncation_bound": cinfo["truncation_bound"],
-        "hermiticity_defect": cinfo["hermiticity_defect"],
-        "chopped": cinfo["chopped"],
-        "chopped_norm_bound": cinfo["chopped_norm_bound"],
         "eps_bound": eps_bound,
         "eps_bound_ok": bool(eps_ok),
-        "guard_messages": tuple(guard_msgs),
+        **cinfo,
+        # after cinfo, whose own guard_messages this joins
+        "guard_messages": sol.guard_messages + cinfo["guard_messages"] + tuple(guard_msgs),
     }
     return KamState(
         l=l_next,
@@ -556,7 +536,6 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         generators=state.generators + (B,),
         records=state.records + (rec,),
         converged=norm_next <= settings.tol,
-        diverged=False,
         timings=state.timings + (
             (f"step{l_next}.solve_s", t_solve),
             (f"step{l_next}.conjugate_s", t_conjugate),
@@ -568,7 +547,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
 
 def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSettings):
     """Iterate kam_step until ||P|| < tol or l_max; returns (state, ReducedSystem)."""
-    w = _omega_vec(omega)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
     n = P0.n
     if settings.tau <= n + 2.0 / (A0.d - 1.0):
         raise KamError(
@@ -589,20 +568,18 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
         norm_history=(norm0,),
         converged=norm0 <= settings.tol,
     )
-    diverged = False
+    stopped = None
     while not state.converged and state.l < settings.l_max:
         try:
             state = kam_step(state, w, settings)
         except ConvergenceError as exc:
-            warnings.warn(f"iteration stopped: {exc}", GuardWarning)
-            diverged = True
+            stopped = str(exc)
             break
-        if state.norm > 2.0 * max(norm0, settings.epsilon) and state.l >= 1:
-            diverged = True
+        if state.norm > 2.0 * max(norm0, settings.epsilon):
+            stopped = f"||P_{state.l}|| = {state.norm:.3e} above twice max(||P_0||, epsilon)"
             break
     if not state.converged:
-        diverged = True
-    state = replace(state, diverged=diverged)
+        state = replace(state, stopped=stopped or f"l_max = {settings.l_max} steps reached")
 
     lam_ref = A0.lam
     if settings.epsilon > 0:

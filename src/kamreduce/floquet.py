@@ -45,7 +45,8 @@ from .engine import (  # noqa: F401
     _expm_taylor,
     _taylor_degree,
 )
-from .errors import DivisorTooSmall, KamError
+from .errors import KamError
+from .homological import _check_divisors, _divisor_floor
 from .torus import DiagonalPart, OperatorSeries, k_box
 
 __all__ = [
@@ -98,9 +99,11 @@ def floquet_spectrum(reduced: ReducedSystem, Kmax: int, cluster_tol: float = 1e-
     return FloquetSpectrum(nu=flat, multiplicity=mult, mode=mode, k=kk)
 
 
-def _phase_integral(reduced: ReducedSystem, phi0: np.ndarray, ts: np.ndarray,
-                    floor: float = 1e-12) -> np.ndarray:
-    """F_i(t) = integral of mu_i along the flow from phi0, shape (T, N)."""
+def _phase_integral(reduced: ReducedSystem, phi0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """F_i(t) = integral of mu_i along the flow from phi0, shape (T, N).
+
+    A live mode whose |omega.k| is below the solve's floor raises DivisorTooSmall.
+    """
     N = reduced.N
     out = np.zeros((len(ts), N), dtype=complex)
     if reduced.mu_inf is None or reduced.K_mu == 0:
@@ -109,18 +112,9 @@ def _phase_integral(reduced: ReducedSystem, phi0: np.ndarray, ts: np.ndarray,
     ks = k_box(n, K)
     kw = ks @ reduced.omega                              # (m,)
     coeffs = reduced.mu_inf.reshape(N, -1)               # (N, m)
-    live = np.max(np.abs(coeffs), axis=0) > 0
-    nonzero = np.any(ks != 0, axis=1)
-    bad = live & nonzero & (np.abs(kw) < floor)
-    if np.any(bad):
-        kbad = ks[np.argmax(bad)]
-        raise DivisorTooSmall(
-            f"omega.k = {kw[np.argmax(bad)]:.3e} below floor for mode k = {tuple(kbad)}",
-            i=0, j=0, k=tuple(int(x) for x in kbad), value=float(kw[np.argmax(bad)]),
-        )
-    use = live & nonzero
-    if not np.any(use):
-        return out
+    use = (np.max(np.abs(coeffs), axis=0) > 0) & np.any(ks != 0, axis=1)
+    box = (2 * K + 1,) * n
+    _check_divisors(kw.reshape(box), _divisor_floor(n, K), use.reshape(box), n, K, "|omega.k|")
     kw = kw[use]
     phase0 = np.exp(1j * (ks[use] @ phi0))
     ramp = (np.exp(1j * np.outer(ts, kw)) - 1.0) / (1j * kw)   # (T, m)
@@ -155,25 +149,17 @@ def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
 def _hamiltonian(base: DiagonalPart, P: OperatorSeries | None):
     """phis -> H(phi) = diag(lambda + mu(phi)) + P(phi) for a batch of angles.
 
-    The mode boxes and coefficient layouts are built once, here, so a
-    propagation loop that evaluates many batches pays for them once.
+    P's values come from OperatorSeries.at; the diagonal is added to them.
     """
     N = base.N
     idx = np.arange(N)
     live_mu = base.mu is not None and base.K > 0
     if live_mu:
         ks_mu, mu = k_box(base.n, base.K).T, base.mu.reshape(N, -1).T
-    if P is not None:
-        ks_P, coeffs_P = k_box(P.n, P.K).T, P.coeffs.reshape(-1, N * N)
 
     def at(phis: np.ndarray) -> np.ndarray:
-        T = phis.shape[0]
-        H = np.zeros((T, N, N), dtype=complex)
-        H[:, idx, idx] = base.lam
-        if live_mu:
-            H[:, idx, idx] += np.exp(1j * (phis @ ks_mu)) @ mu
-        if P is not None:
-            H += (np.exp(1j * (phis @ ks_P)) @ coeffs_P).reshape(T, N, N)
+        H = np.zeros((phis.shape[0], N, N), dtype=complex) if P is None else P.at(phis)
+        H[:, idx, idx] += base.lam + np.exp(1j * (phis @ ks_mu)) @ mu if live_mu else base.lam
         return H
     return at
 

@@ -28,6 +28,10 @@ bound: _defect forms the defect D exactly in coefficients, and
 by the same norm of the right-hand side.  A solution carries the generator's
 defect D, formed once by _generator_defect, and the conjugation step takes
 it from there.
+
+solve_variable's guards (P's hermiticity, C*, each pair's Kuksin smallness
+with theta = (delta/(d-1) + 1)/2, the factor's unimodularity) are advisory:
+each is warned once, where it is measured, and returned in guard_messages.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ __all__ = [
 # fixed solver constants; no caller sets them
 FLOOR_SCALE = 1e-12  # divisor floor at k = 0, relaxed polynomially in |k|_1
 C_GUARD = 1.0        # Kuksin guard |E1|^theta >= C_GUARD * E2
+KUKSIN_THETA = 0.5   # solve_kuksin's guard exponent theta
+UNIMOD_TOL = 1e-12   # largest | |e^{i E2 H}| - 1 | of the integrating factor without a guard
 CSTAR = 10.0         # C* guard C_mu / C_lambda < CSTAR
 OVERSAMPLE = 4       # grid oversampling of a pair solve without an explicit work_K
 
@@ -105,7 +111,7 @@ class HomologicalSolution:
     # bound on the relative defect over the strip of the solve's width s
     residual: float
     min_divisor: float
-    guard_ok: bool = True
+    # each advisory guard the solve met, once, as it was warned
     guard_messages: tuple = ()
     truncation_residue: float = 0.0
 
@@ -243,8 +249,6 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
         Hd = _primitive(mud, n, K_mu, omega, live, pairs)
         factor = np.exp(1j * coeffs_to_grid(Hd, n, K_mu, M))
         unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
-        if unimod > 1e-12:
-            warnings.warn(f"integrating factor unimodularity defect {unimod:.2e}", GuardWarning)
         btil = grid_to_coeffs(factor * coeffs_to_grid(b, n, K_b, M), n, K)
         live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
     else:
@@ -270,6 +274,12 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     return chic_cut, min_div, unimod, max(trunc, 0.0)
 
 
+def _guard(messages: list, msg: str) -> None:
+    """Record an advisory guard finding and warn it: once each, where it is measured."""
+    messages.append(msg)
+    warnings.warn(msg, GuardWarning)
+
+
 def solve_kuksin(
     b: TorusSeries,
     h: TorusSeries | None,
@@ -277,29 +287,26 @@ def solve_kuksin(
     E2: float,
     omega,
     K_out: int | None = None,
-    guard_theta: float = 0.5,
     with_info: bool = False,
 ):
     """Solve -i (omega.d/dphi) chi + E1 chi + E2 h chi = b by integrating factor.
 
     The one-pair call of the kernel solve_variable runs.  h should be
     normalized (||h||_s <= 1) and of zero average; E2 >= 0 carries the size.
-    The smallness guard E1^theta >= C_GUARD E2 is advisory: a violation emits
-    a GuardWarning, never a silent pass.  Returns chi, or (chi, info) with
-    info = {residual, min_divisor, unimodularity_defect, guard_ok, K_out};
+    The smallness guard |E1|^KUKSIN_THETA >= C_GUARD E2 is advisory: a
+    violation emits a GuardWarning, never a silent pass, as does a factor
+    that is not unimodular.  Returns chi, or (chi, info) with info =
+    {residual, min_divisor, unimodularity_defect, guard_messages, K_out};
     residual is the relative defect bound on the real torus.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n = b.n
     if E2 < 0:
         raise KamError("E2 must be nonnegative")
-    guard_ok = True
-    if E2 > 0 and abs(E1) ** guard_theta < C_GUARD * E2:
-        guard_ok = False
-        warnings.warn(
-            f"kuksin guard |E1|^theta >= C*E2 violated: |{E1}|^{guard_theta} < {C_GUARD}*{E2}",
-            GuardWarning,
-        )
+    messages = []
+    if E2 > 0 and abs(E1) ** KUKSIN_THETA < C_GUARD * E2:
+        _guard(messages, f"kuksin guard |E1|^theta >= C*E2 violated: "
+                         f"|{E1}|^{KUKSIN_THETA} < {C_GUARD}*{E2}")
     if h is None or E2 == 0.0:
         mud = np.zeros((1,) * n + (1,), dtype=complex)
     else:
@@ -309,6 +316,8 @@ def solve_kuksin(
     M = _working_grid(b.K + (mud.shape[0] - 1) // 2)
     chic, min_div, unimod, _ = _solve_pairs(b.coeffs[..., None], mud, np.array([float(E1)]),
                                             omega, M, K_out)
+    if unimod > UNIMOD_TOL:
+        _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
     chi = TorusSeries(n, (chic.shape[0] - 1) // 2, chic[..., 0])
     if not with_info:
         return chi
@@ -316,7 +325,7 @@ def solve_kuksin(
     D = _defect(chic[..., None], np.array([[float(E1)]]), mud[..., None], rhs, omega)
     residual = _relative_defect(D, rhs, 0.0, np.ones(1))
     return chi, {"residual": residual, "min_divisor": min_div, "unimodularity_defect": unimod,
-                 "guard_ok": guard_ok, "K_out": chi.K}
+                 "guard_messages": tuple(messages), "K_out": chi.K}
 
 
 def solve_variable(
@@ -326,7 +335,6 @@ def solve_variable(
     s: float = 0.0,
     K_out: int | None = None,
     work_K: int | None = None,
-    guard_theta: float = 0.5,
 ) -> HomologicalSolution:
     """Remove the off-diagonal part of P against A = diag(lambda_i + mu_i(phi)).
 
@@ -335,23 +343,19 @@ def solve_variable(
     b = -P_ji, E2 h = mu_j - mu_i, and the (i, j) entry is its anti-hermitian
     mirror Bhat_ij(k) = -conj(Bhat_ji(-k)).  With mu = 0 each pair is one
     division on P's band.  Returns the generator together with the relative
-    equation defect, bounded at strip width s.
+    equation defect, bounded at strip width s, and its guard findings.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n, N = P.n, P.N
     if base.N != N:
         raise KamError("dimension mismatch between P and base")
-    if P.hermiticity_defect() > 1e-11 * max(1.0, float(np.max(np.abs(P.coeffs)))):
-        warnings.warn("P is not hermitian to 1e-11; generator mirror uses P as given",
-                      GuardWarning)
     messages = []
-    guard_ok = True
+    if P.hermiticity_defect() > 1e-11 * max(1.0, float(np.max(np.abs(P.coeffs)))):
+        _guard(messages, "P is not hermitian to 1e-11; generator mirror uses P as given")
     c_mu = base.c_mu(s)
     c_lam = base.c_lambda()
     if c_mu / c_lam >= CSTAR:
-        guard_ok = False
-        messages.append(f"C* guard violated: C_mu/C_lambda = {c_mu / c_lam:.3g} >= {CSTAR}")
-        warnings.warn(messages[-1], GuardWarning)
+        _guard(messages, f"C* guard violated: C_mu/C_lambda = {c_mu / c_lam:.3g} >= {CSTAR}")
 
     # pair p is (i, j) = (ii[p], jj[p]) with i < j; B_ji is solved, B_ij mirrors it
     ii, jj = np.triu_indices(N, 1)
@@ -361,19 +365,18 @@ def solve_variable(
     mud = np.moveaxis(mu[jj] - mu[ii], 0, -1)                   # (modes..., pairs)
     E1 = base.lam[jj] - base.lam[ii]
     w_s = strip_weight(n, (mud.shape[0] - 1) // 2, s).reshape(-1)
-    E2 = w_s @ np.abs(mud).reshape(-1, len(pairs))
+    E2 = w_s @ np.abs(mud).reshape(len(w_s), len(pairs))
+    theta = (base.delta / (base.d - 1.0) + 1.0) / 2.0
     for p, (i, j) in enumerate(pairs):
-        if E2[p] > 0 and E1[p] ** guard_theta < C_GUARD * E2[p]:
-            guard_ok = False
-            messages.append(
-                f"kuksin guard failed for pair ({i + 1},{j + 1}): "
-                f"E1^theta={E1[p] ** guard_theta:.3g} < C*E2={C_GUARD * E2[p]:.3g}"
-            )
-    if messages:
-        warnings.warn("; ".join(messages[:3]), GuardWarning)
+        if E2[p] > 0 and E1[p] ** theta < C_GUARD * E2[p]:
+            _guard(messages, f"kuksin guard failed for pair ({i + 1},{j + 1}): "
+                             f"E1^theta={E1[p] ** theta:.3g} < C*E2={C_GUARD * E2[p]:.3g}")
 
     M = _working_grid(P.K + base.K, work_K)
-    chic, min_div, _, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M, K_out, pairs)
+    chic, min_div, unimod, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M,
+                                                K_out, pairs)
+    if unimod > UNIMOD_TOL:
+        _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
     K_B = (chic.shape[0] - 1) // 2
     Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
     Bc[..., jj, ii] = chic
@@ -386,5 +389,4 @@ def solve_variable(
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, P.offdiagonal_part().coeffs,
                                                          s, base.weight()),
-                               guard_ok=guard_ok, guard_messages=tuple(messages),
-                               truncation_residue=trunc)
+                               guard_messages=tuple(messages), truncation_residue=trunc)

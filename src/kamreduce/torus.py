@@ -180,6 +180,12 @@ def _frozen(c: np.ndarray) -> bool:
             and owner.nbytes == c.nbytes)
 
 
+def _live_band(coeffs: np.ndarray, n: int, K: int) -> int:
+    """Largest |k|_inf that carries a nonzero coefficient (0 if none); modes lead."""
+    live = np.argwhere(np.any(coeffs != 0, axis=tuple(range(n, coeffs.ndim))))
+    return int(np.max(np.abs(live - K))) if len(live) else 0
+
+
 # ---------------------------------------------------------------------------
 # series containers
 
@@ -240,12 +246,9 @@ class _Series:
     def trim(self):
         """Drop the all-zero outer |k|_inf shells; every coefficient is kept.
 
-        The result's cutoff is the live band: the largest |k|_inf that
-        carries a nonzero coefficient (0 for the zero series).
+        The result's cutoff is the live band (_live_band).
         """
-        live = np.argwhere(np.any(self.coeffs != 0, axis=tuple(range(self.n, self.coeffs.ndim))))
-        K_live = int(np.max(np.abs(live - self.K))) if len(live) else 0
-        return self.truncate(K_live)
+        return self.truncate(_live_band(self.coeffs, self.n, self.K))
 
     def __add__(self, other):
         K = max(self.K, other.K)

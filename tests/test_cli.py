@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -154,6 +155,8 @@ def test_reduce_divergent_epsilon_exit_code(tmp_path):
     doc["settings"] = dict(doc["settings"], epsilon=0.3)
     code = _run("reduce", _write(tmp_path, doc))
     err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_DIVERGENCE, "no-convergence")
+    # the reason the schedule stopped, not only that it did
+    assert "smallness lost" in err["detail"]
     assert err["steps"] == len(load_json(tmp_path / "r" / "steps.json"))
     assert len(err["norm_history"]) == err["steps"] + 1
     # the failed run leaves a checksummed record
@@ -533,6 +536,16 @@ def test_seed_override_changes_sampled_frequency(tmp_path):
     ) == cli.EXIT_OK
     second = load_json(tmp_path / "f" / "frequencies.json")["chosen"]["omega"]
     assert first != second
+
+
+def test_readme_step_record_fields_are_record_keys(finished_run):
+    _, _, outdir = finished_run
+    section = (ROOT / "README.md").read_text().split("Each ledger record", 1)[1]
+    section = section.split("\n* `verify`", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", section))
+    assert {"guard_messages", "grid_M", "norm_out"} <= named
+    for record in load_json(outdir / "steps.json"):
+        assert named <= set(record)
 
 
 def test_readme_exit_codes_are_the_failure_table():

@@ -10,6 +10,7 @@ constants; assertions on run shapes use only inequalities the schedules
 guarantee, not exact float values.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 import scipy.linalg
 from scipy.fft import next_fast_len
 
+from kamreduce import engine
 from kamreduce.engine import (
     KamSettings,
     KamState,
@@ -48,6 +50,7 @@ from kamreduce.torus import (
 # certified at gamma = 0.05 over |k|_1 <= 32 for the bases they are used with
 OMEGA_N2 = np.array([0.12902675768352256, 0.10778545957448527])  # N=12, tau=9
 OMEGA_N1 = np.array([0.13799890521733005])  # N=10, tau=8
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 SETTINGS_N2 = KamSettings(
     epsilon=1e-3, s=0.05, gamma=0.05, tau=9.0, K_base=4, tol=1e-12, l_max=8
@@ -140,7 +143,7 @@ def test_conjugate_zero_generator_strips_diagonal():
     expect = P.coeffs.copy()
     idx = np.arange(4)
     expect[..., idx, idx] = 0.0
-    assert info["lie_order"] == 0 and info["grid"] == 0
+    assert info["lie_order"] == 0 and info["grid_M"] == 0
     assert info["lie_tail_bound"] == info["truncation_bound"] == 0.0
     assert R.K == P.K and np.array_equal(R.coeffs, expect)
 
@@ -210,6 +213,69 @@ def test_kam_step_zero_perturbation_is_trivial():
     assert out.records[-1].get("trivial") is True
 
 
+def _start(base, P, s):
+    """The schedule's state before its first step."""
+    return KamState(l=0, base=base, P=P, s=s, gamma=0.05, C_mu=base.c_mu(s),
+                    C_lambda=base.c_lambda(), C_omega=0.0, norm_history=(delta_norm(P, base, s),))
+
+
+def _step_and_warnings(state, omega, settings):
+    """kam_step's new state and the GuardWarning messages it emitted, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = kam_step(state, omega, settings)
+    return out, [str(w.message) for w in caught if issubclass(w.category, GuardWarning)]
+
+
+def test_step_records_each_solve_guard_once():
+    # lambda = i^1.5 and mu_i = +-8 cos phi at s = 0.3: C_mu / C_lambda =
+    # 8 e^0.3 >= CSTAR, and the pairs whose mu differ fail Kuksin's guard
+    mu = np.zeros((3, 3), dtype=complex)
+    mu[:, 0] = mu[:, 2] = 4.0 * np.array([1.0, -1.0, 1.0])
+    base = DiagonalPart(lam=np.arange(1.0, 4.0) ** 1.5, d=1.5, delta=0.2, n=1, mu=mu, K=1)
+    P = _random_hermitian(3, 1, 1, np.random.default_rng(5), scale=1e-6)
+    settings = KamSettings(epsilon=1e-3, s=0.3, gamma=0.05, tau=8.0, K_base=1, l_max=1)
+    out, warned = _step_and_warnings(_start(base, P, 0.3), np.array([GOLDEN]), settings)
+    messages = out.records[0]["guard_messages"]
+    assert list(messages) == warned
+    assert [m for m in messages if "C* guard" in m] == [
+        "C* guard violated: C_mu/C_lambda = 10.8 >= 10.0"]
+    assert [m.split(":")[0] for m in messages if "kuksin" in m] == [
+        "kuksin guard failed for pair (1,2)", "kuksin guard failed for pair (2,3)"]
+
+
+def _with_symmetric_part(B: OperatorSeries, size: float) -> OperatorSeries:
+    """B plus the constant hermitian size * I, which no generator may have."""
+    c = np.zeros_like(B.coeffs)
+    c[(B.K,) * B.n] = size * np.eye(B.N)
+    return B + OperatorSeries(B.n, B.K, B.N, c)
+
+
+def test_conjugation_guard_reaches_its_info_and_the_step_record(monkeypatch):
+    rng = np.random.default_rng(17)
+    base = abstract_base(4, 1, 4.0 / 3.0, 0.2)
+    P = _random_hermitian(4, 1, 2, rng, scale=1e-3)
+    B = _with_symmetric_part(_random_hermitian(4, 1, 1, rng, scale=1e-3) * 1j, 1e-9)
+    with pytest.warns(GuardWarning, match="not anti-hermitian") as caught:
+        _, info = conjugate(base, P, B, _generator_defect(B, P, base, OMEGA_N1), 4, 0.05)
+    assert info["guard_messages"] == ("generator is not anti-hermitian to 1e-10",)
+    assert len(caught) == 1
+
+    solve = engine.solve_variable
+
+    def tilted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, B=_with_symmetric_part(sol.B, 2e-9))
+
+    monkeypatch.setattr(engine, "solve_variable", tilted)
+    A, P = build_abstract_model(
+        N=10, n=1, d=4.0 / 3.0, delta=0.2, K=3, epsilon=1e-3, s=0.05, seed=4321
+    )
+    out, warned = _step_and_warnings(_start(A, P, 0.05), OMEGA_N1, SETTINGS_N1)
+    assert out.records[0]["guard_messages"] == ("generator is not anti-hermitian to 1e-10",)
+    assert warned == ["generator is not anti-hermitian to 1e-10"]
+
+
 def test_single_step_contracts_below_schedule(run_n2):
     _, _, state, _ = run_n2
     eps = SETTINGS_N2.epsilon
@@ -225,7 +291,7 @@ def test_single_step_contracts_below_schedule(run_n2):
 
 def test_run_converges_quadratically(run_n2):
     _, _, state, reduced = run_n2
-    assert state.converged and not state.diverged
+    assert state.converged and state.stopped is None
     assert state.l <= 4
     assert state.norm_history[-1] < 1e-12
     hist = np.array(state.norm_history)
@@ -334,8 +400,17 @@ def test_large_epsilon_diverges():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GuardWarning)
         state, reduced = run_schedule(A, P, OMEGA_N1, settings)
-    assert state.diverged
+    assert state.stopped.startswith("smallness lost at step 1")
     assert not reduced.converged
+
+
+def test_step_limit_is_the_stop_reason():
+    A, P = build_abstract_model(
+        N=10, n=1, d=4.0 / 3.0, delta=0.2, K=3, epsilon=1e-3, s=0.05, seed=4321
+    )
+    state, reduced = run_schedule(A, P, OMEGA_N1, dataclasses.replace(SETTINGS_N1, l_max=1))
+    assert state.l == 1 and not reduced.converged
+    assert state.stopped == "l_max = 1 steps reached"
 
 
 def test_resonant_frequency_is_excluded():

@@ -128,8 +128,11 @@ def test_reconstruction_rejects_live_zero_divisor():
     mu[:, 0] = 0.01
     mu[:, 2] = 0.01  # real cosine mode, zero average
     red = _plain_reduced([1.0, 2.0], 1e-13, mu=mu, K_mu=1)
-    with pytest.raises(DivisorTooSmall):
+    with pytest.raises(DivisorTooSmall) as info:
         reconstruct_solution(red, np.array([1.0, 0.0]), np.zeros(1), [1.0])
+    # the first live mode; a phase integral names no (i, j) pair
+    assert info.value.k == (-1,)
+    assert info.value.i is None and info.value.j is None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ matches the dense oracle that builds exp(B) pointwise with scipy, and the
 series-tail, truncation and chopping bounds it reports dominate its
 distance to a reference formed at a larger cutoff and a higher order.
 
+One kam_step, with and without mu, leaves P+ hermitian and B
+anti-hermitian, and absorbs P's oscillating diagonal into a mu that has
+zero average, is real on the torus and is cut to its live band after
+chopping; each guard it meets is recorded once and warned once.
+
 The windowed second-order Diophantine margins that frequency sampling uses
 are the dense kernel's margins wherever those fall below the window's
 ceiling, and at least the ceiling everywhere else.  The certificate of one
@@ -37,12 +42,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kamreduce import diophantine, homological, torus
-from kamreduce.engine import conjugate
+from kamreduce.engine import CHOP_FLOOR, KamSettings, KamState, conjugate, kam_step
+from kamreduce.errors import GuardWarning
 from kamreduce.homological import solve_variable
 from kamreduce.torus import (
     DiagonalPart,
     OperatorSeries,
     TorusSeries,
+    _box,
     _mirror,
     delta_norm,
     directional_derivative,
@@ -294,6 +301,70 @@ def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
     # and the strip weights scale each by at most e^{s K}
     slack = 1e-14 * np.sum(np.abs(ref.coeffs)) * math.exp(s * ref.K)
     assert gap <= bound + slack
+
+
+step_cases = st.tuples(
+    st.sampled_from([1, 2]),                                      # n
+    st.integers(1, 5),                                            # N
+    st.integers(0, 3),                                            # K of P
+    st.integers(0, 2),                                            # K of mu (0: mu = None)
+    st.floats(-12.0, -6.0),                                       # log10 of max |Phat_0|
+    st.integers(0, 2**32 - 1),                                    # coefficient seed
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_cases)
+def test_one_kam_step_keeps_the_structure_of_its_parts(case):
+    n, N, K, K_mu, size, seed = case
+    P, _, _, rng = draw((n, N, K, 0.05, 0.2, seed))
+    # 1e-4 less per |k|_inf shell, so chopping empties outer shells of some draws
+    decay = 1e-4 ** np.max(np.abs(k_box(n, K)), axis=1).reshape((2 * K + 1,) * n)
+    P = OperatorSeries(n, K, N, P.coeffs * decay[..., None, None]
+                       * (10.0 ** size / max(float(np.max(np.abs(P.coeffs[(K,) * n]))), 1e-300)))
+    flip = (slice(None),) + (slice(None, None, -1),) * n
+    mu = None
+    if K_mu:
+        c = rng.normal(size=(N,) + (2 * K_mu + 1,) * n) * (1.0 + 1j)
+        mu = 0.02 * (c + np.conj(c[flip]))
+        mu[(slice(None),) + (K_mu,) * n] = 0.0
+    base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D, d=D, delta=0.2, n=n,
+                        mu=mu, K=K_mu)
+    state = KamState(l=0, base=base, P=P, s=0.05, gamma=1e-2, C_mu=base.c_mu(0.05),
+                     C_lambda=base.c_lambda(), C_omega=0.0,
+                     norm_history=(delta_norm(P, base, 0.05),))
+    settings_ = KamSettings(epsilon=1e-3, s=0.05, gamma=1e-2, tau=9.0, K_base=1, l_max=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = kam_step(state, np.array([GOLDEN, np.sqrt(2.0) - 1.0])[:n], settings_)
+    rec = out.records[-1]
+
+    assert out.P.hermiticity_defect() == 0.0
+    assert out.generators[-1].antihermiticity_defect() == 0.0
+    # the new mu: the old one plus P's oscillating diagonal, chopped as P+ is
+    K_all = max(K, K_mu)
+    grown = np.zeros((N,) + (2 * K_all + 1,) * n, dtype=complex)
+    if mu is not None:
+        grown[(slice(None),) + _box(n, K_mu, K_all)] += mu
+    grown[(slice(None),) + _box(n, K, K_all)] += np.moveaxis(
+        np.diagonal(P.coeffs, axis1=-2, axis2=-1), -1, 0)
+    grown[(slice(None),) + (K_all,) * n] = 0.0
+    grown[np.abs(grown) < CHOP_FLOOR] = 0.0
+    live = np.any(grown.reshape(N, -1) != 0, axis=0)
+    K_live = int(np.max(np.abs(k_box(n, K_all))[live], initial=0))
+    new = out.base
+    assert new.K == K_live
+    if not np.any(live):
+        assert new.mu is None
+    else:
+        assert np.array_equal(new.mu, grown[(slice(None),) + _box(n, K_live, K_all)])
+        assert np.all(new.mu[(slice(None),) + (K_live,) * n] == 0.0)   # zero average
+        assert np.array_equal(new.mu, np.conj(new.mu[flip]))          # real on the torus
+    messages = rec["guard_messages"]
+    assert len(set(messages)) == len(messages)
+    # each warned once; the record lists the step's own guards last
+    assert sorted(messages) == sorted(str(w.message) for w in caught
+                                      if issubclass(w.category, GuardWarning))
 
 
 dio_cases = st.tuples(
