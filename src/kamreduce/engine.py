@@ -22,6 +22,12 @@ Numerical notes that matter here:
   so the order is the smallest whose remainder bound falls below
   CHOP_FLOOR, what chopping discards anyway.  That remainder and the mass
   truncation at K_out drops are added to the reported norm.
+* The same estimate bounds all of P+ before any commutator is formed:
+  ||P+|| <= ||D|| + (e^{2g} - 1)(||diag P|| + ||P_off|| + ||D||).  When
+  that bound, reweighted to the new base, is at most tol, the step stops
+  early: P+ is zero, the bound is its reported norm, and the record says
+  a_priori.  The last step of a converging run ends this way; its
+  generator is still solved, because verify composes it.
 * P+ is trimmed to its live band after chopping: all-zero outer shells are
   dropped, which changes no coefficient and no norm.
 * Coefficients below an absolute floor are zeroed after each step so the
@@ -61,6 +67,7 @@ from .errors import (
 )
 from .homological import _guard, solve_variable
 from .torus import (
+    CHOP_FLOOR,
     DiagonalPart,
     OperatorSeries,
     _box,
@@ -89,7 +96,6 @@ __all__ = [
 SOLVER_PAD = 12     # modes the homological working grid keeps beyond P.K + K_mu
 GAMMA_BUDGET = 0.1  # max fraction of gamma spent per step
 GAMMA_STAR = 0.5    # warn when gamma falls below this fraction of its initial value
-CHOP_FLOOR = 1e-15  # coefficients below this are zeroed after each step
 
 
 @dataclass(frozen=True)
@@ -289,7 +295,7 @@ def matrix_exp_antihermitian(Bg: np.ndarray):
 
 
 def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: OperatorSeries,
-              K_out: int, s: float):
+              K_out: int, s: float, tol: float = 0.0):
     """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B), as a Lie series.
 
     With L(X) = XB - BX and the generator's defect D = [A,B] - i omega.dB
@@ -306,6 +312,10 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
     ||L(X)|| <= b ||X|| with b = 2 g_norm(B, base, s), and ||Y_k|| <= p / k!
     with p = ||diag P|| + ||P_off|| + ||D||.  Hence
 
+    * a_priori_bound = ||D|| + (e^b - 1) p bounds the whole of P+ before
+      any commutator is formed.  When it is at most tol, P+ is returned as
+      zero, with a_priori true and no series summed: the bound is then the
+      one account of what P+ held;
     * lie_tail_bound = p b^(m+1) / (m+1)! / (1 - b / (m+2)) bounds the
       terms past order m, and m is the smallest order that puts it at or
       below CHOP_FLOOR (m = 0 for B = 0, where P+ = P_off exactly);
@@ -313,10 +323,12 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
       truncation, bounds what truncation at K_out loses: each dropped part
       is measured exactly and then passes k more commutators.
 
-    Returns (P+, info): P+ has band at most K_out; info holds lie_order,
-    the two bounds, hermiticity_defect, the chopped count,
-    chopped_norm_bound, grid_M, the widest commutator grid (0 if none), and
-    guard_messages, the advisory guards met, each also warned once.
+    Returns (P+, info): P+ has band at most K_out; info holds a_priori,
+    a_priori_bound, lie_order, the other two bounds, hermiticity_defect, the
+    chopped count, chopped_norm_bound, grid_M, the widest commutator grid
+    (0 if none), and guard_messages, the advisory guards met, each also
+    warned once.  On an a-priori return every count and the other bounds
+    are 0.
     """
     n, N = P.n, P.N
     guards = []
@@ -324,8 +336,16 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
         _guard(guards, "generator is not anti-hermitian to 1e-10")
     off = P.offdiagonal_part()
     diag = P - off
-    p = sum(delta_norm(X, base, s) for X in (diag, off, D))
+    p_D = delta_norm(D, base, s)
+    p = delta_norm(diag, base, s) + delta_norm(off, base, s) + p_D
     b = 2.0 * g_norm(B, base, s)
+    bound = p_D + math.expm1(b) * p
+    info = {"a_priori": bound <= tol, "a_priori_bound": bound, "lie_order": 0,
+            "lie_tail_bound": 0.0, "truncation_bound": 0.0, "hermiticity_defect": 0.0,
+            "chopped": 0, "chopped_norm_bound": 0.0, "grid_M": 0}
+    if info["a_priori"]:
+        info["guard_messages"] = tuple(guards)
+        return OperatorSeries.zero(n, 0, N), info
     m = _taylor_degree(b, CHOP_FLOOR / max(p, 1e-300))
     tail = p * b ** (m + 1) / math.factorial(m + 1) / (1.0 - b / (m + 2))
 
@@ -356,20 +376,15 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
         _guard(guards, f"conjugation hermiticity defect {herm_defect:.2e}")
     coeffs = 0.5 * (coeffs + mirror)
     kept = chop(coeffs, CHOP_FLOOR)
-    chopped = int(np.count_nonzero(coeffs) - np.count_nonzero(kept))
     # crude but sufficient norm bound on the discarded mass so the reported
     # ||P+|| can never understate the truth
     mass = np.abs(coeffs - kept) * strip_weight(n, S.K, s)[..., None, None]
-    return OperatorSeries(n, S.K, N, kept), {
-        "lie_order": m,
-        "lie_tail_bound": tail,
-        "truncation_bound": truncation,
-        "hermiticity_defect": herm_defect,
-        "chopped": chopped,
-        "chopped_norm_bound": float(np.sum(mass)),
-        "grid_M": M,
-        "guard_messages": tuple(guards),
-    }
+    info.update(lie_order=m, lie_tail_bound=tail, truncation_bound=truncation,
+                hermiticity_defect=herm_defect,
+                chopped=int(np.count_nonzero(coeffs) - np.count_nonzero(kept)),
+                chopped_norm_bound=float(np.sum(mass)), grid_M=M,
+                guard_messages=tuple(guards))
+    return OperatorSeries(n, S.K, N, kept), info
 
 
 def _budget_cutoff(normP: float, gamma: float, tau: float, budget: float) -> int:
@@ -434,12 +449,6 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     if gB > 0.5:
         _guard(guard_msgs, f"||B||_G = {gB:.3g} exceeds 1/2")
 
-    clock = time.perf_counter()
-    P_plus, cinfo = conjugate(base, P, B, sol.D, K_work, s_next)
-    # outer shells that chopping left all-zero carry no mass: drop them
-    P_plus = P_plus.trim()
-    t_conjugate = time.perf_counter() - clock
-
     # absorb the diagonal of P into the base
     shift, mu_add, _ = diag_split(P)
     new_lam = base.lam + shift
@@ -455,6 +464,15 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     mu_zero = not np.any(mu_stack)
     new_base = DiagonalPart(lam=new_lam, d=base.d, delta=base.delta, n=n,
                             mu=None if mu_zero else mu_stack, K=0 if mu_zero else K_live)
+
+    # conjugate's bounds are in base's weight W and grow by at most
+    # reweight = max W_new / W in new_base's
+    reweight = float(np.max(new_base.weight() / base.weight()))
+    clock = time.perf_counter()
+    P_plus, cinfo = conjugate(base, P, B, sol.D, K_work, s_next, settings.tol / reweight)
+    # outer shells that chopping left all-zero carry no mass: drop them
+    P_plus = P_plus.trim()
+    t_conjugate = time.perf_counter() - clock
 
     # constant ledger with measured norms
     gamma_next = state.gamma - normP * (1.0 + float(K_step) ** settings.tau)
@@ -483,12 +501,13 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         )
 
     # the bounds on chopped, truncated and series-tail mass are folded in so
-    # the report never understates; the last two are in base's weight W and
-    # grow by at most max W_new / W in new_base's
+    # the report never understates; a zero P+ reports the a-priori bound
     clock = time.perf_counter()
-    reweight = float(np.max(new_base.weight() / base.weight()))
-    norm_next = (delta_norm(P_plus, new_base, s_next) + cinfo["chopped_norm_bound"]
-                 + reweight * (cinfo["lie_tail_bound"] + cinfo["truncation_bound"]))
+    if cinfo["a_priori"]:
+        norm_next = reweight * cinfo["a_priori_bound"]
+    else:
+        norm_next = (delta_norm(P_plus, new_base, s_next) + cinfo["chopped_norm_bound"]
+                     + reweight * (cinfo["lie_tail_bound"] + cinfo["truncation_bound"]))
     t_norms += time.perf_counter() - clock
     eps_bound = settings.eps_schedule(l_next)
     eps_ok = (settings.epsilon == 0.0) or (norm_next <= eps_bound)

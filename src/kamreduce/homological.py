@@ -44,15 +44,17 @@ from scipy.fft import next_fast_len
 
 from .errors import DivisorTooSmall, GuardWarning, KamError
 from .torus import (
+    CHOP_FLOOR,
     DiagonalPart,
     OperatorSeries,
     TorusSeries,
     _box,
     _k_dot_omega,
+    _live_band,
     _mirror,
+    chop,
     coeffs_to_grid,
     grid_to_coeffs,
-    k_box,
     k_norm1_grid,
     strip_weight,
 )
@@ -213,15 +215,6 @@ def _primitive(c, n: int, K: int, omega, live, pairs=None):
     return H
 
 
-def _tight_cutoff(coeffs: np.ndarray, n: int, K: int, tol: float) -> int:
-    """Smallest K' such that all shells beyond K' carry |c| < tol * max|c|."""
-    mags = np.max(np.abs(coeffs).reshape((2 * K + 1) ** n, -1), axis=1)
-    mx = float(np.max(mags))
-    if mx == 0.0:
-        return 0
-    return int(np.max(np.abs(k_box(n, K))[mags >= tol * mx]))
-
-
 def _working_grid(band: int, work_K: int | None = None) -> int:
     """Grid of the pair solve: oversampled, or alias-free up to an explicit work_K."""
     if work_K is not None:
@@ -236,9 +229,10 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     per trailing index and E1 holds one constant per pair; all products are
     taken on one grid of M points per axis.  With mud = 0 the factor is 1:
     the solve divides on b's own band and every nonzero coefficient is live.
-    K_out caps the band of chi, never pads it; None keeps every shell above
-    1e-15 of the largest coefficient.  Returns (chi, min_divisor,
-    unimodularity_defect, truncated l1 mass).
+    K_out caps the band of chi, never pads it; None chops chi at CHOP_FLOOR
+    times its largest coefficient and keeps its live band, as P+ and mu
+    are cut.  Returns (chi, min_divisor, unimodularity_defect, the l1 mass
+    chopped and truncated).
     """
     n = len(omega)
     K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
@@ -267,10 +261,14 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     else:
         chic = grid_to_coeffs(np.conj(factor) * coeffs_to_grid(uc, n, K, M), n, K)
 
+    mass = np.sum(np.abs(chic))
     if K_out is None:
-        K_out = max(_tight_cutoff(chic[..., p], n, K, 1e-15) for p in range(chic.shape[-1]))
+        # P+'s band rule at chi's own scale: chop, then drop the all-zero
+        # outer shells (an absolute floor would keep a unit-size chi's roundoff)
+        chic = chop(chic, CHOP_FLOOR * float(np.max(np.abs(chic), initial=0.0)))
+        K_out = _live_band(chic, n, K)
     chic_cut = chic[_box(n, min(K_out, K), K)]
-    trunc = float(np.sum(np.abs(chic)) - np.sum(np.abs(chic_cut)))
+    trunc = float(mass - np.sum(np.abs(chic_cut)))
     return chic_cut, min_div, unimod, max(trunc, 0.0)
 
 

@@ -140,6 +140,10 @@ def grid_to_coeffs(values: np.ndarray, n: int, K: int) -> np.ndarray:
     return _fft_to_centered(table, n, K)
 
 
+# noise floor: a KAM step chops P+ and mu at it, a free chi at it times its scale
+CHOP_FLOOR = 1e-15
+
+
 def chop(coeffs: np.ndarray, floor: float) -> np.ndarray:
     """Zero out coefficients below an absolute floor (noise control)."""
     out = coeffs.copy()

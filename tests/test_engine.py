@@ -7,7 +7,8 @@ identity U*(A+P)U - i U*(omega . dU/dphi) = diag(lambda_inf + mu_inf) checked
 on a fine grid after a complete run.  The frozen frequencies below were found
 by optimize_frequency (seed 777) and re-certified here by their stored
 constants; assertions on run shapes use only inequalities the schedules
-guarantee, not exact float values.
+guarantee, not exact float values, except where one test pins the norms of
+a run whose every step conjugates.
 """
 
 import dataclasses
@@ -326,15 +327,22 @@ def test_step_records_carry_work_counters(run_n2):
     # mu = 0 in step 1: the generator keeps P's band, not the work cutoff
     assert state.records[0]["K_B"] == state.generators[0].K == P.K
     for rec in state.records:
+        assert 0 <= rec["K_P"] <= SETTINGS_N2.work_cutoff()
+        assert rec["B_truncation"] >= 0.0
+        assert rec["lie_tail_bound"] >= 0.0 and rec["truncation_bound"] >= 0.0
+        assert "unitarity_defect" not in rec
+        if rec["a_priori"]:
+            continue
         # the widest commutator is alias-free for a level of band between
         # K_B and the work cutoff times the generator
         widest = next_fast_len(2 * (SETTINGS_N2.work_cutoff() + rec["K_B"]) + 2)
         assert rec["lie_order"] >= 1
         assert 4 * rec["K_B"] + 2 <= rec["grid_M"] <= widest
-        assert 0 <= rec["K_P"] <= SETTINGS_N2.work_cutoff()
-        assert rec["B_truncation"] >= 0.0
-        assert rec["lie_tail_bound"] >= 0.0 and rec["truncation_bound"] >= 0.0
-        assert "unitarity_defect" not in rec
+    # the last step's bound clears tol before any commutator is formed
+    last = state.records[-1]
+    assert last["a_priori"] and last["a_priori_bound"] > 0.0
+    assert last["K_P"] == 0 and last["grid_M"] == 0 and last["lie_order"] == 0
+    assert not any(rec["a_priori"] for rec in state.records[:-1])
     # P after the last step is trimmed to the band the record reports
     assert state.P.K == state.records[-1]["K_P"]
     names = [name for name, _ in state.timings]
@@ -342,6 +350,24 @@ def test_step_records_carry_work_counters(run_n2):
                          "step1.recertify_s"]
     assert len(names) == 4 * state.l
     assert all(t >= 0.0 for _, t in state.timings)
+
+
+def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):
+    """With tol far below every a-priori bound, each step forms its P+.
+
+    The norms are the conjugating path's, pinned bit for bit: the early
+    stop changes nothing on a step that does not take it.
+    """
+    A, P, converged, _ = run_n2
+    state, _ = run_schedule(A, P, OMEGA_N2,
+                            dataclasses.replace(SETTINGS_N2, tol=1e-30, l_max=2))
+    assert state.l == 2 and not state.converged
+    assert not any(rec["a_priori"] for rec in state.records)
+    assert all(rec["lie_order"] >= 1 and rec["grid_M"] > 0 for rec in state.records)
+    assert list(state.norm_history) == [0.0009999999999999998, 5.042131847630919e-08,
+                                        2.4710809192141105e-15]
+    # the bound is the same number whether or not the step stops on it
+    assert state.records[-1]["a_priori_bound"] == converged.records[-1]["a_priori_bound"]
 
 
 def test_composed_transformations_unitary(run_n2):

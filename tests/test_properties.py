@@ -14,7 +14,9 @@ is reached without a grid SVD.
 One conjugation step, formed as a Lie series of alias-free commutators,
 matches the dense oracle that builds exp(B) pointwise with scipy, and the
 series-tail, truncation and chopping bounds it reports dominate its
-distance to a reference formed at a larger cutoff and a higher order.
+distance to a reference formed at a larger cutoff and a higher order.  Its
+a-priori bound, formed before any commutator, dominates both that P+ and the
+reference, and a tol at the bound returns P+ as zero with no series summed.
 
 One kam_step, with and without mu, leaves P+ hermitian and B
 anti-hermitian, and absorbs P's oscillating diagonal into a mu that has
@@ -301,6 +303,23 @@ def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
     # and the strip weights scale each by at most e^{s K}
     slack = 1e-14 * np.sum(np.abs(ref.coeffs)) * math.exp(s * ref.K)
     assert gap <= bound + slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugation_cases)
+def test_the_a_priori_bound_dominates_the_formed_and_the_deeper_p_plus(case):
+    base, P, B, omega, K_out, s = conjugation_case(case)
+    D = homological._generator_defect(B, P, base, omega)
+    R, info = conjugate(base, P, B, D, K_out, s)
+    ref = lie_reference(base, P, B, omega, info["lie_order"] + 6)
+    bound = info["a_priori_bound"]
+    slack = 1e-14 * np.sum(np.abs(ref.coeffs)) * math.exp(s * ref.K)
+    assert delta_norm(R, base, s) <= bound + slack
+    assert delta_norm(ref, base, s) <= bound + slack
+    # at tol = bound the same bound stops the step before any commutator
+    Z, early = conjugate(base, P, B, D, K_out, s, bound)
+    assert early["a_priori"] and early["a_priori_bound"] == bound
+    assert not np.any(Z.coeffs) and early["lie_order"] == early["grid_M"] == 0
 
 
 step_cases = st.tuples(
