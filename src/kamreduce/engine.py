@@ -55,7 +55,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .diophantine import check_dio2
 from .errors import (
@@ -77,6 +76,7 @@ from .torus import (
     coeffs_to_grid,  # noqa: F401  unused; bench/test_bench.py traces it in this namespace
     delta_norm,
     g_norm,
+    next_fast_len,
     strip_weight,
 )
 
@@ -355,7 +355,7 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
         if k:
             X = X + diag * (1.0 / math.factorial(k)) + off * (k / math.factorial(k + 1))
         if S is not None:
-            M = max(M, int(next_fast_len(2 * (S.K + B.K) + 2)))   # the commutator's grid
+            M = max(M, next_fast_len(2 * (S.K + B.K) + 2))   # the commutator's grid
             X = X + S.commutator(B)
         S = X.truncate(min(X.K, K_out))
         truncation += b**k * delta_norm(X - S, base, s)

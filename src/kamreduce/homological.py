@@ -40,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import DivisorTooSmall, GuardWarning, KamError
 from .torus import (
@@ -56,6 +55,7 @@ from .torus import (
     coeffs_to_grid,
     grid_to_coeffs,
     k_norm1_grid,
+    next_fast_len,
     strip_weight,
 )
 
@@ -218,8 +218,8 @@ def _primitive(c, n: int, K: int, omega, live, pairs=None):
 def _working_grid(band: int, work_K: int | None = None) -> int:
     """Grid of the pair solve: oversampled, or alias-free up to an explicit work_K."""
     if work_K is not None:
-        return int(next_fast_len(2 * max(work_K, band) + 2))
-    return int(next_fast_len(OVERSAMPLE * (2 * band + 2)))
+        return next_fast_len(2 * max(work_K, band) + 2)
+    return next_fast_len(OVERSAMPLE * (2 * band + 2))
 
 
 def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):

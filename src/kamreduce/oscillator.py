@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import ConvergenceError, GuardWarning, KamError
 from .torus import DiagonalPart, OperatorSeries, TorusSeries, delta_norm
@@ -129,6 +128,8 @@ class OscillatorResult:
 
 def _wkb_energy(spec: OscillatorSpec, i: int) -> float:
     """Bohr-Sommerfeld estimate of the i-th eigenvalue of -d2/dx2 + |x|^alpha."""
+    from scipy.special import gamma as gamma_fn
+
     a = spec.alpha
     # integral_0^1 sqrt(1 - u^a) du
     I = np.sqrt(np.pi) * gamma_fn(1.0 + 1.0 / a) / (2.0 * gamma_fn(1.5 + 1.0 / a))

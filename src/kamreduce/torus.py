@@ -9,8 +9,10 @@ arithmetic, grid sampling, evaluation at a batch of angles (at, by direct
 mode summation) and one alias-free grid product (product entrywise;
 commutator for operators).  All transforms are plain FFTs on equispaced
 grids; products are computed on grids large enough to be exact for the sum
-of the input bandwidths and keep that whole band.  _mirror is the one
-k -> -k conjugate mirror.
+of the input bandwidths and keep that whole band.  scipy.fft is imported by
+the first transform, so a command that makes none never loads it; grid
+sizes come from next_fast_len here, which needs no scipy.  _mirror is the
+one k -> -k conjugate mirror.
 
 Norm conventions:
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import fftn, ifftn, next_fast_len
 
 from .errors import AliasingError, KamError
 
@@ -76,6 +77,19 @@ def k_norm1_grid(n: int, K: int) -> np.ndarray:
 def strip_weight(n: int, K: int, s: float) -> np.ndarray:
     """e^{s |k|_1} over the mode box, shaped like a coefficient array."""
     return np.exp(s * k_norm1_grid(n, K))
+
+
+def next_fast_len(target: int) -> int:
+    """The least 11-smooth integer >= target, scipy.fft.next_fast_len's rule for complex transforms."""
+    m = max(int(target), 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def _k_dot_omega(n: int, K: int, omega: np.ndarray) -> np.ndarray:
@@ -124,6 +138,8 @@ def coeffs_to_grid(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
 
     The first n axes are modes; any trailing axes are batch axes.
     """
+    from scipy.fft import ifftn
+
     table = _centered_to_fft(coeffs, n, K, M)
     return ifftn(table, axes=tuple(range(n)), norm="forward", overwrite_x=True)
 
@@ -136,6 +152,8 @@ def grid_to_coeffs(values: np.ndarray, n: int, K: int) -> np.ndarray:
     M = values.shape[0]
     if M < 2 * K + 2:
         raise AliasingError(f"grid size {M} < 2K+2 = {2 * K + 2}")
+    from scipy.fft import fftn
+
     table = fftn(values, axes=tuple(range(n)), norm="forward")
     return _fft_to_centered(table, n, K)
 
@@ -483,7 +501,7 @@ def _weighted_norm(P: OperatorSeries, weightings, s: float, M: int) -> float:
 
 
 def default_norm_grid(K: int) -> int:
-    return int(next_fast_len(max(32, 2 * K + 2)))
+    return next_fast_len(max(32, 2 * K + 2))
 
 
 def delta_norm(P: OperatorSeries, base: DiagonalPart, s: float, grid_size: int | None = None) -> float:

@@ -504,17 +504,46 @@ def test_model_command_reports_lambda_table(tmp_path):
     assert abs(info["norm"] - 1e-3) < 1e-12
 
 
-def test_import_defers_numpy_until_threads_are_pinned():
-    # --threads sets the BLAS pool size through the environment, which only
-    # takes effect if numpy has not been imported yet
+def _child_env():
+    """The environment of a child interpreter that imports this kamreduce."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_defers_numpy_until_threads_are_pinned():
+    # --threads sets the BLAS pool size through the environment, which only
+    # takes effect if numpy has not been imported yet
     code = "import sys, kamreduce.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Run one command in a fresh interpreter and list the scipy modules it loaded:
+# reduce must load scipy.fft for its transforms, and no other command loads scipy.
+_SCIPY_CHILD = """
+import sys
+from kamreduce.cli import EXIT_OK, main
+assert main(sys.argv[1:]) == EXIT_OK
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+if sys.argv[1] == "reduce":
+    assert "scipy.fft" in loaded
+else:
+    assert not loaded, loaded
+"""
+
+
+def test_only_reduce_loads_scipy(tmp_path):
+    manifest = str(MANIFESTS / "reference-n2.json")
+    for cmd in COMMANDS:
+        out = subprocess.run(
+            [sys.executable, "-c", _SCIPY_CHILD, cmd, "--manifest", manifest, "--out", str(tmp_path)],
+            env=_child_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 0, (cmd, out.stderr)
 
 
 def test_nonpositive_threads_usage_error(tmp_path):

@@ -31,6 +31,9 @@ bit for bit.
 
 Scalar and operator series share one implementation, so every shared
 operation on an OperatorSeries is the same operation on each of its entries.
+
+The transforms invert each other on any grid of at least 2K+2 points per
+axis, with or without trailing batch axes, and refuse a smaller grid.
 """
 
 import itertools
@@ -45,7 +48,7 @@ from hypothesis import strategies as st
 
 from kamreduce import diophantine, homological, torus
 from kamreduce.engine import CHOP_FLOOR, KamSettings, KamState, conjugate, kam_step
-from kamreduce.errors import GuardWarning
+from kamreduce.errors import AliasingError, GuardWarning
 from kamreduce.homological import solve_variable
 from kamreduce.torus import (
     DiagonalPart,
@@ -521,3 +524,30 @@ def test_operator_series_operations_act_on_each_entry(case):
 
     # the mirror is the adjoint at -k: entry (i, j) meets conj(P_ji(-k))
     assert P.hermiticity_defect() == np.max(np.abs(P.coeffs - _mirror(P.coeffs, n))) == herm
+
+
+transform_cases = st.tuples(
+    st.sampled_from([1, 2, 3]),                                   # n
+    st.integers(0, 4),                                            # K
+    st.booleans(),                                                # a grid above the least fast one
+    st.sampled_from([(), (1,), (3,), (2, 2)]),                    # trailing batch axes
+    st.integers(0, 2**32 - 1),                                    # coefficient seed
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transform_cases)
+def test_transforms_round_trip_and_refuse_an_aliasing_grid(case):
+    n, K, larger, batch, seed = case
+    rng = np.random.default_rng(seed)
+    shape = (2 * K + 1,) * n + batch
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    M = torus.next_fast_len(2 * K + 2)
+    if larger:
+        M = torus.next_fast_len(M + 1)
+    vals = torus.coeffs_to_grid(c, n, K, M)
+    assert vals.shape == (M,) * n + batch
+    back = torus.grid_to_coeffs(vals, n, K)
+    assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
+    with pytest.raises(AliasingError):
+        torus.grid_to_coeffs(vals[(slice(0, 2 * K + 1),) * n], n, K)

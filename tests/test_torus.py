@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len as scipy_next_fast_len
 
+from kamreduce import engine, homological, torus
 from kamreduce.errors import AliasingError, KamError
 from kamreduce.torus import (
     DiagonalPart,
@@ -14,6 +16,7 @@ from kamreduce.torus import (
     g_norm,
     grid_to_coeffs,
     k_box,
+    next_fast_len,
     sup_norm_s,
 )
 
@@ -104,6 +107,13 @@ def test_transforms_match_numpy_fft_with_trailing_batch_axes(n, batch):
     back = grid_to_coeffs(vals, n, K)
     assert np.max(np.abs(back - back_ref)) < 1e-14
     assert np.max(np.abs(back - coeffs)) < 1e-14
+
+
+def test_next_fast_len_is_scipys_rule_and_defined_once():
+    targets = range(1, 5000)
+    assert [next_fast_len(t) for t in targets] == [scipy_next_fast_len(t) for t in targets]
+    assert engine.next_fast_len is torus.next_fast_len
+    assert homological.next_fast_len is torus.next_fast_len
 
 
 def test_trim_keeps_coefficients_and_a_live_outer_shell():
