@@ -17,6 +17,7 @@ growing like |x|^beta is delta-norm bounded when beta <= alpha * delta / d.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -127,12 +128,14 @@ class OscillatorResult:
 
 
 def _wkb_energy(spec: OscillatorSpec, i: int) -> float:
-    """Bohr-Sommerfeld estimate of the i-th eigenvalue of -d2/dx2 + |x|^alpha."""
-    from scipy.special import gamma as gamma_fn
+    """Bohr-Sommerfeld estimate of the i-th eigenvalue of -d2/dx2 + |x|^alpha.
 
+    It only sizes the box, so the stdlib's math.gamma serves; the build then
+    loads no scipy.
+    """
     a = spec.alpha
     # integral_0^1 sqrt(1 - u^a) du
-    I = np.sqrt(np.pi) * gamma_fn(1.0 + 1.0 / a) / (2.0 * gamma_fn(1.5 + 1.0 / a))
+    I = np.sqrt(np.pi) * math.gamma(1.0 + 1.0 / a) / (2.0 * math.gamma(1.5 + 1.0 / a))
     return float(((i - 0.5) * np.pi / (2.0 * I)) ** (2.0 * a / (a + 2.0)))
 
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,16 +338,86 @@ MANIFEST_SCHEMA = {
 }
 
 
-def _validate_manifest(doc: dict) -> None:
-    import jsonschema
+# keyword: (the JSON type it bounds, the comparison with the bound that breaks
+# it, the rule for the message).  A number is bounded itself, a string, array
+# or object by its length; the comparisons are JSON Schema's, so a NaN breaks
+# no bound.
+_LIMITS = {
+    "minimum": ("number", operator.lt, "must be >="),
+    "maximum": ("number", operator.gt, "must be <="),
+    "exclusiveMinimum": ("number", operator.le, "must be >"),
+    "minLength": ("string", operator.lt, "length must be >="),
+    "minItems": ("array", operator.lt, "length must be >="),
+    "maxItems": ("array", operator.gt, "length must be <="),
+    "minProperties": ("object", operator.lt, "length must be >="),
+}
+# every keyword _check_schema implements; MANIFEST_SCHEMA may use no other
+_KEYWORDS = frozenset({"$schema", "type", "const", "enum", "oneOf", "required", "properties",
+                       "patternProperties", "additionalProperties", "items", *_LIMITS})
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
 
-    validator = jsonschema.Draft202012Validator(MANIFEST_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if not errors:
-        return
-    best = jsonschema.exceptions.best_match(errors)
-    path = ".".join(str(p) for p in best.absolute_path) or "<root>"
-    raise SchemaError(f"manifest invalid at {path}: {best.message}", field_path=path)
+
+def _is_type(value, name: str) -> bool:
+    """JSON typing: a bool is no number, and an integer is an int, never an integral float."""
+    return isinstance(value, _TYPES[name]) and (name == "boolean" or not isinstance(value, bool))
+
+
+def _variant_key(variant: dict):
+    """A oneOf variant's first required key, with the value its const pins (None if none)."""
+    key = variant["required"][0]
+    return key, variant["properties"][key].get("const")
+
+
+def _check_schema(schema: dict, value, path: tuple = ()) -> None:
+    """Raise SchemaError at the first field where value breaks schema.
+
+    Covers the keywords in _KEYWORDS, as JSON Schema 2020-12 defines them,
+    except that an integer must be a JSON integer.  A oneOf is decided by
+    its variants' first required keys (model's "kind", frequency's one
+    key): the one variant whose key the object has, with its const value,
+    is checked, so an error names the field inside it.
+    """
+    where = ".".join(path) or "<root>"
+
+    def fail(message):
+        raise SchemaError(f"manifest invalid at {where}: {message}", field_path=where)
+
+    if "oneOf" in schema:
+        keys = [_variant_key(v) for v in schema["oneOf"]]
+        chosen = [v for v, (key, const) in zip(schema["oneOf"], keys)
+                  if isinstance(value, dict) and key in value
+                  and (const is None or value[key] == const)]
+        if len(chosen) != 1:
+            names = " | ".join(key if const is None else f"{key} = {const!r}" for key, const in keys)
+            fail(f"needs exactly one of {names}, found {len(chosen)}")
+        return _check_schema(chosen[0], value, path)
+    if "type" in schema and not _is_type(value, schema["type"]):
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "const" in schema and value != schema["const"]:
+        fail(f"{schema['const']!r} was expected, not {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    for keyword, (kind, breaks, rule) in _LIMITS.items():
+        if keyword in schema and _is_type(value, kind):
+            measure = value if kind == "number" else len(value)
+            if breaks(measure, schema[keyword]):
+                fail(f"{rule} {schema[keyword]!r}, not {measure!r}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check_schema(schema["items"], item, path + (str(i),))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is required")
+        for key, item in value.items():
+            subs = [schema["properties"][key]] if key in schema.get("properties", {}) else []
+            subs += [sub for pattern, sub in schema.get("patternProperties", {}).items()
+                     if re.search(pattern, key)]
+            if not subs and schema.get("additionalProperties") is False:
+                fail(f"{key!r} is not allowed")
+            for sub in subs:
+                _check_schema(sub, item, path + (key,))
 
 
 def _check_angles(doc: dict) -> None:
@@ -390,7 +462,7 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunManifest":
-        _validate_manifest(doc)
+        _check_schema(MANIFEST_SCHEMA, doc)
         _check_angles(doc)
         return cls(
             scenario=doc["scenario"],

@@ -172,6 +172,20 @@ def test_schema_error_exit_code(tmp_path):
     assert err["field_path"] == "settings"
 
 
+@pytest.mark.parametrize("cmd, block, field, value", [
+    ("model", "model", "N", 8.0),
+    ("model", "model", "K", 2.0),
+    ("reduce", "settings", "K_base", 4.0),
+    ("verify", "verify", "num_times", 20.0),
+])
+def test_integral_floats_in_integer_fields_are_schema_errors(tmp_path, cmd, block, field, value):
+    doc = _doc(str(tmp_path / "r"))
+    doc[block][field] = value
+    code = _run(cmd, _write(tmp_path, doc))
+    err = _assert_failed(code, tmp_path / "r", cmd, cli.EXIT_SCHEMA, "schema")
+    assert err["field_path"] == f"{block}.{field}"
+
+
 @pytest.mark.parametrize("name, edit, field", [
     # two angles for an n = 1 model
     ("reference-n1", lambda doc: doc["frequency"].update(omega=[0.11617668600029396, 0.3]),
@@ -522,28 +536,34 @@ def test_import_defers_numpy_until_threads_are_pinned():
     assert out.stdout.strip() == "False"
 
 
-# Run one command in a fresh interpreter and list the scipy modules it loaded:
-# reduce must load scipy.fft for its transforms, and no other command loads scipy.
+# Run one command in a fresh interpreter and check the modules it loaded:
+# reduce must load scipy.fft for its transforms, no other command loads
+# scipy, and no command loads jsonschema.
 _SCIPY_CHILD = """
 import sys
 from kamreduce.cli import EXIT_OK, main
 assert main(sys.argv[1:]) == EXIT_OK
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+packages = {m.partition(".")[0] for m in sys.modules}
+assert "jsonschema" not in packages
 if sys.argv[1] == "reduce":
-    assert "scipy.fft" in loaded
+    assert "scipy.fft" in sys.modules
 else:
-    assert not loaded, loaded
+    assert "scipy" not in packages, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 
 def test_only_reduce_loads_scipy(tmp_path):
-    manifest = str(MANIFESTS / "reference-n2.json")
-    for cmd in COMMANDS:
-        out = subprocess.run(
-            [sys.executable, "-c", _SCIPY_CHILD, cmd, "--manifest", manifest, "--out", str(tmp_path)],
-            env=_child_env(), capture_output=True, text=True,
-        )
-        assert out.returncode == 0, (cmd, out.stderr)
+    oscillator = json.loads((MANIFESTS / "oscillator-quartic.json").read_text())
+    oscillator["model"]["N"] = 8
+    oscillator["verify"] = {"t_max": 5.0, "num_times": 5, "tol": 1e-4}
+    for manifest in (str(MANIFESTS / "reference-n2.json"), _write(tmp_path, oscillator)):
+        for cmd in COMMANDS:
+            out = subprocess.run(
+                [sys.executable, "-c", _SCIPY_CHILD, cmd, "--manifest", manifest,
+                 "--out", str(tmp_path / Path(manifest).stem)],
+                env=_child_env(), capture_output=True, text=True,
+            )
+            assert out.returncode == 0, (manifest, cmd, out.stderr)
 
 
 def test_nonpositive_threads_usage_error(tmp_path):

@@ -1,13 +1,21 @@
 """Tests for deterministic JSON encoding, checksums, and manifests."""
 
+import copy
 import json
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kamreduce.errors import ArtifactError, SchemaError
 from kamreduce.serialize import (
+    _KEYWORDS,
+    MANIFEST_SCHEMA,
     RunManifest,
+    _check_schema,
     decode_complex,
     dumps_canonical,
     encode_complex,
@@ -20,6 +28,10 @@ from kamreduce.serialize import (
     write_checksums,
     write_json,
 )
+
+
+SHIPPED = [json.loads(path.read_text())
+           for path in sorted((Path(__file__).resolve().parents[1] / "manifests").glob("*.json"))]
 
 
 def _manifest_doc():
@@ -205,11 +217,49 @@ def test_manifest_frequency_exactly_one_variant():
         "omega": [0.1],
         "sample": {"Kmax": 8, "num_candidates": 10},
     }
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as info:
         RunManifest.from_dict(doc)
+    assert info.value.field_path == "frequency"
     doc["frequency"] = {}
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as info:
         RunManifest.from_dict(doc)
+    assert info.value.field_path == "frequency"
+
+
+_OSCILLATOR = {"kind": "oscillator", "alpha": 4.0, "N": 8, "beta": 0.5, "forcing": {"1": 0.5}}
+
+
+@pytest.mark.parametrize("edit, where", [
+    # the variant is taken from kind, so the error is inside it
+    (lambda doc: doc["model"].update(n=5), "model.n"),
+    (lambda doc: doc["model"].update(model_seed=-1), "model.model_seed"),
+    (lambda doc: doc["model"].update(N=1), "model.N"),
+    (lambda doc: doc.update(model=dict(_OSCILLATOR, v_kind="x")), "model.v_kind"),
+    (lambda doc: doc["model"].update(kind="quadratic"), "model"),
+    # an integer is a JSON integer, not an integral float
+    (lambda doc: doc["model"].update(K=2.0), "model.K"),
+    (lambda doc: doc["settings"].update(K_base=4.0), "settings.K_base"),
+    (lambda doc: doc["frequency"].update(omega=[0.1, True]), "frequency.omega.1"),
+    # the bounds themselves
+    (lambda doc: doc["settings"].update(s=0.0), "settings.s"),
+    (lambda doc: doc["model"].update(d=1), "model.d"),
+    (lambda doc: doc["frequency"].update(omega=[0.1] * 4), "frequency.omega"),
+])
+def test_manifest_schema_error_names_the_field_that_is_wrong(edit, where):
+    doc = _manifest_doc()
+    edit(doc)
+    with pytest.raises(SchemaError) as info:
+        RunManifest.from_dict(doc)
+    assert info.value.field_path == where
+    assert str(info.value).startswith(f"manifest invalid at {where}: ")
+
+
+def test_manifest_accepts_values_on_inclusive_bounds():
+    doc = _manifest_doc()
+    doc["scenario"] = "x"
+    doc["model"].update(N=2, n=3, delta=0, K=0, model_seed=2**64 - 1)
+    doc["frequency"] = {"omega": [0.1, 0.2, 0.3]}
+    assert RunManifest.from_dict(doc).model["n"] == 3
 
 
 def test_manifest_read_applies_overrides(tmp_path):
@@ -228,3 +278,77 @@ def test_manifest_rejects_bad_json(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(SchemaError, match="object"):
         RunManifest.load(path)
+
+
+def test_manifest_schema_uses_only_keywords_the_checker_implements():
+    def keywords(schema):
+        assert schema.get("additionalProperties", False) in (True, False)  # never a schema
+        yield from schema
+        for sub in (*schema.get("properties", {}).values(),
+                    *schema.get("patternProperties", {}).values(),
+                    *schema.get("oneOf", ()), *([schema["items"]] if "items" in schema else [])):
+            yield from keywords(sub)
+
+    used = set(keywords(MANIFEST_SCHEMA))
+    assert used <= _KEYWORDS, used - _KEYWORDS
+
+
+def _slots(node):
+    """Every (container, key) of a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from _slots(child)
+
+
+def _names(schema):
+    """Every property name the schema declares, at any depth."""
+    for name, sub in schema.get("properties", {}).items():
+        yield name
+        yield from _names(sub)
+    for sub in schema.get("oneOf", ()):
+        yield from _names(sub)
+
+
+_KEYS = st.sampled_from(sorted(set(_names(MANIFEST_SCHEMA)) | {"1", "-2,1", "1.5"})) | st.text(max_size=3)
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 30) | st.integers()
+            # the schema's bounds and their neighbours
+            | st.sampled_from([0, 1, 2, 3, 4, 0.0, 1.0, 2.0, 14.0, -1.0, 1e-3, 2**64 - 1, 2**64])
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(["", "abstract", "oscillator", "power"]) | st.text(max_size=3))
+# a value from a shipped manifest, often of the right type, or any JSON value
+_VALUES = (st.sampled_from([c[k] for doc in SHIPPED for c, k in _slots(doc)]).map(copy.deepcopy)
+           | st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6))
+# jsonschema's Draft 2020-12 with the checker's one departure: an integer is
+# an int, so an integral float such as 14.0 is not one
+_ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)),
+)(MANIFEST_SCHEMA)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_manifest_checker_verdict_is_jsonschemas(data):
+    # set, drop or add one to three fields of a shipped manifest
+    doc = copy.deepcopy(data.draw(st.sampled_from(SHIPPED)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        action = data.draw(st.sampled_from(["set", "drop", "add"]))
+        slots = list(_slots(doc))
+        if action == "add":
+            objects = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            data.draw(st.sampled_from(objects))[data.draw(_KEYS)] = data.draw(_VALUES)
+        else:
+            container, key = data.draw(st.sampled_from(slots))
+            if action == "set":
+                container[key] = data.draw(_VALUES)
+            else:
+                del container[key]
+    try:
+        _check_schema(MANIFEST_SCHEMA, doc)
+        accepted = True
+    except SchemaError:
+        accepted = False
+    assert accepted == _ORACLE.is_valid(doc)
