@@ -390,11 +390,6 @@ _REDUCED_VECTORS = ("lambda_inf", "lambda_ref", "omega")
 
 @_command
 def cmd_reduce(manifest: RunManifest, log, timings, args):
-    # the transforms' scipy.fft, which torus loads on first use, is loaded here,
-    # before any step allocates: loaded mid-step, its objects sit above freed
-    # arrays that malloc then keeps, and n2's peak RSS rises by about 2 MB
-    import scipy.fft  # noqa: F401
-
     from .engine import run_schedule
     from .serialize import write_array, write_json
 

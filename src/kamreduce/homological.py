@@ -241,9 +241,13 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
         # mud has zero average by construction of mu
         live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
         Hd = _primitive(mud, n, K_mu, omega, live, pairs)
-        factor = np.exp(1j * coeffs_to_grid(Hd, n, K_mu, M))
+        # each grid is named before its product: numpy runs a product on a large
+        # unnamed temporary in place, and that loop rounds differently
+        gH = coeffs_to_grid(Hd, n, K_mu, M)
+        factor = np.exp(1j * gH)
         unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
-        btil = grid_to_coeffs(factor * coeffs_to_grid(b, n, K_b, M), n, K)
+        gb = coeffs_to_grid(b, n, K_b, M)
+        btil = grid_to_coeffs(factor * gb, n, K)
         live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
     else:
         # no variable part: the factor is 1 and the solve is one division
@@ -259,7 +263,8 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     if factor is None:
         chic = uc
     else:
-        chic = grid_to_coeffs(np.conj(factor) * coeffs_to_grid(uc, n, K, M), n, K)
+        gu = coeffs_to_grid(uc, n, K, M)
+        chic = grid_to_coeffs(np.conj(factor) * gu, n, K)
 
     mass = np.sum(np.abs(chic))
     if K_out is None:

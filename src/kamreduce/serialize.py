@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import os
 import re
@@ -340,8 +341,8 @@ MANIFEST_SCHEMA = {
 
 # keyword: (the JSON type it bounds, the comparison with the bound that breaks
 # it, the rule for the message).  A number is bounded itself, a string, array
-# or object by its length; the comparisons are JSON Schema's, so a NaN breaks
-# no bound.
+# or object by its length; the comparisons are JSON Schema's, under which a
+# NaN breaks no bound, so the number type itself is finite.
 _LIMITS = {
     "minimum": ("number", operator.lt, "must be >="),
     "maximum": ("number", operator.gt, "must be <="),
@@ -359,8 +360,13 @@ _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
 
 
 def _is_type(value, name: str) -> bool:
-    """JSON typing: a bool is no number, and an integer is an int, never an integral float."""
-    return isinstance(value, _TYPES[name]) and (name == "boolean" or not isinstance(value, bool))
+    """JSON typing: a bool is no number, and an integer is an int, never an integral float.
+
+    A number is finite: json.loads reads NaN and Infinity, which JSON has not.
+    """
+    if not isinstance(value, _TYPES[name]) or (name != "boolean" and isinstance(value, bool)):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _variant_key(variant: dict):

@@ -9,10 +9,9 @@ arithmetic, grid sampling, evaluation at a batch of angles (at, by direct
 mode summation) and one alias-free grid product (product entrywise;
 commutator for operators).  All transforms are plain FFTs on equispaced
 grids; products are computed on grids large enough to be exact for the sum
-of the input bandwidths and keep that whole band.  scipy.fft is imported by
-the first transform, so a command that makes none never loads it; grid
-sizes come from next_fast_len here, which needs no scipy.  _mirror is the
-one k -> -k conjugate mirror.
+of the input bandwidths and keep that whole band.  The transforms are
+numpy.fft's, one axis at a time in place, and the grid sizes come from
+next_fast_len here.  _mirror is the one k -> -k conjugate mirror.
 
 Norm conventions:
 
@@ -80,7 +79,7 @@ def strip_weight(n: int, K: int, s: float) -> np.ndarray:
 
 
 def next_fast_len(target: int) -> int:
-    """The least 11-smooth integer >= target, scipy.fft.next_fast_len's rule for complex transforms."""
+    """The least 11-smooth integer >= target, a fast pocketfft length (scipy.fft.next_fast_len's rule)."""
     m = max(int(target), 1)
     while True:
         r = m
@@ -136,25 +135,32 @@ def _fft_to_centered(table: np.ndarray, n: int, K: int) -> np.ndarray:
 def coeffs_to_grid(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
     """Evaluate a coefficient block on the equispaced M**n grid (zero-padded FFT).
 
-    The first n axes are modes; any trailing axes are batch axes.
+    The first n axes are modes; any trailing axes are batch axes.  One axis
+    at a time, in place; bit for bit scipy.fft.ifftn(..., norm="forward").
     """
-    from scipy.fft import ifftn
-
     table = _centered_to_fft(coeffs, n, K, M)
-    return ifftn(table, axes=tuple(range(n)), norm="forward", overwrite_x=True)
+    for a in range(n):
+        np.fft.ifft(table, axis=a, norm="forward", out=table)
+    return table
 
 
 def grid_to_coeffs(values: np.ndarray, n: int, K: int) -> np.ndarray:
     """Centered coefficients |k|_inf <= K from grid samples (alias-folding beyond M/2).
 
-    The first n axes are grid axes; any trailing axes are batch axes.
+    The first n axes are grid axes; any trailing axes are batch axes.  One
+    axis at a time, in place; bit for bit scipy.fft.fftn(..., norm="forward")
+    of the values as complex (scipy's real-input path rounds otherwise).
     """
     M = values.shape[0]
     if M < 2 * K + 2:
         raise AliasingError(f"grid size {M} < 2K+2 = {2 * K + 2}")
-    from scipy.fft import fftn
-
-    table = fftn(values, axes=tuple(range(n)), norm="forward")
+    table = np.fft.fft(np.ascontiguousarray(values, dtype=complex), axis=0)
+    # scaled once, after the first axis, real and imaginary parts alike: the
+    # n-d call's rounding, signed zeros included
+    parts = table.view(float)
+    parts *= 1.0 / M**n
+    for a in range(1, n):
+        np.fft.fft(table, axis=a, out=table)
     return _fft_to_centered(table, n, K)
 
 

@@ -186,6 +186,22 @@ def test_integral_floats_in_integer_fields_are_schema_errors(tmp_path, cmd, bloc
     assert err["field_path"] == f"{block}.{field}"
 
 
+@pytest.mark.parametrize("block, field, value, literal, where", [
+    ("frequency", "omega", [float("nan")], "[NaN]", "frequency.omega.0"),
+    ("settings", "epsilon", float("inf"), "Infinity", "settings.epsilon"),
+])
+def test_non_finite_numbers_are_schema_errors(tmp_path, block, field, value, literal, where):
+    # json.loads reads NaN and Infinity: the manifest check rejects them, not
+    # the write of manifest_echo.json
+    doc = _doc(str(tmp_path / "r"))
+    doc[block][field] = value
+    manifest = _write(tmp_path, doc)
+    assert f'"{field}": {literal}' in Path(manifest).read_text()
+    code = _run("reduce", manifest)
+    err = _assert_failed(code, tmp_path / "r", "reduce", cli.EXIT_SCHEMA, "schema")
+    assert err["field_path"] == where
+
+
 @pytest.mark.parametrize("name, edit, field", [
     # two angles for an n = 1 model
     ("reference-n1", lambda doc: doc["frequency"].update(omega=[0.11617668600029396, 0.3]),
@@ -537,22 +553,18 @@ def test_import_defers_numpy_until_threads_are_pinned():
 
 
 # Run one command in a fresh interpreter and check the modules it loaded:
-# reduce must load scipy.fft for its transforms, no other command loads
-# scipy, and no command loads jsonschema.
+# no command, reduce included, loads scipy or jsonschema.
 _SCIPY_CHILD = """
 import sys
 from kamreduce.cli import EXIT_OK, main
 assert main(sys.argv[1:]) == EXIT_OK
 packages = {m.partition(".")[0] for m in sys.modules}
 assert "jsonschema" not in packages
-if sys.argv[1] == "reduce":
-    assert "scipy.fft" in sys.modules
-else:
-    assert "scipy" not in packages, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert "scipy" not in packages, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 
-def test_only_reduce_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     oscillator = json.loads((MANIFESTS / "oscillator-quartic.json").read_text())
     oscillator["model"]["N"] = 8
     oscillator["verify"] = {"t_max": 5.0, "num_times": 5, "tol": 1e-4}

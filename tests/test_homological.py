@@ -6,6 +6,7 @@ converge to the same solution, so sup-grid agreement certifies the solver.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -401,17 +402,24 @@ def test_variable_pairwise_galerkin_oracle():
         assert grid_gap(sol.B.entry(j, i), oracle) < 1e-9 * sup_norm_s(b, 0.0)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_variable_pairs_are_one_pair_kuksin_solves(n):
     # the stacked solve the engine runs and the scalar solve gate 2 checks
     # against the dense oracle are one kernel: every pair agrees on one grid
     rng = np.random.default_rng(79 + n)
-    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])[:n]
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.5])[:n]
     N, K_out = 5, 12
     mu = random_mu(N, n, 2, rng, amp=0.08)
     base = base_for(N, n=n, mu=mu, K=2)
     P = random_hermitian(N, n, 3, rng, s=0.5)
-    B = solve_variable(P, base, omega, K_out=K_out).B
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        B = solve_variable(P, base, omega, K_out=K_out).B
+    # the three-angle draw is outside the Kuksin guard on two pairs, which the
+    # solve warns and still solves
+    broken = ["(1,2)", "(2,3)"] if n == 3 else []
+    assert [(w.category, str(w.message).split(":")[0]) for w in caught] == [
+        (GuardWarning, f"kuksin guard failed for pair {pair}") for pair in broken]
     for i, j in itertools.combinations(range(N), 2):
         # E2 = 1 and h = mu_j - mu_i, so E2 h is the pair's mu difference bit for bit
         mud = TorusSeries(base.n, base.K, base.mu[j] - base.mu[i])

@@ -33,7 +33,9 @@ Scalar and operator series share one implementation, so every shared
 operation on an OperatorSeries is the same operation on each of its entries.
 
 The transforms invert each other on any grid of at least 2K+2 points per
-axis, with or without trailing batch axes, and refuse a smaller grid.
+axis, with or without trailing batch axes, and refuse a smaller grid.  They
+are scipy.fft's n-d calls bit for bit, signed zeros included, on real grids
+as on complex ones; scipy is only the oracle here.
 """
 
 import itertools
@@ -42,6 +44,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -551,3 +554,46 @@ def test_transforms_round_trip_and_refuse_an_aliasing_grid(case):
     assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
     with pytest.raises(AliasingError):
         torus.grid_to_coeffs(vals[(slice(0, 2 * K + 1),) * n], n, K)
+
+
+def _draw_array(rng, shape, sparse, real=False):
+    """Normal samples, or mostly zeros and units, whose transforms have signed zeros."""
+    def part():
+        return rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], size=shape) if sparse else rng.normal(size=shape)
+    return part() if real else part() + 1j * part()
+
+
+@settings(max_examples=120, deadline=None)
+@given(transform_cases, st.booleans(), st.booleans())
+def test_transforms_are_scipys_bit_for_bit(case, sparse, real):
+    n, K, larger, batch, seed = case
+    rng = np.random.default_rng(seed)
+    M = torus.next_fast_len(2 * K + 2)
+    if larger:
+        M = torus.next_fast_len(M + 1)
+    axes = tuple(range(n))
+    c = _draw_array(rng, (2 * K + 1,) * n + batch, sparse)
+    table = torus._centered_to_fft(c, n, K, M)
+    expect = scipy.fft.ifftn(table, axes=axes, norm="forward")
+    got = torus.coeffs_to_grid(c, n, K, M)
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+    # a real grid is transformed as its complex cast (never by a real path)
+    v = _draw_array(rng, (M,) * n + batch, sparse, real=real)
+    expect = torus._fft_to_centered(scipy.fft.fftn(v.astype(complex), axes=axes, norm="forward"),
+                                    n, K)
+    got = torus.grid_to_coeffs(v, n, K)
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+def test_transforms_keep_scipys_signed_zeros():
+    # the transform of a unit impulse is full of exact zeros, whose signs
+    # depend on how the forward transform applies its 1/M**n
+    M, K = 4, 1
+    for n in (1, 2, 3):
+        for flat, unit in itertools.product(range(M**n), (1, -1, 1j, -1j)):
+            v = np.zeros(M**n, dtype=complex)
+            v[flat] = unit
+            v = v.reshape((M,) * n)
+            expect = scipy.fft.fftn(v, norm="forward")
+            got = torus.grid_to_coeffs(v, n, K)
+            assert got.tobytes() == torus._fft_to_centered(expect, n, K).tobytes(), (n, flat, unit)

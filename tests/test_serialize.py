@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -244,6 +245,9 @@ _OSCILLATOR = {"kind": "oscillator", "alpha": 4.0, "N": 8, "beta": 0.5, "forcing
     (lambda doc: doc["settings"].update(s=0.0), "settings.s"),
     (lambda doc: doc["model"].update(d=1), "model.d"),
     (lambda doc: doc["frequency"].update(omega=[0.1] * 4), "frequency.omega"),
+    # json.loads reads NaN and Infinity, which break no bound: a number is finite
+    (lambda doc: doc["frequency"].update(omega=[math.nan]), "frequency.omega.0"),
+    (lambda doc: doc["settings"].update(epsilon=-math.inf), "settings.epsilon"),
 ])
 def test_manifest_schema_error_names_the_field_that_is_wrong(edit, where):
     doc = _manifest_doc()
@@ -314,18 +318,24 @@ _KEYS = st.sampled_from(sorted(set(_names(MANIFEST_SCHEMA)) | {"1", "-2,1", "1.5
 _SCALARS = (st.none() | st.booleans() | st.integers(-2, 30) | st.integers()
             # the schema's bounds and their neighbours
             | st.sampled_from([0, 1, 2, 3, 4, 0.0, 1.0, 2.0, 14.0, -1.0, 1e-3, 2**64 - 1, 2**64])
+            # which json.loads reads, though JSON has no such number
+            | st.sampled_from([math.nan, math.inf, -math.inf])
             | st.floats(allow_nan=False, allow_infinity=False)
             | st.sampled_from(["", "abstract", "oscillator", "power"]) | st.text(max_size=3))
 # a value from a shipped manifest, often of the right type, or any JSON value
 _VALUES = (st.sampled_from([c[k] for doc in SHIPPED for c, k in _slots(doc)]).map(copy.deepcopy)
            | st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
                           | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6))
-# jsonschema's Draft 2020-12 with the checker's one departure: an integer is
-# an int, so an integral float such as 14.0 is not one
+# jsonschema's Draft 2020-12 with the checker's two departures: an integer is
+# an int, so an integral float such as 14.0 is not one, and a number is finite
 _ORACLE = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)),
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda checker, value: isinstance(value, int) and not isinstance(value, bool),
+        "number": lambda checker, value: (isinstance(value, (int, float))
+                                          and not isinstance(value, bool)
+                                          and (isinstance(value, int) or math.isfinite(value))),
+    }),
 )(MANIFEST_SCHEMA)
 
 
