@@ -75,6 +75,7 @@ from .torus import (
     chop,
     coeffs_to_grid,  # noqa: F401  unused; bench/test_bench.py traces it in this namespace
     delta_norm,
+    freeze,
     g_norm,
     next_fast_len,
     strip_weight,
@@ -360,7 +361,8 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
         S = X.truncate(min(X.K, K_out))
         truncation += b**k * delta_norm(X - S, base, s)
 
-    coeffs = S.coeffs
+    K_S, coeffs = S.K, S.coeffs
+    del S, X
     mirror = _mirror(coeffs, n)
     herm_defect = float(np.max(np.abs(coeffs - mirror)))
     # the output is quadratically small, so roundoff is judged against the
@@ -374,17 +376,21 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
         raise HermiticityError(f"conjugation output hermiticity defect {herm_defect:.2e}")
     if herm_defect > 1e-11 * scale:
         _guard(guards, f"conjugation hermiticity defect {herm_defect:.2e}")
-    coeffs = 0.5 * (coeffs + mirror)
+    coeffs = coeffs + mirror
+    del mirror
+    coeffs *= 0.5
     kept = chop(coeffs, CHOP_FLOOR)
     # crude but sufficient norm bound on the discarded mass so the reported
     # ||P+|| can never understate the truth
-    mass = np.abs(coeffs - kept) * strip_weight(n, S.K, s)[..., None, None]
+    chopped = int(np.count_nonzero(coeffs) - np.count_nonzero(kept))
+    mass = np.abs(coeffs - kept)
+    del coeffs
+    mass *= strip_weight(n, K_S, s)[..., None, None]
     info.update(lie_order=m, lie_tail_bound=tail, truncation_bound=truncation,
-                hermiticity_defect=herm_defect,
-                chopped=int(np.count_nonzero(coeffs) - np.count_nonzero(kept)),
+                hermiticity_defect=herm_defect, chopped=chopped,
                 chopped_norm_bound=float(np.sum(mass)), grid_M=M,
                 guard_messages=tuple(guards))
-    return OperatorSeries(n, S.K, N, kept), info
+    return OperatorSeries(n, K_S, N, freeze(kept)), info
 
 
 def _budget_cutoff(normP: float, gamma: float, tau: float, budget: float) -> int:
@@ -535,6 +541,9 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "C_omega": C_omega_next,
         "hom_residual": sol.residual,
         "min_divisor": sol.min_divisor,
+        "pairs": sol.pairs,
+        "solve_grid_M": sol.grid_M,
+        "defect_grid_M": sol.defect_grid_M,
         "B_g_norm": gB,
         "eps_bound": eps_bound,
         "eps_bound_ok": bool(eps_ok),

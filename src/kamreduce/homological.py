@@ -22,12 +22,17 @@ primitive of h (Hhat_k = hhat_k / (i omega.k)),
 One kernel solves a stack of pairs on one grid: solve_variable calls it
 with all N(N-1)/2 pairs, whatever mu (with mu = 0 the factor is 1 and the
 solve is the division above), solve_kuksin with one; solve_constant is the
-division alone, for mu = 0.  Every solve reports its relative defect as a
-bound: _defect forms the defect D exactly in coefficients, and
+division alone, for mu = 0.  The kernel drops each grid once it is used.
+
+Every solve reports its relative defect as a bound.  One kernel, _defect,
+forms the defect exactly in coefficients on the same pair stack, the
+product (mu_j - mu_i) chi on an alias-free grid of the pairs alone, and
 ||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is divided
-by the same norm of the right-hand side.  A solution carries the generator's
-defect D, formed once by _generator_defect, and the conjugation step takes
-it from there.
+by the same norm of the right-hand side.  A solution carries the
+generator's defect D, formed once by _generator_defect: the solved entries
+D_ji (i < j) come from the kernel, the entries D_ij are their mirror
+conj(D_ji(-k)), so D is exactly hermitian, and the diagonal is
+(omega.k) B_ii(k).  The conjugation step takes D from there.
 
 solve_variable's guards (P's hermiticity, C*, each pair's Kuksin smallness
 with theta = (delta/(d-1) + 1)/2, the factor's unimodularity) are advisory:
@@ -53,6 +58,7 @@ from .torus import (
     _mirror,
     chop,
     coeffs_to_grid,
+    freeze,
     grid_to_coeffs,
     k_norm1_grid,
     next_fast_len,
@@ -116,27 +122,39 @@ class HomologicalSolution:
     # each advisory guard the solve met, once, as it was warned
     guard_messages: tuple = ()
     truncation_residue: float = 0.0
+    # work counters: pairs solved, and the grids per axis of the pair solve
+    # and of the defect's product mu B (0 where the solve forms no grid)
+    pairs: int = 0
+    grid_M: int = 0
+    defect_grid_M: int = 0
 
 
-def _defect(chi, gap, mud, rhs, omega) -> OperatorSeries:
+def _defect(chi, gap, mud, rhs, omega):
     """D = (gap + mud) chi - i (omega.d) chi - rhs, formed exactly in coefficients.
 
-    chi, rhs and mud are centred coefficient blocks with trailing (N, N)
-    entry axes; gap is (N, N) and mud (or None) multiplies chi entrywise.
-    D's coefficients are formed, not sampled: the product mud chi is taken
-    on an alias-free grid, and D keeps its whole band.
+    chi, rhs and mud are centred coefficient stacks with the pair axis last,
+    as _solve_pairs takes them; gap holds one constant per pair and mud (or
+    None) multiplies chi pairwise.  D's coefficients are formed, not
+    sampled: the product mud chi is taken on an alias-free grid of the
+    pairs alone, and D keeps its whole band.  Returns (D, the product's
+    grid M per axis, 0 without mud).
     """
-    n, N = len(omega), chi.shape[-1]
+    n = len(omega)
     K_chi, K_rhs = (chi.shape[0] - 1) // 2, (rhs.shape[0] - 1) // 2
     K_mu = 0 if mud is None else (mud.shape[0] - 1) // 2
     K_D = max(K_chi + K_mu, K_rhs)
     D = np.zeros((2 * K_D + 1,) * n + chi.shape[n:], dtype=complex)
-    D[_box(n, K_chi, K_D)] += (_k_dot_omega(n, K_chi, omega)[..., None, None] + gap) * chi
+    D[_box(n, K_chi, K_D)] += (_k_dot_omega(n, K_chi, omega)[..., None] + gap) * chi
+    M = 0
     if mud is not None:
-        prod = OperatorSeries(n, K_mu, N, mud).product(OperatorSeries(n, K_chi, N, chi))
-        D[_box(n, prod.K, K_D)] += prod.coeffs
+        K = K_chi + K_mu
+        M = next_fast_len(2 * K + 2)
+        gm, gc = coeffs_to_grid(mud, n, K_mu, M), coeffs_to_grid(chi, n, K_chi, M)
+        prod = np.multiply(gm, gc)
+        del gm, gc
+        D[_box(n, K, K_D)] += grid_to_coeffs(prod, n, K)
     D[_box(n, K_rhs, K_D)] -= rhs
-    return OperatorSeries(n, K_D, N, D)
+    return D, M
 
 
 def _relative_defect(D: OperatorSeries, rhs: np.ndarray, s: float, W) -> float:
@@ -147,15 +165,33 @@ def _relative_defect(D: OperatorSeries, rhs: np.ndarray, s: float, W) -> float:
     return float(dn) / max(float(rn), 1e-300)
 
 
-def _generator_defect(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart,
-                      omega) -> OperatorSeries:
-    """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, in coefficients."""
+def _generator_defect(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart, omega):
+    """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, in coefficients.
+
+    D is formed on the solve's pair stack, entries (j, i) with i < j.  The
+    entries (i, j) are their mirror D_ij(k) = conj(D_ji(-k)), as they are
+    for an anti-hermitian B and a hermitian P (solve_variable warns when P
+    is not), so D is exactly hermitian.  The diagonal is (omega.k) B_ii(k),
+    since A is diagonal and P - diag P has none.  Returns (D, the grid M
+    per axis of the product (mu_j - mu_i) B_ji, 0 where the mu_i coincide).
+    """
+    n, N = B.n, B.N
+    ii, jj = np.triu_indices(N, 1)
     mud = None
-    if base.mu is not None and np.any(base.mu):
-        # entry (i, j) of [A, B] is (a_i - a_j) B_ij
-        mud = np.moveaxis(base.mu[:, None] - base.mu[None, :], (0, 1), (-2, -1))
-    gap = base.lam[:, None] - base.lam[None, :]
-    return _defect(B.coeffs, gap, mud, -P.offdiagonal_part().coeffs, omega)
+    if base.mu is not None:
+        # entry (j, i) of [A, B] is (a_j - a_i) B_ji
+        mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
+        mud = mud if np.any(mud) else None
+    Dp, M = _defect(B.coeffs[..., jj, ii], base.lam[jj] - base.lam[ii], mud,
+                    -P.coeffs[..., jj, ii], omega)
+    K_D = (Dp.shape[0] - 1) // 2
+    D = np.zeros((2 * K_D + 1,) * n + (N, N), dtype=complex)
+    D[..., jj, ii] = Dp
+    D[..., ii, jj] = np.conj(Dp, out=Dp)[(slice(None, None, -1),) * n]
+    idx = np.arange(N)
+    D[_box(n, B.K, K_D) + (idx, idx)] = (_k_dot_omega(n, B.K, omega)[..., None]
+                                         * B.coeffs[..., idx, idx])
+    return OperatorSeries(n, K_D, N, freeze(D)), M
 
 
 def solve_constant(
@@ -181,7 +217,7 @@ def solve_constant(
     Bc = np.zeros_like(P.coeffs)
     np.divide(-P.coeffs, den, out=Bc, where=offmask & (np.abs(den) > 0))
     B = OperatorSeries(n, K, N, Bc)
-    D = _generator_defect(B, P, base, omega)
+    D, _ = _generator_defect(B, P, base, omega)
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, P.offdiagonal_part().coeffs,
@@ -242,12 +278,17 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
         live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
         Hd = _primitive(mud, n, K_mu, omega, live, pairs)
         # each grid is named before its product: numpy runs a product on a large
-        # unnamed temporary in place, and that loop rounds differently
+        # unnamed temporary in place, and that loop rounds differently.  Each
+        # is dropped once used, so that at most three grids are alive at once
         gH = coeffs_to_grid(Hd, n, K_mu, M)
         factor = np.exp(1j * gH)
+        del gH
         unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
         gb = coeffs_to_grid(b, n, K_b, M)
-        btil = grid_to_coeffs(factor * gb, n, K)
+        fb = factor * gb
+        del gb
+        btil = grid_to_coeffs(fb, n, K)
+        del fb
         live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
     else:
         # no variable part: the factor is 1 and the solve is one division
@@ -260,11 +301,16 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     uc = np.zeros_like(btil)
     np.divide(btil, den, out=uc, where=live & (np.abs(den) > 0))
+    del btil
     if factor is None:
         chic = uc
     else:
         gu = coeffs_to_grid(uc, n, K, M)
-        chic = grid_to_coeffs(np.conj(factor) * gu, n, K)
+        del uc
+        fu = np.conj(factor, out=factor) * gu
+        del factor, gu
+        chic = grid_to_coeffs(fu, n, K)
+        del fu
 
     mass = np.sum(np.abs(chic))
     if K_out is None:
@@ -324,9 +370,9 @@ def solve_kuksin(
     chi = TorusSeries(n, (chic.shape[0] - 1) // 2, chic[..., 0])
     if not with_info:
         return chi
-    rhs = b.coeffs[..., None, None]
-    D = _defect(chic[..., None], np.array([[float(E1)]]), mud[..., None], rhs, omega)
-    residual = _relative_defect(D, rhs, 0.0, np.ones(1))
+    D, _ = _defect(chic, np.array([float(E1)]), mud, b.coeffs[..., None], omega)
+    residual = _relative_defect(OperatorSeries(n, (D.shape[0] - 1) // 2, 1, D[..., None]),
+                                b.coeffs[..., None, None], 0.0, np.ones(1))
     return chi, {"residual": residual, "min_divisor": min_div, "unimodularity_defect": unimod,
                  "guard_messages": tuple(messages), "K_out": chi.K}
 
@@ -388,8 +434,10 @@ def solve_variable(
     # D outlives the solve: formed above these work arrays, it would keep
     # their space from the conjugation step (30 MB of peak RSS on reference-n2)
     del Bc, chic
-    D = _generator_defect(B, P, base, omega)
+    D, defect_M = _generator_defect(B, P, base, omega)
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, P.offdiagonal_part().coeffs,
                                                          s, base.weight()),
-                               guard_messages=tuple(messages), truncation_residue=trunc)
+                               guard_messages=tuple(messages), truncation_residue=trunc,
+                               pairs=len(pairs), grid_M=M if np.any(mud) else 0,
+                               defect_grid_M=defect_M)

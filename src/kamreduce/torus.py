@@ -380,7 +380,9 @@ class OperatorSeries(_Series):
     hermiticity_defect = _Series.mirror_defect
 
     def antihermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.coeffs + _mirror(self.coeffs, self.n))))
+        total = _mirror(self.coeffs, self.n)
+        total += self.coeffs
+        return float(np.max(np.abs(total)))
 
     def offdiagonal_part(self) -> "OperatorSeries":
         c = self.coeffs.copy()

@@ -12,6 +12,7 @@ a run whose every step conjugates.
 """
 
 import dataclasses
+import pathlib
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 import scipy.linalg
 from scipy.fft import next_fast_len
 
-from kamreduce import engine
+from kamreduce import cli, engine
 from kamreduce.engine import (
     KamSettings,
     KamState,
@@ -39,6 +40,7 @@ from kamreduce.errors import (
 )
 from kamreduce.homological import _generator_defect
 from kamreduce.models import abstract_base, build_abstract_model, random_perturbation
+from kamreduce.serialize import RunManifest
 from kamreduce.torus import (
     DiagonalPart,
     OperatorSeries,
@@ -47,6 +49,8 @@ from kamreduce.torus import (
     g_norm,
     grid_to_coeffs,
 )
+
+MANIFESTS = pathlib.Path(__file__).resolve().parents[1] / "manifests"
 
 # certified at gamma = 0.05 over |k|_1 <= 32 for the bases they are used with
 OMEGA_N2 = np.array([0.12902675768352256, 0.10778545957448527])  # N=12, tau=9
@@ -139,7 +143,7 @@ def test_conjugate_zero_generator_strips_diagonal():
     base = abstract_base(4, 1, 4.0 / 3.0, 0.2)
     P = _random_hermitian(4, 1, 2, rng)
     B = OperatorSeries.zero(1, 2, 4)
-    R, info = conjugate(base, P, B, _generator_defect(B, P, base, np.array([0.1])), 4, 0.05)
+    R, info = conjugate(base, P, B, _generator_defect(B, P, base, np.array([0.1]))[0], 4, 0.05)
     # B = 0: order 0, and the result is exactly P minus its diagonal
     expect = P.coeffs.copy()
     idx = np.arange(4)
@@ -167,7 +171,7 @@ def test_conjugate_matches_dense_grid_oracle():
 
     # K_out deep enough that the discarded tail needs ||B||^9 ~ 1e-17
     K_out = 16
-    R, info = conjugate(base, P, B, _generator_defect(B, P, base, omega), K_out, 0.05)
+    R, info = conjugate(base, P, B, _generator_defect(B, P, base, omega)[0], K_out, 0.05)
     assert info["lie_order"] >= 1 and R.K <= K_out
 
     M = 64
@@ -258,7 +262,7 @@ def test_conjugation_guard_reaches_its_info_and_the_step_record(monkeypatch):
     P = _random_hermitian(4, 1, 2, rng, scale=1e-3)
     B = _with_symmetric_part(_random_hermitian(4, 1, 1, rng, scale=1e-3) * 1j, 1e-9)
     with pytest.warns(GuardWarning, match="not anti-hermitian") as caught:
-        _, info = conjugate(base, P, B, _generator_defect(B, P, base, OMEGA_N1), 4, 0.05)
+        _, info = conjugate(base, P, B, _generator_defect(B, P, base, OMEGA_N1)[0], 4, 0.05)
     assert info["guard_messages"] == ("generator is not anti-hermitian to 1e-10",)
     assert len(caught) == 1
 
@@ -324,8 +328,24 @@ def test_ledger_follows_update_formulas(run_n2):
 
 def test_step_records_carry_work_counters(run_n2):
     _, P, state, _ = run_n2
-    # mu = 0 in step 1: the generator keeps P's band, not the work cutoff
+    # mu = 0 in step 1: the generator keeps P's band, not the work cutoff,
+    # and neither the solve nor its defect forms a grid
     assert state.records[0]["K_B"] == state.generators[0].K == P.K
+    assert state.records[0]["solve_grid_M"] == state.records[0]["defect_grid_M"] == 0
+    assert all(rec["pairs"] == 12 * 11 // 2 for rec in state.records)
+    # with mu (band 3, P's diagonal) the solve's grid is alias-free at its
+    # work band P.K + K_mu + SOLVER_PAD, the defect's product mu B at K_B + K_mu
+    step1, step2 = state.records[:2]
+    work_band = step1["K_P"] + 3 + engine.SOLVER_PAD
+    assert step2["solve_grid_M"] == next_fast_len(2 * work_band + 2) == 48
+    assert step2["defect_grid_M"] == next_fast_len(2 * (step2["K_B"] + 3) + 2) == 40
+    # the shipped reference-n2 run: 190 pairs; at step 2 P.K = 12 and K_mu = 6,
+    # so both grids hold band 30, 63 points per axis
+    manifest = RunManifest.load(MANIFESTS / "reference-n2.json")
+    ref, _ = run_schedule(*cli._build_model(manifest), manifest.frequency["omega"],
+                          cli._settings(manifest))
+    assert [(r["pairs"], r["solve_grid_M"], r["defect_grid_M"]) for r in ref.records] == [
+        (190, 0, 0), (190, 63, 63)]
     for rec in state.records:
         assert 0 <= rec["K_P"] <= SETTINGS_N2.work_cutoff()
         assert rec["B_truncation"] >= 0.0
@@ -365,7 +385,7 @@ def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):
     assert not any(rec["a_priori"] for rec in state.records)
     assert all(rec["lie_order"] >= 1 and rec["grid_M"] > 0 for rec in state.records)
     assert list(state.norm_history) == [0.0009999999999999998, 5.042131847630919e-08,
-                                        2.4710809192141105e-15]
+                                        2.4710809192132873e-15]
     # the bound is the same number whether or not the step stops on it
     assert state.records[-1]["a_priori_bound"] == converged.records[-1]["a_priori_bound"]
 

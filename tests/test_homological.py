@@ -6,6 +6,7 @@ converge to the same solution, so sup-grid agreement certifies the solver.
 """
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,8 @@ def test_kuksin_galerkin_oracle_n1():
     E1, E2 = 2.3, 0.4
     chi, info = solve_kuksin(b, h, E1, E2, omega, with_info=True)
     assert info["residual"] < 1e-9
+    # the one-pair defect is the pair stack's kernel on one pair, bit for bit
+    assert info["residual"] == 3.604550673975805e-15
     assert info["unimodularity_defect"] < 1e-12
     oracle = galerkin_solve(b, h, E1, E2, omega, Ko=32)
     assert grid_gap(chi, oracle) < 1e-9 * sup_norm_s(b, 0.0)
@@ -259,6 +262,7 @@ def test_kuksin_galerkin_oracle_n2():
     E1, E2 = 3.1, 0.1
     chi, info = solve_kuksin(b, h, E1, E2, omega, with_info=True)
     assert info["residual"] < 1e-9
+    assert info["residual"] == 2.091230299700083e-14
     oracle = galerkin_solve(b, h, E1, E2, omega, Ko=12)
     assert grid_gap(chi, oracle, M=40) < 1e-8 * sup_norm_s(b, 0.0)
 
@@ -428,6 +432,31 @@ def test_variable_pairs_are_one_pair_kuksin_solves(n):
         entry = B.entry(j, i)
         assert chi.K == entry.K
         assert np.max(np.abs(chi.coeffs - entry.coeffs)) <= 1e-14 * np.max(np.abs(entry.coeffs))
+
+
+def test_variable_solve_peak_memory_is_a_few_pair_grids():
+    """The traced peak of a pair solve with mu, defect included, in pair-stack grids.
+
+    One grid holds every pair on the solve's M**n points.  The solve frees
+    each grid once used and the defect's product runs on the pairs alone,
+    so the peak is about four such grids (N = 12, n = 2); forming the
+    defect on all N^2 entries and keeping every grid of the solve alive
+    peaked at about nine and a half.
+    """
+    rng = np.random.default_rng(61)
+    n, N = 2, 12
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
+    base = base_for(N, n=n, mu=random_mu(N, n, 2, rng, amp=1e-3), K=2)
+    P = random_hermitian(N, n, 4, rng, s=0.5) * 1e-3
+    tracemalloc.start()
+    try:
+        sol = solve_variable(P, base, omega, s=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.pairs == 66 and sol.grid_M == 56
+    grid_bytes = sol.grid_M**n * sol.pairs * 16
+    assert peak < 6 * grid_bytes
 
 
 def test_variable_antihermitian_by_construction():

@@ -9,7 +9,9 @@ reached without any grid or grid SVD sweep.
 The homological residual is the same kind of bound: times ||W |P_off|_s||_2
 it must dominate ||W D(phi)||_2 for the defect D = [A,B] - i omega.dB + P_off
 of solve_variable's generator, at strip points and on the real grid, and it
-is reached without a grid SVD.
+is reached without a grid SVD.  That defect, formed on the solve's pair
+stack with the other half as its mirror, is the all-entries defect to
+roundoff, and exactly hermitian.
 
 One conjugation step, formed as a Lie series of alias-free commutators,
 matches the dense oracle that builds exp(B) pointwise with scipy, and the
@@ -207,7 +209,7 @@ def test_homological_residual_bounds_the_defect(case):
     bound = (sol.residual + 1e-12) * scale
     # the solution carries the defect it was measured on
     assert np.array_equal(sol.D.coeffs,
-                          homological._generator_defect(sol.B, P, base, omega).coeffs)
+                          homological._generator_defect(sol.B, P, base, omega)[0].coeffs)
     for z in (x + 1j * y, real.astype(complex)):
         assert top_singular_value(W[:, None] * defect_at(sol, P, base, omega, z)) <= bound
 
@@ -226,6 +228,68 @@ def test_homological_residual_runs_no_grid_svd(case):
         mp.setattr(homological.np.linalg, "svd", counting)
         solve_case(case)
     assert not [shape for shape in shapes if len(shape) > 2]
+
+
+def dense_defect(B, P, base, omega):
+    """[A,B] - i omega.dB + P_off with every one of the N x N entries formed on its own.
+
+    The oracle of the pair-stack defect: the product mu B runs on the
+    alias-free grid of all N^2 entries, and no entry is a mirror.
+    """
+    n, N = B.n, B.N
+    mu = np.zeros((N,) + (1,) * n) if base.mu is None else base.mu
+    # entry (i, j) of [A, B] is (a_i - a_j) B_ij
+    mud = np.moveaxis(mu[:, None] - mu[None, :], (0, 1), (-2, -1))
+    K_mu = (mud.shape[0] - 1) // 2 if np.any(mud) else 0
+    K_D = max(B.K + K_mu, P.K)
+    D = np.zeros((2 * K_D + 1,) * n + (N, N), dtype=complex)
+    gap = base.lam[:, None] - base.lam[None, :]
+    D[_box(n, B.K, K_D)] += (torus._k_dot_omega(n, B.K, omega)[..., None, None] + gap) * B.coeffs
+    if K_mu:
+        prod = OperatorSeries(n, K_mu, N, mud).product(B)
+        D[_box(n, prod.K, K_D)] += prod.coeffs
+    D[_box(n, P.K, K_D)] += P.offdiagonal_part().coeffs
+    return D
+
+
+pair_defect_cases = st.tuples(
+    st.sampled_from([1, 2]),                                      # n
+    st.integers(1, 6),                                            # N
+    st.integers(0, 3),                                            # K of P
+    st.integers(0, 3),                                            # K of B
+    st.integers(0, 2),                                            # K of mu (0: mu = 0)
+    st.booleans(),                                                # B has a diagonal
+    st.integers(0, 2**32 - 1),                                    # coefficient seed
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_defect_cases)
+def test_pair_stack_defect_is_the_dense_defect_and_hermitian(case):
+    n, N, K, K_B, K_mu, diagonal, seed = case
+    P, _, _, rng = draw((n, N, K, 0.1, 0.2, seed))
+    H, _, _, _ = draw((n, N, K_B, 0.1, 0.2, rng.integers(2**32)))
+    Bc = 1j * H.coeffs                                            # exactly anti-hermitian
+    if not diagonal:
+        Bc[..., np.arange(N), np.arange(N)] = 0.0
+    B = OperatorSeries(n, K_B, N, Bc)
+    mu = None
+    if K_mu:
+        shape = (N,) + (2 * K_mu + 1,) * n
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mu = 0.05 * (c + np.conj(c[(slice(None),) + (slice(None, None, -1),) * n]))
+        mu[(slice(None),) + (K_mu,) * n] = 0.0
+    base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D, d=D, delta=0.2, n=n,
+                        mu=mu, K=K_mu)
+    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])[:n]
+    Dp, M = homological._generator_defect(B, P, base, omega)
+    oracle = dense_defect(B, P, base, omega)
+    assert Dp.coeffs.shape == oracle.shape
+    assert np.max(np.abs(Dp.coeffs - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    # the upper half is the lower half's mirror and the diagonal is hermitian
+    assert Dp.hermiticity_defect() == 0.0
+    # the product's grid is alias-free at band K_B + K_mu, and none without mu
+    assert M == (torus.next_fast_len(2 * (K_B + K_mu) + 2) if K_mu and N > 1 else 0)
 
 
 conjugation_cases = st.tuples(
@@ -276,7 +340,7 @@ def dense_conjugation(base, P, B, omega, M):
 def lie_reference(base, P, B, omega, order):
     """The Lie series of P+ to the given order, with no cutoff and no chopping."""
     off = P.offdiagonal_part()
-    D = homological._generator_defect(B, P, base, omega)
+    D = homological._generator_defect(B, P, base, omega)[0]
     S = None
     for k in range(order, -1, -1):
         Y = D * (1.0 / math.factorial(k + 1))
@@ -291,7 +355,7 @@ def lie_reference(base, P, B, omega, order):
 def test_conjugate_matches_the_dense_expm_oracle(case):
     base, P, B, omega, _, s = conjugation_case(case)
     M = 128
-    R, _ = conjugate(base, P, B, homological._generator_defect(B, P, base, omega), 40, s)
+    R, _ = conjugate(base, P, B, homological._generator_defect(B, P, base, omega)[0], 40, s)
     oracle = dense_conjugation(base, P, B, omega, M)
     assert np.max(np.abs(R.grid(M) - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(P.coeffs)))
 
@@ -300,7 +364,7 @@ def test_conjugate_matches_the_dense_expm_oracle(case):
 @given(conjugation_cases)
 def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
     base, P, B, omega, K_out, s = conjugation_case(case)
-    R, info = conjugate(base, P, B, homological._generator_defect(B, P, base, omega), K_out, s)
+    R, info = conjugate(base, P, B, homological._generator_defect(B, P, base, omega)[0], K_out, s)
     assert R.K <= K_out
     ref = lie_reference(base, P, B, omega, info["lie_order"] + 6)
     gap = delta_norm(ref - R, base, s)
@@ -315,7 +379,7 @@ def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
 @given(conjugation_cases)
 def test_the_a_priori_bound_dominates_the_formed_and_the_deeper_p_plus(case):
     base, P, B, omega, K_out, s = conjugation_case(case)
-    D = homological._generator_defect(B, P, base, omega)
+    D = homological._generator_defect(B, P, base, omega)[0]
     R, info = conjugate(base, P, B, D, K_out, s)
     ref = lie_reference(base, P, B, omega, info["lie_order"] + 6)
     bound = info["a_priori_bound"]
