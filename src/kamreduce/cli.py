@@ -487,6 +487,7 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
     import numpy as np
 
     from .floquet import (
+        integrator_costs,
         propagate_step_doubled,
         quasienergies_from_period_map,
         reconstruct_solution,
@@ -512,15 +513,20 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
 
     with _timed(timings, "verify.reconstruct_s"):
         R = reconstruct_solution(reduced, identity, phi0, ts)
+    # the integrator the cost model predicts cheaper; CF4 on a tie
+    costs = integrator_costs(base, P, omega, times)
+    integrator = min(costs, key=costs.get)
     with _timed(timings, "verify.direct_s"):
-        Phi, dt, steps, estimate = propagate_step_doubled(base, P, omega, identity, phi0, times)
+        Phi, dt, steps, estimate = propagate_step_doubled(
+            base, P, omega, identity, phi0, times, integrator)
     Phi_t = Phi[np.searchsorted(times, ts)]
     direct, recon = Phi_t @ psi0, R @ psi0
     dev = float(np.max(np.linalg.norm(recon - direct, axis=1)))
     op_dev = float(np.max(np.linalg.norm(R - Phi_t, ord=2, axis=(1, 2))))
     report = {
         "dt": dt,
-        "integrator": "cf4",
+        "integrator": integrator,
+        "integrator_cost": costs,
         "integrator_error_estimate": estimate,
         "max_deviation": dev,
         "max_operator_deviation": op_dev,

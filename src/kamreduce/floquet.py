@@ -17,24 +17,33 @@ e^{-i (Lambda t + F(t))} U(phi0)^* at the same times, with the generators
 evaluated at the flow's angles by OperatorSeries.at, and compares the two
 as operators; for n = 1 it hands Phi(T) to quasienergies_from_period_map.
 
-One propagation loop carries a state or a block of states through a shared
-stepping kernel, _step_product: the fourth-order commutator-free Magnus
-step CF4 (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519), two
-exponentials of combinations of H at the step's Gauss points.  The
-Hamiltonians of a chunk of steps are built as one batch, each exponential
-is an engine._expm_taylor Taylor polynomial with remainder below 2^-53,
-and the chunk's exponentials are multiplied together as a tree, so steps
-are unitary to roundoff.  step_plan holds the step rule: nested coarse and
-fine grids below the Magnus convergence radius h ||H|| < pi, whose coarse
-step also spans at most an eighth of the shortest forcing period.
-propagate_step_doubled compares the two sweeps for the error estimate that
-verify records.
+One propagation loop, _sweep, carries a state or a block of states
+through the output times with one of two step kernels.  CF4, _step_product,
+is the fourth-order commutator-free Magnus step (Blanes & Moan, Appl.
+Numer. Math. 56 (2006) 1519): two exponentials of combinations of H at the
+step's Gauss points, for a chunk of steps built as one batch.  The
+interaction-picture Magnus step, _Interaction, writes Phi(t) = e^{-iAt}
+U(t) with A = diag(lambda) and integrates the forcing's oscillations
+e^{i (lambda_i - lambda_j + k.omega) t} exactly in its first two Magnus
+terms (Iserles, BIT 42 (2002) 561), so its error does not grow with
+max|lambda| (Hochbruck & Lubich, SIAM J. Numer. Anal. 41 (2003) 945); its
+tables are matrix products built once per step length, and each step is
+one exponential.  Every exponential is an engine._expm_taylor Taylor
+polynomial with remainder below 2^-53, and a chunk's exponentials are
+multiplied together as a tree, so steps are unitary to roundoff.  step_plan
+holds the step rules: for CF4 nested coarse and fine grids below the
+Magnus convergence radius h ||H|| < pi, whose coarse step also spans at
+most an eighth of the shortest forcing period; for the Magnus step a
+coarse step sized by the forcing alone.  propagate_step_doubled compares
+the two sweeps for the error estimate that verify records, and
+integrator_costs is the cost model by which verify picks the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +65,7 @@ __all__ = [
     "propagate_direct",
     "propagate_step_doubled",
     "step_plan",
+    "integrator_costs",
     "monodromy_quasienergies",
     "quasienergies_from_period_map",
 ]
@@ -221,41 +231,240 @@ def _step_product(base, P, omega, phi0, t0: float, h: float, steps: int) -> np.n
     return U
 
 
-def _forcing_rate(base: DiagonalPart, P: OperatorSeries | None, omega) -> float:
-    """max |omega.k| over the modes k at which P or mu is nonzero; 0 if none."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    live = []
+def _live_modes(base: DiagonalPart, P: OperatorSeries | None) -> dict:
+    """{k: P_k + diag(mu_k)} over the modes k at which P or mu is nonzero, P's first.
+
+    The values are views of P's coefficients where mu adds nothing, so a
+    caller that needs only the modes stacks nothing.
+    """
+    N = base.N
+    terms = {}
     if P is not None:
-        live.append((P.n, P.K, np.abs(P.coeffs).reshape((2 * P.K + 1) ** P.n, -1)))
+        for k, c in zip(k_box(P.n, P.K), P.coeffs.reshape(-1, N, N)):
+            if np.any(c):
+                terms[tuple(k)] = c
     if base.mu is not None and base.K > 0:
-        live.append((base.n, base.K, np.abs(base.mu).reshape(base.N, -1).T))
-    return max((float(np.abs(k_box(n, K) @ omega)[size.max(axis=1) > 0].max(initial=0.0))
-                for n, K, size in live), default=0.0)
+        for k, d in zip(k_box(base.n, base.K), base.mu.reshape(N, -1).T):
+            if np.any(d):
+                terms[tuple(k)] = terms.get(tuple(k), 0) + np.diag(d)
+    return terms
 
 
-def step_plan(base: DiagonalPart, P: OperatorSeries | None, omega, ts, dt: float | None = None):
+def _modes(base: DiagonalPart, terms: dict) -> np.ndarray:
+    return np.array(list(terms), dtype=int).reshape(-1, base.n)
+
+
+def _forcing_bound(terms: dict) -> float:
+    """A bound on sum_k ||C_k||_2, and so on ||P(phi)||_2: ||C||_2 <= sqrt(||C||_1 ||C||_inf)."""
+    return sum(math.sqrt(np.abs(c).sum(axis=0).max() * np.abs(c).sum(axis=1).max())
+               for c in terms.values())
+
+
+# The interaction-picture Magnus step.  psi(x, y) is summed as a series in y
+# below |y| = _PSI_SERIES_BELOW from the moments M_p(x), p <= _PSI_TERMS: the
+# first term left out is 0.5^14 / 15! < 2^-53 of the first
+_PSI_SERIES_BELOW = 0.5
+_PSI_TERMS = 14
+_INV_FACTORIAL = np.array([1.0 / math.factorial(p) for p in range(_PSI_TERMS + 1)])
+# the downward recurrence of the moments starts here, from zero: at |x| < 15
+# its error shrinks by prod_{p=15}^{60} |x| / p < 2e-17 before p = 14
+_MOMENTS_FROM = 60
+# the order of each integrator, for the step-doubling estimate, and its name
+_ORDER = {"cf4": 4, "magnus": 2}
+_NAMES = {"cf4": "CF4", "magnus": "Magnus"}
+# h sum_k ||C_k||_2 of the coarse Magnus step.  With 0.002 two-level models
+# (couplings 0.01 to 0.2, omega 0.1 and 1.7) meet _ERROR_TOL on the first
+# pair of sweeps with estimates near 6e-12; with 0.004 near 9e-11
+_MAGNUS_STEP = 0.002
+# Magnus steps whose lengths agree to this relative tolerance share one table,
+# so the spans of a linspace, which differ in their last bits, build one.  A
+# step of length h on the table of h0 misses |h - h0| sum_k ||C_k||_2
+_SHARE_TOL = 1e-12
+# verify's cost model (integrator_costs) is fitted to timings of both
+# integrators with one BLAS thread at N = 6 to 96 and m = 3 to 11 live modes,
+# where a batched N x N product ran at about 5e9 multiply-adds per second.
+# A call into a step kernel, once per interval and sweep, costs about 85 us
+# for CF4 and 45 us for the Magnus step: these many multiply-adds
+_CALL_COST = {"cf4": 4e5, "magnus": 2e5}
+
+
+def _mean_phase(z):
+    """E(z) = (e^{iz} - 1) / (iz), the mean of e^{izs} over 0 <= s <= 1.
+
+    Formed as e^{iz/2} sin(z/2) / (z/2), which keeps its relative accuracy
+    near z = 0 and near the zeros 2 pi k.
+    """
+    half = 0.5 * np.asarray(z, dtype=float)
+    return np.exp(1j * half) * np.divide(np.sin(half), half, out=np.ones_like(half),
+                                         where=half != 0)
+
+
+def _moments(x):
+    """M_p(x) = int_0^1 s^p e^{ixs} ds for p = 0 .. _PSI_TERMS, shape (_PSI_TERMS + 1,) + x.shape.
+
+    M_0 is E(x).  M_p = (e^{ix} - p M_{p-1}) / (ix) multiplies an error by
+    p / |x|, so it runs upward where p <= |x|, and downward, M_{p-1} =
+    (e^{ix} - ix M_p) / p, where p > |x|, from M_p = 0 at p = _MOMENTS_FROM.
+    """
+    x = np.asarray(x, dtype=float)
+    M = np.empty((_PSI_TERMS + 1,) + x.shape, dtype=complex)
+    M[0] = _mean_phase(x)
+    size, phase, ix = np.abs(x), np.exp(1j * x), 1j * x
+    up = size >= 1.0
+    prev = M[0, up]
+    for p in range(1, _PSI_TERMS + 1):
+        prev = (phase[up] - p * prev) / ix[up]
+        M[p, up] = prev
+    down = size < _PSI_TERMS + 1
+    size, phase, ix = size[down], phase[down], ix[down]
+    prev = np.zeros(size.shape, dtype=complex)
+    for p in range(_MOMENTS_FROM, 1, -1):
+        prev = (phase - ix * prev) / p
+        if p <= _PSI_TERMS + 1:
+            M[p - 1, down] = np.where(p - 1 > size, prev, M[p - 1, down])
+    return M
+
+
+def _same_length(h: float, h0: float) -> bool:
+    return abs(h - h0) <= _SHARE_TOL * h0
+
+
+class _Interaction:
+    """The forcing in the interaction picture and the Magnus steps it takes.
+
+    With A = diag(lambda) and U(t) = e^{iAt} Phi(t), i U' = P_I(t) U with
+    P_I(t)_ij = sum_k C_k,ij e^{i nu_k,ij t}, C_k = (P_k + diag mu_k)
+    e^{ik.phi0} and nu_k,ij = lambda_i - lambda_j + k.omega.  The step from
+    a to a + h is exp(Omega1 + Omega2), the first two Magnus terms with their
+    oscillatory integrals formed exactly (Iserles, BIT 42 (2002) 561):
+
+        Omega1 = -i h sum_k X_k o E(nu_k h),
+        Omega2 = -(h^2/2) sum_{k,k'} sum_l X_k,il X_k',lj S(nu_k,il h, nu_k',lj h),
+
+    X_k = C_k o e^{i nu_k a}, S(x, y) = psi(x, y) - psi(y, x) = 2 psi(x, y)
+    - E(x) E(y) and psi(x, y) = int_0^1 e^{ixs} int_0^s e^{iyu} du ds =
+    (E(x + y) - E(x)) / (iy).  The phases of a factor out: Omega = D (sum_r
+    e^{i r.omega a} W_r) D^* with D = e^{iAa} and r over the modes k and the
+    sums k + k', so Phi(a + h) = e^{-iAh} exp(sum_r e^{i r.omega a} W_r)
+    Phi(a).  The tables W_r depend on h alone and are built once per step
+    length.
+    """
+
+    def __init__(self, base: DiagonalPart, P: OperatorSeries | None, omega, phi0):
+        terms = _live_modes(base, P)
+        ks = _modes(base, terms)
+        m, n = ks.shape
+        gaps = base.lam[:, None] - base.lam[None, :]
+        self.lam = base.lam
+        Pk = np.array(list(terms.values()), dtype=complex).reshape(m, base.N, base.N)
+        self.C = Pk * np.exp(1j * (ks @ phi0))[:, None, None]
+        self.nu = gaps + (ks @ omega)[:, None, None]
+        sums = (ks[:, None] + ks[None]).reshape(-1, n)
+        modes, where = np.unique(np.concatenate([ks, sums]), axis=0, return_inverse=True)
+        where = where.reshape(-1)
+        self.first, self.second = where[:m], where[m:].reshape(m, m)
+        self.rate = modes @ omega
+        self.nu_modes = gaps + self.rate[:, None, None]
+        self.tables = []
+
+    def generator(self, h: float) -> np.ndarray:
+        """W_r, shape (R, N, N), for steps of length h; shared by lengths within _SHARE_TOL.
+
+        x + y = nu_r,ij h with r = k + k', so, with y = nu_k',lj h, the sum
+        over l of Omega2 is a sum of matrix products:
+
+            sum_l C_k,il C_k',lj S = 2 E(nu_r h) o (C_k @ B_k') - F_k @ (2 B_k' + F_k')
+                                     + 2 sum_{p >= 1} (C_k o M_p(nu_k h) / p!) @ Y_k',p,
+
+        with F_k = C_k o E(nu_k h), B_k' = C_k' / (iy) where |y| >= 0.5 and
+        Y_k',p = C_k' (iy)^(p-1) where |y| < 0.5, the series part of psi.
+        So no table of m^2 N^3 psi values is formed.
+        """
+        for h0, W in self.tables:
+            if _same_length(h, h0):
+                return W
+        C, X = self.C, self.nu * h
+        m, N = X.shape[:2]
+        M = _moments(X)                                  # M[0] = E(nu_k h)
+        W = np.zeros((len(self.rate), N, N), dtype=complex)
+        np.add.at(W, self.first, -1j * h * C * M[0])
+        series = np.abs(X) < _PSI_SERIES_BELOW
+        iy = 1j * X
+        B = np.where(series, 0.0, C / np.where(series, 1.0, iy))
+        # right factors, rows (p, l) and columns (k', j)
+        right = np.empty((_PSI_TERMS + 1, m, N, N), dtype=complex)
+        right[0] = -(2.0 * B + C * M[0])
+        right[1] = np.where(series, 2.0 * C, 0.0)
+        for p in range(2, _PSI_TERMS + 1):
+            right[p] = right[p - 1] * iy
+        right = right.transpose(0, 2, 1, 3).reshape((_PSI_TERMS + 1) * N, m * N)
+        B = B.transpose(1, 0, 2).reshape(N, m * N)
+        Er = _mean_phase(self.nu_modes * h)
+        for k in range(m):
+            left = (C[k] * M[:, k] * _INV_FACTORIAL[:, None, None]).transpose(1, 0, 2)
+            G = (left.reshape(N, -1) @ right).reshape(N, m, N)
+            G += 2.0 * Er[self.second[k]].transpose(1, 0, 2) * (C[k] @ B).reshape(N, m, N)
+            np.add.at(W, self.second[k], (-0.5 * h * h) * G.transpose(1, 0, 2))
+        self.tables.append((h, W))
+        return W
+
+    def product(self, t0: float, h: float, steps: int) -> np.ndarray:
+        """prod_j of the Magnus steps from t0 + j h for j < steps, later steps on the left.
+
+        Works in chunks of _CHUNK steps, as _step_product does: one batch of
+        exponentials from _expm_taylor, each followed by e^{-iAh}, multiplied
+        together as a tree.
+        """
+        N = len(self.lam)
+        W = self.generator(h).reshape(len(self.rate), N * N)
+        decay = np.exp(-1j * h * self.lam)[:, None]
+        U = np.eye(N, dtype=complex)
+        for done in range(0, steps, _CHUNK):
+            take = min(_CHUNK, steps - done)
+            a = t0 + (done + np.arange(take)) * h
+            Wa = (np.exp(1j * np.outer(a, self.rate)) @ W).reshape(take, N, N)
+            U = _ordered_product(decay * _expm_taylor(Wa)) @ U
+        return U
+
+
+def _coarse_step(base: DiagonalPart, P: OperatorSeries | None, omega, integrator: str,
+                 longest: float) -> float:
+    terms = _live_modes(base, P)
+    if integrator == "magnus":
+        bound = _forcing_bound(terms)
+        return _MAGNUS_STEP / bound if bound * longest > _MAGNUS_STEP else longest
+    h_c = _COARSE_STEP / float(np.max(np.abs(base.lam)))
+    rate = float(np.abs(_modes(base, terms) @ omega).max(initial=0.0))
+    return min(h_c, _PERIOD_SHARE * 2.0 * np.pi / rate) if rate > 0 else h_c
+
+
+def step_plan(base: DiagonalPart, P: OperatorSeries | None, omega, ts, dt: float | None = None,
+              integrator: str = "cf4"):
     """The step rule of the propagators: checked dt and steps per interval.
 
     Interval m runs from ts[m-1] (0 for m = 0) to ts[m] in equal steps, so
     every output time is landed on exactly.  By default the steps are the
-    fine grid of verify's step doubling: the coarse step h_c = min(3.2 /
+    fine grid of verify's step doubling: a coarse step h_c takes
+    ceil(span / h_c) steps and the fine one exactly twice as many, so the
+    two grids nest; dt is then h_c / 2.  For CF4, h_c = min(3.2 /
     max|lambda|, (2 pi / max|omega.k|) / 8), k over the live modes of P and
-    mu, takes ceil(span / h_c) steps and the fine one exactly twice as many,
-    so the two grids nest; dt is then h_c / 2.  A given dt takes
-    ceil(span / dt) steps.  Either way dt * max|lambda| must stay below the
-    Magnus convergence radius pi.  Returns (dt, steps) with steps an int
-    array.
+    mu.  For the interaction-picture Magnus step, whose oscillatory
+    integrals are exact, h_c ||P|| = 0.002 with ||P|| = sum_k ||P_k + diag
+    mu_k||_2, each norm bounded by sqrt(||.||_1 ||.||_inf), and h_c is at
+    most the longest span.  A given dt (CF4) takes ceil(span / dt) steps.  Either way
+    a CF4 dt * max|lambda| must stay below the Magnus convergence radius pi.
+    Returns (dt, steps) with steps an int array.
     """
+    if integrator not in _ORDER:
+        raise KamError(f"unknown integrator {integrator!r}")
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise KamError("ts must be strictly increasing and nonnegative")
     lam_max = float(np.max(np.abs(base.lam)))
     spans = np.diff(ts, prepend=0.0)
     if dt is None:
-        h_c = _COARSE_STEP / lam_max
-        rate = _forcing_rate(base, P, omega)
-        if rate > 0:
-            h_c = min(h_c, _PERIOD_SHARE * 2.0 * np.pi / rate)
+        h_c = _coarse_step(base, P, omega, integrator, float(spans.max()))
         return h_c / 2.0, 2 * np.ceil(spans / h_c - 1e-12).astype(int)
     if dt * lam_max >= _MAGNUS_BOUND:
         raise KamError(
@@ -265,13 +474,46 @@ def step_plan(base: DiagonalPart, P: OperatorSeries | None, omega, ts, dt: float
     return dt, np.ceil(spans / dt - 1e-12).astype(int)
 
 
-def _sweep(base, P, omega, psi, phi0, ts, steps) -> np.ndarray:
-    """psi carried through ts with steps[m] equal CF4 steps in interval m."""
+def integrator_costs(base: DiagonalPart, P: OperatorSeries | None, omega, ts) -> dict:
+    """verify's predicted cost with each integrator, in complex multiply-adds.
+
+    Both count the coarse and the fine sweep of step_plan, without halving,
+    and one call into the step kernel per interval and sweep.  With m live
+    modes of P and mu, a CF4 step costs 32 N^3 plus its two Hamiltonians,
+    2 m N^2.  A Magnus step costs 8 N^3 plus its sum over the R <= m + m^2
+    mode tables, R N^2, and each distinct step length builds one set of
+    tables: 16 m^2 N^3 in products and 7500 for each of its m N^2 moments
+    and factors.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    spans = np.diff(ts, prepend=0.0)
+    ks = _modes(base, _live_modes(base, P))
+    N, m = base.N, len(ks)
+    R = min(m + m * m, (4 * int(np.abs(ks).max(initial=0)) + 1) ** base.n)
+    per_step = {"cf4": 32.0 * N**3 + 2.0 * m * N**2, "magnus": 8.0 * N**3 + R * N**2}
+    plans = {name: step_plan(base, P, omega, ts, integrator=name)[1] for name in _ORDER}
+    costs = {name: int(fine.sum() + (fine // 2).sum()) * per_step[name]
+             + (np.count_nonzero(fine) + np.count_nonzero(fine // 2)) * _CALL_COST[name]
+             for name, fine in plans.items()}
+    lengths = []
+    for fine in (plans["magnus"] // 2, plans["magnus"]):
+        for h in spans[fine > 0] / fine[fine > 0]:
+            if not any(_same_length(h, h0) for h0 in lengths):
+                lengths.append(h)
+    costs["magnus"] += len(lengths) * (16.0 * m * m * N**3 + 7500.0 * m * N**2)
+    return {name: float(cost) for name, cost in costs.items()}
+
+
+def _sweep(step, psi, ts, steps) -> np.ndarray:
+    """psi carried through ts with steps[m] equal steps in interval m.
+
+    step(t0, h, n) is the product of the n steps of length h from t0.
+    """
     out = np.empty((len(ts),) + psi.shape, dtype=complex)
     t = 0.0
     for m, (t_target, n) in enumerate(zip(ts, steps)):
         if n:
-            psi = _step_product(base, P, omega, phi0, t, (t_target - t) / n, n) @ psi
+            psi = step(t, (t_target - t) / n, n) @ psi
         t = t_target
         out[m] = psi
     return out
@@ -308,32 +550,37 @@ def propagate_direct(
     """
     omega, psi, phi0, ts = _inputs(omega, psi0, phi0, ts)
     _, steps = step_plan(base, P, omega, ts, dt)
-    return _sweep(base, P, omega, psi, phi0, ts, steps)
+    return _sweep(partial(_step_product, base, P, omega, phi0), psi, ts, steps)
 
 
-def propagate_step_doubled(base: DiagonalPart, P: OperatorSeries | None, omega, psi0, phi0, ts):
-    """propagate_direct's sweep with a step-doubling estimate of its error.
+def propagate_step_doubled(base: DiagonalPart, P: OperatorSeries | None, omega, psi0, phi0, ts,
+                           integrator: str = "cf4"):
+    """A sweep of CF4 or of the interaction-picture Magnus step, with a step-doubling estimate.
 
     Sweeps the nested coarse and fine grids of step_plan and estimates the
-    fine sweep's error as e = max_t ||psi_fine(t) - psi_coarse(t)||_2 / 15,
-    since CF4 is fourth order; the norm is the spectral norm of the block.
-    While e > _ERROR_TOL every interval's steps are doubled, the old fine
-    sweep becoming the coarse one, so each halving costs one sweep; after
-    _MAX_HALVINGS halvings it raises KamError.  Returns (psi_t, dt, steps,
-    e) for the accepted fine sweep, psi_t as from propagate_direct.
+    fine sweep's error as e = max_t ||psi_fine(t) - psi_coarse(t)||_2 /
+    (2^p - 1), p the order: 15 for CF4 and 3 for the second-order Magnus
+    step.  The norm is the spectral norm of the block.  While e > _ERROR_TOL
+    every interval's steps are doubled, the old fine sweep becoming the
+    coarse one, so each halving costs one sweep; after _MAX_HALVINGS halvings
+    it raises KamError.  Returns (psi_t, dt, steps, e) for the accepted fine
+    sweep, psi_t as from propagate_direct.
     """
     omega, psi, phi0, ts = _inputs(omega, psi0, phi0, ts)
-    dt, steps = step_plan(base, P, omega, ts)
-    coarse = _sweep(base, P, omega, psi, phi0, ts, steps // 2)
+    dt, steps = step_plan(base, P, omega, ts, integrator=integrator)
+    step = (_Interaction(base, P, omega, phi0).product if integrator == "magnus"
+            else partial(_step_product, base, P, omega, phi0))
+    coarse = _sweep(step, psi, ts, steps // 2)
     for _ in range(_MAX_HALVINGS + 1):
-        fine = _sweep(base, P, omega, psi, phi0, ts, steps)
+        fine = _sweep(step, psi, ts, steps)
         diff = (fine - coarse).reshape(len(ts), base.N, -1)
-        estimate = float(np.max(np.linalg.norm(diff, ord=2, axis=(1, 2)))) / 15.0
+        estimate = float(np.max(np.linalg.norm(diff, ord=2, axis=(1, 2))))
+        estimate /= 2.0 ** _ORDER[integrator] - 1.0
         if estimate <= _ERROR_TOL:
             return fine, dt, steps, estimate
         coarse, dt, steps = fine, dt / 2.0, 2 * steps
     raise KamError(
-        f"CF4 error estimate {estimate:.3e} above {_ERROR_TOL:g} "
+        f"{_NAMES[integrator]} error estimate {estimate:.3e} above {_ERROR_TOL:g} "
         f"after {_MAX_HALVINGS} step halvings"
     )
 

@@ -284,6 +284,7 @@ def perturbation_matrix(
         vf = pspec.multiplier(v, osc.x)
         vc = pspec.multiplier(v, osc.coarse_x)
         Mat = (Pf * vf[None, :]) @ Pf.T * osc.h
+        Mat = 0.5 * (Mat + Mat.T)        # symmetric to the bit, so P is hermitian exactly
         Mat_c = (Pc * vc[None, :]) @ Pc.T * osc.coarse_h
         scale = max(float(np.max(np.abs(Mat))), 1e-300)
         err = np.abs(Mat - Mat_c) / scale

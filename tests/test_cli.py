@@ -104,6 +104,17 @@ def finished_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def finished_cf4_run(tmp_path_factory):
+    # eleven live modes at N = 8: verify's cost model picks CF4
+    tmp = tmp_path_factory.mktemp("cli_run_cf4")
+    doc = _doc(str(tmp / "run"))
+    doc["model"] = dict(doc["model"], K=5)
+    manifest = _write(tmp, doc)
+    assert _run("reduce", manifest) == cli.EXIT_OK
+    return tmp, manifest, tmp / "run"
+
+
+@pytest.fixture(scope="module")
 def finished_n2_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_run_n2")
     doc = _doc(str(tmp / "run"), frequency={"omega": OMEGA_N2})
@@ -269,19 +280,19 @@ def test_verify_reference_run(finished_run):
         "event": "verify.done", "max_operator_deviation": rep["max_operator_deviation"]}
 
 
-@pytest.mark.parametrize("run", ["finished_run", "finished_n2_run"])
+@pytest.mark.parametrize("run", ["finished_run", "finished_cf4_run", "finished_n2_run"])
 def test_verify_propagates_the_identity_once(request, monkeypatch, run):
-    # once per grid of the step doubling: the coarse and the fine sweep each
-    # carry the whole identity, and no other sweep runs
+    # once per grid of the step doubling, with either integrator: the coarse
+    # and the fine sweep each carry the whole identity, and no other sweep runs
     from kamreduce import floquet
 
     _, manifest, _ = request.getfixturevalue(run)
     blocks = []
     sweep = floquet._sweep
 
-    def counted(base, P, omega, psi, *args):
+    def counted(step, psi, *args):
         blocks.append(np.shape(psi))
-        return sweep(base, P, omega, psi, *args)
+        return sweep(step, psi, *args)
 
     monkeypatch.setattr(floquet, "_sweep", counted)
     assert _run("verify", manifest) == cli.EXIT_OK
@@ -298,30 +309,70 @@ def test_verify_checks_the_whole_propagator_for_two_angles(finished_n2_run):
     assert rep["unitarity_drift"] < 1e-10
 
 
-def test_verify_records_its_step_rule(finished_run):
-    _, manifest, outdir = finished_run
+def _grid_steps(coarse, grid):
+    """The fine steps of verify's step doubling over a grid: two per coarse step."""
+    total, t = 0, 0.0
+    for t_target in grid:
+        total += 2 * math.ceil((t_target - t) / coarse - 1e-12)
+        t = t_target
+    return total
+
+
+def test_verify_records_its_step_rule(finished_cf4_run):
+    _, manifest, outdir = finished_cf4_run
     assert _run("verify", manifest) == cli.EXIT_OK
     rep = load_json(outdir / "verify.json")
+    assert rep["integrator"] == "cf4"
+    assert rep["integrator_cost"]["cf4"] < rep["integrator_cost"]["magnus"]
     base, _ = cli._build_model(RunManifest.load(manifest))
     # CF4 on the fine grid: two steps per coarse step of 3.2 / max|lambda|,
     # counted here without floquet
     coarse = 3.2 / float(np.max(np.abs(base.lam)))
-
-    def steps(grid):
-        total, t = 0, 0.0
-        for t_target in grid:
-            total += 2 * math.ceil((t_target - t) / coarse - 1e-12)
-            t = t_target
-        return total
-
-    assert rep["integrator"] == "cf4"
     assert rep["dt"] == coarse / 2
     assert 0 < rep["integrator_error_estimate"] <= 1e-10
-    assert rep["steps_direct"] == steps(np.linspace(10.0 / 20, 10.0, 20))
+    assert rep["steps_direct"] == _grid_steps(coarse, np.linspace(10.0 / 20, 10.0, 20))
     # the period map comes from the same sweep, whose grid also holds T
     T = 2.0 * np.pi / OMEGA
     grid = sorted(set(np.linspace(10.0 / 20, 10.0, 20)) | {T})
-    assert rep["steps_period"] == steps(grid[: grid.index(T) + 1])
+    assert rep["steps_period"] == _grid_steps(coarse, grid[: grid.index(T) + 1])
+
+
+def test_verify_records_the_magnus_step_rule(finished_run):
+    _, manifest, outdir = finished_run
+    assert _run("verify", manifest) == cli.EXIT_OK
+    rep = load_json(outdir / "verify.json")
+    assert rep["integrator"] == "magnus"
+    assert rep["integrator_cost"]["magnus"] < rep["integrator_cost"]["cf4"]
+    assert 0 < rep["integrator_error_estimate"] <= 1e-10
+    # the coarse step is 0.002 / sum_k ||P_k||_2, each norm bounded by
+    # sqrt(||P_k||_1 ||P_k||_inf), and at most the longest interval, here
+    # the one from t_max to the period T
+    _, P = cli._build_model(RunManifest.load(manifest))
+    size = np.abs(P.coeffs)
+    bound = sum(math.sqrt(c.sum(axis=0).max() * c.sum(axis=1).max()) for c in size if c.any())
+    T = 2.0 * np.pi / OMEGA
+    grid = sorted(set(np.linspace(10.0 / 20, 10.0, 20)) | {T})
+    coarse = min(0.002 / bound, T - 10.0)
+    assert rep["dt"] == pytest.approx(coarse / 2, rel=1e-14)
+    assert rep["steps_direct"] == _grid_steps(coarse, grid[:20]) == 40
+    assert rep["steps_period"] == _grid_steps(coarse, grid)
+
+
+def test_verify_cost_model_sends_few_modes_to_magnus_and_many_to_cf4():
+    from kamreduce.floquet import _live_modes, integrator_costs
+
+    def choice(name, omega):
+        manifest = RunManifest.load(MANIFESTS / name)
+        base, P = cli._build_model(manifest)
+        ts = np.linspace(50.0 / 60, 50.0, 60)
+        times = np.union1d(ts, [2.0 * np.pi / omega[0]]) if len(omega) == 1 else ts
+        costs = integrator_costs(base, P, omega, times)
+        return len(_live_modes(base, P)), min(costs, key=costs.get)
+
+    # the oscillator's omega as its frequency search picks it
+    assert choice("oscillator-quartic.json", np.array([0.24850481591300488])) == (2, "magnus")
+    omega = np.array(json.loads((MANIFESTS / "reference-n2.json").read_text())["frequency"]["omega"])
+    assert choice("reference-n2.json", omega) == (169, "cf4")
 
 
 def test_verify_step_is_not_a_setting(tmp_path):
@@ -576,6 +627,9 @@ def test_no_command_loads_scipy(tmp_path):
                 env=_child_env(), capture_output=True, text=True,
             )
             assert out.returncode == 0, (manifest, cmd, out.stderr)
+    # both integrators ran
+    assert load_json(tmp_path / "reference-n2" / "verify.json")["integrator"] == "cf4"
+    assert load_json(tmp_path / "manifest" / "verify.json")["integrator"] == "magnus"
 
 
 def test_nonpositive_threads_usage_error(tmp_path):
@@ -607,6 +661,17 @@ def test_readme_step_record_fields_are_record_keys(finished_run):
     assert {"guard_messages", "grid_M", "norm_out"} <= named
     for record in load_json(outdir / "steps.json"):
         assert named <= set(record)
+
+
+def test_readme_verify_fields_are_verify_keys(finished_run, finished_cf4_run):
+    section = (ROOT / "README.md").read_text().split("\n* `verify`", 1)[1]
+    section = section.split("\n* `spectrum`", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", section))
+    assert {"integrator", "integrator_cost", "integrator_error_estimate"} <= named
+    for run in (finished_run, finished_cf4_run):
+        _, manifest, outdir = run
+        assert _run("verify", manifest) == cli.EXIT_OK
+        assert named <= set(load_json(outdir / "verify.json"))
 
 
 def test_readme_exit_codes_are_the_failure_table():

@@ -209,6 +209,21 @@ def test_windowed_sampling_matches_the_dense_margins_on_gate_7_inputs():
     assert rejection == 1.0 - len(want) / 1000
 
 
+def test_sampled_margins_do_not_depend_on_the_block(monkeypatch):
+    # _dio2_window warns that a column subset of omegas @ ks.T may round
+    # differently; a row block must not, or the margins would move with it
+    from kamreduce import diophantine
+
+    base = abstract_base(12, 3, 4.0 / 3.0, 0.2)
+    args = (3, base, 0.1, 9.0, 8, 12, 700, 4)             # 833 k at Kmax 8
+    monkeypatch.setattr(diophantine, "_MARGIN_BLOCK", 10**9)
+    _, whole = diophantine._sampled_margins(*args)
+    for block in (1, 2500, 2**14, 2**18):                 # 1, 3, 19 and 314 rows
+        monkeypatch.setattr(diophantine, "_MARGIN_BLOCK", block)
+        _, blocked = diophantine._sampled_margins(*args)
+        assert blocked.tobytes() == whole.tobytes(), block
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_raw_divisor_ranking_matches_the_dense_loop(seed):
     # unsorted lambda gives gaps of both signs; a repeated eigenvalue and a

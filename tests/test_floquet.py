@@ -4,13 +4,16 @@ Oracles: hand-built spectra with known collisions, scipy.linalg.expm for
 constant Hamiltonians, a central-difference check that the reconstructed
 solution actually solves i dpsi/dt = H(omega t) psi, dt-halving studies
 for the integrator order and its step-doubling error estimate, a
-step-by-step eigh loop for the batched CF4 stepping kernel, and
+step-by-step eigh loop for the batched CF4 stepping kernel, mpmath at 40
+digits (checked against its own quadrature) for the oscillatory integrals
+of the interaction-picture Magnus step, CF4 for that step's sweeps, and
 linear_sum_assignment for the period map's mode matching.  The reduction used by the end-to-end cases is the
 small n=1 instance from the engine tests (frequency certified there).
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,13 +23,18 @@ from kamreduce.errors import DivisorTooSmall, KamError
 from kamreduce.floquet import (
     _CHUNK,
     _ERROR_TOL,
+    _MAGNUS_STEP,
     FloquetSpectrum,
     _expm_taylor,
     _hamiltonian,
+    _Interaction,
     _match_modes,
+    _mean_phase,
+    _moments,
     _step_product,
     _taylor_degree,
     floquet_spectrum,
+    integrator_costs,
     monodromy_quasienergies,
     propagate_direct,
     propagate_step_doubled,
@@ -411,6 +419,205 @@ def test_fundamental_solution_unitary_to_roundoff(small_run):
     T = 2.0 * np.pi / OMEGA_N1[0]
     Phi = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
     assert np.max(np.abs(Phi.conj().T @ Phi - np.eye(A.N))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the interaction-picture Magnus step
+# ---------------------------------------------------------------------------
+
+def _mp_mean_phase(z):
+    z = mpmath.mpf(z)
+    return mpmath.mpf(1) if z == 0 else (mpmath.expj(z) - 1) / (1j * z)
+
+
+def _mp_moment(p, x):
+    """int_0^1 s^p e^{ixs} ds, through the lower incomplete gamma function."""
+    x = mpmath.mpf(x)
+    if x == 0:
+        return mpmath.mpf(1) / (p + 1)
+    return mpmath.gammainc(p + 1, 0, -1j * x) / (-1j * x) ** (p + 1)
+
+
+def _mp_psi(x, y):
+    """psi(x, y) = (E(x + y) - E(x)) / (iy), and M_1(x) at y = 0, exact at 40 digits."""
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    return _mp_moment(1, x) if y == 0 else (_mp_mean_phase(x + y) - _mp_mean_phase(x)) / (1j * y)
+
+
+def _mp_quad(f, width):
+    """int_0^1 f, in pieces of at most 50 radians of oscillation."""
+    return mpmath.quad(f, mpmath.linspace(0, 1, int(width / 50.0) + 2))
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 0.0), (0.3, 1e-9), (14.999, 0.4999), (15.001, -0.5001),
+                                  (-800.0, 0.4999), (1000.0, 0.5001), (1000.0, -999.0)])
+def test_psi_closed_form_is_the_double_integral(x, y):
+    # the oracle below against mpmath's quadrature of int_0^1 e^{ixs} int_0^s e^{iyu} du ds
+    with mpmath.workdps(20):
+        X, Y = mpmath.mpf(x), mpmath.mpf(y)
+        inner = (lambda s: s) if y == 0 else (lambda s: (mpmath.expj(Y * s) - 1) / (1j * Y))
+        quad = _mp_quad(lambda s: mpmath.expj(X * s) * inner(s), abs(x) + abs(y))
+    with mpmath.workdps(40):
+        assert abs(quad - _mp_psi(x, y)) <= 1e-17 * abs(quad)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-9, -0.3, 0.999, 1.0, 6.283185307179586, -11.125, 14.999,
+                               15.0, 15.001, 25.1327, 200.0, -800.0, 1000.0])
+def test_mean_phase_and_moments_match_mpmath(x):
+    # E keeps its relative accuracy at 0 and near its zeros 2 pi k; M_p
+    # switches from the upward to the downward recurrence at p = |x| and
+    # leaves the downward one at |x| = 15
+    got = _moments(np.array([x]))[:, 0]
+    with mpmath.workdps(40):
+        E = complex(_mp_mean_phase(x))
+        assert abs(_mean_phase(x) - E) <= 1e-13 * abs(E)
+        assert got[0] == _mean_phase(x)
+        for p, value in enumerate(got):
+            expect = complex(_mp_moment(p, x))
+            assert abs(value - expect) <= 1e-13 * abs(expect), p
+    if abs(x) < 100:
+        with mpmath.workdps(20):
+            quad = _mp_quad(lambda s: s**14 * mpmath.expj(mpmath.mpf(x) * s), abs(x))
+        assert abs(got[14] - complex(quad)) <= 1e-13 * abs(quad)
+
+
+def test_magnus_tables_match_mpmath():
+    # lambda = (1, 2, 1000), omega = 1/2 - 2^-12 and h = 1 put x = nu_k,il h
+    # and y = nu_k',lj h at 0 (x = y = 0 too), just below and above |y| =
+    # 0.5 and up to |x| = 999.5, on both sides of the series branch.  Every
+    # nu is exact in binary, so x + y is nu_{k+k'},ij h exactly, and every W_r
+    # is checked against the sum it factorizes
+    base = DiagonalPart(lam=np.array([1.0, 2.0, 1000.0]), d=1.5, delta=0.0, n=1)
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    omega, phi0, h = np.array([0.5 - 2.0**-12]), np.array([0.4]), 1.0
+    inter = _Interaction(base, OperatorSeries(1, 1, 3, c), omega, phi0)
+    W = inter.generator(h)
+    C, X = inter.C, inter.nu * h
+    with mpmath.workdps(40):
+        E = [[[_mp_mean_phase(v) for v in row] for row in mode] for mode in X]
+        expect = np.zeros(W.shape, dtype=complex)
+        scale = np.zeros(W.shape)
+        for k in range(3):
+            for i, j in np.ndindex(3, 3):
+                term = complex(-1j * h * C[k, i, j] * E[k][i][j])
+                expect[inter.first[k], i, j] += term
+                scale[inter.first[k], i, j] += abs(term)
+        for k, q in np.ndindex(3, 3):
+            for i, l, j in np.ndindex(3, 3, 3):
+                x, y = X[k, i, l], X[q, l, j]
+                psi, EE = _mp_psi(x, y), E[k][i][l] * E[q][l][j]
+                pair = -0.5 * h * h * C[k, i, l] * C[q, l, j]
+                expect[inter.second[k, q], i, j] += complex(pair * (2 * psi - EE))
+                # S vanishes at x = y, but not the two terms it is formed from
+                scale[inter.second[k, q], i, j] += abs(pair) * float(2 * abs(psi) + abs(EE))
+    assert {0.0, 0.5 - 2.0**-12, 0.5 + 2.0**-12, 999.5 - 2.0**-12} <= set(np.abs(X).ravel())
+    assert np.all(np.abs(W - expect) <= 1e-13 * scale)
+
+
+def _forced(lam, amplitudes, omega, seed):
+    """lambda with hermitian couplings at k = +-1 (+-2) and a real k = 0 diagonal."""
+    N, K = len(lam), len(amplitudes) - 1
+    rng = np.random.default_rng(seed)
+    c = np.zeros((2 * K + 1, N, N), dtype=complex)
+    c[K] = np.diag(amplitudes[0] * rng.uniform(-1.0, 1.0, N))
+    for k in range(1, K + 1):
+        c[K + k] = amplitudes[k] * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+        c[K - k] = np.conj(c[K + k].T)
+    base = DiagonalPart(lam=np.asarray(lam, dtype=float), d=1.5, delta=0.0, n=1)
+    return base, OperatorSeries(1, K, N, c), np.array([omega])
+
+
+def test_magnus_step_plan_is_sized_by_the_forcing():
+    base, P, omega = _two_level(0.05, omega=1.7)
+    ts = np.linspace(50.0 / 60, 50.0, 60)
+    # sum_k ||C_k||_2 = 0.1 for the two couplings; no bound from max|lambda|
+    # or from the forcing period
+    dt, steps = step_plan(base, P, omega, ts, integrator="magnus")
+    assert dt == _MAGNUS_STEP / 0.1 / 2
+    assert np.array_equal(steps, 2 * np.ceil(np.diff(ts, prepend=0.0) / (2 * dt) - 1e-12))
+    # a weak forcing takes one coarse step per interval, the longest one
+    weak, _ = step_plan(base, OperatorSeries(1, 1, 2, P.coeffs * 1e-4), omega, ts,
+                        integrator="magnus")
+    assert weak == np.max(np.diff(ts, prepend=0.0)) / 2
+    with pytest.raises(KamError, match="integrator"):
+        step_plan(base, P, omega, ts, integrator="rk4")
+
+
+@pytest.mark.parametrize("integrator", ["cf4", "magnus"])
+def test_step_doubling_divides_by_the_order(monkeypatch, integrator):
+    from kamreduce import floquet
+
+    base, P, omega = _forced([1.0, 2.7, 4.1], [2e-3, 4e-3], 0.37, seed=2)
+    ts = np.linspace(1.0, 10.0, 10)
+    sweeps = []
+    sweep = floquet._sweep
+
+    def recorded(*args):
+        sweeps.append(sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(floquet, "_sweep", recorded)
+    Phi, _, _, estimate = propagate_step_doubled(base, P, omega, np.eye(3), np.zeros(1), ts,
+                                                 integrator)
+    coarse, fine = sweeps[-2:]
+    order = {"cf4": 4, "magnus": 2}[integrator]
+    assert np.array_equal(Phi, fine)
+    assert estimate == np.max(np.linalg.norm(fine - coarse, ord=2, axis=(1, 2))) / (2**order - 1)
+
+
+def test_magnus_sweep_matches_cf4_on_the_strongly_forced_two_level_system():
+    base, P, omega = _two_level(0.05, omega=1.7)
+    ts = np.linspace(50.0 / 60, 50.0, 60)
+    Phi, _, _, estimate = propagate_step_doubled(base, P, omega, np.eye(2), np.zeros(1), ts,
+                                                 "magnus")
+    assert estimate <= _ERROR_TOL
+    ref = propagate_direct(base, P, omega, np.eye(2), np.zeros(1), ts,
+                           dt=step_plan(base, P, omega, ts)[0] / 64)
+    assert np.max(np.linalg.norm(Phi - ref, ord=2, axis=(1, 2))) <= 3.0 * estimate
+
+
+def test_magnus_sweep_of_a_free_system_is_the_exact_phase():
+    base = abstract_base(5, 1, 4.0 / 3.0, 0.2)
+    psi0 = np.ones(5, dtype=complex) / np.sqrt(5)
+    ts = np.array([0.5, 3.0, 12.0])
+    out, _, steps, _ = propagate_step_doubled(base, OperatorSeries.zero(1, 1, 5), OMEGA_N1, psi0,
+                                              np.zeros(1), ts, "magnus")
+    assert np.array_equal(steps, [2, 2, 2])
+    assert np.max(np.abs(out - np.exp(-1j * np.outer(ts, base.lam)) * psi0)) < 1e-13
+
+
+def test_magnus_step_doubling_gives_up_after_four_halvings(monkeypatch):
+    # a coarse step 1000 times the rule's is still too long after four halvings
+    from kamreduce import floquet
+
+    monkeypatch.setattr(floquet, "_MAGNUS_STEP", 1000 * _MAGNUS_STEP)
+    base, P, omega = _two_level(0.2)
+    with pytest.raises(KamError, match="Magnus error estimate .* after 4 step halvings"):
+        propagate_step_doubled(base, P, omega, np.eye(2), np.zeros(1), np.linspace(1.0, 10.0, 10),
+                               "magnus")
+
+
+def test_magnus_tables_are_built_once_per_step_length(monkeypatch):
+    # the spans of a linspace differ in their last bits; with T the grid has
+    # three step lengths per sweep, so the two sweeps build six tables
+    base, P, omega = _forced([1.0, 2.7, 4.1, 6.2], [1e-3, 2e-3], 0.5, seed=3)
+    ts = np.linspace(20.0 / 60, 20.0, 60)
+    times = np.union1d(ts, [2.0 * np.pi / omega[0]])
+    assert len(set(np.diff(ts, prepend=0.0))) > 3
+    built = []
+    generator = _Interaction.generator
+
+    def counted(self, h):
+        W = generator(self, h)
+        built.append(len(self.tables))
+        return W
+
+    monkeypatch.setattr(_Interaction, "generator", counted)
+    propagate_step_doubled(base, P, omega, np.eye(4), np.zeros(1), times, "magnus")
+    assert max(built) == 6
+    costs = integrator_costs(base, P, omega, times)
+    assert set(costs) == {"cf4", "magnus"} and costs["magnus"] < costs["cf4"]
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,16 @@ def test_harmonic_ladder_elements(harmonic40):
     assert np.max(np.abs(block[mask])) < 1e-12
 
 
+def test_perturbation_is_exactly_hermitian(quartic64):
+    # the quadrature of <psi_i, v psi_j> is symmetrized, so P_ij(k) is
+    # conj(P_ji(-k)) to the bit, as for the shipped quartic oscillator
+    two = TorusSeries.from_modes(1, 2, {(1,): 0.5, (-1,): 0.5, (2,): 0.25j, (-2,): -0.25j})
+    pspec = PerturbationSpec(beta=0.5, terms=((("fractional", 0.5), COS),
+                                              (("power", 1.0), two)), n=1)
+    P = perturbation_matrix(pspec, quartic64, N=24)
+    assert P.hermiticity_defect() == 0.0
+
+
 def test_beta_boundary_is_advisory(quartic64):
     hot = PerturbationSpec(beta=1.5, terms=((("fractional", 1.5), COS),), n=1)
     with pytest.warns(GuardWarning):

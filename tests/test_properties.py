@@ -34,6 +34,10 @@ bit for bit.
 Scalar and operator series share one implementation, so every shared
 operation on an OperatorSeries is the same operation on each of its entries.
 
+verify's two integrators agree: on random n = 1 models with one or two
+forcing modes and a k = 0 diagonal, the interaction-picture Magnus sweep
+accepted by its step-doubling estimate gives CF4's fundamental solution.
+
 The transforms invert each other on any grid of at least 2K+2 points per
 axis, with or without trailing batch axes, and refuse a smaller grid.  They
 are scipy.fft's n-d calls bit for bit, signed zeros included, on real grids
@@ -51,7 +55,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kamreduce import diophantine, homological, torus
+from kamreduce import diophantine, floquet, homological, torus
 from kamreduce.engine import CHOP_FLOOR, KamSettings, KamState, conjugate, kam_step
 from kamreduce.errors import AliasingError, GuardWarning
 from kamreduce.homological import solve_variable
@@ -661,3 +665,36 @@ def test_transforms_keep_scipys_signed_zeros():
             expect = scipy.fft.fftn(v, norm="forward")
             got = torus.grid_to_coeffs(v, n, K)
             assert got.tobytes() == torus._fft_to_centered(expect, n, K).tobytes(), (n, flat, unit)
+
+
+magnus_cases = st.tuples(
+    st.integers(1, 6),                                            # N
+    st.integers(1, 2),                                            # forcing modes
+    st.floats(1e-4, 1e-2),                                        # forcing size
+    st.floats(0.0, 1e-2),                                         # k = 0 diagonal
+    st.floats(0.05, 1.5),                                         # omega
+    st.integers(0, 2**32 - 1),                                    # seed
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(magnus_cases)
+def test_magnus_and_cf4_sweeps_agree(case):
+    N, modes, size, diagonal, omega, seed = case
+    rng = np.random.default_rng(seed)
+    lam = 1.0 + np.cumsum(rng.uniform(0.3, 3.0, N))
+    c = np.zeros((2 * modes + 1, N, N), dtype=complex)
+    c[modes] = np.diag(diagonal * rng.uniform(-1.0, 1.0, N))
+    for k in range(1, modes + 1):
+        c[modes + k] = size * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+        c[modes - k] = np.conj(c[modes + k].T)
+    base = DiagonalPart(lam=lam, d=1.5, delta=0.0, n=1)
+    P, w = OperatorSeries(1, modes, N, c), np.array([omega])
+    ts = np.union1d(np.linspace(1.0, 10.0, 10), [2.0 * np.pi / omega])
+    phi0 = rng.uniform(0.0, 2.0 * np.pi, 1)
+    magnus = floquet.propagate_step_doubled(base, P, w, np.eye(N), phi0, ts, "magnus")[0]
+    # CF4 at half the step its own step doubling accepts, so that its error,
+    # which its estimate puts just below 1e-10 at worst, is a sixteenth of that
+    dt = floquet.propagate_step_doubled(base, P, w, np.eye(N), phi0, ts)[1]
+    cf4 = floquet.propagate_direct(base, P, w, np.eye(N), phi0, ts, dt=dt / 2)
+    assert np.max(np.linalg.norm(magnus - cf4, ord=2, axis=(1, 2))) <= 1e-10
