@@ -540,7 +540,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "C_lambda": C_lambda_next,
         "C_omega": C_omega_next,
         "hom_residual": sol.residual,
-        "min_divisor": sol.min_divisor,
+        "min_divisor": sol.min_divisor if math.isfinite(sol.min_divisor) else None,
         "pairs": sol.pairs,
         "solve_grid_M": sol.grid_M,
         "defect_grid_M": sol.defect_grid_M,

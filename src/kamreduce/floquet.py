@@ -17,43 +17,36 @@ e^{-i (Lambda t + F(t))} U(phi0)^* at the same times, with the generators
 evaluated at the flow's angles by OperatorSeries.at, and compares the two
 as operators; for n = 1 it hands Phi(T) to quasienergies_from_period_map.
 
-One propagation loop, _sweep, carries a state or a block of states
-through the output times with one of two step kernels.  CF4, _step_product,
-is the fourth-order commutator-free Magnus step (Blanes & Moan, Appl.
-Numer. Math. 56 (2006) 1519): two exponentials of combinations of H at the
-step's Gauss points, for a chunk of steps built as one batch.  The
-interaction-picture Magnus step, _Interaction, writes Phi(t) = e^{-iAt}
-U(t) with A = diag(lambda) and integrates the forcing's oscillations
-e^{i (lambda_i - lambda_j + k.omega) t} exactly in its first two Magnus
-terms (Iserles, BIT 42 (2002) 561), so its error does not grow with
-max|lambda| (Hochbruck & Lubich, SIAM J. Numer. Anal. 41 (2003) 945); its
-tables are matrix products built once per step length, and each step is
-one exponential.  Every exponential is an engine._expm_taylor Taylor
-polynomial with remainder below 2^-53, and a chunk's exponentials are
-multiplied together as a tree, so steps are unitary to roundoff.  step_plan
-holds the step rules: for CF4 nested coarse and fine grids below the
-Magnus convergence radius h ||H|| < pi, whose coarse step also spans at
-most an eighth of the shortest forcing period; for the Magnus step a
-coarse step sized by the forcing alone.  propagate_step_doubled compares
-the two sweeps for the error estimate that verify records, and
-integrator_costs is the cost model by which verify picks the kernel.
+One propagation loop, _sweep, carries a state or a block of states through
+the output times: it asks an exponential kernel for a chunk of steps at a
+time, across intervals, and multiplies them as a tree.  CF4,
+_cf4_exponentials, is the fourth-order commutator-free Magnus step (Blanes
+& Moan, Appl. Numer. Math. 56 (2006) 1519): two exponentials of
+combinations of H at the step's Gauss points.  The interaction-picture
+Magnus step, _Interaction, writes Phi(t) = e^{-iAt} U(t) with A =
+diag(lambda) and integrates the forcing's oscillations e^{i (lambda_i -
+lambda_j + k.omega) t} exactly in its first two Magnus terms (Iserles, BIT
+42 (2002) 561), so its error does not grow with max|lambda| (Hochbruck &
+Lubich, SIAM J. Numer. Anal. 41 (2003) 945); its tables are matrix
+products built once per step length, and each step is one exponential.
+Every exponential is an engine._expm_taylor Taylor polynomial with
+remainder below 2^-53, so steps are unitary to roundoff.  step_plan holds
+the step rules: for CF4 nested coarse and fine grids below the Magnus
+convergence radius h ||H|| < pi, whose coarse step also spans at most an
+eighth of the shortest forcing period; for the Magnus step a coarse step
+sized by the forcing alone.  propagate_step_doubled compares the two
+sweeps for the error estimate that verify records, and integrator_costs is
+the cost model by which verify picks the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-# _taylor_degree is verify's degree rule, re-exported next to the step kernel
-from .engine import (  # noqa: F401
-    ReducedSystem,
-    _compose,
-    _expm_taylor,
-    _taylor_degree,
-)
+from .engine import ReducedSystem, _compose, _expm_taylor
 from .errors import KamError
 from .homological import _check_divisors, _divisor_floor
 from .torus import DiagonalPart, OperatorSeries, k_box
@@ -192,10 +185,10 @@ _MAGNUS_BOUND = math.pi
 # step doubling: the largest accepted error estimate, and the most halvings
 _ERROR_TOL = 1e-10
 _MAX_HALVINGS = 4
-# steps per batch of the step kernel.  A step is two exponentials, so a batch
-# is 32 matrices, 295 KB at N = 24.  Timed over verify's two sweeps in fresh
-# processes, 16 took 0.38 s against 0.61 s for 32 on the N = 24 oscillator
-# and 0.32 s against 0.31 s on the N = 20 reference-n2
+# steps per call of an exponential kernel.  A CF4 step is two exponentials,
+# so a chunk is 32 matrices, 295 KB at N = 24.  Timed over verify's two
+# sweeps in fresh processes, 16 took 0.38 s against 0.61 s for 32 on the
+# N = 24 oscillator and 0.32 s against 0.31 s on the N = 20 reference-n2
 _CHUNK = 16
 
 
@@ -208,27 +201,23 @@ def _ordered_product(E: np.ndarray) -> np.ndarray:
     return E[0]
 
 
-def _step_product(base, P, omega, phi0, t0: float, h: float, steps: int) -> np.ndarray:
-    """prod_j of the CF4 steps from t0 + j h for j < steps, later steps on the left.
+def _cf4_exponentials(base, P, omega, phi0):
+    """(a, h) -> the CF4 steps from a[j] of length h[j], shape (len(a), 2, N, N).
 
-    Step j is exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)) with H1, H2
-    the Hamiltonian at the Gauss points t0 + (j + 1/2 -+ sqrt(3)/6) h.  Works
-    in chunks of _CHUNK steps: the Hamiltonians at the Gauss points are built
-    as one batch, every exponential comes from _expm_taylor and the chunk's
-    exponentials are multiplied together as a tree.
+    Step j is exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)), the
+    right factor first, with H1, H2 the Hamiltonian at the Gauss points
+    a + (1/2 -+ sqrt(3)/6) h, built for the whole batch.
     """
     N = base.N
-    U = np.eye(N, dtype=complex)
     hamiltonian = _hamiltonian(base, P)
-    weights = -1j * h * _CF4_WEIGHTS
-    for done in range(0, steps, _CHUNK):
-        take = min(_CHUNK, steps - done)
-        nodes = t0 + ((done + np.arange(take))[:, None] + _GAUSS[None, :]) * h
+
+    def exponentials(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+        nodes = a[:, None] + _GAUSS[None, :] * h[:, None]
         phis = phi0[None, :] + nodes.reshape(-1, 1) * omega[None, :]
-        H = hamiltonian(phis).reshape(take, 2, N * N)
-        E = _expm_taylor((weights @ H).reshape(2 * take, N, N))
-        U = _ordered_product(E) @ U
-    return U
+        H = hamiltonian(phis).reshape(len(a), 2, N * N)
+        weights = -1j * h[:, None, None] * _CF4_WEIGHTS
+        return _expm_taylor((weights @ H).reshape(2 * len(a), N, N)).reshape(len(a), 2, N, N)
+    return exponentials
 
 
 def _live_modes(base: DiagonalPart, P: OperatorSeries | None) -> dict:
@@ -283,8 +272,8 @@ _SHARE_TOL = 1e-12
 # verify's cost model (integrator_costs) is fitted to timings of both
 # integrators with one BLAS thread at N = 6 to 96 and m = 3 to 11 live modes,
 # where a batched N x N product ran at about 5e9 multiply-adds per second.
-# A call into a step kernel, once per interval and sweep, costs about 85 us
-# for CF4 and 45 us for the Magnus step: these many multiply-adds
+# Each interval of a sweep adds its segment product and emission: these many
+# multiply-adds, fitted as 85 us (CF4) and 45 us (Magnus) per interval
 _CALL_COST = {"cf4": 4e5, "magnus": 2e5}
 
 
@@ -408,23 +397,21 @@ class _Interaction:
         self.tables.append((h, W))
         return W
 
-    def product(self, t0: float, h: float, steps: int) -> np.ndarray:
-        """prod_j of the Magnus steps from t0 + j h for j < steps, later steps on the left.
+    def exponentials(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The Magnus steps from a[j] of length h[j], shape (len(a), 1, N, N).
 
-        Works in chunks of _CHUNK steps, as _step_product does: one batch of
-        exponentials from _expm_taylor, each followed by e^{-iAh}, multiplied
-        together as a tree.
+        The exponent sum_r e^{i r.omega a} W_r comes from the table of each
+        distinct length in the batch, and each exponential is followed by
+        e^{-iAh}.
         """
         N = len(self.lam)
-        W = self.generator(h).reshape(len(self.rate), N * N)
-        decay = np.exp(-1j * h * self.lam)[:, None]
-        U = np.eye(N, dtype=complex)
-        for done in range(0, steps, _CHUNK):
-            take = min(_CHUNK, steps - done)
-            a = t0 + (done + np.arange(take)) * h
-            Wa = (np.exp(1j * np.outer(a, self.rate)) @ W).reshape(take, N, N)
-            U = _ordered_product(decay * _expm_taylor(Wa)) @ U
-        return U
+        Wa = np.empty((len(a), N * N), dtype=complex)
+        lengths, which = np.unique(h, return_inverse=True)
+        for i, length in enumerate(lengths):
+            W = self.generator(length).reshape(len(self.rate), N * N)
+            Wa[which == i] = np.exp(1j * np.outer(a[which == i], self.rate)) @ W
+        decay = np.exp(-1j * h[:, None] * self.lam)[:, :, None]
+        return (decay * _expm_taylor(Wa.reshape(-1, N, N)))[:, None]
 
 
 def _coarse_step(base: DiagonalPart, P: OperatorSeries | None, omega, integrator: str,
@@ -478,12 +465,12 @@ def integrator_costs(base: DiagonalPart, P: OperatorSeries | None, omega, ts) ->
     """verify's predicted cost with each integrator, in complex multiply-adds.
 
     Both count the coarse and the fine sweep of step_plan, without halving,
-    and one call into the step kernel per interval and sweep.  With m live
-    modes of P and mu, a CF4 step costs 32 N^3 plus its two Hamiltonians,
-    2 m N^2.  A Magnus step costs 8 N^3 plus its sum over the R <= m + m^2
-    mode tables, R N^2, and each distinct step length builds one set of
-    tables: 16 m^2 N^3 in products and 7500 for each of its m N^2 moments
-    and factors.
+    and a fixed cost per interval and sweep, its segment product and
+    emission.  With m live modes of P and mu, a CF4 step costs 32 N^3 plus
+    its two Hamiltonians, 2 m N^2.  A Magnus step costs 8 N^3 plus its sum
+    over the R <= m + m^2 mode tables, R N^2, and each distinct step length
+    builds one set of tables: 16 m^2 N^3 in products and 7500 for each of
+    its m N^2 moments and factors.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     spans = np.diff(ts, prepend=0.0)
@@ -504,17 +491,28 @@ def integrator_costs(base: DiagonalPart, P: OperatorSeries | None, omega, ts) ->
     return {name: float(cost) for name, cost in costs.items()}
 
 
-def _sweep(step, psi, ts, steps) -> np.ndarray:
-    """psi carried through ts with steps[m] equal steps in interval m.
+def _sweep(exponentials, psi, ts, steps) -> np.ndarray:
+    """psi carried through ts with steps[m] equal steps in interval m, from t_{m-1} to t_m.
 
-    step(t0, h, n) is the product of the n steps of length h from t0.
+    t_{-1} = 0.  exponentials(a, h) gives the steps that start at a with
+    lengths h, shape (steps, e, N, N) with each step's e factors in the
+    order they apply.  It is asked for _CHUNK steps at a time, across
+    intervals; the part of a chunk in one interval is multiplied as a tree
+    and applied to psi, and out[m] is psi at t_m.
     """
+    starts = np.concatenate([[0.0], ts[:-1]])
+    h = np.repeat((ts - starts) / np.maximum(steps, 1), steps)
+    a = np.repeat(starts, steps) + np.concatenate([np.arange(n) for n in steps]) * h
     out = np.empty((len(ts),) + psi.shape, dtype=complex)
-    t = 0.0
-    for m, (t_target, n) in enumerate(zip(ts, steps)):
-        if n:
-            psi = step(t, (t_target - t) / n, n) @ psi
-        t = t_target
+    at = 0                          # the next step to apply
+    for m, end in enumerate(np.cumsum(steps)):
+        while at < end:
+            if at % _CHUNK == 0:
+                chunk = exponentials(a[at:at + _CHUNK], h[at:at + _CHUNK])
+            stop = min(end, at - at % _CHUNK + _CHUNK)
+            part = chunk[at % _CHUNK:][:stop - at]
+            psi = _ordered_product(part.reshape((-1,) + part.shape[2:])) @ psi
+            at = stop
         out[m] = psi
     return out
 
@@ -550,7 +548,7 @@ def propagate_direct(
     """
     omega, psi, phi0, ts = _inputs(omega, psi0, phi0, ts)
     _, steps = step_plan(base, P, omega, ts, dt)
-    return _sweep(partial(_step_product, base, P, omega, phi0), psi, ts, steps)
+    return _sweep(_cf4_exponentials(base, P, omega, phi0), psi, ts, steps)
 
 
 def propagate_step_doubled(base: DiagonalPart, P: OperatorSeries | None, omega, psi0, phi0, ts,
@@ -568,11 +566,11 @@ def propagate_step_doubled(base: DiagonalPart, P: OperatorSeries | None, omega, 
     """
     omega, psi, phi0, ts = _inputs(omega, psi0, phi0, ts)
     dt, steps = step_plan(base, P, omega, ts, integrator=integrator)
-    step = (_Interaction(base, P, omega, phi0).product if integrator == "magnus"
-            else partial(_step_product, base, P, omega, phi0))
-    coarse = _sweep(step, psi, ts, steps // 2)
+    exponentials = (_Interaction(base, P, omega, phi0).exponentials if integrator == "magnus"
+                    else _cf4_exponentials(base, P, omega, phi0))
+    coarse = _sweep(exponentials, psi, ts, steps // 2)
     for _ in range(_MAX_HALVINGS + 1):
-        fine = _sweep(step, psi, ts, steps)
+        fine = _sweep(exponentials, psi, ts, steps)
         diff = (fine - coarse).reshape(len(ts), base.N, -1)
         estimate = float(np.max(np.linalg.norm(diff, ord=2, axis=(1, 2))))
         estimate /= 2.0 ** _ORDER[integrator] - 1.0

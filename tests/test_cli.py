@@ -153,6 +153,16 @@ def test_reduce_epsilon_zero_immediate(tmp_path):
     assert red["steps"] == 0 and red["generators"] == []
 
 
+def test_reduce_records_a_solve_without_divisors_as_null(tmp_path):
+    # at K = 6 a step starts from norm 0, so its solve has no live divisor
+    doc = _doc(str(tmp_path / "r"))
+    doc["model"] = dict(doc["model"], K=6)
+    assert _run("reduce", _write(tmp_path, doc)) == cli.EXIT_OK
+    divisors = [record["min_divisor"] for record in load_json(tmp_path / "r" / "steps.json")]
+    assert None in divisors
+    assert all(d is None or math.isfinite(d) for d in divisors)
+
+
 def test_reduce_resonant_frequency_exit_code(tmp_path):
     doc = _doc(str(tmp_path / "r"), frequency={"omega": [OMEGA_RESONANT]})
     code = _run("reduce", _write(tmp_path, doc))

@@ -4,7 +4,8 @@ Oracles: hand-built spectra with known collisions, scipy.linalg.expm for
 constant Hamiltonians, a central-difference check that the reconstructed
 solution actually solves i dpsi/dt = H(omega t) psi, dt-halving studies
 for the integrator order and its step-doubling error estimate, a
-step-by-step eigh loop for the batched CF4 stepping kernel, mpmath at 40
+step-by-step eigh loop for the batched CF4 stepping kernel, each kernel's
+own exponentials applied one step at a time for the sweep, mpmath at 40
 digits (checked against its own quadrature) for the oscillatory integrals
 of the interaction-picture Magnus step, CF4 for that step's sweeps, and
 linear_sum_assignment for the period map's mode matching.  The reduction used by the end-to-end cases is the
@@ -18,21 +19,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kamreduce.engine import KamSettings, ReducedSystem, run_schedule
+from kamreduce.engine import KamSettings, ReducedSystem, _taylor_degree, run_schedule
 from kamreduce.errors import DivisorTooSmall, KamError
 from kamreduce.floquet import (
     _CHUNK,
     _ERROR_TOL,
     _MAGNUS_STEP,
     FloquetSpectrum,
+    _cf4_exponentials,
     _expm_taylor,
     _hamiltonian,
     _Interaction,
     _match_modes,
     _mean_phase,
     _moments,
-    _step_product,
-    _taylor_degree,
+    _sweep,
     floquet_spectrum,
     integrator_costs,
     monodromy_quasienergies,
@@ -410,8 +411,28 @@ def test_step_product_matches_sequential_eigh(small_run, steps):
         H1, H2 = hamiltonian(phi0[None, :] + nodes[:, None] * OMEGA_N1[None, :])
         expect = _eigh_exp(a2 * H1 + a1 * H2, h) @ expect
         expect = _eigh_exp(a1 * H1 + a2 * H2, h) @ expect
-    got = _step_product(A, P, OMEGA_N1, phi0, t0, h, steps)
+    got = _sweep(_cf4_exponentials(A, P, OMEGA_N1, phi0), np.eye(A.N), [t0, t0 + h * steps],
+                 [0, steps])[-1]
     assert np.max(np.abs(got - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("integrator", ["cf4", "magnus"])
+def test_sweep_matches_the_step_by_step_product(small_run, integrator):
+    # intervals that straddle the chunk boundaries, and one with no steps,
+    # against the same kernel's exponentials applied one step at a time
+    A, P, _ = small_run
+    phi0, ts, steps = np.array([0.3]), np.array([0.3, 0.8, 0.9, 1.6]), [3, 17, 0, 14]
+    kernel = (_Interaction(A, P, OMEGA_N1, phi0).exponentials if integrator == "magnus"
+              else _cf4_exponentials(A, P, OMEGA_N1, phi0))
+    got = _sweep(kernel, np.eye(A.N), ts, steps)
+    expect, start = np.eye(A.N, dtype=complex), 0.0
+    for m, (t, n) in enumerate(zip(ts, steps)):
+        h = (t - start) / max(n, 1)
+        for j in range(n):
+            for factor in kernel(np.array([start + j * h]), np.array([h]))[0]:
+                expect = factor @ expect
+        start = t
+        assert np.max(np.abs(got[m] - expect)) <= 1e-13, m
 
 
 def test_fundamental_solution_unitary_to_roundoff(small_run):
