@@ -3,9 +3,11 @@
 After reduction the equation decouples: each mode evolves as
 
     chi_i(t) = chi_i(0) exp(-i (lambda_inf_i t + F_i(t))),
-    F_i(t)   = sum_{k != 0} muhat_{i,k} e^{i k.phi0} (e^{i (omega.k) t} - 1) / (i omega.k),
+    F_i(t)   = H_i(phi0 + omega t) - H_i(phi0),
 
-so solutions of the original system are x(t) = U(phi0 + omega t) chi(t) with
+with H_i the torus primitive of mu_i, (omega.d/dphi) H_i = mu_i, which
+homological._primitive forms under the solve's divisor floor.  So
+solutions of the original system are x(t) = U(phi0 + omega t) chi(t) with
 U the composed conjugation.  The Floquet exponents are lambda_inf_j + omega.k.
 
 Everything here that claims to verify the engine is computed without it:
@@ -19,24 +21,27 @@ as operators; for n = 1 it hands Phi(T) to quasienergies_from_period_map.
 
 One propagation loop, _sweep, carries a state or a block of states through
 the output times: it asks an exponential kernel for a chunk of steps at a
-time, across intervals, and multiplies them as a tree.  CF4,
+time, across intervals, and multiplies them as a tree.  Both kernels read
+the forcing P(phi) + diag(mu(phi)) from one table, _forcing: the modes k
+where P or mu is nonzero and C_k = P_k + diag(mu_k).  CF4,
 _cf4_exponentials, is the fourth-order commutator-free Magnus step (Blanes
 & Moan, Appl. Numer. Math. 56 (2006) 1519): two exponentials of
-combinations of H at the step's Gauss points.  The interaction-picture
-Magnus step, _Interaction, writes Phi(t) = e^{-iAt} U(t) with A =
-diag(lambda) and integrates the forcing's oscillations e^{i (lambda_i -
-lambda_j + k.omega) t} exactly in its first two Magnus terms (Iserles, BIT
-42 (2002) 561), so its error does not grow with max|lambda| (Hochbruck &
-Lubich, SIAM J. Numer. Anal. 41 (2003) 945); its tables are matrix
-products built once per step length, and each step is one exponential.
-Every exponential is an engine._expm_taylor Taylor polynomial with
-remainder below 2^-53, so steps are unitary to roundoff.  step_plan holds
-the step rules: for CF4 nested coarse and fine grids below the Magnus
-convergence radius h ||H|| < pi, whose coarse step also spans at most an
-eighth of the shortest forcing period; for the Magnus step a coarse step
-sized by the forcing alone.  propagate_step_doubled compares the two
-sweeps for the error estimate that verify records, and integrator_costs is
-the cost model by which verify picks the kernel.
+combinations of H = diag(lambda) + sum_k e^{ik.phi} C_k at the step's
+Gauss points.  The interaction-picture Magnus step, _Interaction, writes
+Phi(t) = e^{-iAt} U(t) with A = diag(lambda) and integrates the table's
+oscillations e^{i (lambda_i - lambda_j + k.omega) t} exactly in its first
+two Magnus terms (Iserles, BIT 42 (2002) 561), so its error does not grow
+with max|lambda| (Hochbruck & Lubich, SIAM J. Numer. Anal. 41 (2003)
+945); its tables are matrix products built once per step length, and each
+step is one exponential.  Every exponential is an engine._expm_taylor
+Taylor polynomial with remainder below 2^-53, so steps are unitary to
+roundoff.  step_plan holds the step rules: for CF4 nested coarse and fine
+grids below the Magnus convergence radius h ||H|| < pi, whose coarse step
+also spans at most an eighth of the shortest forcing period; for the
+Magnus step a coarse step sized by the forcing table's norm alone.
+propagate_step_doubled compares the two sweeps for the error estimate that
+verify records, and integrator_costs, the cost model by which verify picks
+the kernel, counts the table's modes.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 
 from .engine import ReducedSystem, _compose, _expm_taylor
 from .errors import KamError
-from .homological import _check_divisors, _divisor_floor
+from .homological import _primitive
 from .torus import DiagonalPart, OperatorSeries, k_box
 
 __all__ = [
@@ -103,26 +108,19 @@ def floquet_spectrum(reduced: ReducedSystem, Kmax: int, cluster_tol: float = 1e-
 
 
 def _phase_integral(reduced: ReducedSystem, phi0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """F_i(t) = integral of mu_i along the flow from phi0, shape (T, N).
+    """F_i(t) = H_i(phi0 + omega t) - H_i(phi0), shape (T, N), H_i the torus primitive of mu_i.
 
-    A live mode whose |omega.k| is below the solve's floor raises DivisorTooSmall.
+    H comes from homological._primitive, so a live mode whose |omega.k| is
+    below the solve's floor raises DivisorTooSmall.
     """
-    N = reduced.N
-    out = np.zeros((len(ts), N), dtype=complex)
     if reduced.mu_inf is None or reduced.K_mu == 0:
-        return out
+        return np.zeros((len(ts), reduced.N), dtype=complex)
     n, K = reduced.n, reduced.K_mu
-    ks = k_box(n, K)
-    kw = ks @ reduced.omega                              # (m,)
-    coeffs = reduced.mu_inf.reshape(N, -1)               # (N, m)
-    use = (np.max(np.abs(coeffs), axis=0) > 0) & np.any(ks != 0, axis=1)
-    box = (2 * K + 1,) * n
-    _check_divisors(kw.reshape(box), _divisor_floor(n, K), use.reshape(box), n, K, "|omega.k|")
-    kw = kw[use]
-    phase0 = np.exp(1j * (ks[use] @ phi0))
-    ramp = (np.exp(1j * np.outer(ts, kw)) - 1.0) / (1j * kw)   # (T, m)
-    out += ramp @ (coeffs[:, use] * phase0).T
-    return out
+    c = np.moveaxis(reduced.mu_inf, 0, -1)               # (modes..., N)
+    H = _primitive(c, n, K, reduced.omega, np.abs(c) > 0).reshape(-1, reduced.N)
+    phis = phi0[None, :] + np.outer(np.concatenate([[0.0], ts]), reduced.omega)
+    values = np.exp(1j * (phis @ k_box(n, K).T)) @ H     # (1 + T, N)
+    return values[1:] - values[0]
 
 
 def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
@@ -149,22 +147,26 @@ def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
     return (U @ (phase[:, :, None] * chi0[None])).reshape((len(ts),) + psi0.shape)
 
 
-def _hamiltonian(base: DiagonalPart, P: OperatorSeries | None):
-    """phis -> H(phi) = diag(lambda + mu(phi)) + P(phi) for a batch of angles.
+def _forcing(base: DiagonalPart, P: OperatorSeries | None):
+    """The forcing P(phi) + diag(mu(phi)) = sum_k e^{ik.phi} C_k as a table (ks, C).
 
-    P's values come from OperatorSeries.at; the diagonal is added to them.
+    ks, shape (m, n), are the modes at which P or mu is nonzero: P's first,
+    in k_box order, then mu's own.  C_k = P_k + diag(mu_k), shape (m, N, N).
     """
     N = base.N
-    idx = np.arange(N)
-    live_mu = base.mu is not None and base.K > 0
-    if live_mu:
-        ks_mu, mu = k_box(base.n, base.K).T, base.mu.reshape(N, -1).T
-
-    def at(phis: np.ndarray) -> np.ndarray:
-        H = np.zeros((phis.shape[0], N, N), dtype=complex) if P is None else P.at(phis)
-        H[:, idx, idx] += base.lam + np.exp(1j * (phis @ ks_mu)) @ mu if live_mu else base.lam
-        return H
-    return at
+    ks, C = np.zeros((0, base.n), dtype=int), np.zeros((0, N, N), dtype=complex)
+    if P is not None:
+        c = P.coeffs.reshape(-1, N, N)
+        live = np.any(c, axis=(1, 2))
+        ks, C = k_box(P.n, P.K)[live], c[live]
+    if base.mu is not None and base.K > 0:
+        for k, d in zip(k_box(base.n, base.K), base.mu.reshape(N, -1).T):
+            if np.any(d):
+                same = np.flatnonzero(np.all(ks == k, axis=1))
+                if not same.size:
+                    ks, C = np.vstack([ks, k]), np.concatenate([C, np.zeros((1, N, N))])
+                C[same[0] if same.size else -1] += np.diag(d)
+    return ks, C
 
 
 # The commutator-free Magnus step CF4 (Blanes & Moan 2006): H at the Gauss
@@ -205,48 +207,28 @@ def _cf4_exponentials(base, P, omega, phi0):
     """(a, h) -> the CF4 steps from a[j] of length h[j], shape (len(a), 2, N, N).
 
     Step j is exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)), the
-    right factor first, with H1, H2 the Hamiltonian at the Gauss points
-    a + (1/2 -+ sqrt(3)/6) h, built for the whole batch.
+    right factor first, with H1, H2 the Hamiltonian diag(lambda) + sum_k
+    e^{ik.phi} C_k of the forcing table at the Gauss points a + (1/2 -+
+    sqrt(3)/6) h, built for the whole batch.
     """
     N = base.N
-    hamiltonian = _hamiltonian(base, P)
+    ks, C = _forcing(base, P)
+    C = C.reshape(len(ks), N * N)
 
     def exponentials(a: np.ndarray, h: np.ndarray) -> np.ndarray:
         nodes = a[:, None] + _GAUSS[None, :] * h[:, None]
         phis = phi0[None, :] + nodes.reshape(-1, 1) * omega[None, :]
-        H = hamiltonian(phis).reshape(len(a), 2, N * N)
+        H = np.exp(1j * (phis @ ks.T)) @ C
+        H[:, ::N + 1] += base.lam
         weights = -1j * h[:, None, None] * _CF4_WEIGHTS
-        return _expm_taylor((weights @ H).reshape(2 * len(a), N, N)).reshape(len(a), 2, N, N)
+        H = weights @ H.reshape(len(a), 2, N * N)
+        return _expm_taylor(H.reshape(2 * len(a), N, N)).reshape(len(a), 2, N, N)
     return exponentials
 
 
-def _live_modes(base: DiagonalPart, P: OperatorSeries | None) -> dict:
-    """{k: P_k + diag(mu_k)} over the modes k at which P or mu is nonzero, P's first.
-
-    The values are views of P's coefficients where mu adds nothing, so a
-    caller that needs only the modes stacks nothing.
-    """
-    N = base.N
-    terms = {}
-    if P is not None:
-        for k, c in zip(k_box(P.n, P.K), P.coeffs.reshape(-1, N, N)):
-            if np.any(c):
-                terms[tuple(k)] = c
-    if base.mu is not None and base.K > 0:
-        for k, d in zip(k_box(base.n, base.K), base.mu.reshape(N, -1).T):
-            if np.any(d):
-                terms[tuple(k)] = terms.get(tuple(k), 0) + np.diag(d)
-    return terms
-
-
-def _modes(base: DiagonalPart, terms: dict) -> np.ndarray:
-    return np.array(list(terms), dtype=int).reshape(-1, base.n)
-
-
-def _forcing_bound(terms: dict) -> float:
+def _forcing_bound(C: np.ndarray) -> float:
     """A bound on sum_k ||C_k||_2, and so on ||P(phi)||_2: ||C||_2 <= sqrt(||C||_1 ||C||_inf)."""
-    return sum(math.sqrt(np.abs(c).sum(axis=0).max() * np.abs(c).sum(axis=1).max())
-               for c in terms.values())
+    return sum(math.sqrt(np.abs(c).sum(axis=0).max() * np.abs(c).sum(axis=1).max()) for c in C)
 
 
 # The interaction-picture Magnus step.  psi(x, y) is summed as a series in y
@@ -273,8 +255,10 @@ _SHARE_TOL = 1e-12
 # integrators with one BLAS thread at N = 6 to 96 and m = 3 to 11 live modes,
 # where a batched N x N product ran at about 5e9 multiply-adds per second.
 # Each interval of a sweep adds its segment product and emission: these many
-# multiply-adds, fitted as 85 us (CF4) and 45 us (Magnus) per interval
-_CALL_COST = {"cf4": 4e5, "magnus": 2e5}
+# multiply-adds, about 19 us (CF4, reference-n2) and 12 us (Magnus,
+# oscillator-quartic), the time one sweep of 64 two-step intervals takes
+# over one sweep of a 128-step interval, per extra interval
+_CALL_COST = {"cf4": 9.5e4, "magnus": 6e4}
 
 
 def _mean_phase(z):
@@ -340,13 +324,11 @@ class _Interaction:
     """
 
     def __init__(self, base: DiagonalPart, P: OperatorSeries | None, omega, phi0):
-        terms = _live_modes(base, P)
-        ks = _modes(base, terms)
+        ks, C = _forcing(base, P)
         m, n = ks.shape
         gaps = base.lam[:, None] - base.lam[None, :]
         self.lam = base.lam
-        Pk = np.array(list(terms.values()), dtype=complex).reshape(m, base.N, base.N)
-        self.C = Pk * np.exp(1j * (ks @ phi0))[:, None, None]
+        self.C = C * np.exp(1j * (ks @ phi0))[:, None, None]
         self.nu = gaps + (ks @ omega)[:, None, None]
         sums = (ks[:, None] + ks[None]).reshape(-1, n)
         modes, where = np.unique(np.concatenate([ks, sums]), axis=0, return_inverse=True)
@@ -416,12 +398,12 @@ class _Interaction:
 
 def _coarse_step(base: DiagonalPart, P: OperatorSeries | None, omega, integrator: str,
                  longest: float) -> float:
-    terms = _live_modes(base, P)
+    ks, C = _forcing(base, P)
     if integrator == "magnus":
-        bound = _forcing_bound(terms)
+        bound = _forcing_bound(C)
         return _MAGNUS_STEP / bound if bound * longest > _MAGNUS_STEP else longest
     h_c = _COARSE_STEP / float(np.max(np.abs(base.lam)))
-    rate = float(np.abs(_modes(base, terms) @ omega).max(initial=0.0))
+    rate = float(np.abs(ks @ omega).max(initial=0.0))
     return min(h_c, _PERIOD_SHARE * 2.0 * np.pi / rate) if rate > 0 else h_c
 
 
@@ -466,15 +448,16 @@ def integrator_costs(base: DiagonalPart, P: OperatorSeries | None, omega, ts) ->
 
     Both count the coarse and the fine sweep of step_plan, without halving,
     and a fixed cost per interval and sweep, its segment product and
-    emission.  With m live modes of P and mu, a CF4 step costs 32 N^3 plus
-    its two Hamiltonians, 2 m N^2.  A Magnus step costs 8 N^3 plus its sum
-    over the R <= m + m^2 mode tables, R N^2, and each distinct step length
-    builds one set of tables: 16 m^2 N^3 in products and 7500 for each of
-    its m N^2 moments and factors.
+    emission: 9.5e4 for CF4 and 6e4 for the Magnus step.  With m modes in
+    the forcing table, a CF4 step costs 32 N^3 plus its two Hamiltonians,
+    2 m N^2.  A Magnus step costs 8 N^3 plus its sum over the R <= m + m^2
+    mode tables, R N^2, and each distinct step length builds one set of
+    tables: 16 m^2 N^3 in products and 7500 for each of its m N^2 moments
+    and factors.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     spans = np.diff(ts, prepend=0.0)
-    ks = _modes(base, _live_modes(base, P))
+    ks = _forcing(base, P)[0]
     N, m = base.N, len(ks)
     R = min(m + m * m, (4 * int(np.abs(ks).max(initial=0)) + 1) ** base.n)
     per_step = {"cf4": 32.0 * N**3 + 2.0 * m * N**2, "magnus": 8.0 * N**3 + R * N**2}

@@ -369,7 +369,7 @@ def test_verify_records_the_magnus_step_rule(finished_run):
 
 
 def test_verify_cost_model_sends_few_modes_to_magnus_and_many_to_cf4():
-    from kamreduce.floquet import _live_modes, integrator_costs
+    from kamreduce.floquet import _forcing, integrator_costs
 
     def choice(name, omega):
         manifest = RunManifest.load(MANIFESTS / name)
@@ -377,12 +377,15 @@ def test_verify_cost_model_sends_few_modes_to_magnus_and_many_to_cf4():
         ts = np.linspace(50.0 / 60, 50.0, 60)
         times = np.union1d(ts, [2.0 * np.pi / omega[0]]) if len(omega) == 1 else ts
         costs = integrator_costs(base, P, omega, times)
-        return len(_live_modes(base, P)), min(costs, key=costs.get)
+        return len(_forcing(base, P)[0]), min(costs, key=costs.get)
+
+    def given(name):
+        return np.array(json.loads((MANIFESTS / name).read_text())["frequency"]["omega"])
 
     # the oscillator's omega as its frequency search picks it
     assert choice("oscillator-quartic.json", np.array([0.24850481591300488])) == (2, "magnus")
-    omega = np.array(json.loads((MANIFESTS / "reference-n2.json").read_text())["frequency"]["omega"])
-    assert choice("reference-n2.json", omega) == (169, "cf4")
+    assert choice("reference-n1.json", given("reference-n1.json")) == (11, "magnus")
+    assert choice("reference-n2.json", given("reference-n2.json")) == (169, "cf4")
 
 
 def test_verify_step_is_not_a_setting(tmp_path):

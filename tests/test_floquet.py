@@ -28,11 +28,11 @@ from kamreduce.floquet import (
     FloquetSpectrum,
     _cf4_exponentials,
     _expm_taylor,
-    _hamiltonian,
     _Interaction,
     _match_modes,
     _mean_phase,
     _moments,
+    _phase_integral,
     _sweep,
     floquet_spectrum,
     integrator_costs,
@@ -43,8 +43,9 @@ from kamreduce.floquet import (
     reconstruct_solution,
     step_plan,
 )
+from kamreduce.homological import torus_primitive
 from kamreduce.models import abstract_base, build_abstract_model
-from kamreduce.torus import DiagonalPart, OperatorSeries
+from kamreduce.torus import DiagonalPart, OperatorSeries, TorusSeries
 
 OMEGA_N1 = np.array([0.13799890521733005])  # certified in test_engine
 
@@ -142,6 +143,24 @@ def test_reconstruction_rejects_live_zero_divisor():
     # the first live mode; a phase integral names no (i, j) pair
     assert info.value.k == (-1,)
     assert info.value.i is None and info.value.j is None
+
+
+def test_phase_integral_is_the_primitive_along_the_flow():
+    # n = 2: F_i(t) = H_i(phi0 + omega t) - H_i(phi0), H_i the torus primitive of mu_i
+    n, K, N = 2, 2, 3
+    rng = np.random.default_rng(24)
+    shape = (N,) + (2 * K + 1,) * n
+    mu = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mu = 0.01 * (mu + np.conj(mu[:, ::-1, ::-1]))          # real on the real torus
+    mu[:, K, K] = 0.0
+    omega = np.array([1.0, 0.5 * (1.0 + math.sqrt(5.0))])
+    red = _plain_reduced([1.0, 2.0, 3.5], omega, mu=mu, K_mu=K)
+    phi0, ts = np.array([0.3, -1.1]), np.array([0.4, 7.3, 41.0])
+    F = _phase_integral(red, phi0, ts)
+    for i in range(N):
+        H = torus_primitive(TorusSeries(n, K, mu[i]), omega)
+        expect = [H(phi0 + omega * t) - H(phi0) for t in ts]
+        assert np.max(np.abs(F[:, i] - expect)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +416,30 @@ def test_step_exponential_rejects_non_finite_input():
         _expm_taylor(np.full((1, 2, 2), np.nan + 0j))
 
 
-@pytest.mark.parametrize("steps", [0, 1, 7, 2 * _CHUNK + 1])
-def test_step_product_matches_sequential_eigh(small_run, steps):
-    # the CF4 step of Blanes & Moan, one exponential after another
+@pytest.mark.parametrize("steps, with_mu", [
+    pytest.param(steps, with_mu, id=f"{steps}-mu" if with_mu else str(steps))
+    for with_mu in (False, True) for steps in (0, 1, 7, 2 * _CHUNK + 1)])
+def test_step_product_matches_sequential_eigh(small_run, steps, with_mu):
+    # the CF4 step of Blanes & Moan, one exponential after another, with H
+    # formed from P and mu at each Gauss point; mu at k = 1, a mode P shares,
+    # and k = 3, one P lacks
     A, P, _ = small_run
+    K = 3
+    mu = np.zeros((A.N, 2 * K + 1), dtype=complex)
+    if with_mu:
+        rng = np.random.default_rng(steps)
+        for k in (1, K):
+            mu[:, K + k] = 0.05 * (rng.standard_normal(A.N) + 1j * rng.standard_normal(A.N))
+            mu[:, K - k] = np.conj(mu[:, K + k])
+        A = DiagonalPart(lam=A.lam, d=A.d, delta=A.delta, n=1, mu=mu, K=K)
     phi0, t0, h = np.array([0.3]), 1.7, 0.01
     gauss = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
     a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
-    hamiltonian = _hamiltonian(A, P)
     expect = np.eye(A.N, dtype=complex)
     for j in range(steps):
         nodes = t0 + (j + gauss) * h
-        H1, H2 = hamiltonian(phi0[None, :] + nodes[:, None] * OMEGA_N1[None, :])
+        H1, H2 = (np.diag(A.lam + (mu @ np.exp(1j * np.arange(-K, K + 1) * phi)).real) + P(phi)
+                  for phi in phi0 + nodes * OMEGA_N1[0])
         expect = _eigh_exp(a2 * H1 + a1 * H2, h) @ expect
         expect = _eigh_exp(a1 * H1 + a2 * H2, h) @ expect
     got = _sweep(_cf4_exponentials(A, P, OMEGA_N1, phi0), np.eye(A.N), [t0, t0 + h * steps],

@@ -672,6 +672,7 @@ magnus_cases = st.tuples(
     st.integers(1, 2),                                            # forcing modes
     st.floats(1e-4, 1e-2),                                        # forcing size
     st.floats(0.0, 1e-2),                                         # k = 0 diagonal
+    st.floats(0.0, 1e-2),                                         # mu
     st.floats(0.05, 1.5),                                         # omega
     st.integers(0, 2**32 - 1),                                    # seed
 )
@@ -680,7 +681,7 @@ magnus_cases = st.tuples(
 @settings(max_examples=25, deadline=None)
 @given(magnus_cases)
 def test_magnus_and_cf4_sweeps_agree(case):
-    N, modes, size, diagonal, omega, seed = case
+    N, modes, size, diagonal, mu_size, omega, seed = case
     rng = np.random.default_rng(seed)
     lam = 1.0 + np.cumsum(rng.uniform(0.3, 3.0, N))
     c = np.zeros((2 * modes + 1, N, N), dtype=complex)
@@ -688,7 +689,13 @@ def test_magnus_and_cf4_sweeps_agree(case):
     for k in range(1, modes + 1):
         c[modes + k] = size * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
         c[modes - k] = np.conj(c[modes + k].T)
-    base = DiagonalPart(lam=lam, d=1.5, delta=0.0, n=1)
+    # a zero-average mu at k = 1, a mode P shares, and k = modes + 1, one P lacks
+    K = modes + 1
+    mu = np.zeros((N, 2 * K + 1), dtype=complex)
+    for k in (1, K):
+        mu[:, K + k] = mu_size * (rng.normal(size=N) + 1j * rng.normal(size=N))
+        mu[:, K - k] = np.conj(mu[:, K + k])
+    base = DiagonalPart(lam=lam, d=1.5, delta=0.0, n=1, mu=mu, K=K)
     P, w = OperatorSeries(1, modes, N, c), np.array([omega])
     ts = np.union1d(np.linspace(1.0, 10.0, 10), [2.0 * np.pi / omega])
     phi0 = rng.uniform(0.0, 2.0 * np.pi, 1)
