@@ -6,13 +6,13 @@ and writes its artifacts under the manifest's output directory.  All five
 run in one frame, _command, which alone creates that directory, writes the
 command's own event log log.<command>.jsonl (<command>.start, then
 <command>.done or error), merges <command>_s, the whole command's wall time,
-and the body's phase timings into timings.txt, writes error.json on a typed
-failure and rewrites checksums.json, except after a SchemaError or an
-ArtifactError.  verify and spectrum check the checksums of just the
-artifacts they read, so a record the frame rewrote after a failure never
-fails them.  The same manifest + seed reproduces every artifact but
-timings.txt byte for byte; timings.txt is the one file left out of
-checksums.json.
+<command>_rss_mb, its peak RSS, and the body's phase timings into
+timings.txt, writes error.json on a typed failure and rewrites
+checksums.json, except after a SchemaError or an ArtifactError.  verify
+and spectrum check the checksums of just the artifacts they read, so a
+record the frame rewrote after a failure never fails them.  The same
+manifest + seed reproduces every artifact but timings.txt byte for byte;
+timings.txt is the one file left out of checksums.json.
 
 FAILURES maps each typed failure to its exit code and to the reason
 error.json records; 0 is success.
@@ -28,6 +28,7 @@ import contextlib
 import functools
 import json
 import os
+import resource
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -102,15 +103,17 @@ class _JsonlLog:
 def _write_timings(outdir, timings: dict) -> None:
     """Merge timings into timings.txt; keys of earlier commands are kept.
 
-    Not checksummed and not JSON: the one artifact allowed to differ between
-    replays.
+    A key's unit comes from its name: MB for a peak RSS (_mb), else
+    seconds.  Not checksummed and not JSON: the one artifact allowed to
+    differ between replays.
     """
     path = os.path.join(outdir, "timings.txt")
     lines = {}
     if os.path.isfile(path):
         with open(path) as fh:
             lines = {line.split(":", 1)[0]: line for line in fh if ":" in line}
-    lines.update({key: f"{key}: {value:.6f} s\n" for key, value in timings.items()})
+    lines.update({key: f"{key}: {value:.6f} {'MB' if key.endswith('_mb') else 's'}\n"
+                  for key, value in timings.items()})
     with open(path, "w") as fh:
         fh.writelines(lines[key] for key in sorted(lines))
 
@@ -174,6 +177,8 @@ def _command(body):
                 log.close()
         if log is not None:
             timings[f"{name}_s"] = time.perf_counter() - t0
+            # ru_maxrss counts kB on Linux
+            timings[f"{name}_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             _write_timings(outdir, timings)
             if not isinstance(failure, (SchemaError, ArtifactError)):
                 write_checksums(outdir)

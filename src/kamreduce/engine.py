@@ -20,14 +20,18 @@ Numerical notes that matter here:
   grid commutator.
 * ||W L(X)|| <= 2g ||W X|| with g = g_norm(B) = max(||B||, ||W B W^-1||),
   so the order is the smallest whose remainder bound falls below
-  CHOP_FLOOR, what chopping discards anyway.  That remainder and the mass
-  truncation at K_out drops are added to the reported norm.
+  CHOP_FLOOR, what chopping discards anyway.  The same rule cuts each
+  level of the series: it keeps the smallest band whose dropped mass,
+  after the commutators still to come, is at most CHOP_FLOOR, and never
+  more than K_out.  That remainder and the mass the levels drop are added
+  to the reported norm.
 * The same estimate bounds all of P+ before any commutator is formed:
   ||P+|| <= ||D|| + (e^{2g} - 1)(||diag P|| + ||P_off|| + ||D||).  When
   that bound, reweighted to the new base, is at most tol, the step stops
   early: P+ is zero, the bound is its reported norm, and the record says
   a_priori.  The last step of a converging run ends this way; its
-  generator is still solved, because verify composes it.
+  generator is still solved, because verify composes it, but D stays on
+  the solve's pair stack: no N x N defect is assembled.
 * P+ is trimmed to its live band after chopping: all-zero outer shells are
   dropped, which changes no coefficient and no norm.
 * Coefficients below an absolute floor are zeroed after each step so the
@@ -51,6 +55,7 @@ eigenvalues after every step, which raises FrequencyExcluded on violation.
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass, field, replace
 
@@ -64,7 +69,7 @@ from .errors import (
     HermiticityError,
     KamError,
 )
-from .homological import _guard, solve_variable
+from .homological import GeneratorDefect, _guard, solve_variable
 from .torus import (
     CHOP_FLOOR,
     DiagonalPart,
@@ -77,6 +82,7 @@ from .torus import (
     delta_norm,
     freeze,
     g_norm,
+    k_box,
     next_fast_len,
     strip_weight,
 )
@@ -157,7 +163,9 @@ class KamState:
     converged: bool = False
     # why the schedule ended unconverged (None while it runs or once converged)
     stopped: str | None = None
-    # (name, seconds) per phase and step; wall times, kept out of the records
+    # (name, value) per phase and step: wall seconds (_s) and the process's
+    # peak RSS so far in MB (_rss_mb); neither is deterministic, so both are
+    # kept out of the records
     timings: tuple = field(default=(), compare=False)
 
     @property
@@ -295,7 +303,30 @@ def matrix_exp_antihermitian(Bg: np.ndarray):
     return E, E - np.eye(Bg.shape[-1])
 
 
-def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: OperatorSeries,
+def _level_band(X: OperatorSeries, W: np.ndarray, s: float, weight: float, K_out: int):
+    """(K, dropped) for the band K that one Lie-series level keeps.
+
+    dropped = ||W |X - X.truncate(K)|_s||_2, the majorant norm of what the
+    cut loses, and K is the smallest band <= K_out with weight * dropped <=
+    CHOP_FLOOR, or min(K_out, X.K) if none is.  One pass over |X| forms the
+    majorant of each |k|_inf shell; summed from the outside in, they give
+    the dropped part of every candidate band at once, never smaller for a
+    smaller band.
+    """
+    n, K = X.n, X.K
+    shell = np.max(np.abs(k_box(n, K)), axis=1)
+    by_shell = np.zeros((K + 1, len(shell)))
+    by_shell[shell, np.arange(len(shell))] = strip_weight(n, K, s).reshape(-1)
+    maj = (by_shell @ np.abs(X.coeffs).reshape(len(shell), -1)).reshape(K + 1, X.N, X.N)
+    beyond = np.zeros_like(maj)                                  # [r]: shells r+1..K
+    beyond[:-1] = np.cumsum(maj[:0:-1], axis=0)[::-1]
+    dropped = np.linalg.norm(W[:, None] * beyond, 2, axis=(1, 2))
+    fits = np.flatnonzero(weight * dropped <= CHOP_FLOOR)
+    K_keep = min(int(fits[0]) if len(fits) else K, K_out)
+    return K_keep, float(dropped[K_keep])
+
+
+def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: GeneratorDefect,
               K_out: int, s: float, tol: float = 0.0):
     """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B), as a Lie series.
 
@@ -306,8 +337,11 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
         S_m = Y_m,  S_k = Y_k + L(S_{k+1}),  P+ = S_0 = D + L(S_1),
         Y_k = diag P / k! + k P_off / (k+1)! + D / (k+1)!,
 
-    each L one alias-free commutator and each S_k truncated at K_out.  P+
-    is hermitized after its defect is measured, then chopped at CHOP_FLOOR.
+    each L one alias-free commutator.  Level k, X_k = Y_k + L(S_{k+1}),
+    keeps as S_k the smallest band K_k <= K_out with b^k ||X_k - S_k|| <=
+    CHOP_FLOOR (_level_band), the rule that fixes m, or K_out if none has.
+    P+ is hermitized after its defect is measured, then chopped at
+    CHOP_FLOOR.
 
     In ||X|| = delta_norm(X, base, s), a bound on the strip for s > 0,
     ||L(X)|| <= b ||X|| with b = 2 g_norm(B, base, s), and ||Y_k|| <= p / k!
@@ -316,41 +350,45 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
     * a_priori_bound = ||D|| + (e^b - 1) p bounds the whole of P+ before
       any commutator is formed.  When it is at most tol, P+ is returned as
       zero, with a_priori true and no series summed: the bound is then the
-      one account of what P+ held;
+      one account of what P+ held.  ||D|| comes from D's pair stack, and
+      the N x N series D.series() is formed only once this test has failed;
     * lie_tail_bound = p b^(m+1) / (m+1)! / (1 - b / (m+2)) bounds the
       terms past order m, and m is the smallest order that puts it at or
       below CHOP_FLOOR (m = 0 for B = 0, where P+ = P_off exactly);
-    * truncation_bound = sum_k b^k ||X_k - S_k||, X_k being level k before
-      truncation, bounds what truncation at K_out loses: each dropped part
-      is measured exactly and then passes k more commutators.
+    * truncation_bound = sum_k b^k ||X_k - S_k||_maj bounds what the
+      levels' cuts lose: each dropped part is measured by its strip
+      majorant, a bound at any s >= 0, and then passes k more commutators.
+      Where K_out does not bind, each level adds at most CHOP_FLOOR.
 
     Returns (P+, info): P+ has band at most K_out; info holds a_priori,
-    a_priori_bound, lie_order, the other two bounds, hermiticity_defect, the
-    chopped count, chopped_norm_bound, grid_M, the widest commutator grid
-    (0 if none), and guard_messages, the advisory guards met, each also
-    warned once.  On an a-priori return every count and the other bounds
-    are 0.
+    a_priori_bound, lie_order, lie_bands (the band K_k each level kept,
+    level m first), the other two bounds, hermiticity_defect, the chopped
+    count, chopped_norm_bound, grid_M, the widest commutator grid (0 if
+    none), and guard_messages, the advisory guards met, each also warned
+    once.  On an a-priori return every count and the other bounds are 0
+    and lie_bands is empty.
     """
     n, N = P.n, P.N
     guards = []
     if B.antihermiticity_defect() > 1e-10 * max(1.0, float(np.max(np.abs(B.coeffs)))):
         _guard(guards, "generator is not anti-hermitian to 1e-10")
+    b = 2.0 * g_norm(B, base, s)        # before P's two parts exist, so |B| is formed alone
     off = P.offdiagonal_part()
     diag = P - off
     p_D = delta_norm(D, base, s)
     p = delta_norm(diag, base, s) + delta_norm(off, base, s) + p_D
-    b = 2.0 * g_norm(B, base, s)
     bound = p_D + math.expm1(b) * p
     info = {"a_priori": bound <= tol, "a_priori_bound": bound, "lie_order": 0,
-            "lie_tail_bound": 0.0, "truncation_bound": 0.0, "hermiticity_defect": 0.0,
-            "chopped": 0, "chopped_norm_bound": 0.0, "grid_M": 0}
+            "lie_bands": [], "lie_tail_bound": 0.0, "truncation_bound": 0.0,
+            "hermiticity_defect": 0.0, "chopped": 0, "chopped_norm_bound": 0.0, "grid_M": 0}
     if info["a_priori"]:
         info["guard_messages"] = tuple(guards)
         return OperatorSeries.zero(n, 0, N), info
     m = _taylor_degree(b, CHOP_FLOOR / max(p, 1e-300))
     tail = p * b ** (m + 1) / math.factorial(m + 1) / (1.0 - b / (m + 2))
 
-    S, M, truncation = None, 0, 0.0
+    D, W = D.series(), base.weight()
+    S, M, truncation, bands = None, 0, 0.0, []
     for k in range(m, -1, -1):
         X = D * (1.0 / math.factorial(k + 1))
         if k:
@@ -358,8 +396,10 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
         if S is not None:
             M = max(M, next_fast_len(2 * (S.K + B.K) + 2))   # the commutator's grid
             X = X + S.commutator(B)
-        S = X.truncate(min(X.K, K_out))
-        truncation += b**k * delta_norm(X - S, base, s)
+        K_k, dropped = _level_band(X, W, s, b**k, K_out)
+        S = X.truncate(K_k)
+        truncation += b**k * dropped
+        bands.append(K_k)
 
     K_S, coeffs = S.K, S.coeffs
     del S, X
@@ -386,11 +426,16 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Opera
     mass = np.abs(coeffs - kept)
     del coeffs
     mass *= strip_weight(n, K_S, s)[..., None, None]
-    info.update(lie_order=m, lie_tail_bound=tail, truncation_bound=truncation,
-                hermiticity_defect=herm_defect, chopped=chopped,
+    info.update(lie_order=m, lie_bands=bands, lie_tail_bound=tail,
+                truncation_bound=truncation, hermiticity_defect=herm_defect, chopped=chopped,
                 chopped_norm_bound=float(np.sum(mass)), grid_M=M,
                 guard_messages=tuple(guards))
     return OperatorSeries(n, K_S, N, freeze(kept)), info
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (ru_maxrss counts kB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _budget_cutoff(normP: float, gamma: float, tau: float, budget: float) -> int:
@@ -449,6 +494,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         ) from exc
     B = sol.B
     t_solve = time.perf_counter() - clock
+    rss_solve = _peak_rss_mb()
     clock = time.perf_counter()
     gB = g_norm(B, base, state.s)
     t_norms = time.perf_counter() - clock
@@ -479,6 +525,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     # outer shells that chopping left all-zero carry no mass: drop them
     P_plus = P_plus.trim()
     t_conjugate = time.perf_counter() - clock
+    rss_conjugate = _peak_rss_mb()
 
     # constant ledger with measured norms
     gamma_next = state.gamma - normP * (1.0 + float(K_step) ** settings.tau)
@@ -498,6 +545,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     clock = time.perf_counter()
     cert = check_dio2(w, new_base, gamma_next, settings.tau, settings.horizon(), N)
     t_recertify = time.perf_counter() - clock
+    rss_recertify = _peak_rss_mb()
     if not cert.passed:
         raise FrequencyExcluded(
             f"second non-resonance condition violated after step {l_next} "
@@ -515,6 +563,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         norm_next = (delta_norm(P_plus, new_base, s_next) + cinfo["chopped_norm_bound"]
                      + reweight * (cinfo["lie_tail_bound"] + cinfo["truncation_bound"]))
     t_norms += time.perf_counter() - clock
+    rss_norms = _peak_rss_mb()
     eps_bound = settings.eps_schedule(l_next)
     eps_ok = (settings.epsilon == 0.0) or (norm_next <= eps_bound)
     if not eps_ok:
@@ -566,9 +615,13 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         converged=norm_next <= settings.tol,
         timings=state.timings + (
             (f"step{l_next}.solve_s", t_solve),
+            (f"step{l_next}.solve_rss_mb", rss_solve),
             (f"step{l_next}.conjugate_s", t_conjugate),
+            (f"step{l_next}.conjugate_rss_mb", rss_conjugate),
             (f"step{l_next}.norms_s", t_norms),
+            (f"step{l_next}.norms_rss_mb", rss_norms),
             (f"step{l_next}.recertify_s", t_recertify),
+            (f"step{l_next}.recertify_rss_mb", rss_recertify),
         ),
     )
 

@@ -29,10 +29,13 @@ forms the defect exactly in coefficients on the same pair stack, the
 product (mu_j - mu_i) chi on an alias-free grid of the pairs alone, and
 ||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is divided
 by the same norm of the right-hand side.  A solution carries the
-generator's defect D, formed once by _generator_defect: the solved entries
-D_ji (i < j) come from the kernel, the entries D_ij are their mirror
-conj(D_ji(-k)), so D is exactly hermitian, and the diagonal is
-(omega.k) B_ii(k).  The conjugation step takes D from there.
+generator's defect D, formed once by _generator_defect and kept on the pair
+stack as a GeneratorDefect: the solved entries D_ji (i < j) come from the
+kernel, the entries D_ij are their mirror conj(D_ji(-k)), so D is exactly
+hermitian, and the diagonal is (omega.k) B_ii(k).  Its majorant, and so
+every norm of D, comes from the pairs; the N x N series is assembled only
+by series(), which the conjugation step calls once its a-priori bound has
+missed tol.
 
 solve_variable's guards (P's hermiticity, C*, each pair's Kuksin smallness
 with theta = (delta/(d-1) + 1)/2, the factor's unimodularity) are advisory:
@@ -42,7 +45,7 @@ each is warned once, where it is measured, and returned in guard_messages.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +69,7 @@ from .torus import (
 )
 
 __all__ = [
+    "GeneratorDefect",
     "HomologicalSolution",
     "solve_constant",
     "torus_primitive",
@@ -109,12 +113,58 @@ def _check_divisors(den, floor, live, n: int, K: int, what: str, pairs=None) -> 
 
 
 @dataclass(frozen=True)
+class GeneratorDefect:
+    """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, on the pair stack.
+
+    pairs holds the entries D_ji at band K, pair p being (i, j) = (ii[p],
+    jj[p]) of np.triu_indices(N, 1), and diag the diagonal (omega.k) B_ii(k)
+    at band K_diag <= K.  The entries D_ij are the mirror conj(D_ji(-k)), as
+    they are for an anti-hermitian B and a hermitian P.  The norms read the
+    pairs directly; series() assembles the N x N series, which only a
+    conjugation that sums its Lie series needs.
+    """
+
+    n: int
+    K: int
+    N: int
+    pairs: np.ndarray = field(repr=False)      # (2K+1,)*n + (N(N-1)/2,)
+    K_diag: int
+    diag: np.ndarray = field(repr=False)       # (2K_diag+1,)*n + (N,)
+
+    def majorant_matrix(self, s: float) -> np.ndarray:
+        """Entrywise sum_k |Dhat_ijk| e^{s|k|_1}; (i, j) and (j, i) share theirs."""
+        ii, jj = np.triu_indices(self.N, 1)
+        idx = np.arange(self.N)
+        w = strip_weight(self.n, self.K, s).reshape(-1)
+        w_diag = strip_weight(self.n, self.K_diag, s).reshape(-1)
+        maj = np.zeros((self.N, self.N))
+        maj[jj, ii] = maj[ii, jj] = w @ np.abs(self.pairs).reshape(len(w), len(ii))
+        maj[idx, idx] = w_diag @ np.abs(self.diag).reshape(len(w_diag), self.N)
+        return maj
+
+    def series(self) -> OperatorSeries:
+        """D as an exactly hermitian N x N series at band K."""
+        n, N, K = self.n, self.N, self.K
+        ii, jj = np.triu_indices(N, 1)
+        idx = np.arange(N)
+        D = np.zeros((2 * K + 1,) * n + (N, N), dtype=complex)
+        D[..., jj, ii] = self.pairs
+        D[..., ii, jj] = _mirror(self.pairs, n)
+        D[_box(n, self.K_diag, K) + (idx, idx)] = self.diag
+        return OperatorSeries(n, K, N, freeze(D))
+
+    def grid(self, M: int) -> np.ndarray:
+        """D on the M**n grid, for the sampled norms at s = 0."""
+        return self.series().grid(M)
+
+
+@dataclass(frozen=True)
 class HomologicalSolution:
     """Generator B with its certification data."""
 
     B: OperatorSeries
     # D = [A,B] - i Bdot + (P - diag P), the generator's defect in coefficients
-    D: OperatorSeries
+    D: GeneratorDefect
     # ||W |D|_s||_2 / ||W |P_off|_s||_2 for the defect D of the equation, a
     # bound on the relative defect over the strip of the solve's width s
     residual: float
@@ -143,16 +193,21 @@ def _defect(chi, gap, mud, rhs, omega):
     K_chi, K_rhs = (chi.shape[0] - 1) // 2, (rhs.shape[0] - 1) // 2
     K_mu = 0 if mud is None else (mud.shape[0] - 1) // 2
     K_D = max(K_chi + K_mu, K_rhs)
-    D = np.zeros((2 * K_D + 1,) * n + chi.shape[n:], dtype=complex)
-    D[_box(n, K_chi, K_D)] += (_k_dot_omega(n, K_chi, omega)[..., None] + gap) * chi
     M = 0
-    if mud is not None:
+    if mud is None:
+        D = np.zeros((2 * K_D + 1,) * n + chi.shape[n:], dtype=complex)
+    else:
+        # D starts as the product's coefficients; the terms added after
+        # them round as they did added to zeros, since addition commutes
         K = K_chi + K_mu
         M = next_fast_len(2 * K + 2)
-        gm, gc = coeffs_to_grid(mud, n, K_mu, M), coeffs_to_grid(chi, n, K_chi, M)
-        prod = np.multiply(gm, gc)
-        del gm, gc
-        D[_box(n, K, K_D)] += grid_to_coeffs(prod, n, K)
+        gc = coeffs_to_grid(chi, n, K_chi, M)
+        np.multiply(coeffs_to_grid(mud, n, K_mu, M), gc, out=gc)
+        D = grid_to_coeffs(gc, n, K)
+        del gc
+        if K < K_D:
+            D = np.pad(D, [(K_D - K, K_D - K)] * n + [(0, 0)] * (D.ndim - n))
+    D[_box(n, K_chi, K_D)] += (_k_dot_omega(n, K_chi, omega)[..., None] + gap) * chi
     D[_box(n, K_rhs, K_D)] -= rhs
     return D, M
 
@@ -172,26 +227,32 @@ def _generator_defect(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart, 
     entries (i, j) are their mirror D_ij(k) = conj(D_ji(-k)), as they are
     for an anti-hermitian B and a hermitian P (solve_variable warns when P
     is not), so D is exactly hermitian.  The diagonal is (omega.k) B_ii(k),
-    since A is diagonal and P - diag P has none.  Returns (D, the grid M
-    per axis of the product (mu_j - mu_i) B_ji, 0 where the mu_i coincide).
+    since A is diagonal and P - diag P has none.  Returns (D as a
+    GeneratorDefect, the grid M per axis of the product (mu_j - mu_i) B_ji,
+    0 where the mu_i coincide).
     """
-    n, N = B.n, B.N
+    ii, jj = np.triu_indices(B.N, 1)
+    idx = np.arange(B.N)
+    return _pair_defect(B.coeffs[..., jj, ii], B.coeffs[..., idx, idx], P, base, omega)
+
+
+def _pair_defect(chi, B_diag, P: OperatorSeries, base: DiagonalPart, omega):
+    """_generator_defect of the B whose entries B_ji (i < j) are the stack chi.
+
+    B_diag holds B's diagonal at chi's band, pair and diagonal axes last;
+    B itself need not exist yet.
+    """
+    n, N = P.n, P.N
     ii, jj = np.triu_indices(N, 1)
     mud = None
     if base.mu is not None:
         # entry (j, i) of [A, B] is (a_j - a_i) B_ji
         mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
         mud = mud if np.any(mud) else None
-    Dp, M = _defect(B.coeffs[..., jj, ii], base.lam[jj] - base.lam[ii], mud,
-                    -P.coeffs[..., jj, ii], omega)
-    K_D = (Dp.shape[0] - 1) // 2
-    D = np.zeros((2 * K_D + 1,) * n + (N, N), dtype=complex)
-    D[..., jj, ii] = Dp
-    D[..., ii, jj] = np.conj(Dp, out=Dp)[(slice(None, None, -1),) * n]
-    idx = np.arange(N)
-    D[_box(n, B.K, K_D) + (idx, idx)] = (_k_dot_omega(n, B.K, omega)[..., None]
-                                         * B.coeffs[..., idx, idx])
-    return OperatorSeries(n, K_D, N, freeze(D)), M
+    Dp, M = _defect(chi, base.lam[jj] - base.lam[ii], mud, -P.coeffs[..., jj, ii], omega)
+    K_B = (chi.shape[0] - 1) // 2
+    diag = _k_dot_omega(n, K_B, omega)[..., None] * B_diag
+    return GeneratorDefect(n, (Dp.shape[0] - 1) // 2, N, freeze(Dp), K_B, freeze(diag)), M
 
 
 def solve_constant(
@@ -216,7 +277,7 @@ def solve_constant(
     _check_divisors(den, _divisor_floor(n, K)[..., None, None], live, n, K, "divisor")
     Bc = np.zeros_like(P.coeffs)
     np.divide(-P.coeffs, den, out=Bc, where=offmask & (np.abs(den) > 0))
-    B = OperatorSeries(n, K, N, Bc)
+    B = OperatorSeries(n, K, N, freeze(Bc))
     D, _ = _generator_defect(B, P, base, omega)
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
@@ -277,18 +338,17 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
         # mud has zero average by construction of mu
         live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
         Hd = _primitive(mud, n, K_mu, omega, live, pairs)
-        # each grid is named before its product: numpy runs a product on a large
-        # unnamed temporary in place, and that loop rounds differently.  Each
-        # is dropped once used, so that at most three grids are alive at once
+        # each product writes into its second operand: np.multiply(a, b, out=b)
+        # rounds as np.multiply(a, b) does (only swapping the operands moves
+        # bits).  Each grid is dropped once used, so at most three are alive
         gH = coeffs_to_grid(Hd, n, K_mu, M)
         factor = np.exp(1j * gH)
         del gH
         unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
         gb = coeffs_to_grid(b, n, K_b, M)
-        fb = factor * gb
+        np.multiply(factor, gb, out=gb)
+        btil = grid_to_coeffs(gb, n, K)
         del gb
-        btil = grid_to_coeffs(fb, n, K)
-        del fb
         live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
     else:
         # no variable part: the factor is 1 and the solve is one division
@@ -307,10 +367,10 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     else:
         gu = coeffs_to_grid(uc, n, K, M)
         del uc
-        fu = np.conj(factor, out=factor) * gu
-        del factor, gu
-        chic = grid_to_coeffs(fu, n, K)
-        del fu
+        np.multiply(np.conj(factor, out=factor), gu, out=gu)
+        del factor
+        chic = grid_to_coeffs(gu, n, K)
+        del gu
 
     mass = np.sum(np.abs(chic))
     if K_out is None:
@@ -427,14 +487,16 @@ def solve_variable(
     if unimod > UNIMOD_TOL:
         _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
     K_B = (chic.shape[0] - 1) // 2
+    # D comes from chi itself, before B exists: B's pair stack is not copied
+    # out again, and B is not alive while the defect's grids are
+    # (reference-n2 step 2: about 10 MB less at the solve's peak)
+    D, defect_M = _pair_defect(chic, np.zeros(chic.shape[:n] + (N,), dtype=complex), P,
+                               base, omega)
     Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
     Bc[..., jj, ii] = chic
     Bc[..., ii, jj] = -_mirror(chic, n)
-    B = OperatorSeries(n, K_B, N, Bc)
-    # D outlives the solve: formed above these work arrays, it would keep
-    # their space from the conjugation step (30 MB of peak RSS on reference-n2)
-    del Bc, chic
-    D, defect_M = _generator_defect(B, P, base, omega)
+    del chic
+    B = OperatorSeries(n, K_B, N, freeze(Bc))
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, P.offdiagonal_part().coeffs,
                                                          s, base.weight()),

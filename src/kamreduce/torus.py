@@ -224,6 +224,8 @@ class _Series:
     Subclasses are frozen dataclasses with fields n, K and coeffs.  _tail is
     the shape of the trailing value axes, () or (N, N), and _value turns one
     coefficient or value into the subclass's scalar or matrix type.
+    Operations hand their fresh arrays over with freeze, so a series keeps
+    them without a copy; a view, as truncate makes, is copied.
     """
 
     def __post_init__(self):
@@ -264,7 +266,7 @@ class _Series:
             return self
         c = np.zeros((2 * K + 1,) * self.n + self._tail, dtype=complex)
         c[_box(self.n, self.K, K)] = self.coeffs
-        return self._like(K, c)
+        return self._like(K, freeze(c))
 
     def truncate(self, K: int):
         if K >= self.K:
@@ -280,25 +282,25 @@ class _Series:
 
     def __add__(self, other):
         K = max(self.K, other.K)
-        return self._like(K, self.pad_to(K).coeffs + other.pad_to(K).coeffs)
+        return self._like(K, freeze(self.pad_to(K).coeffs + other.pad_to(K).coeffs))
 
     def __sub__(self, other):
         K = max(self.K, other.K)
-        return self._like(K, self.pad_to(K).coeffs - other.pad_to(K).coeffs)
+        return self._like(K, freeze(self.pad_to(K).coeffs - other.pad_to(K).coeffs))
 
     def __mul__(self, scalar: complex):
-        return self._like(self.K, self.coeffs * scalar)
+        return self._like(self.K, freeze(self.coeffs * scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._like(self.K, -self.coeffs)
+        return self._like(self.K, freeze(-self.coeffs))
 
     def _grid_product(self, other, op):
         """op(self(phi), other(phi)) on an alias-free grid, at band self.K + other.K."""
         K = self.K + other.K
         M = next_fast_len(2 * K + 2)
-        return self._like(K, grid_to_coeffs(op(self.grid(M), other.grid(M)), self.n, K))
+        return self._like(K, freeze(grid_to_coeffs(op(self.grid(M), other.grid(M)), self.n, K)))
 
     def product(self, other):
         """Exact entrywise grid product, at band self.K + other.K."""
@@ -380,15 +382,15 @@ class OperatorSeries(_Series):
     hermiticity_defect = _Series.mirror_defect
 
     def antihermiticity_defect(self) -> float:
-        total = _mirror(self.coeffs, self.n)
-        total += self.coeffs
-        return float(np.max(np.abs(total)))
+        """Max |c + _mirror(c)|, one slice of the first mode axis at a time."""
+        c, n = self.coeffs, self.n
+        return max(float(np.max(np.abs(c[t] + _mirror(c[-1 - t], n - 1)))) for t in range(len(c)))
 
     def offdiagonal_part(self) -> "OperatorSeries":
         c = self.coeffs.copy()
         idx = np.arange(self.N)
         c[..., idx, idx] = 0.0
-        return OperatorSeries(self.n, self.K, self.N, c)
+        return OperatorSeries(self.n, self.K, self.N, freeze(c))
 
     def majorant_matrix(self, s: float) -> np.ndarray:
         """Entrywise sum_k |Phat_ijk| e^{s|k|_1}; dominates |P_ij| on the strip."""

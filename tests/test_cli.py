@@ -413,13 +413,14 @@ def test_five_commands_in_one_directory_keep_their_logs_and_timings(tmp_path):
     keys = [line.split(":")[0] for line in lines]
     assert keys == sorted(keys)
     steps = load_json(tmp_path / "r" / "steps.json")
-    assert set(keys) == {f"{cmd}_s" for cmd in COMMANDS} | {
+    assert set(keys) == {f"{cmd}{unit}" for cmd in COMMANDS for unit in ("_s", "_rss_mb")} | {
         "build_s",
         "reduce.schedule_s",
         "verify.direct_s",
         "verify.monodromy_s",
         "verify.reconstruct_s",
-    } | {f"step{rec['l']}.{phase}_s" for rec in steps for phase in STEP_PHASES}
+    } | {f"step{rec['l']}.{phase}{unit}" for rec in steps for phase in STEP_PHASES
+         for unit in ("_s", "_rss_mb")}
     assert not (tmp_path / "r" / "error.json").exists()
     assert "timings.txt" not in load_json(tmp_path / "r" / "checksums.json")
 
@@ -431,12 +432,18 @@ def test_reduce_times_each_step_phase(finished_run):
     times = {}
     for line in (outdir / "timings.txt").read_text().splitlines():
         key, value = line.split(": ")
-        times[key] = float(value.removesuffix(" s"))
+        number, unit = value.split(" ")
+        # a peak RSS is in MB, a wall time in seconds
+        assert unit == ("MB" if key.endswith("_rss_mb") else "s")
+        times[key] = float(number)
     for rec in steps:
         for phase in STEP_PHASES:
             assert times[f"step{rec['l']}.{phase}_s"] >= 0.0
-    # wall times never reach the checksummed ledger
-    assert not any(key.endswith("_s") for rec in steps for key in rec)
+            assert times[f"step{rec['l']}.{phase}_rss_mb"] > 0.0
+    assert times["reduce_rss_mb"] >= max(times[f"step{rec['l']}.{phase}_rss_mb"]
+                                         for rec in steps for phase in STEP_PHASES)
+    # wall times and peak RSS never reach the checksummed ledger
+    assert not any(key.endswith(("_s", "_rss_mb")) for rec in steps for key in rec)
     assert "timings.txt" not in load_json(outdir / "checksums.json")
 
 

@@ -346,6 +346,11 @@ def test_step_records_carry_work_counters(run_n2):
                           cli._settings(manifest))
     assert [(r["pairs"], r["solve_grid_M"], r["defect_grid_M"]) for r in ref.records] == [
         (190, 0, 0), (190, 63, 63)]
+    # each Lie-series level keeps the band its mass needs, so the widest
+    # commutator takes band 12 + K_B = 18, not the work cutoff 24; the
+    # a-priori step 2 sums no level
+    assert [(r["lie_bands"], r["grid_M"]) for r in ref.records] == [([6, 6, 12, 15], 40),
+                                                                    ([], 0)]
     for rec in state.records:
         assert 0 <= rec["K_P"] <= SETTINGS_N2.work_cutoff()
         assert rec["B_truncation"] >= 0.0
@@ -366,17 +371,24 @@ def test_step_records_carry_work_counters(run_n2):
     # P after the last step is trimmed to the band the record reports
     assert state.P.K == state.records[-1]["K_P"]
     names = [name for name, _ in state.timings]
-    assert names[:4] == ["step1.solve_s", "step1.conjugate_s", "step1.norms_s",
-                         "step1.recertify_s"]
-    assert len(names) == 4 * state.l
+    assert names[:8] == ["step1.solve_s", "step1.solve_rss_mb", "step1.conjugate_s",
+                         "step1.conjugate_rss_mb", "step1.norms_s", "step1.norms_rss_mb",
+                         "step1.recertify_s", "step1.recertify_rss_mb"]
+    assert len(names) == 8 * state.l
     assert all(t >= 0.0 for _, t in state.timings)
+    # the peak RSS is a high-water mark: the conjugation's is at least the solve's
+    rss = dict(state.timings)
+    assert 0.0 < rss["step1.solve_rss_mb"] <= rss["step1.conjugate_rss_mb"]
 
 
 def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):
     """With tol far below every a-priori bound, each step forms its P+.
 
     The norms are the conjugating path's, pinned bit for bit: the early
-    stop changes nothing on a step that does not take it.
+    stop changes nothing on a step that does not take it.  Step 2's norm is
+    mostly the mass its Lie-series levels drop below CHOP_FLOOR (its
+    truncation_bound, 8.2e-16), where an l1 bound on the coefficients
+    chopping zeroes would otherwise stand.
     """
     A, P, converged, _ = run_n2
     state, _ = run_schedule(A, P, OMEGA_N2,
@@ -384,8 +396,8 @@ def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):
     assert state.l == 2 and not state.converged
     assert not any(rec["a_priori"] for rec in state.records)
     assert all(rec["lie_order"] >= 1 and rec["grid_M"] > 0 for rec in state.records)
-    assert list(state.norm_history) == [0.0009999999999999998, 5.042131847630919e-08,
-                                        2.4710809192132873e-15]
+    assert list(state.norm_history) == [0.0009999999999999998, 5.0421319290387264e-08,
+                                        8.682030479414887e-16]
     # the bound is the same number whether or not the step stops on it
     assert state.records[-1]["a_priori_bound"] == converged.records[-1]["a_priori_bound"]
 

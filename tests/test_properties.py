@@ -11,14 +11,18 @@ it must dominate ||W D(phi)||_2 for the defect D = [A,B] - i omega.dB + P_off
 of solve_variable's generator, at strip points and on the real grid, and it
 is reached without a grid SVD.  That defect, formed on the solve's pair
 stack with the other half as its mirror, is the all-entries defect to
-roundoff, and exactly hermitian.
+roundoff, and exactly hermitian; its majorant, read from the pairs, is the
+assembled series' majorant to roundoff.
 
 One conjugation step, formed as a Lie series of alias-free commutators,
 matches the dense oracle that builds exp(B) pointwise with scipy, and the
 series-tail, truncation and chopping bounds it reports dominate its
-distance to a reference formed at a larger cutoff and a higher order.  Its
-a-priori bound, formed before any commutator, dominates both that P+ and the
-reference, and a tol at the bound returns P+ as zero with no series summed.
+distance to a reference formed at a larger cutoff and a higher order.  Each
+level of its series keeps a band within what the level holds, and where the
+cutoff does not bind it drops at most CHOP_FLOOR.  Its a-priori bound,
+formed before any commutator, dominates both that P+ and the reference, and
+a tol at the bound returns P+ as zero with no series summed and no N x N
+defect assembled.
 
 One kam_step, with and without mu, leaves P+ hermitian and B
 anti-hermitian, and absorbs P's oscillating diagonal into a mu that has
@@ -212,8 +216,8 @@ def test_homological_residual_bounds_the_defect(case):
     # defect of an exact solve is roundoff, in the solver and in this sum
     bound = (sol.residual + 1e-12) * scale
     # the solution carries the defect it was measured on
-    assert np.array_equal(sol.D.coeffs,
-                          homological._generator_defect(sol.B, P, base, omega)[0].coeffs)
+    assert np.array_equal(sol.D.series().coeffs,
+                          homological._generator_defect(sol.B, P, base, omega)[0].series().coeffs)
     for z in (x + 1j * y, real.astype(complex)):
         assert top_singular_value(W[:, None] * defect_at(sol, P, base, omega, z)) <= bound
 
@@ -267,9 +271,8 @@ pair_defect_cases = st.tuples(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(pair_defect_cases)
-def test_pair_stack_defect_is_the_dense_defect_and_hermitian(case):
+def pair_defect_case(case):
+    """Hermitian P and exactly anti-hermitian B, with or without a diagonal, against lambda + mu."""
     n, N, K, K_B, K_mu, diagonal, seed = case
     P, _, _, rng = draw((n, N, K, 0.1, 0.2, seed))
     H, _, _, _ = draw((n, N, K_B, 0.1, 0.2, rng.integers(2**32)))
@@ -285,15 +288,34 @@ def test_pair_stack_defect_is_the_dense_defect_and_hermitian(case):
         mu[(slice(None),) + (K_mu,) * n] = 0.0
     base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D, d=D, delta=0.2, n=n,
                         mu=mu, K=K_mu)
-    omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])[:n]
-    Dp, M = homological._generator_defect(B, P, base, omega)
+    return B, P, base, np.array([GOLDEN, np.sqrt(2.0) - 1.0])[:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_defect_cases)
+def test_pair_stack_defect_is_the_dense_defect_and_hermitian(case):
+    B, P, base, omega = pair_defect_case(case)
+    defect, M = homological._generator_defect(B, P, base, omega)
+    Dp = defect.series()
     oracle = dense_defect(B, P, base, omega)
     assert Dp.coeffs.shape == oracle.shape
     assert np.max(np.abs(Dp.coeffs - oracle)) <= 1e-14 * np.max(np.abs(oracle))
     # the upper half is the lower half's mirror and the diagonal is hermitian
     assert Dp.hermiticity_defect() == 0.0
     # the product's grid is alias-free at band K_B + K_mu, and none without mu
-    assert M == (torus.next_fast_len(2 * (K_B + K_mu) + 2) if K_mu and N > 1 else 0)
+    K_B, K_mu = B.K, base.K
+    assert M == (torus.next_fast_len(2 * (K_B + K_mu) + 2) if K_mu and P.N > 1 else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_defect_cases, st.floats(0.0, 0.5))
+def test_pair_stack_defect_majorant_is_the_assembled_one(case, s):
+    B, P, base, omega = pair_defect_case(case)
+    defect, _ = homological._generator_defect(B, P, base, omega)
+    # the norms read the pairs; the assembled series is only the oracle here
+    got, want = defect.majorant_matrix(s), defect.series().majorant_matrix(s)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    assert np.array_equal(got, got.T)
 
 
 conjugation_cases = st.tuples(
@@ -344,7 +366,7 @@ def dense_conjugation(base, P, B, omega, M):
 def lie_reference(base, P, B, omega, order):
     """The Lie series of P+ to the given order, with no cutoff and no chopping."""
     off = P.offdiagonal_part()
-    D = homological._generator_defect(B, P, base, omega)[0]
+    D = homological._generator_defect(B, P, base, omega)[0].series()
     S = None
     for k in range(order, -1, -1):
         Y = D * (1.0 / math.factorial(k + 1))
@@ -368,8 +390,18 @@ def test_conjugate_matches_the_dense_expm_oracle(case):
 @given(conjugation_cases)
 def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
     base, P, B, omega, K_out, s = conjugation_case(case)
-    R, info = conjugate(base, P, B, homological._generator_defect(B, P, base, omega)[0], K_out, s)
+    D = homological._generator_defect(B, P, base, omega)[0]
+    R, info = conjugate(base, P, B, D, K_out, s)
     assert R.K <= K_out
+    # one band per level, top level first, each within K_out and within what
+    # the level holds: Y_k at D's band, the level above after one commutator
+    bands = info["lie_bands"]
+    assert len(bands) == (0 if info["a_priori"] else info["lie_order"] + 1)
+    assert max(bands, default=0) <= K_out
+    assert all(low <= max(high + B.K, D.K) for high, low in zip([-B.K] + bands, bands))
+    # where K_out does not bind, each level drops at most CHOP_FLOOR
+    if max(bands, default=0) < K_out:
+        assert info["truncation_bound"] <= (info["lie_order"] + 1) * CHOP_FLOOR
     ref = lie_reference(base, P, B, omega, info["lie_order"] + 6)
     gap = delta_norm(ref - R, base, s)
     bound = info["lie_tail_bound"] + info["truncation_bound"] + info["chopped_norm_bound"]
@@ -390,10 +422,17 @@ def test_the_a_priori_bound_dominates_the_formed_and_the_deeper_p_plus(case):
     slack = 1e-14 * np.sum(np.abs(ref.coeffs)) * math.exp(s * ref.K)
     assert delta_norm(R, base, s) <= bound + slack
     assert delta_norm(ref, base, s) <= bound + slack
-    # at tol = bound the same bound stops the step before any commutator
-    Z, early = conjugate(base, P, B, D, K_out, s, bound)
-    assert early["a_priori"] and early["a_priori_bound"] == bound
+    # at tol = bound the same bound stops the step before any commutator,
+    # and the defect stays on the pair stack
+    assembled = []
+    series = homological.GeneratorDefect.series
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homological.GeneratorDefect, "series",
+                   lambda self: assembled.append(self) or series(self))
+        Z, early = conjugate(base, P, B, D, K_out, s, bound)
+    assert early["a_priori"] and early["a_priori_bound"] == bound and not assembled
     assert not np.any(Z.coeffs) and early["lie_order"] == early["grid_M"] == 0
+    assert early["lie_bands"] == []
 
 
 step_cases = st.tuples(
