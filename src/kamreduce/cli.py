@@ -6,13 +6,14 @@ and writes its artifacts under the manifest's output directory.  All five
 run in one frame, _command, which alone creates that directory, writes the
 command's own event log log.<command>.jsonl (<command>.start, then
 <command>.done or error), merges <command>_s, the whole command's wall time,
-<command>_rss_mb, its peak RSS, and the body's phase timings into
-timings.txt, writes error.json on a typed failure and rewrites
-checksums.json, except after a SchemaError or an ArtifactError.  verify
-and spectrum check the checksums of just the artifacts they read, so a
-record the frame rewrote after a failure never fails them.  The same
-manifest + seed reproduces every artifact but timings.txt byte for byte;
-timings.txt is the one file left out of checksums.json.
+<command>_rss_mb, its peak RSS, <command>_minflt, its minor page faults,
+and the body's phase timings into timings.txt, writes error.json on a
+typed failure and rewrites checksums.json, except after a SchemaError or
+an ArtifactError.  verify and spectrum check the checksums of just the
+artifacts they read, so a record the frame rewrote after a failure never
+fails them.  The same manifest + seed reproduces every artifact but
+timings.txt byte for byte; timings.txt is the one file left out of
+checksums.json.
 
 FAILURES maps each typed failure to its exit code and to the reason
 error.json records; 0 is success.
@@ -100,20 +101,29 @@ class _JsonlLog:
         self._fh.close()
 
 
+def _timing_line(key: str, value) -> str:
+    """One line of timings.txt, its unit from the key's name.
+
+    A count of minor page faults (_minflt) in faults, a peak RSS (_mb) in
+    MB, anything else in seconds.
+    """
+    if key.endswith("_minflt"):
+        return f"{key}: {value} faults\n"
+    return f"{key}: {value:.6f} {'MB' if key.endswith('_mb') else 's'}\n"
+
+
 def _write_timings(outdir, timings: dict) -> None:
     """Merge timings into timings.txt; keys of earlier commands are kept.
 
-    A key's unit comes from its name: MB for a peak RSS (_mb), else
-    seconds.  Not checksummed and not JSON: the one artifact allowed to
-    differ between replays.
+    Not checksummed and not JSON: the one artifact allowed to differ
+    between replays.
     """
     path = os.path.join(outdir, "timings.txt")
     lines = {}
     if os.path.isfile(path):
         with open(path) as fh:
             lines = {line.split(":", 1)[0]: line for line in fh if ":" in line}
-    lines.update({key: f"{key}: {value:.6f} {'MB' if key.endswith('_mb') else 's'}\n"
-                  for key, value in timings.items()})
+    lines.update({key: _timing_line(key, value) for key, value in timings.items()})
     with open(path, "w") as fh:
         fh.writelines(lines[key] for key in sorted(lines))
 
@@ -177,8 +187,9 @@ def _command(body):
                 log.close()
         if log is not None:
             timings[f"{name}_s"] = time.perf_counter() - t0
-            # ru_maxrss counts kB on Linux
-            timings[f"{name}_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            timings[f"{name}_rss_mb"] = usage.ru_maxrss / 1024   # ru_maxrss counts kB on Linux
+            timings[f"{name}_minflt"] = usage.ru_minflt
             _write_timings(outdir, timings)
             if not isinstance(failure, (SchemaError, ArtifactError)):
                 write_checksums(outdir)
@@ -429,10 +440,10 @@ def cmd_reduce(manifest: RunManifest, log, timings, args):
         )
 
     gen_meta = []
-    for idx, gen in enumerate(reduced.generators):
+    for idx, (gen, dropped) in enumerate(zip(reduced.generators, reduced.dropped, strict=True)):
         name = f"generator_{idx:02d}.npy"
         write_array(os.path.join(outdir, name), gen.coeffs)
-        gen_meta.append({"K": gen.K, "file": name, "n": gen.n})
+        gen_meta.append({"K": gen.K, "dropped": dropped, "file": name, "n": gen.n})
     doc = {name: getattr(reduced, name) for name in _REDUCED_SCALARS + _REDUCED_VECTORS}
     doc.update(generators=gen_meta, mu_inf=None, norm_history=list(state.norm_history),
                steps=state.l)
@@ -484,6 +495,8 @@ def _load_reduced(outdir: str):
         **{name: np.asarray(doc[name], dtype=float) for name in _REDUCED_VECTORS},
         mu_inf=mu,
         generators=tuple(gens),
+        # a reduced.json from before generators were cut holds them whole
+        dropped=tuple(meta.get("dropped", 0.0) for meta in doc["generators"]),
     )
 
 
@@ -491,6 +504,7 @@ def _load_reduced(outdir: str):
 def cmd_verify(manifest: RunManifest, log, timings, args):
     import numpy as np
 
+    from .engine import _peak_rss_mb
     from .floquet import (
         integrator_costs,
         propagate_step_doubled,
@@ -500,6 +514,7 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
     from .serialize import write_json
 
     reduced = _load_reduced(manifest.out)
+    timings["verify.load_rss_mb"] = _peak_rss_mb()
     base, P = _build_model(manifest)
     cfg = manifest.verify or {}
     t_max = cfg.get("t_max", 50.0)
@@ -518,12 +533,14 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
 
     with _timed(timings, "verify.reconstruct_s"):
         R = reconstruct_solution(reduced, identity, phi0, ts)
+    timings["verify.reconstruct_rss_mb"] = _peak_rss_mb()
     # the integrator the cost model predicts cheaper; CF4 on a tie
     costs = integrator_costs(base, P, omega, times)
     integrator = min(costs, key=costs.get)
     with _timed(timings, "verify.direct_s"):
         Phi, dt, steps, estimate = propagate_step_doubled(
             base, P, omega, identity, phi0, times, integrator)
+    timings["verify.direct_rss_mb"] = _peak_rss_mb()
     Phi_t = Phi[np.searchsorted(times, ts)]
     direct, recon = Phi_t @ psi0, R @ psi0
     dev = float(np.max(np.linalg.norm(recon - direct, axis=1)))

@@ -176,6 +176,8 @@ def _dio2_window(omegas: np.ndarray, gaps: np.ndarray, scale: np.ndarray,
         r = reach / float(np.min(weight[cols]))
         lo = np.searchsorted(neg, x - r, side="left")
         count = np.searchsorted(neg, x + r, side="right") - lo
+        if not count.any():
+            continue
         ent = np.repeat(np.arange(len(x)), count)    # the entry of each candidate
         rank = np.arange(len(ent)) - (np.cumsum(count) - count)[ent]  # its place in the window
         p = order[lo[ent] + rank]

@@ -175,7 +175,11 @@ class KamState:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Constant-diagonal normal form with the conjugating generators."""
+    """Constant-diagonal normal form with the conjugating generators.
+
+    Each generator is stored at its live band; dropped[l] bounds what that
+    cut lost, sup_phi ||B_l - generators[l]||_2 (run_schedule).
+    """
 
     lambda_inf: np.ndarray
     mu_inf: np.ndarray | None       # (N, modes...) coefficient stack or None
@@ -183,6 +187,7 @@ class ReducedSystem:
     n: int
     omega: np.ndarray
     generators: tuple = ()
+    dropped: tuple = ()
     lambda_ref: np.ndarray | None = None   # unperturbed eigenvalues for the drift fit
     epsilon: float = 0.0
     converged: bool = True
@@ -246,17 +251,42 @@ def _taylor_degree(b: float, tol: float = _UNIT_ROUNDOFF) -> int:
     return m
 
 
-def _taylor_polynomial(A: np.ndarray, m: int) -> np.ndarray:
+class _Workspace:
+    """Named scratch arrays that a loop of batched kernels reuses from call to call.
+
+    take(name, shape) is a view of the name's buffer, allocated at its
+    first request and again only when a request outgrows it, so a loop whose
+    calls want the same shapes allocates each buffer once, and a smaller
+    request, such as a sweep's shorter last chunk, is a view of its first
+    elements.  Each array a kernel returns lives in a buffer and is
+    overwritten by the next call with the same workspace.  Freeing the
+    workspace frees what no returned array still holds.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get((name, dtype))
+        if buf is None or buf.size < size:
+            buf = self._buffers[name, dtype] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _taylor_polynomial(A: np.ndarray, m: int, work: _Workspace | None = None) -> np.ndarray:
     """sum_{k <= m} A^k / k! for a batch (C, N, N), by Paterson-Stockmeyer.
 
     With block size s = ceil(sqrt(m)) it forms A^2 .. A^s and runs Horner in
     A^s over the blocks B_j = sum_{i < s} A^i / (js + i)!: about 2 sqrt(m)
-    batched products instead of m.
+    batched products instead of m.  Every array is taken from work (a fresh
+    workspace if None), and so is the result.
     """
+    work = _Workspace() if work is None else work
     C, N, _ = A.shape
     s = math.isqrt(m - 1) + 1 if m else 1
     r = m // s
-    pows = np.empty((s,) + A.shape, dtype=complex)        # pows[i] = A^(i+1)
+    pows = work.take("pows", (s,) + A.shape)             # pows[i] = A^(i+1)
     pows[0] = A
     for i in range(1, s):
         np.matmul(pows[i - 1], A, out=pows[i])
@@ -264,35 +294,48 @@ def _taylor_polynomial(A: np.ndarray, m: int) -> np.ndarray:
     weights = np.array([[inv[j * s + i] for i in range(1, s)] for j in range(r + 1)])
     # one real (r + 1, s - 1) x (s - 1, 2 C N N) product forms every block
     flat = pows[: s - 1].view(float).reshape(s - 1, 2 * A.size)
-    blocks = (weights @ flat).view(complex).reshape((r + 1,) + A.shape)
+    blocks = work.take("blocks", (r + 1,) + A.shape)
+    np.matmul(weights, flat, out=blocks.view(float).reshape(r + 1, 2 * A.size))
     identity = np.array(inv[: r * s + 1 : s])[:, None, None]
     blocks.reshape(r + 1, C, N * N)[:, :, :: N + 1] += identity
+    # the powers below A^s are dead once the blocks are formed, so Horner's
+    # products alternate between the first two (two more arrays when s < 3):
+    # step j writes horner[j % 2], and the result is in horner[0] or a block
+    horner = pows[:2] if s >= 3 else work.take("horner", (2,) + A.shape)
     if m % s == 0 and r:                                  # top block is I / m!
         r -= 1
-        E = pows[-1] * inv[m] + blocks[r]
+        E = np.multiply(pows[-1], inv[m], out=horner[r % 2])
+        E += blocks[r]
     else:
         E = blocks[r]
     for j in range(r - 1, -1, -1):
-        E = pows[-1] @ E
+        E = np.matmul(pows[-1], E, out=horner[j % 2])
         E += blocks[j]
     return E
 
 
-def _expm_taylor(A: np.ndarray) -> np.ndarray:
+def _expm_taylor(A: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """exp(A) for a batch (C, N, N): one Taylor degree for the whole batch.
 
     The degree comes from the batch's largest 1-norm b, with a remainder
     below 2^-53; above _SCALE_BOUND the batch is scaled by 2^-q, the fewest
     halvings that bring b to _SCALE_BOUND or below, and the result squared
-    q times.  This is the step exponential of verify.
+    q times.  This is the step exponential of verify.  Every array is taken
+    from work (a fresh workspace if None), and so is the result.
     """
-    b = float(np.max(np.sum(np.abs(A), axis=-2)))
+    work = _Workspace() if work is None else work
+    b = float(np.max(np.sum(np.abs(A, out=work.take("abs", A.shape, float)), axis=-2)))
     if not math.isfinite(b):
         raise KamError("non-finite matrix in a Taylor exponential")
     q = math.ceil(math.log2(b / _SCALE_BOUND)) if b > _SCALE_BOUND else 0
-    E = _taylor_polynomial(A / 2.0**q if q else A, _taylor_degree(b / 2.0**q))
-    for _ in range(q):
-        E = E @ E
+    if q:
+        # scaled straight into the first power, where _taylor_polynomial puts A
+        A = np.divide(A, 2.0**q, out=work.take("pows", A.shape))
+    E = _taylor_polynomial(A, _taylor_degree(b / 2.0**q), work)
+    # the powers are dead and E is in their first slot or elsewhere, so the
+    # squarings alternate between the first two slots, starting with the second
+    for i in range(q):
+        E = np.matmul(E, E, out=work.take("pows", (2,) + A.shape)[(i + 1) % 2])
     return E
 
 
@@ -627,7 +670,15 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
 
 
 def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSettings):
-    """Iterate kam_step until ||P|| < tol or l_max; returns (state, ReducedSystem)."""
+    """Iterate kam_step until ||P|| < tol or l_max; returns (state, ReducedSystem).
+
+    The state keeps each generator at the band it was solved on.  The
+    reduced system keeps the band that Lie-series levels keep, at s = 0 and
+    unit weight (_level_band): the smallest band whose dropped shells have
+    a majorant of spectral norm at most CHOP_FLOOR.  That majorant bounds
+    sup_phi ||B - B_cut||_2 on the real torus and, as both are
+    anti-hermitian, ||exp(B) - exp(B_cut)||_2 too.
+    """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     n = P0.n
     if settings.tau <= n + 2.0 / (A0.d - 1.0):
@@ -669,13 +720,15 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
                                / (idx ** A0.delta * settings.epsilon)))
     else:
         shift_c = 0.0
+    cuts = [_level_band(B, np.ones(B.N), 0.0, 1.0, B.K) for B in state.generators]
     rs = ReducedSystem(
         lambda_inf=state.base.lam,
         mu_inf=state.base.mu,
         K_mu=state.base.K,
         n=n,
         omega=w,
-        generators=state.generators,
+        generators=tuple(B.truncate(K) for B, (K, _) in zip(state.generators, cuts)),
+        dropped=tuple(dropped for _, dropped in cuts),
         lambda_ref=lam_ref,
         epsilon=settings.epsilon,
         converged=state.converged,

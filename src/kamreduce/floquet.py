@@ -21,9 +21,10 @@ as operators; for n = 1 it hands Phi(T) to quasienergies_from_period_map.
 
 One propagation loop, _sweep, carries a state or a block of states through
 the output times: it asks an exponential kernel for a chunk of steps at a
-time, across intervals, and multiplies them as a tree.  Both kernels read
-the forcing P(phi) + diag(mu(phi)) from one table, _forcing: the modes k
-where P or mu is nonzero and C_k = P_k + diag(mu_k).  CF4,
+time, across intervals, and multiplies them as a tree, the kernel and the
+tree writing into one engine._Workspace that the caller's sweeps share.
+Both kernels read the forcing P(phi) + diag(mu(phi)) from one table,
+_forcing: the modes k where P or mu is nonzero and C_k = P_k + diag(mu_k).  CF4,
 _cf4_exponentials, is the fourth-order commutator-free Magnus step (Blanes
 & Moan, Appl. Numer. Math. 56 (2006) 1519): two exponentials of
 combinations of H = diag(lambda) + sum_k e^{ik.phi} C_k at the step's
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ReducedSystem, _compose, _expm_taylor
+from .engine import ReducedSystem, _compose, _expm_taylor, _Workspace
 from .errors import KamError
 from .homological import _primitive
 from .torus import DiagonalPart, OperatorSeries, k_box
@@ -188,41 +189,57 @@ _MAGNUS_BOUND = math.pi
 _ERROR_TOL = 1e-10
 _MAX_HALVINGS = 4
 # steps per call of an exponential kernel.  A CF4 step is two exponentials,
-# so a chunk is 32 matrices, 295 KB at N = 24.  Timed over verify's two
-# sweeps in fresh processes, 16 took 0.38 s against 0.61 s for 32 on the
-# N = 24 oscillator and 0.32 s against 0.31 s on the N = 20 reference-n2
+# so a chunk is 32 matrices, 205 KB at N = 20, and a sweep's workspace holds
+# about fifteen such arrays.  When each chunk allocated its own arrays, 32
+# steps took 73k minor page faults and 0.57-0.71 s of reference-n2's
+# verify.direct_s, against 10k and 0.33-0.41 s for 16, in fresh processes
+# with one BLAS thread.  With the workspace the two take the same time
+# (medians 0.41 and 0.43 s) and faults (9.4-10.0k and 10.1-10.7k), but 32
+# peaks 3 MB higher there and 7 MB higher at N = 30
 _CHUNK = 16
 
 
-def _ordered_product(E: np.ndarray) -> np.ndarray:
-    """E[-1] @ ... @ E[1] @ E[0], multiplied pairwise level by level."""
+def _ordered_product(E: np.ndarray, work: _Workspace) -> np.ndarray:
+    """E[-1] @ ... @ E[1] @ E[0], multiplied pairwise level by level.
+
+    The levels alternate between two of work's buffers, so the result is
+    overwritten by the next call with the same workspace.
+    """
+    level = 0
     while len(E) > 1:
-        even = len(E) - len(E) % 2
-        paired = E[1:even:2] @ E[0:even:2]
-        E = np.concatenate([paired, E[even:]]) if even < len(E) else paired
+        half, odd = divmod(len(E), 2)
+        out = work.take(f"product{level % 2}", (half + odd,) + E.shape[1:])
+        np.matmul(E[1:2 * half:2], E[0:2 * half:2], out=out[:half])
+        if odd:
+            out[half] = E[-1]
+        E, level = out, level + 1
     return E[0]
 
 
 def _cf4_exponentials(base, P, omega, phi0):
-    """(a, h) -> the CF4 steps from a[j] of length h[j], shape (len(a), 2, N, N).
+    """(a, h, work) -> the CF4 steps from a[j] of length h[j], shape (len(a), 2, N, N).
 
     Step j is exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)), the
     right factor first, with H1, H2 the Hamiltonian diag(lambda) + sum_k
     e^{ik.phi} C_k of the forcing table at the Gauss points a + (1/2 -+
-    sqrt(3)/6) h, built for the whole batch.
+    sqrt(3)/6) h, built for the whole batch.  Every array of the batch's
+    size is taken from work, and so are the steps.
     """
     N = base.N
     ks, C = _forcing(base, P)
     C = C.reshape(len(ks), N * N)
 
-    def exponentials(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def exponentials(a: np.ndarray, h: np.ndarray, work: _Workspace) -> np.ndarray:
         nodes = a[:, None] + _GAUSS[None, :] * h[:, None]
         phis = phi0[None, :] + nodes.reshape(-1, 1) * omega[None, :]
-        H = np.exp(1j * (phis @ ks.T)) @ C
+        x = np.matmul(phis, ks.T, out=work.take("x", (len(phis), len(ks)), float))
+        phase = np.multiply(1j, x, out=work.take("phase", x.shape))
+        H = np.matmul(np.exp(phase, out=phase), C, out=work.take("H", (len(phis), N * N)))
         H[:, ::N + 1] += base.lam
         weights = -1j * h[:, None, None] * _CF4_WEIGHTS
-        H = weights @ H.reshape(len(a), 2, N * N)
-        return _expm_taylor(H.reshape(2 * len(a), N, N)).reshape(len(a), 2, N, N)
+        A = np.matmul(weights, H.reshape(len(a), 2, N * N),
+                      out=work.take("A", (len(a), 2, N * N)))
+        return _expm_taylor(A.reshape(2 * len(a), N, N), work).reshape(len(a), 2, N, N)
     return exponentials
 
 
@@ -379,21 +396,26 @@ class _Interaction:
         self.tables.append((h, W))
         return W
 
-    def exponentials(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def exponentials(self, a: np.ndarray, h: np.ndarray, work: _Workspace) -> np.ndarray:
         """The Magnus steps from a[j] of length h[j], shape (len(a), 1, N, N).
 
         The exponent sum_r e^{i r.omega a} W_r comes from the table of each
         distinct length in the batch, and each exponential is followed by
-        e^{-iAh}.
+        e^{-iAh}.  Every array of the batch's size is taken from work, and
+        so are the steps.
         """
         N = len(self.lam)
-        Wa = np.empty((len(a), N * N), dtype=complex)
+        Wa = work.take("Wa", (len(a), N * N))
+        part = work.take("part", (len(a), N * N))
         lengths, which = np.unique(h, return_inverse=True)
         for i, length in enumerate(lengths):
             W = self.generator(length).reshape(len(self.rate), N * N)
-            Wa[which == i] = np.exp(1j * np.outer(a[which == i], self.rate)) @ W
+            rows = which == i
+            phase = np.exp(1j * np.outer(a[rows], self.rate))
+            Wa[rows] = np.matmul(phase, W, out=part[:len(phase)])
         decay = np.exp(-1j * h[:, None] * self.lam)[:, :, None]
-        return (decay * _expm_taylor(Wa.reshape(-1, N, N)))[:, None]
+        E = _expm_taylor(Wa.reshape(-1, N, N), work)
+        return np.multiply(decay, E, out=E)[:, None]
 
 
 def _coarse_step(base: DiagonalPart, P: OperatorSeries | None, omega, integrator: str,
@@ -474,14 +496,17 @@ def integrator_costs(base: DiagonalPart, P: OperatorSeries | None, omega, ts) ->
     return {name: float(cost) for name, cost in costs.items()}
 
 
-def _sweep(exponentials, psi, ts, steps) -> np.ndarray:
+def _sweep(exponentials, psi, ts, steps, work: _Workspace) -> np.ndarray:
     """psi carried through ts with steps[m] equal steps in interval m, from t_{m-1} to t_m.
 
-    t_{-1} = 0.  exponentials(a, h) gives the steps that start at a with
-    lengths h, shape (steps, e, N, N) with each step's e factors in the
+    t_{-1} = 0.  exponentials(a, h, work) gives the steps that start at a
+    with lengths h, shape (steps, e, N, N) with each step's e factors in the
     order they apply.  It is asked for _CHUNK steps at a time, across
     intervals; the part of a chunk in one interval is multiplied as a tree
-    and applied to psi, and out[m] is psi at t_m.
+    and applied to psi, and out[m] is psi at t_m.  The kernel and the tree
+    take their arrays from work, sized by the first chunk and reused by
+    every later one, so a sweep allocates its chunk-sized arrays once, not
+    per chunk.  Its caller owns work and frees it once its sweeps are done.
     """
     starts = np.concatenate([[0.0], ts[:-1]])
     h = np.repeat((ts - starts) / np.maximum(steps, 1), steps)
@@ -491,10 +516,10 @@ def _sweep(exponentials, psi, ts, steps) -> np.ndarray:
     for m, end in enumerate(np.cumsum(steps)):
         while at < end:
             if at % _CHUNK == 0:
-                chunk = exponentials(a[at:at + _CHUNK], h[at:at + _CHUNK])
+                chunk = exponentials(a[at:at + _CHUNK], h[at:at + _CHUNK], work)
             stop = min(end, at - at % _CHUNK + _CHUNK)
             part = chunk[at % _CHUNK:][:stop - at]
-            psi = _ordered_product(part.reshape((-1,) + part.shape[2:])) @ psi
+            psi = _ordered_product(part.reshape((-1,) + part.shape[2:]), work) @ psi
             at = stop
         out[m] = psi
     return out
@@ -531,7 +556,7 @@ def propagate_direct(
     """
     omega, psi, phi0, ts = _inputs(omega, psi0, phi0, ts)
     _, steps = step_plan(base, P, omega, ts, dt)
-    return _sweep(_cf4_exponentials(base, P, omega, phi0), psi, ts, steps)
+    return _sweep(_cf4_exponentials(base, P, omega, phi0), psi, ts, steps, _Workspace())
 
 
 def propagate_step_doubled(base: DiagonalPart, P: OperatorSeries | None, omega, psi0, phi0, ts,
@@ -545,15 +570,18 @@ def propagate_step_doubled(base: DiagonalPart, P: OperatorSeries | None, omega, 
     every interval's steps are doubled, the old fine sweep becoming the
     coarse one, so each halving costs one sweep; after _MAX_HALVINGS halvings
     it raises KamError.  Returns (psi_t, dt, steps, e) for the accepted fine
-    sweep, psi_t as from propagate_direct.
+    sweep, psi_t as from propagate_direct.  The sweeps share one workspace,
+    so a fine sweep reuses the arrays the coarse one faulted in; it is freed
+    on return.
     """
     omega, psi, phi0, ts = _inputs(omega, psi0, phi0, ts)
     dt, steps = step_plan(base, P, omega, ts, integrator=integrator)
     exponentials = (_Interaction(base, P, omega, phi0).exponentials if integrator == "magnus"
                     else _cf4_exponentials(base, P, omega, phi0))
-    coarse = _sweep(exponentials, psi, ts, steps // 2)
+    work = _Workspace()
+    coarse = _sweep(exponentials, psi, ts, steps // 2, work)
     for _ in range(_MAX_HALVINGS + 1):
-        fine = _sweep(exponentials, psi, ts, steps)
+        fine = _sweep(exponentials, psi, ts, steps, work)
         diff = (fine - coarse).reshape(len(ts), base.N, -1)
         estimate = float(np.max(np.linalg.norm(diff, ord=2, axis=(1, 2))))
         estimate /= 2.0 ** _ORDER[integrator] - 1.0

@@ -340,7 +340,9 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
         Hd = _primitive(mud, n, K_mu, omega, live, pairs)
         # each product writes into its second operand: np.multiply(a, b, out=b)
         # rounds as np.multiply(a, b) does (only swapping the operands moves
-        # bits).  Each grid is dropped once used, so at most three are alive
+        # bits).  Each grid is dropped once used, yet four grid-sized arrays
+        # are alive at the peak: the factor, the product grid gb, and the
+        # FFT table and centred copy that grid_to_coeffs(gb, n, K) makes
         gH = coeffs_to_grid(Hd, n, K_mu, M)
         factor = np.exp(1j * gH)
         del gH

@@ -250,9 +250,18 @@ class _Series:
         return coeffs_to_grid(self.coeffs, self.n, self.K, M)
 
     def at(self, phis: np.ndarray) -> np.ndarray:
-        """Values at a batch of angles phis (T, n), shape (T,) + trailing axes."""
-        phases = np.exp(1j * (phis @ k_box(self.n, self.K).T))   # (T, m)
-        values = phases @ self.coeffs.reshape(phases.shape[1], -1)
+        """Values at a batch of angles phis (T, n), shape (T,) + trailing axes.
+
+        Summed one slab of the first mode axis at a time, so the phase table
+        e^{ik.phi} holds the (2K+1)^(n-1) modes of one slab, never all
+        (2K+1)^n.
+        """
+        ks = k_box(self.n, self.K).reshape(2 * self.K + 1, -1, self.n)
+        coeffs = self.coeffs.reshape(ks.shape[:2] + (-1,))
+        values = np.zeros((len(phis), coeffs.shape[-1]), dtype=complex)
+        term = np.empty_like(values)
+        for k, c in zip(ks, coeffs):
+            values += np.matmul(np.exp(1j * (phis @ k.T)), c, out=term)
         return values.reshape((len(phis),) + self._tail)
 
     def __call__(self, phi):

@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 from kamreduce import cli
+from kamreduce.engine import run_schedule
 from kamreduce.errors import SchemaError
 from kamreduce.serialize import RunManifest, load_json
+from kamreduce.torus import CHOP_FLOOR
 
 OMEGA = 0.13799890521733005
 # certified in test_engine for two angles (tau = 9, every N up to 12)
@@ -143,6 +145,23 @@ def test_reduce_reference_artifacts(finished_run):
     assert events[0]["event"] == "reduce.start"
     assert events[-1] == {"converged": True, "event": "reduce.done", "final_norm":
                           red["norm_history"][-1], "steps": red["steps"]}
+
+
+def test_reduced_json_round_trips_the_cut_generators(finished_run):
+    # reduced.json's K is the stored band and dropped its bound; loading
+    # gives back the schedule's generators bit for bit, anti-hermitian
+    _, manifest, outdir = finished_run
+    doc = RunManifest.load(manifest)
+    base, P = cli._build_model(doc)
+    _, expect = run_schedule(base, P, [OMEGA], cli._settings(doc))
+    got = cli._load_reduced(str(outdir))
+    metas = load_json(outdir / "reduced.json")["generators"]
+    assert got.dropped == expect.dropped == tuple(meta["dropped"] for meta in metas)
+    assert 0.0 < max(got.dropped) <= CHOP_FLOOR
+    for gen, want, meta in zip(got.generators, expect.generators, metas, strict=True):
+        assert gen.K == want.K == meta["K"]
+        assert gen.coeffs.tobytes() == want.coeffs.tobytes()
+        assert gen.antihermiticity_defect() == 0.0
 
 
 def test_reduce_epsilon_zero_immediate(tmp_path):
@@ -413,13 +432,15 @@ def test_five_commands_in_one_directory_keep_their_logs_and_timings(tmp_path):
     keys = [line.split(":")[0] for line in lines]
     assert keys == sorted(keys)
     steps = load_json(tmp_path / "r" / "steps.json")
-    assert set(keys) == {f"{cmd}{unit}" for cmd in COMMANDS for unit in ("_s", "_rss_mb")} | {
+    assert set(keys) == {f"{cmd}{unit}" for cmd in COMMANDS
+                         for unit in ("_s", "_rss_mb", "_minflt")} | {
         "build_s",
         "reduce.schedule_s",
         "verify.direct_s",
         "verify.monodromy_s",
         "verify.reconstruct_s",
-    } | {f"step{rec['l']}.{phase}{unit}" for rec in steps for phase in STEP_PHASES
+    } | {f"verify.{phase}_rss_mb" for phase in ("load", "reconstruct", "direct")
+         } | {f"step{rec['l']}.{phase}{unit}" for rec in steps for phase in STEP_PHASES
          for unit in ("_s", "_rss_mb")}
     assert not (tmp_path / "r" / "error.json").exists()
     assert "timings.txt" not in load_json(tmp_path / "r" / "checksums.json")
@@ -433,8 +454,12 @@ def test_reduce_times_each_step_phase(finished_run):
     for line in (outdir / "timings.txt").read_text().splitlines():
         key, value = line.split(": ")
         number, unit = value.split(" ")
-        # a peak RSS is in MB, a wall time in seconds
-        assert unit == ("MB" if key.endswith("_rss_mb") else "s")
+        # a peak RSS is in MB, a fault count a whole number of faults, a
+        # wall time in seconds
+        if key.endswith("_minflt"):
+            assert unit == "faults" and int(number) > 0
+        else:
+            assert unit == ("MB" if key.endswith("_rss_mb") else "s")
         times[key] = float(number)
     for rec in steps:
         for phase in STEP_PHASES:

@@ -7,31 +7,47 @@ for the integrator order and its step-doubling error estimate, a
 step-by-step eigh loop for the batched CF4 stepping kernel, each kernel's
 own exponentials applied one step at a time for the sweep, mpmath at 40
 digits (checked against its own quadrature) for the oscillatory integrals
-of the interaction-picture Magnus step, CF4 for that step's sweeps, and
-linear_sum_assignment for the period map's mode matching.  The reduction used by the end-to-end cases is the
-small n=1 instance from the engine tests (frequency certified there).
+of the interaction-picture Magnus step, CF4 for that step's sweeps,
+linear_sum_assignment for the period map's mode matching, the allocating
+kernels that the sweep's workspace replaced (bit for bit), and a mask sum
+over the mode box for the bound on what a stored generator's cut drops.
+The reduction used by the end-to-end cases is the small n=1 instance from
+the engine tests (frequency certified there).
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from kamreduce.engine import KamSettings, ReducedSystem, _taylor_degree, run_schedule
+from kamreduce.engine import (
+    KamSettings,
+    ReducedSystem,
+    _taylor_degree,
+    _taylor_polynomial,
+    _Workspace,
+    run_schedule,
+)
 from kamreduce.errors import DivisorTooSmall, KamError
 from kamreduce.floquet import (
+    _CF4_WEIGHTS,
     _CHUNK,
     _ERROR_TOL,
+    _GAUSS,
     _MAGNUS_STEP,
     FloquetSpectrum,
     _cf4_exponentials,
     _expm_taylor,
+    _forcing,
     _Interaction,
     _match_modes,
     _mean_phase,
     _moments,
+    _ordered_product,
     _phase_integral,
     _sweep,
     floquet_spectrum,
@@ -45,7 +61,7 @@ from kamreduce.floquet import (
 )
 from kamreduce.homological import torus_primitive
 from kamreduce.models import abstract_base, build_abstract_model
-from kamreduce.torus import DiagonalPart, OperatorSeries, TorusSeries
+from kamreduce.torus import CHOP_FLOOR, DiagonalPart, OperatorSeries, TorusSeries, k_box
 
 OMEGA_N1 = np.array([0.13799890521733005])  # certified in test_engine
 
@@ -109,6 +125,31 @@ def test_spectrum_kmax_zero_is_lambda():
 # ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
+
+def _shell_tail(B, K):
+    """||sum_{|k|_inf > K} |B_k| ||_2, summed over a mask of the mode box."""
+    shell = np.max(np.abs(k_box(B.n, B.K)), axis=1).reshape((2 * B.K + 1,) * B.n)
+    return float(np.linalg.norm(np.abs(B.coeffs)[shell > K].sum(axis=0), 2))
+
+
+def test_reduced_generators_keep_their_live_band(small_run):
+    # the stored band is the smallest whose dropped shells weigh at most
+    # CHOP_FLOOR, and that weight bounds the change of the reconstruction
+    A, P, _ = small_run
+    state, reduced = run_schedule(A, P, OMEGA_N1, SETTINGS)
+    assert any(cut.K < B.K for B, cut in zip(state.generators, reduced.generators))
+    for B, cut, dropped in zip(state.generators, reduced.generators, reduced.dropped, strict=True):
+        assert cut.coeffs.tobytes() == B.truncate(cut.K).coeffs.tobytes()
+        assert dropped == pytest.approx(_shell_tail(B, cut.K), rel=1e-12, abs=0.0)
+        assert dropped <= CHOP_FLOOR
+        assert cut.K == 0 or _shell_tail(B, cut.K - 1) > CHOP_FLOOR
+        assert cut.antihermiticity_defect() == 0.0
+    whole = replace(reduced, generators=state.generators, dropped=())
+    phi0, ts = np.array([0.4]), np.linspace(0.5, 30.0, 25)
+    diff = (reconstruct_solution(reduced, np.eye(A.N), phi0, ts)
+            - reconstruct_solution(whole, np.eye(A.N), phi0, ts))
+    assert np.max(np.linalg.norm(diff, ord=2, axis=(1, 2))) <= sum(reduced.dropped) + 1e-14
+
 
 def test_reconstruction_is_unitary_and_solves_equation(small_run):
     A, P, reduced = small_run
@@ -411,6 +452,126 @@ def test_step_exponential_matches_eigh(N, bound):
     assert np.max(np.abs(_expm_taylor(-1j * H) - _eigh_exp(H, 1.0))) <= 1e-14
 
 
+# The allocating kernels the workspace replaced, kept as oracles: every
+# array is fresh, and each product is formed as an expression
+
+
+def _taylor_polynomial_alloc(A, m):
+    C, N, _ = A.shape
+    s = math.isqrt(m - 1) + 1 if m else 1
+    r = m // s
+    pows = np.empty((s,) + A.shape, dtype=complex)
+    pows[0] = A
+    for i in range(1, s):
+        np.matmul(pows[i - 1], A, out=pows[i])
+    inv = [1.0 / math.factorial(k) for k in range(m + 1)] + [0.0] * s
+    weights = np.array([[inv[j * s + i] for i in range(1, s)] for j in range(r + 1)])
+    flat = pows[: s - 1].view(float).reshape(s - 1, 2 * A.size)
+    blocks = (weights @ flat).view(complex).reshape((r + 1,) + A.shape)
+    identity = np.array(inv[: r * s + 1 : s])[:, None, None]
+    blocks.reshape(r + 1, C, N * N)[:, :, :: N + 1] += identity
+    if m % s == 0 and r:
+        r -= 1
+        E = pows[-1] * inv[m] + blocks[r]
+    else:
+        E = blocks[r]
+    for j in range(r - 1, -1, -1):
+        E = pows[-1] @ E
+        E += blocks[j]
+    return E
+
+
+def _expm_taylor_alloc(A):
+    b = float(np.max(np.sum(np.abs(A), axis=-2)))
+    q = math.ceil(math.log2(b)) if b > 1.0 else 0
+    E = _taylor_polynomial_alloc(A / 2.0**q if q else A, _taylor_degree(b / 2.0**q))
+    for _ in range(q):
+        E = E @ E
+    return E
+
+
+def _ordered_product_alloc(E):
+    while len(E) > 1:
+        even = len(E) - len(E) % 2
+        paired = E[1:even:2] @ E[0:even:2]
+        E = np.concatenate([paired, E[even:]]) if even < len(E) else paired
+    return E[0]
+
+
+def _cf4_alloc(base, P, omega, phi0, a, h):
+    N = base.N
+    ks, C = _forcing(base, P)
+    nodes = a[:, None] + _GAUSS[None, :] * h[:, None]
+    phis = phi0[None, :] + nodes.reshape(-1, 1) * omega[None, :]
+    H = np.exp(1j * (phis @ ks.T)) @ C.reshape(len(ks), N * N)
+    H[:, ::N + 1] += base.lam
+    H = (-1j * h[:, None, None] * _CF4_WEIGHTS) @ H.reshape(len(a), 2, N * N)
+    return _expm_taylor_alloc(H.reshape(2 * len(a), N, N)).reshape(len(a), 2, N, N)
+
+
+def _magnus_alloc(step, a, h):
+    N = len(step.lam)
+    Wa = np.empty((len(a), N * N), dtype=complex)
+    lengths, which = np.unique(h, return_inverse=True)
+    for i, length in enumerate(lengths):
+        W = step.generator(length).reshape(len(step.rate), N * N)
+        Wa[which == i] = np.exp(1j * np.outer(a[which == i], step.rate)) @ W
+    decay = np.exp(-1j * h[:, None] * step.lam)[:, :, None]
+    return (decay * _expm_taylor_alloc(Wa.reshape(-1, N, N)))[:, None]
+
+
+def _same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_workspace_kernels_are_bit_identical_to_allocating_ones(small_run):
+    # one workspace across calls that grow it, shrink to views of it, and
+    # change the Taylor degree and the number of squarings
+    rng = np.random.default_rng(7)
+    work = _Workspace()
+    for C, N, bound in [(32, 6, 0.05), (5, 6, 0.9), (32, 6, 40.0), (40, 9, 3.0), (3, 9, 1e-9)]:
+        X = rng.standard_normal((C, N, N)) + 1j * rng.standard_normal((C, N, N))
+        A = -1j * (X + np.conj(np.swapaxes(X, -1, -2)))
+        A *= bound / np.max(np.sum(np.abs(A), axis=-2))
+        assert _same_bits(_expm_taylor(A, work), _expm_taylor_alloc(A))
+        for m in (0, 1, 4, 9, 18):
+            assert _same_bits(_taylor_polynomial(A, m, work), _taylor_polynomial_alloc(A, m))
+        for count in (1, 2, 7, C):
+            assert _same_bits(_ordered_product(A[:count], work), _ordered_product_alloc(A[:count]))
+    # the two step kernels, on a full chunk, a shorter one and mixed lengths
+    A, P, _ = small_run
+    phi0 = np.array([0.3])
+    cf4 = _cf4_exponentials(A, P, OMEGA_N1, phi0)
+    magnus = _Interaction(A, P, OMEGA_N1, phi0)
+    work = _Workspace()
+    for count, lengths in [(_CHUNK, [0.01]), (5, [0.01]), (_CHUNK, [0.01, 0.02, 0.01 + 1e-15])]:
+        a = 0.7 + 0.013 * np.arange(count)
+        h = np.resize(np.array(lengths), count)
+        assert _same_bits(cf4(a, h, work), _cf4_alloc(A, P, OMEGA_N1, phi0, a, h))
+        assert _same_bits(magnus.exponentials(a, h, work), _magnus_alloc(magnus, a, h))
+
+
+def test_sweep_memory_does_not_grow_with_its_steps():
+    # a sweep allocates its chunk-sized arrays once: its traced peak above
+    # entry at 512 steps stays within 64 bytes per extra step (its step
+    # table) of the peak at 64 steps, far below one chunk array (200 KB)
+    A, P = build_abstract_model(
+        N=20, n=1, d=4.0 / 3.0, delta=0.2, K=2, epsilon=1e-3, s=0.05, seed=606
+    )
+    kernel = _cf4_exponentials(A, P, OMEGA_N1, np.array([0.3]))
+    peaks = {}
+    for steps in (64, 512):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _sweep(kernel, np.eye(A.N), np.array([2.0]), np.array([steps]), _Workspace())
+            peaks[steps] = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+    assert peaks[512] <= peaks[64] + 64 * (512 - 64)
+
+
 def test_step_exponential_rejects_non_finite_input():
     with pytest.raises(KamError, match="non-finite"):
         _expm_taylor(np.full((1, 2, 2), np.nan + 0j))
@@ -443,7 +604,7 @@ def test_step_product_matches_sequential_eigh(small_run, steps, with_mu):
         expect = _eigh_exp(a2 * H1 + a1 * H2, h) @ expect
         expect = _eigh_exp(a1 * H1 + a2 * H2, h) @ expect
     got = _sweep(_cf4_exponentials(A, P, OMEGA_N1, phi0), np.eye(A.N), [t0, t0 + h * steps],
-                 [0, steps])[-1]
+                 [0, steps], _Workspace())[-1]
     assert np.max(np.abs(got - expect)) <= 1e-13
 
 
@@ -455,12 +616,12 @@ def test_sweep_matches_the_step_by_step_product(small_run, integrator):
     phi0, ts, steps = np.array([0.3]), np.array([0.3, 0.8, 0.9, 1.6]), [3, 17, 0, 14]
     kernel = (_Interaction(A, P, OMEGA_N1, phi0).exponentials if integrator == "magnus"
               else _cf4_exponentials(A, P, OMEGA_N1, phi0))
-    got = _sweep(kernel, np.eye(A.N), ts, steps)
+    got = _sweep(kernel, np.eye(A.N), ts, steps, _Workspace())
     expect, start = np.eye(A.N, dtype=complex), 0.0
     for m, (t, n) in enumerate(zip(ts, steps)):
         h = (t - start) / max(n, 1)
         for j in range(n):
-            for factor in kernel(np.array([start + j * h]), np.array([h]))[0]:
+            for factor in kernel(np.array([start + j * h]), np.array([h]), _Workspace())[0]:
                 expect = factor @ expect
         start = t
         assert np.max(np.abs(got[m] - expect)) <= 1e-13, m

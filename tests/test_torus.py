@@ -151,6 +151,19 @@ def test_pointwise_evaluation_matches_grid():
         assert abs(f(phi) - vals[idx]) < 1e-12 * max(1.0, abs(vals[idx]))
 
 
+@pytest.mark.parametrize("n, K", [(1, 0), (1, 5), (2, 0), (2, 3), (3, 0), (3, 2)])
+def test_at_matches_a_dense_phase_table(n, K):
+    # at sums one slab of the first mode axis at a time; the oracle forms
+    # the whole (T, (2K+1)^n) table of e^{ik.phi} and takes one product
+    rng = np.random.default_rng(10 * n + K)
+    phis = rng.uniform(-4.0, 4.0, size=(7, n))
+    for f in (random_scalar(n, K, rng, real=False), random_hermitian(3, n, K, rng)):
+        table = np.exp(1j * (phis @ k_box(n, K).T))
+        expect = (table @ f.coeffs.reshape(len(table.T), -1)).reshape((len(phis),) + f._tail)
+        scale = np.sum(np.abs(f.coeffs))
+        assert np.max(np.abs(f.at(phis) - expect)) <= 1e-14 * scale
+
+
 def test_directional_derivative_single_mode():
     # f = e^{i(k . phi)} -> derivative i (omega . k) f
     f = TorusSeries.from_modes(2, 3, {(2, -1): 1.0})
