@@ -270,7 +270,7 @@ def _build_model(manifest: RunManifest, osc=None):
 
 
 def _settings(manifest: RunManifest):
-    from .engine import KamSettings
+    from .serialize import KamSettings
 
     return KamSettings(**manifest.settings)
 

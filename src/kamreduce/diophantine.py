@@ -174,13 +174,28 @@ def _dio2_window(omegas: np.ndarray, gaps: np.ndarray, scale: np.ndarray,
         cols = np.nonzero(k1 == shell)[0]
         x = proj[:, cols].ravel()                    # entry e = sample * len(cols) + column
         r = reach / float(np.min(weight[cols]))
-        lo = np.searchsorted(neg, x - r, side="left")
-        count = np.searchsorted(neg, x + r, side="right") - lo
-        if not count.any():
+        # one bisection per entry finds its nearest gap; only entries with a
+        # gap within a slightly widened reach get the exact two-sided search
+        near = np.searchsorted(neg, x)
+        dist = neg.take(np.minimum(near, len(neg) - 1))
+        dist -= x
+        np.abs(dist, out=dist)
+        near -= 1
+        below = neg.take(np.maximum(near, 0, out=near))
+        del near
+        below -= x
+        np.minimum(dist, np.abs(below, out=below), out=dist)
+        del below
+        widened = r * (1.0 + 1e-9) + 1e-12 * max(float(np.max(x)), -float(np.min(x)))
+        ent = np.flatnonzero(dist <= widened)
+        del dist
+        if not len(ent):
             continue
-        ent = np.repeat(np.arange(len(x)), count)    # the entry of each candidate
-        rank = np.arange(len(ent)) - (np.cumsum(count) - count)[ent]  # its place in the window
-        p = order[lo[ent] + rank]
+        lo = np.searchsorted(neg, x[ent] - r, side="left")
+        count = np.searchsorted(neg, x[ent] + r, side="right") - lo
+        lo, ent = np.repeat(lo, count), np.repeat(ent, count)   # one per candidate
+        rank = np.arange(len(ent)) - np.repeat(np.cumsum(count) - count, count)  # place in window
+        p = order[lo + rank]
         sample, j = np.divmod(ent, len(cols))
         col = cols[j]
         yield sample, p, col, _dio2_value(gaps[p], x[ent], weight[col], scale[p])

@@ -61,7 +61,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diophantine import check_dio2
 from .errors import (
     ConvergenceError,
     DivisorTooSmall,
@@ -70,12 +69,15 @@ from .errors import (
     KamError,
 )
 from .homological import GeneratorDefect, _guard, solve_variable
+from .serialize import KamSettings
 from .torus import (
     CHOP_FLOOR,
     DiagonalPart,
     OperatorSeries,
+    _abs_max,
     _box,
     _live_band,
+    _majorant_norm,
     _mirror,
     chop,
     coeffs_to_grid,  # noqa: F401  unused; bench/test_bench.py traces it in this namespace
@@ -103,46 +105,6 @@ __all__ = [
 SOLVER_PAD = 12     # modes the homological working grid keeps beyond P.K + K_mu
 GAMMA_BUDGET = 0.1  # max fraction of gamma spent per step
 GAMMA_STAR = 0.5    # warn when gamma falls below this fraction of its initial value
-
-
-@dataclass(frozen=True)
-class KamSettings:
-    """Iteration parameters: the choices a manifest makes."""
-
-    epsilon: float
-    s: float
-    gamma: float
-    tau: float
-    K_base: int
-    tol: float = 1e-12
-    l_max: int = 10
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise KamError("epsilon must be nonnegative")
-        if self.s <= 0 or self.gamma <= 0 or self.tol <= 0:
-            raise KamError("s, gamma and tol must be positive")
-        if self.K_base < 1 or self.l_max < 0:
-            raise KamError("K_base >= 1 and l_max >= 0 required")
-
-    def work_cutoff(self) -> int:
-        """Series cutoff of every step."""
-        return 4 * self.K_base
-
-    def horizon(self) -> int:
-        """|k|_1 range of the non-resonance certificates."""
-        return 2 * self.work_cutoff()
-
-    def sigma(self, l: int) -> float:
-        return self.s / (4.0 * l * l)
-
-    def eps_schedule(self, l: int) -> float:
-        if self.epsilon == 0.0:
-            return 0.0
-        return self.epsilon ** ((4.0 / 3.0) ** l)
-
-    def K_schedule(self, l: int) -> int:
-        return l * self.K_base
 
 
 @dataclass(frozen=True)
@@ -393,8 +355,10 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Gener
     * a_priori_bound = ||D|| + (e^b - 1) p bounds the whole of P+ before
       any commutator is formed.  When it is at most tol, P+ is returned as
       zero, with a_priori true and no series summed: the bound is then the
-      one account of what P+ held.  ||D|| comes from D's pair stack, and
-      the N x N series D.series() is formed only once this test has failed;
+      one account of what P+ held.  ||D|| comes from D's pair stack,
+      ||diag P|| and ||P_off|| from P's one majorant (a bound at every s),
+      and the N x N series D.series() and P's two parts are formed only
+      once this test has failed;
     * lie_tail_bound = p b^(m+1) / (m+1)! / (1 - b / (m+2)) bounds the
       terms past order m, and m is the smallest order that puts it at or
       below CHOP_FLOOR (m = 0 for B = 0, where P+ = P_off exactly);
@@ -413,13 +377,17 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Gener
     """
     n, N = P.n, P.N
     guards = []
-    if B.antihermiticity_defect() > 1e-10 * max(1.0, float(np.max(np.abs(B.coeffs)))):
+    b_max = _abs_max(B.coeffs)
+    if B.antihermiticity_defect() > 1e-10 * max(1.0, b_max):
         _guard(guards, "generator is not anti-hermitian to 1e-10")
-    b = 2.0 * g_norm(B, base, s)        # before P's two parts exist, so |B| is formed alone
-    off = P.offdiagonal_part()
-    diag = P - off
+    b = 2.0 * g_norm(B, base, s)
+    # ||diag P|| and ||P_off|| from P's one majorant, entry for entry the
+    # majorants of the two parts, which are formed only to sum the series
+    W, ones = base.weight(), np.ones(N)
+    maj = P.majorant_matrix(s)
+    maj_diag = np.diag(np.diag(maj))
     p_D = delta_norm(D, base, s)
-    p = delta_norm(diag, base, s) + delta_norm(off, base, s) + p_D
+    p = _majorant_norm(maj_diag, [(W, ones)]) + _majorant_norm(maj - maj_diag, [(W, ones)]) + p_D
     bound = p_D + math.expm1(b) * p
     info = {"a_priori": bound <= tol, "a_priori_bound": bound, "lie_order": 0,
             "lie_bands": [], "lie_tail_bound": 0.0, "truncation_bound": 0.0,
@@ -430,7 +398,9 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Gener
     m = _taylor_degree(b, CHOP_FLOOR / max(p, 1e-300))
     tail = p * b ** (m + 1) / math.factorial(m + 1) / (1.0 - b / (m + 2))
 
-    D, W = D.series(), base.weight()
+    D = D.series()
+    off = P.offdiagonal_part()
+    diag = P - off
     S, M, truncation, bands = None, 0, 0.0, []
     for k in range(m, -1, -1):
         X = D * (1.0 / math.factorial(k + 1))
@@ -452,7 +422,7 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Gener
     # magnitudes that actually flow through the arithmetic
     scale = max(
         float(np.max(np.abs(P.coeffs))),
-        float(np.max(np.abs(base.lam))) * float(np.max(np.abs(B.coeffs))),
+        float(np.max(np.abs(base.lam))) * b_max,
         1e-300,
     )
     if herm_defect > 1e-9 * scale:
@@ -584,7 +554,10 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         _guard(guard_msgs, f"gamma fell below {GAMMA_STAR} of its initial value")
 
     # the shifted eigenvalues must still clear the second non-resonance
-    # condition at the reduced gamma over the full horizon
+    # condition at the reduced gamma over the full horizon; imported here,
+    # so that verify, which loads engine, does not load diophantine
+    from .diophantine import check_dio2
+
     clock = time.perf_counter()
     cert = check_dio2(w, new_base, gamma_next, settings.tau, settings.horizon(), N)
     t_recertify = time.perf_counter() - clock
@@ -636,6 +609,9 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "pairs": sol.pairs,
         "solve_grid_M": sol.grid_M,
         "defect_grid_M": sol.defect_grid_M,
+        # the largest grid the step holds: the pair solve's factors or the
+        # widest commutator's grid, complex
+        "grid_bytes": 16 * max(sol.grid_M**n * sol.pairs, cinfo["grid_M"] ** n * N * N),
         "B_g_norm": gB,
         "eps_bound": eps_bound,
         "eps_bound_ok": bool(eps_ok),

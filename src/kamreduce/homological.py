@@ -22,19 +22,26 @@ primitive of h (Hhat_k = hhat_k / (i omega.k)),
 One kernel solves a stack of pairs on one grid: solve_variable calls it
 with all N(N-1)/2 pairs, whatever mu (with mu = 0 the factor is 1 and the
 solve is the division above), solve_kuksin with one; solve_constant is the
-division alone, for mu = 0.  The kernel drops each grid once it is used.
+division alone, for mu = 0.  The kernel runs in chunks of pairs of a fixed
+byte size (_pair_chunks): a forward pass keeps every chunk's conjugated
+factor and transformed right-hand side, the quantities that decide the
+division (the live threshold, the first divisor below its floor) are taken
+over all pairs, and an inverse pass frees each chunk as it cuts its chi.
+A solve so holds about two pair grids, whatever the number of pairs.
 
 Every solve reports its relative defect as a bound.  One kernel, _defect,
 forms the defect exactly in coefficients on the same pair stack, the
-product (mu_j - mu_i) chi on an alias-free grid of the pairs alone, and
-||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is divided
-by the same norm of the right-hand side.  A solution carries the
-generator's defect D, formed once by _generator_defect and kept on the pair
-stack as a GeneratorDefect: the solved entries D_ji (i < j) come from the
-kernel, the entries D_ij are their mirror conj(D_ji(-k)), so D is exactly
-hermitian, and the diagonal is (omega.k) B_ii(k).  Its majorant, and so
-every norm of D, comes from the pairs; the N x N series is assembled only
-by series(), which the conjugation step calls once its a-priori bound has
+product (mu_j - mu_i) chi on an alias-free grid of one chunk of pairs at a
+time, and ||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is
+divided by the same norm of the right-hand side.  A solution carries the
+generator's defect D, formed once by _generator_defect from B's entries
+and kept on the pair stack as a GeneratorDefect: the solved entries D_ji
+(i < j) come from the kernel, the entries D_ij are their mirror
+conj(D_ji(-k)), so D is exactly hermitian, and the diagonal is
+(omega.k) B_ii(k).  Its majorant, and so every norm of D, comes from the
+pairs, summed in the order of every majorant (torus._majorant_sum), so it
+is the assembled series' to the bit; the N x N series is assembled only by
+series(), which the conjugation step calls once its a-priori bound has
 missed tol.
 
 solve_variable's guards (P's hermiticity, C*, each pair's Kuksin smallness
@@ -58,11 +65,12 @@ from .torus import (
     _box,
     _k_dot_omega,
     _live_band,
+    _majorant_sum,
     _mirror,
-    chop,
     coeffs_to_grid,
     freeze,
     grid_to_coeffs,
+    k_box,
     k_norm1_grid,
     next_fast_len,
     strip_weight,
@@ -91,16 +99,24 @@ def _divisor_floor(n: int, K: int, tau: float = 2.0) -> np.ndarray:
     return FLOOR_SCALE / (1.0 + k_norm1_grid(n, K) ** tau)
 
 
-def _check_divisors(den, floor, live, n: int, K: int, what: str, pairs=None) -> None:
-    """Raise DivisorTooSmall at the first live entry with |den| < floor.
-
-    The first n axes are modes (k = index - K).  Trailing axes are the
-    (N, N) entries, one pair axis labelled by pairs, or none.
-    """
-    bad = live & (np.abs(den) < floor)
+def _first_below(size, floor, live):
+    """(index, size) of the first live entry with size = |divisor| < floor, in argwhere order, or None."""
+    bad = live & (size < floor)
     if not np.any(bad):
-        return
+        return None
     idx = tuple(int(x) for x in np.argwhere(bad)[0])
+    return idx, float(np.broadcast_to(size, bad.shape)[idx])
+
+
+def _check_divisors(first, n: int, K: int, what: str, pairs=None) -> None:
+    """Raise DivisorTooSmall at first, the (index, |den|) that _first_below found, if any.
+
+    The first n axes of the index are modes (k = index - K).  The rest are
+    an (N, N) entry, one pair axis labelled by pairs, or none.
+    """
+    if first is None:
+        return
+    idx, value = first
     k = tuple(idx[a] - K for a in range(n))
     i = j = None
     if pairs is not None:
@@ -108,8 +124,24 @@ def _check_divisors(den, floor, live, n: int, K: int, what: str, pairs=None) -> 
     elif len(idx) == n + 2:
         i, j = idx[n] + 1, idx[n + 1] + 1
     where = f"k={k}" if i is None else f"(i,j,k)=({i},{j},{k})"
-    raise DivisorTooSmall(f"{what} below floor at {where}", i=i, j=j, k=k,
-                          value=float(np.abs(np.broadcast_to(den, bad.shape)[idx])))
+    raise DivisorTooSmall(f"{what} below floor at {where}", i=i, j=j, k=k, value=value)
+
+
+# bytes of one chunk of a pair stack's per-pair arrays: the pair solve and the
+# defect run one chunk of pairs at a time (_pair_chunks)
+CHUNK_BYTES = 1 << 18
+
+
+def _pair_chunks(points: int, pairs: int) -> list:
+    """Slices of the pair axis, each at most CHUNK_BYTES of complex arrays of points per pair.
+
+    An empty stack is one empty chunk.
+    A fixed byte size rather than a share of the stack: what a chunk adds
+    to the stacks a kernel holds stays the same small constant at every
+    size, and a stack that fits one chunk is solved in one piece.
+    """
+    size = max(1, CHUNK_BYTES // (16 * points))
+    return [slice(start, min(start + size, pairs)) for start in range(0, max(pairs, 1), size)]
 
 
 @dataclass(frozen=True)
@@ -132,14 +164,16 @@ class GeneratorDefect:
     diag: np.ndarray = field(repr=False)       # (2K_diag+1,)*n + (N,)
 
     def majorant_matrix(self, s: float) -> np.ndarray:
-        """Entrywise sum_k |Dhat_ijk| e^{s|k|_1}; (i, j) and (j, i) share theirs."""
+        """Entrywise sum_k |Dhat_ijk| e^{s|k|_1}; (i, j) and (j, i) share theirs.
+
+        Summed as OperatorSeries.majorant_matrix sums series() (_majorant_sum),
+        whose mirrored entries give the same bits, so the two are equal.
+        """
         ii, jj = np.triu_indices(self.N, 1)
         idx = np.arange(self.N)
-        w = strip_weight(self.n, self.K, s).reshape(-1)
-        w_diag = strip_weight(self.n, self.K_diag, s).reshape(-1)
         maj = np.zeros((self.N, self.N))
-        maj[jj, ii] = maj[ii, jj] = w @ np.abs(self.pairs).reshape(len(w), len(ii))
-        maj[idx, idx] = w_diag @ np.abs(self.diag).reshape(len(w_diag), self.N)
+        maj[jj, ii] = maj[ii, jj] = _majorant_sum(self.pairs, self.n, self.K, s)
+        maj[idx, idx] = _majorant_sum(self.diag, self.n, self.K_diag, s)
         return maj
 
     def series(self) -> OperatorSeries:
@@ -179,80 +213,80 @@ class HomologicalSolution:
     defect_grid_M: int = 0
 
 
-def _defect(chi, gap, mud, rhs, omega):
+def _defect(chi, gap, mud, rhs, omega, entries=None):
     """D = (gap + mud) chi - i (omega.d) chi - rhs, formed exactly in coefficients.
 
     chi, rhs and mud are centred coefficient stacks with the pair axis last,
     as _solve_pairs takes them; gap holds one constant per pair and mud (or
-    None) multiplies chi pairwise.  D's coefficients are formed, not
-    sampled: the product mud chi is taken on an alias-free grid of the
-    pairs alone, and D keeps its whole band.  Returns (D, the product's
+    None) multiplies chi pairwise.  With entries = (rows, cols), chi is an
+    operator's coefficients instead and its stack is chi[..., rows, cols].
+    D's coefficients are formed, not sampled: the product mud chi is taken
+    on an alias-free grid of the pairs alone, one chunk of pairs at a time
+    (_pair_chunks), and D keeps its whole band.  Returns (D, the product's
     grid M per axis, 0 without mud).
     """
     n = len(omega)
     K_chi, K_rhs = (chi.shape[0] - 1) // 2, (rhs.shape[0] - 1) // 2
     K_mu = 0 if mud is None else (mud.shape[0] - 1) // 2
-    K_D = max(K_chi + K_mu, K_rhs)
-    M = 0
-    if mud is None:
-        D = np.zeros((2 * K_D + 1,) * n + chi.shape[n:], dtype=complex)
-    else:
-        # D starts as the product's coefficients; the terms added after
-        # them round as they did added to zeros, since addition commutes
-        K = K_chi + K_mu
-        M = next_fast_len(2 * K + 2)
-        gc = coeffs_to_grid(chi, n, K_chi, M)
-        np.multiply(coeffs_to_grid(mud, n, K_mu, M), gc, out=gc)
-        D = grid_to_coeffs(gc, n, K)
-        del gc
-        if K < K_D:
-            D = np.pad(D, [(K_D - K, K_D - K)] * n + [(0, 0)] * (D.ndim - n))
-    D[_box(n, K_chi, K_D)] += (_k_dot_omega(n, K_chi, omega)[..., None] + gap) * chi
-    D[_box(n, K_rhs, K_D)] -= rhs
+    K, K_D = K_chi + K_mu, max(K_chi + K_mu, K_rhs)
+    M = 0 if mud is None else next_fast_len(2 * K + 2)
+    D = np.zeros((2 * K_D + 1,) * n + (len(gap),), dtype=complex)
+    kdw = _k_dot_omega(n, K_chi, omega)[..., None]
+    for c in _pair_chunks(max(M, 2 * K_D + 1) ** n, len(gap)):
+        chi_c = chi[..., c] if entries is None else chi[..., entries[0][c], entries[1][c]]
+        if mud is not None:
+            # D starts as the product's coefficients; the terms added after
+            # them round as they did added to zeros, since addition commutes
+            gc = coeffs_to_grid(chi_c, n, K_chi, M)
+            np.multiply(coeffs_to_grid(mud[..., c], n, K_mu, M), gc, out=gc)
+            D[_box(n, K, K_D) + (c,)] = grid_to_coeffs(gc, n, K)
+            del gc
+        D[_box(n, K_chi, K_D) + (c,)] += (kdw + gap[c]) * chi_c
+        D[_box(n, K_rhs, K_D) + (c,)] -= rhs[..., c]
     return D, M
 
 
-def _relative_defect(D: OperatorSeries, rhs: np.ndarray, s: float, W) -> float:
-    """||W |D|_s||_2 / ||W |rhs|_s||_2, a bound on the relative defect on |Im phi| <= s."""
-    rhs = OperatorSeries(D.n, (rhs.shape[0] - 1) // 2, D.N, rhs)
+def _relative_defect(D: OperatorSeries, rhs_majorant: np.ndarray, s: float, W) -> float:
+    """||W |D|_s||_2 / ||W |rhs|_s||_2, a bound on the relative defect on |Im phi| <= s.
+
+    rhs_majorant is |rhs|_s, the right-hand side's entrywise majorant at s.
+    """
     dn = np.linalg.norm(W[:, None] * D.majorant_matrix(s), 2)
-    rn = np.linalg.norm(W[:, None] * rhs.majorant_matrix(s), 2)
+    rn = np.linalg.norm(W[:, None] * rhs_majorant, 2)
     return float(dn) / max(float(rn), 1e-300)
+
+
+def _off_majorant(P: OperatorSeries, s: float) -> np.ndarray:
+    """|P - diag P|_s: P's own majorant with its diagonal zeroed, entry for entry the same bits."""
+    maj = P.majorant_matrix(s)
+    np.fill_diagonal(maj, 0.0)
+    return maj
 
 
 def _generator_defect(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart, omega):
     """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, in coefficients.
 
-    D is formed on the solve's pair stack, entries (j, i) with i < j.  The
-    entries (i, j) are their mirror D_ij(k) = conj(D_ji(-k)), as they are
-    for an anti-hermitian B and a hermitian P (solve_variable warns when P
-    is not), so D is exactly hermitian.  The diagonal is (omega.k) B_ii(k),
-    since A is diagonal and P - diag P has none.  Returns (D as a
-    GeneratorDefect, the grid M per axis of the product (mu_j - mu_i) B_ji,
-    0 where the mu_i coincide).
-    """
-    ii, jj = np.triu_indices(B.N, 1)
-    idx = np.arange(B.N)
-    return _pair_defect(B.coeffs[..., jj, ii], B.coeffs[..., idx, idx], P, base, omega)
-
-
-def _pair_defect(chi, B_diag, P: OperatorSeries, base: DiagonalPart, omega):
-    """_generator_defect of the B whose entries B_ji (i < j) are the stack chi.
-
-    B_diag holds B's diagonal at chi's band, pair and diagonal axes last;
-    B itself need not exist yet.
+    D is formed on the solve's pair stack, entries (j, i) with i < j, read
+    from B one chunk of pairs at a time, so B's pair stack is never copied
+    out whole.  The entries (i, j) are their mirror D_ij(k) = conj(D_ji(-k)),
+    as they are for an anti-hermitian B and a hermitian P (solve_variable
+    warns when P is not), so D is exactly hermitian.  The diagonal is
+    (omega.k) B_ii(k), since A is diagonal and P - diag P has none.
+    Returns (D as a GeneratorDefect, the grid M per axis of the product
+    (mu_j - mu_i) B_ji, 0 where the mu_i coincide).
     """
     n, N = P.n, P.N
     ii, jj = np.triu_indices(N, 1)
+    idx = np.arange(N)
     mud = None
     if base.mu is not None:
         # entry (j, i) of [A, B] is (a_j - a_i) B_ji
         mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
         mud = mud if np.any(mud) else None
-    Dp, M = _defect(chi, base.lam[jj] - base.lam[ii], mud, -P.coeffs[..., jj, ii], omega)
-    K_B = (chi.shape[0] - 1) // 2
-    diag = _k_dot_omega(n, K_B, omega)[..., None] * B_diag
-    return GeneratorDefect(n, (Dp.shape[0] - 1) // 2, N, freeze(Dp), K_B, freeze(diag)), M
+    Dp, M = _defect(B.coeffs, base.lam[jj] - base.lam[ii], mud, -P.coeffs[..., jj, ii], omega,
+                    (jj, ii))
+    diag = _k_dot_omega(n, B.K, omega)[..., None] * B.coeffs[..., idx, idx]
+    return GeneratorDefect(n, (Dp.shape[0] - 1) // 2, N, freeze(Dp), B.K, freeze(diag)), M
 
 
 def solve_constant(
@@ -274,15 +308,16 @@ def solve_constant(
     den = kdw[..., None, None] + gap
     offmask = ~np.eye(N, dtype=bool)
     live = offmask & (np.abs(P.coeffs) > 0)
-    _check_divisors(den, _divisor_floor(n, K)[..., None, None], live, n, K, "divisor")
+    _check_divisors(_first_below(np.abs(den), _divisor_floor(n, K)[..., None, None], live), n, K,
+                    "divisor")
     Bc = np.zeros_like(P.coeffs)
     np.divide(-P.coeffs, den, out=Bc, where=offmask & (np.abs(den) > 0))
     B = OperatorSeries(n, K, N, freeze(Bc))
     D, _ = _generator_defect(B, P, base, omega)
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
-                               residual=_relative_defect(D, P.offdiagonal_part().coeffs,
-                                                         0.0, base.weight()))
+                               residual=_relative_defect(D, _off_majorant(P, 0.0), 0.0,
+                                                         base.weight()))
 
 
 def torus_primitive(h: TorusSeries, omega) -> TorusSeries:
@@ -304,7 +339,7 @@ def _primitive(c, n: int, K: int, omega, live, pairs=None):
     kdw = _k_dot_omega(n, K, omega).reshape(shape)
     ctr = (K,) * n
     live[ctr] = False
-    _check_divisors(kdw, _divisor_floor(n, K).reshape(shape), live, n, K,
+    _check_divisors(_first_below(np.abs(kdw), _divisor_floor(n, K).reshape(shape), live), n, K,
                     "|omega.k|", pairs)
     H = np.zeros_like(c)
     np.divide(c, 1j * kdw, out=H, where=np.abs(kdw) > 0)
@@ -329,60 +364,108 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     K_out caps the band of chi, never pads it; None chops chi at CHOP_FLOOR
     times its largest coefficient and keeps its live band, as P+ and mu
     are cut.  Returns (chi, min_divisor, unimodularity_defect, the l1 mass
-    chopped and truncated).
+    chopped and truncated, summed over the dropped coefficients).
+
+    The stack runs one chunk of pairs at a time (_pair_chunks).  The
+    forward pass keeps each chunk's conjugated factor and its transformed
+    right-hand side btil; the live threshold, min_divisor, the factor's
+    unimodularity and the first divisor below its floor are taken over all
+    pairs, as a whole-stack solve takes them.  The inverse pass then
+    divides, transforms back and cuts each chunk, freeing its btil as it
+    goes, so the solve holds the factors and btil (about two pair grids)
+    and one chunk's scratch at its peak.
     """
     n = len(omega)
     K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
     if np.any(mud):
         K = (M - 2) // 2
+        chunks = _pair_chunks(M**n, b.shape[-1])
         # mud has zero average by construction of mu
         live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
         Hd = _primitive(mud, n, K_mu, omega, live, pairs)
+        # one allocation holds every chunk's factor, so the solve hands one
+        # block back to the allocator at its end, not a chunk-sized hole per
+        # chunk (reference-n2 reduce peaks about 5 MB lower than with one
+        # array per chunk, in fresh processes)
+        width = chunks[0].stop - chunks[0].start
+        stack = np.empty((len(chunks),) + (M,) * n + (width,), dtype=complex)
+        factors = [f[..., : c.stop - c.start] for f, c in zip(stack, chunks)]
+        del stack
+        unimod = 0.0
+        for factor, c in zip(factors, chunks):
+            np.exp(1j * coeffs_to_grid(Hd[..., c], n, K_mu, M), out=factor)
+            unimod = max(unimod, float(np.max(np.abs(np.abs(factor) - 1.0))))
+        del Hd, factor
         # each product writes into its second operand: np.multiply(a, b, out=b)
-        # rounds as np.multiply(a, b) does (only swapping the operands moves
-        # bits).  Each grid is dropped once used, yet four grid-sized arrays
-        # are alive at the peak: the factor, the product grid gb, and the
-        # FFT table and centred copy that grid_to_coeffs(gb, n, K) makes
-        gH = coeffs_to_grid(Hd, n, K_mu, M)
-        factor = np.exp(1j * gH)
-        del gH
-        unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
-        gb = coeffs_to_grid(b, n, K_b, M)
-        np.multiply(factor, gb, out=gb)
-        btil = grid_to_coeffs(gb, n, K)
-        del gb
-        live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
+        # rounds as np.multiply(a, b) does (only swapping the operands moves bits)
+        btil, top = [], 0.0
+        for factor, c in zip(factors, chunks):
+            gb = coeffs_to_grid(b[..., c], n, K_b, M)
+            np.multiply(factor, gb, out=gb)
+            btil.append(grid_to_coeffs(gb, n, K))
+            del gb
+            top = max(top, float(np.max(np.abs(btil[-1]))))
+            np.conj(factor, out=factor)
+        del factor
+        floor_live = 1e-16 * max(top, 1e-300)
     else:
         # no variable part: the factor is 1 and the solve is one division
-        factor, unimod, K, btil = None, 0.0, K_b, b
-        live = b != 0
+        K, unimod = K_b, 0.0
+        chunks = _pair_chunks((2 * K + 1) ** n, b.shape[-1])
+        factors, btil = None, [b[..., c] for c in chunks]
 
-    den = _k_dot_omega(n, K, omega)[..., None] + E1
-    _check_divisors(den, _divisor_floor(n, K)[..., None], live, n, K,
-                    "|omega.k + E1|", pairs)
-    min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
-    uc = np.zeros_like(btil)
-    np.divide(btil, den, out=uc, where=live & (np.abs(den) > 0))
-    del btil
-    if factor is None:
-        chic = uc
-    else:
-        gu = coeffs_to_grid(uc, n, K, M)
-        del uc
-        np.multiply(np.conj(factor, out=factor), gu, out=gu)
-        del factor
-        chic = grid_to_coeffs(gu, n, K)
-        del gu
-
-    mass = np.sum(np.abs(chic))
+    kdw = _k_dot_omega(n, K, omega)[..., None]
+    floor = _divisor_floor(n, K)[..., None]
+    K_cut = K if K_out is None else min(K_out, K)
+    dropped = np.max(np.abs(k_box(n, K)), axis=1).reshape((2 * K + 1,) * n) > K_cut
+    first, min_div, trunc, chis = None, np.inf, 0.0, []
+    for p, c in enumerate(chunks):
+        bt, btil[p] = btil[p], None
+        live = bt != 0 if factors is None else np.abs(bt) > floor_live
+        den = kdw + E1[c]
+        size = np.abs(den)
+        found = _first_below(size, floor, live)
+        if found is not None and (first is None or found[0][:n] < first[0][:n]):
+            idx, value = found
+            first = idx[:n] + (idx[n] + c.start,), value
+        if first is not None:
+            # no chi is returned; the rest of the stack is only searched
+            continue
+        if np.any(live):
+            min_div = min(min_div, float(np.min(size[live])))
+        # divided where it lies (b's own chunks are copied first), zero where not live
+        uc = bt if factors is not None else np.array(bt)
+        del bt
+        live &= size > 0
+        np.divide(uc, den, out=uc, where=live)
+        uc[~live] = 0.0
+        del den, size, live
+        if factors is None:
+            chic = uc
+        else:
+            gu = coeffs_to_grid(uc, n, K, M)
+            del uc
+            np.multiply(factors[p], gu, out=gu)
+            chic = grid_to_coeffs(gu, n, K)
+            del gu
+        if K_out is not None:
+            trunc += float(np.sum(np.abs(chic[dropped])))
+            chic = chic[_box(n, K_cut, K)].copy()
+        chis.append(chic)
+        del chic
+    del factors
+    _check_divisors(first, n, K, "|omega.k + E1|", pairs)
+    chic = np.concatenate(chis, axis=-1)
+    del chis
     if K_out is None:
         # P+'s band rule at chi's own scale: chop, then drop the all-zero
         # outer shells (an absolute floor would keep a unit-size chi's roundoff)
-        chic = chop(chic, CHOP_FLOOR * float(np.max(np.abs(chic), initial=0.0)))
-        K_out = _live_band(chic, n, K)
-    chic_cut = chic[_box(n, min(K_out, K), K)]
-    trunc = float(mass - np.sum(np.abs(chic_cut)))
-    return chic_cut, min_div, unimod, max(trunc, 0.0)
+        small = np.abs(chic) < CHOP_FLOOR * float(np.max(np.abs(chic), initial=0.0))
+        trunc = float(np.sum(np.abs(chic[small])))
+        chic[small] = 0.0
+        K_live = _live_band(chic, n, K)
+        chic = chic[_box(n, K_live, K)]
+    return chic, min_div, unimod, trunc
 
 
 def _guard(messages: list, msg: str) -> None:
@@ -434,7 +517,8 @@ def solve_kuksin(
         return chi
     D, _ = _defect(chic, np.array([float(E1)]), mud, b.coeffs[..., None], omega)
     residual = _relative_defect(OperatorSeries(n, (D.shape[0] - 1) // 2, 1, D[..., None]),
-                                b.coeffs[..., None, None], 0.0, np.ones(1))
+                                _majorant_sum(b.coeffs[..., None, None], n, b.K, 0.0), 0.0,
+                                np.ones(1))
     return chi, {"residual": residual, "min_divisor": min_div, "unimodularity_defect": unimod,
                  "guard_messages": tuple(messages), "K_out": chi.K}
 
@@ -489,19 +573,18 @@ def solve_variable(
     if unimod > UNIMOD_TOL:
         _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
     K_B = (chic.shape[0] - 1) // 2
-    # D comes from chi itself, before B exists: B's pair stack is not copied
-    # out again, and B is not alive while the defect's grids are
-    # (reference-n2 step 2: about 10 MB less at the solve's peak)
-    D, defect_M = _pair_defect(chic, np.zeros(chic.shape[:n] + (N,), dtype=complex), P,
-                               base, omega)
     Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
     Bc[..., jj, ii] = chic
-    Bc[..., ii, jj] = -_mirror(chic, n)
-    del chic
+    # the mirrored half, one slice of the first mode axis at a time
+    for t, mirrored in enumerate(chic[::-1]):
+        Bc[t][..., ii, jj] = -_mirror(mirrored, n - 1)
+    del chic, mirrored
     B = OperatorSeries(n, K_B, N, freeze(Bc))
+    # chi's stack is gone before D is formed, chunk by chunk from B
+    D, defect_M = _generator_defect(B, P, base, omega)
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
-                               residual=_relative_defect(D, P.offdiagonal_part().coeffs,
-                                                         s, base.weight()),
+                               residual=_relative_defect(D, _off_majorant(P, s), s,
+                                                         base.weight()),
                                guard_messages=tuple(messages), truncation_residue=trunc,
                                pairs=len(pairs), grid_M=M if np.any(mud) else 0,
                                defect_grid_M=defect_M)

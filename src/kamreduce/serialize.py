@@ -38,6 +38,7 @@ from .errors import ArtifactError, SchemaError
 __all__ = [
     "MANIFEST_SCHEMA",
     "RunManifest",
+    "KamSettings",
     "to_jsonable",
     "dumps_canonical",
     "write_json",
@@ -517,3 +518,39 @@ class RunManifest:
 
     def dump(self, path) -> str:
         return write_json(path, self.to_dict())
+
+
+@dataclass(frozen=True)
+class KamSettings:
+    """Iteration parameters: the choices a manifest makes, its settings block.
+
+    The manifest schema (_SETTINGS) bounds each of them; RunManifest
+    validates them before a command builds its settings.
+    """
+
+    epsilon: float
+    s: float
+    gamma: float
+    tau: float
+    K_base: int
+    tol: float = 1e-12
+    l_max: int = 10
+
+    def work_cutoff(self) -> int:
+        """Series cutoff of every step."""
+        return 4 * self.K_base
+
+    def horizon(self) -> int:
+        """|k|_1 range of the non-resonance certificates."""
+        return 2 * self.work_cutoff()
+
+    def sigma(self, l: int) -> float:
+        return self.s / (4.0 * l * l)
+
+    def eps_schedule(self, l: int) -> float:
+        if self.epsilon == 0.0:
+            return 0.0
+        return self.epsilon ** ((4.0 / 3.0) ** l)
+
+    def K_schedule(self, l: int) -> int:
+        return l * self.K_base

@@ -28,6 +28,7 @@ Norm conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,6 +77,40 @@ def k_norm1_grid(n: int, K: int) -> np.ndarray:
 def strip_weight(n: int, K: int, s: float) -> np.ndarray:
     """e^{s |k|_1} over the mode box, shaped like a coefficient array."""
     return np.exp(s * k_norm1_grid(n, K))
+
+
+def _majorant_sum(coeffs: np.ndarray, n: int, K: int, s: float) -> np.ndarray:
+    """sum_k |c_k| e^{s|k|_1} over the n leading mode axes of coeffs, shape coeffs.shape[n:].
+
+    One summation order for every majorant.  Modes k and -k are added
+    first, which is exact to swap since e^{s|k|_1} is even, so a block and
+    its mirror conj(c(-k)) give the same bits.  The folded terms are then
+    accumulated in mode order, k = 0 last, one running sum per entry, the
+    same for every entry whatever the trailing axes.  |c| is formed for one
+    pair of slabs of the first mode axis, t and 2K - t, at a time.
+    """
+    slab = ((2 * K + 1) ** (n - 1), math.prod(coeffs.shape[n:]))
+    w = strip_weight(n, K, s).reshape(2 * K + 1, slab[0], 1)
+    acc = None
+    for t in range(K + 1):
+        terms = np.abs(coeffs[t]).reshape(slab)
+        terms *= w[t]
+        if t < K:
+            mirror = np.abs(coeffs[2 * K - t]).reshape(slab)
+            mirror *= w[2 * K - t]
+            terms += mirror[::-1]
+            del mirror
+            rows = len(terms)
+        else:
+            # the middle slab folds onto itself around k = 0, which comes last
+            rows = len(terms) // 2
+            terms[:rows] += terms[:rows:-1]
+            rows += 1
+        if acc is not None:
+            terms[0] += acc
+        np.cumsum(terms[:rows], axis=0, out=terms[:rows])
+        acc = terms[rows - 1].copy()
+    return acc.reshape(coeffs.shape[n:])
 
 
 def next_fast_len(target: int) -> int:
@@ -150,11 +185,17 @@ def grid_to_coeffs(values: np.ndarray, n: int, K: int) -> np.ndarray:
     The first n axes are grid axes; any trailing axes are batch axes.  One
     axis at a time, in place; bit for bit scipy.fft.fftn(..., norm="forward")
     of the values as complex (scipy's real-input path rounds otherwise).
+    The transform consumes values: a writeable C-contiguous complex array
+    is transformed where it lies, so its contents are lost; any other input
+    is transformed in a complex copy.
     """
     M = values.shape[0]
     if M < 2 * K + 2:
         raise AliasingError(f"grid size {M} < 2K+2 = {2 * K + 2}")
-    table = np.fft.fft(np.ascontiguousarray(values, dtype=complex), axis=0)
+    table = values
+    if not (values.dtype == complex and values.flags.c_contiguous and values.flags.writeable):
+        table = np.array(values, dtype=complex)
+    np.fft.fft(table, axis=0, out=table)
     # scaled once, after the first axis, real and imaginary parts alike: the
     # n-d call's rounding, signed zeros included
     parts = table.view(float)
@@ -176,11 +217,21 @@ def chop(coeffs: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _commute(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y - y @ x over the leading axes, one slice of y @ x at a time."""
-    out = x @ y
-    for a, b, o in zip(x, y, out):
-        o -= b @ a
-    return out
+    """x @ y - y @ x over the leading axes, written into x; returns x.
+
+    One slice of the first axis at a time, so the scratch is that slice's
+    two products, never a third grid; y is left as it was.
+    """
+    for a, b in zip(x, y):
+        ab = a @ b
+        ab -= b @ a
+        a[...] = ab
+    return x
+
+
+def _abs_max(coeffs: np.ndarray) -> float:
+    """max |c| over a coefficient block, one slab of the first axis at a time (0 if empty)."""
+    return max((float(np.max(np.abs(slab), initial=0.0)) for slab in coeffs), default=0.0)
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -306,14 +357,23 @@ class _Series:
         return self._like(self.K, freeze(-self.coeffs))
 
     def _grid_product(self, other, op):
-        """op(self(phi), other(phi)) on an alias-free grid, at band self.K + other.K."""
+        """op(self(phi), other(phi)) on an alias-free grid, at band self.K + other.K.
+
+        op writes its result into its first operand, whose grid the transform
+        then consumes: two grids are alive at a time, never three.
+        """
         K = self.K + other.K
         M = next_fast_len(2 * K + 2)
-        return self._like(K, freeze(grid_to_coeffs(op(self.grid(M), other.grid(M)), self.n, K)))
+        values, other_values = self.grid(M), other.grid(M)
+        op(values, other_values)
+        del other_values
+        coeffs = grid_to_coeffs(values, self.n, K)
+        del values
+        return self._like(K, freeze(coeffs))
 
     def product(self, other):
         """Exact entrywise grid product, at band self.K + other.K."""
-        return self._grid_product(other, np.multiply)
+        return self._grid_product(other, lambda x, y: np.multiply(x, y, out=x))
 
     def mirror_defect(self) -> float:
         """Max |c - _mirror(c)|: zero iff real (scalar) or hermitian (operator) on the torus."""
@@ -403,9 +463,7 @@ class OperatorSeries(_Series):
 
     def majorant_matrix(self, s: float) -> np.ndarray:
         """Entrywise sum_k |Phat_ijk| e^{s|k|_1}; dominates |P_ij| on the strip."""
-        w = strip_weight(self.n, self.K, s)
-        flat = np.abs(self.coeffs).reshape(-1, self.N, self.N)
-        return np.tensordot(w.reshape(-1), flat, axes=(0, 0))
+        return _majorant_sum(self.coeffs, self.n, self.K, s)
 
 
 @dataclass(frozen=True)
@@ -510,11 +568,15 @@ def _grid_opnorm_max(values: np.ndarray) -> float:
     return float(np.max(np.linalg.svd(flat, compute_uv=False)[:, 0]))
 
 
+def _majorant_norm(maj: np.ndarray, weightings) -> float:
+    """max over (wl, wr) of ||diag(wl) maj diag(wr)||_2 for an entrywise majorant maj."""
+    return max(float(np.linalg.norm(wl[:, None] * maj * wr[None, :], 2)) for wl, wr in weightings)
+
+
 def _weighted_norm(P: OperatorSeries, weightings, s: float, M: int) -> float:
     """max over (wl, wr) of ||diag(wl) P diag(wr)||: majorant if s > 0, real M**n grid if s = 0."""
     if s > 0:
-        maj = P.majorant_matrix(s)
-        return max(float(np.linalg.norm(wl[:, None] * maj * wr[None, :], 2)) for wl, wr in weightings)
+        return _majorant_norm(P.majorant_matrix(s), weightings)
     vals = P.grid(M)
     return max(_grid_opnorm_max(wl[:, None] * vals * wr[None, :]) for wl, wr in weightings)
 

@@ -677,6 +677,34 @@ def test_no_command_loads_scipy(tmp_path):
     assert load_json(tmp_path / "manifest" / "verify.json")["integrator"] == "magnus"
 
 
+# Which kamreduce modules a command loads, run in a fresh interpreter.
+_MODULES_CHILD = """
+import sys
+from kamreduce.cli import EXIT_OK, main
+assert main(sys.argv[1:]) == EXIT_OK
+print(" ".join(sorted(m for m in sys.modules if m.startswith("kamreduce."))))
+"""
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    manifest = str(MANIFESTS / "reference-n1.json")
+    loaded = {}
+    for cmd in ("model", "frequencies", "reduce", "verify"):
+        out = subprocess.run(
+            [sys.executable, "-c", _MODULES_CHILD, cmd, "--manifest", manifest,
+             "--out", str(tmp_path / "run")],
+            env=_child_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 0, (cmd, out.stderr)
+        loaded[cmd] = set(out.stdout.splitlines()[-1].split())
+    heavy = {"kamreduce.engine", "kamreduce.homological", "kamreduce.diophantine"}
+    assert not loaded["model"] & heavy
+    assert not loaded["frequencies"] & {"kamreduce.engine", "kamreduce.homological"}
+    assert "kamreduce.diophantine" in loaded["frequencies"]
+    assert "kamreduce.diophantine" not in loaded["verify"]
+    assert heavy <= loaded["reduce"]
+
+
 def test_nonpositive_threads_usage_error(tmp_path):
     manifest = _write(tmp_path, _doc(str(tmp_path / "m")))
     assert _run("model", manifest, extra=("--threads", "0")) == cli.EXIT_SCHEMA

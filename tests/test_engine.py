@@ -351,6 +351,9 @@ def test_step_records_carry_work_counters(run_n2):
     # a-priori step 2 sums no level
     assert [(r["lie_bands"], r["grid_M"]) for r in ref.records] == [([6, 6, 12, 15], 40),
                                                                     ([], 0)]
+    # the largest grid each step holds: step 1's widest commutator grid, 40^2
+    # points of N^2 = 400 entries, and step 2's pair solve factors, 63^2 of 190
+    assert [r["grid_bytes"] for r in ref.records] == [40**2 * 400 * 16, 63**2 * 190 * 16]
     for rec in state.records:
         assert 0 <= rec["K_P"] <= SETTINGS_N2.work_cutoff()
         assert rec["B_truncation"] >= 0.0
@@ -396,8 +399,8 @@ def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):
     assert state.l == 2 and not state.converged
     assert not any(rec["a_priori"] for rec in state.records)
     assert all(rec["lie_order"] >= 1 and rec["grid_M"] > 0 for rec in state.records)
-    assert list(state.norm_history) == [0.0009999999999999998, 5.0421319290387264e-08,
-                                        8.682030479414887e-16]
+    assert list(state.norm_history) == [0.0009999999999999998, 5.042131929038726e-08,
+                                        8.682030479414889e-16]
     # the bound is the same number whether or not the step stops on it
     assert state.records[-1]["a_priori_bound"] == converged.records[-1]["a_priori_bound"]
 

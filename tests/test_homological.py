@@ -5,14 +5,17 @@ equation at a larger cutoff; both it and the integrating-factor solver
 converge to the same solution, so sup-grid agreement certifies the solver.
 """
 
+import dataclasses
 import itertools
+import math
+import pathlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from kamreduce import homological
+from kamreduce import cli, engine, homological, serialize, torus
 from kamreduce.errors import DivisorTooSmall, GuardWarning, KamError
 from kamreduce.homological import (
     HomologicalSolution,
@@ -247,7 +250,8 @@ def test_kuksin_galerkin_oracle_n1():
     chi, info = solve_kuksin(b, h, E1, E2, omega, with_info=True)
     assert info["residual"] < 1e-9
     # the one-pair defect is the pair stack's kernel on one pair, bit for bit
-    assert info["residual"] == 3.604550673975805e-15
+    # (majorants summed in torus._majorant_sum's one order)
+    assert info["residual"] == 3.604550673975807e-15
     assert info["unimodularity_defect"] < 1e-12
     oracle = galerkin_solve(b, h, E1, E2, omega, Ko=32)
     assert grid_gap(chi, oracle) < 1e-9 * sup_norm_s(b, 0.0)
@@ -262,7 +266,7 @@ def test_kuksin_galerkin_oracle_n2():
     E1, E2 = 3.1, 0.1
     chi, info = solve_kuksin(b, h, E1, E2, omega, with_info=True)
     assert info["residual"] < 1e-9
-    assert info["residual"] == 2.091230299700083e-14
+    assert info["residual"] == 2.091230299700082e-14
     oracle = galerkin_solve(b, h, E1, E2, omega, Ko=12)
     assert grid_gap(chi, oracle, M=40) < 1e-8 * sup_norm_s(b, 0.0)
 
@@ -533,3 +537,190 @@ def test_variable_cstar_guard():
     with pytest.warns(GuardWarning):
         sol = solve_variable(P, base, np.array([GOLDEN]))
     assert any(m.startswith("C* guard violated") for m in sol.guard_messages)
+
+
+# ---------------------------------------------------------------------------
+# the chunked pair kernels against their whole-stack forms
+
+
+def whole_stack_solve(b, mud, E1, omega, M, K_out, pairs=None):
+    """The pair solve on one stack of all pairs at once: the chunked kernel's oracle.
+
+    Returns (chi, min_divisor, unimodularity_defect).
+    """
+    n = len(omega)
+    K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
+    if np.any(mud):
+        K = (M - 2) // 2
+        live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
+        Hd = homological._primitive(mud, n, K_mu, omega, live, pairs)
+        factor = np.exp(1j * torus.coeffs_to_grid(Hd, n, K_mu, M))
+        unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
+        gb = torus.coeffs_to_grid(b, n, K_b, M)
+        np.multiply(factor, gb, out=gb)
+        btil = torus.grid_to_coeffs(gb, n, K)
+        live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
+    else:
+        factor, unimod, K, btil = None, 0.0, K_b, b
+        live = b != 0
+    den = torus._k_dot_omega(n, K, omega)[..., None] + E1
+    size = np.abs(den)
+    homological._check_divisors(
+        homological._first_below(size, homological._divisor_floor(n, K)[..., None], live),
+        n, K, "|omega.k + E1|", pairs)
+    min_div = float(np.min(size[live])) if np.any(live) else np.inf
+    uc = np.zeros_like(btil)
+    np.divide(btil, den, out=uc, where=live & (size > 0))
+    if factor is None:
+        chic = uc
+    else:
+        gu = torus.coeffs_to_grid(uc, n, K, M)
+        np.multiply(np.conj(factor), gu, out=gu)
+        chic = torus.grid_to_coeffs(gu, n, K)
+    if K_out is None:
+        chic = torus.chop(chic, torus.CHOP_FLOOR * float(np.max(np.abs(chic), initial=0.0)))
+        K_out = torus._live_band(chic, n, K)
+    return chic[torus._box(n, min(K_out, K), K)], min_div, unimod
+
+
+def whole_stack_defect(chi, gap, mud, rhs, omega):
+    """The defect kernel on one stack of all pairs at once: the chunked kernel's oracle."""
+    n = len(omega)
+    K_chi, K_rhs = (chi.shape[0] - 1) // 2, (rhs.shape[0] - 1) // 2
+    K_mu = 0 if mud is None else (mud.shape[0] - 1) // 2
+    K_D = max(K_chi + K_mu, K_rhs)
+    M = 0
+    if mud is None:
+        D = np.zeros((2 * K_D + 1,) * n + chi.shape[n:], dtype=complex)
+    else:
+        K = K_chi + K_mu
+        M = torus.next_fast_len(2 * K + 2)
+        gc = torus.coeffs_to_grid(chi, n, K_chi, M)
+        np.multiply(torus.coeffs_to_grid(mud, n, K_mu, M), gc, out=gc)
+        D = torus.grid_to_coeffs(gc, n, K)
+        if K < K_D:
+            D = np.pad(D, [(K_D - K, K_D - K)] * n + [(0, 0)] * (D.ndim - n))
+    D[torus._box(n, K_chi, K_D)] += (torus._k_dot_omega(n, K_chi, omega)[..., None] + gap) * chi
+    D[torus._box(n, K_rhs, K_D)] -= rhs
+    return D, M
+
+
+OMEGAS = np.array([GOLDEN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.5])
+
+
+def pair_case(n, N, K_b, K_mu, seed):
+    """(b, mud, E1, omega, pairs) of a solve_variable stack: -P_ji against mu_j - mu_i."""
+    rng = np.random.default_rng(seed)
+    ii, jj = np.triu_indices(N, 1)
+    b = -random_hermitian(N, n, K_b, rng, s=0.3).coeffs[..., jj, ii]
+    mu = random_mu(N, n, K_mu, rng) if K_mu else np.zeros((N,) + (1,) * n)
+    mud = np.moveaxis(mu[jj] - mu[ii], 0, -1)
+    E1 = np.arange(1.0, N + 1.0)[jj] ** 1.4 - np.arange(1.0, N + 1.0)[ii] ** 1.4
+    return b, mud, E1, OMEGAS[:n], list(zip(ii.tolist(), jj.tolist()))
+
+
+def chunk_of(monkeypatch, pairs_per_chunk, points):
+    """Set the chunk so that it holds pairs_per_chunk pairs of points each."""
+    monkeypatch.setattr(homological, "CHUNK_BYTES", 16 * points * pairs_per_chunk)
+
+
+# (n, N, K_b, K_mu, pairs per chunk): chunks that divide the pairs and that do
+# not, one pair per chunk, a single pair, and mu = 0
+CHUNKED = [(1, 9, 3, 2, 5), (1, 9, 3, 2, 1), (2, 6, 2, 1, 4), (2, 6, 2, 1, 15),
+           (3, 4, 1, 1, 4), (2, 2, 2, 1, 1), (2, 6, 2, 0, 4), (1, 7, 3, 0, 2)]
+
+
+@pytest.mark.parametrize("n, N, K_b, K_mu, per_chunk", CHUNKED)
+def test_chunked_pair_solve_is_the_whole_stack_solve(monkeypatch, n, N, K_b, K_mu, per_chunk):
+    b, mud, E1, omega, pairs = pair_case(n, N, K_b, K_mu, seed=61 + n + N)
+    M = torus.next_fast_len(2 * (K_b + K_mu + 3) + 2)
+    K = (M - 2) // 2 if K_mu else K_b
+    chunk_of(monkeypatch, per_chunk, (M if K_mu else 2 * K_b + 1) ** n)
+    assert len(homological._pair_chunks((M if K_mu else 2 * K_b + 1) ** n, len(E1))) == \
+        -(-len(E1) // per_chunk)
+    for K_out in (None, K - 2, K + 3):
+        chi, min_div, unimod, trunc = homological._solve_pairs(b, mud, E1, omega, M, K_out, pairs)
+        want, want_div, want_unimod = whole_stack_solve(b, mud, E1, omega, M, K_out, pairs)
+        assert chi.shape == want.shape and chi.tobytes() == want.tobytes()
+        assert (min_div, unimod) == (want_div, want_unimod)
+        # the dropped mass is summed from the dropped coefficients themselves
+        full = whole_stack_solve(b, mud, E1, omega, M, K + 1, pairs)[0]
+        if K_out is None:
+            dropped = full[np.abs(full) < torus.CHOP_FLOOR * np.max(np.abs(full))]
+        else:
+            shell = np.max(np.abs(torus.k_box(n, K)), axis=1).reshape((2 * K + 1,) * n)
+            dropped = full[shell > K_out]
+        expect = math.fsum(np.abs(dropped).ravel())
+        assert abs(trunc - expect) <= 1e-13 * expect
+        assert (trunc > 0) == (K_out == K - 2 or (K_out is None and expect > 0))
+
+
+@pytest.mark.parametrize("n, N, K_b, K_mu, per_chunk", CHUNKED)
+def test_chunked_defect_is_the_whole_stack_defect(monkeypatch, n, N, K_b, K_mu, per_chunk):
+    b, mud, E1, omega, _ = pair_case(n, N, K_b, K_mu, seed=67 + n + N)
+    rng = np.random.default_rng(n + N)
+    chi = rng.normal(size=(2 * K_b + 3,) * n + (len(E1),)) * (1 + 1j)
+    mud = mud if K_mu else None
+    K = K_b + 1 + K_mu
+    chunk_of(monkeypatch, per_chunk, torus.next_fast_len(2 * K + 2) ** n if K_mu else (2 * K + 1) ** n)
+    D, M = homological._defect(chi, E1, mud, b, omega)
+    want, want_M = whole_stack_defect(chi, E1, mud, b, omega)
+    assert M == want_M and D.tobytes() == want.tobytes()
+    # read from an operator's entries, chunk by chunk, it is the same stack
+    ii, jj = np.triu_indices(N, 1)
+    op = np.zeros(chi.shape[:n] + (N, N), dtype=complex)
+    op[..., jj, ii] = chi
+    D_op, _ = homological._defect(op, E1, mud, b, omega, (jj, ii))
+    assert D_op.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, per_chunk", [(1, 2), (2, 3), (3, 1)])
+def test_chunked_solve_names_the_whole_stack_solves_first_bad_divisor(monkeypatch, n, per_chunk):
+    N, K_b, K_mu = 5, 2, 1
+    b, mud, E1, omega, pairs = pair_case(n, N, K_b, K_mu, seed=71 + n)
+    M = torus.next_fast_len(2 * (K_b + K_mu + 3) + 2)
+    K = (M - 2) // 2
+    chunk_of(monkeypatch, per_chunk, M**n)
+    kdw = torus._k_dot_omega(n, K, omega)
+    # three exact resonances: the last pair at the earliest mode, which the
+    # whole-stack search names first, and two earlier pairs at later modes
+    E1 = E1.copy()
+    for p, k in ((9, (-2,) * n), (1, (1,) * n), (4, (2,) * n)):
+        E1[p] = -kdw[tuple(x + K for x in k)]
+    with pytest.raises(DivisorTooSmall) as want:
+        whole_stack_solve(b, mud, E1, omega, M, K, pairs)
+    with pytest.raises(DivisorTooSmall) as got:
+        homological._solve_pairs(b, mud, E1, omega, M, K, pairs)
+    assert (got.value.i, got.value.j, got.value.k, got.value.value) == \
+        (want.value.i, want.value.j, want.value.k, want.value.value)
+    assert str(got.value) == str(want.value) and got.value.k == (-2,) * n
+
+
+def reference_n2():
+    """(A, P, omega, settings) of the shipped reference-n2 manifest."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "manifests" / "reference-n2.json"
+    manifest = serialize.RunManifest.load(path)
+    A, P = cli._build_model(manifest)
+    return A, P, np.array(manifest.frequency["omega"]), cli._settings(manifest)
+
+
+def test_step_two_pair_solve_holds_at_most_two_pair_grids():
+    """The reference-n2 step-2 solve: the factors and btil, and one chunk's scratch."""
+    A, P, omega, settings = reference_n2()
+    state = engine.run_schedule(A, P, omega, dataclasses.replace(settings, l_max=1))[0]
+    P, base = state.P, state.base
+    ii, jj = np.triu_indices(P.N, 1)
+    mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
+    M = homological._working_grid(P.K + base.K, P.K + base.K + engine.SOLVER_PAD)
+    b = -P.coeffs[..., jj, ii]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        chi = homological._solve_pairs(b, mud, base.lam[jj] - base.lam[ii], omega, M,
+                                       settings.work_cutoff())[0]
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    grid = M**P.n * len(jj) * 16
+    assert (M, len(jj), chi.shape[0]) == (63, 190, 2 * settings.work_cutoff() + 1)
+    assert peak <= 2 * grid

@@ -1,5 +1,8 @@
 """Torus-series algebra: transforms, norms, structure preservation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len as scipy_next_fast_len
@@ -356,3 +359,49 @@ def test_product_of_real_series_is_real():
     g = random_scalar(2, 3, rng, real=True)
     fg = f.product(g)
     assert fg.mirror_defect() < 1e-12 * max(1.0, np.max(np.abs(fg.coeffs)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_commutator_in_place_is_x_at_y_minus_y_at_x(n):
+    rng = np.random.default_rng(43 + n)
+    shape = (6,) * n + (5, 5)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = x @ y - y @ x
+    y_before = y.copy()
+    got = torus._commute(x, y)
+    assert got is x and got.tobytes() == want.tobytes()
+    assert y.tobytes() == y_before.tobytes()
+
+
+def test_commutator_holds_two_grids_and_a_slice_pair():
+    rng = np.random.default_rng(47)
+    A = random_hermitian(12, 2, 5, rng)
+    B = random_hermitian(12, 2, 4, rng)
+    M = next_fast_len(2 * (A.K + B.K) + 2)
+    grid = M**2 * 12 * 12 * 16
+    A.commutator(B)                    # the transforms' first-call caches are not the commutator's
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        AB = A.commutator(B)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert AB.K == 9 and M == 20
+    # x and y on the grid, and one slice's two products; the transform
+    # consumes x, so the result's coefficients never join a third grid
+    assert peak <= 2 * grid + 2 * grid // M + 4096
+
+
+def test_majorant_sum_is_mirror_symmetric_and_accurate():
+    rng = np.random.default_rng(53)
+    for n, K in ((1, 4), (2, 3), (3, 2)):
+        c = rng.normal(size=(2 * K + 1,) * n + (4, 4)) * (1 + 1j)
+        s = 0.3
+        got = torus._majorant_sum(c, n, K, s)
+        assert got.tobytes() == torus._majorant_sum(torus._mirror(c, n), n, K, s).T.tobytes()
+        w = torus.strip_weight(n, K, s)[..., None, None]
+        terms = (np.abs(c) * w).reshape(-1, 16)
+        want = np.array([math.fsum(col) for col in terms.T]).reshape(4, 4)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
