@@ -463,14 +463,18 @@ def cmd_reduce(manifest: RunManifest, log, timings, args):
 def _load_reduced(outdir: str):
     """Rebuild a ReducedSystem from reduced.json plus its .npy companions.
 
-    Each of these artifacts is read only once its checksum passes; the other
-    files in outdir, which the command does not read, are not checked.
+    Each of these artifacts is checked against its checksum before any of
+    its bytes are read; the other files in outdir, which the command does
+    not read, are not checked.  reduced.json and mu_inf.npy are loaded; each
+    generator stays in its file as a serialize.StoredOperator, whose header
+    is checked here against reduced.json's n and K and the run's N, and
+    whose coefficients are read slab by slab each time it is evaluated; a
+    generator rewritten after this load fails its next read.
     """
     import numpy as np
 
     from .engine import ReducedSystem
-    from .serialize import load_array, load_json, verify_checksums
-    from .torus import OperatorSeries
+    from .serialize import StoredOperator, load_array, load_json, verify_checksums
 
     path = os.path.join(outdir, "reduced.json")
     if not os.path.isfile(path):
@@ -481,12 +485,9 @@ def _load_reduced(outdir: str):
     if doc["mu_inf"] is not None:
         files.append(doc["mu_inf"])
     verify_checksums(outdir, files)
-    gens = []
-    for meta in doc["generators"]:
-        coeffs = load_array(os.path.join(outdir, meta["file"]))
-        gens.append(
-            OperatorSeries(meta["n"], meta["K"], coeffs.shape[-1], coeffs)
-        )
+    N = len(doc["lambda_inf"])
+    gens = tuple(StoredOperator(os.path.join(outdir, meta["file"]), meta["n"], meta["K"], N)
+                 for meta in doc["generators"])
     mu = None
     if doc["mu_inf"] is not None:
         mu = load_array(os.path.join(outdir, doc["mu_inf"]))
@@ -494,7 +495,7 @@ def _load_reduced(outdir: str):
         **{name: doc[name] for name in _REDUCED_SCALARS},
         **{name: np.asarray(doc[name], dtype=float) for name in _REDUCED_VECTORS},
         mu_inf=mu,
-        generators=tuple(gens),
+        generators=gens,
         # a reduced.json from before generators were cut holds them whole
         dropped=tuple(meta.get("dropped", 0.0) for meta in doc["generators"]),
     )
@@ -581,6 +582,9 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
             "unitarity_defect": info.get("unitarity_defect"),
         }
 
+    # the largest array verify held for each generator was its slab buffer
+    log.emit("verify.generators",
+             generators=[{"K": B.K, "slab_bytes": B.slab_bytes} for B in reduced.generators])
     write_json(os.path.join(manifest.out, "verify.json"), report)
     if not report["passed"]:
         raise ToleranceExceeded(

@@ -140,7 +140,9 @@ class ReducedSystem:
     """Constant-diagonal normal form with the conjugating generators.
 
     Each generator is stored at its live band; dropped[l] bounds what that
-    cut lost, sup_phi ||B_l - generators[l]||_2 (run_schedule).
+    cut lost, sup_phi ||B_l - generators[l]||_2 (run_schedule).  A loaded
+    run's generators are serialize.StoredOperator, which evaluate (at) from
+    their files; reduce's are OperatorSeries.
     """
 
     lambda_inf: np.ndarray
@@ -169,18 +171,19 @@ class ReducedSystem:
 
 
 def diag_split(P: OperatorSeries):
-    """Split P into (constant diagonal shift, oscillatory diagonal, off-diagonal).
+    """The diagonal of P as (constant shift, oscillatory part).
 
     The shift is the angular average of P_ii (must be real for hermitian P);
     the oscillatory part is returned as a zero-average coefficient stack
-    (N, modes...) ready to be added to a DiagonalPart's mu.
+    (N, modes...) ready to be added to a DiagonalPart's mu.  The rest of P
+    is P.offdiagonal_part().
     """
     n, K, N = P.n, P.K, P.N
     idx = np.arange(N)
     mu_add = P.coeffs[..., idx, idx]                     # (modes..., N), a copy
     ctr = (K,) * n
     avg = mu_add[ctr].copy()
-    scale = max(float(np.max(np.abs(P.coeffs))), 1e-300)
+    scale = max(_abs_max(P.coeffs), 1e-300)
     if np.max(np.abs(avg.imag)) > 1e-12 * scale:
         raise HermiticityError(
             f"diagonal average has imaginary part {np.max(np.abs(avg.imag)):.2e} "
@@ -191,8 +194,7 @@ def diag_split(P: OperatorSeries):
     # enforce exact realness on the real torus (hermitian P guarantees it up
     # to roundoff): average with the mirrored conjugate
     mu_add = np.moveaxis(0.5 * (mu_add + _mirror(mu_add, n)), -1, 0)
-    off = P.offdiagonal_part()
-    return shift, mu_add, off
+    return shift, mu_add
 
 
 # scaling and squaring brings a batch's 1-norm bound to at most this
@@ -515,7 +517,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         _guard(guard_msgs, f"||B||_G = {gB:.3g} exceeds 1/2")
 
     # absorb the diagonal of P into the base
-    shift, mu_add, _ = diag_split(P)
+    shift, mu_add = diag_split(P)
     new_lam = base.lam + shift
     K_mu = max(base.K, P.K)
     mu_stack = np.zeros((N,) + (2 * K_mu + 1,) * n, dtype=complex)

@@ -16,8 +16,9 @@ matrix (n = 1) is diagonalized on its own.  verify propagates the
 fundamental solution Phi from the identity through the output times (and,
 for n = 1, the period T), reconstructs the whole propagator U(phi_t)
 e^{-i (Lambda t + F(t))} U(phi0)^* at the same times, with the generators
-evaluated at the flow's angles by OperatorSeries.at, and compares the two
-as operators; for n = 1 it hands Phi(T) to quasienergies_from_period_map.
+evaluated at the flow's angles by their at (a stored run's read from their
+files slab by slab), and compares the two as operators; for n = 1 it hands
+Phi(T) to quasienergies_from_period_map.
 
 One propagation loop, _sweep, carries a state or a block of states through
 the output times: it asks an exponential kernel for a chunk of steps at a
@@ -132,6 +133,10 @@ def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
     U(phi0)^* at every output time.  chi(0) = U(phi0)* psi0 and each chi_i
     evolves by the explicit phase lambda_inf_i t + F_i(t); the Euclidean
     norm is conserved exactly up to roundoff because every factor is unitary.
+    Each generator is evaluated by its at, once at phi0 and once at the
+    flow's angles: an OperatorSeries from its coefficients, a
+    serialize.StoredOperator by reading its file one slab at a time, to the
+    same bits.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     psi0 = np.asarray(psi0, dtype=complex)

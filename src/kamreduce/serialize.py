@@ -18,7 +18,9 @@ hold.
 
 Large complex arrays (the conjugation generators) would be wasteful as JSON;
 they are stored as ``.npy`` -- whose byte layout is also a pure function of
-the array -- and covered by the same ``checksums.json``.
+the array -- and covered by the same ``checksums.json``.  A stored
+generator is read back as a :class:`StoredOperator`, one slab at a time
+while it is evaluated, never whole.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArtifactError, SchemaError
+from .errors import ArtifactError, KamError, SchemaError
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -45,6 +47,7 @@ __all__ = [
     "load_json",
     "write_array",
     "load_array",
+    "StoredOperator",
     "sha256_file",
     "write_checksums",
     "verify_checksums",
@@ -148,6 +151,79 @@ def load_array(path) -> np.ndarray:
     from .torus import freeze
 
     return freeze(np.load(path))
+
+
+class StoredOperator:
+    """An operator series in its .npy file, evaluated while it is read.
+
+    It stands for the torus.OperatorSeries of band K on n angles that
+    write_array stored, and holds none of its coefficients.  Opening reads
+    the header only: its shape must be (2K+1,)*n + (N, N) and its data
+    C-ordered complex128, or a KamError names the mismatch, as the shape
+    check of a series does; a file that is no .npy, or whose size is not
+    what its header says, raises ArtifactError.  at(phis) reads the
+    coefficients one slab of the first mode axis at a time into one buffer
+    of slab_bytes and sums each slab as it arrives with the kernel of
+    OperatorSeries.at (torus._values_at), in its order, so the values are
+    the loaded series' bit for bit.  The file is opened once its checksum
+    has passed, and must not change while a command reads it: a read of a
+    file whose inode, size or modification time differs from when it was
+    opened raises ArtifactError rather than give values.
+    """
+
+    def __init__(self, path, n: int, K: int, N: int):
+        self.path, self.n, self.K, self.N = path, n, K, N
+        self._name = name = os.path.basename(path)
+        self._shape = shape = (2 * K + 1,) * n + (N, N)
+        self.slab_bytes = np.dtype(complex).itemsize * math.prod(shape[1:])
+        fmt = np.lib.format
+        with open(path, "rb") as fh:
+            try:
+                v1 = fmt.read_magic(fh) == (1, 0)
+                read = fmt.read_array_header_1_0 if v1 else fmt.read_array_header_2_0
+                stored, fortran, dtype = read(fh)
+            except ValueError as exc:
+                raise ArtifactError(f"{name} is not a readable .npy file: {exc}") from exc
+            self._offset = fh.tell()
+            self._stamp = _stamp(fh)
+            size = self._stamp[1] - self._offset
+        if stored != shape:
+            raise KamError(f"{name}: coefficient shape {stored} != {shape}")
+        if fortran or dtype != np.dtype(complex):
+            order = "Fortran" if fortran else "C"
+            raise KamError(f"{name}: {order}-ordered {dtype}, not C-ordered complex128")
+        if size != shape[0] * self.slab_bytes:
+            raise ArtifactError(
+                f"{name} holds {size} data bytes, its header {shape[0] * self.slab_bytes}")
+
+    def _slabs(self):
+        """The slabs of the first mode axis in order, each read into the one buffer.
+
+        The last slab is yielded only once the file is seen unchanged since
+        it was opened.
+        """
+        slab = np.empty(self._shape[1:], dtype=complex)
+        raw = slab.reshape(-1).view(np.uint8)
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            for i in range(self._shape[0]):
+                if fh.readinto(raw) != raw.nbytes:
+                    raise ArtifactError(f"{self._name} ended before its last slab")
+                if i == self._shape[0] - 1 and _stamp(fh) != self._stamp:
+                    raise ArtifactError(f"{self._name} changed after its checksum was checked")
+                yield slab
+
+    def at(self, phis: np.ndarray) -> np.ndarray:
+        """Values at a batch of angles phis (T, n), shape (T, N, N)."""
+        from .torus import _values_at
+
+        return _values_at(phis, self.n, self.K, self._slabs(), (self.N, self.N))
+
+
+def _stamp(fh) -> tuple:
+    """An open file's inode, size and modification time, which a rewrite changes."""
+    st = os.fstat(fh.fileno())
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 # ---------------------------------------------------------------------------

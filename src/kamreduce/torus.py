@@ -259,6 +259,23 @@ def _frozen(c: np.ndarray) -> bool:
             and owner.nbytes == c.nbytes)
 
 
+def _values_at(phis: np.ndarray, n: int, K: int, slabs, tail: tuple) -> np.ndarray:
+    """sum_k c_k e^{ik.phi} at a batch of angles phis (T, n), shape (T,) + tail.
+
+    slabs yields the 2K+1 slabs of the first mode axis in order, each of
+    shape (2K+1,)*(n-1) + tail, and each is used before the next is asked
+    for: a coefficient array, or a file read into one buffer.  Summed one
+    slab at a time, so the phase table e^{ik.phi} holds the (2K+1)^(n-1)
+    modes of one slab, never all (2K+1)^n.
+    """
+    ks = k_box(n, K).reshape(2 * K + 1, -1, n)
+    values = np.zeros((len(phis), math.prod(tail)), dtype=complex)
+    term = np.empty_like(values)
+    for k, c in zip(ks, slabs, strict=True):
+        values += np.matmul(np.exp(1j * (phis @ k.T)), c.reshape(len(k), -1), out=term)
+    return values.reshape((len(phis),) + tail)
+
+
 def _live_band(coeffs: np.ndarray, n: int, K: int) -> int:
     """Largest |k|_inf that carries a nonzero coefficient (0 if none); modes lead."""
     live = np.argwhere(np.any(coeffs != 0, axis=tuple(range(n, coeffs.ndim))))
@@ -301,19 +318,8 @@ class _Series:
         return coeffs_to_grid(self.coeffs, self.n, self.K, M)
 
     def at(self, phis: np.ndarray) -> np.ndarray:
-        """Values at a batch of angles phis (T, n), shape (T,) + trailing axes.
-
-        Summed one slab of the first mode axis at a time, so the phase table
-        e^{ik.phi} holds the (2K+1)^(n-1) modes of one slab, never all
-        (2K+1)^n.
-        """
-        ks = k_box(self.n, self.K).reshape(2 * self.K + 1, -1, self.n)
-        coeffs = self.coeffs.reshape(ks.shape[:2] + (-1,))
-        values = np.zeros((len(phis), coeffs.shape[-1]), dtype=complex)
-        term = np.empty_like(values)
-        for k, c in zip(ks, coeffs):
-            values += np.matmul(np.exp(1j * (phis @ k.T)), c, out=term)
-        return values.reshape((len(phis),) + self._tail)
+        """Values at a batch of angles phis (T, n), shape (T,) + trailing axes (_values_at)."""
+        return _values_at(phis, self.n, self.K, self.coeffs, self._tail)
 
     def __call__(self, phi):
         phi = np.atleast_1d(np.asarray(phi, dtype=float))

@@ -22,8 +22,9 @@ import pytest
 from kamreduce import cli
 from kamreduce.engine import run_schedule
 from kamreduce.errors import SchemaError
-from kamreduce.serialize import RunManifest, load_json
-from kamreduce.torus import CHOP_FLOOR
+from kamreduce.floquet import reconstruct_solution
+from kamreduce.serialize import RunManifest, load_array, load_json, write_checksums
+from kamreduce.torus import CHOP_FLOOR, OperatorSeries
 
 OMEGA = 0.13799890521733005
 # certified in test_engine for two angles (tau = 9, every N up to 12)
@@ -148,8 +149,8 @@ def test_reduce_reference_artifacts(finished_run):
 
 
 def test_reduced_json_round_trips_the_cut_generators(finished_run):
-    # reduced.json's K is the stored band and dropped its bound; loading
-    # gives back the schedule's generators bit for bit, anti-hermitian
+    # reduced.json's K is the stored band and dropped its bound; the stored
+    # generators are the schedule's bit for bit, anti-hermitian
     _, manifest, outdir = finished_run
     doc = RunManifest.load(manifest)
     base, P = cli._build_model(doc)
@@ -160,8 +161,21 @@ def test_reduced_json_round_trips_the_cut_generators(finished_run):
     assert 0.0 < max(got.dropped) <= CHOP_FLOOR
     for gen, want, meta in zip(got.generators, expect.generators, metas, strict=True):
         assert gen.K == want.K == meta["K"]
-        assert gen.coeffs.tobytes() == want.coeffs.tobytes()
-        assert gen.antihermiticity_defect() == 0.0
+        stored = OperatorSeries(meta["n"], meta["K"], base.N, load_array(outdir / meta["file"]))
+        assert stored.coeffs.tobytes() == want.coeffs.tobytes()
+        assert stored.antihermiticity_defect() == 0.0
+
+
+def test_stored_generators_reconstruct_the_schedules_solution_bit_for_bit(finished_n2_run):
+    _, manifest, outdir = finished_n2_run
+    doc = RunManifest.load(manifest)
+    base, P = cli._build_model(doc)
+    _, expect = run_schedule(base, P, OMEGA_N2, cli._settings(doc))
+    got = cli._load_reduced(str(outdir))
+    ts = np.linspace(0.5, 10.0, 7)
+    for psi0 in (np.eye(base.N), np.ones(base.N) / np.sqrt(base.N)):
+        want = reconstruct_solution(expect, psi0, np.zeros(2), ts)
+        assert reconstruct_solution(got, psi0, np.zeros(2), ts).tobytes() == want.tobytes()
 
 
 def test_reduce_epsilon_zero_immediate(tmp_path):
@@ -543,6 +557,89 @@ def test_verify_passes_again_once_a_failed_run_is_restored(finished_run, tmp_pat
     assert (copy / "checksums.json").read_bytes() == sums
     assert _run("verify", manifest) == cli.EXIT_OK
     assert not (copy / "error.json").exists()
+
+
+@pytest.mark.parametrize("run", ["finished_run", "finished_n2_run"])
+def test_verify_and_spectrum_never_load_a_generator_whole(run, request, tmp_path, monkeypatch):
+    # each generator is read slab by slab while it is evaluated; verify's
+    # log counts the one slab buffer it held per generator
+    from kamreduce import serialize
+
+    _, manifest, outdir = request.getfixturevalue(run)
+    copy = tmp_path / "copy"
+    shutil.copytree(outdir, copy)
+    for module, load in ((serialize, serialize.load_array), (np, np.load)):
+        def guarded(path, *args, load=load, **kwargs):
+            if os.path.basename(path).startswith("generator_"):
+                raise AssertionError(f"{path} loaded whole")
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, load.__name__, guarded)
+    assert _run("verify", manifest, out=copy) == cli.EXIT_OK
+    assert _run("spectrum", manifest, out=copy) == cli.EXIT_OK
+    metas = load_json(copy / "reduced.json")["generators"]
+    N = len(load_json(copy / "reduced.json")["lambda_inf"])
+    counted = [e for e in _events(copy, "verify") if e["event"] == "verify.generators"]
+    assert counted == [{"event": "verify.generators", "generators": [
+        {"K": meta["K"], "slab_bytes": 16 * (2 * meta["K"] + 1) ** (meta["n"] - 1) * N * N}
+        for meta in metas]}]
+
+
+def _broken_generator(path, case):
+    """Rewrite the stored generator at path as one of the broken files of case."""
+    coeffs = np.load(path)
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:-16])
+        return
+    if case == "K":
+        coeffs = np.pad(coeffs, [(1, 1)] + [(0, 0)] * (coeffs.ndim - 1))
+    elif case == "n":
+        coeffs = np.broadcast_to(coeffs, coeffs.shape[:1] + coeffs.shape)
+    elif case == "N":
+        coeffs = coeffs[..., :-1, :-1]
+    elif case == "fortran":
+        coeffs = np.asfortranarray(coeffs)
+    elif case == "complex64":
+        coeffs = coeffs.astype(np.complex64)
+    np.save(path, coeffs)
+
+
+@pytest.mark.parametrize("case, exit_code, reason, detail", [
+    ("K", cli.EXIT_FAILURE, "failure", "coefficient shape"),
+    ("n", cli.EXIT_FAILURE, "failure", "coefficient shape"),
+    ("N", cli.EXIT_FAILURE, "failure", "coefficient shape"),
+    ("fortran", cli.EXIT_FAILURE, "failure", "not C-ordered complex128"),
+    ("complex64", cli.EXIT_FAILURE, "failure", "not C-ordered complex128"),
+    ("truncated", cli.EXIT_ARTIFACT, "artifact", "data bytes"),
+])
+def test_a_broken_generator_with_a_matching_checksum_fails_typed(finished_run, tmp_path, case,
+                                                               exit_code, reason, detail):
+    _, _, outdir = finished_run
+    copy = tmp_path / "copy"
+    shutil.copytree(outdir, copy)
+    _broken_generator(copy / "generator_00.npy", case)
+    write_checksums(copy)
+    manifest = _write(tmp_path, _doc(str(copy)))
+    for cmd in ("verify", "spectrum"):
+        err = _assert_failed(_run(cmd, manifest), copy, cmd, exit_code, reason)
+        assert "generator_00.npy" in err["detail"] and detail in err["detail"]
+
+
+def test_a_corrupted_generator_fails_its_checksum_before_it_is_opened(finished_run, tmp_path,
+                                                                     monkeypatch):
+    from kamreduce import serialize
+
+    _, _, outdir = finished_run
+    copy = tmp_path / "copy"
+    shutil.copytree(outdir, copy)
+    _broken_generator(copy / "generator_00.npy", "truncated")
+    opened = []
+    monkeypatch.setattr(serialize, "StoredOperator", lambda *args: opened.append(args))
+    manifest = _write(tmp_path, _doc(str(copy)))
+    for cmd in ("verify", "spectrum"):
+        err = _assert_failed(_run(cmd, manifest), copy, cmd, cli.EXIT_ARTIFACT, "artifact")
+        assert "checksum mismatch for generator_00.npy" in err["detail"]
+    assert opened == []
 
 
 def test_verify_missing_artifacts(tmp_path):

@@ -98,8 +98,8 @@ def run_n1():
 def test_diag_split_reassembles():
     rng = np.random.default_rng(5)
     P = _random_hermitian(5, 1, 2, rng)
-    shift, mu_add, off = diag_split(P)
-    rebuilt = off.coeffs.copy()
+    shift, mu_add = diag_split(P)
+    rebuilt = P.offdiagonal_part().coeffs.copy()
     idx = np.arange(5)
     rebuilt[..., idx, idx] += np.moveaxis(mu_add, 0, -1)
     rebuilt[(2,) * 1 + (idx, idx)] += shift
