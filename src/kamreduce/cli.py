@@ -496,8 +496,7 @@ def _load_reduced(outdir: str):
         **{name: np.asarray(doc[name], dtype=float) for name in _REDUCED_VECTORS},
         mu_inf=mu,
         generators=gens,
-        # a reduced.json from before generators were cut holds them whole
-        dropped=tuple(meta.get("dropped", 0.0) for meta in doc["generators"]),
+        dropped=tuple(meta["dropped"] for meta in doc["generators"]),
     )
 
 
@@ -506,12 +505,7 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
     import numpy as np
 
     from .engine import _peak_rss_mb
-    from .floquet import (
-        integrator_costs,
-        propagate_step_doubled,
-        quasienergies_from_period_map,
-        reconstruct_solution,
-    )
+    from .floquet import _quasienergies, _reconstruct, integrator_costs, propagate_step_doubled
     from .serialize import write_json
 
     reduced = _load_reduced(manifest.out)
@@ -533,7 +527,8 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
     times = ts if T is None else np.union1d(ts, [T])
 
     with _timed(timings, "verify.reconstruct_s"):
-        R = reconstruct_solution(reduced, identity, phi0, ts)
+        # U(phi0) = U(0) is the frame the period map's modes are matched in
+        R, U0 = _reconstruct(reduced, identity, phi0, ts)
     timings["verify.reconstruct_rss_mb"] = _peak_rss_mb()
     # the integrator the cost model predicts cheaper; CF4 on a tie
     costs = integrator_costs(base, P, omega, times)
@@ -570,7 +565,7 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
     if T is not None:
         with _timed(timings, "verify.monodromy_s"):
             period = np.searchsorted(times, T)
-            nu, info = quasienergies_from_period_map(Phi[period], T, reduced)
+            nu, info = _quasienergies(Phi[period], T, U0)
         report["steps_period"] = int(steps[: period + 1].sum())
         lam = np.mod(reduced.lambda_inf, 2.0 * np.pi / T)
         err = np.abs(nu - lam)

@@ -30,8 +30,8 @@ Numerical notes that matter here:
   that bound, reweighted to the new base, is at most tol, the step stops
   early: P+ is zero, the bound is its reported norm, and the record says
   a_priori.  The last step of a converging run ends this way; its
-  generator is still solved, because verify composes it, but D stays on
-  the solve's pair stack: no N x N defect is assembled.
+  generator is still solved, because verify composes it, but B and D stay
+  on the solve's pair stack: no N x N series of either is assembled.
 * P+ is trimmed to its live band after chopping: all-zero outer shells are
   dropped, which changes no coefficient and no norm.
 * Coefficients below an absolute floor are zeroed after each step so the
@@ -68,12 +68,13 @@ from .errors import (
     HermiticityError,
     KamError,
 )
-from .homological import GeneratorDefect, _guard, solve_variable
+from .homological import _guard, solve_variable
 from .serialize import KamSettings
 from .torus import (
     CHOP_FLOOR,
     DiagonalPart,
     OperatorSeries,
+    PairSeries,
     _abs_max,
     _box,
     _live_band,
@@ -140,9 +141,9 @@ class ReducedSystem:
     """Constant-diagonal normal form with the conjugating generators.
 
     Each generator is stored at its live band; dropped[l] bounds what that
-    cut lost, sup_phi ||B_l - generators[l]||_2 (run_schedule).  A loaded
-    run's generators are serialize.StoredOperator, which evaluate (at) from
-    their files; reduce's are OperatorSeries.
+    cut lost, sup_phi ||B_l - generators[l]||_2 (run_schedule).  reduce's
+    generators are torus.PairSeries; a loaded run's are
+    serialize.StoredOperator, which evaluate (at) their pairs from their files.
     """
 
     lambda_inf: np.ndarray
@@ -310,7 +311,8 @@ def matrix_exp_antihermitian(Bg: np.ndarray):
     return E, E - np.eye(Bg.shape[-1])
 
 
-def _level_band(X: OperatorSeries, W: np.ndarray, s: float, weight: float, K_out: int):
+def _level_band(X: OperatorSeries | PairSeries, W: np.ndarray, s: float, weight: float,
+                K_out: int):
     """(K, dropped) for the band K that one Lie-series level keeps.
 
     dropped = ||W |X - X.truncate(K)|_s||_2, the majorant norm of what the
@@ -324,16 +326,16 @@ def _level_band(X: OperatorSeries, W: np.ndarray, s: float, weight: float, K_out
     shell = np.max(np.abs(k_box(n, K)), axis=1)
     by_shell = np.zeros((K + 1, len(shell)))
     by_shell[shell, np.arange(len(shell))] = strip_weight(n, K, s).reshape(-1)
-    maj = (by_shell @ np.abs(X.coeffs).reshape(len(shell), -1)).reshape(K + 1, X.N, X.N)
+    maj = by_shell @ np.abs(X.coeffs).reshape(len(shell), -1)
     beyond = np.zeros_like(maj)                                  # [r]: shells r+1..K
     beyond[:-1] = np.cumsum(maj[:0:-1], axis=0)[::-1]
-    dropped = np.linalg.norm(W[:, None] * beyond, 2, axis=(1, 2))
+    dropped = np.linalg.norm(W[:, None] * X._square(beyond), 2, axis=(1, 2))
     fits = np.flatnonzero(weight * dropped <= CHOP_FLOOR)
     K_keep = min(int(fits[0]) if len(fits) else K, K_out)
     return K_keep, float(dropped[K_keep])
 
 
-def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: GeneratorDefect,
+def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSeries,
               K_out: int, s: float, tol: float = 0.0):
     """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B), as a Lie series.
 
@@ -357,10 +359,10 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Gener
     * a_priori_bound = ||D|| + (e^b - 1) p bounds the whole of P+ before
       any commutator is formed.  When it is at most tol, P+ is returned as
       zero, with a_priori true and no series summed: the bound is then the
-      one account of what P+ held.  ||D|| comes from D's pair stack,
-      ||diag P|| and ||P_off|| from P's one majorant (a bound at every s),
-      and the N x N series D.series() and P's two parts are formed only
-      once this test has failed;
+      one account of what P+ held.  ||D|| and g come from the pair stacks
+      of D and B, ||diag P|| and ||P_off|| from P's one majorant (a bound
+      at every s), and the N x N series of D and B and P's two parts are
+      formed only once this test has failed, each once;
     * lie_tail_bound = p b^(m+1) / (m+1)! / (1 - b / (m+2)) bounds the
       terms past order m, and m is the smallest order that puts it at or
       below CHOP_FLOOR (m = 0 for B = 0, where P+ = P_off exactly);
@@ -380,8 +382,6 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Gener
     n, N = P.n, P.N
     guards = []
     b_max = _abs_max(B.coeffs)
-    if B.antihermiticity_defect() > 1e-10 * max(1.0, b_max):
-        _guard(guards, "generator is not anti-hermitian to 1e-10")
     b = 2.0 * g_norm(B, base, s)
     # ||diag P|| and ||P_off|| from P's one majorant, entry for entry the
     # majorants of the two parts, which are formed only to sum the series
@@ -400,7 +400,7 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: OperatorSeries, D: Gener
     m = _taylor_degree(b, CHOP_FLOOR / max(p, 1e-300))
     tail = p * b ** (m + 1) / math.factorial(m + 1) / (1.0 - b / (m + 2))
 
-    D = D.series()
+    D, B = D.series(), B.series()
     off = P.offdiagonal_part()
     diag = P - off
     S, M, truncation, bands = None, 0, 0.0, []
@@ -720,9 +720,9 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
 def _compose(generators, values, N: int, batch: tuple = ()) -> np.ndarray:
     """exp(B_1) exp(B_2) ... (identity if none), values(B) = B at the points, batch + (N, N)."""
     U = np.broadcast_to(np.eye(N, dtype=complex), batch + (N, N)).copy()
+    work = _Workspace()
     for B in generators:
-        E, _ = matrix_exp_antihermitian(values(B))
-        U = U @ E
+        U = U @ _expm_taylor(values(B).reshape(-1, N, N), work).reshape(batch + (N, N))
     return U
 
 

@@ -15,10 +15,10 @@ direct propagation uses only the original coefficients, and the monodromy
 matrix (n = 1) is diagonalized on its own.  verify propagates the
 fundamental solution Phi from the identity through the output times (and,
 for n = 1, the period T), reconstructs the whole propagator U(phi_t)
-e^{-i (Lambda t + F(t))} U(phi0)^* at the same times, with the generators
-evaluated at the flow's angles by their at (a stored run's read from their
-files slab by slab), and compares the two as operators; for n = 1 it hands
-Phi(T) to quasienergies_from_period_map.
+e^{-i (Lambda t + F(t))} U(phi0)^* at the same times, each generator read
+once, at phi0 and the flow's angles (a stored run's slab by slab), and
+compares the two as operators; for n = 1 it matches the quasi-energies of
+Phi(T) to the modes in the U(0) = U(phi0) so composed.
 
 One propagation loop, _sweep, carries a state or a block of states through
 the output times: it asks an exponential kernel for a chunk of steps at a
@@ -109,18 +109,17 @@ def floquet_spectrum(reduced: ReducedSystem, Kmax: int, cluster_tol: float = 1e-
     return FloquetSpectrum(nu=flat, multiplicity=mult, mode=mode, k=kk)
 
 
-def _phase_integral(reduced: ReducedSystem, phi0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """F_i(t) = H_i(phi0 + omega t) - H_i(phi0), shape (T, N), H_i the torus primitive of mu_i.
+def _phase_integral(reduced: ReducedSystem, phis: np.ndarray) -> np.ndarray:
+    """F_i(t) = H_i(phi0 + omega t) - H_i(phi0), shape (T, N), at phis = phi0, then phi0 + omega t.
 
-    H comes from homological._primitive, so a live mode whose |omega.k| is
-    below the solve's floor raises DivisorTooSmall.
+    H_i is the torus primitive of mu_i, from homological._primitive, so a
+    live mode whose |omega.k| is below the solve's floor raises DivisorTooSmall.
     """
     if reduced.mu_inf is None or reduced.K_mu == 0:
-        return np.zeros((len(ts), reduced.N), dtype=complex)
+        return np.zeros((len(phis) - 1, reduced.N), dtype=complex)
     n, K = reduced.n, reduced.K_mu
     c = np.moveaxis(reduced.mu_inf, 0, -1)               # (modes..., N)
     H = _primitive(c, n, K, reduced.omega, np.abs(c) > 0).reshape(-1, reduced.N)
-    phis = phi0[None, :] + np.outer(np.concatenate([[0.0], ts]), reduced.omega)
     values = np.exp(1j * (phis @ k_box(n, K).T)) @ H     # (1 + T, N)
     return values[1:] - values[0]
 
@@ -133,24 +132,29 @@ def reconstruct_solution(reduced: ReducedSystem, psi0, phi0, ts) -> np.ndarray:
     U(phi0)^* at every output time.  chi(0) = U(phi0)* psi0 and each chi_i
     evolves by the explicit phase lambda_inf_i t + F_i(t); the Euclidean
     norm is conserved exactly up to roundoff because every factor is unitary.
-    Each generator is evaluated by its at, once at phi0 and once at the
-    flow's angles: an OperatorSeries from its coefficients, a
+    Each generator is evaluated once, by its at, at phi0 and the flow's
+    angles in one batch: a torus.PairSeries from its pairs, a
     serialize.StoredOperator by reading its file one slab at a time, to the
     same bits.
     """
+    return _reconstruct(reduced, psi0, phi0, ts)[0]
+
+
+def _reconstruct(reduced: ReducedSystem, psi0, phi0, ts):
+    """(reconstruct_solution's value, the frame U(phi0) it composed on the way)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     psi0 = np.asarray(psi0, dtype=complex)
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     N = reduced.N
     if psi0.ndim not in (1, 2) or psi0.shape[0] != N:
         raise KamError(f"psi0 must have shape ({N},) or ({N}, c)")
-    phis = phi0[None, :] + np.outer(ts, reduced.omega)
-    U0 = _compose(reduced.generators, lambda B: B.at(phi0[None, :]), N, (1,))[0]
-    chi0 = np.conj(U0.T) @ psi0.reshape(N, -1)           # (N, c)
-    F = _phase_integral(reduced, phi0, ts)               # (T, N)
-    phase = np.exp(-1j * (np.outer(ts, reduced.lambda_inf) + F))
+    phis = phi0[None, :] + np.outer(np.concatenate([[0.0], ts]), reduced.omega)
     U = _compose(reduced.generators, lambda B: B.at(phis), N, (len(phis),))
-    return (U @ (phase[:, :, None] * chi0[None])).reshape((len(ts),) + psi0.shape)
+    U0, U = U[0].copy(), U[1:]
+    chi0 = np.conj(U0.T) @ psi0.reshape(N, -1)           # (N, c)
+    F = _phase_integral(reduced, phis)                   # (T, N)
+    phase = np.exp(-1j * (np.outer(ts, reduced.lambda_inf) + F))
+    return (U @ (phase[:, :, None] * chi0[None])).reshape((len(ts),) + psi0.shape), U0
 
 
 def _forcing(base: DiagonalPart, P: OperatorSeries | None):
@@ -613,6 +617,13 @@ def quasienergies_from_period_map(
     exp(-i lambda_inf_j T) branches by eigenvector overlap with U(0) e_j and
     returned in mode order; otherwise they come out sorted.
     """
+    U0 = None if reduced is None else _compose(
+        reduced.generators, lambda B: B.at(np.zeros((1, 1))), M.shape[0], (1,))[0]
+    return _quasienergies(M, T, U0, unitarity_tol)
+
+
+def _quasienergies(M: np.ndarray, T: float, U0: np.ndarray | None, unitarity_tol: float = 1e-8):
+    """quasienergies_from_period_map with the frame U0 = U(0) given (None: sorted)."""
     N = M.shape[0]
     defect = float(np.max(np.abs(np.conj(M.T) @ M - np.eye(N))))
     if defect > unitarity_tol:
@@ -621,9 +632,8 @@ def quasienergies_from_period_map(
     eigvals /= np.abs(eigvals)
     nu = np.mod(-np.angle(eigvals), 2.0 * np.pi) / T        # in [0, 2 pi / T)
     info = {"unitarity_defect": defect, "period": T}
-    if reduced is None:
+    if U0 is None:
         return np.sort(nu), info
-    U0 = _compose(reduced.generators, lambda B: B.at(np.zeros((1, 1))), N, (1,))[0]
     overlap = np.abs(np.conj(U0.T) @ eigvecs) ** 2           # (mode, eig)
     perm = _match_modes(overlap)
     info["min_overlap"] = float(np.min(overlap[np.arange(N), perm]))

@@ -27,20 +27,19 @@ byte size (_pair_chunks): a forward pass keeps every chunk's conjugated
 factor and transformed right-hand side, the quantities that decide the
 division (the live threshold, the first divisor below its floor) are taken
 over all pairs, and an inverse pass frees each chunk as it cuts its chi.
-A solve so holds about two pair grids, whatever the number of pairs.
+A solve so holds about two pair grids, whatever the number of pairs, and
+returns B as its pairs, an anti-hermitian torus.PairSeries.
 
 Every solve reports its relative defect as a bound.  One kernel, _defect,
 forms the defect exactly in coefficients on the same pair stack, the
 product (mu_j - mu_i) chi on an alias-free grid of one chunk of pairs at a
 time, and ||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is
 divided by the same norm of the right-hand side.  A solution carries the
-generator's defect D, formed once by _generator_defect from B's entries
-and kept on the pair stack as a GeneratorDefect: the solved entries D_ji
-(i < j) come from the kernel, the entries D_ij are their mirror
-conj(D_ji(-k)), so D is exactly hermitian, and the diagonal is
-(omega.k) B_ii(k).  Its majorant, and so every norm of D, comes from the
-pairs, summed in the order of every majorant (torus._majorant_sum), so it
-is the assembled series' to the bit; the N x N series is assembled only by
+generator's defect D, formed once by _generator_defect from B's pairs and
+kept as a hermitian PairSeries: the entries D_ji (i < j) come from the
+kernel, the entries D_ij are their mirror conj(D_ji(-k)), and the diagonal
+(omega.k) B_ii(k) is zero, as B_ii is.  Its majorant, and so every norm
+of D, comes from the pairs; the N x N series is assembled only by
 series(), which the conjugation step calls once its a-priori bound has
 missed tol.
 
@@ -52,7 +51,7 @@ each is warned once, where it is measured, and returned in guard_messages.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,12 +60,12 @@ from .torus import (
     CHOP_FLOOR,
     DiagonalPart,
     OperatorSeries,
+    PairSeries,
     TorusSeries,
     _box,
     _k_dot_omega,
     _live_band,
     _majorant_sum,
-    _mirror,
     coeffs_to_grid,
     freeze,
     grid_to_coeffs,
@@ -77,7 +76,6 @@ from .torus import (
 )
 
 __all__ = [
-    "GeneratorDefect",
     "HomologicalSolution",
     "solve_constant",
     "torus_primitive",
@@ -145,60 +143,12 @@ def _pair_chunks(points: int, pairs: int) -> list:
 
 
 @dataclass(frozen=True)
-class GeneratorDefect:
-    """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, on the pair stack.
-
-    pairs holds the entries D_ji at band K, pair p being (i, j) = (ii[p],
-    jj[p]) of np.triu_indices(N, 1), and diag the diagonal (omega.k) B_ii(k)
-    at band K_diag <= K.  The entries D_ij are the mirror conj(D_ji(-k)), as
-    they are for an anti-hermitian B and a hermitian P.  The norms read the
-    pairs directly; series() assembles the N x N series, which only a
-    conjugation that sums its Lie series needs.
-    """
-
-    n: int
-    K: int
-    N: int
-    pairs: np.ndarray = field(repr=False)      # (2K+1,)*n + (N(N-1)/2,)
-    K_diag: int
-    diag: np.ndarray = field(repr=False)       # (2K_diag+1,)*n + (N,)
-
-    def majorant_matrix(self, s: float) -> np.ndarray:
-        """Entrywise sum_k |Dhat_ijk| e^{s|k|_1}; (i, j) and (j, i) share theirs.
-
-        Summed as OperatorSeries.majorant_matrix sums series() (_majorant_sum),
-        whose mirrored entries give the same bits, so the two are equal.
-        """
-        ii, jj = np.triu_indices(self.N, 1)
-        idx = np.arange(self.N)
-        maj = np.zeros((self.N, self.N))
-        maj[jj, ii] = maj[ii, jj] = _majorant_sum(self.pairs, self.n, self.K, s)
-        maj[idx, idx] = _majorant_sum(self.diag, self.n, self.K_diag, s)
-        return maj
-
-    def series(self) -> OperatorSeries:
-        """D as an exactly hermitian N x N series at band K."""
-        n, N, K = self.n, self.N, self.K
-        ii, jj = np.triu_indices(N, 1)
-        idx = np.arange(N)
-        D = np.zeros((2 * K + 1,) * n + (N, N), dtype=complex)
-        D[..., jj, ii] = self.pairs
-        D[..., ii, jj] = _mirror(self.pairs, n)
-        D[_box(n, self.K_diag, K) + (idx, idx)] = self.diag
-        return OperatorSeries(n, K, N, freeze(D))
-
-    def grid(self, M: int) -> np.ndarray:
-        """D on the M**n grid, for the sampled norms at s = 0."""
-        return self.series().grid(M)
-
-
-@dataclass(frozen=True)
 class HomologicalSolution:
     """Generator B with its certification data."""
 
-    B: OperatorSeries
+    B: PairSeries
     # D = [A,B] - i Bdot + (P - diag P), the generator's defect in coefficients
-    D: GeneratorDefect
+    D: PairSeries
     # ||W |D|_s||_2 / ||W |P_off|_s||_2 for the defect D of the equation, a
     # bound on the relative defect over the strip of the solve's width s
     residual: float
@@ -213,16 +163,15 @@ class HomologicalSolution:
     defect_grid_M: int = 0
 
 
-def _defect(chi, gap, mud, rhs, omega, entries=None):
+def _defect(chi, gap, mud, rhs, omega):
     """D = (gap + mud) chi - i (omega.d) chi - rhs, formed exactly in coefficients.
 
     chi, rhs and mud are centred coefficient stacks with the pair axis last,
     as _solve_pairs takes them; gap holds one constant per pair and mud (or
-    None) multiplies chi pairwise.  With entries = (rows, cols), chi is an
-    operator's coefficients instead and its stack is chi[..., rows, cols].
-    D's coefficients are formed, not sampled: the product mud chi is taken
-    on an alias-free grid of the pairs alone, one chunk of pairs at a time
-    (_pair_chunks), and D keeps its whole band.  Returns (D, the product's
+    None) multiplies chi pairwise.  D's coefficients are formed, not
+    sampled: the product mud chi is taken on an alias-free grid of the
+    pairs alone, one chunk of pairs at a time (_pair_chunks), and D keeps
+    its whole band.  Returns (D, the product's
     grid M per axis, 0 without mud).
     """
     n = len(omega)
@@ -233,15 +182,14 @@ def _defect(chi, gap, mud, rhs, omega, entries=None):
     D = np.zeros((2 * K_D + 1,) * n + (len(gap),), dtype=complex)
     kdw = _k_dot_omega(n, K_chi, omega)[..., None]
     for c in _pair_chunks(max(M, 2 * K_D + 1) ** n, len(gap)):
-        chi_c = chi[..., c] if entries is None else chi[..., entries[0][c], entries[1][c]]
         if mud is not None:
             # D starts as the product's coefficients; the terms added after
             # them round as they did added to zeros, since addition commutes
-            gc = coeffs_to_grid(chi_c, n, K_chi, M)
+            gc = coeffs_to_grid(chi[..., c], n, K_chi, M)
             np.multiply(coeffs_to_grid(mud[..., c], n, K_mu, M), gc, out=gc)
             D[_box(n, K, K_D) + (c,)] = grid_to_coeffs(gc, n, K)
             del gc
-        D[_box(n, K_chi, K_D) + (c,)] += (kdw + gap[c]) * chi_c
+        D[_box(n, K_chi, K_D) + (c,)] += (kdw + gap[c]) * chi[..., c]
         D[_box(n, K_rhs, K_D) + (c,)] -= rhs[..., c]
     return D, M
 
@@ -263,30 +211,25 @@ def _off_majorant(P: OperatorSeries, s: float) -> np.ndarray:
     return maj
 
 
-def _generator_defect(B: OperatorSeries, P: OperatorSeries, base: DiagonalPart, omega):
+def _generator_defect(B: PairSeries, P: OperatorSeries, base: DiagonalPart, omega):
     """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, in coefficients.
 
-    D is formed on the solve's pair stack, entries (j, i) with i < j, read
-    from B one chunk of pairs at a time, so B's pair stack is never copied
-    out whole.  The entries (i, j) are their mirror D_ij(k) = conj(D_ji(-k)),
-    as they are for an anti-hermitian B and a hermitian P (solve_variable
-    warns when P is not), so D is exactly hermitian.  The diagonal is
-    (omega.k) B_ii(k), since A is diagonal and P - diag P has none.
-    Returns (D as a GeneratorDefect, the grid M per axis of the product
-    (mu_j - mu_i) B_ji, 0 where the mu_i coincide).
+    D is formed on B's pair stack, entries (j, i) with i < j; the entries
+    (i, j) are their mirror D_ij(k) = conj(D_ji(-k)), as they are for an
+    anti-hermitian B and a hermitian P (solve_variable warns when P is
+    not), so D is a hermitian PairSeries.  Its diagonal (omega.k) B_ii(k)
+    is zero, since A is diagonal, P - diag P has none and B_ii = 0.
+    Returns (D, the grid M per axis of the product (mu_j - mu_i) B_ji, 0
+    where the mu_i coincide).
     """
-    n, N = P.n, P.N
-    ii, jj = np.triu_indices(N, 1)
-    idx = np.arange(N)
+    ii, jj = np.triu_indices(P.N, 1)
     mud = None
     if base.mu is not None:
         # entry (j, i) of [A, B] is (a_j - a_i) B_ji
         mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
         mud = mud if np.any(mud) else None
-    Dp, M = _defect(B.coeffs, base.lam[jj] - base.lam[ii], mud, -P.coeffs[..., jj, ii], omega,
-                    (jj, ii))
-    diag = _k_dot_omega(n, B.K, omega)[..., None] * B.coeffs[..., idx, idx]
-    return GeneratorDefect(n, (Dp.shape[0] - 1) // 2, N, freeze(Dp), B.K, freeze(diag)), M
+    Dp, M = _defect(B.coeffs, base.lam[jj] - base.lam[ii], mud, -P.coeffs[..., jj, ii], omega)
+    return PairSeries(P.n, (Dp.shape[0] - 1) // 2, P.N, freeze(Dp), 1), M
 
 
 def solve_constant(
@@ -296,23 +239,21 @@ def solve_constant(
 ) -> HomologicalSolution:
     """Coefficient-wise solve for constant diagonal part (mu = 0).
 
-    Only the off-diagonal part of P is removed; B_ii = 0.  The residual is
-    the defect bound on the real torus (s = 0).
+    Only P's off-diagonal pairs are divided; B_ij mirrors B_ji.  The
+    residual is the defect bound on the real torus (s = 0).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if base.mu is not None and np.max(np.abs(base.mu)) > 0:
         raise KamError("solve_constant requires mu = 0; use solve_variable")
     n, K, N = P.n, P.K, P.N
-    kdw = _k_dot_omega(n, K, omega)
-    gap = base.lam[:, None] - base.lam[None, :]
-    den = kdw[..., None, None] + gap
-    offmask = ~np.eye(N, dtype=bool)
-    live = offmask & (np.abs(P.coeffs) > 0)
-    _check_divisors(_first_below(np.abs(den), _divisor_floor(n, K)[..., None, None], live), n, K,
-                    "divisor")
-    Bc = np.zeros_like(P.coeffs)
-    np.divide(-P.coeffs, den, out=Bc, where=offmask & (np.abs(den) > 0))
-    B = OperatorSeries(n, K, N, freeze(Bc))
+    ii, jj = np.triu_indices(N, 1)
+    b = -P.coeffs[..., jj, ii]
+    den = _k_dot_omega(n, K, omega)[..., None] + (base.lam[jj] - base.lam[ii])
+    live = np.abs(b) > 0
+    _check_divisors(_first_below(np.abs(den), _divisor_floor(n, K)[..., None], live), n, K,
+                    "divisor", list(zip(ii.tolist(), jj.tolist())))
+    Bp = np.divide(b, den, out=np.zeros_like(b), where=np.abs(den) > 0)
+    B = PairSeries(n, K, N, freeze(Bp), -1)
     D, _ = _generator_defect(B, P, base, omega)
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
@@ -535,8 +476,8 @@ def solve_variable(
 
     Pairs are arranged with E1 = lambda_j - lambda_i > 0 (i < j): the (j, i)
     entry is solved by the scalar integrating-factor equation with
-    b = -P_ji, E2 h = mu_j - mu_i, and the (i, j) entry is its anti-hermitian
-    mirror Bhat_ij(k) = -conj(Bhat_ji(-k)).  With mu = 0 each pair is one
+    b = -P_ji, E2 h = mu_j - mu_i; the PairSeries B holds the (i, j) entry as
+    its mirror Bhat_ij(k) = -conj(Bhat_ji(-k)).  With mu = 0 each pair is one
     division on P's band.  Returns the generator together with the relative
     equation defect, bounded at strip width s, and its guard findings.
     """
@@ -572,15 +513,7 @@ def solve_variable(
                                                 K_out, pairs)
     if unimod > UNIMOD_TOL:
         _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
-    K_B = (chic.shape[0] - 1) // 2
-    Bc = np.zeros((2 * K_B + 1,) * n + (N, N), dtype=complex)
-    Bc[..., jj, ii] = chic
-    # the mirrored half, one slice of the first mode axis at a time
-    for t, mirrored in enumerate(chic[::-1]):
-        Bc[t][..., ii, jj] = -_mirror(mirrored, n - 1)
-    del chic, mirrored
-    B = OperatorSeries(n, K_B, N, freeze(Bc))
-    # chi's stack is gone before D is formed, chunk by chunk from B
+    B = PairSeries(n, (chic.shape[0] - 1) // 2, N, freeze(chic), -1)
     D, defect_M = _generator_defect(B, P, base, omega)
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, _off_majorant(P, s), s,

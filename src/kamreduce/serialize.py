@@ -18,9 +18,9 @@ hold.
 
 Large complex arrays (the conjugation generators) would be wasteful as JSON;
 they are stored as ``.npy`` -- whose byte layout is also a pure function of
-the array -- and covered by the same ``checksums.json``.  A stored
-generator is read back as a :class:`StoredOperator`, one slab at a time
-while it is evaluated, never whole.
+the array -- and covered by the same ``checksums.json``.  A generator's
+pairs (torus.PairSeries) are read back as a :class:`StoredOperator`, one
+slab at a time while it is evaluated, never whole.
 """
 
 from __future__ import annotations
@@ -154,18 +154,18 @@ def load_array(path) -> np.ndarray:
 
 
 class StoredOperator:
-    """An operator series in its .npy file, evaluated while it is read.
+    """A generator in its .npy file, evaluated while it is read.
 
-    It stands for the torus.OperatorSeries of band K on n angles that
-    write_array stored, and holds none of its coefficients.  Opening reads
-    the header only: its shape must be (2K+1,)*n + (N, N) and its data
+    It stands for the anti-hermitian torus.PairSeries of band K on n angles
+    whose pairs write_array stored, and holds none of them.  Opening reads
+    the header only: its shape must be (2K+1,)*n + (N(N-1)/2,) and its data
     C-ordered complex128, or a KamError names the mismatch, as the shape
     check of a series does; a file that is no .npy, or whose size is not
-    what its header says, raises ArtifactError.  at(phis) reads the
-    coefficients one slab of the first mode axis at a time into one buffer
-    of slab_bytes and sums each slab as it arrives with the kernel of
-    OperatorSeries.at (torus._values_at), in its order, so the values are
-    the loaded series' bit for bit.  The file is opened once its checksum
+    what its header says, raises ArtifactError.  at(phis) reads the pairs
+    one slab of the first mode axis at a time into one buffer of
+    slab_bytes and sums and mirrors them as PairSeries.at does
+    (torus._values_at, torus._pair_matrix), so the values are the loaded
+    series' bit for bit.  The file is opened once its checksum
     has passed, and must not change while a command reads it: a read of a
     file whose inode, size or modification time differs from when it was
     opened raises ArtifactError rather than give values.
@@ -174,7 +174,7 @@ class StoredOperator:
     def __init__(self, path, n: int, K: int, N: int):
         self.path, self.n, self.K, self.N = path, n, K, N
         self._name = name = os.path.basename(path)
-        self._shape = shape = (2 * K + 1,) * n + (N, N)
+        self._shape = shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
         self.slab_bytes = np.dtype(complex).itemsize * math.prod(shape[1:])
         fmt = np.lib.format
         with open(path, "rb") as fh:
@@ -215,9 +215,10 @@ class StoredOperator:
 
     def at(self, phis: np.ndarray) -> np.ndarray:
         """Values at a batch of angles phis (T, n), shape (T, N, N)."""
-        from .torus import _values_at
+        from .torus import _pair_matrix, _values_at
 
-        return _values_at(phis, self.n, self.K, self._slabs(), (self.N, self.N))
+        pairs = _values_at(phis, self.n, self.K, self._slabs(), self._shape[self.n:])
+        return _pair_matrix(pairs, self.N, -1)
 
 
 def _stamp(fh) -> tuple:

@@ -2,16 +2,16 @@
 
 Scalar series f(phi) = sum_{|k|_inf <= K} fhat_k e^{i k.phi} are stored as a
 complex array of shape (2K+1,)*n with axis index t <-> k = t - K.  Matrix
-valued series carry two trailing axes (N, N).  TorusSeries and
-OperatorSeries share one implementation, _Series, which differs between
-them only by those trailing axes: padding and truncation by _box,
-arithmetic, grid sampling, evaluation at a batch of angles (at, by direct
-mode summation) and one alias-free grid product (product entrywise;
-commutator for operators).  All transforms are plain FFTs on equispaced
-grids; products are computed on grids large enough to be exact for the sum
-of the input bandwidths and keep that whole band.  The transforms are
-numpy.fft's, one axis at a time in place, and the grid sizes come from
-next_fast_len here.  _mirror is the one k -> -k conjugate mirror.
+valued series carry two trailing axes (N, N), a PairSeries one axis of
+the entries below the diagonal.  All three share one implementation,
+_Series, which differs between them only by those trailing axes: padding
+and truncation by _box, arithmetic, grid sampling, evaluation at a batch
+of angles (at, by direct mode summation) and one alias-free grid product
+(product entrywise; commutator for operators).  All transforms are plain
+FFTs on equispaced grids; products are computed on grids large enough to
+be exact for the sum of the input bandwidths and keep that whole band.
+The transforms are numpy.fft's, one axis at a time in place, and the grid
+sizes come from next_fast_len here.  _mirror is the one k -> -k mirror.
 
 Norm conventions:
 
@@ -38,6 +38,7 @@ from .errors import AliasingError, KamError
 __all__ = [
     "TorusSeries",
     "OperatorSeries",
+    "PairSeries",
     "DiagonalPart",
     "directional_derivative",
     "sup_norm_s",
@@ -146,6 +147,20 @@ def _mirror(coeffs: np.ndarray, n: int) -> np.ndarray:
     """
     out = np.conj(coeffs[(slice(None, None, -1),) * n])
     return out.swapaxes(-1, -2) if coeffs.ndim == n + 2 else out
+
+
+def _pair_matrix(lower: np.ndarray, N: int, sign: int = 1, upper=None) -> np.ndarray:
+    """(..., N, N): lower at (j, i), sign * upper at (i, j), i < j, and zeros on the diagonal.
+
+    Pair p (the trailing axis) is (ii[p], jj[p]) of np.triu_indices(N, 1); upper,
+    conj(lower) if None as for values, is negated in place if sign is -1.
+    """
+    ii, jj = np.triu_indices(N, 1)
+    upper = np.conj(lower) if upper is None else upper
+    out = np.zeros(lower.shape[:-1] + (N, N), dtype=lower.dtype)
+    out[..., jj, ii] = lower
+    out[..., ii, jj] = upper if sign > 0 else np.negative(upper, out=upper)
+    return out
 
 
 def _centered_to_fft(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
@@ -456,11 +471,6 @@ class OperatorSeries(_Series):
     # max coefficient defect of Phat(-k) = Phat(k)^H
     hermiticity_defect = _Series.mirror_defect
 
-    def antihermiticity_defect(self) -> float:
-        """Max |c + _mirror(c)|, one slice of the first mode axis at a time."""
-        c, n = self.coeffs, self.n
-        return max(float(np.max(np.abs(c[t] + _mirror(c[-1 - t], n - 1)))) for t in range(len(c)))
-
     def offdiagonal_part(self) -> "OperatorSeries":
         c = self.coeffs.copy()
         idx = np.arange(self.N)
@@ -470,6 +480,56 @@ class OperatorSeries(_Series):
     def majorant_matrix(self, s: float) -> np.ndarray:
         """Entrywise sum_k |Phat_ijk| e^{s|k|_1}; dominates |P_ij| on the strip."""
         return _majorant_sum(self.coeffs, self.n, self.K, s)
+
+    def _square(self, values: np.ndarray) -> np.ndarray:
+        """Real values (..., N*N), one per entry as coeffs orders them, as (..., N, N) matrices."""
+        return values.reshape(values.shape[:-1] + (self.N, self.N))
+
+
+@dataclass(frozen=True)
+class PairSeries(_Series):
+    """An N x N series held as its entries below the diagonal; trailing axis the pairs.
+
+    coeffs holds the entries c_ji, i < j, in _pair_matrix's order.  Entry
+    (i, j) is sign conj(c_ji(-k)) and the diagonal is zero, so on the real
+    torus the series is exactly anti-hermitian (sign -1, a generator B) or
+    hermitian (sign +1, its defect D).  Norms read the pairs; at and grid
+    evaluate the pairs L and fill the rest as sign L^H, so their values are
+    exactly (anti-)hermitian.  series() is the N x N OperatorSeries.
+    """
+
+    n: int
+    K: int
+    N: int
+    coeffs: np.ndarray = field(repr=False)
+    sign: int
+
+    _value = staticmethod(np.array)
+
+    @property
+    def _tail(self) -> tuple:
+        return (self.N * (self.N - 1) // 2,)
+
+    def majorant_matrix(self, s: float) -> np.ndarray:
+        """Entrywise sum_k |c_ijk| e^{s|k|_1}, series().majorant_matrix(s) to the bit."""
+        return self._square(_majorant_sum(self.coeffs, self.n, self.K, s))
+
+    def _square(self, values: np.ndarray) -> np.ndarray:
+        """Real values (..., N(N-1)/2), one per pair, as symmetric (..., N, N) matrices."""
+        return _pair_matrix(values, self.N)
+
+    def series(self) -> OperatorSeries:
+        """The N x N series at band K."""
+        c = _pair_matrix(self.coeffs, self.N, self.sign, _mirror(self.coeffs, self.n))
+        return OperatorSeries(self.n, self.K, self.N, freeze(c))
+
+    def grid(self, M: int) -> np.ndarray:
+        """Values on the M**n grid, shape (M,)*n + (N, N): the pairs' transform, mirrored."""
+        return _pair_matrix(super().grid(M), self.N, self.sign)
+
+    def at(self, phis: np.ndarray) -> np.ndarray:
+        """Values at a batch of angles phis (T, n), shape (T, N, N): the pairs' sum, mirrored."""
+        return _pair_matrix(super().at(phis), self.N, self.sign)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from kamreduce.engine import run_schedule
 from kamreduce.errors import SchemaError
 from kamreduce.floquet import reconstruct_solution
 from kamreduce.serialize import RunManifest, load_array, load_json, write_checksums
-from kamreduce.torus import CHOP_FLOOR, OperatorSeries
+from kamreduce.torus import CHOP_FLOOR, PairSeries
 
 OMEGA = 0.13799890521733005
 # certified in test_engine for two angles (tau = 9, every N up to 12)
@@ -150,7 +150,7 @@ def test_reduce_reference_artifacts(finished_run):
 
 def test_reduced_json_round_trips_the_cut_generators(finished_run):
     # reduced.json's K is the stored band and dropped its bound; the stored
-    # generators are the schedule's bit for bit, anti-hermitian
+    # generators are the schedule's pair stacks bit for bit
     _, manifest, outdir = finished_run
     doc = RunManifest.load(manifest)
     base, P = cli._build_model(doc)
@@ -161,9 +161,9 @@ def test_reduced_json_round_trips_the_cut_generators(finished_run):
     assert 0.0 < max(got.dropped) <= CHOP_FLOOR
     for gen, want, meta in zip(got.generators, expect.generators, metas, strict=True):
         assert gen.K == want.K == meta["K"]
-        stored = OperatorSeries(meta["n"], meta["K"], base.N, load_array(outdir / meta["file"]))
+        stored = PairSeries(meta["n"], meta["K"], base.N, load_array(outdir / meta["file"]), -1)
+        assert stored.coeffs.shape[-1] == base.N * (base.N - 1) // 2
         assert stored.coeffs.tobytes() == want.coeffs.tobytes()
-        assert stored.antihermiticity_defect() == 0.0
 
 
 def test_stored_generators_reconstruct_the_schedules_solution_bit_for_bit(finished_n2_run):
@@ -581,8 +581,28 @@ def test_verify_and_spectrum_never_load_a_generator_whole(run, request, tmp_path
     N = len(load_json(copy / "reduced.json")["lambda_inf"])
     counted = [e for e in _events(copy, "verify") if e["event"] == "verify.generators"]
     assert counted == [{"event": "verify.generators", "generators": [
-        {"K": meta["K"], "slab_bytes": 16 * (2 * meta["K"] + 1) ** (meta["n"] - 1) * N * N}
+        {"K": meta["K"], "slab_bytes": 8 * (2 * meta["K"] + 1) ** (meta["n"] - 1) * N * (N - 1)}
         for meta in metas]}]
+
+
+@pytest.mark.parametrize("name", ["reference-n1", "reference-n2"])
+def test_verify_reads_each_generator_once(name, tmp_path, monkeypatch):
+    # the reconstruction evaluates phi0 and the flow's angles in one batch,
+    # and the period map (n = 1) is matched in the U(0) it composed
+    from kamreduce import serialize
+
+    manifest, out = str(MANIFESTS / f"{name}.json"), tmp_path / "run"
+    assert _run("reduce", manifest, out=out) == cli.EXIT_OK
+    slabs, reads = serialize.StoredOperator._slabs, []
+
+    def counted(self):
+        reads.append(os.path.basename(self.path))
+        return slabs(self)
+
+    monkeypatch.setattr(serialize.StoredOperator, "_slabs", counted)
+    assert _run("verify", manifest, out=out) == cli.EXIT_OK
+    files = [meta["file"] for meta in load_json(out / "reduced.json")["generators"]]
+    assert files and sorted(reads) == files
 
 
 def _broken_generator(path, case):
@@ -596,7 +616,11 @@ def _broken_generator(path, case):
     elif case == "n":
         coeffs = np.broadcast_to(coeffs, coeffs.shape[:1] + coeffs.shape)
     elif case == "N":
-        coeffs = coeffs[..., :-1, :-1]
+        coeffs = coeffs[..., :-1]
+    elif case == "dense":
+        # the N x N layout generator files had before they held their pairs
+        N = round((1 + math.sqrt(1 + 8 * coeffs.shape[-1])) / 2)
+        coeffs = PairSeries(coeffs.ndim - 1, (len(coeffs) - 1) // 2, N, coeffs, -1).series().coeffs
     elif case == "fortran":
         coeffs = np.asfortranarray(coeffs)
     elif case == "complex64":
@@ -608,6 +632,7 @@ def _broken_generator(path, case):
     ("K", cli.EXIT_FAILURE, "failure", "coefficient shape"),
     ("n", cli.EXIT_FAILURE, "failure", "coefficient shape"),
     ("N", cli.EXIT_FAILURE, "failure", "coefficient shape"),
+    ("dense", cli.EXIT_FAILURE, "failure", "coefficient shape"),
     ("fortran", cli.EXIT_FAILURE, "failure", "not C-ordered complex128"),
     ("complex64", cli.EXIT_FAILURE, "failure", "not C-ordered complex128"),
     ("truncated", cli.EXIT_ARTIFACT, "artifact", "data bytes"),

@@ -44,6 +44,7 @@ from kamreduce.serialize import RunManifest
 from kamreduce.torus import (
     DiagonalPart,
     OperatorSeries,
+    PairSeries,
     coeffs_to_grid,
     delta_norm,
     g_norm,
@@ -71,6 +72,12 @@ def _random_hermitian(N, n, K, rng, scale=1.0):
     rev = (slice(None, None, -1),) * n
     c = 0.5 * (c + np.conj(np.swapaxes(c[rev], -1, -2)))
     return OperatorSeries(n, K, N, scale * c)
+
+
+def _pairs(B: OperatorSeries) -> PairSeries:
+    """The anti-hermitian PairSeries of B's entries below the diagonal."""
+    ii, jj = np.triu_indices(B.N, 1)
+    return PairSeries(B.n, B.K, B.N, B.coeffs[..., jj, ii], -1)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +149,7 @@ def test_conjugate_zero_generator_strips_diagonal():
     rng = np.random.default_rng(11)
     base = abstract_base(4, 1, 4.0 / 3.0, 0.2)
     P = _random_hermitian(4, 1, 2, rng)
-    B = OperatorSeries.zero(1, 2, 4)
+    B = _pairs(OperatorSeries.zero(1, 2, 4))
     R, info = conjugate(base, P, B, _generator_defect(B, P, base, np.array([0.1]))[0], 4, 0.05)
     # B = 0: order 0, and the result is exactly P minus its diagonal
     expect = P.coeffs.copy()
@@ -165,9 +172,7 @@ def test_conjugate_matches_dense_grid_oracle():
     base = abstract_base(N, 1, 4.0 / 3.0, 0.2)
     omega = np.array([0.37])
     P = _random_hermitian(N, 1, K, rng, scale=1e-2)
-    raw = _random_hermitian(N, 1, K, rng, scale=3e-3)
-    Bc = 1j * raw.coeffs  # antihermitian coefficients with mirror symmetry
-    B = OperatorSeries(1, K, N, Bc)
+    B = _pairs(_random_hermitian(N, 1, K, rng, scale=3e-3) * 1j)
 
     # K_out deep enough that the discarded tail needs ||B||^9 ~ 1e-17
     K_out = 16
@@ -175,7 +180,7 @@ def test_conjugate_matches_dense_grid_oracle():
     assert info["lie_order"] >= 1 and R.K <= K_out
 
     M = 64
-    Bg = coeffs_to_grid(B.coeffs, 1, K, M)
+    Bg = B.grid(M)
     Pg = coeffs_to_grid(P.coeffs, 1, K, M)
     E = np.stack([scipy.linalg.expm(Bg[m]) for m in range(M)])
     freqs = np.fft.fftfreq(M, d=1.0 / M)  # integer mode numbers
@@ -249,36 +254,58 @@ def test_step_records_each_solve_guard_once():
         "kuksin guard failed for pair (1,2)", "kuksin guard failed for pair (2,3)"]
 
 
-def _with_symmetric_part(B: OperatorSeries, size: float) -> OperatorSeries:
-    """B plus the constant hermitian size * I, which no generator may have."""
-    c = np.zeros_like(B.coeffs)
-    c[(B.K,) * B.n] = size * np.eye(B.N)
-    return B + OperatorSeries(B.n, B.K, B.N, c)
+def _tilted(D: PairSeries, size: float) -> PairSeries:
+    """D whose N x N series adds the constant 1j * size * I: a hermiticity defect of 2 size.
+
+    The constant commutes with every generator, so it reaches conjugate's
+    output unchanged, through the D term at order 0.
+    """
+    class Tilted(PairSeries):
+        def series(self):
+            S = super().series()
+            c = np.zeros_like(S.coeffs)
+            c[(S.K,) * S.n] = 1j * size * np.eye(S.N)
+            return S + OperatorSeries(S.n, S.K, S.N, c)
+
+    return Tilted(D.n, D.K, D.N, D.coeffs, D.sign)
+
+
+def _guard_scale(P, base, B) -> float:
+    """The scale conjugate judges the hermiticity defect of its output against."""
+    return max(float(np.max(np.abs(P.coeffs))),
+               float(np.max(np.abs(base.lam))) * float(np.max(np.abs(B.coeffs))))
 
 
 def test_conjugation_guard_reaches_its_info_and_the_step_record(monkeypatch):
+    # a defect of 1e-10 of scale is above the guard's 1e-11 and below the
+    # error's 1e-9: warned once, in info, and in the step's record
     rng = np.random.default_rng(17)
     base = abstract_base(4, 1, 4.0 / 3.0, 0.2)
     P = _random_hermitian(4, 1, 2, rng, scale=1e-3)
-    B = _with_symmetric_part(_random_hermitian(4, 1, 1, rng, scale=1e-3) * 1j, 1e-9)
-    with pytest.warns(GuardWarning, match="not anti-hermitian") as caught:
-        _, info = conjugate(base, P, B, _generator_defect(B, P, base, OMEGA_N1)[0], 4, 0.05)
-    assert info["guard_messages"] == ("generator is not anti-hermitian to 1e-10",)
+    B = _pairs(_random_hermitian(4, 1, 1, rng, scale=1e-3) * 1j)
+    D = _tilted(_generator_defect(B, P, base, OMEGA_N1)[0], 0.5e-10 * _guard_scale(P, base, B))
+    with pytest.warns(GuardWarning, match="conjugation hermiticity defect") as caught:
+        _, info = conjugate(base, P, B, D, 4, 0.05)
+    defect = info["hermiticity_defect"]
+    assert defect == pytest.approx(1e-10 * _guard_scale(P, base, B), rel=1e-3)
+    assert info["guard_messages"] == (f"conjugation hermiticity defect {defect:.2e}",)
     assert len(caught) == 1
 
     solve = engine.solve_variable
 
-    def tilted(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        return dataclasses.replace(sol, B=_with_symmetric_part(sol.B, 2e-9))
+    def tilted(P, base, *args, **kwargs):
+        sol = solve(P, base, *args, **kwargs)
+        return dataclasses.replace(sol, D=_tilted(sol.D, 0.5e-10 * _guard_scale(P, base, sol.B)))
 
     monkeypatch.setattr(engine, "solve_variable", tilted)
     A, P = build_abstract_model(
         N=10, n=1, d=4.0 / 3.0, delta=0.2, K=3, epsilon=1e-3, s=0.05, seed=4321
     )
     out, warned = _step_and_warnings(_start(A, P, 0.05), OMEGA_N1, SETTINGS_N1)
-    assert out.records[0]["guard_messages"] == ("generator is not anti-hermitian to 1e-10",)
-    assert warned == ["generator is not anti-hermitian to 1e-10"]
+    record = out.records[0]
+    message = f"conjugation hermiticity defect {record['hermiticity_defect']:.2e}"
+    assert not record["a_priori"] and record["guard_messages"] == (message,)
+    assert warned == [message]
 
 
 def test_single_step_contracts_below_schedule(run_n2):

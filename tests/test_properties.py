@@ -14,6 +14,10 @@ stack with the other half as its mirror, is the all-entries defect to
 roundoff, and exactly hermitian; its majorant, read from the pairs, is the
 assembled series' majorant to roundoff.
 
+A pair series' values, at angles or on a grid, are exactly anti-hermitian
+(sign -1) or hermitian (sign +1) with a zero diagonal, and its N x N series
+is the dense mirror assembly bit for bit.
+
 One conjugation step, formed as a Lie series of alias-free commutators,
 matches the dense oracle that builds exp(B) pointwise with scipy, and the
 series-tail, truncation and chopping bounds it reports dominate its
@@ -24,10 +28,10 @@ formed before any commutator, dominates both that P+ and the reference, and
 a tol at the bound returns P+ as zero with no series summed and no N x N
 defect assembled.
 
-One kam_step, with and without mu, leaves P+ hermitian and B
-anti-hermitian, and absorbs P's oscillating diagonal into a mu that has
-zero average, is real on the torus and is cut to its live band after
-chopping; each guard it meets is recorded once and warned once.
+One kam_step, with and without mu, leaves P+ hermitian, and absorbs P's
+oscillating diagonal into a mu that has zero average, is real on the
+torus and is cut to its live band after chopping; each guard it meets is
+recorded once and warned once.
 
 The windowed second-order Diophantine margins that frequency sampling uses
 are the dense kernel's margins wherever those fall below the window's
@@ -66,6 +70,7 @@ from kamreduce.homological import solve_variable
 from kamreduce.torus import (
     DiagonalPart,
     OperatorSeries,
+    PairSeries,
     TorusSeries,
     _box,
     _mirror,
@@ -190,7 +195,7 @@ def solve_case(case):
 
 def defect_at(sol, P, base, omega, z):
     """[A,B] - i omega.dB + P_off at complex angles z, by direct mode summation."""
-    B = sol.B
+    B = sol.B.series()
     mu = np.exp(1j * (z @ k_box(base.n, base.K).T)) @ base.mu.reshape(base.N, -1).T
     a = base.lam + mu                                             # (T, N)
     idx = np.arange(P.N)
@@ -266,20 +271,22 @@ pair_defect_cases = st.tuples(
     st.integers(0, 3),                                            # K of P
     st.integers(0, 3),                                            # K of B
     st.integers(0, 2),                                            # K of mu (0: mu = 0)
-    st.booleans(),                                                # B has a diagonal
     st.integers(0, 2**32 - 1),                                    # coefficient seed
 )
 
 
+def pairs_of(H: OperatorSeries) -> PairSeries:
+    """The anti-hermitian PairSeries of i H's entries below the diagonal."""
+    ii, jj = np.triu_indices(H.N, 1)
+    return PairSeries(H.n, H.K, H.N, 1j * H.coeffs[..., jj, ii], -1)
+
+
 def pair_defect_case(case):
-    """Hermitian P and exactly anti-hermitian B, with or without a diagonal, against lambda + mu."""
-    n, N, K, K_B, K_mu, diagonal, seed = case
+    """Hermitian P and an anti-hermitian pair series B, against lambda + mu."""
+    n, N, K, K_B, K_mu, seed = case
     P, _, _, rng = draw((n, N, K, 0.1, 0.2, seed))
     H, _, _, _ = draw((n, N, K_B, 0.1, 0.2, rng.integers(2**32)))
-    Bc = 1j * H.coeffs                                            # exactly anti-hermitian
-    if not diagonal:
-        Bc[..., np.arange(N), np.arange(N)] = 0.0
-    B = OperatorSeries(n, K_B, N, Bc)
+    B = pairs_of(H)
     mu = None
     if K_mu:
         shape = (N,) + (2 * K_mu + 1,) * n
@@ -297,7 +304,7 @@ def test_pair_stack_defect_is_the_dense_defect_and_hermitian(case):
     B, P, base, omega = pair_defect_case(case)
     defect, M = homological._generator_defect(B, P, base, omega)
     Dp = defect.series()
-    oracle = dense_defect(B, P, base, omega)
+    oracle = dense_defect(B.series(), P, base, omega)
     assert Dp.coeffs.shape == oracle.shape
     assert np.max(np.abs(Dp.coeffs - oracle)) <= 1e-14 * np.max(np.abs(oracle))
     # the upper half is the lower half's mirror and the diagonal is hermitian
@@ -316,6 +323,45 @@ def test_pair_stack_defect_majorant_is_the_assembled_one(case, s):
     got, want = defect.majorant_matrix(s), defect.series().majorant_matrix(s)
     assert np.all(np.abs(got - want) <= 1e-15 * want)
     assert np.array_equal(got, got.T)
+
+
+def dense_assembly(pairs: np.ndarray, n: int, N: int, sign: int) -> np.ndarray:
+    """The N x N coefficients of a pair stack as they were assembled when series were held whole.
+
+    The generator (sign -1) mirrored one slice of the first mode axis at a
+    time, negated; the defect (sign +1) mirrored the whole stack at once.
+    """
+    ii, jj = np.triu_indices(N, 1)
+    c = np.zeros(pairs.shape[:n] + (N, N), dtype=complex)
+    c[..., jj, ii] = pairs
+    if sign > 0:
+        c[..., ii, jj] = _mirror(pairs, n)
+    else:
+        for t, mirrored in enumerate(pairs[::-1]):
+            c[t][..., ii, jj] = -_mirror(mirrored, n - 1)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 6), st.integers(0, 3),
+       st.sampled_from([-1, 1]), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_pair_series_values_are_exactly_mirrored_and_its_series_is_the_dense_assembly(
+        n, N, K, sign, s, seed):
+    # at and grid fill the upper half as sign times the adjoint of the lower:
+    # exactly anti-hermitian (sign -1) or hermitian (sign +1), zero diagonal
+    rng = np.random.default_rng(seed)
+    shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
+    S = PairSeries(n, K, N, rng.normal(size=shape) + 1j * rng.normal(size=shape), sign)
+    dense = S.series()
+    assert dense.coeffs.tobytes() == dense_assembly(S.coeffs, n, N, sign).tobytes()
+    assert np.array_equal(S.majorant_matrix(s), dense.majorant_matrix(s))
+    phis = rng.uniform(0.0, 2.0 * np.pi, (7, n))
+    M = 2 * K + 3
+    for values, oracle in ((S.at(phis), dense.at(phis)), (S.grid(M), dense.grid(M))):
+        adjoint = np.conj(np.swapaxes(values, -1, -2))
+        assert np.array_equal(values, adjoint if sign > 0 else -adjoint)
+        assert not np.any(values[..., np.arange(N), np.arange(N)])
+        assert np.max(np.abs(values - oracle), initial=0.0) <= 1e-14 * (2 * K + 1) ** n
 
 
 conjugation_cases = st.tuples(
@@ -342,7 +388,7 @@ def conjugation_case(case):
         mu[:, 1] = 0.0
     base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D, d=D, delta=0.2, n=1,
                         mu=mu, K=K_mu)
-    B = 1j * H
+    B = pairs_of(H)
     gB = g_norm(B, base, s)
     B = B * (g / gB) if gB > 0 else B
     return base, P, B, np.array([GOLDEN]), K_out, s
@@ -423,12 +469,11 @@ def test_the_a_priori_bound_dominates_the_formed_and_the_deeper_p_plus(case):
     assert delta_norm(R, base, s) <= bound + slack
     assert delta_norm(ref, base, s) <= bound + slack
     # at tol = bound the same bound stops the step before any commutator,
-    # and the defect stays on the pair stack
+    # and the generator and the defect stay on their pair stacks
     assembled = []
-    series = homological.GeneratorDefect.series
+    series = PairSeries.series
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homological.GeneratorDefect, "series",
-                   lambda self: assembled.append(self) or series(self))
+        mp.setattr(PairSeries, "series", lambda self: assembled.append(self) or series(self))
         Z, early = conjugate(base, P, B, D, K_out, s, bound)
     assert early["a_priori"] and early["a_priori_bound"] == bound and not assembled
     assert not np.any(Z.coeffs) and early["lie_order"] == early["grid_M"] == 0
@@ -472,7 +517,6 @@ def test_one_kam_step_keeps_the_structure_of_its_parts(case):
     rec = out.records[-1]
 
     assert out.P.hermiticity_defect() == 0.0
-    assert out.generators[-1].antihermiticity_defect() == 0.0
     # the new mu: the old one plus P's oscillating diagonal, chopped as P+ is
     K_all = max(K, K_mu)
     grown = np.zeros((N,) + (2 * K_all + 1,) * n, dtype=complex)

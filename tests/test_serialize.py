@@ -31,7 +31,7 @@ from kamreduce.serialize import (
     write_checksums,
     write_json,
 )
-from kamreduce.torus import OperatorSeries
+from kamreduce.torus import PairSeries
 
 
 SHIPPED = [json.loads(path.read_text())
@@ -129,21 +129,24 @@ def test_json_and_array_files_round_trip(tmp_path):
 @pytest.mark.parametrize("n, K, N", [(1, 0, 3), (1, 4, 3), (1, 3, 1), (2, 0, 2), (2, 3, 4),
                                      (2, 2, 1), (3, 0, 2), (3, 2, 3)])
 def test_stored_operator_evaluates_as_the_loaded_series_bit_for_bit(tmp_path, n, K, N):
+    # a generator file holds its pair stack; stored and loaded give the same bits
     rng = np.random.default_rng(100 * n + 10 * K + N)
-    shape = (2 * K + 1,) * n + (N, N)
+    shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
     write_array(tmp_path / "g.npy", rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    loaded = OperatorSeries(n, K, N, load_array(tmp_path / "g.npy"))
+    loaded = PairSeries(n, K, N, load_array(tmp_path / "g.npy"), -1)
     stored = StoredOperator(str(tmp_path / "g.npy"), n, K, N)
-    assert stored.slab_bytes == 16 * (2 * K + 1) ** (n - 1) * N * N
+    assert stored.slab_bytes == 16 * (2 * K + 1) ** (n - 1) * N * (N - 1) // 2
     phis = rng.uniform(0.0, 2.0 * np.pi, (9, n))
     for batch in (phis, phis[:1], np.zeros((1, n))):
         assert stored.at(batch).tobytes() == loaded.at(batch).tobytes()
 
 
 @pytest.mark.parametrize("stored, match", [
-    (np.zeros((5, 2, 2), complex), r"g.npy: coefficient shape \(5, 2, 2\) != \(3, 2, 2\)"),
-    (np.zeros((3, 2, 2)), "C-ordered float64, not C-ordered complex128"),
-    (np.zeros((3, 2, 2), ">c16"), "C-ordered >c16, not C-ordered complex128"),
+    (np.zeros((5, 1), complex), r"g.npy: coefficient shape \(5, 1\) != \(3, 1\)"),
+    (np.zeros((3, 1)), "C-ordered float64, not C-ordered complex128"),
+    (np.zeros((3, 1), ">c16"), "C-ordered >c16, not C-ordered complex128"),
+    # the dense N x N layout that generator files had before they held pairs
+    (np.zeros((3, 2, 2), complex), r"g.npy: coefficient shape \(3, 2, 2\) != \(3, 1\)"),
 ])
 def test_stored_operator_checks_its_header(tmp_path, stored, match):
     # shape, order and dtype mismatches reach the command line in test_cli
@@ -154,7 +157,7 @@ def test_stored_operator_checks_its_header(tmp_path, stored, match):
 
 def test_stored_operator_refuses_a_file_of_the_wrong_size(tmp_path):
     path = tmp_path / "g.npy"
-    write_array(path, np.ones((3, 2, 2), complex))
+    write_array(path, np.ones((3, 1), complex))
     whole = path.read_bytes()
     for data in (whole[:-1], whole + b"\0", b"not an array"):
         path.write_bytes(data)
@@ -163,7 +166,7 @@ def test_stored_operator_refuses_a_file_of_the_wrong_size(tmp_path):
     # a file cut after it was opened fails at the slab it cannot read
     path.write_bytes(whole)
     stored = StoredOperator(str(path), 1, 1, 2)
-    path.write_bytes(whole[:-64])
+    path.write_bytes(whole[:-16])
     with pytest.raises(ArtifactError, match="ended before its last slab"):
         stored.at(np.zeros((1, 1)))
 
@@ -171,16 +174,16 @@ def test_stored_operator_refuses_a_file_of_the_wrong_size(tmp_path):
 def test_stored_operator_refuses_a_file_rewritten_after_it_was_opened(tmp_path):
     # same header and size: rewritten in place, as write_array does, or replaced
     path, other = tmp_path / "g.npy", tmp_path / "h.npy"
-    write_array(path, np.ones((3, 2, 2), complex))
+    write_array(path, np.ones((3, 1), complex))
     stored = StoredOperator(str(path), 1, 1, 2)
-    assert np.array_equal(stored.at(np.zeros((1, 1))), np.full((1, 2, 2), 3.0 + 0j))
+    assert np.array_equal(stored.at(np.zeros((1, 1))), np.array([[[0.0, -3.0], [3.0, 0.0]]]))
     mtime = path.stat().st_mtime_ns
-    write_array(path, np.full((3, 2, 2), 2.0 + 0j))
+    write_array(path, np.full((3, 1), 2.0 + 0j))
     # the file system's clock may not have ticked within this test
     os.utime(path, ns=(mtime + 10**9, mtime + 10**9))
     with pytest.raises(ArtifactError, match="g.npy changed after its checksum was checked"):
         stored.at(np.zeros((1, 1)))
-    write_array(other, np.ones((3, 2, 2), complex))
+    write_array(other, np.ones((3, 1), complex))
     stored = StoredOperator(str(path), 1, 1, 2)
     os.replace(other, path)
     with pytest.raises(ArtifactError, match="g.npy changed after its checksum was checked"):
