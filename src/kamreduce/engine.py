@@ -11,13 +11,14 @@ base: constant part into lambda, oscillatory part into mu.
 Numerical notes that matter here:
 
 * P+ is a Lie series, never formed through E.  With L(X) = XB - BX and the
-  homological defect D = [A,B] - i omega.dB + P_off, which the solve forms
-  once and returns, the A terms cancel exactly at every order, leaving
+  homological defect D = [A,B] - i omega.dB + P_off, which the solve
+  measures and returns, the A terms cancel exactly at every order, leaving
 
       P+ = D + sum_{k>=1} [L^k(diag P)/k! + k L^k(P_off)/(k+1)! + L^k(D)/(k+1)!],
 
   so nothing cancels the large diagonal lambda_N.  Each L is one alias-free
-  grid commutator.
+  grid commutator, formed from the halves of a hermitian level and an
+  anti-hermitian B (torus.lie_commutator).
 * ||W L(X)|| <= 2g ||W X|| with g = g_norm(B) = max(||B||, ||W B W^-1||),
   so the order is the smallest whose remainder bound falls below
   CHOP_FLOOR, what chopping discards anyway.  The same rule cuts each
@@ -30,8 +31,9 @@ Numerical notes that matter here:
   that bound, reweighted to the new base, is at most tol, the step stops
   early: P+ is zero, the bound is its reported norm, and the record says
   a_priori.  The last step of a converging run ends this way; its
-  generator is still solved, because verify composes it, but B and D stay
-  on the solve's pair stack: no N x N series of either is assembled.
+  generator is still solved, because verify composes it, but B stays on
+  the solve's pair stack and D is never formed: the solve kept only its
+  majorants, at its own width and at the conjugation's.
 * P+ is trimmed to its live band after chopping: all-zero outer shells are
   dropped, which changes no coefficient and no norm.
 * Coefficients below an absolute floor are zeroed after each step so the
@@ -68,7 +70,7 @@ from .errors import (
     HermiticityError,
     KamError,
 )
-from .homological import _guard, solve_variable
+from .homological import Defect, _guard, solve_variable
 from .serialize import KamSettings
 from .torus import (
     CHOP_FLOOR,
@@ -86,7 +88,7 @@ from .torus import (
     freeze,
     g_norm,
     k_box,
-    next_fast_len,
+    lie_commutator,
     strip_weight,
 )
 
@@ -177,7 +179,7 @@ def diag_split(P: OperatorSeries):
     The shift is the angular average of P_ii (must be real for hermitian P);
     the oscillatory part is returned as a zero-average coefficient stack
     (N, modes...) ready to be added to a DiagonalPart's mu.  The rest of P
-    is P.offdiagonal_part().
+    is its off-diagonal part.
     """
     n, K, N = P.n, P.K, P.N
     idx = np.arange(N)
@@ -335,22 +337,25 @@ def _level_band(X: OperatorSeries | PairSeries, W: np.ndarray, s: float, weight:
     return K_keep, float(dropped[K_keep])
 
 
-def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSeries,
+def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSeries | Defect,
               K_out: int, s: float, tol: float = 0.0):
     """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B), as a Lie series.
 
     With L(X) = XB - BX and the generator's defect D = [A,B] - i omega.dB
-    + P_off (HomologicalSolution.D), the series is summed to order m by
-    Horner:
+    + P_off (HomologicalSolution.D: a Defect, which forms its pair stack
+    only when asked, or that PairSeries itself), the series is summed to
+    order m by Horner:
 
         S_m = Y_m,  S_k = Y_k + L(S_{k+1}),  P+ = S_0 = D + L(S_1),
         Y_k = diag P / k! + k P_off / (k+1)! + D / (k+1)!,
 
-    each L one alias-free commutator.  Level k, X_k = Y_k + L(S_{k+1}),
-    keeps as S_k the smallest band K_k <= K_out with b^k ||X_k - S_k|| <=
-    CHOP_FLOOR (_level_band), the rule that fixes m, or K_out if none has.
-    P+ is hermitized after its defect is measured, then chopped at
-    CHOP_FLOOR.
+    each L one alias-free commutator of the hermitian level with B's pairs
+    (torus.lie_commutator), formed from their halves; Y_k is added into its
+    coefficients in place, D from its pairs and their mirror, so no N x N
+    series of B or D is formed.  Level k, X_k = Y_k + L(S_{k+1}), keeps as
+    S_k the smallest band K_k <= K_out with b^k ||X_k - S_k|| <= CHOP_FLOOR
+    (_level_band), the rule that fixes m, or K_out if none has.  P+ is
+    hermitized after its defect is measured, then chopped at CHOP_FLOOR.
 
     In ||X|| = delta_norm(X, base, s), a bound on the strip for s > 0,
     ||L(X)|| <= b ||X|| with b = 2 g_norm(B, base, s), and ||Y_k|| <= p / k!
@@ -359,10 +364,10 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
     * a_priori_bound = ||D|| + (e^b - 1) p bounds the whole of P+ before
       any commutator is formed.  When it is at most tol, P+ is returned as
       zero, with a_priori true and no series summed: the bound is then the
-      one account of what P+ held.  ||D|| and g come from the pair stacks
-      of D and B, ||diag P|| and ||P_off|| from P's one majorant (a bound
-      at every s), and the N x N series of D and B and P's two parts are
-      formed only once this test has failed, each once;
+      one account of what P+ held.  g comes from B's pairs, ||D|| from D's
+      majorant, the one the solve kept at s, and ||diag P|| and ||P_off||
+      from P's one majorant (all three bounds at every s); D's pair stack
+      is formed only once this test has failed;
     * lie_tail_bound = p b^(m+1) / (m+1)! / (1 - b / (m+2)) bounds the
       terms past order m, and m is the smallest order that puts it at or
       below CHOP_FLOOR (m = 0 for B = 0, where P+ = P_off exactly);
@@ -388,7 +393,7 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
     W, ones = base.weight(), np.ones(N)
     maj = P.majorant_matrix(s)
     maj_diag = np.diag(np.diag(maj))
-    p_D = delta_norm(D, base, s)
+    p_D = _majorant_norm(D.majorant_matrix(s), [(W, ones)])
     p = _majorant_norm(maj_diag, [(W, ones)]) + _majorant_norm(maj - maj_diag, [(W, ones)]) + p_D
     bound = p_D + math.expm1(b) * p
     info = {"a_priori": bound <= tol, "a_priori_bound": bound, "lie_order": 0,
@@ -400,26 +405,42 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
     m = _taylor_degree(b, CHOP_FLOOR / max(p, 1e-300))
     tail = p * b ** (m + 1) / math.factorial(m + 1) / (1.0 - b / (m + 2))
 
-    D, B = D.series(), B.series()
-    off = P.offdiagonal_part()
-    diag = P - off
+    if isinstance(D, Defect):
+        D = D.form()
+    offdiag = ~np.eye(N, dtype=bool)
     S, M, truncation, bands = None, 0, 0.0, []
     for k in range(m, -1, -1):
-        X = D * (1.0 / math.factorial(k + 1))
+        # X_k = Y_k + L(S_{k+1}): Y_k is added into the commutator's coefficients in place
+        K_X = max(D.K, P.K if k else 0, -1 if S is None else S.K + B.K)
+        if S is None:
+            c = np.zeros((2 * K_X + 1,) * n + (N, N), dtype=complex)
+        else:
+            c, M_k = lie_commutator(S, B, K_X)
+            M = max(M, M_k)
+        del S
+        D.add_to(c, 1.0 / math.factorial(k + 1))
         if k:
-            X = X + diag * (1.0 / math.factorial(k)) + off * (k / math.factorial(k + 1))
-        if S is not None:
-            M = max(M, next_fast_len(2 * (S.K + B.K) + 2))   # the commutator's grid
-            X = X + S.commutator(B)
+            c[_box(n, P.K, K_X)] += P.coeffs * np.where(offdiag, k / math.factorial(k + 1),
+                                                        1.0 / math.factorial(k))
+        X = OperatorSeries(n, K_X, N, freeze(c))
+        del c
         K_k, dropped = _level_band(X, W, s, b**k, K_out)
         S = X.truncate(K_k)
+        del X
         truncation += b**k * dropped
         bands.append(K_k)
 
+    # P+ = (S + S^H) / 2 and S's hermiticity defect, one slab of the first
+    # mode axis at a time, so S's mirror is never formed whole
     K_S, coeffs = S.K, S.coeffs
-    del S, X
-    mirror = _mirror(coeffs, n)
-    herm_defect = float(np.max(np.abs(coeffs - mirror)))
+    del S
+    out, herm_defect = np.empty_like(coeffs), 0.0
+    for t in range(2 * K_S + 1):
+        mirror = _mirror(coeffs[2 * K_S - t], n - 1)
+        herm_defect = max(herm_defect, float(np.max(np.abs(coeffs[t] - mirror))))
+        np.add(coeffs[t], mirror, out=out[t])
+    del coeffs, mirror
+    out *= 0.5
     # the output is quadratically small, so roundoff is judged against the
     # magnitudes that actually flow through the arithmetic
     scale = max(
@@ -431,21 +452,21 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
         raise HermiticityError(f"conjugation output hermiticity defect {herm_defect:.2e}")
     if herm_defect > 1e-11 * scale:
         _guard(guards, f"conjugation hermiticity defect {herm_defect:.2e}")
-    coeffs = coeffs + mirror
-    del mirror
-    coeffs *= 0.5
-    kept = chop(coeffs, CHOP_FLOOR)
-    # crude but sufficient norm bound on the discarded mass so the reported
-    # ||P+|| can never understate the truth
-    chopped = int(np.count_nonzero(coeffs) - np.count_nonzero(kept))
-    mass = np.abs(coeffs - kept)
-    del coeffs
+    # chopped at CHOP_FLOOR in place, as chop cuts; a crude but sufficient
+    # norm bound on the discarded mass, so the reported ||P+|| can never
+    # understate the truth
+    mass = np.abs(out)
+    small = mass < CHOP_FLOOR
+    out[small] = 0.0
+    chopped = int(np.count_nonzero(mass[small]))
+    mass[~small] = 0.0
+    del small
     mass *= strip_weight(n, K_S, s)[..., None, None]
     info.update(lie_order=m, lie_bands=bands, lie_tail_bound=tail,
                 truncation_bound=truncation, hermiticity_defect=herm_defect, chopped=chopped,
                 chopped_norm_bound=float(np.sum(mass)), grid_M=M,
                 guard_messages=tuple(guards))
-    return OperatorSeries(n, K_S, N, freeze(kept)), info
+    return OperatorSeries(n, K_S, N, freeze(out)), info
 
 
 def _peak_rss_mb() -> float:
@@ -499,7 +520,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     clock = time.perf_counter()
     try:
         sol = solve_variable(P, base, w, s=state.s, K_out=K_work,
-                             work_K=P.K + base.K + SOLVER_PAD)
+                             work_K=P.K + base.K + SOLVER_PAD, widths=(s_next,))
     except DivisorTooSmall as exc:
         # at this level a vanished divisor means the frequency is resonant
         raise FrequencyExcluded(
@@ -611,9 +632,9 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "pairs": sol.pairs,
         "solve_grid_M": sol.grid_M,
         "defect_grid_M": sol.defect_grid_M,
-        # the largest grid the step holds: the pair solve's factors or the
-        # widest commutator's grid, complex
-        "grid_bytes": 16 * max(sol.grid_M**n * sol.pairs, cinfo["grid_M"] ** n * N * N),
+        # the largest array the step holds: the pair solve's btil stack or
+        # the widest commutator's triangle grid, complex
+        "grid_bytes": max(sol.stack_bytes, 16 * cinfo["grid_M"] ** n * N * (N + 1) // 2),
         "B_g_norm": gB,
         "eps_bound": eps_bound,
         "eps_bound_ok": bool(eps_ok),

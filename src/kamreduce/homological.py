@@ -23,25 +23,27 @@ One kernel solves a stack of pairs on one grid: solve_variable calls it
 with all N(N-1)/2 pairs, whatever mu (with mu = 0 the factor is 1 and the
 solve is the division above), solve_kuksin with one; solve_constant is the
 division alone, for mu = 0.  The kernel runs in chunks of pairs of a fixed
-byte size (_pair_chunks): a forward pass keeps every chunk's conjugated
-factor and transformed right-hand side, the quantities that decide the
-division (the live threshold, the first divisor below its floor) are taken
-over all pairs, and an inverse pass frees each chunk as it cuts its chi.
-A solve so holds about two pair grids, whatever the number of pairs, and
-returns B as its pairs, an anti-hermitian torus.PairSeries.
+byte size (_pair_chunks): a forward pass keeps every chunk's transformed
+right-hand side btil, the quantities that decide the division (the live
+threshold, the first divisor below its floor) are taken over all pairs,
+and an inverse pass forms each chunk's factor again, frees the chunk's
+btil and cuts its chi.  A solve so holds its btil stack, a little under
+one pair grid, whatever the number of pairs, then chi's chunks as they are
+joined, and returns B as its pairs, an anti-hermitian torus.PairSeries.
 
 Every solve reports its relative defect as a bound.  One kernel, _defect,
 forms the defect exactly in coefficients on the same pair stack, the
 product (mu_j - mu_i) chi on an alias-free grid of one chunk of pairs at a
-time, and ||W |D|_s||_2, which dominates ||W D(phi)||_2 on |Im phi| <= s, is
-divided by the same norm of the right-hand side.  A solution carries the
-generator's defect D, formed once by _generator_defect from B's pairs and
-kept as a hermitian PairSeries: the entries D_ji (i < j) come from the
-kernel, the entries D_ij are their mirror conj(D_ji(-k)), and the diagonal
-(omega.k) B_ii(k) is zero, as B_ii is.  Its majorant, and so every norm
-of D, comes from the pairs; the N x N series is assembled only by
-series(), which the conjugation step calls once its a-priori bound has
-missed tol.
+time, and ||W |D|_s||_2, which dominates ||W D(phi)||_2 on
+|Im phi| <= s, is divided by the same norm of the right-hand side.  A
+solution carries the generator's defect as a Defect: D's majorants at the
+widths that are read, the solve's and the conjugation's, summed chunk by
+chunk (_defect with widths), so D's whole stack is never held.  Defect.form
+forms that stack (_generator_defect) as a hermitian PairSeries: the
+entries D_ji (i < j) come from the kernel, the entries D_ij are their
+mirror conj(D_ji(-k)), and the diagonal (omega.k) B_ii(k) is zero, as B_ii
+is.  The conjugation step asks for it once its a-priori bound has missed
+tol.
 
 solve_variable's guards (P's hermiticity, C*, each pair's Kuksin smallness
 with theta = (delta/(d-1) + 1)/2, the factor's unimodularity) are advisory:
@@ -51,7 +53,7 @@ each is warned once, where it is measured, and returned in guard_messages.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +68,8 @@ from .torus import (
     _k_dot_omega,
     _live_band,
     _majorant_sum,
+    _majorant_sums,
+    _pair_matrix,
     coeffs_to_grid,
     freeze,
     grid_to_coeffs,
@@ -76,6 +80,7 @@ from .torus import (
 )
 
 __all__ = [
+    "Defect",
     "HomologicalSolution",
     "solve_constant",
     "torus_primitive",
@@ -130,25 +135,57 @@ def _check_divisors(first, n: int, K: int, what: str, pairs=None) -> None:
 CHUNK_BYTES = 1 << 18
 
 
-def _pair_chunks(points: int, pairs: int) -> list:
-    """Slices of the pair axis, each at most CHUNK_BYTES of complex arrays of points per pair.
+def _pair_chunks(points: int, pairs: int, wide: int = 1) -> list:
+    """Slices of the pair axis, each at most wide CHUNK_BYTES of complex arrays of points per pair.
 
     An empty stack is one empty chunk.
     A fixed byte size rather than a share of the stack: what a chunk adds
     to the stacks a kernel holds stays the same small constant at every
     size, and a stack that fits one chunk is solved in one piece.
     """
-    size = max(1, CHUNK_BYTES // (16 * points))
+    size = max(1, wide * CHUNK_BYTES // (16 * points))
     return [slice(start, min(start + size, pairs)) for start in range(0, max(pairs, 1), size)]
 
 
 @dataclass(frozen=True)
-class HomologicalSolution:
-    """Generator B with its certification data."""
+class Defect:
+    """A solved generator's defect D = [A,B] - i Bdot + (P - diag P), kept as its majorants.
+
+    majorants maps each strip width s the solve measured at to |D|_s, D's
+    entrywise majorant (N, N), summed chunk by chunk and equal bit for bit
+    to the majorant of D's whole pair stack.  form() forms that stack, a
+    hermitian PairSeries (_generator_defect), from B and what B was solved
+    against.
+    """
 
     B: PairSeries
-    # D = [A,B] - i Bdot + (P - diag P), the generator's defect in coefficients
-    D: PairSeries
+    P: OperatorSeries
+    base: DiagonalPart
+    omega: np.ndarray
+    majorants: dict = field(repr=False)
+    # the grid per axis of the product (mu_j - mu_i) B_ji, 0 where the mu_i coincide
+    grid_M: int = 0
+
+    def majorant_matrix(self, s: float) -> np.ndarray:
+        """|D|_s at a width the solve kept."""
+        return self.majorants[s].copy()
+
+    def form(self) -> PairSeries:
+        return _generator_defect(self.B, self.P, self.base, self.omega)[0]
+
+
+@dataclass(frozen=True)
+class HomologicalSolution:
+    """Generator B with its certification data.
+
+    D is the generator's defect as a Defect: its majorants at the solve's
+    width s and at the widths the caller asked for, from which residual is
+    measured; D's pair stack is formed only by D.form().
+    """
+
+    B: PairSeries
+    # D = [A,B] - i Bdot + (P - diag P), the generator's defect, as its majorants
+    D: Defect
     # ||W |D|_s||_2 / ||W |P_off|_s||_2 for the defect D of the equation, a
     # bound on the relative defect over the strip of the solve's width s
     residual: float
@@ -161,9 +198,16 @@ class HomologicalSolution:
     pairs: int = 0
     grid_M: int = 0
     defect_grid_M: int = 0
+    # bytes of the largest stack the pair solve holds, its btil (0 if none)
+    stack_bytes: int = 0
 
 
-def _defect(chi, gap, mud, rhs, omega):
+# the defect's majorants run over chunks this many pair-solve chunks wide:
+# fewer, wider chunks cost less per pair than CHUNK_BYTES ones
+MAJORANT_CHUNKS = 4
+
+
+def _defect(chi, gap, mud, rhs, omega, widths=None):
     """D = (gap + mud) chi - i (omega.d) chi - rhs, formed exactly in coefficients.
 
     chi, rhs and mud are centred coefficient stacks with the pair axis last,
@@ -171,33 +215,46 @@ def _defect(chi, gap, mud, rhs, omega):
     None) multiplies chi pairwise.  D's coefficients are formed, not
     sampled: the product mud chi is taken on an alias-free grid of the
     pairs alone, one chunk of pairs at a time (_pair_chunks), and D keeps
-    its whole band.  Returns (D, the product's
-    grid M per axis, 0 without mud).
+    its whole band.  Returns (D, the product's grid M per axis, 0 without
+    mud); with widths, D's whole stack is never held: each chunk's
+    majorants at every width are summed from one |D| (torus._majorant_sums),
+    over chunks MAJORANT_CHUNKS wide, and (the majorants, one (pairs,) per
+    width, M) is returned, each equal bit for bit to the whole stack's.
     """
     n = len(omega)
     K_chi, K_rhs = (chi.shape[0] - 1) // 2, (rhs.shape[0] - 1) // 2
     K_mu = 0 if mud is None else (mud.shape[0] - 1) // 2
     K, K_D = K_chi + K_mu, max(K_chi + K_mu, K_rhs)
     M = 0 if mud is None else next_fast_len(2 * K + 2)
-    D = np.zeros((2 * K_D + 1,) * n + (len(gap),), dtype=complex)
     kdw = _k_dot_omega(n, K_chi, omega)[..., None]
-    for c in _pair_chunks(max(M, 2 * K_D + 1) ** n, len(gap)):
+    if widths is None:
+        out, wide = np.empty((2 * K_D + 1,) * n + (len(gap),), dtype=complex), 1
+    else:
+        out, wide = [np.empty(len(gap)) for _ in widths], MAJORANT_CHUNKS
+    for c in _pair_chunks(max(M, 2 * K_D + 1) ** n, len(gap), wide):
+        D = np.zeros((2 * K_D + 1,) * n + (c.stop - c.start,), dtype=complex)
         if mud is not None:
             # D starts as the product's coefficients; the terms added after
             # them round as they did added to zeros, since addition commutes
             gc = coeffs_to_grid(chi[..., c], n, K_chi, M)
             np.multiply(coeffs_to_grid(mud[..., c], n, K_mu, M), gc, out=gc)
-            D[_box(n, K, K_D) + (c,)] = grid_to_coeffs(gc, n, K)
+            D[_box(n, K, K_D)] = grid_to_coeffs(gc, n, K)
             del gc
-        D[_box(n, K_chi, K_D) + (c,)] += (kdw + gap[c]) * chi[..., c]
-        D[_box(n, K_rhs, K_D) + (c,)] -= rhs[..., c]
-    return D, M
+        D[_box(n, K_chi, K_D)] += (kdw + gap[c]) * chi[..., c]
+        D[_box(n, K_rhs, K_D)] -= rhs[..., c]
+        if widths is None:
+            out[..., c] = D
+        else:
+            for maj, part in zip(out, _majorant_sums(D, n, K_D, widths)):
+                maj[c] = part
+    return out, M
 
 
-def _relative_defect(D: OperatorSeries, rhs_majorant: np.ndarray, s: float, W) -> float:
+def _relative_defect(D, rhs_majorant: np.ndarray, s: float, W) -> float:
     """||W |D|_s||_2 / ||W |rhs|_s||_2, a bound on the relative defect on |Im phi| <= s.
 
-    rhs_majorant is |rhs|_s, the right-hand side's entrywise majorant at s.
+    D is anything with majorant_matrix(s); rhs_majorant is |rhs|_s, the
+    right-hand side's entrywise majorant at s.
     """
     dn = np.linalg.norm(W[:, None] * D.majorant_matrix(s), 2)
     rn = np.linalg.norm(W[:, None] * rhs_majorant, 2)
@@ -211,6 +268,20 @@ def _off_majorant(P: OperatorSeries, s: float) -> np.ndarray:
     return maj
 
 
+def _defect_terms(P: OperatorSeries, base: DiagonalPart) -> tuple:
+    """(gap, mud, rhs) of a generator's defect on the pair stack, as _defect takes them.
+
+    Entry (j, i) of [A, B] is (a_j - a_i) B_ji: gap = lambda_j - lambda_i,
+    mud = mu_j - mu_i (None where the mu_i coincide), rhs = -P_ji.
+    """
+    ii, jj = np.triu_indices(P.N, 1)
+    mud = None
+    if base.mu is not None:
+        mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
+        mud = mud if np.any(mud) else None
+    return base.lam[jj] - base.lam[ii], mud, -P.coeffs[..., jj, ii]
+
+
 def _generator_defect(B: PairSeries, P: OperatorSeries, base: DiagonalPart, omega):
     """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, in coefficients.
 
@@ -222,14 +293,15 @@ def _generator_defect(B: PairSeries, P: OperatorSeries, base: DiagonalPart, omeg
     Returns (D, the grid M per axis of the product (mu_j - mu_i) B_ji, 0
     where the mu_i coincide).
     """
-    ii, jj = np.triu_indices(P.N, 1)
-    mud = None
-    if base.mu is not None:
-        # entry (j, i) of [A, B] is (a_j - a_i) B_ji
-        mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
-        mud = mud if np.any(mud) else None
-    Dp, M = _defect(B.coeffs, base.lam[jj] - base.lam[ii], mud, -P.coeffs[..., jj, ii], omega)
+    Dp, M = _defect(B.coeffs, *_defect_terms(P, base), omega)
     return PairSeries(P.n, (Dp.shape[0] - 1) // 2, P.N, freeze(Dp), 1), M
+
+
+def _measured_defect(B: PairSeries, P: OperatorSeries, base: DiagonalPart, omega,
+                     widths) -> Defect:
+    """The Defect of a generator with its majorants at each strip width, its stack never whole."""
+    majs, M = _defect(B.coeffs, *_defect_terms(P, base), omega, widths)
+    return Defect(B, P, base, omega, {s: _pair_matrix(m, P.N) for s, m in zip(widths, majs)}, M)
 
 
 def solve_constant(
@@ -254,7 +326,7 @@ def solve_constant(
                     "divisor", list(zip(ii.tolist(), jj.tolist())))
     Bp = np.divide(b, den, out=np.zeros_like(b), where=np.abs(den) > 0)
     B = PairSeries(n, K, N, freeze(Bp), -1)
-    D, _ = _generator_defect(B, P, base, omega)
+    D = _measured_defect(B, P, base, omega, (0.0,))
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, _off_majorant(P, 0.0), 0.0,
@@ -308,13 +380,14 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     chopped and truncated, summed over the dropped coefficients).
 
     The stack runs one chunk of pairs at a time (_pair_chunks).  The
-    forward pass keeps each chunk's conjugated factor and its transformed
-    right-hand side btil; the live threshold, min_divisor, the factor's
-    unimodularity and the first divisor below its floor are taken over all
-    pairs, as a whole-stack solve takes them.  The inverse pass then
-    divides, transforms back and cuts each chunk, freeing its btil as it
-    goes, so the solve holds the factors and btil (about two pair grids)
-    and one chunk's scratch at its peak.
+    forward pass keeps each chunk's transformed right-hand side btil at
+    the grid's band (M - 2) // 2 and drops its factor; the live threshold,
+    min_divisor, the factor's unimodularity and the first divisor below
+    its floor are taken over all pairs, as a whole-stack solve takes them.
+    The inverse pass then divides, forms the chunk's factor again (the
+    same bits), transforms back and cuts each chunk, freeing its btil as
+    it goes.  So the solve holds btil and one chunk's scratch, then chi's
+    chunks while they are joined into one stack.
     """
     n = len(omega)
     K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
@@ -324,36 +397,31 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
         # mud has zero average by construction of mu
         live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
         Hd = _primitive(mud, n, K_mu, omega, live, pairs)
-        # one allocation holds every chunk's factor, so the solve hands one
-        # block back to the allocator at its end, not a chunk-sized hole per
-        # chunk (reference-n2 reduce peaks about 5 MB lower than with one
-        # array per chunk, in fresh processes)
-        width = chunks[0].stop - chunks[0].start
-        stack = np.empty((len(chunks),) + (M,) * n + (width,), dtype=complex)
-        factors = [f[..., : c.stop - c.start] for f, c in zip(stack, chunks)]
-        del stack
-        unimod = 0.0
-        for factor, c in zip(factors, chunks):
-            np.exp(1j * coeffs_to_grid(Hd[..., c], n, K_mu, M), out=factor)
-            unimod = max(unimod, float(np.max(np.abs(np.abs(factor) - 1.0))))
-        del Hd, factor
+
+        def factor(c):
+            """e^{i E2 H} of the pairs c on the grid, formed again in each pass."""
+            f = coeffs_to_grid(Hd[..., c], n, K_mu, M)
+            np.multiply(f, 1j, out=f)
+            return np.exp(f, out=f)
+
         # each product writes into its second operand: np.multiply(a, b, out=b)
         # rounds as np.multiply(a, b) does (only swapping the operands moves bits)
-        btil, top = [], 0.0
-        for factor, c in zip(factors, chunks):
+        btil, top, unimod = [], 0.0, 0.0
+        for c in chunks:
+            f = factor(c)
+            unimod = max(unimod, float(np.max(np.abs(np.abs(f) - 1.0))))
             gb = coeffs_to_grid(b[..., c], n, K_b, M)
-            np.multiply(factor, gb, out=gb)
+            np.multiply(f, gb, out=gb)
+            del f
             btil.append(grid_to_coeffs(gb, n, K))
             del gb
             top = max(top, float(np.max(np.abs(btil[-1]))))
-            np.conj(factor, out=factor)
-        del factor
         floor_live = 1e-16 * max(top, 1e-300)
     else:
         # no variable part: the factor is 1 and the solve is one division
-        K, unimod = K_b, 0.0
+        K, unimod, factor = K_b, 0.0, None
         chunks = _pair_chunks((2 * K + 1) ** n, b.shape[-1])
-        factors, btil = None, [b[..., c] for c in chunks]
+        btil = [b[..., c] for c in chunks]
 
     kdw = _k_dot_omega(n, K, omega)[..., None]
     floor = _divisor_floor(n, K)[..., None]
@@ -362,7 +430,7 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     first, min_div, trunc, chis = None, np.inf, 0.0, []
     for p, c in enumerate(chunks):
         bt, btil[p] = btil[p], None
-        live = bt != 0 if factors is None else np.abs(bt) > floor_live
+        live = bt != 0 if factor is None else np.abs(bt) > floor_live
         den = kdw + E1[c]
         size = np.abs(den)
         found = _first_below(size, floor, live)
@@ -375,18 +443,20 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
         if np.any(live):
             min_div = min(min_div, float(np.min(size[live])))
         # divided where it lies (b's own chunks are copied first), zero where not live
-        uc = bt if factors is not None else np.array(bt)
+        uc = bt if factor is not None else np.array(bt)
         del bt
         live &= size > 0
         np.divide(uc, den, out=uc, where=live)
         uc[~live] = 0.0
         del den, size, live
-        if factors is None:
+        if factor is None:
             chic = uc
         else:
             gu = coeffs_to_grid(uc, n, K, M)
             del uc
-            np.multiply(factors[p], gu, out=gu)
+            f = factor(c)
+            np.multiply(np.conj(f, out=f), gu, out=gu)
+            del f
             chic = grid_to_coeffs(gu, n, K)
             del gu
         if K_out is not None:
@@ -394,7 +464,6 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
             chic = chic[_box(n, K_cut, K)].copy()
         chis.append(chic)
         del chic
-    del factors
     _check_divisors(first, n, K, "|omega.k + E1|", pairs)
     chic = np.concatenate(chis, axis=-1)
     del chis
@@ -471,6 +540,7 @@ def solve_variable(
     s: float = 0.0,
     K_out: int | None = None,
     work_K: int | None = None,
+    widths: tuple = (),
 ) -> HomologicalSolution:
     """Remove the off-diagonal part of P against A = diag(lambda_i + mu_i(phi)).
 
@@ -479,7 +549,9 @@ def solve_variable(
     b = -P_ji, E2 h = mu_j - mu_i; the PairSeries B holds the (i, j) entry as
     its mirror Bhat_ij(k) = -conj(Bhat_ji(-k)).  With mu = 0 each pair is one
     division on P's band.  Returns the generator together with the relative
-    equation defect, bounded at strip width s, and its guard findings.
+    equation defect, bounded at strip width s, and its guard findings.  The
+    defect D is kept as its majorants at s and at each of widths, the
+    widths its caller will read (the conjugation's), never as its stack.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n, N = P.n, P.N
@@ -514,10 +586,13 @@ def solve_variable(
     if unimod > UNIMOD_TOL:
         _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
     B = PairSeries(n, (chic.shape[0] - 1) // 2, N, freeze(chic), -1)
-    D, defect_M = _generator_defect(B, P, base, omega)
+    D = _measured_defect(B, P, base, omega, (s,) + tuple(widths))
+    variable = bool(np.any(mud))
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, _off_majorant(P, s), s,
                                                          base.weight()),
                                guard_messages=tuple(messages), truncation_residue=trunc,
-                               pairs=len(pairs), grid_M=M if np.any(mud) else 0,
-                               defect_grid_M=defect_M)
+                               pairs=len(pairs), grid_M=M if variable else 0,
+                               defect_grid_M=D.grid_M,
+                               # btil, at the grid's band (M - 2) // 2 (_solve_pairs)
+                               stack_bytes=16 * (M - 1 - M % 2) ** n * len(pairs) if variable else 0)

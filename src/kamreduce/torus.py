@@ -7,9 +7,11 @@ the entries below the diagonal.  All three share one implementation,
 _Series, which differs between them only by those trailing axes: padding
 and truncation by _box, arithmetic, grid sampling, evaluation at a batch
 of angles (at, by direct mode summation) and one alias-free grid product
-(product entrywise; commutator for operators).  All transforms are plain
-FFTs on equispaced grids; products are computed on grids large enough to
-be exact for the sum of the input bandwidths and keep that whole band.
+(product, entrywise).  lie_commutator is the Lie series' commutator of a
+hermitian operator with an anti-hermitian PairSeries, formed from their
+halves.  All transforms are plain FFTs on equispaced grids; products are
+computed on grids large enough to be exact for the sum of the input
+bandwidths and keep that whole band.
 The transforms are numpy.fft's, one axis at a time in place, and the grid
 sizes come from next_fast_len here.  _mirror is the one k -> -k mirror.
 
@@ -47,6 +49,7 @@ __all__ = [
     "g_norm",
     "k_box",
     "k_norm1_grid",
+    "lie_commutator",
     "strip_weight",
 ]
 
@@ -80,38 +83,46 @@ def strip_weight(n: int, K: int, s: float) -> np.ndarray:
     return np.exp(s * k_norm1_grid(n, K))
 
 
-def _majorant_sum(coeffs: np.ndarray, n: int, K: int, s: float) -> np.ndarray:
-    """sum_k |c_k| e^{s|k|_1} over the n leading mode axes of coeffs, shape coeffs.shape[n:].
+def _majorant_sums(coeffs: np.ndarray, n: int, K: int, widths) -> list:
+    """sum_k |c_k| e^{s|k|_1} over the n leading mode axes of coeffs, one per width s.
 
     One summation order for every majorant.  Modes k and -k are added
     first, which is exact to swap since e^{s|k|_1} is even, so a block and
     its mirror conj(c(-k)) give the same bits.  The folded terms are then
     accumulated in mode order, k = 0 last, one running sum per entry, the
-    same for every entry whatever the trailing axes.  |c| is formed for one
-    pair of slabs of the first mode axis, t and 2K - t, at a time.
+    same for every entry whatever the trailing axes, so a majorant summed
+    over a slice of the trailing axes is that slice of the whole one.  |c|
+    is formed once for all widths, for one pair of slabs of the first mode
+    axis, t and 2K - t, at a time.  Each majorant has shape coeffs.shape[n:].
     """
     slab = ((2 * K + 1) ** (n - 1), math.prod(coeffs.shape[n:]))
-    w = strip_weight(n, K, s).reshape(2 * K + 1, slab[0], 1)
-    acc = None
+    ws = [strip_weight(n, K, s).reshape(2 * K + 1, slab[0], 1) for s in widths]
+    accs = [None] * len(ws)
     for t in range(K + 1):
-        terms = np.abs(coeffs[t]).reshape(slab)
-        terms *= w[t]
-        if t < K:
-            mirror = np.abs(coeffs[2 * K - t]).reshape(slab)
-            mirror *= w[2 * K - t]
-            terms += mirror[::-1]
-            del mirror
-            rows = len(terms)
-        else:
-            # the middle slab folds onto itself around k = 0, which comes last
-            rows = len(terms) // 2
-            terms[:rows] += terms[:rows:-1]
-            rows += 1
-        if acc is not None:
-            terms[0] += acc
-        np.cumsum(terms[:rows], axis=0, out=terms[:rows])
-        acc = terms[rows - 1].copy()
-    return acc.reshape(coeffs.shape[n:])
+        low = np.abs(coeffs[t]).reshape(slab)
+        high = np.abs(coeffs[2 * K - t]).reshape(slab) if t < K else None
+        for i, w in enumerate(ws):
+            terms = low * w[t]
+            if t < K:
+                mirror = high * w[2 * K - t]
+                terms += mirror[::-1]
+                del mirror
+                rows = len(terms)
+            else:
+                # the middle slab folds onto itself around k = 0, which comes last
+                rows = len(terms) // 2
+                terms[:rows] += terms[:rows:-1]
+                rows += 1
+            if accs[i] is not None:
+                terms[0] += accs[i]
+            np.cumsum(terms[:rows], axis=0, out=terms[:rows])
+            accs[i] = terms[rows - 1].copy()
+    return [acc.reshape(coeffs.shape[n:]) for acc in accs]
+
+
+def _majorant_sum(coeffs: np.ndarray, n: int, K: int, s: float) -> np.ndarray:
+    """_majorant_sums at the one width s."""
+    return _majorant_sums(coeffs, n, K, (s,))[0]
 
 
 def next_fast_len(target: int) -> int:
@@ -163,14 +174,30 @@ def _pair_matrix(lower: np.ndarray, N: int, sign: int = 1, upper=None) -> np.nda
     return out
 
 
-def _centered_to_fft(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
-    """Embed a centered coefficient block into an M-per-axis FFT layout."""
+def _pair_column(N: int, i: int) -> slice:
+    """The pairs (j, i), j > i, of column i: one run of np.triu_indices(N, 1)'s order."""
+    at = i * (N - 1) - i * (i - 1) // 2
+    return slice(at, at + N - 1 - i)
+
+
+def _centered_to_fft(coeffs: np.ndarray, n: int, K: int, M: int, take=None) -> np.ndarray:
+    """Embed a centered coefficient block into an M-per-axis FFT layout.
+
+    take, if given, picks entries of the flattened trailing axes, gathered
+    one slab of the first mode axis at a time, so no gathered copy of the
+    whole block is formed.
+    """
     if M < 2 * K + 1:
         raise AliasingError(f"grid {M} cannot hold modes up to K={K}")
-    out_shape = (M,) * n + coeffs.shape[n:]
-    out = np.zeros(out_shape, dtype=complex)
     idx = (np.arange(-K, K + 1)) % M
-    out[np.ix_(*([idx] * n))] = coeffs
+    if take is None:
+        out = np.zeros((M,) * n + coeffs.shape[n:], dtype=complex)
+        out[np.ix_(*([idx] * n))] = coeffs
+        return out
+    out = np.zeros((M,) * n + (len(take),), dtype=complex)
+    rest = np.ix_(*([idx] * (n - 1)))
+    for t, slab in zip(idx, coeffs):
+        out[t][rest] = slab.reshape(slab.shape[: n - 1] + (-1,))[..., take]
     return out
 
 
@@ -182,13 +209,15 @@ def _fft_to_centered(table: np.ndarray, n: int, K: int) -> np.ndarray:
     return table[np.ix_(*([idx] * n))]
 
 
-def coeffs_to_grid(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
+def coeffs_to_grid(coeffs: np.ndarray, n: int, K: int, M: int, take=None) -> np.ndarray:
     """Evaluate a coefficient block on the equispaced M**n grid (zero-padded FFT).
 
-    The first n axes are modes; any trailing axes are batch axes.  One axis
-    at a time, in place; bit for bit scipy.fft.ifftn(..., norm="forward").
+    The first n axes are modes; any trailing axes are batch axes, or with
+    take the one axis of the entries take picks from them (_centered_to_fft).
+    One axis at a time, in place; bit for bit scipy.fft.ifftn(...,
+    norm="forward").
     """
-    table = _centered_to_fft(coeffs, n, K, M)
+    table = _centered_to_fft(coeffs, n, K, M, take)
     for a in range(n):
         np.fft.ifft(table, axis=a, norm="forward", out=table)
     return table
@@ -232,15 +261,10 @@ def chop(coeffs: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _commute(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y - y @ x over the leading axes, written into x; returns x.
-
-    One slice of the first axis at a time, so the scratch is that slice's
-    two products, never a third grid; y is left as it was.
-    """
-    for a, b in zip(x, y):
-        ab = a @ b
-        ab -= b @ a
-        a[...] = ab
+    """x @ y - y @ x over the leading axes, written into x; returns x (y is left as it was)."""
+    xy = x @ y
+    xy -= y @ x
+    x[...] = xy
     return x
 
 
@@ -377,24 +401,20 @@ class _Series:
     def __neg__(self):
         return self._like(self.K, freeze(-self.coeffs))
 
-    def _grid_product(self, other, op):
-        """op(self(phi), other(phi)) on an alias-free grid, at band self.K + other.K.
+    def product(self, other):
+        """Exact entrywise grid product, at band self.K + other.K.
 
-        op writes its result into its first operand, whose grid the transform
-        then consumes: two grids are alive at a time, never three.
+        The product is written into self's grid, which the transform then
+        consumes: two grids are alive at a time, never three.
         """
         K = self.K + other.K
         M = next_fast_len(2 * K + 2)
         values, other_values = self.grid(M), other.grid(M)
-        op(values, other_values)
+        np.multiply(values, other_values, out=values)
         del other_values
         coeffs = grid_to_coeffs(values, self.n, K)
         del values
         return self._like(K, freeze(coeffs))
-
-    def product(self, other):
-        """Exact entrywise grid product, at band self.K + other.K."""
-        return self._grid_product(other, lambda x, y: np.multiply(x, y, out=x))
 
     def mirror_defect(self) -> float:
         """Max |c - _mirror(c)|: zero iff real (scalar) or hermitian (operator) on the torus."""
@@ -462,20 +482,10 @@ class OperatorSeries(_Series):
     def entry(self, i: int, j: int) -> TorusSeries:
         return TorusSeries(self.n, self.K, self.coeffs[..., i, j])
 
-    def commutator(self, other: "OperatorSeries") -> "OperatorSeries":
-        """Exact grid commutator self other - other self, at band self.K + other.K."""
-        return self._grid_product(other, _commute)
-
     # -- structure -----------------------------------------------------------
 
     # max coefficient defect of Phat(-k) = Phat(k)^H
     hermiticity_defect = _Series.mirror_defect
-
-    def offdiagonal_part(self) -> "OperatorSeries":
-        c = self.coeffs.copy()
-        idx = np.arange(self.N)
-        c[..., idx, idx] = 0.0
-        return OperatorSeries(self.n, self.K, self.N, freeze(c))
 
     def majorant_matrix(self, s: float) -> np.ndarray:
         """Entrywise sum_k |Phat_ijk| e^{s|k|_1}; dominates |P_ij| on the strip."""
@@ -523,6 +533,21 @@ class PairSeries(_Series):
         c = _pair_matrix(self.coeffs, self.N, self.sign, _mirror(self.coeffs, self.n))
         return OperatorSeries(self.n, self.K, self.N, freeze(c))
 
+    def add_to(self, c: np.ndarray, scale: float) -> None:
+        """c += scale * series().coeffs, in place, for N x N coefficients c at a band >= K.
+
+        Column i's pairs are one slice of coeffs (_pair_column), added as
+        one, and so is their mirror, row i of the upper half: no N x N
+        series is formed.
+        """
+        n, N = self.n, self.N
+        box = c[_box(n, self.K, (c.shape[0] - 1) // 2)]
+        mirror = self.coeffs[(slice(None, None, -1),) * n]
+        for i in range(N - 1):
+            pairs = _pair_column(N, i)
+            box[..., i + 1 :, i] += self.coeffs[..., pairs] * scale
+            box[..., i, i + 1 :] += np.conj(mirror[..., pairs]) * (self.sign * scale)
+
     def grid(self, M: int) -> np.ndarray:
         """Values on the M**n grid, shape (M,)*n + (N, N): the pairs' transform, mirrored."""
         return _pair_matrix(super().grid(M), self.N, self.sign)
@@ -530,6 +555,85 @@ class PairSeries(_Series):
     def at(self, phis: np.ndarray) -> np.ndarray:
         """Values at a batch of angles phis (T, n), shape (T, N, N): the pairs' sum, mirrored."""
         return _pair_matrix(super().at(phis), self.N, self.sign)
+
+
+# bytes of one slab of N x N values that lie_commutator fills and commutes at a time
+SLAB_BYTES = 1 << 18
+
+
+def _put_triangle(out: np.ndarray, tri: np.ndarray) -> None:
+    """out (..., N, N): its entries (j, i), i <= j, from tri (..., N(N+1)/2) in np.tril_indices order.
+
+    Row j of the triangle is the run of tri from j(j+1)/2 on, so each row
+    is copied as one slice, never through an index array.
+    """
+    for j in range(out.shape[-1]):
+        at = j * (j + 1) // 2
+        out[..., j, : j + 1] = tri[..., at : at + j + 1]
+
+
+def _take_triangle(out: np.ndarray, values: np.ndarray) -> None:
+    """out (..., N(N+1)/2): the entries (j, i), i <= j, of values (..., N, N), as _put_triangle orders them."""
+    for j in range(values.shape[-1]):
+        at = j * (j + 1) // 2
+        out[..., at : at + j + 1] = values[..., j, : j + 1]
+
+
+def lie_commutator(S: OperatorSeries, B: PairSeries, K: int) -> tuple:
+    """(c, M): S B - B S for hermitian S and anti-hermitian B as N x N coefficients c at band K.
+
+    The commutator is hermitian, so it is formed from halves on the
+    alias-free grid of M points per axis for band S.K + B.K <= K: S's
+    triangle j >= i and B's pairs are transformed there, together one N x N
+    grid.  Their N x N values are filled in, the strict upper halves as
+    conj(S_ji) and -conj(B_ji), and commuted one slab of SLAB_BYTES of
+    grid points at a time; each slab's triangle overwrites S's values
+    there.  Only that triangle is transformed back, and the strict upper
+    half of c is its mirror conj(c_ji(-k)), so c's off-diagonal is exactly
+    hermitian.  S is read through its triangle alone.  c is writeable and
+    zero outside band S.K + B.K, so a caller can add to it in place.
+    """
+    n, N = S.n, S.N
+    K_SB = S.K + B.K
+    M = next_fast_len(2 * K_SB + 2)
+    rows, cols = np.tril_indices(N)
+    values = coeffs_to_grid(S.coeffs, n, S.K, M, take=rows * N + cols)
+    flat = values.reshape(-1, len(rows))
+    pairs = coeffs_to_grid(B.coeffs, n, B.K, M).reshape(len(flat), -1)
+    # L holds S's triangle and U B's pairs (j, i) as their transpose, column
+    # i's pairs as row i of the strict upper half, so both are written one
+    # slice per row; each one's other half stays zero, and X = L + L^H and
+    # Y = U^T - U^H
+    size = max(1, SLAB_BYTES // (16 * N * N))
+    L, U, X, Y = (np.zeros((size, N, N), dtype=complex) for _ in range(4))
+    j = np.arange(N)
+    diagonal, on_diagonal = j * (N + 1), j * (j + 3) // 2     # (j, j) in X and in the triangle
+    for start in range(0, len(flat), size):
+        v, b = flat[start : start + size], pairs[start : start + size]
+        Ls, Us, Xs, Ys = L[: len(v)], U[: len(v)], X[: len(v)], Y[: len(v)]
+        _put_triangle(Ls, v)
+        np.conj(Ls.swapaxes(1, 2), out=Xs)
+        Xs += Ls
+        # the diagonal, which L + L^H doubles, is S's own
+        Xs.reshape(len(v), -1)[:, diagonal] = v[:, on_diagonal]
+        for i in range(N - 1):
+            Us[:, i, i + 1 :] = b[:, _pair_column(N, i)]
+        np.conj(Us, out=Ys)
+        np.subtract(Us.swapaxes(1, 2), Ys, out=Ys)
+        _take_triangle(v, _commute(Xs, Ys))
+    del v, b, Ls, Us, Xs, Ys, L, U, X, Y, pairs, flat
+    coeffs = grid_to_coeffs(values, n, K_SB)
+    del values
+    c = np.zeros((2 * K + 1,) * n + (N, N), dtype=complex)
+    box = c[_box(n, K_SB, K)]
+    _put_triangle(box, coeffs)
+    del coeffs
+    # the strict upper half, conj(c_ji(-k)), one slab of the first mode axis at a time
+    upper, mirror = np.triu(np.ones((N, N), dtype=bool), 1), np.empty_like(box[0])
+    for t in range(2 * K_SB + 1):
+        np.conj(box[2 * K_SB - t][(slice(None, None, -1),) * (n - 1)].swapaxes(-1, -2), out=mirror)
+        np.copyto(box[t], mirror, where=upper)
+    return c, M
 
 
 @dataclass(frozen=True)

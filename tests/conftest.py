@@ -1,0 +1,42 @@
+"""Helpers shared by the test modules: a traced-memory probe and a dense commutator oracle."""
+
+import tracemalloc
+
+import numpy as np
+
+from kamreduce.torus import OperatorSeries, grid_to_coeffs, next_fast_len
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traces during the call, above what was traced at entry)."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def offdiagonal(P: OperatorSeries) -> OperatorSeries:
+    """P with its diagonal zeroed."""
+    c = P.coeffs.copy()
+    idx = np.arange(P.N)
+    c[..., idx, idx] = 0.0
+    return OperatorSeries(P.n, P.K, P.N, c)
+
+
+def commutator_oracle(X, Y) -> OperatorSeries:
+    """X Y - Y X at band X.K + Y.K, one N x N product per point of an alias-free grid.
+
+    X and Y are any series whose grid(M) gives N x N values (OperatorSeries,
+    PairSeries); nothing of the library's commutator is used.
+    """
+    K = X.K + Y.K
+    M = next_fast_len(2 * K + 2)
+    x, y = X.grid(M), Y.grid(M)
+    values = np.empty_like(x)
+    for point in np.ndindex(x.shape[:-2]):
+        values[point] = x[point] @ y[point] - y[point] @ x[point]
+    return OperatorSeries(X.n, K, X.N, grid_to_coeffs(values, X.n, K))

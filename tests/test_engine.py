@@ -20,7 +20,7 @@ import pytest
 import scipy.linalg
 from scipy.fft import next_fast_len
 
-from kamreduce import cli, engine
+from kamreduce import cli, engine, torus
 from kamreduce.engine import (
     KamSettings,
     KamState,
@@ -50,6 +50,8 @@ from kamreduce.torus import (
     g_norm,
     grid_to_coeffs,
 )
+
+from conftest import offdiagonal
 
 MANIFESTS = pathlib.Path(__file__).resolve().parents[1] / "manifests"
 
@@ -106,7 +108,7 @@ def test_diag_split_reassembles():
     rng = np.random.default_rng(5)
     P = _random_hermitian(5, 1, 2, rng)
     shift, mu_add = diag_split(P)
-    rebuilt = P.offdiagonal_part().coeffs.copy()
+    rebuilt = offdiagonal(P).coeffs.copy()
     idx = np.arange(5)
     rebuilt[..., idx, idx] += np.moveaxis(mu_add, 0, -1)
     rebuilt[(2,) * 1 + (idx, idx)] += shift
@@ -254,20 +256,23 @@ def test_step_records_each_solve_guard_once():
         "kuksin guard failed for pair (1,2)", "kuksin guard failed for pair (2,3)"]
 
 
-def _tilted(D: PairSeries, size: float) -> PairSeries:
-    """D whose N x N series adds the constant 1j * size * I: a hermiticity defect of 2 size.
+def _tilt_commutator(monkeypatch, size) -> None:
+    """Make every commutator's values carry the constant 1j * size() * I: a hermiticity defect of 2 size.
 
-    The constant commutes with every generator, so it reaches conjugate's
-    output unchanged, through the D term at order 0.
+    The constant is added to the N x N values the commutator's slab kernel
+    returns, so it reaches the commutator's triangle and conjugate's output
+    through the order-0 level; the constant the other levels carry commutes
+    with every generator.  size is read at each call.
     """
-    class Tilted(PairSeries):
-        def series(self):
-            S = super().series()
-            c = np.zeros_like(S.coeffs)
-            c[(S.K,) * S.n] = 1j * size * np.eye(S.N)
-            return S + OperatorSeries(S.n, S.K, S.N, c)
+    commute = torus._commute
 
-    return Tilted(D.n, D.K, D.N, D.coeffs, D.sign)
+    def tilted(x, y):
+        out = commute(x, y)
+        idx = np.arange(out.shape[-1])
+        out[..., idx, idx] += 1j * size()
+        return out
+
+    monkeypatch.setattr(torus, "_commute", tilted)
 
 
 def _guard_scale(P, base, B) -> float:
@@ -283,7 +288,9 @@ def test_conjugation_guard_reaches_its_info_and_the_step_record(monkeypatch):
     base = abstract_base(4, 1, 4.0 / 3.0, 0.2)
     P = _random_hermitian(4, 1, 2, rng, scale=1e-3)
     B = _pairs(_random_hermitian(4, 1, 1, rng, scale=1e-3) * 1j)
-    D = _tilted(_generator_defect(B, P, base, OMEGA_N1)[0], 0.5e-10 * _guard_scale(P, base, B))
+    D = _generator_defect(B, P, base, OMEGA_N1)[0]
+    sizes = [0.5e-10 * _guard_scale(P, base, B)]
+    _tilt_commutator(monkeypatch, lambda: sizes[-1])
     with pytest.warns(GuardWarning, match="conjugation hermiticity defect") as caught:
         _, info = conjugate(base, P, B, D, 4, 0.05)
     defect = info["hermiticity_defect"]
@@ -293,17 +300,19 @@ def test_conjugation_guard_reaches_its_info_and_the_step_record(monkeypatch):
 
     solve = engine.solve_variable
 
-    def tilted(P, base, *args, **kwargs):
+    def sized(P, base, *args, **kwargs):
         sol = solve(P, base, *args, **kwargs)
-        return dataclasses.replace(sol, D=_tilted(sol.D, 0.5e-10 * _guard_scale(P, base, sol.B)))
+        sizes.append(0.5e-10 * _guard_scale(P, base, sol.B))
+        return sol
 
-    monkeypatch.setattr(engine, "solve_variable", tilted)
+    monkeypatch.setattr(engine, "solve_variable", sized)
     A, P = build_abstract_model(
         N=10, n=1, d=4.0 / 3.0, delta=0.2, K=3, epsilon=1e-3, s=0.05, seed=4321
     )
     out, warned = _step_and_warnings(_start(A, P, 0.05), OMEGA_N1, SETTINGS_N1)
     record = out.records[0]
     message = f"conjugation hermiticity defect {record['hermiticity_defect']:.2e}"
+    assert record["hermiticity_defect"] == pytest.approx(2 * sizes[-1], rel=1e-3)
     assert not record["a_priori"] and record["guard_messages"] == (message,)
     assert warned == [message]
 
@@ -378,9 +387,10 @@ def test_step_records_carry_work_counters(run_n2):
     # a-priori step 2 sums no level
     assert [(r["lie_bands"], r["grid_M"]) for r in ref.records] == [([6, 6, 12, 15], 40),
                                                                     ([], 0)]
-    # the largest grid each step holds: step 1's widest commutator grid, 40^2
-    # points of N^2 = 400 entries, and step 2's pair solve factors, 63^2 of 190
-    assert [r["grid_bytes"] for r in ref.records] == [40**2 * 400 * 16, 63**2 * 190 * 16]
+    # the largest array each step holds: step 1's widest commutator's
+    # triangle grid, 40^2 points of N(N+1)/2 = 210 entries, and step 2's
+    # btil stack, 61^2 modes (band (63 - 2) // 2 = 30) of 190 pairs
+    assert [r["grid_bytes"] for r in ref.records] == [40**2 * 210 * 16, 61**2 * 190 * 16]
     for rec in state.records:
         assert 0 <= rec["K_P"] <= SETTINGS_N2.work_cutoff()
         assert rec["B_truncation"] >= 0.0
@@ -426,8 +436,8 @@ def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):
     assert state.l == 2 and not state.converged
     assert not any(rec["a_priori"] for rec in state.records)
     assert all(rec["lie_order"] >= 1 and rec["grid_M"] > 0 for rec in state.records)
-    assert list(state.norm_history) == [0.0009999999999999998, 5.042131929038726e-08,
-                                        8.682030479414889e-16]
+    assert list(state.norm_history) == [0.0009999999999999998, 5.0421319290387264e-08,
+                                        8.682030470285938e-16]
     # the bound is the same number whether or not the step stops on it
     assert state.records[-1]["a_priori_bound"] == converged.records[-1]["a_priori_bound"]
 

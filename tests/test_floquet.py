@@ -16,7 +16,6 @@ the engine tests (frequency certified there).
 """
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -62,6 +61,8 @@ from kamreduce.floquet import (
 from kamreduce.homological import torus_primitive
 from kamreduce.models import abstract_base, build_abstract_model
 from kamreduce.torus import CHOP_FLOOR, DiagonalPart, OperatorSeries, TorusSeries, k_box
+
+from conftest import traced_peak
 
 OMEGA_N1 = np.array([0.13799890521733005])  # certified in test_engine
 
@@ -561,13 +562,8 @@ def test_sweep_memory_does_not_grow_with_its_steps():
     kernel = _cf4_exponentials(A, P, OMEGA_N1, np.array([0.3]))
     peaks = {}
     for steps in (64, 512):
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            _sweep(kernel, np.eye(A.N), np.array([2.0]), np.array([steps]), _Workspace())
-            peaks[steps] = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
+        _, peaks[steps] = traced_peak(
+            lambda: _sweep(kernel, np.eye(A.N), np.array([2.0]), np.array([steps]), _Workspace()))
     assert peaks[512] <= peaks[64] + 64 * (512 - 64)
 
 

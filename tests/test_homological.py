@@ -9,7 +9,6 @@ import dataclasses
 import itertools
 import math
 import pathlib
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +32,8 @@ from kamreduce.torus import (
     g_norm,
     sup_norm_s,
 )
+
+from conftest import traced_peak
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -451,12 +452,7 @@ def test_variable_solve_peak_memory_is_a_few_pair_grids():
     omega = np.array([GOLDEN, np.sqrt(2.0) - 1.0])
     base = base_for(N, n=n, mu=random_mu(N, n, 2, rng, amp=1e-3), K=2)
     P = random_hermitian(N, n, 4, rng, s=0.5) * 1e-3
-    tracemalloc.start()
-    try:
-        sol = solve_variable(P, base, omega, s=0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sol, peak = traced_peak(lambda: solve_variable(P, base, omega, s=0.05))
     assert sol.pairs == 66 and sol.grid_M == 56
     grid_bytes = sol.grid_M**n * sol.pairs * 16
     assert peak < 6 * grid_bytes
@@ -470,7 +466,10 @@ def test_variable_antihermitian_by_construction():
     sol = solve_variable(P, base, np.array([GOLDEN]))
     # a PairSeries of sign -1, whose values test_properties finds exactly anti-hermitian
     assert isinstance(sol.B, PairSeries) and sol.B.sign == -1
-    assert isinstance(sol.D, PairSeries) and sol.D.sign == 1
+    D = sol.D.form()
+    assert isinstance(D, PairSeries) and D.sign == 1
+    # the kept majorant is the formed stack's, bit for bit
+    assert np.array_equal(sol.D.majorant_matrix(0.0), D.majorant_matrix(0.0))
 
 
 def test_variable_linearity():
@@ -699,23 +698,67 @@ def reference_n2():
     return A, P, np.array(manifest.frequency["omega"]), cli._settings(manifest)
 
 
-def test_step_two_pair_solve_holds_at_most_two_pair_grids():
-    """The reference-n2 step-2 solve: the factors and btil, and one chunk's scratch."""
+def reference_n2_step_two():
+    """(state, omega, settings) of reference-n2 after its first step: the state step 2 solves."""
     A, P, omega, settings = reference_n2()
     state = engine.run_schedule(A, P, omega, dataclasses.replace(settings, l_max=1))[0]
+    return state, omega, settings
+
+
+def test_step_two_pair_solve_holds_btil_and_a_chunk():
+    """The reference-n2 step-2 solve: btil and one chunk's scratch, then chi's stack twice.
+
+    The solve keeps no factor: each chunk's is formed again in the inverse
+    pass.  Its peak is the btil stack, at the grid's band (63 - 2) // 2 =
+    30, with one chunk's grids, or, once btil is freed, chi's chunks at the
+    band K_out = 24 while they are joined into one stack.  Keeping every
+    chunk's factor as well held about two pair grids.
+    """
+    state, omega, settings = reference_n2_step_two()
     P, base = state.P, state.base
     ii, jj = np.triu_indices(P.N, 1)
     mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
     M = homological._working_grid(P.K + base.K, P.K + base.K + engine.SOLVER_PAD)
     b = -P.coeffs[..., jj, ii]
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        chi = homological._solve_pairs(b, mud, base.lam[jj] - base.lam[ii], omega, M,
-                                       settings.work_cutoff())[0]
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
+    (chi, *_), peak = traced_peak(lambda: homological._solve_pairs(
+        b, mud, base.lam[jj] - base.lam[ii], omega, M, settings.work_cutoff()))
     grid = M**P.n * len(jj) * 16
+    btil = 61**2 * len(jj) * 16
     assert (M, len(jj), chi.shape[0]) == (63, 190, 2 * settings.work_cutoff() + 1)
-    assert peak <= 2 * grid
+    chunk = 4 * homological.CHUNK_BYTES
+    assert peak <= max(btil, 2 * chi.nbytes) + chunk < 1.3 * grid
+
+
+def test_a_priori_step_two_keeps_only_the_defect_majorants(monkeypatch):
+    """Reference-n2 step 2 is a-priori: no whole stack of D, and its numbers are the whole stack's.
+
+    The solve sums D's majorants chunk by chunk at the two widths read,
+    s for hom_residual and s_next for the a-priori bound, and conjugate
+    forms D only when its a-priori test fails.  Both numbers equal, bit
+    for bit, what a D formed whole gives.
+    """
+    state, omega, settings = reference_n2_step_two()
+    widths = []
+    defect = homological._defect
+
+    def spy(chi, gap, mud, rhs, omega, widths_=None):
+        widths.append(widths_)
+        return defect(chi, gap, mud, rhs, omega, widths_)
+
+    monkeypatch.setattr(homological, "_defect", spy)
+    out = engine.kam_step(state, omega, settings)
+    record = out.records[-1]
+    # one pass over the chunks, for the majorants at s and s_next; none forms D whole
+    assert record["a_priori"] and widths == [(state.s, record["s_out"])]
+    monkeypatch.undo()
+    # the oracle: D formed whole, its residual and the a-priori bound from it
+    P, base, B = state.P, state.base, out.generators[-1]
+    D = homological._generator_defect(B, P, base, omega)[0]
+    residual = homological._relative_defect(D, homological._off_majorant(P, state.s), state.s,
+                                            base.weight())
+    assert record["hom_residual"] == residual
+    s_next = record["s_out"]
+    reweight = float(np.max(out.base.weight() / base.weight()))
+    _, info = engine.conjugate(base, P, B, D, settings.work_cutoff(), s_next,
+                               settings.tol / reweight)
+    assert info["a_priori"] and record["a_priori_bound"] == info["a_priori_bound"]

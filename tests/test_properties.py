@@ -16,7 +16,7 @@ assembled series' majorant to roundoff.
 
 A pair series' values, at angles or on a grid, are exactly anti-hermitian
 (sign -1) or hermitian (sign +1) with a zero diagonal, and its N x N series
-is the dense mirror assembly bit for bit.
+is the dense mirror assembly bit for bit, which add_to adds in place.
 
 One conjugation step, formed as a Lie series of alias-free commutators,
 matches the dense oracle that builds exp(B) pointwise with scipy, and the
@@ -78,8 +78,10 @@ from kamreduce.torus import (
     directional_derivative,
     g_norm,
     k_box,
+    lie_commutator,
 )
 
+from conftest import commutator_oracle, offdiagonal
 from test_diophantine import pruned_dio2_margins
 
 D = 4.0 / 3.0
@@ -216,12 +218,12 @@ def test_homological_residual_bounds_the_defect(case):
     M = 16
     axes = [2.0 * np.pi * np.arange(M) / M] * n
     real = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    scale = np.linalg.norm(W[:, None] * P.offdiagonal_part().majorant_matrix(s), 2)
+    scale = np.linalg.norm(W[:, None] * offdiagonal(P).majorant_matrix(s), 2)
     # the slack is 1e-12 of the scale the residual is relative to: the
     # defect of an exact solve is roundoff, in the solver and in this sum
     bound = (sol.residual + 1e-12) * scale
     # the solution carries the defect it was measured on
-    assert np.array_equal(sol.D.series().coeffs,
+    assert np.array_equal(sol.D.form().series().coeffs,
                           homological._generator_defect(sol.B, P, base, omega)[0].series().coeffs)
     for z in (x + 1j * y, real.astype(complex)):
         assert top_singular_value(W[:, None] * defect_at(sol, P, base, omega, z)) <= bound
@@ -261,7 +263,7 @@ def dense_defect(B, P, base, omega):
     if K_mu:
         prod = OperatorSeries(n, K_mu, N, mud).product(B)
         D[_box(n, prod.K, K_D)] += prod.coeffs
-    D[_box(n, P.K, K_D)] += P.offdiagonal_part().coeffs
+    D[_box(n, P.K, K_D)] += offdiagonal(P).coeffs
     return D
 
 
@@ -355,6 +357,11 @@ def test_pair_series_values_are_exactly_mirrored_and_its_series_is_the_dense_ass
     dense = S.series()
     assert dense.coeffs.tobytes() == dense_assembly(S.coeffs, n, N, sign).tobytes()
     assert np.array_equal(S.majorant_matrix(s), dense.majorant_matrix(s))
+    # add_to adds the same N x N coefficients in place, into a wider band
+    c = rng.normal(size=(2 * K + 3,) * n + (N, N)) + 0j
+    want = c + 0.25 * dense.pad_to(K + 1).coeffs
+    S.add_to(c, 0.25)
+    assert np.array_equal(c, want)
     phis = rng.uniform(0.0, 2.0 * np.pi, (7, n))
     M = 2 * K + 3
     for values, oracle in ((S.at(phis), dense.at(phis)), (S.grid(M), dense.grid(M))):
@@ -411,14 +418,14 @@ def dense_conjugation(base, P, B, omega, M):
 
 def lie_reference(base, P, B, omega, order):
     """The Lie series of P+ to the given order, with no cutoff and no chopping."""
-    off = P.offdiagonal_part()
+    off = offdiagonal(P)
     D = homological._generator_defect(B, P, base, omega)[0].series()
     S = None
     for k in range(order, -1, -1):
         Y = D * (1.0 / math.factorial(k + 1))
         if k:
             Y = Y + (P - off) * (1.0 / math.factorial(k)) + off * (k / math.factorial(k + 1))
-        S = Y if S is None else Y + S.commutator(B)
+        S = Y if S is None else Y + commutator_oracle(S, B)
     return S
 
 
@@ -666,15 +673,22 @@ def test_operator_series_operations_act_on_each_entry(case):
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     assert np.max(np.abs(P.at(points).reshape(P.grid(M).shape) - P.grid(M))) <= tol
 
-    # the commutator's entries are sums of entrywise products
-    PQ = P.commutator(Q)
-    assert PQ.K == K + K2
+    # the Lie commutator of hermitian H and anti-hermitian B, formed from
+    # their halves: its entries are sums of entrywise products, and its
+    # off-diagonal is exactly hermitian
+    H = OperatorSeries(n, K, N, 0.5 * (P.coeffs + _mirror(P.coeffs, n)))
+    ii, jj = np.triu_indices(N, 1)
+    B = PairSeries(n, K2, N, Q.coeffs[..., jj, ii], -1)
+    HB = OperatorSeries(n, K + K2, N, lie_commutator(H, B, K + K2)[0])
+    Bd = B.series()
     for i, j in itertools.product(range(N), repeat=2):
         want = TorusSeries.zero(n, K + K2)
         for m in range(N):
-            want = (want + P.entry(i, m).product(Q.entry(m, j))
-                    - Q.entry(i, m).product(P.entry(m, j)))
-        assert np.max(np.abs(PQ.entry(i, j).coeffs - want.coeffs)) <= tol
+            want = (want + H.entry(i, m).product(Bd.entry(m, j))
+                    - Bd.entry(i, m).product(H.entry(m, j)))
+        assert np.max(np.abs(HB.entry(i, j).coeffs - want.coeffs)) <= tol
+    off = ~np.eye(N, dtype=bool)
+    assert np.array_equal(HB.coeffs[..., off], _mirror(HB.coeffs, n)[..., off])
 
     # the mirror is the adjoint at -k: entry (i, j) meets conj(P_ji(-k))
     assert P.hermiticity_defect() == np.max(np.abs(P.coeffs - _mirror(P.coeffs, n))) == herm

@@ -1,17 +1,17 @@
 """Torus-series algebra: transforms, norms, structure preservation."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len as scipy_next_fast_len
 
-from kamreduce import engine, homological, torus
+from kamreduce import homological, torus
 from kamreduce.errors import AliasingError, KamError
 from kamreduce.torus import (
     DiagonalPart,
     OperatorSeries,
+    PairSeries,
     TorusSeries,
     coeffs_to_grid,
     delta_norm,
@@ -22,6 +22,8 @@ from kamreduce.torus import (
     next_fast_len,
     sup_norm_s,
 )
+
+from conftest import commutator_oracle, traced_peak
 
 
 def transform_roundtrip(f, grid_size):
@@ -115,7 +117,6 @@ def test_transforms_match_numpy_fft_with_trailing_batch_axes(n, batch):
 def test_next_fast_len_is_scipys_rule_and_defined_once():
     targets = range(1, 5000)
     assert [next_fast_len(t) for t in targets] == [scipy_next_fast_len(t) for t in targets]
-    assert engine.next_fast_len is torus.next_fast_len
     assert homological.next_fast_len is torus.next_fast_len
 
 
@@ -344,14 +345,28 @@ def test_product_keeps_the_full_band():
     assert fg.K == 4 and abs(fg.coeff(4) - 1.0) < 1e-14
 
 
+def random_pairs(N, n, K, rng):
+    """An anti-hermitian PairSeries with random pairs."""
+    shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
+    return PairSeries(n, K, N, rng.normal(size=shape) + 1j * rng.normal(size=shape), -1)
+
+
 def test_commutator_matches_pointwise():
     rng = np.random.default_rng(37)
-    A = random_hermitian(4, 1, 2, rng)
-    B = random_hermitian(4, 1, 3, rng)
-    AB = A.commutator(B)
-    phi = np.array([1.234])
-    assert AB.K == 5
-    assert np.max(np.abs(AB(phi) - (A(phi) @ B(phi) - B(phi) @ A(phi)))) < 1e-12
+    for n, K_S, K_B in ((1, 2, 3), (2, 2, 1), (3, 1, 1)):
+        S, B = random_hermitian(4, n, K_S, rng), random_pairs(4, n, K_B, rng)
+        c, M = torus.lie_commutator(S, B, K_S + K_B + 1)
+        SB = OperatorSeries(n, K_S + K_B + 1, 4, c)
+        assert M == next_fast_len(2 * (K_S + K_B) + 2)
+        # zero outside the band K_S + K_B, and equal to the pointwise dense oracle
+        assert SB.trim().K == K_S + K_B
+        oracle = commutator_oracle(S, B).pad_to(SB.K)
+        assert np.max(np.abs(SB.coeffs - oracle.coeffs)) < 1e-12
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        assert np.max(np.abs(SB(phi) - (S(phi) @ B(phi) - B(phi) @ S(phi)))) < 1e-12
+        # the off-diagonal is exactly hermitian: entry (i, j) is conj(c_ji(-k))
+        off = ~np.eye(4, dtype=bool)
+        assert np.array_equal(c[..., off], torus._mirror(c, n)[..., off])
 
 
 def test_product_of_real_series_is_real():
@@ -375,24 +390,24 @@ def test_commutator_in_place_is_x_at_y_minus_y_at_x(n):
     assert y.tobytes() == y_before.tobytes()
 
 
-def test_commutator_holds_two_grids_and_a_slice_pair():
+def test_commutator_holds_one_grid_and_a_slab(monkeypatch):
     rng = np.random.default_rng(47)
-    A = random_hermitian(12, 2, 5, rng)
-    B = random_hermitian(12, 2, 4, rng)
-    M = next_fast_len(2 * (A.K + B.K) + 2)
+    S, B = random_hermitian(12, 2, 5, rng), random_pairs(12, 2, 4, rng)
+    M = next_fast_len(2 * (S.K + B.K) + 2)
+    # a slab of one row of M grid points
+    monkeypatch.setattr(torus, "SLAB_BYTES", M * 12 * 12 * 16)
+    torus.lie_commutator(S, B, 9)          # the transforms' first-call caches are not the commutator's
+    (c, _), peak = traced_peak(lambda: torus.lie_commutator(S, B, 9))
+    assert M == 20 and c.shape == (19, 19, 12, 12)
+    # S's triangle and B's pairs on the grid are one N x N grid together,
+    # and a slab holds four N x N buffers of its points and _commute's two
+    # products.  The result is then filled in beside the triangle's
+    # coefficients, with one mode slab of scratch for its mirrored half:
+    # here, where M is barely above 2K + 1, that outweighs the grid
     grid = M**2 * 12 * 12 * 16
-    A.commutator(B)                    # the transforms' first-call caches are not the commutator's
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        AB = A.commutator(B)
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
-    assert AB.K == 9 and M == 20
-    # x and y on the grid, and one slice's two products; the transform
-    # consumes x, so the result's coefficients never join a third grid
-    assert peak <= 2 * grid + 2 * grid // M + 4096
+    slab = 6 * torus.SLAB_BYTES
+    filled = 19**2 * (12 * 12 + 12 * 13 // 2) * 16 + 19 * 12 * 12 * 16
+    assert peak <= max(grid + slab, filled) + 4096
 
 
 def test_majorant_sum_is_mirror_symmetric_and_accurate():
