@@ -16,9 +16,9 @@ Numerical notes that matter here:
 
       P+ = D + sum_{k>=1} [L^k(diag P)/k! + k L^k(P_off)/(k+1)! + L^k(D)/(k+1)!],
 
-  so nothing cancels the large diagonal lambda_N.  Each L is one alias-free
-  grid commutator, formed from the halves of a hermitian level and an
-  anti-hermitian B (torus.lie_commutator).
+  so nothing cancels the large diagonal lambda_N.  Every level is
+  hermitian and held as its triangle until P+; each L is one alias-free
+  grid commutator of it with anti-hermitian B's pairs (torus.lie_commutator).
 * ||W L(X)|| <= 2g ||W X|| with g = g_norm(B) = max(||B||, ||W B W^-1||),
   so the order is the smallest whose remainder bound falls below
   CHOP_FLOOR, what chopping discards anyway.  The same rule cuts each
@@ -78,10 +78,14 @@ from .torus import (
     OperatorSeries,
     PairSeries,
     _abs_max,
+    _add_pairs,
     _box,
+    _hermitian_from_triangle,
     _live_band,
     _majorant_norm,
     _mirror,
+    _pair_matrix,
+    _triangle_matrix,
     chop,
     coeffs_to_grid,  # noqa: F401  unused; bench/test_bench.py traces it in this namespace
     delta_norm,
@@ -313,25 +317,27 @@ def matrix_exp_antihermitian(Bg: np.ndarray):
     return E, E - np.eye(Bg.shape[-1])
 
 
-def _level_band(X: OperatorSeries | PairSeries, W: np.ndarray, s: float, weight: float,
-                K_out: int):
-    """(K, dropped) for the band K that one Lie-series level keeps.
+def _level_band(coeffs: np.ndarray, n: int, K: int, square, W: np.ndarray, s: float,
+                weight: float, K_out: int):
+    """(K_keep, dropped) for the band K_keep that one Lie-series level X keeps.
 
-    dropped = ||W |X - X.truncate(K)|_s||_2, the majorant norm of what the
-    cut loses, and K is the smallest band <= K_out with weight * dropped <=
-    CHOP_FLOOR, or min(K_out, X.K) if none is.  One pass over |X| forms the
-    majorant of each |k|_inf shell; summed from the outside in, they give
-    the dropped part of every candidate band at once, never smaller for a
-    smaller band.
+    coeffs holds X at band K as a triangle (square = torus._triangle_matrix)
+    or as a generator's pairs (torus._pair_matrix), and square(values, N)
+    mirrors one real value per entry into a symmetric N x N matrix.
+    dropped = ||W |X - X.truncate(K_keep)|_s||_2, the majorant norm of what
+    the cut loses, and K_keep is the smallest band <= K_out with weight *
+    dropped <= CHOP_FLOOR, or min(K_out, K) if none is.  One pass over
+    |coeffs| forms the majorant of each |k|_inf shell; summed from the
+    outside in, they give the dropped part of every candidate band at once,
+    never smaller for a smaller band.
     """
-    n, K = X.n, X.K
     shell = np.max(np.abs(k_box(n, K)), axis=1)
     by_shell = np.zeros((K + 1, len(shell)))
     by_shell[shell, np.arange(len(shell))] = strip_weight(n, K, s).reshape(-1)
-    maj = by_shell @ np.abs(X.coeffs).reshape(len(shell), -1)
+    maj = by_shell @ np.abs(coeffs).reshape(len(shell), -1)
     beyond = np.zeros_like(maj)                                  # [r]: shells r+1..K
     beyond[:-1] = np.cumsum(maj[:0:-1], axis=0)[::-1]
-    dropped = np.linalg.norm(W[:, None] * X._square(beyond), 2, axis=(1, 2))
+    dropped = np.linalg.norm(W[:, None] * square(beyond, len(W)), 2, axis=(1, 2))
     fits = np.flatnonzero(weight * dropped <= CHOP_FLOOR)
     K_keep = min(int(fits[0]) if len(fits) else K, K_out)
     return K_keep, float(dropped[K_keep])
@@ -349,13 +355,16 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
         S_m = Y_m,  S_k = Y_k + L(S_{k+1}),  P+ = S_0 = D + L(S_1),
         Y_k = diag P / k! + k P_off / (k+1)! + D / (k+1)!,
 
-    each L one alias-free commutator of the hermitian level with B's pairs
-    (torus.lie_commutator), formed from their halves; Y_k is added into its
-    coefficients in place, D from its pairs and their mirror, so no N x N
-    series of B or D is formed.  Level k, X_k = Y_k + L(S_{k+1}), keeps as
-    S_k the smallest band K_k <= K_out with b^k ||X_k - S_k|| <= CHOP_FLOOR
-    (_level_band), the rule that fixes m, or K_out if none has.  P+ is
-    hermitized after its defect is measured, then chopped at CHOP_FLOOR.
+    each level hermitian and held as its triangle, the entries (j, i), i <=
+    j, and each L one alias-free commutator of it with B's pairs that
+    returns a triangle (torus.lie_commutator).  Y_k is added into it in
+    place, P's triangle (gathered once) and D's pairs, so no N x N series of
+    a level, of B or of D is formed.  Level k, X_k = Y_k + L(S_{k+1}),
+    keeps as S_k the smallest band K_k <= K_out with b^k ||X_k - S_k|| <=
+    CHOP_FLOOR (_level_band), the rule that fixes m, or K_out if none has.
+    P+ is S_0 expanded once to N x N, its upper half the triangle's mirror
+    and its diagonal hermitized after its defect is measured, then chopped
+    at CHOP_FLOOR.
 
     In ||X|| = delta_norm(X, base, s), a bound on the strip for s > 0,
     ||L(X)|| <= b ||X|| with b = 2 g_norm(B, base, s), and ||Y_k|| <= p / k!
@@ -407,40 +416,30 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
 
     if isinstance(D, Defect):
         D = D.form()
-    offdiag = ~np.eye(N, dtype=bool)
-    S, M, truncation, bands = None, 0, 0.0, []
+    ii, jj = np.triu_indices(N)                         # the triangle's entries (jj, ii)
+    P_tri = P.coeffs[..., jj, ii]
+    S, K_S, M, truncation, bands = None, 0, 0, 0.0, []
     for k in range(m, -1, -1):
-        # X_k = Y_k + L(S_{k+1}): Y_k is added into the commutator's coefficients in place
-        K_X = max(D.K, P.K if k else 0, -1 if S is None else S.K + B.K)
+        # X_k = Y_k + L(S_{k+1}): Y_k is added into the commutator's triangle in place
+        K_X = max(D.K, P.K if k else 0, -1 if S is None else K_S + B.K)
         if S is None:
-            c = np.zeros((2 * K_X + 1,) * n + (N, N), dtype=complex)
+            c = np.zeros((2 * K_X + 1,) * n + (len(ii),), dtype=complex)
         else:
-            c, M_k = lie_commutator(S, B, K_X)
+            c, M_k = lie_commutator(S, K_S, B, K_X)
             M = max(M, M_k)
         del S
-        D.add_to(c, 1.0 / math.factorial(k + 1))
+        _add_pairs(c, D, 1.0 / math.factorial(k + 1))
         if k:
-            c[_box(n, P.K, K_X)] += P.coeffs * np.where(offdiag, k / math.factorial(k + 1),
-                                                        1.0 / math.factorial(k))
-        X = OperatorSeries(n, K_X, N, freeze(c))
+            c[_box(n, P.K, K_X)] += P_tri * np.where(ii == jj, 1.0 / math.factorial(k),
+                                                     k / math.factorial(k + 1))
+        K_S, dropped = _level_band(c, n, K_X, _triangle_matrix, W, s, b**k, K_out)
+        S = np.ascontiguousarray(c[_box(n, K_S, K_X)])
         del c
-        K_k, dropped = _level_band(X, W, s, b**k, K_out)
-        S = X.truncate(K_k)
-        del X
         truncation += b**k * dropped
-        bands.append(K_k)
+        bands.append(K_S)
 
-    # P+ = (S + S^H) / 2 and S's hermiticity defect, one slab of the first
-    # mode axis at a time, so S's mirror is never formed whole
-    K_S, coeffs = S.K, S.coeffs
+    out, herm_defect = _hermitian_from_triangle(S, n, N)
     del S
-    out, herm_defect = np.empty_like(coeffs), 0.0
-    for t in range(2 * K_S + 1):
-        mirror = _mirror(coeffs[2 * K_S - t], n - 1)
-        herm_defect = max(herm_defect, float(np.max(np.abs(coeffs[t] - mirror))))
-        np.add(coeffs[t], mirror, out=out[t])
-    del coeffs, mirror
-    out *= 0.5
     # the output is quadratically small, so roundoff is judged against the
     # magnitudes that actually flow through the arithmetic
     scale = max(
@@ -719,7 +718,8 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
                                / (idx ** A0.delta * settings.epsilon)))
     else:
         shift_c = 0.0
-    cuts = [_level_band(B, np.ones(B.N), 0.0, 1.0, B.K) for B in state.generators]
+    cuts = [_level_band(B.coeffs, n, B.K, _pair_matrix, np.ones(B.N), 0.0, 1.0, B.K)
+            for B in state.generators]
     rs = ReducedSystem(
         lambda_inf=state.base.lam,
         mu_inf=state.base.mu,

@@ -8,10 +8,11 @@ _Series, which differs between them only by those trailing axes: padding
 and truncation by _box, arithmetic, grid sampling, evaluation at a batch
 of angles (at, by direct mode summation) and one alias-free grid product
 (product, entrywise).  lie_commutator is the Lie series' commutator of a
-hermitian operator with an anti-hermitian PairSeries, formed from their
-halves.  All transforms are plain FFTs on equispaced grids; products are
-computed on grids large enough to be exact for the sum of the input
-bandwidths and keep that whole band.
+hermitian level, held as its triangle (the entries on and below the
+diagonal, column by column), with an anti-hermitian PairSeries, formed
+from their halves and returned as a triangle.  All transforms are plain
+FFTs on equispaced grids; products are computed on grids large enough to
+be exact for the sum of the input bandwidths and keep that whole band.
 The transforms are numpy.fft's, one axis at a time in place, and the grid
 sizes come from next_fast_len here.  _mirror is the one k -> -k mirror.
 
@@ -174,30 +175,31 @@ def _pair_matrix(lower: np.ndarray, N: int, sign: int = 1, upper=None) -> np.nda
     return out
 
 
-def _pair_column(N: int, i: int) -> slice:
-    """The pairs (j, i), j > i, of column i: one run of np.triu_indices(N, 1)'s order."""
-    at = i * (N - 1) - i * (i - 1) // 2
-    return slice(at, at + N - 1 - i)
+def _triangle_matrix(tri: np.ndarray, N: int) -> np.ndarray:
+    """Real values (..., N(N+1)/2), one per entry of a triangle, as symmetric (..., N, N) arrays."""
+    ii, jj = np.triu_indices(N)
+    out = np.empty(tri.shape[:-1] + (N, N))
+    out[..., jj, ii] = out[..., ii, jj] = tri
+    return out
 
 
-def _centered_to_fft(coeffs: np.ndarray, n: int, K: int, M: int, take=None) -> np.ndarray:
-    """Embed a centered coefficient block into an M-per-axis FFT layout.
+def _column(N: int, i: int) -> slice:
+    """Column i of a triangle, its entries (j, i), j >= i: one run of np.triu_indices(N)'s order.
 
-    take, if given, picks entries of the flattened trailing axes, gathered
-    one slab of the first mode axis at a time, so no gathered copy of the
-    whole block is formed.
+    A PairSeries' pairs are the triangle of an N - 1 matrix in this sense:
+    their column i, the entries (j, i), j > i, is _column(N - 1, i).
     """
+    at = i * N - i * (i - 1) // 2
+    return slice(at, at + N - i)
+
+
+def _centered_to_fft(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
+    """Embed a centered coefficient block into an M-per-axis FFT layout."""
     if M < 2 * K + 1:
         raise AliasingError(f"grid {M} cannot hold modes up to K={K}")
     idx = (np.arange(-K, K + 1)) % M
-    if take is None:
-        out = np.zeros((M,) * n + coeffs.shape[n:], dtype=complex)
-        out[np.ix_(*([idx] * n))] = coeffs
-        return out
-    out = np.zeros((M,) * n + (len(take),), dtype=complex)
-    rest = np.ix_(*([idx] * (n - 1)))
-    for t, slab in zip(idx, coeffs):
-        out[t][rest] = slab.reshape(slab.shape[: n - 1] + (-1,))[..., take]
+    out = np.zeros((M,) * n + coeffs.shape[n:], dtype=complex)
+    out[np.ix_(*([idx] * n))] = coeffs
     return out
 
 
@@ -209,15 +211,13 @@ def _fft_to_centered(table: np.ndarray, n: int, K: int) -> np.ndarray:
     return table[np.ix_(*([idx] * n))]
 
 
-def coeffs_to_grid(coeffs: np.ndarray, n: int, K: int, M: int, take=None) -> np.ndarray:
+def coeffs_to_grid(coeffs: np.ndarray, n: int, K: int, M: int) -> np.ndarray:
     """Evaluate a coefficient block on the equispaced M**n grid (zero-padded FFT).
 
-    The first n axes are modes; any trailing axes are batch axes, or with
-    take the one axis of the entries take picks from them (_centered_to_fft).
-    One axis at a time, in place; bit for bit scipy.fft.ifftn(...,
-    norm="forward").
+    The first n axes are modes; any trailing axes are batch axes.  One axis
+    at a time, in place; bit for bit scipy.fft.ifftn(..., norm="forward").
     """
-    table = _centered_to_fft(coeffs, n, K, M, take)
+    table = _centered_to_fft(coeffs, n, K, M)
     for a in range(n):
         np.fft.ifft(table, axis=a, norm="forward", out=table)
     return table
@@ -260,12 +260,14 @@ def chop(coeffs: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-def _commute(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y - y @ x over the leading axes, written into x; returns x (y is left as it was)."""
-    xy = x @ y
-    xy -= y @ x
-    x[...] = xy
-    return x
+def _commute(x: np.ndarray, y: np.ndarray, xy: np.ndarray, yx: np.ndarray) -> np.ndarray:
+    """x @ y - y @ x over the leading axes, written into x by way of the scratch xy and yx.
+
+    Returns x; y is left as it was.
+    """
+    np.matmul(x, y, out=xy)
+    np.matmul(y, x, out=yx)
+    return np.subtract(xy, yx, out=x)
 
 
 def _abs_max(coeffs: np.ndarray) -> float:
@@ -491,10 +493,6 @@ class OperatorSeries(_Series):
         """Entrywise sum_k |Phat_ijk| e^{s|k|_1}; dominates |P_ij| on the strip."""
         return _majorant_sum(self.coeffs, self.n, self.K, s)
 
-    def _square(self, values: np.ndarray) -> np.ndarray:
-        """Real values (..., N*N), one per entry as coeffs orders them, as (..., N, N) matrices."""
-        return values.reshape(values.shape[:-1] + (self.N, self.N))
-
 
 @dataclass(frozen=True)
 class PairSeries(_Series):
@@ -522,31 +520,12 @@ class PairSeries(_Series):
 
     def majorant_matrix(self, s: float) -> np.ndarray:
         """Entrywise sum_k |c_ijk| e^{s|k|_1}, series().majorant_matrix(s) to the bit."""
-        return self._square(_majorant_sum(self.coeffs, self.n, self.K, s))
-
-    def _square(self, values: np.ndarray) -> np.ndarray:
-        """Real values (..., N(N-1)/2), one per pair, as symmetric (..., N, N) matrices."""
-        return _pair_matrix(values, self.N)
+        return _pair_matrix(_majorant_sum(self.coeffs, self.n, self.K, s), self.N)
 
     def series(self) -> OperatorSeries:
         """The N x N series at band K."""
         c = _pair_matrix(self.coeffs, self.N, self.sign, _mirror(self.coeffs, self.n))
         return OperatorSeries(self.n, self.K, self.N, freeze(c))
-
-    def add_to(self, c: np.ndarray, scale: float) -> None:
-        """c += scale * series().coeffs, in place, for N x N coefficients c at a band >= K.
-
-        Column i's pairs are one slice of coeffs (_pair_column), added as
-        one, and so is their mirror, row i of the upper half: no N x N
-        series is formed.
-        """
-        n, N = self.n, self.N
-        box = c[_box(n, self.K, (c.shape[0] - 1) // 2)]
-        mirror = self.coeffs[(slice(None, None, -1),) * n]
-        for i in range(N - 1):
-            pairs = _pair_column(N, i)
-            box[..., i + 1 :, i] += self.coeffs[..., pairs] * scale
-            box[..., i, i + 1 :] += np.conj(mirror[..., pairs]) * (self.sign * scale)
 
     def grid(self, M: int) -> np.ndarray:
         """Values on the M**n grid, shape (M,)*n + (N, N): the pairs' transform, mirrored."""
@@ -561,78 +540,87 @@ class PairSeries(_Series):
 SLAB_BYTES = 1 << 18
 
 
-def _put_triangle(out: np.ndarray, tri: np.ndarray) -> None:
-    """out (..., N, N): its entries (j, i), i <= j, from tri (..., N(N+1)/2) in np.tril_indices order.
+def _add_pairs(tri: np.ndarray, D: PairSeries, scale: float) -> None:
+    """tri += scale * D below the diagonal, in place, for a level's triangle tri at a band >= D.K.
 
-    Row j of the triangle is the run of tri from j(j+1)/2 on, so each row
-    is copied as one slice, never through an index array.
+    Column i of D's pairs is one slice, added past column i's diagonal entry.
     """
-    for j in range(out.shape[-1]):
-        at = j * (j + 1) // 2
-        out[..., j, : j + 1] = tri[..., at : at + j + 1]
+    N = D.N
+    box = tri[_box(D.n, D.K, (tri.shape[0] - 1) // 2)]
+    for i in range(N - 1):
+        col = _column(N, i)
+        box[..., col.start + 1 : col.stop] += D.coeffs[..., _column(N - 1, i)] * scale
 
 
-def _take_triangle(out: np.ndarray, values: np.ndarray) -> None:
-    """out (..., N(N+1)/2): the entries (j, i), i <= j, of values (..., N, N), as _put_triangle orders them."""
-    for j in range(values.shape[-1]):
-        at = j * (j + 1) // 2
-        out[..., at : at + j + 1] = values[..., j, : j + 1]
+def _hermitian_from_triangle(tri: np.ndarray, n: int, N: int) -> tuple:
+    """(c, defect): the writeable N x N coefficients c of a hermitian series held as its triangle.
 
-
-def lie_commutator(S: OperatorSeries, B: PairSeries, K: int) -> tuple:
-    """(c, M): S B - B S for hermitian S and anti-hermitian B as N x N coefficients c at band K.
-
-    The commutator is hermitian, so it is formed from halves on the
-    alias-free grid of M points per axis for band S.K + B.K <= K: S's
-    triangle j >= i and B's pairs are transformed there, together one N x N
-    grid.  Their N x N values are filled in, the strict upper halves as
-    conj(S_ji) and -conj(B_ji), and commuted one slab of SLAB_BYTES of
-    grid points at a time; each slab's triangle overwrites S's values
-    there.  Only that triangle is transformed back, and the strict upper
-    half of c is its mirror conj(c_ji(-k)), so c's off-diagonal is exactly
-    hermitian.  S is read through its triangle alone.  c is writeable and
-    zero outside band S.K + B.K, so a caller can add to it in place.
+    Entry (i, j), i < j, is the mirror conj(c_ji(-k)), so the off-diagonal
+    is exactly hermitian.  The diagonal, the one place a defect can show,
+    is hermitized, (c_ii + conj(c_ii(-k))) / 2, after its defect max |c_ii
+    - conj(c_ii(-k))| is measured.
     """
-    n, N = S.n, S.N
-    K_SB = S.K + B.K
+    c = np.empty(tri.shape[:n] + (N, N), dtype=complex)
+    reverse = (slice(None, None, -1),) * n
+    for i in range(N):
+        col = _column(N, i)
+        c[..., i:, i] = tri[..., col]
+        np.conj(tri[reverse + (col,)], out=c[..., i, i:])
+    diagonal = tri[..., [_column(N, i).start for i in range(N)]]
+    mirror = np.conj(diagonal[reverse])
+    defect = float(np.max(np.abs(diagonal - mirror), initial=0.0))
+    c[..., np.arange(N), np.arange(N)] = (diagonal + mirror) * 0.5
+    return c, defect
+
+
+def lie_commutator(S: np.ndarray, K_S: int, B: PairSeries, K: int) -> tuple:
+    """(c, M): the triangle c, at band K, of S B - B S for hermitian S and anti-hermitian B.
+
+    S and c are triangles of band K_S and K: the entries (j, i), i <= j, of
+    a hermitian series in np.triu_indices order, column by column
+    (_column), with modes leading.  The commutator is hermitian, so it is
+    formed from halves on the alias-free grid of M points per axis for band
+    K_S + B.K <= K: S's triangle and B's pairs are transformed there,
+    together one N x N grid.  Their N x N values, the upper halves
+    conj(S_ji) and -conj(B_ji), are filled in one slice per column and
+    commuted one slab of SLAB_BYTES of grid points at a time, in four N x N
+    buffers of the slab; each slab's triangle overwrites S's values there.
+    Only that triangle is transformed back.  c is writeable and zero
+    outside band K_S + B.K, so a caller can add to it in place.
+    """
+    n, N = B.n, B.N
+    K_SB = K_S + B.K
     M = next_fast_len(2 * K_SB + 2)
-    rows, cols = np.tril_indices(N)
-    values = coeffs_to_grid(S.coeffs, n, S.K, M, take=rows * N + cols)
-    flat = values.reshape(-1, len(rows))
+    values = coeffs_to_grid(S, n, K_S, M)
+    flat = values.reshape(-1, S.shape[-1])
     pairs = coeffs_to_grid(B.coeffs, n, B.K, M).reshape(len(flat), -1)
-    # L holds S's triangle and U B's pairs (j, i) as their transpose, column
-    # i's pairs as row i of the strict upper half, so both are written one
-    # slice per row; each one's other half stays zero, and X = L + L^H and
-    # Y = U^T - U^H
+    # U holds S's column i and V B's column i as row i of the upper half,
+    # each written as one slice; X and Y are their values, conj(U) and
+    # -conj(V) above the diagonal and their transposes on and below it, with
+    # Y's diagonal zero.  U and V then take the commutator's two products
     size = max(1, SLAB_BYTES // (16 * N * N))
-    L, U, X, Y = (np.zeros((size, N, N), dtype=complex) for _ in range(4))
-    j = np.arange(N)
-    diagonal, on_diagonal = j * (N + 1), j * (j + 3) // 2     # (j, j) in X and in the triangle
+    U, V, X, Y = (np.zeros((size, N, N), dtype=complex) for _ in range(4))
+    lower = np.tri(N, dtype=bool)
     for start in range(0, len(flat), size):
         v, b = flat[start : start + size], pairs[start : start + size]
-        Ls, Us, Xs, Ys = L[: len(v)], U[: len(v)], X[: len(v)], Y[: len(v)]
-        _put_triangle(Ls, v)
-        np.conj(Ls.swapaxes(1, 2), out=Xs)
-        Xs += Ls
-        # the diagonal, which L + L^H doubles, is S's own
-        Xs.reshape(len(v), -1)[:, diagonal] = v[:, on_diagonal]
-        for i in range(N - 1):
-            Us[:, i, i + 1 :] = b[:, _pair_column(N, i)]
-        np.conj(Us, out=Ys)
-        np.subtract(Us.swapaxes(1, 2), Ys, out=Ys)
-        _take_triangle(v, _commute(Xs, Ys))
-    del v, b, Ls, Us, Xs, Ys, L, U, X, Y, pairs, flat
+        Us, Vs, Xs, Ys = U[: len(v)], V[: len(v)], X[: len(v)], Y[: len(v)]
+        for i in range(N):
+            Us[:, i, i:] = v[:, _column(N, i)]
+            Vs[:, i, i + 1 :] = b[:, _column(N - 1, i)]
+        Vs.reshape(len(v), -1)[:, :: N + 1] = 0.0
+        np.conj(Us, out=Xs)
+        np.copyto(Xs, Us.swapaxes(1, 2), where=lower)
+        np.conj(Vs, out=Ys)
+        np.negative(Ys, out=Ys)
+        np.copyto(Ys, Vs.swapaxes(1, 2), where=lower)
+        _commute(Xs, Ys, Us, Vs)
+        for i in range(N):
+            v[:, _column(N, i)] = Xs[:, i:, i]
+    del v, b, Us, Vs, Xs, Ys, U, V, X, Y, pairs, flat
     coeffs = grid_to_coeffs(values, n, K_SB)
     del values
-    c = np.zeros((2 * K + 1,) * n + (N, N), dtype=complex)
-    box = c[_box(n, K_SB, K)]
-    _put_triangle(box, coeffs)
-    del coeffs
-    # the strict upper half, conj(c_ji(-k)), one slab of the first mode axis at a time
-    upper, mirror = np.triu(np.ones((N, N), dtype=bool), 1), np.empty_like(box[0])
-    for t in range(2 * K_SB + 1):
-        np.conj(box[2 * K_SB - t][(slice(None, None, -1),) * (n - 1)].swapaxes(-1, -2), out=mirror)
-        np.copyto(box[t], mirror, where=upper)
+    c = np.zeros((2 * K + 1,) * n + S.shape[n:], dtype=complex)
+    c[_box(n, K_SB, K)] = coeffs
     return c, M
 
 

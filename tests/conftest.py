@@ -1,4 +1,4 @@
-"""Helpers shared by the test modules: a traced-memory probe and a dense commutator oracle."""
+"""Helpers shared by the test modules: a traced-memory probe, a commutator oracle, a triangle."""
 
 import tracemalloc
 
@@ -25,6 +25,12 @@ def offdiagonal(P: OperatorSeries) -> OperatorSeries:
     idx = np.arange(P.N)
     c[..., idx, idx] = 0.0
     return OperatorSeries(P.n, P.K, P.N, c)
+
+
+def triangle(S: OperatorSeries) -> np.ndarray:
+    """S's entries (j, i), i <= j, column by column (np.triu_indices order), as a level is held."""
+    ii, jj = np.triu_indices(S.N)
+    return S.coeffs[..., jj, ii]
 
 
 def commutator_oracle(X, Y) -> OperatorSeries:

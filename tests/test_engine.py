@@ -51,7 +51,8 @@ from kamreduce.torus import (
     grid_to_coeffs,
 )
 
-from conftest import offdiagonal
+from conftest import offdiagonal, traced_peak
+from test_homological import reference_n2
 
 MANIFESTS = pathlib.Path(__file__).resolve().parents[1] / "manifests"
 
@@ -266,8 +267,8 @@ def _tilt_commutator(monkeypatch, size) -> None:
     """
     commute = torus._commute
 
-    def tilted(x, y):
-        out = commute(x, y)
+    def tilted(x, y, xy, yx):
+        out = commute(x, y, xy, yx)
         idx = np.arange(out.shape[-1])
         out[..., idx, idx] += 1j * size()
         return out
@@ -419,6 +420,40 @@ def test_step_records_carry_work_counters(run_n2):
     # the peak RSS is a high-water mark: the conjugation's is at least the solve's
     rss = dict(state.timings)
     assert 0.0 < rss["step1.solve_rss_mb"] <= rss["step1.conjugate_rss_mb"]
+
+
+def test_step_one_conjugate_holds_one_grid_beside_a_level_triangle(monkeypatch):
+    """reference-n2's step-1 conjugation, traced: one commutator grid beside one level's triangle.
+
+    Each level is held as its triangle, so the peak is the widest
+    commutator's N x N grid (its triangle grid, grid_bytes, with B's
+    pairs) and four slab buffers beside the level it commutes, or, at the
+    end, that level beside P+'s N x N coefficients and their moduli; P's
+    triangle and D's pairs are held throughout.  Every level keeps a band
+    of lie_bands, at most K_out.  Holding each level as N x N and filling
+    the commutator's result densely beside its triangle peaked at 17.9 MB
+    here, above this bound (16.6 MB).
+    """
+    A, P, omega, settings = reference_n2()
+    calls = []
+    monkeypatch.setattr(engine, "conjugate", lambda *args: calls.append(args) or conjugate(*args))
+    state, _ = run_schedule(A, P, omega, dataclasses.replace(settings, l_max=1))
+    monkeypatch.undo()
+    _, P, B, D, K_out, *_ = calls[0]
+    conjugate(*calls[0])                   # the transforms' first-call caches are not the step's
+    (P_plus, info), peak = traced_peak(lambda: conjugate(*calls[0]))
+    rec, n, N = state.records[0], P.n, P.N
+    assert not info["a_priori"] and info["lie_bands"] == rec["lie_bands"] == [6, 6, 12, 15]
+    assert max(rec["lie_bands"]) <= K_out == settings.work_cutoff()
+
+    def nbytes(K, entries):
+        return 16 * (2 * K + 1) ** n * entries
+
+    grid = rec["grid_bytes"] * 2 * N // (N + 1)
+    level = nbytes(max(rec["lie_bands"]), N * (N + 1) // 2)
+    output = nbytes(P_plus.K, N * N)
+    held = nbytes(P.K, N * (N + 1) // 2) + nbytes(D.form().K, N * (N - 1) // 2)
+    assert peak <= max(grid + 4 * torus.SLAB_BYTES, 2 * output) + level + held < 17_000_000
 
 
 def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):

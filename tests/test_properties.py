@@ -16,7 +16,9 @@ assembled series' majorant to roundoff.
 
 A pair series' values, at angles or on a grid, are exactly anti-hermitian
 (sign -1) or hermitian (sign +1) with a zero diagonal, and its N x N series
-is the dense mirror assembly bit for bit, which add_to adds in place.
+is the dense mirror assembly bit for bit.  Added in place into a wider
+band's triangle, the entries (j, i), i <= j, that a Lie-series level is
+held as, its pairs give that assembly's triangle added densely, bit for bit.
 
 One conjugation step, formed as a Lie series of alias-free commutators,
 matches the dense oracle that builds exp(B) pointwise with scipy, and the
@@ -81,7 +83,7 @@ from kamreduce.torus import (
     lie_commutator,
 )
 
-from conftest import commutator_oracle, offdiagonal
+from conftest import commutator_oracle, offdiagonal, triangle
 from test_diophantine import pruned_dio2_margins
 
 D = 4.0 / 3.0
@@ -357,11 +359,13 @@ def test_pair_series_values_are_exactly_mirrored_and_its_series_is_the_dense_ass
     dense = S.series()
     assert dense.coeffs.tobytes() == dense_assembly(S.coeffs, n, N, sign).tobytes()
     assert np.array_equal(S.majorant_matrix(s), dense.majorant_matrix(s))
-    # add_to adds the same N x N coefficients in place, into a wider band
+    # added into a wider band's triangle in place, the pairs are the dense
+    # assembly's triangle added densely
     c = rng.normal(size=(2 * K + 3,) * n + (N, N)) + 0j
-    want = c + 0.25 * dense.pad_to(K + 1).coeffs
-    S.add_to(c, 0.25)
-    assert np.array_equal(c, want)
+    want = triangle(OperatorSeries(n, K + 1, N, c + 0.25 * dense.pad_to(K + 1).coeffs))
+    tri = triangle(OperatorSeries(n, K + 1, N, c))
+    torus._add_pairs(tri, S, 0.25)
+    assert tri.tobytes() == want.tobytes()
     phis = rng.uniform(0.0, 2.0 * np.pi, (7, n))
     M = 2 * K + 3
     for values, oracle in ((S.at(phis), dense.at(phis)), (S.grid(M), dense.grid(M))):
@@ -674,12 +678,13 @@ def test_operator_series_operations_act_on_each_entry(case):
     assert np.max(np.abs(P.at(points).reshape(P.grid(M).shape) - P.grid(M))) <= tol
 
     # the Lie commutator of hermitian H and anti-hermitian B, formed from
-    # their halves: its entries are sums of entrywise products, and its
-    # off-diagonal is exactly hermitian
+    # H's triangle and B's pairs: expanded, its entries are sums of
+    # entrywise products, and its off-diagonal is exactly hermitian
     H = OperatorSeries(n, K, N, 0.5 * (P.coeffs + _mirror(P.coeffs, n)))
     ii, jj = np.triu_indices(N, 1)
     B = PairSeries(n, K2, N, Q.coeffs[..., jj, ii], -1)
-    HB = OperatorSeries(n, K + K2, N, lie_commutator(H, B, K + K2)[0])
+    tri, _ = lie_commutator(triangle(H), K, B, K + K2)
+    HB = OperatorSeries(n, K + K2, N, torus._hermitian_from_triangle(tri, n, N)[0])
     Bd = B.series()
     for i, j in itertools.product(range(N), repeat=2):
         want = TorusSeries.zero(n, K + K2)

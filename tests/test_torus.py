@@ -23,7 +23,7 @@ from kamreduce.torus import (
     sup_norm_s,
 )
 
-from conftest import commutator_oracle, traced_peak
+from conftest import commutator_oracle, traced_peak, triangle
 
 
 def transform_roundtrip(f, grid_size):
@@ -355,18 +355,24 @@ def test_commutator_matches_pointwise():
     rng = np.random.default_rng(37)
     for n, K_S, K_B in ((1, 2, 3), (2, 2, 1), (3, 1, 1)):
         S, B = random_hermitian(4, n, K_S, rng), random_pairs(4, n, K_B, rng)
-        c, M = torus.lie_commutator(S, B, K_S + K_B + 1)
-        SB = OperatorSeries(n, K_S + K_B + 1, 4, c)
+        K = K_S + K_B + 1
+        tri, M = torus.lie_commutator(triangle(S), K_S, B, K)
         assert M == next_fast_len(2 * (K_S + K_B) + 2)
+        assert tri.shape == (2 * K + 1,) * n + (10,)
+        c, defect = torus._hermitian_from_triangle(tri, n, 4)
+        SB = OperatorSeries(n, K, 4, c)
         # zero outside the band K_S + K_B, and equal to the pointwise dense oracle
         assert SB.trim().K == K_S + K_B
-        oracle = commutator_oracle(S, B).pad_to(SB.K)
+        oracle = commutator_oracle(S, B).pad_to(K)
+        assert np.max(np.abs(tri - triangle(oracle))) < 1e-12
         assert np.max(np.abs(SB.coeffs - oracle.coeffs)) < 1e-12
         phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
         assert np.max(np.abs(SB(phi) - (S(phi) @ B(phi) - B(phi) @ S(phi)))) < 1e-12
-        # the off-diagonal is exactly hermitian: entry (i, j) is conj(c_ji(-k))
+        # expanded, the off-diagonal is exactly hermitian: entry (i, j) is
+        # conj(c_ji(-k)); the hermitized diagonal's defect is roundoff
         off = ~np.eye(4, dtype=bool)
         assert np.array_equal(c[..., off], torus._mirror(c, n)[..., off])
+        assert defect < 1e-12
 
 
 def test_product_of_real_series_is_real():
@@ -385,29 +391,31 @@ def test_commutator_in_place_is_x_at_y_minus_y_at_x(n):
     y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     want = x @ y - y @ x
     y_before = y.copy()
-    got = torus._commute(x, y)
+    xy, yx = np.empty_like(x), np.empty_like(x)
+    got, peak = traced_peak(lambda: torus._commute(x, y, xy, yx))
     assert got is x and got.tobytes() == want.tobytes()
     assert y.tobytes() == y_before.tobytes()
+    # the two products are written into the scratch: no array is allocated
+    assert peak < 1024
 
 
 def test_commutator_holds_one_grid_and_a_slab(monkeypatch):
     rng = np.random.default_rng(47)
     S, B = random_hermitian(12, 2, 5, rng), random_pairs(12, 2, 4, rng)
+    tri = triangle(S)
     M = next_fast_len(2 * (S.K + B.K) + 2)
     # a slab of one row of M grid points
     monkeypatch.setattr(torus, "SLAB_BYTES", M * 12 * 12 * 16)
-    torus.lie_commutator(S, B, 9)          # the transforms' first-call caches are not the commutator's
-    (c, _), peak = traced_peak(lambda: torus.lie_commutator(S, B, 9))
-    assert M == 20 and c.shape == (19, 19, 12, 12)
+    torus.lie_commutator(tri, S.K, B, 9)  # the transforms' first-call caches are not the commutator's
+    (c, _), peak = traced_peak(lambda: torus.lie_commutator(tri, S.K, B, 9))
+    assert M == 20 and c.shape == (19, 19, 12 * 13 // 2)
     # S's triangle and B's pairs on the grid are one N x N grid together,
-    # and a slab holds four N x N buffers of its points and _commute's two
-    # products.  The result is then filled in beside the triangle's
-    # coefficients, with one mode slab of scratch for its mirrored half:
-    # here, where M is barely above 2K + 1, that outweighs the grid
+    # and a slab holds four N x N buffers of its points, two of which then
+    # take _commute's products; the result's triangle, transformed back and
+    # placed at the caller's band, is less than the grid
     grid = M**2 * 12 * 12 * 16
-    slab = 6 * torus.SLAB_BYTES
-    filled = 19**2 * (12 * 12 + 12 * 13 // 2) * 16 + 19 * 12 * 12 * 16
-    assert peak <= max(grid + slab, filled) + 4096
+    slab = 4 * torus.SLAB_BYTES
+    assert peak <= grid + slab + 4096
 
 
 def test_majorant_sum_is_mirror_symmetric_and_accurate():
