@@ -34,8 +34,8 @@ Numerical notes that matter here:
   generator is still solved, because verify composes it, but B stays on
   the solve's pair stack and D is never formed: the solve kept only its
   majorants, at its own width and at the conjugation's.
-* P+ is trimmed to its live band after chopping: all-zero outer shells are
-  dropped, which changes no coefficient and no norm.
+* P is held as its triangle (torus.HermitianSeries), cut to its live band
+  after chopping, which changes no coefficient and no norm.
 * Coefficients below an absolute floor are zeroed after each step so the
   weighted-l1 strip norms measure signal rather than accumulated roundoff;
   the absorbed diagonal mu is then cut to its live band, as P+ is.
@@ -75,17 +75,17 @@ from .serialize import KamSettings
 from .torus import (
     CHOP_FLOOR,
     DiagonalPart,
+    HermitianSeries,
     OperatorSeries,
     PairSeries,
     _abs_max,
     _add_pairs,
     _box,
-    _hermitian_from_triangle,
     _live_band,
     _majorant_norm,
     _mirror,
-    _pair_matrix,
-    _triangle_matrix,
+    _on_diagonal,
+    _square_matrix,
     chop,
     coeffs_to_grid,  # noqa: F401  unused; bench/test_bench.py traces it in this namespace
     delta_norm,
@@ -120,7 +120,7 @@ class KamState:
 
     l: int
     base: DiagonalPart
-    P: OperatorSeries
+    P: HermitianSeries
     s: float
     gamma: float
     C_mu: float
@@ -177,7 +177,7 @@ class ReducedSystem:
                             n=self.n, mu=self.mu_inf, K=self.K_mu)
 
 
-def diag_split(P: OperatorSeries):
+def diag_split(P: HermitianSeries):
     """The diagonal of P as (constant shift, oscillatory part).
 
     The shift is the angular average of P_ii (must be real for hermitian P);
@@ -185,9 +185,8 @@ def diag_split(P: OperatorSeries):
     (N, modes...) ready to be added to a DiagonalPart's mu.  The rest of P
     is its off-diagonal part.
     """
-    n, K, N = P.n, P.K, P.N
-    idx = np.arange(N)
-    mu_add = P.coeffs[..., idx, idx]                     # (modes..., N), a copy
+    n, K = P.n, P.K
+    mu_add = P.diagonal()                                # (modes..., N), a copy
     ctr = (K,) * n
     avg = mu_add[ctr].copy()
     scale = max(_abs_max(P.coeffs), 1e-300)
@@ -317,13 +316,12 @@ def matrix_exp_antihermitian(Bg: np.ndarray):
     return E, E - np.eye(Bg.shape[-1])
 
 
-def _level_band(coeffs: np.ndarray, n: int, K: int, square, W: np.ndarray, s: float,
-                weight: float, K_out: int):
+def _level_band(coeffs: np.ndarray, n: int, K: int, W: np.ndarray, s: float, weight: float,
+                K_out: int):
     """(K_keep, dropped) for the band K_keep that one Lie-series level X keeps.
 
-    coeffs holds X at band K as a triangle (square = torus._triangle_matrix)
-    or as a generator's pairs (torus._pair_matrix), and square(values, N)
-    mirrors one real value per entry into a symmetric N x N matrix.
+    coeffs holds X at band K as a triangle or as a generator's pairs, whose
+    majorants torus._square_matrix mirrors into symmetric N x N ones.
     dropped = ||W |X - X.truncate(K_keep)|_s||_2, the majorant norm of what
     the cut loses, and K_keep is the smallest band <= K_out with weight *
     dropped <= CHOP_FLOOR, or min(K_out, K) if none is.  One pass over
@@ -337,13 +335,13 @@ def _level_band(coeffs: np.ndarray, n: int, K: int, square, W: np.ndarray, s: fl
     maj = by_shell @ np.abs(coeffs).reshape(len(shell), -1)
     beyond = np.zeros_like(maj)                                  # [r]: shells r+1..K
     beyond[:-1] = np.cumsum(maj[:0:-1], axis=0)[::-1]
-    dropped = np.linalg.norm(W[:, None] * square(beyond, len(W)), 2, axis=(1, 2))
+    dropped = np.linalg.norm(W[:, None] * _square_matrix(beyond, len(W)), 2, axis=(1, 2))
     fits = np.flatnonzero(weight * dropped <= CHOP_FLOOR)
     K_keep = min(int(fits[0]) if len(fits) else K, K_out)
     return K_keep, float(dropped[K_keep])
 
 
-def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSeries | Defect,
+def conjugate(base: DiagonalPart, P: HermitianSeries, B: PairSeries, D: PairSeries | Defect,
               K_out: int, s: float, tol: float = 0.0):
     """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B), as a Lie series.
 
@@ -356,15 +354,14 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
         Y_k = diag P / k! + k P_off / (k+1)! + D / (k+1)!,
 
     each level hermitian and held as its triangle, the entries (j, i), i <=
-    j, and each L one alias-free commutator of it with B's pairs that
-    returns a triangle (torus.lie_commutator).  Y_k is added into it in
-    place, P's triangle (gathered once) and D's pairs, so no N x N series of
-    a level, of B or of D is formed.  Level k, X_k = Y_k + L(S_{k+1}),
-    keeps as S_k the smallest band K_k <= K_out with b^k ||X_k - S_k|| <=
-    CHOP_FLOOR (_level_band), the rule that fixes m, or K_out if none has.
-    P+ is S_0 expanded once to N x N, its upper half the triangle's mirror
-    and its diagonal hermitized after its defect is measured, then chopped
-    at CHOP_FLOOR.
+    j, as P is, and each L one alias-free commutator of it with B's pairs
+    that returns a triangle (torus.lie_commutator).  Y_k is added into it
+    in place, P's triangle and D's pairs, so no N x N series is formed.
+    Level k, X_k = Y_k + L(S_{k+1}), keeps as S_k the smallest band K_k <=
+    K_out with b^k ||X_k - S_k|| <= CHOP_FLOOR (_level_band), the rule that
+    fixes m, or K_out if none has.  P+ is S_0, its diagonal hermitized in
+    place after its defect is measured, chopped at CHOP_FLOOR and cut to
+    its live band.
 
     In ||X|| = delta_norm(X, base, s), a bound on the strip for s > 0,
     ||L(X)|| <= b ||X|| with b = 2 g_norm(B, base, s), and ||Y_k|| <= p / k!
@@ -388,10 +385,10 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
     Returns (P+, info): P+ has band at most K_out; info holds a_priori,
     a_priori_bound, lie_order, lie_bands (the band K_k each level kept,
     level m first), the other two bounds, hermiticity_defect, the chopped
-    count, chopped_norm_bound, grid_M, the widest commutator grid (0 if
-    none), and guard_messages, the advisory guards met, each also warned
-    once.  On an a-priori return every count and the other bounds are 0
-    and lie_bands is empty.
+    count and chopped_norm_bound, over both halves, grid_M, the widest
+    commutator grid (0 if none), and guard_messages, the advisory guards
+    met, each also warned once.  On an a-priori return every count and the
+    other bounds are 0 and lie_bands is empty.
     """
     n, N = P.n, P.N
     guards = []
@@ -410,62 +407,63 @@ def conjugate(base: DiagonalPart, P: OperatorSeries, B: PairSeries, D: PairSerie
             "hermiticity_defect": 0.0, "chopped": 0, "chopped_norm_bound": 0.0, "grid_M": 0}
     if info["a_priori"]:
         info["guard_messages"] = tuple(guards)
-        return OperatorSeries.zero(n, 0, N), info
+        return 0.0 * P.truncate(0), info
     m = _taylor_degree(b, CHOP_FLOOR / max(p, 1e-300))
     tail = p * b ** (m + 1) / math.factorial(m + 1) / (1.0 - b / (m + 2))
 
     if isinstance(D, Defect):
         D = D.form()
-    ii, jj = np.triu_indices(N)                         # the triangle's entries (jj, ii)
-    P_tri = P.coeffs[..., jj, ii]
+    on_diagonal = _on_diagonal(N)
     S, K_S, M, truncation, bands = None, 0, 0, 0.0, []
     for k in range(m, -1, -1):
         # X_k = Y_k + L(S_{k+1}): Y_k is added into the commutator's triangle in place
         K_X = max(D.K, P.K if k else 0, -1 if S is None else K_S + B.K)
         if S is None:
-            c = np.zeros((2 * K_X + 1,) * n + (len(ii),), dtype=complex)
+            c = np.zeros((2 * K_X + 1,) * n + P.coeffs.shape[n:], dtype=complex)
         else:
             c, M_k = lie_commutator(S, K_S, B, K_X)
             M = max(M, M_k)
         del S
         _add_pairs(c, D, 1.0 / math.factorial(k + 1))
         if k:
-            c[_box(n, P.K, K_X)] += P_tri * np.where(ii == jj, 1.0 / math.factorial(k),
-                                                     k / math.factorial(k + 1))
-        K_S, dropped = _level_band(c, n, K_X, _triangle_matrix, W, s, b**k, K_out)
+            c[_box(n, P.K, K_X)] += P.coeffs * np.where(on_diagonal, 1.0 / math.factorial(k),
+                                                        k / math.factorial(k + 1))
+        K_S, dropped = _level_band(c, n, K_X, W, s, b**k, K_out)
         S = np.ascontiguousarray(c[_box(n, K_S, K_X)])
         del c
         truncation += b**k * dropped
         bands.append(K_S)
 
-    out, herm_defect = _hermitian_from_triangle(S, n, N)
-    del S
+    # the diagonal, the one place a defect can show, is hermitized in place,
+    # (c_ii + conj(c_ii(-k))) / 2, after its defect is measured
+    diagonal = S[..., on_diagonal]
+    mirror = _mirror(diagonal, n)
+    herm_defect = float(np.max(np.abs(diagonal - mirror), initial=0.0))
+    S[..., on_diagonal] = (diagonal + mirror) * 0.5
     # the output is quadratically small, so roundoff is judged against the
     # magnitudes that actually flow through the arithmetic
-    scale = max(
-        float(np.max(np.abs(P.coeffs))),
-        float(np.max(np.abs(base.lam))) * b_max,
-        1e-300,
-    )
+    scale = max(_abs_max(P.coeffs), float(np.max(np.abs(base.lam))) * b_max, 1e-300)
     if herm_defect > 1e-9 * scale:
         raise HermiticityError(f"conjugation output hermiticity defect {herm_defect:.2e}")
     if herm_defect > 1e-11 * scale:
         _guard(guards, f"conjugation hermiticity defect {herm_defect:.2e}")
     # chopped at CHOP_FLOOR in place, as chop cuts; a crude but sufficient
     # norm bound on the discarded mass, so the reported ||P+|| can never
-    # understate the truth
-    mass = np.abs(out)
+    # understate the truth; an entry below the diagonal counts for its mirror
+    mass = np.abs(S)
     small = mass < CHOP_FLOOR
-    out[small] = 0.0
-    chopped = int(np.count_nonzero(mass[small]))
+    S[small] = 0.0
     mass[~small] = 0.0
     del small
-    mass *= strip_weight(n, K_S, s)[..., None, None]
+    chopped = 2 * np.count_nonzero(mass) - np.count_nonzero(mass[..., on_diagonal])
+    mass *= strip_weight(n, K_S, s)[..., None]
+    mass *= np.where(on_diagonal, 1.0, 2.0)
     info.update(lie_order=m, lie_bands=bands, lie_tail_bound=tail,
                 truncation_bound=truncation, hermiticity_defect=herm_defect, chopped=chopped,
                 chopped_norm_bound=float(np.sum(mass)), grid_M=M,
                 guard_messages=tuple(guards))
-    return OperatorSeries(n, K_S, N, freeze(out)), info
+    del mass
+    return HermitianSeries(n, K_S, N, freeze(S)).trim(), info
 
 
 def _peak_rss_mb() -> float:
@@ -557,8 +555,6 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     reweight = float(np.max(new_base.weight() / base.weight()))
     clock = time.perf_counter()
     P_plus, cinfo = conjugate(base, P, B, sol.D, K_work, s_next, settings.tol / reweight)
-    # outer shells that chopping left all-zero carry no mass: drop them
-    P_plus = P_plus.trim()
     t_conjugate = time.perf_counter() - clock
     rss_conjugate = _peak_rss_mb()
 
@@ -683,6 +679,9 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
         raise KamError(
             f"tau = {settings.tau} must exceed n + 2/(d-1) = {n + 2.0 / (A0.d - 1.0):.3f}"
         )
+    if P0.hermiticity_defect() > 1e-11 * max(1.0, _abs_max(P0.coeffs)):
+        _guard([], "P0 is not hermitian to 1e-11; the reduction reads its triangle")
+    P0 = P0.hermitian()
     norm0 = delta_norm(P0, A0, settings.s)
     if settings.epsilon > 0 and norm0 > settings.epsilon * (1.0 + 1e-9):
         raise KamError(f"||P0|| = {norm0:.3e} exceeds the declared epsilon {settings.epsilon:.3e}")
@@ -718,7 +717,7 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
                                / (idx ** A0.delta * settings.epsilon)))
     else:
         shift_c = 0.0
-    cuts = [_level_band(B.coeffs, n, B.K, _pair_matrix, np.ones(B.N), 0.0, 1.0, B.K)
+    cuts = [_level_band(B.coeffs, n, B.K, np.ones(B.N), 0.0, 1.0, B.K)
             for B in state.generators]
     rs = ReducedSystem(
         lambda_inf=state.base.lam,

@@ -61,6 +61,7 @@ from .errors import DivisorTooSmall, GuardWarning, KamError
 from .torus import (
     CHOP_FLOOR,
     DiagonalPart,
+    HermitianSeries,
     OperatorSeries,
     PairSeries,
     TorusSeries,
@@ -69,7 +70,7 @@ from .torus import (
     _live_band,
     _majorant_sum,
     _majorant_sums,
-    _pair_matrix,
+    _square_matrix,
     coeffs_to_grid,
     freeze,
     grid_to_coeffs,
@@ -159,7 +160,7 @@ class Defect:
     """
 
     B: PairSeries
-    P: OperatorSeries
+    P: HermitianSeries | OperatorSeries
     base: DiagonalPart
     omega: np.ndarray
     majorants: dict = field(repr=False)
@@ -261,14 +262,14 @@ def _relative_defect(D, rhs_majorant: np.ndarray, s: float, W) -> float:
     return float(dn) / max(float(rn), 1e-300)
 
 
-def _off_majorant(P: OperatorSeries, s: float) -> np.ndarray:
+def _off_majorant(P: HermitianSeries | OperatorSeries, s: float) -> np.ndarray:
     """|P - diag P|_s: P's own majorant with its diagonal zeroed, entry for entry the same bits."""
     maj = P.majorant_matrix(s)
     np.fill_diagonal(maj, 0.0)
     return maj
 
 
-def _defect_terms(P: OperatorSeries, base: DiagonalPart) -> tuple:
+def _defect_terms(P: HermitianSeries | OperatorSeries, base: DiagonalPart) -> tuple:
     """(gap, mud, rhs) of a generator's defect on the pair stack, as _defect takes them.
 
     Entry (j, i) of [A, B] is (a_j - a_i) B_ji: gap = lambda_j - lambda_i,
@@ -279,10 +280,10 @@ def _defect_terms(P: OperatorSeries, base: DiagonalPart) -> tuple:
     if base.mu is not None:
         mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
         mud = mud if np.any(mud) else None
-    return base.lam[jj] - base.lam[ii], mud, -P.coeffs[..., jj, ii]
+    return base.lam[jj] - base.lam[ii], mud, -P.pairs()
 
 
-def _generator_defect(B: PairSeries, P: OperatorSeries, base: DiagonalPart, omega):
+def _generator_defect(B: PairSeries, P: HermitianSeries | OperatorSeries, base: DiagonalPart, omega):
     """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, in coefficients.
 
     D is formed on B's pair stack, entries (j, i) with i < j; the entries
@@ -297,15 +298,15 @@ def _generator_defect(B: PairSeries, P: OperatorSeries, base: DiagonalPart, omeg
     return PairSeries(P.n, (Dp.shape[0] - 1) // 2, P.N, freeze(Dp), 1), M
 
 
-def _measured_defect(B: PairSeries, P: OperatorSeries, base: DiagonalPart, omega,
+def _measured_defect(B: PairSeries, P: HermitianSeries | OperatorSeries, base: DiagonalPart, omega,
                      widths) -> Defect:
     """The Defect of a generator with its majorants at each strip width, its stack never whole."""
     majs, M = _defect(B.coeffs, *_defect_terms(P, base), omega, widths)
-    return Defect(B, P, base, omega, {s: _pair_matrix(m, P.N) for s, m in zip(widths, majs)}, M)
+    return Defect(B, P, base, omega, {s: _square_matrix(m, P.N) for s, m in zip(widths, majs)}, M)
 
 
 def solve_constant(
-    P: OperatorSeries,
+    P: HermitianSeries | OperatorSeries,
     base: DiagonalPart,
     omega,
 ) -> HomologicalSolution:
@@ -319,7 +320,7 @@ def solve_constant(
         raise KamError("solve_constant requires mu = 0; use solve_variable")
     n, K, N = P.n, P.K, P.N
     ii, jj = np.triu_indices(N, 1)
-    b = -P.coeffs[..., jj, ii]
+    b = -P.pairs()
     den = _k_dot_omega(n, K, omega)[..., None] + (base.lam[jj] - base.lam[ii])
     live = np.abs(b) > 0
     _check_divisors(_first_below(np.abs(den), _divisor_floor(n, K)[..., None], live), n, K,
@@ -534,7 +535,7 @@ def solve_kuksin(
 
 
 def solve_variable(
-    P: OperatorSeries,
+    P: HermitianSeries | OperatorSeries,
     base: DiagonalPart,
     omega,
     s: float = 0.0,
@@ -581,8 +582,7 @@ def solve_variable(
                              f"E1^theta={E1[p] ** theta:.3g} < C*E2={C_GUARD * E2[p]:.3g}")
 
     M = _working_grid(P.K + base.K, work_K)
-    chic, min_div, unimod, trunc = _solve_pairs(-P.coeffs[..., jj, ii], mud, E1, omega, M,
-                                                K_out, pairs)
+    chic, min_div, unimod, trunc = _solve_pairs(-P.pairs(), mud, E1, omega, M, K_out, pairs)
     if unimod > UNIMOD_TOL:
         _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
     B = PairSeries(n, (chic.shape[0] - 1) // 2, N, freeze(chic), -1)

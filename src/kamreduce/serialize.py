@@ -164,7 +164,7 @@ class StoredOperator:
     what its header says, raises ArtifactError.  at(phis) reads the pairs
     one slab of the first mode axis at a time into one buffer of
     slab_bytes and sums and mirrors them as PairSeries.at does
-    (torus._values_at, torus._pair_matrix), so the values are the loaded
+    (torus._values_at, torus._square_matrix), so the values are the loaded
     series' bit for bit.  The file is opened once its checksum
     has passed, and must not change while a command reads it: a read of a
     file whose inode, size or modification time differs from when it was
@@ -215,10 +215,10 @@ class StoredOperator:
 
     def at(self, phis: np.ndarray) -> np.ndarray:
         """Values at a batch of angles phis (T, n), shape (T, N, N)."""
-        from .torus import _pair_matrix, _values_at
+        from .torus import _square_matrix, _values_at
 
         pairs = _values_at(phis, self.n, self.K, self._slabs(), self._shape[self.n:])
-        return _pair_matrix(pairs, self.N, -1)
+        return _square_matrix(pairs, self.N, -1)
 
 
 def _stamp(fh) -> tuple:

@@ -3,14 +3,15 @@
 Scalar series f(phi) = sum_{|k|_inf <= K} fhat_k e^{i k.phi} are stored as a
 complex array of shape (2K+1,)*n with axis index t <-> k = t - K.  Matrix
 valued series carry two trailing axes (N, N), a PairSeries one axis of
-the entries below the diagonal.  All three share one implementation,
-_Series, which differs between them only by those trailing axes: padding
-and truncation by _box, arithmetic, grid sampling, evaluation at a batch
-of angles (at, by direct mode summation) and one alias-free grid product
-(product, entrywise).  lie_commutator is the Lie series' commutator of a
-hermitian level, held as its triangle (the entries on and below the
-diagonal, column by column), with an anti-hermitian PairSeries, formed
-from their halves and returned as a triangle.  All transforms are plain
+the entries below the diagonal and a HermitianSeries one of its
+triangle, the entries on and below it.  All four share one
+implementation, _Series, which differs between them only by those
+trailing axes: padding and truncation by _box, arithmetic, majorants,
+grid sampling, evaluation at a batch of angles (at, by direct mode
+summation) and one alias-free grid product (product, entrywise).
+lie_commutator is the Lie series' commutator of a hermitian level's
+triangle with an anti-hermitian PairSeries, formed from their halves
+and returned as a triangle.  All transforms are plain
 FFTs on equispaced grids; products are computed on grids large enough to
 be exact for the sum of the input bandwidths and keep that whole band.
 The transforms are numpy.fft's, one axis at a time in place, and the grid
@@ -42,6 +43,7 @@ __all__ = [
     "TorusSeries",
     "OperatorSeries",
     "PairSeries",
+    "HermitianSeries",
     "DiagonalPart",
     "directional_derivative",
     "sup_norm_s",
@@ -161,26 +163,23 @@ def _mirror(coeffs: np.ndarray, n: int) -> np.ndarray:
     return out.swapaxes(-1, -2) if coeffs.ndim == n + 2 else out
 
 
-def _pair_matrix(lower: np.ndarray, N: int, sign: int = 1, upper=None) -> np.ndarray:
-    """(..., N, N): lower at (j, i), sign * upper at (i, j), i < j, and zeros on the diagonal.
+def _square_matrix(held: np.ndarray, N: int, sign: int = 1) -> np.ndarray:
+    """(..., N, N): values held (..., m) at (j, i), sign * conj(held) at (i, j), i < j.
 
-    Pair p (the trailing axis) is (ii[p], jj[p]) of np.triu_indices(N, 1); upper,
-    conj(lower) if None as for values, is negated in place if sign is -1.
+    held is a triangle, m = N(N+1)/2 entries in np.triu_indices(N)'s order,
+    or m = N(N-1)/2 pairs in np.triu_indices(N, 1)'s, with a zero diagonal.
     """
-    ii, jj = np.triu_indices(N, 1)
-    upper = np.conj(lower) if upper is None else upper
-    out = np.zeros(lower.shape[:-1] + (N, N), dtype=lower.dtype)
-    out[..., jj, ii] = lower
+    ii, jj = np.triu_indices(N, int(held.shape[-1] < N * (N + 1) // 2))
+    upper = np.conj(held)
+    out = np.zeros(held.shape[:-1] + (N, N), dtype=held.dtype)
     out[..., ii, jj] = upper if sign > 0 else np.negative(upper, out=upper)
+    out[..., jj, ii] = held
     return out
 
 
-def _triangle_matrix(tri: np.ndarray, N: int) -> np.ndarray:
-    """Real values (..., N(N+1)/2), one per entry of a triangle, as symmetric (..., N, N) arrays."""
-    ii, jj = np.triu_indices(N)
-    out = np.empty(tri.shape[:-1] + (N, N))
-    out[..., jj, ii] = out[..., ii, jj] = tri
-    return out
+def _on_diagonal(N: int) -> np.ndarray:
+    """A boolean mask of a triangle's N(N+1)/2 entries (j, i), i <= j: true on the diagonal."""
+    return np.equal(*np.triu_indices(N))
 
 
 def _column(N: int, i: int) -> slice:
@@ -328,14 +327,17 @@ def _live_band(coeffs: np.ndarray, n: int, K: int) -> int:
 
 
 class _Series:
-    """The one implementation behind TorusSeries and OperatorSeries.
+    """The one implementation behind the four series types.
 
     Subclasses are frozen dataclasses with fields n, K and coeffs.  _tail is
-    the shape of the trailing value axes, () or (N, N), and _value turns one
-    coefficient or value into the subclass's scalar or matrix type.
+    the shape of the trailing axes held, () or (N, N) or one axis of pairs
+    or of a triangle, which _square fills into the series' values, and
+    _value turns one coefficient or value into the subclass's type.
     Operations hand their fresh arrays over with freeze, so a series keeps
     them without a copy; a view, as truncate makes, is copied.
     """
+
+    _value = staticmethod(np.array)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -355,12 +357,15 @@ class _Series:
         k = (k,) if np.isscalar(k) else tuple(k)
         return self._value(self.coeffs[tuple(x + self.K for x in k)])
 
+    def _square(self, values: np.ndarray) -> np.ndarray:
+        return values
+
     def grid(self, M: int) -> np.ndarray:
-        return coeffs_to_grid(self.coeffs, self.n, self.K, M)
+        return self._square(coeffs_to_grid(self.coeffs, self.n, self.K, M))
 
     def at(self, phis: np.ndarray) -> np.ndarray:
-        """Values at a batch of angles phis (T, n), shape (T,) + trailing axes (_values_at)."""
-        return _values_at(phis, self.n, self.K, self.coeffs, self._tail)
+        """Values at a batch of angles phis (T, n): _square of the held entries' sums (_values_at)."""
+        return self._square(_values_at(phis, self.n, self.K, self.coeffs, self._tail))
 
     def __call__(self, phi):
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -418,6 +423,11 @@ class _Series:
         del values
         return self._like(K, freeze(coeffs))
 
+    def majorant_matrix(self, s: float) -> np.ndarray:
+        """Entrywise sum_k |c_k| e^{s|k|_1} of the values; dominates each |value| on the strip."""
+        # the held entries' majorant, filled in: _square's signs and conjugates keep the moduli
+        return np.abs(self._square(_majorant_sum(self.coeffs, self.n, self.K, s)))
+
     def mirror_defect(self) -> float:
         """Max |c - _mirror(c)|: zero iff real (scalar) or hermitian (operator) on the torus."""
         return float(np.max(np.abs(self.coeffs - _mirror(self.coeffs, self.n))))
@@ -463,15 +473,18 @@ class TorusSeries(_Series):
 
 
 @dataclass(frozen=True)
-class OperatorSeries(_Series):
-    """Matrix-valued truncated Fourier series; trailing axes are (N, N)."""
+class _Matrix(_Series):
+    """The fields of the N x N series types, whichever of the entries coeffs holds (_tail)."""
 
     n: int
     K: int
     N: int
     coeffs: np.ndarray = field(repr=False)
 
-    _value = staticmethod(np.array)
+
+@dataclass(frozen=True)
+class OperatorSeries(_Matrix):
+    """Matrix-valued truncated Fourier series; trailing axes are (N, N)."""
 
     @property
     def _tail(self) -> tuple:
@@ -489,51 +502,65 @@ class OperatorSeries(_Series):
     # max coefficient defect of Phat(-k) = Phat(k)^H
     hermiticity_defect = _Series.mirror_defect
 
-    def majorant_matrix(self, s: float) -> np.ndarray:
-        """Entrywise sum_k |Phat_ijk| e^{s|k|_1}; dominates |P_ij| on the strip."""
-        return _majorant_sum(self.coeffs, self.n, self.K, s)
+    def pairs(self) -> np.ndarray:
+        """The entries below the diagonal, in PairSeries' order: the trailing axis the pairs."""
+        ii, jj = np.triu_indices(self.N, 1)
+        return self.coeffs[..., jj, ii]
+
+    def hermitian(self) -> "HermitianSeries":
+        """The entries (j, i), i <= j, as a HermitianSeries: the series if it is hermitian."""
+        ii, jj = np.triu_indices(self.N)
+        return HermitianSeries(self.n, self.K, self.N, freeze(self.coeffs[..., jj, ii]))
 
 
 @dataclass(frozen=True)
-class PairSeries(_Series):
+class PairSeries(_Matrix):
     """An N x N series held as its entries below the diagonal; trailing axis the pairs.
 
-    coeffs holds the entries c_ji, i < j, in _pair_matrix's order.  Entry
+    coeffs holds the entries c_ji, i < j, in _square_matrix's order.  Entry
     (i, j) is sign conj(c_ji(-k)) and the diagonal is zero, so on the real
     torus the series is exactly anti-hermitian (sign -1, a generator B) or
-    hermitian (sign +1, its defect D).  Norms read the pairs; at and grid
-    evaluate the pairs L and fill the rest as sign L^H, so their values are
-    exactly (anti-)hermitian.  series() is the N x N OperatorSeries.
+    hermitian (sign +1, its defect D), and so are its values (at, grid).
     """
 
-    n: int
-    K: int
-    N: int
-    coeffs: np.ndarray = field(repr=False)
     sign: int
-
-    _value = staticmethod(np.array)
 
     @property
     def _tail(self) -> tuple:
         return (self.N * (self.N - 1) // 2,)
 
-    def majorant_matrix(self, s: float) -> np.ndarray:
-        """Entrywise sum_k |c_ijk| e^{s|k|_1}, series().majorant_matrix(s) to the bit."""
-        return _pair_matrix(_majorant_sum(self.coeffs, self.n, self.K, s), self.N)
+    def _square(self, values: np.ndarray) -> np.ndarray:
+        return _square_matrix(values, self.N, self.sign)
 
-    def series(self) -> OperatorSeries:
-        """The N x N series at band K."""
-        c = _pair_matrix(self.coeffs, self.N, self.sign, _mirror(self.coeffs, self.n))
-        return OperatorSeries(self.n, self.K, self.N, freeze(c))
 
-    def grid(self, M: int) -> np.ndarray:
-        """Values on the M**n grid, shape (M,)*n + (N, N): the pairs' transform, mirrored."""
-        return _pair_matrix(super().grid(M), self.N, self.sign)
+@dataclass(frozen=True)
+class HermitianSeries(_Matrix):
+    """A hermitian N x N series held as its triangle; trailing axis the entries (j, i), i <= j.
 
-    def at(self, phis: np.ndarray) -> np.ndarray:
-        """Values at a batch of angles phis (T, n), shape (T, N, N): the pairs' sum, mirrored."""
-        return _pair_matrix(super().at(phis), self.N, self.sign)
+    coeffs holds column i's entries c_ji, j >= i, as one run (_column);
+    entry (i, j), i < j, is conj(c_ji(-k)), so the diagonal is the one place
+    a hermiticity defect can remain.
+    """
+
+    @property
+    def _tail(self) -> tuple:
+        return (self.N * (self.N + 1) // 2,)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal entries c_ii: modes lead, the trailing axis is i."""
+        return self.coeffs[..., _on_diagonal(self.N)]
+
+    def pairs(self) -> np.ndarray:
+        """The entries below the diagonal, in PairSeries' order: the trailing axis the pairs."""
+        return self.coeffs[..., ~_on_diagonal(self.N)]
+
+    def hermiticity_defect(self) -> float:
+        """max |c_ii - conj(c_ii(-k))|: the diagonal is the one place a defect can remain."""
+        diagonal = self.diagonal()
+        return float(np.max(np.abs(diagonal - _mirror(diagonal, self.n)), initial=0.0))
+
+    def _square(self, values: np.ndarray) -> np.ndarray:
+        return _square_matrix(values, self.N)
 
 
 # bytes of one slab of N x N values that lie_commutator fills and commutes at a time
@@ -550,27 +577,6 @@ def _add_pairs(tri: np.ndarray, D: PairSeries, scale: float) -> None:
     for i in range(N - 1):
         col = _column(N, i)
         box[..., col.start + 1 : col.stop] += D.coeffs[..., _column(N - 1, i)] * scale
-
-
-def _hermitian_from_triangle(tri: np.ndarray, n: int, N: int) -> tuple:
-    """(c, defect): the writeable N x N coefficients c of a hermitian series held as its triangle.
-
-    Entry (i, j), i < j, is the mirror conj(c_ji(-k)), so the off-diagonal
-    is exactly hermitian.  The diagonal, the one place a defect can show,
-    is hermitized, (c_ii + conj(c_ii(-k))) / 2, after its defect max |c_ii
-    - conj(c_ii(-k))| is measured.
-    """
-    c = np.empty(tri.shape[:n] + (N, N), dtype=complex)
-    reverse = (slice(None, None, -1),) * n
-    for i in range(N):
-        col = _column(N, i)
-        c[..., i:, i] = tri[..., col]
-        np.conj(tri[reverse + (col,)], out=c[..., i, i:])
-    diagonal = tri[..., [_column(N, i).start for i in range(N)]]
-    mirror = np.conj(diagonal[reverse])
-    defect = float(np.max(np.abs(diagonal - mirror), initial=0.0))
-    c[..., np.arange(N), np.arange(N)] = (diagonal + mirror) * 0.5
-    return c, defect
 
 
 def lie_commutator(S: np.ndarray, K_S: int, B: PairSeries, K: int) -> tuple:
@@ -731,11 +737,13 @@ def _majorant_norm(maj: np.ndarray, weightings) -> float:
     return max(float(np.linalg.norm(wl[:, None] * maj * wr[None, :], 2)) for wl, wr in weightings)
 
 
-def _weighted_norm(P: OperatorSeries, weightings, s: float, M: int) -> float:
-    """max over (wl, wr) of ||diag(wl) P diag(wr)||: majorant if s > 0, real M**n grid if s = 0."""
+def _weighted_norm(P: OperatorSeries, weightings, s: float, grid_size: int | None) -> float:
+    """max over (wl, wr) of ||diag(wl) P diag(wr)||: majorant if s > 0, real grid if s = 0."""
+    if s < 0:
+        raise KamError("strip width s must be nonnegative")
     if s > 0:
         return _majorant_norm(P.majorant_matrix(s), weightings)
-    vals = P.grid(M)
+    vals = P.grid(grid_size or default_norm_grid(P.K))
     return max(_grid_opnorm_max(wl[:, None] * vals * wr[None, :]) for wl, wr in weightings)
 
 
@@ -751,19 +759,12 @@ def delta_norm(P: OperatorSeries, base: DiagonalPart, s: float, grid_size: int |
     ||W P(phi)||_2 over a real grid of grid_size points per angle, a sample
     of the real-torus sup, not a bound.
     """
-    if s < 0:
-        raise KamError("strip width s must be nonnegative")
     if base.N != P.N:
         raise KamError("base and P dimension mismatch")
-    M = grid_size or default_norm_grid(P.K)
-    return _weighted_norm(P, [(base.weight(), np.ones(P.N))], s, M)
+    return _weighted_norm(P, [(base.weight(), np.ones(P.N))], s, grid_size)
 
 
 def g_norm(B: OperatorSeries, base: DiagonalPart, s: float, grid_size: int | None = None) -> float:
     """max(||B||_{0,s}, ||W B W^{-1}||_{0,s}), W and rules as in delta_norm (one majorant)."""
-    if s < 0:
-        raise KamError("strip width s must be nonnegative")
-    W = base.weight()
-    M = grid_size or default_norm_grid(B.K)
-    ones = np.ones(B.N)
-    return _weighted_norm(B, [(ones, ones), (W, 1.0 / W)], s, M)
+    W, ones = base.weight(), np.ones(B.N)
+    return _weighted_norm(B, [(ones, ones), (W, 1.0 / W)], s, grid_size)

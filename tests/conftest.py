@@ -1,10 +1,11 @@
-"""Helpers shared by the test modules: a traced-memory probe, a commutator oracle, a triangle."""
+"""Helpers shared by the test modules: a traced-memory probe, a commutator oracle, a triangle,
+and the dense N x N assembly of a pair or triangle series."""
 
 import tracemalloc
 
 import numpy as np
 
-from kamreduce.torus import OperatorSeries, grid_to_coeffs, next_fast_len
+from kamreduce.torus import HermitianSeries, OperatorSeries, _mirror, grid_to_coeffs, next_fast_len
 
 
 def traced_peak(fn):
@@ -31,6 +32,23 @@ def triangle(S: OperatorSeries) -> np.ndarray:
     """S's entries (j, i), i <= j, column by column (np.triu_indices order), as a level is held."""
     ii, jj = np.triu_indices(S.N)
     return S.coeffs[..., jj, ii]
+
+
+def dense(S) -> OperatorSeries:
+    """The N x N series of a PairSeries or a HermitianSeries, assembled from its held entries.
+
+    The oracle of both layouts' mirrors: the held entries (j, i) are placed
+    as they are, i < j for pairs and i <= j for a triangle, and each (i, j),
+    i < j, is sign conj(c_ji(-k)) (sign +1 for a triangle).  A pair series'
+    diagonal is zero; a triangle's is its own, defect and all.
+    """
+    n, N = S.n, S.N
+    hermitian = isinstance(S, HermitianSeries)
+    ii, jj = np.triu_indices(N, 0 if hermitian else 1)
+    c = np.zeros(S.coeffs.shape[:n] + (N, N), dtype=complex)
+    c[..., ii, jj] = _mirror(S.coeffs, n) * (1 if hermitian else S.sign)
+    c[..., jj, ii] = S.coeffs
+    return OperatorSeries(n, S.K, N, c)
 
 
 def commutator_oracle(X, Y) -> OperatorSeries:

@@ -26,6 +26,8 @@ from kamreduce.floquet import reconstruct_solution
 from kamreduce.serialize import RunManifest, load_array, load_json, write_checksums
 from kamreduce.torus import CHOP_FLOOR, PairSeries
 
+from conftest import dense
+
 OMEGA = 0.13799890521733005
 # certified in test_engine for two angles (tau = 9, every N up to 12)
 OMEGA_N2 = [0.12902675768352256, 0.10778545957448527]
@@ -620,7 +622,7 @@ def _broken_generator(path, case):
     elif case == "dense":
         # the N x N layout generator files had before they held their pairs
         N = round((1 + math.sqrt(1 + 8 * coeffs.shape[-1])) / 2)
-        coeffs = PairSeries(coeffs.ndim - 1, (len(coeffs) - 1) // 2, N, coeffs, -1).series().coeffs
+        coeffs = dense(PairSeries(coeffs.ndim - 1, (len(coeffs) - 1) // 2, N, coeffs, -1)).coeffs
     elif case == "fortran":
         coeffs = np.asfortranarray(coeffs)
     elif case == "complex64":

@@ -51,7 +51,7 @@ from kamreduce.torus import (
     grid_to_coeffs,
 )
 
-from conftest import offdiagonal, traced_peak
+from conftest import dense, offdiagonal, traced_peak
 from test_homological import reference_n2
 
 MANIFESTS = pathlib.Path(__file__).resolve().parents[1] / "manifests"
@@ -108,7 +108,7 @@ def run_n1():
 def test_diag_split_reassembles():
     rng = np.random.default_rng(5)
     P = _random_hermitian(5, 1, 2, rng)
-    shift, mu_add = diag_split(P)
+    shift, mu_add = diag_split(P.hermitian())
     rebuilt = offdiagonal(P).coeffs.copy()
     idx = np.arange(5)
     rebuilt[..., idx, idx] += np.moveaxis(mu_add, 0, -1)
@@ -123,7 +123,7 @@ def test_diag_split_rejects_imaginary_average():
     c = np.zeros((3, 2, 2), dtype=complex)
     c[1, 0, 0] = 1e-3j  # constant diagonal mode with imaginary part
     with pytest.raises(HermiticityError):
-        diag_split(OperatorSeries(1, 1, 2, c))
+        diag_split(OperatorSeries(1, 1, 2, c).hermitian())
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +153,12 @@ def test_conjugate_zero_generator_strips_diagonal():
     base = abstract_base(4, 1, 4.0 / 3.0, 0.2)
     P = _random_hermitian(4, 1, 2, rng)
     B = _pairs(OperatorSeries.zero(1, 2, 4))
-    R, info = conjugate(base, P, B, _generator_defect(B, P, base, np.array([0.1]))[0], 4, 0.05)
+    R, info = conjugate(base, P.hermitian(), B,
+                        _generator_defect(B, P, base, np.array([0.1]))[0], 4, 0.05)
     # B = 0: order 0, and the result is exactly P minus its diagonal
-    expect = P.coeffs.copy()
-    idx = np.arange(4)
-    expect[..., idx, idx] = 0.0
     assert info["lie_order"] == 0 and info["grid_M"] == 0
     assert info["lie_tail_bound"] == info["truncation_bound"] == 0.0
-    assert R.K == P.K and np.array_equal(R.coeffs, expect)
+    assert R.K == P.K and np.array_equal(dense(R).coeffs, offdiagonal(P).coeffs)
 
 
 def test_conjugate_matches_dense_grid_oracle():
@@ -179,7 +177,8 @@ def test_conjugate_matches_dense_grid_oracle():
 
     # K_out deep enough that the discarded tail needs ||B||^9 ~ 1e-17
     K_out = 16
-    R, info = conjugate(base, P, B, _generator_defect(B, P, base, omega)[0], K_out, 0.05)
+    D = _generator_defect(B, P, base, omega)[0]
+    R, info = conjugate(base, P.hermitian(), B, D, K_out, 0.05)
     assert info["lie_order"] >= 1 and R.K <= K_out
 
     M = 64
@@ -197,7 +196,7 @@ def test_conjugate_matches_dense_grid_oracle():
         Eh = E[m].conj().T
         out[m] = Eh @ (A + Pg[m]) @ E[m] - A - 1j * (Eh @ Ederiv[m])
         out[m] -= np.diag(np.diag(Pg[m]))
-    R_grid = coeffs_to_grid(R.coeffs, 1, R.K, M)
+    R_grid = coeffs_to_grid(dense(R).coeffs, 1, R.K, M)
     assert np.max(np.abs(R_grid - out)) < 1e-12
 
 
@@ -210,7 +209,7 @@ def test_kam_step_zero_perturbation_is_trivial():
     state = KamState(
         l=0,
         base=base,
-        P=OperatorSeries.zero(1, 2, 6),
+        P=OperatorSeries.zero(1, 2, 6).hermitian(),
         s=0.05,
         gamma=0.05,
         C_mu=0.0,
@@ -228,7 +227,7 @@ def test_kam_step_zero_perturbation_is_trivial():
 
 def _start(base, P, s):
     """The schedule's state before its first step."""
-    return KamState(l=0, base=base, P=P, s=s, gamma=0.05, C_mu=base.c_mu(s),
+    return KamState(l=0, base=base, P=P.hermitian(), s=s, gamma=0.05, C_mu=base.c_mu(s),
                     C_lambda=base.c_lambda(), C_omega=0.0, norm_history=(delta_norm(P, base, s),))
 
 
@@ -293,7 +292,7 @@ def test_conjugation_guard_reaches_its_info_and_the_step_record(monkeypatch):
     sizes = [0.5e-10 * _guard_scale(P, base, B)]
     _tilt_commutator(monkeypatch, lambda: sizes[-1])
     with pytest.warns(GuardWarning, match="conjugation hermiticity defect") as caught:
-        _, info = conjugate(base, P, B, D, 4, 0.05)
+        _, info = conjugate(base, P.hermitian(), B, D, 4, 0.05)
     defect = info["hermiticity_defect"]
     assert defect == pytest.approx(1e-10 * _guard_scale(P, base, B), rel=1e-3)
     assert info["guard_messages"] == (f"conjugation hermiticity defect {defect:.2e}",)
@@ -409,8 +408,10 @@ def test_step_records_carry_work_counters(run_n2):
     assert last["a_priori"] and last["a_priori_bound"] > 0.0
     assert last["K_P"] == 0 and last["grid_M"] == 0 and last["lie_order"] == 0
     assert not any(rec["a_priori"] for rec in state.records[:-1])
-    # P after the last step is trimmed to the band the record reports
+    # P after the last step is held as its triangle, N(N+1)/2 entries per
+    # mode, at the band the record reports
     assert state.P.K == state.records[-1]["K_P"]
+    assert state.P.coeffs.shape == (2 * state.P.K + 1,) * 2 + (12 * 13 // 2,)
     names = [name for name, _ in state.timings]
     assert names[:8] == ["step1.solve_s", "step1.solve_rss_mb", "step1.conjugate_s",
                          "step1.conjugate_rss_mb", "step1.norms_s", "step1.norms_rss_mb",
@@ -428,11 +429,11 @@ def test_step_one_conjugate_holds_one_grid_beside_a_level_triangle(monkeypatch):
     Each level is held as its triangle, so the peak is the widest
     commutator's N x N grid (its triangle grid, grid_bytes, with B's
     pairs) and four slab buffers beside the level it commutes, or, at the
-    end, that level beside P+'s N x N coefficients and their moduli; P's
+    end, that level beside P+'s triangle cut to its live band; P's
     triangle and D's pairs are held throughout.  Every level keeps a band
     of lie_bands, at most K_out.  Holding each level as N x N and filling
     the commutator's result densely beside its triangle peaked at 17.9 MB
-    here, above this bound (16.6 MB).
+    here, above this bound (15.6 MB).
     """
     A, P, omega, settings = reference_n2()
     calls = []
@@ -451,9 +452,9 @@ def test_step_one_conjugate_holds_one_grid_beside_a_level_triangle(monkeypatch):
 
     grid = rec["grid_bytes"] * 2 * N // (N + 1)
     level = nbytes(max(rec["lie_bands"]), N * (N + 1) // 2)
-    output = nbytes(P_plus.K, N * N)
+    output = nbytes(P_plus.K, N * (N + 1) // 2)
     held = nbytes(P.K, N * (N + 1) // 2) + nbytes(D.form().K, N * (N - 1) // 2)
-    assert peak <= max(grid + 4 * torus.SLAB_BYTES, 2 * output) + level + held < 17_000_000
+    assert peak <= max(grid + 4 * torus.SLAB_BYTES, output) + level + held < 17_000_000
 
 
 def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):

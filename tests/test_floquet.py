@@ -62,7 +62,7 @@ from kamreduce.homological import torus_primitive
 from kamreduce.models import abstract_base, build_abstract_model
 from kamreduce.torus import CHOP_FLOOR, DiagonalPart, OperatorSeries, TorusSeries, k_box
 
-from conftest import traced_peak
+from conftest import dense, traced_peak
 
 OMEGA_N1 = np.array([0.13799890521733005])  # certified in test_engine
 
@@ -130,7 +130,7 @@ def test_spectrum_kmax_zero_is_lambda():
 def _shell_tail(B, K):
     """||sum_{|k|_inf > K} |B_k| ||_2 of B's N x N series, summed over a mask of the mode box."""
     shell = np.max(np.abs(k_box(B.n, B.K)), axis=1).reshape((2 * B.K + 1,) * B.n)
-    return float(np.linalg.norm(np.abs(B.series().coeffs)[shell > K].sum(axis=0), 2))
+    return float(np.linalg.norm(np.abs(dense(B).coeffs)[shell > K].sum(axis=0), 2))
 
 
 def test_reduced_generators_keep_their_live_band(small_run):

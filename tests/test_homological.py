@@ -33,7 +33,7 @@ from kamreduce.torus import (
     sup_norm_s,
 )
 
-from conftest import traced_peak
+from conftest import dense, traced_peak
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -134,8 +134,8 @@ def test_constant_single_mode_value():
     base = DiagonalPart(lam=np.array([1.0, 2.0]), d=1.4, delta=0.0, n=1)
     sol = solve_constant(P, base, 0.4)
     assert isinstance(sol, HomologicalSolution)
-    assert sol.B.series().coeff((1,))[0, 1] == pytest.approx(5.0 / 3.0, abs=1e-14)
-    assert sol.B.series().coeff((-1,))[1, 0] == pytest.approx(-5.0 / 3.0, abs=1e-14)
+    assert dense(sol.B).coeff((1,))[0, 1] == pytest.approx(5.0 / 3.0, abs=1e-14)
+    assert dense(sol.B).coeff((-1,))[1, 0] == pytest.approx(-5.0 / 3.0, abs=1e-14)
     assert sol.residual < 1e-13
     assert sol.min_divisor == pytest.approx(0.6, abs=1e-14)
 
@@ -173,7 +173,7 @@ def test_constant_diagonal_untouched():
     P = random_hermitian(4, 1, 2, rng)
     sol = solve_constant(P, base_for(4), 0.37)
     idx = np.arange(4)
-    assert np.max(np.abs(sol.B.series().coeffs[..., idx, idx])) == 0.0
+    assert np.max(np.abs(dense(sol.B).coeffs[..., idx, idx])) == 0.0
 
 
 def test_constant_divisor_floor():
@@ -407,7 +407,7 @@ def test_variable_pairwise_galerkin_oracle():
         E2 = sup_norm_s(mud, 0.0)
         h = mud * (1.0 / E2)
         oracle = galerkin_solve(b, h, base.lam[j] - base.lam[i], E2, omega, Ko=28)
-        assert grid_gap(sol.B.series().entry(j, i), oracle) < 1e-9 * sup_norm_s(b, 0.0)
+        assert grid_gap(dense(sol.B).entry(j, i), oracle) < 1e-9 * sup_norm_s(b, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -422,7 +422,7 @@ def test_variable_pairs_are_one_pair_kuksin_solves(n):
     P = random_hermitian(N, n, 3, rng, s=0.5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        B = solve_variable(P, base, omega, K_out=K_out).B.series()
+        B = dense(solve_variable(P, base, omega, K_out=K_out).B)
     # the three-angle draw is outside the Kuksin guard on two pairs, which the
     # solve warns and still solves
     broken = ["(1,2)", "(2,3)"] if n == 3 else []
@@ -515,7 +515,7 @@ def test_variable_uniqueness_under_perturbation():
     xc = xi.coeffs.copy()
     xc[..., idx, idx] = 0.0
     xi = OperatorSeries(1, sol.B.K, 3, xc)
-    d1 = defect_sup(sol.B.series() + xi, P, base, omega)
+    d1 = defect_sup(dense(sol.B) + xi, P, base, omega)
     assert d1 > 10.0 * max(d0, 1e-13)
 
 
@@ -719,7 +719,7 @@ def test_step_two_pair_solve_holds_btil_and_a_chunk():
     ii, jj = np.triu_indices(P.N, 1)
     mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
     M = homological._working_grid(P.K + base.K, P.K + base.K + engine.SOLVER_PAD)
-    b = -P.coeffs[..., jj, ii]
+    b = -P.pairs()
     (chi, *_), peak = traced_peak(lambda: homological._solve_pairs(
         b, mud, base.lam[jj] - base.lam[ii], omega, M, settings.work_cutoff()))
     grid = M**P.n * len(jj) * 16

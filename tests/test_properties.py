@@ -15,10 +15,13 @@ roundoff, and exactly hermitian; its majorant, read from the pairs, is the
 assembled series' majorant to roundoff.
 
 A pair series' values, at angles or on a grid, are exactly anti-hermitian
-(sign -1) or hermitian (sign +1) with a zero diagonal, and its N x N series
-is the dense mirror assembly bit for bit.  Added in place into a wider
+(sign -1) or hermitian (sign +1) with a zero diagonal, and its majorant is
+the dense mirror assembly's bit for bit.  Added in place into a wider
 band's triangle, the entries (j, i), i <= j, that a Lie-series level is
 held as, its pairs give that assembly's triangle added densely, bit for bit.
+A hermitian series held as that triangle has the dense series' majorant,
+pairs and diagonal bit for bit, values hermitian off the diagonal, and a
+hermiticity defect read from its diagonal.
 
 One conjugation step, formed as a Lie series of alias-free commutators,
 matches the dense oracle that builds exp(B) pointwise with scipy, and the
@@ -65,12 +68,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kamreduce import diophantine, floquet, homological, torus
+from kamreduce import diophantine, engine, floquet, homological, torus
 from kamreduce.engine import CHOP_FLOOR, KamSettings, KamState, conjugate, kam_step
 from kamreduce.errors import AliasingError, GuardWarning
 from kamreduce.homological import solve_variable
 from kamreduce.torus import (
     DiagonalPart,
+    HermitianSeries,
     OperatorSeries,
     PairSeries,
     TorusSeries,
@@ -83,7 +87,7 @@ from kamreduce.torus import (
     lie_commutator,
 )
 
-from conftest import commutator_oracle, offdiagonal, triangle
+from conftest import commutator_oracle, dense, offdiagonal, triangle
 from test_diophantine import pruned_dio2_margins
 
 D = 4.0 / 3.0
@@ -199,7 +203,7 @@ def solve_case(case):
 
 def defect_at(sol, P, base, omega, z):
     """[A,B] - i omega.dB + P_off at complex angles z, by direct mode summation."""
-    B = sol.B.series()
+    B = dense(sol.B)
     mu = np.exp(1j * (z @ k_box(base.n, base.K).T)) @ base.mu.reshape(base.N, -1).T
     a = base.lam + mu                                             # (T, N)
     idx = np.arange(P.N)
@@ -225,8 +229,8 @@ def test_homological_residual_bounds_the_defect(case):
     # defect of an exact solve is roundoff, in the solver and in this sum
     bound = (sol.residual + 1e-12) * scale
     # the solution carries the defect it was measured on
-    assert np.array_equal(sol.D.form().series().coeffs,
-                          homological._generator_defect(sol.B, P, base, omega)[0].series().coeffs)
+    assert np.array_equal(sol.D.form().coeffs,
+                          homological._generator_defect(sol.B, P, base, omega)[0].coeffs)
     for z in (x + 1j * y, real.astype(complex)):
         assert top_singular_value(W[:, None] * defect_at(sol, P, base, omega, z)) <= bound
 
@@ -307,12 +311,12 @@ def pair_defect_case(case):
 def test_pair_stack_defect_is_the_dense_defect_and_hermitian(case):
     B, P, base, omega = pair_defect_case(case)
     defect, M = homological._generator_defect(B, P, base, omega)
-    Dp = defect.series()
-    oracle = dense_defect(B.series(), P, base, omega)
+    Dp = dense(defect)
+    oracle = dense_defect(dense(B), P, base, omega)
     assert Dp.coeffs.shape == oracle.shape
     assert np.max(np.abs(Dp.coeffs - oracle)) <= 1e-14 * np.max(np.abs(oracle))
-    # the upper half is the lower half's mirror and the diagonal is hermitian
-    assert Dp.hermiticity_defect() == 0.0
+    # the upper half is held as the lower half's mirror: D is a hermitian pair series
+    assert defect.sign == 1
     # the product's grid is alias-free at band K_B + K_mu, and none without mu
     K_B, K_mu = B.K, base.K
     assert M == (torus.next_fast_len(2 * (K_B + K_mu) + 2) if K_mu and P.N > 1 else 0)
@@ -324,55 +328,55 @@ def test_pair_stack_defect_majorant_is_the_assembled_one(case, s):
     B, P, base, omega = pair_defect_case(case)
     defect, _ = homological._generator_defect(B, P, base, omega)
     # the norms read the pairs; the assembled series is only the oracle here
-    got, want = defect.majorant_matrix(s), defect.series().majorant_matrix(s)
+    got, want = defect.majorant_matrix(s), dense(defect).majorant_matrix(s)
     assert np.all(np.abs(got - want) <= 1e-15 * want)
     assert np.array_equal(got, got.T)
 
 
-def dense_assembly(pairs: np.ndarray, n: int, N: int, sign: int) -> np.ndarray:
-    """The N x N coefficients of a pair stack as they were assembled when series were held whole.
-
-    The generator (sign -1) mirrored one slice of the first mode axis at a
-    time, negated; the defect (sign +1) mirrored the whole stack at once.
-    """
-    ii, jj = np.triu_indices(N, 1)
-    c = np.zeros(pairs.shape[:n] + (N, N), dtype=complex)
-    c[..., jj, ii] = pairs
-    if sign > 0:
-        c[..., ii, jj] = _mirror(pairs, n)
-    else:
-        for t, mirrored in enumerate(pairs[::-1]):
-            c[t][..., ii, jj] = -_mirror(mirrored, n - 1)
-    return c
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.integers(1, 6), st.integers(0, 3),
-       st.sampled_from([-1, 1]), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+       st.sampled_from([-1, 1, 0]), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
 def test_pair_series_values_are_exactly_mirrored_and_its_series_is_the_dense_assembly(
         n, N, K, sign, s, seed):
-    # at and grid fill the upper half as sign times the adjoint of the lower:
-    # exactly anti-hermitian (sign -1) or hermitian (sign +1), zero diagonal
+    # at and grid fill a pair series' upper half as sign times the adjoint
+    # of the lower: exactly anti-hermitian (sign -1) or hermitian (sign +1),
+    # zero diagonal.  sign 0 draws a triangle instead: the HermitianSeries
+    # of an exactly hermitian series, hermitian off the diagonal
     rng = np.random.default_rng(seed)
-    shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
-    S = PairSeries(n, K, N, rng.normal(size=shape) + 1j * rng.normal(size=shape), sign)
-    dense = S.series()
-    assert dense.coeffs.tobytes() == dense_assembly(S.coeffs, n, N, sign).tobytes()
-    assert np.array_equal(S.majorant_matrix(s), dense.majorant_matrix(s))
-    # added into a wider band's triangle in place, the pairs are the dense
-    # assembly's triangle added densely
-    c = rng.normal(size=(2 * K + 3,) * n + (N, N)) + 0j
-    want = triangle(OperatorSeries(n, K + 1, N, c + 0.25 * dense.pad_to(K + 1).coeffs))
-    tri = triangle(OperatorSeries(n, K + 1, N, c))
-    torus._add_pairs(tri, S, 0.25)
-    assert tri.tobytes() == want.tobytes()
+    idx, off = np.arange(N), ~np.eye(N, dtype=bool)
+    if sign:
+        shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
+        S = PairSeries(n, K, N, rng.normal(size=shape) + 1j * rng.normal(size=shape), sign)
+    else:
+        H = draw((n, N, K, s, 0.2, seed))[0]
+        S = H.hermitian()
+        assert np.array_equal(dense(S).coeffs, H.coeffs)
+        ii, jj = np.triu_indices(N, 1)
+        assert np.array_equal(S.pairs(), H.coeffs[..., jj, ii])
+        assert np.array_equal(H.pairs(), H.coeffs[..., jj, ii])
+        assert np.array_equal(S.diagonal(), H.coeffs[..., idx, idx])
+        # the defect is read from the diagonal, and sees one put there
+        assert S.hermiticity_defect() == 0.0
+        c = S.coeffs.copy()
+        c[(K,) * n + (torus._column(N, int(rng.integers(N))).start,)] += 1e-3j
+        assert HermitianSeries(n, K, N, c).hermiticity_defect() == 2e-3
+    oracle = dense(S)
+    assert S.majorant_matrix(s).tobytes() == oracle.majorant_matrix(s).tobytes()
+    if sign:
+        # added into a wider band's triangle in place, the pairs are the
+        # dense assembly's triangle added densely
+        c = rng.normal(size=(2 * K + 3,) * n + (N, N)) + 0j
+        want = triangle(OperatorSeries(n, K + 1, N, c + 0.25 * oracle.pad_to(K + 1).coeffs))
+        tri = triangle(OperatorSeries(n, K + 1, N, c))
+        torus._add_pairs(tri, S, 0.25)
+        assert tri.tobytes() == want.tobytes()
     phis = rng.uniform(0.0, 2.0 * np.pi, (7, n))
     M = 2 * K + 3
-    for values, oracle in ((S.at(phis), dense.at(phis)), (S.grid(M), dense.grid(M))):
+    for values, want in ((S.at(phis), oracle.at(phis)), (S.grid(M), oracle.grid(M))):
         adjoint = np.conj(np.swapaxes(values, -1, -2))
-        assert np.array_equal(values, adjoint if sign > 0 else -adjoint)
-        assert not np.any(values[..., np.arange(N), np.arange(N)])
-        assert np.max(np.abs(values - oracle), initial=0.0) <= 1e-14 * (2 * K + 1) ** n
+        assert np.array_equal(values[..., off], (adjoint if sign >= 0 else -adjoint)[..., off])
+        assert sign == 0 or not np.any(values[..., idx, idx])
+        assert np.max(np.abs(values - want), initial=0.0) <= 1e-14 * (2 * K + 1) ** n
 
 
 conjugation_cases = st.tuples(
@@ -423,7 +427,7 @@ def dense_conjugation(base, P, B, omega, M):
 def lie_reference(base, P, B, omega, order):
     """The Lie series of P+ to the given order, with no cutoff and no chopping."""
     off = offdiagonal(P)
-    D = homological._generator_defect(B, P, base, omega)[0].series()
+    D = dense(homological._generator_defect(B, P, base, omega)[0])
     S = None
     for k in range(order, -1, -1):
         Y = D * (1.0 / math.factorial(k + 1))
@@ -438,7 +442,8 @@ def lie_reference(base, P, B, omega, order):
 def test_conjugate_matches_the_dense_expm_oracle(case):
     base, P, B, omega, _, s = conjugation_case(case)
     M = 128
-    R, _ = conjugate(base, P, B, homological._generator_defect(B, P, base, omega)[0], 40, s)
+    R, _ = conjugate(base, P.hermitian(), B,
+                     homological._generator_defect(B, P, base, omega)[0], 40, s)
     oracle = dense_conjugation(base, P, B, omega, M)
     assert np.max(np.abs(R.grid(M) - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(P.coeffs)))
 
@@ -448,7 +453,7 @@ def test_conjugate_matches_the_dense_expm_oracle(case):
 def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
     base, P, B, omega, K_out, s = conjugation_case(case)
     D = homological._generator_defect(B, P, base, omega)[0]
-    R, info = conjugate(base, P, B, D, K_out, s)
+    R, info = conjugate(base, P.hermitian(), B, D, K_out, s)
     assert R.K <= K_out
     # one band per level, top level first, each within K_out and within what
     # the level holds: Y_k at D's band, the level above after one commutator
@@ -460,7 +465,7 @@ def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
     if max(bands, default=0) < K_out:
         assert info["truncation_bound"] <= (info["lie_order"] + 1) * CHOP_FLOOR
     ref = lie_reference(base, P, B, omega, info["lie_order"] + 6)
-    gap = delta_norm(ref - R, base, s)
+    gap = delta_norm(ref - dense(R), base, s)
     bound = info["lie_tail_bound"] + info["truncation_bound"] + info["chopped_norm_bound"]
     # roundoff: the reference's coefficients carry ~1e-16 of its largest one,
     # and the strip weights scale each by at most e^{s K}
@@ -473,20 +478,25 @@ def test_conjugate_bounds_dominate_the_distance_to_a_deeper_reference(case):
 def test_the_a_priori_bound_dominates_the_formed_and_the_deeper_p_plus(case):
     base, P, B, omega, K_out, s = conjugation_case(case)
     D = homological._generator_defect(B, P, base, omega)[0]
-    R, info = conjugate(base, P, B, D, K_out, s)
+    R, info = conjugate(base, P.hermitian(), B, D, K_out, s)
     ref = lie_reference(base, P, B, omega, info["lie_order"] + 6)
     bound = info["a_priori_bound"]
     slack = 1e-14 * np.sum(np.abs(ref.coeffs)) * math.exp(s * ref.K)
     assert delta_norm(R, base, s) <= bound + slack
     assert delta_norm(ref, base, s) <= bound + slack
     # at tol = bound the same bound stops the step before any commutator,
-    # and the generator and the defect stay on their pair stacks
-    assembled = []
-    series = PairSeries.series
+    # and a defect kept as its majorant, as the solve keeps it, is never formed
+    kept = homological.Defect(B, P.hermitian(), base, omega, {s: D.majorant_matrix(s)})
+    called = []
+
+    def refuse(name):
+        return lambda *args: called.append(name)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PairSeries, "series", lambda self: assembled.append(self) or series(self))
-        Z, early = conjugate(base, P, B, D, K_out, s, bound)
-    assert early["a_priori"] and early["a_priori_bound"] == bound and not assembled
+        mp.setattr(engine, "lie_commutator", refuse("lie_commutator"))
+        mp.setattr(homological.Defect, "form", refuse("Defect.form"))
+        Z, early = conjugate(base, P.hermitian(), B, kept, K_out, s, bound)
+    assert early["a_priori"] and early["a_priori_bound"] == bound and not called
     assert not np.any(Z.coeffs) and early["lie_order"] == early["grid_M"] == 0
     assert early["lie_bands"] == []
 
@@ -518,7 +528,7 @@ def test_one_kam_step_keeps_the_structure_of_its_parts(case):
         mu[(slice(None),) + (K_mu,) * n] = 0.0
     base = DiagonalPart(lam=np.arange(1, N + 1, dtype=float) ** D, d=D, delta=0.2, n=n,
                         mu=mu, K=K_mu)
-    state = KamState(l=0, base=base, P=P, s=0.05, gamma=1e-2, C_mu=base.c_mu(0.05),
+    state = KamState(l=0, base=base, P=P.hermitian(), s=0.05, gamma=1e-2, C_mu=base.c_mu(0.05),
                      C_lambda=base.c_lambda(), C_omega=0.0,
                      norm_history=(delta_norm(P, base, 0.05),))
     settings_ = KamSettings(epsilon=1e-3, s=0.05, gamma=1e-2, tau=9.0, K_base=1, l_max=1)
@@ -684,16 +694,17 @@ def test_operator_series_operations_act_on_each_entry(case):
     ii, jj = np.triu_indices(N, 1)
     B = PairSeries(n, K2, N, Q.coeffs[..., jj, ii], -1)
     tri, _ = lie_commutator(triangle(H), K, B, K + K2)
-    HB = OperatorSeries(n, K + K2, N, torus._hermitian_from_triangle(tri, n, N)[0])
-    Bd = B.series()
+    HB = dense(HermitianSeries(n, K + K2, N, tri))
+    Bd = dense(B)
     for i, j in itertools.product(range(N), repeat=2):
         want = TorusSeries.zero(n, K + K2)
         for m in range(N):
             want = (want + H.entry(i, m).product(Bd.entry(m, j))
                     - Bd.entry(i, m).product(H.entry(m, j)))
         assert np.max(np.abs(HB.entry(i, j).coeffs - want.coeffs)) <= tol
+    values = HermitianSeries(n, K + K2, N, tri).at(phis)
     off = ~np.eye(N, dtype=bool)
-    assert np.array_equal(HB.coeffs[..., off], _mirror(HB.coeffs, n)[..., off])
+    assert np.array_equal(values[:, off], np.conj(np.swapaxes(values, -1, -2))[:, off])
 
     # the mirror is the adjoint at -k: entry (i, j) meets conj(P_ji(-k))
     assert P.hermiticity_defect() == np.max(np.abs(P.coeffs - _mirror(P.coeffs, n))) == herm

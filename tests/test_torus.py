@@ -1,15 +1,17 @@
 """Torus-series algebra: transforms, norms, structure preservation."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len as scipy_next_fast_len
 
-from kamreduce import homological, torus
+from kamreduce import engine, homological, torus
 from kamreduce.errors import AliasingError, KamError
 from kamreduce.torus import (
     DiagonalPart,
+    HermitianSeries,
     OperatorSeries,
     PairSeries,
     TorusSeries,
@@ -23,7 +25,7 @@ from kamreduce.torus import (
     sup_norm_s,
 )
 
-from conftest import commutator_oracle, traced_peak, triangle
+from conftest import commutator_oracle, dense, traced_peak, triangle
 
 
 def transform_roundtrip(f, grid_size):
@@ -118,6 +120,14 @@ def test_next_fast_len_is_scipys_rule_and_defined_once():
     targets = range(1, 5000)
     assert [next_fast_len(t) for t in targets] == [scipy_next_fast_len(t) for t in targets]
     assert homological.next_fast_len is torus.next_fast_len
+
+
+def test_the_triangle_layout_is_defined_once():
+    # torus alone indexes a triangle: engine forms no index pairs, and
+    # neither engine nor homological gathers P's entries by them
+    sources = {m.__name__: inspect.getsource(m) for m in (engine, homological)}
+    assert "triu_indices" not in sources["kamreduce.engine"]
+    assert not [name for name, text in sources.items() if "coeffs[..., jj, ii]" in text]
 
 
 def test_trim_keeps_coefficients_and_a_live_outer_shell():
@@ -359,20 +369,16 @@ def test_commutator_matches_pointwise():
         tri, M = torus.lie_commutator(triangle(S), K_S, B, K)
         assert M == next_fast_len(2 * (K_S + K_B) + 2)
         assert tri.shape == (2 * K + 1,) * n + (10,)
-        c, defect = torus._hermitian_from_triangle(tri, n, 4)
-        SB = OperatorSeries(n, K, 4, c)
+        SB = HermitianSeries(n, K, 4, tri)
         # zero outside the band K_S + K_B, and equal to the pointwise dense oracle
         assert SB.trim().K == K_S + K_B
         oracle = commutator_oracle(S, B).pad_to(K)
         assert np.max(np.abs(tri - triangle(oracle))) < 1e-12
-        assert np.max(np.abs(SB.coeffs - oracle.coeffs)) < 1e-12
+        assert np.max(np.abs(dense(SB).coeffs - oracle.coeffs)) < 1e-12
         phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
         assert np.max(np.abs(SB(phi) - (S(phi) @ B(phi) - B(phi) @ S(phi)))) < 1e-12
-        # expanded, the off-diagonal is exactly hermitian: entry (i, j) is
-        # conj(c_ji(-k)); the hermitized diagonal's defect is roundoff
-        off = ~np.eye(4, dtype=bool)
-        assert np.array_equal(c[..., off], torus._mirror(c, n)[..., off])
-        assert defect < 1e-12
+        # the diagonal's defect, the one place one can remain, is roundoff
+        assert SB.hermiticity_defect() < 1e-12
 
 
 def test_product_of_real_series_is_real():
