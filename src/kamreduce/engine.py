@@ -34,8 +34,8 @@ Numerical notes that matter here:
   generator is still solved, because verify composes it, but B stays on
   the solve's pair stack and D is never formed: the solve kept only its
   majorants, at its own width and at the conjugation's.
-* P is held as its triangle (torus.HermitianSeries), cut to its live band
-  after chopping, which changes no coefficient and no norm.
+* P, D (zero diagonal) and P+ are triangles (torus.HermitianSeries); P+ is
+  cut to its live band after chopping, changing no coefficient or norm.
 * Coefficients below an absolute floor are zeroed after each step so the
   weighted-l1 strip norms measure signal rather than accumulated roundoff;
   the absorbed diagonal mu is then cut to its live band, as P+ is.
@@ -79,7 +79,6 @@ from .torus import (
     OperatorSeries,
     PairSeries,
     _abs_max,
-    _add_pairs,
     _box,
     _live_band,
     _majorant_norm,
@@ -341,13 +340,13 @@ def _level_band(coeffs: np.ndarray, n: int, K: int, W: np.ndarray, s: float, wei
     return K_keep, float(dropped[K_keep])
 
 
-def conjugate(base: DiagonalPart, P: HermitianSeries, B: PairSeries, D: PairSeries | Defect,
+def conjugate(base: DiagonalPart, P: HermitianSeries, B: PairSeries, D: HermitianSeries | Defect,
               K_out: int, s: float, tol: float = 0.0):
     """P+ = E*(A+P)E - (A + diag P) - i E* (omega . dE/dphi), E = exp(B), as a Lie series.
 
     With L(X) = XB - BX and the generator's defect D = [A,B] - i omega.dB
-    + P_off (HomologicalSolution.D: a Defect, which forms its pair stack
-    only when asked, or that PairSeries itself), the series is summed to
+    + P_off (HomologicalSolution.D: a Defect, which forms its triangle only
+    when asked, or that HermitianSeries itself), the series is summed to
     order m by Horner:
 
         S_m = Y_m,  S_k = Y_k + L(S_{k+1}),  P+ = S_0 = D + L(S_1),
@@ -356,7 +355,7 @@ def conjugate(base: DiagonalPart, P: HermitianSeries, B: PairSeries, D: PairSeri
     each level hermitian and held as its triangle, the entries (j, i), i <=
     j, as P is, and each L one alias-free commutator of it with B's pairs
     that returns a triangle (torus.lie_commutator).  Y_k is added into it
-    in place, P's triangle and D's pairs, so no N x N series is formed.
+    in place, P's triangle and D's as one slice each: no N x N series.
     Level k, X_k = Y_k + L(S_{k+1}), keeps as S_k the smallest band K_k <=
     K_out with b^k ||X_k - S_k|| <= CHOP_FLOOR (_level_band), the rule that
     fixes m, or K_out if none has.  P+ is S_0, its diagonal hermitized in
@@ -372,7 +371,7 @@ def conjugate(base: DiagonalPart, P: HermitianSeries, B: PairSeries, D: PairSeri
       zero, with a_priori true and no series summed: the bound is then the
       one account of what P+ held.  g comes from B's pairs, ||D|| from D's
       majorant, the one the solve kept at s, and ||diag P|| and ||P_off||
-      from P's one majorant (all three bounds at every s); D's pair stack
+      from P's one majorant (all three bounds at every s); D's triangle
       is formed only once this test has failed;
     * lie_tail_bound = p b^(m+1) / (m+1)! / (1 - b / (m+2)) bounds the
       terms past order m, and m is the smallest order that puts it at or
@@ -424,7 +423,7 @@ def conjugate(base: DiagonalPart, P: HermitianSeries, B: PairSeries, D: PairSeri
             c, M_k = lie_commutator(S, K_S, B, K_X)
             M = max(M, M_k)
         del S
-        _add_pairs(c, D, 1.0 / math.factorial(k + 1))
+        c[_box(n, D.K, K_X)] += D.coeffs * (1.0 / math.factorial(k + 1))
         if k:
             c[_box(n, P.K, K_X)] += P.coeffs * np.where(on_diagonal, 1.0 / math.factorial(k),
                                                         k / math.factorial(k + 1))

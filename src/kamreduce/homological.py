@@ -39,11 +39,11 @@ time, and ||W |D|_s||_2, which dominates ||W D(phi)||_2 on
 solution carries the generator's defect as a Defect: D's majorants at the
 widths that are read, the solve's and the conjugation's, summed chunk by
 chunk (_defect with widths), so D's whole stack is never held.  Defect.form
-forms that stack (_generator_defect) as a hermitian PairSeries: the
-entries D_ji (i < j) come from the kernel, the entries D_ij are their
-mirror conj(D_ji(-k)), and the diagonal (omega.k) B_ii(k) is zero, as B_ii
-is.  The conjugation step asks for it once its a-priori bound has missed
-tol.
+forms D (_generator_defect) as a triangle, a torus.HermitianSeries: the
+entries D_ji (i < j) come from the kernel a column at a time, the entries
+D_ij are their mirror conj(D_ji(-k)), and the diagonal (omega.k) B_ii(k)
+is zero, as B_ii is.  The conjugation step asks for it once its a-priori
+bound has missed tol.
 
 solve_variable's guards (P's hermiticity, C*, each pair's Kuksin smallness
 with theta = (delta/(d-1) + 1)/2, the factor's unimodularity) are advisory:
@@ -65,7 +65,9 @@ from .torus import (
     OperatorSeries,
     PairSeries,
     TorusSeries,
+    _abs_max,
     _box,
+    _column,
     _k_dot_omega,
     _live_band,
     _majorant_sum,
@@ -154,9 +156,9 @@ class Defect:
 
     majorants maps each strip width s the solve measured at to |D|_s, D's
     entrywise majorant (N, N), summed chunk by chunk and equal bit for bit
-    to the majorant of D's whole pair stack.  form() forms that stack, a
-    hermitian PairSeries (_generator_defect), from B and what B was solved
-    against.
+    to the majorant of D formed whole.  form() forms D as its triangle, a
+    HermitianSeries with a zero diagonal (_generator_defect), from B and
+    what B was solved against.
     """
 
     B: PairSeries
@@ -171,7 +173,7 @@ class Defect:
         """|D|_s at a width the solve kept."""
         return self.majorants[s].copy()
 
-    def form(self) -> PairSeries:
+    def form(self) -> HermitianSeries:
         return _generator_defect(self.B, self.P, self.base, self.omega)[0]
 
 
@@ -181,7 +183,7 @@ class HomologicalSolution:
 
     D is the generator's defect as a Defect: its majorants at the solve's
     width s and at the widths the caller asked for, from which residual is
-    measured; D's pair stack is formed only by D.form().
+    measured; D's triangle is formed only by D.form().
     """
 
     B: PairSeries
@@ -269,39 +271,47 @@ def _off_majorant(P: HermitianSeries | OperatorSeries, s: float) -> np.ndarray:
     return maj
 
 
-def _defect_terms(P: HermitianSeries | OperatorSeries, base: DiagonalPart) -> tuple:
-    """(gap, mud, rhs) of a generator's defect on the pair stack, as _defect takes them.
+def _defect_terms(base: DiagonalPart) -> tuple:
+    """(gap, mud) of a generator's defect on the pair stack, as _defect takes them.
 
     Entry (j, i) of [A, B] is (a_j - a_i) B_ji: gap = lambda_j - lambda_i,
-    mud = mu_j - mu_i (None where the mu_i coincide), rhs = -P_ji.
+    mud = mu_j - mu_i (None where the mu_i coincide); the right-hand side is -P_ji.
     """
-    ii, jj = np.triu_indices(P.N, 1)
+    ii, jj = np.triu_indices(base.N, 1)
     mud = None
     if base.mu is not None:
         mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
         mud = mud if np.any(mud) else None
-    return base.lam[jj] - base.lam[ii], mud, -P.pairs()
+    return base.lam[jj] - base.lam[ii], mud
 
 
 def _generator_defect(B: PairSeries, P: HermitianSeries | OperatorSeries, base: DiagonalPart, omega):
     """The defect D = [A,B] - i Bdot + (P - diag P) of a generator, in coefficients.
 
-    D is formed on B's pair stack, entries (j, i) with i < j; the entries
-    (i, j) are their mirror D_ij(k) = conj(D_ji(-k)), as they are for an
+    D is a HermitianSeries: its entries D_ji, i < j, are formed one column
+    of B's pairs at a time (_column, _defect), straight into the triangle,
+    never a pair stack beside it; D_ij = conj(D_ji(-k)), as for an
     anti-hermitian B and a hermitian P (solve_variable warns when P is
-    not), so D is a hermitian PairSeries.  Its diagonal (omega.k) B_ii(k)
-    is zero, since A is diagonal, P - diag P has none and B_ii = 0.
-    Returns (D, the grid M per axis of the product (mu_j - mu_i) B_ji, 0
-    where the mu_i coincide).
+    not), and the diagonal (omega.k) B_ii(k) is zero, as B_ii is.  Returns
+    (D, the grid M per axis of the product (mu_j - mu_i) B_ji, 0 where the
+    mu_i coincide).
     """
-    Dp, M = _defect(B.coeffs, *_defect_terms(P, base), omega)
-    return PairSeries(P.n, (Dp.shape[0] - 1) // 2, P.N, freeze(Dp), 1), M
+    n, N, P = B.n, B.N, P.hermitian()
+    gap, mud = _defect_terms(base)
+    K_D = max(B.K + (0 if mud is None else (mud.shape[0] - 1) // 2), P.K)
+    D, M = np.zeros((2 * K_D + 1,) * n + P.coeffs.shape[n:], dtype=complex), 0
+    for i in range(N - 1):
+        pairs, col = _column(N - 1, i), _column(N, i)
+        below = slice(col.start + 1, col.stop)
+        D[..., below], M = _defect(B.coeffs[..., pairs], gap[pairs],
+                                   None if mud is None else mud[..., pairs],
+                                   -P.coeffs[..., below], omega)
+    return HermitianSeries(n, K_D, N, freeze(D)), M
 
 
-def _measured_defect(B: PairSeries, P: HermitianSeries | OperatorSeries, base: DiagonalPart, omega,
-                     widths) -> Defect:
-    """The Defect of a generator with its majorants at each strip width, its stack never whole."""
-    majs, M = _defect(B.coeffs, *_defect_terms(P, base), omega, widths)
+def _measured_defect(B: PairSeries, P, b: np.ndarray, base: DiagonalPart, omega, widths) -> Defect:
+    """The Defect of B, solved against b = -P's pairs: its majorants at each width, never its stack."""
+    majs, M = _defect(B.coeffs, *_defect_terms(base), b, omega, widths)
     return Defect(B, P, base, omega, {s: _square_matrix(m, P.N) for s, m in zip(widths, majs)}, M)
 
 
@@ -326,8 +336,8 @@ def solve_constant(
     _check_divisors(_first_below(np.abs(den), _divisor_floor(n, K)[..., None], live), n, K,
                     "divisor", list(zip(ii.tolist(), jj.tolist())))
     Bp = np.divide(b, den, out=np.zeros_like(b), where=np.abs(den) > 0)
-    B = PairSeries(n, K, N, freeze(Bp), -1)
-    D = _measured_defect(B, P, base, omega, (0.0,))
+    B = PairSeries(n, K, N, freeze(Bp))
+    D = _measured_defect(B, P, b, base, omega, (0.0,))
     min_div = float(np.min(np.abs(den[live]))) if np.any(live) else np.inf
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, _off_majorant(P, 0.0), 0.0,
@@ -559,7 +569,7 @@ def solve_variable(
     if base.N != N:
         raise KamError("dimension mismatch between P and base")
     messages = []
-    if P.hermiticity_defect() > 1e-11 * max(1.0, float(np.max(np.abs(P.coeffs)))):
+    if P.hermiticity_defect() > 1e-11 * max(1.0, _abs_max(P.coeffs)):
         _guard(messages, "P is not hermitian to 1e-11; generator mirror uses P as given")
     c_mu = base.c_mu(s)
     c_lam = base.c_lambda()
@@ -569,10 +579,9 @@ def solve_variable(
     # pair p is (i, j) = (ii[p], jj[p]) with i < j; B_ji is solved, B_ij mirrors it
     ii, jj = np.triu_indices(N, 1)
     pairs = list(zip(ii.tolist(), jj.tolist()))
-    # stacked scalar data, pair axis last
-    mu = np.zeros((N,) + (1,) * n) if base.mu is None else base.mu
-    mud = np.moveaxis(mu[jj] - mu[ii], 0, -1)                   # (modes..., pairs)
-    E1 = base.lam[jj] - base.lam[ii]
+    # stacked scalar data, pair axis last: mud (modes..., pairs), zero without mu
+    E1, mud = _defect_terms(base)
+    mud = np.zeros((1,) * n + E1.shape) if mud is None else mud
     w_s = strip_weight(n, (mud.shape[0] - 1) // 2, s).reshape(-1)
     E2 = w_s @ np.abs(mud).reshape(len(w_s), len(pairs))
     theta = (base.delta / (base.d - 1.0) + 1.0) / 2.0
@@ -582,11 +591,12 @@ def solve_variable(
                              f"E1^theta={E1[p] ** theta:.3g} < C*E2={C_GUARD * E2[p]:.3g}")
 
     M = _working_grid(P.K + base.K, work_K)
-    chic, min_div, unimod, trunc = _solve_pairs(-P.pairs(), mud, E1, omega, M, K_out, pairs)
+    b = -P.pairs()                  # gathered once, for the solve and its defect
+    chic, min_div, unimod, trunc = _solve_pairs(b, mud, E1, omega, M, K_out, pairs)
     if unimod > UNIMOD_TOL:
         _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
-    B = PairSeries(n, (chic.shape[0] - 1) // 2, N, freeze(chic), -1)
-    D = _measured_defect(B, P, base, omega, (s,) + tuple(widths))
+    B = PairSeries(n, (chic.shape[0] - 1) // 2, N, freeze(chic))
+    D = _measured_defect(B, P, b, base, omega, (s,) + tuple(widths))
     variable = bool(np.any(mud))
     return HomologicalSolution(B=B, D=D, min_divisor=min_div,
                                residual=_relative_defect(D, _off_majorant(P, s), s,

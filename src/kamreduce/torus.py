@@ -2,18 +2,18 @@
 
 Scalar series f(phi) = sum_{|k|_inf <= K} fhat_k e^{i k.phi} are stored as a
 complex array of shape (2K+1,)*n with axis index t <-> k = t - K.  Matrix
-valued series carry two trailing axes (N, N), a PairSeries one axis of
-the entries below the diagonal and a HermitianSeries one of its
-triangle, the entries on and below it.  All four share one
-implementation, _Series, which differs between them only by those
-trailing axes: padding and truncation by _box, arithmetic, majorants,
-grid sampling, evaluation at a batch of angles (at, by direct mode
-summation) and one alias-free grid product (product, entrywise).
-lie_commutator is the Lie series' commutator of a hermitian level's
-triangle with an anti-hermitian PairSeries, formed from their halves
-and returned as a triangle.  All transforms are plain
-FFTs on equispaced grids; products are computed on grids large enough to
-be exact for the sum of the input bandwidths and keep that whole band.
+valued series carry two trailing axes (N, N), a PairSeries (the
+anti-hermitian generator) one axis of the entries below the diagonal and
+a HermitianSeries (every hermitian series) one of its triangle, the
+entries on and below it.  All four share one implementation, _Series,
+which differs between them only by those trailing axes: padding and
+truncation by _box, arithmetic, majorants, grid sampling, evaluation at a
+batch of angles (at, by direct mode summation) and one alias-free grid
+product (product, entrywise).  lie_commutator commutes a hermitian
+level's triangle with a PairSeries from their halves and returns a
+triangle.  All transforms are plain FFTs on equispaced grids; products
+are computed on grids large enough to be exact for the sum of the input
+bandwidths and keep that whole band.
 The transforms are numpy.fft's, one axis at a time in place, and the grid
 sizes come from next_fast_len here.  _mirror is the one k -> -k mirror.
 
@@ -515,22 +515,19 @@ class OperatorSeries(_Matrix):
 
 @dataclass(frozen=True)
 class PairSeries(_Matrix):
-    """An N x N series held as its entries below the diagonal; trailing axis the pairs.
+    """An anti-hermitian N x N series, a generator B, held as its entries below the diagonal.
 
-    coeffs holds the entries c_ji, i < j, in _square_matrix's order.  Entry
-    (i, j) is sign conj(c_ji(-k)) and the diagonal is zero, so on the real
-    torus the series is exactly anti-hermitian (sign -1, a generator B) or
-    hermitian (sign +1, its defect D), and so are its values (at, grid).
+    coeffs' trailing axis holds the entries c_ji, i < j, in _square_matrix's
+    order.  Entry (i, j) is -conj(c_ji(-k)) and the diagonal is zero, so the
+    series and its values (at, grid) are exactly anti-hermitian on the real torus.
     """
-
-    sign: int
 
     @property
     def _tail(self) -> tuple:
         return (self.N * (self.N - 1) // 2,)
 
     def _square(self, values: np.ndarray) -> np.ndarray:
-        return _square_matrix(values, self.N, self.sign)
+        return _square_matrix(values, self.N, -1)
 
 
 @dataclass(frozen=True)
@@ -539,12 +536,17 @@ class HermitianSeries(_Matrix):
 
     coeffs holds column i's entries c_ji, j >= i, as one run (_column);
     entry (i, j), i < j, is conj(c_ji(-k)), so the diagonal is the one place
-    a hermiticity defect can remain.
+    a hermiticity defect can remain.  P, the generator's defect D (its
+    diagonal zero), P+ and, as bare triangles, the Lie-series levels use it.
     """
 
     @property
     def _tail(self) -> tuple:
         return (self.N * (self.N + 1) // 2,)
+
+    def hermitian(self) -> "HermitianSeries":
+        """The series itself, as OperatorSeries.hermitian gathers a dense one."""
+        return self
 
     def diagonal(self) -> np.ndarray:
         """The diagonal entries c_ii: modes lead, the trailing axis is i."""
@@ -565,18 +567,6 @@ class HermitianSeries(_Matrix):
 
 # bytes of one slab of N x N values that lie_commutator fills and commutes at a time
 SLAB_BYTES = 1 << 18
-
-
-def _add_pairs(tri: np.ndarray, D: PairSeries, scale: float) -> None:
-    """tri += scale * D below the diagonal, in place, for a level's triangle tri at a band >= D.K.
-
-    Column i of D's pairs is one slice, added past column i's diagonal entry.
-    """
-    N = D.N
-    box = tri[_box(D.n, D.K, (tri.shape[0] - 1) // 2)]
-    for i in range(N - 1):
-        col = _column(N, i)
-        box[..., col.start + 1 : col.stop] += D.coeffs[..., _column(N - 1, i)] * scale
 
 
 def lie_commutator(S: np.ndarray, K_S: int, B: PairSeries, K: int) -> tuple:

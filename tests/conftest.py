@@ -39,14 +39,15 @@ def dense(S) -> OperatorSeries:
 
     The oracle of both layouts' mirrors: the held entries (j, i) are placed
     as they are, i < j for pairs and i <= j for a triangle, and each (i, j),
-    i < j, is sign conj(c_ji(-k)) (sign +1 for a triangle).  A pair series'
-    diagonal is zero; a triangle's is its own, defect and all.
+    i < j, is -conj(c_ji(-k)) for pairs, anti-hermitian, and conj(c_ji(-k))
+    for a triangle, hermitian.  A pair series' diagonal is zero; a
+    triangle's is its own, defect and all.
     """
     n, N = S.n, S.N
     hermitian = isinstance(S, HermitianSeries)
     ii, jj = np.triu_indices(N, 0 if hermitian else 1)
     c = np.zeros(S.coeffs.shape[:n] + (N, N), dtype=complex)
-    c[..., ii, jj] = _mirror(S.coeffs, n) * (1 if hermitian else S.sign)
+    c[..., ii, jj] = _mirror(S.coeffs, n) * (1 if hermitian else -1)
     c[..., jj, ii] = S.coeffs
     return OperatorSeries(n, S.K, N, c)
 

@@ -163,7 +163,7 @@ def test_reduced_json_round_trips_the_cut_generators(finished_run):
     assert 0.0 < max(got.dropped) <= CHOP_FLOOR
     for gen, want, meta in zip(got.generators, expect.generators, metas, strict=True):
         assert gen.K == want.K == meta["K"]
-        stored = PairSeries(meta["n"], meta["K"], base.N, load_array(outdir / meta["file"]), -1)
+        stored = PairSeries(meta["n"], meta["K"], base.N, load_array(outdir / meta["file"]))
         assert stored.coeffs.shape[-1] == base.N * (base.N - 1) // 2
         assert stored.coeffs.tobytes() == want.coeffs.tobytes()
 
@@ -622,7 +622,7 @@ def _broken_generator(path, case):
     elif case == "dense":
         # the N x N layout generator files had before they held their pairs
         N = round((1 + math.sqrt(1 + 8 * coeffs.shape[-1])) / 2)
-        coeffs = dense(PairSeries(coeffs.ndim - 1, (len(coeffs) - 1) // 2, N, coeffs, -1)).coeffs
+        coeffs = dense(PairSeries(coeffs.ndim - 1, (len(coeffs) - 1) // 2, N, coeffs)).coeffs
     elif case == "fortran":
         coeffs = np.asfortranarray(coeffs)
     elif case == "complex64":

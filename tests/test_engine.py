@@ -80,7 +80,7 @@ def _random_hermitian(N, n, K, rng, scale=1.0):
 def _pairs(B: OperatorSeries) -> PairSeries:
     """The anti-hermitian PairSeries of B's entries below the diagonal."""
     ii, jj = np.triu_indices(B.N, 1)
-    return PairSeries(B.n, B.K, B.N, B.coeffs[..., jj, ii], -1)
+    return PairSeries(B.n, B.K, B.N, B.coeffs[..., jj, ii])
 
 
 @pytest.fixture(scope="module")
@@ -430,10 +430,10 @@ def test_step_one_conjugate_holds_one_grid_beside_a_level_triangle(monkeypatch):
     commutator's N x N grid (its triangle grid, grid_bytes, with B's
     pairs) and four slab buffers beside the level it commutes, or, at the
     end, that level beside P+'s triangle cut to its live band; P's
-    triangle and D's pairs are held throughout.  Every level keeps a band
+    triangle and D's triangle are held throughout.  Every level keeps a band
     of lie_bands, at most K_out.  Holding each level as N x N and filling
     the commutator's result densely beside its triangle peaked at 17.9 MB
-    here, above this bound (15.6 MB).
+    here, above this bound (15.7 MB).
     """
     A, P, omega, settings = reference_n2()
     calls = []
@@ -453,7 +453,7 @@ def test_step_one_conjugate_holds_one_grid_beside_a_level_triangle(monkeypatch):
     grid = rec["grid_bytes"] * 2 * N // (N + 1)
     level = nbytes(max(rec["lie_bands"]), N * (N + 1) // 2)
     output = nbytes(P_plus.K, N * (N + 1) // 2)
-    held = nbytes(P.K, N * (N + 1) // 2) + nbytes(D.form().K, N * (N - 1) // 2)
+    held = nbytes(P.K, N * (N + 1) // 2) + nbytes(D.form().K, N * (N + 1) // 2)
     assert peak <= max(grid + 4 * torus.SLAB_BYTES, output) + level + held < 17_000_000
 
 

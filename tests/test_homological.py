@@ -464,11 +464,10 @@ def test_variable_antihermitian_by_construction():
     base = base_for(4, mu=mu, K=2)
     P = random_hermitian(4, 1, 2, rng, s=0.3)
     sol = solve_variable(P, base, np.array([GOLDEN]))
-    # a PairSeries of sign -1, whose values test_properties finds exactly anti-hermitian
-    assert isinstance(sol.B, PairSeries) and sol.B.sign == -1
+    # a PairSeries, whose values test_properties finds exactly anti-hermitian
+    assert isinstance(sol.B, PairSeries)
     D = sol.D.form()
-    assert isinstance(D, PairSeries) and D.sign == 1
-    # the kept majorant is the formed stack's, bit for bit
+    # the kept majorant is the formed triangle's, bit for bit
     assert np.array_equal(sol.D.majorant_matrix(0.0), D.majorant_matrix(0.0))
 
 
@@ -727,6 +726,39 @@ def test_step_two_pair_solve_holds_btil_and_a_chunk():
     assert (M, len(jj), chi.shape[0]) == (63, 190, 2 * settings.work_cutoff() + 1)
     chunk = 4 * homological.CHUNK_BYTES
     assert peak <= max(btil, 2 * chi.nbytes) + chunk < 1.3 * grid
+
+
+def test_step_one_defect_is_formed_as_its_triangle_alone(monkeypatch):
+    """Reference-n2's step-1 Defect.form(): D's triangle, never a pair stack of D beside it.
+
+    Each column's pairs are formed and written straight into the triangle,
+    so the traced peak stays below the triangle and one pair stack at D's
+    band.  Forming D's whole pair stack and scattering it into the triangle
+    holds both, and reaches that bound.
+    """
+    A, P, omega, settings = reference_n2()
+    calls = []
+    conjugate = engine.conjugate
+    monkeypatch.setattr(engine, "conjugate", lambda *args: calls.append(args) or conjugate(*args))
+    engine.run_schedule(A, P, omega, dataclasses.replace(settings, l_max=1))
+    monkeypatch.undo()
+    defect = calls[0][3]
+    defect.form()                   # the transforms' first-call caches are not the formation's
+    D, peak = traced_peak(defect.form)
+    n, N = D.n, D.N
+    assert isinstance(D, torus.HermitianSeries) and not np.any(D.diagonal())
+    bound = D.coeffs.nbytes + 16 * (2 * D.K + 1) ** n * N * (N - 1) // 2
+
+    def scattered():
+        stack, _ = homological._defect(defect.B.coeffs, *homological._defect_terms(defect.base),
+                                       -defect.P.pairs(), omega)
+        tri = np.zeros(stack.shape[:n] + (N * (N + 1) // 2,), dtype=complex)
+        tri[..., ~torus._on_diagonal(N)] = stack
+        return tri
+
+    tri, scattered_peak = traced_peak(scattered)
+    assert tri.tobytes() == D.coeffs.tobytes()
+    assert peak < bound <= scattered_peak
 
 
 def test_a_priori_step_two_keeps_only_the_defect_majorants(monkeypatch):

@@ -9,19 +9,18 @@ reached without any grid or grid SVD sweep.
 The homological residual is the same kind of bound: times ||W |P_off|_s||_2
 it must dominate ||W D(phi)||_2 for the defect D = [A,B] - i omega.dB + P_off
 of solve_variable's generator, at strip points and on the real grid, and it
-is reached without a grid SVD.  That defect, formed on the solve's pair
-stack with the other half as its mirror, is the all-entries defect to
-roundoff, and exactly hermitian; its majorant, read from the pairs, is the
-assembled series' majorant to roundoff.
+is reached without a grid SVD.  That defect, formed on the solve's pairs
+and held as its triangle with the other half as its mirror, is the
+all-entries defect to roundoff, exactly hermitian with a zero diagonal,
+and its pairs are the pair-stack kernel's bit for bit; its majorant, read
+from the triangle, is the assembled series' majorant to roundoff.
 
 A pair series' values, at angles or on a grid, are exactly anti-hermitian
-(sign -1) or hermitian (sign +1) with a zero diagonal, and its majorant is
-the dense mirror assembly's bit for bit.  Added in place into a wider
-band's triangle, the entries (j, i), i <= j, that a Lie-series level is
-held as, its pairs give that assembly's triangle added densely, bit for bit.
-A hermitian series held as that triangle has the dense series' majorant,
-pairs and diagonal bit for bit, values hermitian off the diagonal, and a
-hermiticity defect read from its diagonal.
+with a zero diagonal, and its majorant is the dense mirror assembly's bit
+for bit.  A hermitian series held as its triangle, the entries (j, i),
+i <= j, has the dense series' majorant, pairs and diagonal bit for bit,
+values hermitian off the diagonal, and a hermiticity defect read from its
+diagonal.
 
 One conjugation step, formed as a Lie series of alias-free commutators,
 matches the dense oracle that builds exp(B) pointwise with scipy, and the
@@ -286,7 +285,7 @@ pair_defect_cases = st.tuples(
 def pairs_of(H: OperatorSeries) -> PairSeries:
     """The anti-hermitian PairSeries of i H's entries below the diagonal."""
     ii, jj = np.triu_indices(H.N, 1)
-    return PairSeries(H.n, H.K, H.N, 1j * H.coeffs[..., jj, ii], -1)
+    return PairSeries(H.n, H.K, H.N, 1j * H.coeffs[..., jj, ii])
 
 
 def pair_defect_case(case):
@@ -315,8 +314,12 @@ def test_pair_stack_defect_is_the_dense_defect_and_hermitian(case):
     oracle = dense_defect(dense(B), P, base, omega)
     assert Dp.coeffs.shape == oracle.shape
     assert np.max(np.abs(Dp.coeffs - oracle)) <= 1e-14 * np.max(np.abs(oracle))
-    # the upper half is held as the lower half's mirror: D is a hermitian pair series
-    assert defect.sign == 1
+    # the upper half is held as the lower half's mirror: D is a triangle with
+    # a zero diagonal, whose pairs are the pair-stack kernel's bit for bit
+    assert isinstance(defect, HermitianSeries)
+    assert not np.any(defect.diagonal()) and defect.hermiticity_defect() == 0.0
+    stack, _ = homological._defect(B.coeffs, *homological._defect_terms(base), -P.pairs(), omega)
+    assert defect.pairs().tobytes() == stack.tobytes()
     # the product's grid is alias-free at band K_B + K_mu, and none without mu
     K_B, K_mu = B.K, base.K
     assert M == (torus.next_fast_len(2 * (K_B + K_mu) + 2) if K_mu and P.N > 1 else 0)
@@ -335,18 +338,18 @@ def test_pair_stack_defect_majorant_is_the_assembled_one(case, s):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.integers(1, 6), st.integers(0, 3),
-       st.sampled_from([-1, 1, 0]), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+       st.booleans(), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
 def test_pair_series_values_are_exactly_mirrored_and_its_series_is_the_dense_assembly(
-        n, N, K, sign, s, seed):
-    # at and grid fill a pair series' upper half as sign times the adjoint
-    # of the lower: exactly anti-hermitian (sign -1) or hermitian (sign +1),
-    # zero diagonal.  sign 0 draws a triangle instead: the HermitianSeries
-    # of an exactly hermitian series, hermitian off the diagonal
+        n, N, K, pairs, s, seed):
+    # at and grid fill a pair series' upper half as minus the adjoint of the
+    # lower: exactly anti-hermitian, zero diagonal.  Without pairs, a
+    # triangle is drawn instead: the HermitianSeries of an exactly
+    # hermitian series, hermitian off the diagonal
     rng = np.random.default_rng(seed)
     idx, off = np.arange(N), ~np.eye(N, dtype=bool)
-    if sign:
+    if pairs:
         shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
-        S = PairSeries(n, K, N, rng.normal(size=shape) + 1j * rng.normal(size=shape), sign)
+        S = PairSeries(n, K, N, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     else:
         H = draw((n, N, K, s, 0.2, seed))[0]
         S = H.hermitian()
@@ -362,20 +365,12 @@ def test_pair_series_values_are_exactly_mirrored_and_its_series_is_the_dense_ass
         assert HermitianSeries(n, K, N, c).hermiticity_defect() == 2e-3
     oracle = dense(S)
     assert S.majorant_matrix(s).tobytes() == oracle.majorant_matrix(s).tobytes()
-    if sign:
-        # added into a wider band's triangle in place, the pairs are the
-        # dense assembly's triangle added densely
-        c = rng.normal(size=(2 * K + 3,) * n + (N, N)) + 0j
-        want = triangle(OperatorSeries(n, K + 1, N, c + 0.25 * oracle.pad_to(K + 1).coeffs))
-        tri = triangle(OperatorSeries(n, K + 1, N, c))
-        torus._add_pairs(tri, S, 0.25)
-        assert tri.tobytes() == want.tobytes()
     phis = rng.uniform(0.0, 2.0 * np.pi, (7, n))
     M = 2 * K + 3
     for values, want in ((S.at(phis), oracle.at(phis)), (S.grid(M), oracle.grid(M))):
         adjoint = np.conj(np.swapaxes(values, -1, -2))
-        assert np.array_equal(values[..., off], (adjoint if sign >= 0 else -adjoint)[..., off])
-        assert sign == 0 or not np.any(values[..., idx, idx])
+        assert np.array_equal(values[..., off], (-adjoint if pairs else adjoint)[..., off])
+        assert not (pairs and np.any(values[..., idx, idx]))
         assert np.max(np.abs(values - want), initial=0.0) <= 1e-14 * (2 * K + 1) ** n
 
 
@@ -692,7 +687,7 @@ def test_operator_series_operations_act_on_each_entry(case):
     # entrywise products, and its off-diagonal is exactly hermitian
     H = OperatorSeries(n, K, N, 0.5 * (P.coeffs + _mirror(P.coeffs, n)))
     ii, jj = np.triu_indices(N, 1)
-    B = PairSeries(n, K2, N, Q.coeffs[..., jj, ii], -1)
+    B = PairSeries(n, K2, N, Q.coeffs[..., jj, ii])
     tri, _ = lie_commutator(triangle(H), K, B, K + K2)
     HB = dense(HermitianSeries(n, K + K2, N, tri))
     Bd = dense(B)

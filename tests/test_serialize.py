@@ -133,7 +133,7 @@ def test_stored_operator_evaluates_as_the_loaded_series_bit_for_bit(tmp_path, n,
     rng = np.random.default_rng(100 * n + 10 * K + N)
     shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
     write_array(tmp_path / "g.npy", rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    loaded = PairSeries(n, K, N, load_array(tmp_path / "g.npy"), -1)
+    loaded = PairSeries(n, K, N, load_array(tmp_path / "g.npy"))
     stored = StoredOperator(str(tmp_path / "g.npy"), n, K, N)
     assert stored.slab_bytes == 16 * (2 * K + 1) ** (n - 1) * N * (N - 1) // 2
     phis = rng.uniform(0.0, 2.0 * np.pi, (9, n))

@@ -358,7 +358,7 @@ def test_product_keeps_the_full_band():
 def random_pairs(N, n, K, rng):
     """An anti-hermitian PairSeries with random pairs."""
     shape = (2 * K + 1,) * n + (N * (N - 1) // 2,)
-    return PairSeries(n, K, N, rng.normal(size=shape) + 1j * rng.normal(size=shape), -1)
+    return PairSeries(n, K, N, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 def test_commutator_matches_pointwise():
