@@ -413,7 +413,8 @@ def cmd_reduce(manifest: RunManifest, log, timings, args):
     write_json(os.path.join(outdir, "manifest_echo.json"), manifest.to_dict())
     settings = _settings(manifest)
     with _timed(timings, "build_s"):
-        base, P = _build_model(manifest)
+        model = list(_build_model(manifest))
+    base = model[0]
     log.emit("reduce.model", N=base.N, n=base.n, epsilon=settings.epsilon)
 
     chosen, record = _frequency(manifest, base, settings)
@@ -427,7 +428,9 @@ def cmd_reduce(manifest: RunManifest, log, timings, args):
     write_json(os.path.join(outdir, "frequency.json"), dict(record, source=source))
 
     with _timed(timings, "reduce.schedule_s"):
-        state, reduced = run_schedule(base, P, chosen.omega, settings)
+        # P0 is handed over, not kept: once run_schedule holds its triangle
+        # no frame holds the dense P0
+        state, reduced = run_schedule(base, model.pop(), chosen.omega, settings)
     timings.update(state.timings)
     for rec in state.records:
         log.emit("step", l=rec["l"], norm=rec["norm_out"], K=rec["K_step"])

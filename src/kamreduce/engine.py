@@ -626,7 +626,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "pairs": sol.pairs,
         "solve_grid_M": sol.grid_M,
         "defect_grid_M": sol.defect_grid_M,
-        # the largest array the step holds: the pair solve's btil stack or
+        # the largest array the step holds: the pair solve's chi stack or
         # the widest commutator's triangle grid, complex
         "grid_bytes": max(sol.stack_bytes, 16 * cinfo["grid_M"] ** n * N * (N + 1) // 2),
         "B_g_norm": gB,

@@ -22,14 +22,12 @@ primitive of h (Hhat_k = hhat_k / (i omega.k)),
 One kernel solves a stack of pairs on one grid: solve_variable calls it
 with all N(N-1)/2 pairs, whatever mu (with mu = 0 the factor is 1 and the
 solve is the division above), solve_kuksin with one; solve_constant is the
-division alone, for mu = 0.  The kernel runs in chunks of pairs of a fixed
-byte size (_pair_chunks): a forward pass keeps every chunk's transformed
-right-hand side btil, the quantities that decide the division (the live
-threshold, the first divisor below its floor) are taken over all pairs,
-and an inverse pass forms each chunk's factor again, frees the chunk's
-btil and cuts its chi.  A solve so holds its btil stack, a little under
-one pair grid, whatever the number of pairs, then chi's chunks as they are
-joined, and returns B as its pairs, an anti-hermitian torus.PairSeries.
+division alone, for mu = 0.  The kernel runs in one pass over chunks of
+pairs of a fixed byte size (_pair_chunks): the live threshold is fixed
+from b's norms before any chunk divides, and each chunk is transformed,
+divided, transformed back and cut straight into chi's one stack.  A
+solve so holds chi and one chunk's scratch, whatever the number of
+pairs, and returns B as its pairs, an anti-hermitian torus.PairSeries.
 
 Every solve reports its relative defect as a bound.  One kernel, _defect,
 forms the defect exactly in coefficients on the same pair stack, the
@@ -201,7 +199,7 @@ class HomologicalSolution:
     pairs: int = 0
     grid_M: int = 0
     defect_grid_M: int = 0
-    # bytes of the largest stack the pair solve holds, its btil (0 if none)
+    # bytes of the largest stack a pair solve on a grid holds, chi's (0 if none)
     stack_bytes: int = 0
 
 
@@ -390,58 +388,57 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
     are cut.  Returns (chi, min_divisor, unimodularity_defect, the l1 mass
     chopped and truncated, summed over the dropped coefficients).
 
-    The stack runs one chunk of pairs at a time (_pair_chunks).  The
-    forward pass keeps each chunk's transformed right-hand side btil at
-    the grid's band (M - 2) // 2 and drops its factor; the live threshold,
-    min_divisor, the factor's unimodularity and the first divisor below
-    its floor are taken over all pairs, as a whole-stack solve takes them.
-    The inverse pass then divides, forms the chunk's factor again (the
-    same bits), transforms back and cuts each chunk, freeing its btil as
-    it goes.  So the solve holds btil and one chunk's scratch, then chi's
-    chunks while they are joined into one stack.
+    The stack runs in one pass, one chunk of pairs at a time
+    (_pair_chunks): each chunk's factor f = e^{i E2 H} is formed once, b is
+    transformed and multiplied by it, its coefficients btil at the grid's
+    band (M - 2) // 2 are divided, multiplied by conj(f), transformed back
+    and cut, and the cut chunk is written into chi's one stack.  So the
+    solve holds chi and one chunk's scratch.  The live threshold is fixed
+    from b before any chunk divides: a coefficient of btil is live above
+    1e-16 max_p ||b_p||_2 / M^(n/2).  f is unimodular (to UNIMOD_TOL), so
+    by Parseval the M^n modes of f b_p have the norm ||b_p||_2, and the
+    threshold is at most 1e-16 times the largest of them; where that mode
+    lies in btil's band the threshold is at or below 1e-16 max |btil|.
+    min_divisor, the factor's unimodularity and the first divisor below its
+    floor are taken over all pairs, as a whole-stack solve takes them.
     """
     n = len(omega)
     K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
-    if np.any(mud):
+    variable = bool(np.any(mud))
+    if variable:
         K = (M - 2) // 2
-        chunks = _pair_chunks(M**n, b.shape[-1])
         # mud has zero average by construction of mu
         live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
         Hd = _primitive(mud, n, K_mu, omega, live, pairs)
-
-        def factor(c):
-            """e^{i E2 H} of the pairs c on the grid, formed again in each pass."""
-            f = coeffs_to_grid(Hd[..., c], n, K_mu, M)
-            np.multiply(f, 1j, out=f)
-            return np.exp(f, out=f)
-
-        # each product writes into its second operand: np.multiply(a, b, out=b)
-        # rounds as np.multiply(a, b) does (only swapping the operands moves bits)
-        btil, top, unimod = [], 0.0, 0.0
-        for c in chunks:
-            f = factor(c)
-            unimod = max(unimod, float(np.max(np.abs(np.abs(f) - 1.0))))
-            gb = coeffs_to_grid(b[..., c], n, K_b, M)
-            np.multiply(f, gb, out=gb)
-            del f
-            btil.append(grid_to_coeffs(gb, n, K))
-            del gb
-            top = max(top, float(np.max(np.abs(btil[-1]))))
-        floor_live = 1e-16 * max(top, 1e-300)
+        norm = np.max(np.linalg.norm(b.reshape(-1, b.shape[-1]), axis=0), initial=0.0)
+        floor_live = 1e-16 * max(float(norm), 1e-300) / M ** (n / 2)
     else:
         # no variable part: the factor is 1 and the solve is one division
-        K, unimod, factor = K_b, 0.0, None
-        chunks = _pair_chunks((2 * K + 1) ** n, b.shape[-1])
-        btil = [b[..., c] for c in chunks]
-
+        K = K_b
+    chunks = _pair_chunks((M if variable else 2 * K + 1) ** n, b.shape[-1])
     kdw = _k_dot_omega(n, K, omega)[..., None]
     floor = _divisor_floor(n, K)[..., None]
     K_cut = K if K_out is None else min(K_out, K)
     dropped = np.max(np.abs(k_box(n, K)), axis=1).reshape((2 * K + 1,) * n) > K_cut
-    first, min_div, trunc, chis = None, np.inf, 0.0, []
-    for p, c in enumerate(chunks):
-        bt, btil[p] = btil[p], None
-        live = bt != 0 if factor is None else np.abs(bt) > floor_live
+    chi = np.empty((2 * K_cut + 1,) * n + b.shape[n:], dtype=complex)
+    first, min_div, unimod, trunc = None, np.inf, 0.0, 0.0
+    for c in chunks:
+        if variable:
+            # each product writes into its second operand: np.multiply(a, b, out=b)
+            # rounds as np.multiply(a, b) does (only swapping the operands moves bits)
+            f = coeffs_to_grid(Hd[..., c], n, K_mu, M)
+            np.multiply(f, 1j, out=f)
+            np.exp(f, out=f)
+            unimod = max(unimod, float(np.max(np.abs(np.abs(f) - 1.0))))
+            gb = coeffs_to_grid(b[..., c], n, K_b, M)
+            np.multiply(f, gb, out=gb)
+            uc = grid_to_coeffs(gb, n, K)
+            del gb
+            live = np.abs(uc) > floor_live
+        else:
+            # divided where it lies, so b's own chunk is copied
+            uc = np.array(b[..., c])
+            live = uc != 0
         den = kdw + E1[c]
         size = np.abs(den)
         found = _first_below(size, floor, live)
@@ -453,40 +450,31 @@ def _solve_pairs(b, mud, E1, omega, M: int, K_out, pairs=None):
             continue
         if np.any(live):
             min_div = min(min_div, float(np.min(size[live])))
-        # divided where it lies (b's own chunks are copied first), zero where not live
-        uc = bt if factor is not None else np.array(bt)
-        del bt
+        # divided in place, zero where not live
         live &= size > 0
         np.divide(uc, den, out=uc, where=live)
         uc[~live] = 0.0
         del den, size, live
-        if factor is None:
-            chic = uc
-        else:
+        if variable:
             gu = coeffs_to_grid(uc, n, K, M)
             del uc
-            f = factor(c)
             np.multiply(np.conj(f, out=f), gu, out=gu)
             del f
-            chic = grid_to_coeffs(gu, n, K)
+            uc = grid_to_coeffs(gu, n, K)
             del gu
         if K_out is not None:
-            trunc += float(np.sum(np.abs(chic[dropped])))
-            chic = chic[_box(n, K_cut, K)].copy()
-        chis.append(chic)
-        del chic
+            trunc += float(np.sum(np.abs(uc[dropped])))
+        chi[..., c] = uc[_box(n, K_cut, K)]
+        del uc
     _check_divisors(first, n, K, "|omega.k + E1|", pairs)
-    chic = np.concatenate(chis, axis=-1)
-    del chis
     if K_out is None:
         # P+'s band rule at chi's own scale: chop, then drop the all-zero
         # outer shells (an absolute floor would keep a unit-size chi's roundoff)
-        small = np.abs(chic) < CHOP_FLOOR * float(np.max(np.abs(chic), initial=0.0))
-        trunc = float(np.sum(np.abs(chic[small])))
-        chic[small] = 0.0
-        K_live = _live_band(chic, n, K)
-        chic = chic[_box(n, K_live, K)]
-    return chic, min_div, unimod, trunc
+        small = np.abs(chi) < CHOP_FLOOR * float(np.max(np.abs(chi), initial=0.0))
+        trunc = float(np.sum(np.abs(chi[small])))
+        chi[small] = 0.0
+        chi = chi[_box(n, _live_band(chi, n, K), K)]
+    return chi, min_div, unimod, trunc
 
 
 def _guard(messages: list, msg: str) -> None:
@@ -595,6 +583,8 @@ def solve_variable(
     chic, min_div, unimod, trunc = _solve_pairs(b, mud, E1, omega, M, K_out, pairs)
     if unimod > UNIMOD_TOL:
         _guard(messages, f"integrating factor unimodularity defect {unimod:.2e}")
+    # chi's one stack, which chic is or views when its band was cut (_solve_pairs)
+    held = (chic if chic.base is None else chic.base).nbytes
     B = PairSeries(n, (chic.shape[0] - 1) // 2, N, freeze(chic))
     D = _measured_defect(B, P, b, base, omega, (s,) + tuple(widths))
     variable = bool(np.any(mud))
@@ -604,5 +594,4 @@ def solve_variable(
                                guard_messages=tuple(messages), truncation_residue=trunc,
                                pairs=len(pairs), grid_M=M if variable else 0,
                                defect_grid_M=D.grid_M,
-                               # btil, at the grid's band (M - 2) // 2 (_solve_pairs)
-                               stack_bytes=16 * (M - 1 - M % 2) ** n * len(pairs) if variable else 0)
+                               stack_bytes=held if variable else 0)

@@ -14,12 +14,13 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kamreduce import cli
+from kamreduce import cli, engine
 from kamreduce.engine import run_schedule
 from kamreduce.errors import SchemaError
 from kamreduce.floquet import reconstruct_solution
@@ -178,6 +179,26 @@ def test_stored_generators_reconstruct_the_schedules_solution_bit_for_bit(finish
     for psi0 in (np.eye(base.N), np.ones(base.N) / np.sqrt(base.N)):
         want = reconstruct_solution(expect, psi0, np.zeros(2), ts)
         assert reconstruct_solution(got, psi0, np.zeros(2), ts).tobytes() == want.tobytes()
+
+
+def test_reduce_holds_no_dense_p0_through_the_schedule(tmp_path, monkeypatch):
+    """Once run_schedule has gathered P0's triangle, no frame holds the dense P0 it was built as."""
+    built, alive = [], []
+    build, kam_step = cli._build_model, engine.kam_step
+
+    def spy_build(manifest, osc=None):
+        base, P = build(manifest, osc)
+        built.append(weakref.ref(P))
+        return base, P
+
+    def spy_step(*args):
+        alive.append(built[0]() is not None)
+        return kam_step(*args)
+
+    monkeypatch.setattr(cli, "_build_model", spy_build)
+    monkeypatch.setattr(engine, "kam_step", spy_step)
+    assert _run("reduce", _write(tmp_path, _doc(str(tmp_path / "run")))) == cli.EXIT_OK
+    assert alive and not any(alive)
 
 
 def test_reduce_epsilon_zero_immediate(tmp_path):

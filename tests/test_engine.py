@@ -389,8 +389,8 @@ def test_step_records_carry_work_counters(run_n2):
                                                                     ([], 0)]
     # the largest array each step holds: step 1's widest commutator's
     # triangle grid, 40^2 points of N(N+1)/2 = 210 entries, and step 2's
-    # btil stack, 61^2 modes (band (63 - 2) // 2 = 30) of 190 pairs
-    assert [r["grid_bytes"] for r in ref.records] == [40**2 * 210 * 16, 61**2 * 190 * 16]
+    # chi stack, 49^2 modes (the work cutoff 24) of 190 pairs
+    assert [r["grid_bytes"] for r in ref.records] == [40**2 * 210 * 16, 49**2 * 190 * 16]
     for rec in state.records:
         assert 0 <= rec["K_P"] <= SETTINGS_N2.work_cutoff()
         assert rec["B_truncation"] >= 0.0
@@ -473,7 +473,7 @@ def test_steps_conjugate_whenever_the_bound_misses_tol(run_n2):
     assert not any(rec["a_priori"] for rec in state.records)
     assert all(rec["lie_order"] >= 1 and rec["grid_M"] > 0 for rec in state.records)
     assert list(state.norm_history) == [0.0009999999999999998, 5.0421319290387264e-08,
-                                        8.682030470285938e-16]
+                                        8.68203015298181e-16]
     # the bound is the same number whether or not the step stops on it
     assert state.records[-1]["a_priori_bound"] == converged.records[-1]["a_priori_bound"]
 

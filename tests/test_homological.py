@@ -252,7 +252,7 @@ def test_kuksin_galerkin_oracle_n1():
     assert info["residual"] < 1e-9
     # the one-pair defect is the pair stack's kernel on one pair, bit for bit
     # (majorants summed in torus._majorant_sum's one order)
-    assert info["residual"] == 3.604550673975807e-15
+    assert info["residual"] == 3.68728619712267e-15
     assert info["unimodularity_defect"] < 1e-12
     oracle = galerkin_solve(b, h, E1, E2, omega, Ko=32)
     assert grid_gap(chi, oracle) < 1e-9 * sup_norm_s(b, 0.0)
@@ -267,7 +267,7 @@ def test_kuksin_galerkin_oracle_n2():
     E1, E2 = 3.1, 0.1
     chi, info = solve_kuksin(b, h, E1, E2, omega, with_info=True)
     assert info["residual"] < 1e-9
-    assert info["residual"] == 2.091230299700082e-14
+    assert info["residual"] == 2.0819972416929402e-14
     oracle = galerkin_solve(b, h, E1, E2, omega, Ko=12)
     assert grid_gap(chi, oracle, M=40) < 1e-8 * sup_norm_s(b, 0.0)
 
@@ -542,25 +542,41 @@ def test_variable_cstar_guard():
 # the chunked pair kernels against their whole-stack forms
 
 
+def live_threshold(b, M):
+    """1e-16 max_p ||b_p||_2 / M^(n/2): the pair solve's live threshold, fixed from b alone."""
+    n = b.ndim - 1
+    norms = np.sqrt(np.sum(np.abs(b.reshape(-1, b.shape[-1])) ** 2, axis=0))
+    return 1e-16 * max(float(np.max(norms, initial=0.0)), 1e-300) / M ** (n / 2)
+
+
+def whole_stack_btil(b, mud, omega, M, pairs=None):
+    """(factor, btil): e^{i E2 H} of every pair on the grid, and b times it at the grid's band.
+
+    With mud = 0 the factor is 1.
+    """
+    n, mud = len(omega), mud.astype(complex)
+    K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
+    live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
+    Hd = homological._primitive(mud, n, K_mu, omega, live, pairs)
+    factor = np.exp(1j * torus.coeffs_to_grid(Hd, n, K_mu, M))
+    gb = torus.coeffs_to_grid(b, n, K_b, M)
+    np.multiply(factor, gb, out=gb)
+    return factor, torus.grid_to_coeffs(gb, n, (M - 2) // 2)
+
+
 def whole_stack_solve(b, mud, E1, omega, M, K_out, pairs=None):
     """The pair solve on one stack of all pairs at once: the chunked kernel's oracle.
 
     Returns (chi, min_divisor, unimodularity_defect).
     """
     n = len(omega)
-    K_b, K_mu = (b.shape[0] - 1) // 2, (mud.shape[0] - 1) // 2
     if np.any(mud):
         K = (M - 2) // 2
-        live = np.abs(mud) > 1e-16 * max(float(np.max(np.abs(mud))), 1e-300)
-        Hd = homological._primitive(mud, n, K_mu, omega, live, pairs)
-        factor = np.exp(1j * torus.coeffs_to_grid(Hd, n, K_mu, M))
+        factor, btil = whole_stack_btil(b, mud, omega, M, pairs)
         unimod = float(np.max(np.abs(np.abs(factor) - 1.0)))
-        gb = torus.coeffs_to_grid(b, n, K_b, M)
-        np.multiply(factor, gb, out=gb)
-        btil = torus.grid_to_coeffs(gb, n, K)
-        live = np.abs(btil) > 1e-16 * max(float(np.max(np.abs(btil))), 1e-300)
+        live = np.abs(btil) > live_threshold(b, M)
     else:
-        factor, unimod, K, btil = None, 0.0, K_b, b
+        factor, unimod, K, btil = None, 0.0, (b.shape[0] - 1) // 2, b
         live = b != 0
     den = torus._k_dot_omega(n, K, omega)[..., None] + E1
     size = np.abs(den)
@@ -704,28 +720,73 @@ def reference_n2_step_two():
     return state, omega, settings
 
 
-def test_step_two_pair_solve_holds_btil_and_a_chunk():
-    """The reference-n2 step-2 solve: btil and one chunk's scratch, then chi's stack twice.
-
-    The solve keeps no factor: each chunk's is formed again in the inverse
-    pass.  Its peak is the btil stack, at the grid's band (63 - 2) // 2 =
-    30, with one chunk's grids, or, once btil is freed, chi's chunks at the
-    band K_out = 24 while they are joined into one stack.  Keeping every
-    chunk's factor as well held about two pair grids.
-    """
+def reference_n2_step_two_stack():
+    """(b, mud, E1, omega, M, K_out) of reference-n2's step-2 pair solve."""
     state, omega, settings = reference_n2_step_two()
     P, base = state.P, state.base
     ii, jj = np.triu_indices(P.N, 1)
     mud = np.moveaxis(base.mu[jj] - base.mu[ii], 0, -1)
     M = homological._working_grid(P.K + base.K, P.K + base.K + engine.SOLVER_PAD)
-    b = -P.pairs()
-    (chi, *_), peak = traced_peak(lambda: homological._solve_pairs(
-        b, mud, base.lam[jj] - base.lam[ii], omega, M, settings.work_cutoff()))
-    grid = M**P.n * len(jj) * 16
-    btil = 61**2 * len(jj) * 16
-    assert (M, len(jj), chi.shape[0]) == (63, 190, 2 * settings.work_cutoff() + 1)
-    chunk = 4 * homological.CHUNK_BYTES
-    assert peak <= max(btil, 2 * chi.nbytes) + chunk < 1.3 * grid
+    return -P.pairs(), mud, base.lam[jj] - base.lam[ii], omega, M, settings.work_cutoff()
+
+
+def test_step_two_pair_solve_holds_chi_and_a_chunk():
+    """The reference-n2 step-2 solve: chi's one stack and one chunk's scratch.
+
+    The solve runs in one pass: each chunk's factor is formed once and the
+    chunk is cut straight into chi's stack, at the band K_out = 24.  So
+    the peak is chi, the primitive of mud (mud's size) and a chunk's grids
+    with their transforms' scratch.  Keeping btil, the transformed
+    right-hand sides at the grid's band (63 - 2) // 2 = 30, or joining
+    chi's chunks into a second stack, each exceeds this bound.
+    """
+    b, mud, E1, omega, M, K_out = reference_n2_step_two_stack()
+    (chi, *_), peak = traced_peak(lambda: homological._solve_pairs(b, mud, E1, omega, M, K_out))
+    assert (M, len(E1), chi.shape[0]) == (63, 190, 2 * K_out + 1)
+    assert peak <= chi.nbytes + mud.nbytes + 6 * homological.CHUNK_BYTES
+    assert chi.nbytes + 6 * homological.CHUNK_BYTES < 61**2 * len(E1) * 16
+
+
+@pytest.mark.parametrize("case", CHUNKED + ["reference-n2"])
+def test_live_threshold_is_at_or_below_the_btil_rule(case):
+    """The live threshold from b's norms is at or below 1e-16 max |btil|, the rule it replaced.
+
+    The factor is unimodular, so by Parseval the largest of the M^n modes
+    of f b_p is at least ||b_p||_2 / M^(n/2): every coefficient the btil
+    rule keeps live stays live, and no divisor check is skipped.
+    """
+    if case == "reference-n2":
+        b, mud, _, omega, M, _ = reference_n2_step_two_stack()
+        pairs = None
+    else:
+        n, N, K_b, K_mu, _ = case
+        b, mud, _, omega, pairs = pair_case(n, N, K_b, K_mu, seed=61 + n + N)
+        M = torus.next_fast_len(2 * (K_b + K_mu + 3) + 2)
+    _, btil = whole_stack_btil(b, mud, omega, M, pairs)
+    assert 0 < live_threshold(b, M) <= 1e-16 * float(np.max(np.abs(btil)))
+
+
+def test_unimodularity_is_taken_over_every_chunk(monkeypatch):
+    """A non-real mud in one pair of the last chunk alone is reported, and solve_variable warns it."""
+    n, N, K_b, K_mu = 1, 6, 3, 2
+    b, mud, E1, omega, pairs = pair_case(n, N, K_b, K_mu, seed=73)
+    M = torus.next_fast_len(2 * (K_b + K_mu + 3) + 2)
+    chunk_of(monkeypatch, 4, M**n)
+    assert len(homological._pair_chunks(M**n, len(E1))) == 4
+    assert homological._solve_pairs(b, mud, E1, omega, M, K_b, pairs)[2] <= homological.UNIMOD_TOL
+    # mode k = 1 alone: not real on the real torus, in the last pair of the last chunk
+    mud = mud.copy()
+    mud[K_mu + 1, -1] += 0.05
+    assert homological._solve_pairs(b, mud, E1, omega, M, K_b, pairs)[2] > homological.UNIMOD_TOL
+    # through solve_variable: mu_N alone is not real, so the pairs (i, N)
+    # are, the last of them the last pair of the last chunk
+    rng = np.random.default_rng(73)
+    mu = random_mu(N, n, K_mu, rng)
+    mu[-1, K_mu + 1] += 0.05
+    base = base_for(N, mu=mu, K=K_mu)
+    P = random_hermitian(N, n, K_b, rng, s=0.3) * 1e-3
+    with pytest.warns(GuardWarning, match="unimodularity"):
+        solve_variable(P, base, omega, work_K=K_b + K_mu + 3)
 
 
 def test_step_one_defect_is_formed_as_its_triangle_alone(monkeypatch):
