@@ -35,7 +35,6 @@ __all__ = [
     "ResonanceSet",
     "Dio1Certificate",
     "Dio2Certificate",
-    "default_tau",
     "check_dio1",
     "check_dio2",
     "certify",
@@ -50,11 +49,6 @@ __all__ = [
 # (sample, k) entries per block of the sampled margins.  At n = 3 the whole
 # batch, 2000 samples against about 11000 k, made frequencies peak at 368 MB
 _MARGIN_BLOCK = 2**18
-
-
-def default_tau(n: int, d: float) -> float:
-    """Smallest-plus-one admissible exponent: n + 2/(d-1) + 1."""
-    return n + 2.0 / (d - 1.0) + 1.0
 
 
 def half_k_lattice(n: int, Kmax: int) -> np.ndarray:

@@ -362,7 +362,7 @@ def conjugate(base: DiagonalPart, P: HermitianSeries, B: PairSeries, D: Hermitia
     place after its defect is measured, chopped at CHOP_FLOOR and cut to
     its live band.
 
-    In ||X|| = delta_norm(X, base, s), a bound on the strip for s > 0,
+    In ||X|| = delta_norm(X, base, s), a bound on the strip of width s,
     ||L(X)|| <= b ||X|| with b = 2 g_norm(B, base, s), and ||Y_k|| <= p / k!
     with p = ||diag P|| + ||P_off|| + ||D||.  Hence
 

@@ -315,9 +315,11 @@ def delta_boundedness_check(
     """Empirical boundedness scan: delta-norm of leading blocks as N grows.
 
     For each delta in delta_grid, reports the weighted norm of the N' x N'
-    leading block for each N' in N_values (default N/4, N/2, N) and whether
-    the final doubling increment stays below flat_tol relative.  The row-sup
-    indicator max_i lambda_i^(-delta/d) sum_j |P_ij| is included per N'.
+    leading block for each N' in N_values (default N/4, N/2, N), an upper
+    bound on the strip of width s (on the real torus at the default s = 0),
+    and whether the final doubling increment stays below flat_tol relative.
+    The row-sup indicator max_i lambda_i^(-delta/d) sum_j |P_ij| is
+    included per N'.
     """
     N = P.N
     if N_values is None:

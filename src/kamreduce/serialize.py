@@ -593,9 +593,6 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         return cls.from_dict(cls.read(path))
 
-    def dump(self, path) -> str:
-        return write_json(path, self.to_dict())
-
 
 @dataclass(frozen=True)
 class KamSettings:

@@ -17,17 +17,16 @@ bandwidths and keep that whole band.
 The transforms are numpy.fft's, one axis at a time in place, and the grid
 sizes come from next_fast_len here.  _mirror is the one k -> -k mirror.
 
-Norm conventions:
+Norm conventions, each an upper bound at every strip width s >= 0:
 
 * ``sup_norm_s``: weighted-l1 coefficient bound  sum_k |fhat_k| e^{s|k|_1},
-  an upper bound for the sup of |f| on the complex strip of width s (equals
-  an upper bound of the real-torus sup at s = 0).
-* ``delta_norm``: ||W P|| with W = diag(lambda_i^(-delta/d)), one rule per
-  strip width.  s > 0: ||W |P|_s||_2 for the entrywise majorant |P|_s =
-  sum_k |Phat_k| e^{s|k|_1}, an upper bound on the strip |Im phi| < s (the
-  spectral norm is monotone in entrywise moduli).  s = 0: the max of
-  ||W P(phi)||_2 over a real grid, a sample of the real-torus sup, not a bound.
-* ``g_norm``: max of the unweighted and W-conjugated norms, same two rules.
+  an upper bound for the sup of |f| on the complex strip of width s (at
+  s = 0, on the real torus).
+* ``delta_norm``: ||W P|| with W = diag(lambda_i^(-delta/d)), the spectral
+  norm ||W |P|_s||_2 of the entrywise majorant |P|_s = sum_k |Phat_k|
+  e^{s|k|_1}, an upper bound on the strip |Im phi| <= s (the spectral norm
+  is monotone in entrywise moduli).  No grid is formed and no SVD is run.
+* ``g_norm``: max of the unweighted and W-conjugated norms, same majorant.
 """
 
 from __future__ import annotations
@@ -716,45 +715,31 @@ def sup_norm_s(f: TorusSeries, s: float) -> float:
     return float(np.sum(np.abs(f.coeffs) * strip_weight(f.n, f.K, s)))
 
 
-def _grid_opnorm_max(values: np.ndarray) -> float:
-    """Max over grid points of the top singular value of values (..., N, N)."""
-    flat = values.reshape((-1,) + values.shape[-2:])
-    return float(np.max(np.linalg.svd(flat, compute_uv=False)[:, 0]))
-
-
 def _majorant_norm(maj: np.ndarray, weightings) -> float:
     """max over (wl, wr) of ||diag(wl) maj diag(wr)||_2 for an entrywise majorant maj."""
     return max(float(np.linalg.norm(wl[:, None] * maj * wr[None, :], 2)) for wl, wr in weightings)
 
 
-def _weighted_norm(P: OperatorSeries, weightings, s: float, grid_size: int | None) -> float:
-    """max over (wl, wr) of ||diag(wl) P diag(wr)||: majorant if s > 0, real grid if s = 0."""
+def _weighted_norm(P: OperatorSeries, weightings, s: float) -> float:
+    """max over (wl, wr) of ||diag(wl) |P|_s diag(wr)||_2, the majorant bound at strip width s."""
     if s < 0:
         raise KamError("strip width s must be nonnegative")
-    if s > 0:
-        return _majorant_norm(P.majorant_matrix(s), weightings)
-    vals = P.grid(grid_size or default_norm_grid(P.K))
-    return max(_grid_opnorm_max(wl[:, None] * vals * wr[None, :]) for wl, wr in weightings)
+    return _majorant_norm(P.majorant_matrix(s), weightings)
 
 
-def default_norm_grid(K: int) -> int:
-    return next_fast_len(max(32, 2 * K + 2))
+def delta_norm(P: OperatorSeries, base: DiagonalPart, s: float) -> float:
+    """||W P||, W = diag(lambda_i^(-delta/d)), at strip width s >= 0.
 
-
-def delta_norm(P: OperatorSeries, base: DiagonalPart, s: float, grid_size: int | None = None) -> float:
-    """||W P||, W = diag(lambda_i^(-delta/d)), at strip width s.
-
-    s > 0: ||W |P|_s||_2 for the entrywise majorant |P|_s, an upper bound
-    on the strip |Im phi| < s; no grid is formed.  s = 0: the max of
-    ||W P(phi)||_2 over a real grid of grid_size points per angle, a sample
-    of the real-torus sup, not a bound.
+    ||W |P|_s||_2 for the entrywise majorant |P|_s, an upper bound for
+    sup ||W P(phi)||_2 on the strip |Im phi| <= s, at s = 0 on the real
+    torus; no grid is formed.
     """
     if base.N != P.N:
         raise KamError("base and P dimension mismatch")
-    return _weighted_norm(P, [(base.weight(), np.ones(P.N))], s, grid_size)
+    return _weighted_norm(P, [(base.weight(), np.ones(P.N))], s)
 
 
-def g_norm(B: OperatorSeries, base: DiagonalPart, s: float, grid_size: int | None = None) -> float:
-    """max(||B||_{0,s}, ||W B W^{-1}||_{0,s}), W and rules as in delta_norm (one majorant)."""
+def g_norm(B: OperatorSeries, base: DiagonalPart, s: float) -> float:
+    """max(||B||_{0,s}, ||W B W^{-1}||_{0,s}), W and the majorant bound as in delta_norm."""
     W, ones = base.weight(), np.ones(B.N)
-    return _weighted_norm(B, [(ones, ones), (W, 1.0 / W)], s, grid_size)
+    return _weighted_norm(B, [(ones, ones), (W, 1.0 / W)], s)

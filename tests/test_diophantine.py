@@ -16,7 +16,6 @@ from kamreduce.diophantine import (
     _raw_divisor_margins,
     check_dio1,
     check_dio2,
-    default_tau,
     full_k_lattice,
     half_k_lattice,
     rejection_table,
@@ -300,12 +299,6 @@ def test_emptiness_certificate_matches_montecarlo():
     rs = ResonanceSet(i=2, j=9, k=(1,), alpha=0.3, gap=50.0)
     assert empty_by_gap_domination(rs, c_lambda=1.0, gap_scale=50.0)
     assert resonance_measure_estimate(rs, 20000, seed=4) == 0.0
-
-
-def test_default_tau_exceeds_critical_line():
-    for n in (1, 2):
-        for d in (4 / 3, 3 / 2, 2.0):
-            assert default_tau(n, d) > n + 2.0 / (d - 1.0)
 
 
 def test_half_lattice_covers_sign_classes():

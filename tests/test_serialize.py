@@ -241,7 +241,7 @@ def test_checksums_of_named_artifacts(tmp_path):
 def test_manifest_round_trip_is_identity(tmp_path):
     doc = _manifest_doc()
     m1 = RunManifest.from_dict(doc)
-    m1.dump(tmp_path / "m.json")
+    write_json(tmp_path / "m.json", m1.to_dict())
     m2 = RunManifest.load(tmp_path / "m.json")
     assert m1 == m2
     assert m2.to_dict() == m1.to_dict()
@@ -334,7 +334,7 @@ def test_manifest_accepts_values_on_inclusive_bounds():
 
 
 def test_manifest_read_applies_overrides(tmp_path):
-    RunManifest.from_dict(_manifest_doc()).dump(tmp_path / "m.json")
+    write_json(tmp_path / "m.json", RunManifest.from_dict(_manifest_doc()).to_dict())
     doc = RunManifest.read(tmp_path / "m.json", seed=99, out="elsewhere")
     assert (doc["seed"], doc["out"]) == (99, "elsewhere")
     assert RunManifest.read(tmp_path / "m.json", seed=None)["seed"] == 7  # None means keep

@@ -268,23 +268,25 @@ def test_delta_norm_exact_cancellation():
     assert abs(delta_norm(P, base, 0.0) - 1.0) < 1e-14
 
 
-def test_delta_norm_matches_gridwise_svd_oracle():
+def test_delta_norm_bounds_gridwise_svd_oracle():
+    # at s = 0 the majorant bounds the real-torus sup from above; on this
+    # input it reads about 37.7 against a sampled maximum of about 11.2
     rng = np.random.default_rng(29)
     N = 8
     P = random_hermitian(N, 1, 3, rng)
     base = base_for(N)
     M = 32
-    got = delta_norm(P, base, 0.0, grid_size=M)
+    got = delta_norm(P, base, 0.0)
     W = np.diag(base.weight())
     best = 0.0
     for j in range(M):
         phi = 2 * np.pi * j / M
         mat = W @ P(np.array([phi]))
         best = max(best, np.linalg.svd(mat, compute_uv=False)[0])
-    assert abs(got - best) < 1e-10 * best
+    assert got >= best * (1 - 1e-12)
 
 
-def test_delta_norm_strip_bound_dominates_grid():
+def test_delta_norm_grows_with_strip_width():
     rng = np.random.default_rng(31)
     P = random_hermitian(5, 2, 3, rng, s=0.4)
     base = base_for(5, n=2)
