@@ -134,13 +134,6 @@ def _write_csv(path, header: str, rows) -> None:
         fh.write("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
 
 
-@contextlib.contextmanager
-def _timed(timings: dict, key: str):
-    t0 = time.perf_counter()
-    yield
-    timings[key] = time.perf_counter() - t0
-
-
 def _command(body):
     """The frame of a command; body(manifest, log, timings, args) does its work.
 
@@ -406,13 +399,13 @@ _REDUCED_VECTORS = ("lambda_inf", "lambda_ref", "omega")
 
 @_command
 def cmd_reduce(manifest: RunManifest, log, timings, args):
-    from .engine import run_schedule
+    from .engine import _phase, run_schedule
     from .serialize import write_array, write_json
 
     outdir = manifest.out
     write_json(os.path.join(outdir, "manifest_echo.json"), manifest.to_dict())
     settings = _settings(manifest)
-    with _timed(timings, "build_s"):
+    with _phase(timings, "build"):
         model = list(_build_model(manifest))
     base = model[0]
     log.emit("reduce.model", N=base.N, n=base.n, epsilon=settings.epsilon)
@@ -427,7 +420,7 @@ def cmd_reduce(manifest: RunManifest, log, timings, args):
     source = "manifest" if "omega" in manifest.frequency else "sampled"
     write_json(os.path.join(outdir, "frequency.json"), dict(record, source=source))
 
-    with _timed(timings, "reduce.schedule_s"):
+    with _phase(timings, "reduce.schedule"):
         # P0 is handed over, not kept: once run_schedule holds its triangle
         # no frame holds the dense P0
         state, reduced = run_schedule(base, model.pop(), chosen.omega, settings)
@@ -507,12 +500,12 @@ def _load_reduced(outdir: str):
 def cmd_verify(manifest: RunManifest, log, timings, args):
     import numpy as np
 
-    from .engine import _peak_rss_mb
+    from .engine import _phase
     from .floquet import _quasienergies, _reconstruct, integrator_costs, propagate_step_doubled
     from .serialize import write_json
 
-    reduced = _load_reduced(manifest.out)
-    timings["verify.load_rss_mb"] = _peak_rss_mb()
+    with _phase(timings, "verify.load"):
+        reduced = _load_reduced(manifest.out)
     base, P = _build_model(manifest)
     cfg = manifest.verify or {}
     t_max = cfg.get("t_max", 50.0)
@@ -529,17 +522,15 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
     T = 2.0 * np.pi / float(omega[0]) if reduced.n == 1 else None
     times = ts if T is None else np.union1d(ts, [T])
 
-    with _timed(timings, "verify.reconstruct_s"):
+    with _phase(timings, "verify.reconstruct"):
         # U(phi0) = U(0) is the frame the period map's modes are matched in
         R, U0 = _reconstruct(reduced, identity, phi0, ts)
-    timings["verify.reconstruct_rss_mb"] = _peak_rss_mb()
     # the integrator the cost model predicts cheaper; CF4 on a tie
     costs = integrator_costs(base, P, omega, times)
     integrator = min(costs, key=costs.get)
-    with _timed(timings, "verify.direct_s"):
+    with _phase(timings, "verify.direct"):
         Phi, dt, steps, estimate = propagate_step_doubled(
             base, P, omega, identity, phi0, times, integrator)
-    timings["verify.direct_rss_mb"] = _peak_rss_mb()
     Phi_t = Phi[np.searchsorted(times, ts)]
     direct, recon = Phi_t @ psi0, R @ psi0
     dev = float(np.max(np.linalg.norm(recon - direct, axis=1)))
@@ -566,7 +557,7 @@ def cmd_verify(manifest: RunManifest, log, timings, args):
     }
 
     if T is not None:
-        with _timed(timings, "verify.monodromy_s"):
+        with _phase(timings, "verify.monodromy"):
             period = np.searchsorted(times, T)
             nu, info = _quasienergies(Phi[period], T, U0)
         report["steps_period"] = int(steps[: period + 1].sum())
@@ -613,6 +604,9 @@ def _write_spectrum(outdir: str, reduced, Kmax: int):
 
 @_command
 def cmd_spectrum(manifest: RunManifest, log, timings, args):
+    if args.kmax is not None and args.kmax < 0:
+        # the manifest's spectrum.Kmax has the same bound
+        raise SchemaError("--kmax must be a non-negative integer", field_path="--kmax")
     reduced = _load_reduced(manifest.out)
     K = args.kmax if args.kmax is not None else (manifest.spectrum or {}).get("Kmax", 2)
     spec = _write_spectrum(manifest.out, reduced, K)

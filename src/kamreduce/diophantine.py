@@ -300,6 +300,18 @@ def _sampled_margins(n: int, base: DiagonalPart, ceiling: float, tau: float,
     return omegas, margin
 
 
+def _admissible(n: int, base: DiagonalPart, gamma: float, tau: float, Kmax: int, Nmax: int,
+                num_samples: int, seed: int) -> np.ndarray:
+    """The sampled omegas that clear both nonresonance conditions at gamma, in draw order."""
+    omegas, margin = _sampled_margins(n, base, gamma, tau, Kmax, Nmax, num_samples, seed)
+    accepted = omegas[margin >= gamma]
+    if len(accepted) == 0:
+        raise ZeroAcceptanceError(
+            f"no admissible frequency among {num_samples} samples at gamma={gamma}"
+        )
+    return accepted
+
+
 def sample_admissible(
     n: int,
     base: DiagonalPart,
@@ -316,14 +328,9 @@ def sample_admissible(
     Returns (the first `keep` accepted frequencies with certificates,
     rejection_fraction).
     """
-    omegas, margin = _sampled_margins(n, base, gamma, tau, Kmax, Nmax, num_samples, seed)
-    ok = np.nonzero(margin >= gamma)[0]
-    if len(ok) == 0:
-        raise ZeroAcceptanceError(
-            f"no admissible frequency among {num_samples} samples at gamma={gamma}"
-        )
-    accepted = [certify(omegas[i], base, gamma, tau, Kmax, Nmax) for i in ok[:keep]]
-    return accepted, 1.0 - len(ok) / num_samples
+    accepted = _admissible(n, base, gamma, tau, Kmax, Nmax, num_samples, seed)
+    certified = [certify(omega, base, gamma, tau, Kmax, Nmax) for omega in accepted[:keep]]
+    return certified, 1.0 - len(accepted) / num_samples
 
 
 def rejection_table(
@@ -396,12 +403,7 @@ def optimize_frequency(
     """
     if robust_K is None:
         robust_K = max(1, Kmax // 4)
-    omegas, margin = _sampled_margins(n, base, gamma, tau, Kmax, Nmax, num_candidates, seed)
-    cand = omegas[margin >= gamma]
-    if len(cand) == 0:
-        raise ZeroAcceptanceError(
-            f"no admissible frequency among {num_candidates} samples at gamma={gamma}"
-        )
+    cand = _admissible(n, base, gamma, tau, Kmax, Nmax, num_candidates, seed)
     gaps = _pair_table(base, Nmax)[2]
     metric = _raw_divisor_margins(cand @ half_k_lattice(n, robust_K).T, gaps)
     best = int(np.argmax(metric))

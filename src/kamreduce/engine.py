@@ -56,6 +56,7 @@ eigenvalues after every step, which raises FrequencyExcluded on violation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import resource
 import time
@@ -465,9 +466,17 @@ def conjugate(base: DiagonalPart, P: HermitianSeries, B: PairSeries, D: Hermitia
     return HermitianSeries(n, K_S, N, freeze(S)).trim(), info
 
 
-def _peak_rss_mb() -> float:
-    """The process's peak resident set so far, in MB (ru_maxrss counts kB on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+@contextlib.contextmanager
+def _phase(timings: dict, key: str):
+    """Add the block's wall seconds to timings[key_s]; set key_rss_mb to the peak RSS after it.
+
+    The peak is the process's resident high-water mark so far, in MB
+    (ru_maxrss counts kB on Linux).  A block that raises records nothing.
+    """
+    t0 = time.perf_counter()
+    yield
+    timings[f"{key}_s"] = timings.get(f"{key}_s", 0.0) + time.perf_counter() - t0
+    timings[f"{key}_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _budget_cutoff(normP: float, gamma: float, tau: float, budget: float) -> int:
@@ -513,10 +522,11 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
             )
 
     K_work = settings.work_cutoff()
-    clock = time.perf_counter()
+    timings = {}
     try:
-        sol = solve_variable(P, base, w, s=state.s, K_out=K_work,
-                             work_K=P.K + base.K + SOLVER_PAD, widths=(s_next,))
+        with _phase(timings, f"step{l_next}.solve"):
+            sol = solve_variable(P, base, w, s=state.s, K_out=K_work,
+                                 work_K=P.K + base.K + SOLVER_PAD, widths=(s_next,))
     except DivisorTooSmall as exc:
         # at this level a vanished divisor means the frequency is resonant
         raise FrequencyExcluded(
@@ -525,11 +535,8 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
             step=l_next,
         ) from exc
     B = sol.B
-    t_solve = time.perf_counter() - clock
-    rss_solve = _peak_rss_mb()
-    clock = time.perf_counter()
-    gB = g_norm(B, base, state.s)
-    t_norms = time.perf_counter() - clock
+    with _phase(timings, f"step{l_next}.norms"):
+        gB = g_norm(B, base, state.s)
     if gB > 0.5:
         _guard(guard_msgs, f"||B||_G = {gB:.3g} exceeds 1/2")
 
@@ -552,10 +559,8 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     # conjugate's bounds are in base's weight W and grow by at most
     # reweight = max W_new / W in new_base's
     reweight = float(np.max(new_base.weight() / base.weight()))
-    clock = time.perf_counter()
-    P_plus, cinfo = conjugate(base, P, B, sol.D, K_work, s_next, settings.tol / reweight)
-    t_conjugate = time.perf_counter() - clock
-    rss_conjugate = _peak_rss_mb()
+    with _phase(timings, f"step{l_next}.conjugate"):
+        P_plus, cinfo = conjugate(base, P, B, sol.D, K_work, s_next, settings.tol / reweight)
 
     # constant ledger with measured norms
     gamma_next = state.gamma - normP * (1.0 + float(K_step) ** settings.tau)
@@ -575,10 +580,8 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
     # so that verify, which loads engine, does not load diophantine
     from .diophantine import check_dio2
 
-    clock = time.perf_counter()
-    cert = check_dio2(w, new_base, gamma_next, settings.tau, settings.horizon(), N)
-    t_recertify = time.perf_counter() - clock
-    rss_recertify = _peak_rss_mb()
+    with _phase(timings, f"step{l_next}.recertify"):
+        cert = check_dio2(w, new_base, gamma_next, settings.tau, settings.horizon(), N)
     if not cert.passed:
         raise FrequencyExcluded(
             f"second non-resonance condition violated after step {l_next} "
@@ -589,14 +592,12 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
 
     # the bounds on chopped, truncated and series-tail mass are folded in so
     # the report never understates; a zero P+ reports the a-priori bound
-    clock = time.perf_counter()
-    if cinfo["a_priori"]:
-        norm_next = reweight * cinfo["a_priori_bound"]
-    else:
-        norm_next = (delta_norm(P_plus, new_base, s_next) + cinfo["chopped_norm_bound"]
-                     + reweight * (cinfo["lie_tail_bound"] + cinfo["truncation_bound"]))
-    t_norms += time.perf_counter() - clock
-    rss_norms = _peak_rss_mb()
+    with _phase(timings, f"step{l_next}.norms"):
+        if cinfo["a_priori"]:
+            norm_next = reweight * cinfo["a_priori_bound"]
+        else:
+            norm_next = (delta_norm(P_plus, new_base, s_next) + cinfo["chopped_norm_bound"]
+                         + reweight * (cinfo["lie_tail_bound"] + cinfo["truncation_bound"]))
     eps_bound = settings.eps_schedule(l_next)
     eps_ok = (settings.epsilon == 0.0) or (norm_next <= eps_bound)
     if not eps_ok:
@@ -649,16 +650,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         generators=state.generators + (B,),
         records=state.records + (rec,),
         converged=norm_next <= settings.tol,
-        timings=state.timings + (
-            (f"step{l_next}.solve_s", t_solve),
-            (f"step{l_next}.solve_rss_mb", rss_solve),
-            (f"step{l_next}.conjugate_s", t_conjugate),
-            (f"step{l_next}.conjugate_rss_mb", rss_conjugate),
-            (f"step{l_next}.norms_s", t_norms),
-            (f"step{l_next}.norms_rss_mb", rss_norms),
-            (f"step{l_next}.recertify_s", t_recertify),
-            (f"step{l_next}.recertify_rss_mb", rss_recertify),
-        ),
+        timings=state.timings + tuple(timings.items()),
     )
 
 

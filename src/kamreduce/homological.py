@@ -98,9 +98,9 @@ CSTAR = 10.0         # C* guard C_mu / C_lambda < CSTAR
 OVERSAMPLE = 4       # grid oversampling of a pair solve without an explicit work_K
 
 
-def _divisor_floor(n: int, K: int, tau: float = 2.0) -> np.ndarray:
-    """Absolute floor FLOOR_SCALE, relaxed polynomially in |k|_1."""
-    return FLOOR_SCALE / (1.0 + k_norm1_grid(n, K) ** tau)
+def _divisor_floor(n: int, K: int) -> np.ndarray:
+    """Absolute floor FLOOR_SCALE, relaxed as 1 / (1 + |k|_1^2)."""
+    return FLOOR_SCALE / (1.0 + k_norm1_grid(n, K) ** 2.0)
 
 
 def _first_below(size, floor, live):

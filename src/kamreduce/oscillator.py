@@ -257,9 +257,8 @@ def perturbation_matrix(
     pspec: PerturbationSpec,
     osc: OscillatorResult,
     N: int | None = None,
-    K: int | None = None,
 ) -> OperatorSeries:
-    """P_ij(phi) = sum_m <psi_i, v_m psi_j> g_m(phi) as an OperatorSeries.
+    """P_ij(phi) = sum_m <psi_i, v_m psi_j> g_m(phi), an OperatorSeries at the terms' largest band.
 
     Each x-quadrature is certified against the coarser resolution kept on the
     oscillator result; an entry differing by more than QUAD_TOL (relative to
@@ -274,8 +273,7 @@ def perturbation_matrix(
         warnings.warn(
             f"beta = {pspec.beta} is not below the theorem boundary "
             f"(alpha-2)/2 = {boundary:g}; assembling anyway", GuardWarning)
-    if K is None:
-        K = max(g.K for _, g in pspec.terms)
+    K = max(g.K for _, g in pspec.terms)
     n = pspec.n
     coeffs = np.zeros((2 * K + 1,) * n + (N, N), dtype=complex)
     Pf = osc.eigenfunctions[:N]

@@ -9,18 +9,18 @@ hold.
   IEEE double, at most 17 significant digits).  NaN/Infinity are rejected
   rather than silently emitted.
 * Numpy values never reach the encoder raw.  :func:`to_jsonable` converts
-  scalars to plain Python numbers, real arrays to nested lists, and complex
-  data to ``{"re": ..., "im": ...}`` pairs.
+  scalars to plain Python numbers and real arrays to nested lists.  JSON
+  holds no complex numbers: complex data is rejected with an ArtifactError.
 * Anything timing- or host-dependent belongs in ``timings.txt``, the one
   file excluded from the checksum table (see :func:`write_checksums`).
   Keeping it out of JSON keeps the rule crisp: every ``.json`` artifact is
   deterministic and replays byte-identically.
 
-Large complex arrays (the conjugation generators) would be wasteful as JSON;
-they are stored as ``.npy`` -- whose byte layout is also a pure function of
-the array -- and covered by the same ``checksums.json``.  A generator's
-pairs (torus.PairSeries) are read back as a :class:`StoredOperator`, one
-slab at a time while it is evaluated, never whole.
+Complex arrays (the conjugation generators, mu) are stored as ``.npy`` --
+whose byte layout is also a pure function of the array -- and covered by
+the same ``checksums.json``.  A generator's pairs (torus.PairSeries) are
+read back as a :class:`StoredOperator`, one slab at a time while it is
+evaluated, never whole.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,8 +51,6 @@ __all__ = [
     "sha256_file",
     "write_checksums",
     "verify_checksums",
-    "encode_complex",
-    "decode_complex",
 ]
 
 CHECKSUM_FILE = "checksums.json"
@@ -77,11 +75,7 @@ def to_jsonable(obj):
         return int(obj)
     if isinstance(obj, np.floating):
         return to_jsonable(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"im": to_jsonable(float(obj.imag)), "re": to_jsonable(float(obj.real))}
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return encode_complex(obj)
+    if isinstance(obj, np.ndarray) and not np.iscomplexobj(obj):
         return to_jsonable(obj.tolist())
     if isinstance(obj, dict):
         out = {}
@@ -93,24 +87,6 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     raise ArtifactError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def encode_complex(arr: np.ndarray) -> dict:
-    a = np.asarray(arr)
-    return {
-        "im": to_jsonable(np.imag(a).tolist()),
-        "re": to_jsonable(np.real(a).tolist()),
-        "shape": list(a.shape),
-    }
-
-
-def decode_complex(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    out = re + 1j * im
-    if "shape" in obj:
-        out = out.reshape(tuple(obj["shape"]))
-    return out
 
 
 def dumps_canonical(obj) -> str:
@@ -548,32 +524,12 @@ class RunManifest:
     def from_dict(cls, doc: dict) -> "RunManifest":
         _check_schema(MANIFEST_SCHEMA, doc)
         _check_angles(doc)
-        return cls(
-            scenario=doc["scenario"],
-            seed=doc["seed"],
-            out=doc["out"],
-            model=doc["model"],
-            settings=doc["settings"],
-            frequency=doc["frequency"],
-            frequencies=doc.get("frequencies"),
-            verify=doc.get("verify"),
-            spectrum=doc.get("spectrum"),
-        )
+        return cls(**doc)
 
     def to_dict(self) -> dict:
-        doc = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "out": self.out,
-            "model": self.model,
-            "settings": self.settings,
-            "frequency": self.frequency,
-        }
-        for name in ("frequencies", "verify", "spectrum"):
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = value
-        return doc
+        """The document from_dict parsed: every field but an absent optional block."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     @staticmethod
     def read(path, **overrides) -> dict:

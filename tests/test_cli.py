@@ -471,13 +471,10 @@ def test_five_commands_in_one_directory_keep_their_logs_and_timings(tmp_path):
     steps = load_json(tmp_path / "r" / "steps.json")
     assert set(keys) == {f"{cmd}{unit}" for cmd in COMMANDS
                          for unit in ("_s", "_rss_mb", "_minflt")} | {
-        "build_s",
-        "reduce.schedule_s",
-        "verify.direct_s",
-        "verify.monodromy_s",
-        "verify.reconstruct_s",
-    } | {f"verify.{phase}_rss_mb" for phase in ("load", "reconstruct", "direct")
-         } | {f"step{rec['l']}.{phase}{unit}" for rec in steps for phase in STEP_PHASES
+        f"{phase}{unit}" for phase in ("build", "reduce.schedule", "verify.load",
+                                       "verify.reconstruct", "verify.direct", "verify.monodromy")
+        for unit in ("_s", "_rss_mb")
+    } | {f"step{rec['l']}.{phase}{unit}" for rec in steps for phase in STEP_PHASES
          for unit in ("_s", "_rss_mb")}
     assert not (tmp_path / "r" / "error.json").exists()
     assert "timings.txt" not in load_json(tmp_path / "r" / "checksums.json")
@@ -727,6 +724,18 @@ def test_spectrum_table_and_kmax_flag(finished_run, tmp_path):
     lines = (copy / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "nu,mode,multiplicity,k1"
     assert len(lines) == 1 + 8 * 5
+
+
+def test_spectrum_negative_kmax_is_a_schema_error(finished_run, tmp_path):
+    # as a negative spectrum.Kmax in the manifest is
+    _, _, outdir = finished_run
+    copy = tmp_path / "spec"
+    shutil.copytree(outdir, copy)
+    before = (copy / "spectrum.json").read_bytes()
+    code = _run("spectrum", _write(tmp_path, _doc(str(copy))), extra=("--kmax", "-1"))
+    err = _assert_failed(code, copy, "spectrum", cli.EXIT_SCHEMA, "schema")
+    assert err["field_path"] == "--kmax" and "--kmax" in err["detail"]
+    assert (copy / "spectrum.json").read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -39,3 +39,29 @@ def test_every_private_helper_is_referenced():
                     if name.startswith("_") and not name.startswith("__")
                     and sum(len(re.findall(rf"\b{name}\b", t)) for t in texts) < 2]
     assert not unreferenced
+
+
+def _references(tree) -> set:
+    """Names a parsed file reads as a Name or an attribute, outside that name's own definition."""
+    found = set()
+    for top in tree.body:
+        nodes = list(ast.walk(top))
+        found |= ({node.id for node in nodes if isinstance(node, ast.Name)}
+                  | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+                  ) - {getattr(top, "name", None)}
+    return found
+
+
+def test_every_export_has_a_caller():
+    # the library surface is no larger than what its callers reach: the
+    # package itself, the acceptance gates and the benchmark's tracer
+    # (as module.name), with no allowance for any other name
+    root = Path(__file__).resolve().parents[1]
+    paths = [*sorted(SOURCES.glob("*.py")), root / "tests" / "test_acceptance.py"]
+    reached = set().union(*(_references(ast.parse(path.read_text())) for path in paths))
+    tracer = (root / "bench" / "tracer.py").read_text()
+    unreached = [f"{name}.{attr}" for name in MODULES
+                 for attr in getattr(importlib.import_module(name), "__all__", ())
+                 if attr not in reached
+                 and not re.search(rf"\b{name.rpartition('.')[2]}\.{attr}\b", tracer)]
+    assert not unreached

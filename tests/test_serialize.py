@@ -19,9 +19,7 @@ from kamreduce.serialize import (
     RunManifest,
     StoredOperator,
     _check_schema,
-    decode_complex,
     dumps_canonical,
-    encode_complex,
     load_array,
     load_json,
     sha256_file,
@@ -74,7 +72,6 @@ def test_to_jsonable_numpy_types():
             "f": np.float64(0.25),
             "b": np.bool_(True),
             "a": np.arange(3.0),
-            "c": 1.0 + 2.0j,
         }
     )
     assert out == {
@@ -82,7 +79,6 @@ def test_to_jsonable_numpy_types():
         "f": 0.25,
         "b": True,
         "a": [0.0, 1.0, 2.0],
-        "c": {"im": 2.0, "re": 1.0},
     }
 
 
@@ -93,6 +89,10 @@ def test_to_jsonable_rejects_nonfinite_and_bad_keys():
         to_jsonable({1: "x"})
     with pytest.raises(ArtifactError):
         to_jsonable(object())
+    # complex data is stored as .npy, never as JSON
+    for value in (1.0 + 2.0j, np.complex128(1.0), np.ones((3, 4), complex)):
+        with pytest.raises(ArtifactError, match="cannot serialize"):
+            to_jsonable({"c": value})
 
 
 def test_dumps_canonical_sorted_and_stable():
@@ -103,14 +103,6 @@ def test_dumps_canonical_sorted_and_stable():
     assert a.index('"a"') < a.index('"b"')
     # shortest round-trip float text survives a parse exactly
     assert json.loads(a)["b"] == 1.0 / 3.0
-
-
-def test_complex_array_round_trip():
-    rng = np.random.default_rng(3)
-    arr = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    back = decode_complex(encode_complex(arr))
-    assert back.shape == arr.shape
-    assert np.array_equal(back, arr)
 
 
 def test_json_and_array_files_round_trip(tmp_path):
