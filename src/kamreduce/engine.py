@@ -170,12 +170,6 @@ class ReducedSystem:
     def N(self) -> int:
         return len(self.lambda_inf)
 
-    def as_base(self) -> DiagonalPart:
-        if self.mu_inf is None:
-            return DiagonalPart(lam=self.lambda_inf, d=self.d, delta=self.delta, n=self.n)
-        return DiagonalPart(lam=self.lambda_inf, d=self.d, delta=self.delta,
-                            n=self.n, mu=self.mu_inf, K=self.K_mu)
-
 
 def diag_split(P: HermitianSeries):
     """The diagonal of P as (constant shift, oscillatory part).
@@ -626,7 +620,7 @@ def kam_step(state: KamState, omega, settings: KamSettings) -> KamState:
         "min_divisor": sol.min_divisor if math.isfinite(sol.min_divisor) else None,
         "pairs": sol.pairs,
         "solve_grid_M": sol.grid_M,
-        "defect_grid_M": sol.defect_grid_M,
+        "defect_grid_M": sol.D.grid_M,
         # the largest array the step holds: the pair solve's chi stack or
         # the widest commutator's triangle grid, complex
         "grid_bytes": max(sol.stack_bytes, 16 * cinfo["grid_M"] ** n * N * (N + 1) // 2),
@@ -728,7 +722,7 @@ def run_schedule(A0: DiagonalPart, P0: OperatorSeries, omega, settings: KamSetti
     return state, rs
 
 
-def _compose(generators, values, N: int, batch: tuple = ()) -> np.ndarray:
+def _compose(generators, values, N: int, batch: tuple) -> np.ndarray:
     """exp(B_1) exp(B_2) ... (identity if none), values(B) = B at the points, batch + (N, N)."""
     U = np.broadcast_to(np.eye(N, dtype=complex), batch + (N, N)).copy()
     work = _Workspace()

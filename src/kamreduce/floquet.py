@@ -67,8 +67,12 @@ __all__ = [
     "step_plan",
     "integrator_costs",
     "monodromy_quasienergies",
-    "quasienergies_from_period_map",
 ]
+
+# exponents whose consecutive gaps stay below this share a cluster
+_CLUSTER_TOL = 1e-12
+# the largest max |M* M - I| a period map M may show
+_UNITARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class FloquetSpectrum:
     """Sorted exponents nu = lambda_inf_j + omega.k with degeneracy tags."""
 
     nu: np.ndarray            # sorted values
-    multiplicity: np.ndarray  # size of the 1e-12-cluster each value belongs to
+    multiplicity: np.ndarray  # size of the _CLUSTER_TOL-cluster each value belongs to
     mode: np.ndarray          # j index (1-based) per value
     k: np.ndarray             # (m, n) integer mode per value
 
@@ -84,7 +88,7 @@ class FloquetSpectrum:
         return len(self.nu)
 
 
-def floquet_spectrum(reduced: ReducedSystem, Kmax: int, cluster_tol: float = 1e-12) -> FloquetSpectrum:
+def floquet_spectrum(reduced: ReducedSystem, Kmax: int) -> FloquetSpectrum:
     """All exponents lambda_inf_j + omega.k over j <= N, |k|_inf <= Kmax."""
     if Kmax < 0:
         raise KamError("Kmax must be nonnegative")
@@ -99,10 +103,10 @@ def floquet_spectrum(reduced: ReducedSystem, Kmax: int, cluster_tol: float = 1e-
     flat = flat[order]
     mode = mode[order]
     kk = kk[order]
-    # cluster values whose consecutive gaps stay below the tolerance
+    # cluster values whose consecutive gaps stay below _CLUSTER_TOL
     mult = np.ones(len(flat), dtype=int)
     if len(flat) > 1:
-        new_cluster = np.diff(flat) > cluster_tol
+        new_cluster = np.diff(flat) > _CLUSTER_TOL
         cluster_id = np.concatenate([[0], np.cumsum(new_cluster)])
         _, counts = np.unique(cluster_id, return_counts=True)
         mult = counts[cluster_id]
@@ -603,31 +607,19 @@ def propagate_step_doubled(base: DiagonalPart, P: OperatorSeries | None, omega, 
     )
 
 
-def quasienergies_from_period_map(
-    M: np.ndarray,
-    T: float,
-    reduced: ReducedSystem | None = None,
-    unitarity_tol: float = 1e-8,
-):
-    """Quasi-energies of a period map M = Phi(T) (n = 1).
+def _quasienergies(M: np.ndarray, T: float, U0: np.ndarray | None):
+    """Quasi-energies of a period map M = Phi(T) (n = 1), with an info dict.
 
-    Checks unitarity of M and returns its quasi-energies
-    nu_j = -arg(eig_j) / T in [0, 2 pi / T) with an info dict.  When a
-    reduced system is supplied, eigenvalues are matched to the predicted
-    exp(-i lambda_inf_j T) branches by eigenvector overlap with U(0) e_j and
-    returned in mode order; otherwise they come out sorted.
+    Checks unitarity of M to _UNITARITY_TOL and returns its quasi-energies
+    nu_j = -arg(eig_j) / T in [0, 2 pi / T).  Given the frame U0 = U(0),
+    eigenvalues are matched to the predicted exp(-i lambda_inf_j T) branches
+    by eigenvector overlap with U0 e_j and returned in mode order; with
+    U0 None they come out sorted.
     """
-    U0 = None if reduced is None else _compose(
-        reduced.generators, lambda B: B.at(np.zeros((1, 1))), M.shape[0], (1,))[0]
-    return _quasienergies(M, T, U0, unitarity_tol)
-
-
-def _quasienergies(M: np.ndarray, T: float, U0: np.ndarray | None, unitarity_tol: float = 1e-8):
-    """quasienergies_from_period_map with the frame U0 = U(0) given (None: sorted)."""
     N = M.shape[0]
     defect = float(np.max(np.abs(np.conj(M.T) @ M - np.eye(N))))
-    if defect > unitarity_tol:
-        raise KamError(f"monodromy unitarity defect {defect:.3e} exceeds {unitarity_tol:g}")
+    if defect > _UNITARITY_TOL:
+        raise KamError(f"monodromy unitarity defect {defect:.3e} exceeds {_UNITARITY_TOL:g}")
     eigvals, eigvecs = np.linalg.eig(M)
     eigvals /= np.abs(eigvals)
     nu = np.mod(-np.angle(eigvals), 2.0 * np.pi) / T        # in [0, 2 pi / T)
@@ -666,20 +658,22 @@ def monodromy_quasienergies(
     omega: float,
     dt: float | None = None,
     reduced: ReducedSystem | None = None,
-    unitarity_tol: float = 1e-8,
 ):
     """Quasi-energies from the period map of a periodically forced system (n = 1).
 
     Propagates the identity over one period T = 2 pi / omega with
     propagate_direct, from phi0 = 0, and hands the fundamental solution
-    M = Phi(T) to quasienergies_from_period_map.  Returns (nu, M, info).
+    M = Phi(T) to _quasienergies, in the frame U(0) of the reduced system
+    if one is supplied (in mode order), else sorted.  Returns (nu, M, info).
     """
     w = float(np.atleast_1d(np.asarray(omega, dtype=float))[0])
     if np.atleast_1d(np.asarray(omega)).size != 1:
         raise KamError("monodromy map requires a single frequency (n = 1)")
     T = 2.0 * np.pi / w
     M = propagate_direct(base, P, [w], np.eye(base.N), np.zeros(1), [T], dt)[0]
-    nu, info = quasienergies_from_period_map(M, T, reduced, unitarity_tol)
+    U0 = None if reduced is None else _compose(
+        reduced.generators, lambda B: B.at(np.zeros((1, 1))), base.N, (1,))[0]
+    nu, info = _quasienergies(M, T, U0)
     return nu, M, info
 
 

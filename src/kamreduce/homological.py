@@ -194,11 +194,10 @@ class HomologicalSolution:
     # each advisory guard the solve met, once, as it was warned
     guard_messages: tuple = ()
     truncation_residue: float = 0.0
-    # work counters: pairs solved, and the grids per axis of the pair solve
-    # and of the defect's product mu B (0 where the solve forms no grid)
+    # work counters: pairs solved, and the grid per axis of the pair solve
+    # (0 where the solve forms none); D.grid_M is the defect product's
     pairs: int = 0
     grid_M: int = 0
-    defect_grid_M: int = 0
     # bytes of the largest stack a pair solve on a grid holds, chi's (0 if none)
     stack_bytes: int = 0
 
@@ -593,5 +592,4 @@ def solve_variable(
                                                          base.weight()),
                                guard_messages=tuple(messages), truncation_residue=trunc,
                                pairs=len(pairs), grid_M=M if variable else 0,
-                               defect_grid_M=D.grid_M,
                                stack_bytes=held if variable else 0)

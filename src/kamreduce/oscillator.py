@@ -41,6 +41,8 @@ PAD = 1.6          # box = PAD * WKB turning point + 2 (constant room)
 OVERSAMPLE = 3.0   # grid points per de Broglie half-wavelength
 REFINE_L = 1.25    # box enlargement of the doubled-resolution solve
 QUAD_TOL = 1e-9    # relative change allowed between the two quadratures
+CERTIFY_TOL = 1e-8  # relative change allowed between the two eigenvalue solves
+FLAT_TOL = 0.01    # final doubling increment below which a delta-norm scan is flat
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class OscillatorSpec:
 
     alpha: float
     N: int
-    certify_tol: float = 1e-8
 
     def __post_init__(self):
         if self.alpha < 2.0:
@@ -193,11 +194,11 @@ def build_oscillator(spec: OscillatorSpec) -> OscillatorResult:
         raise ConvergenceError("discretization smaller than the requested mode count")
     lam, lam2 = w[:N], w2[:N]
     rel = np.abs(lam - lam2) / np.maximum(np.abs(lam2), 1e-300)
-    if np.any(rel >= spec.certify_tol):
-        bad = int(np.argmax(rel >= spec.certify_tol))
+    if np.any(rel >= CERTIFY_TOL):
+        bad = int(np.argmax(rel >= CERTIFY_TOL))
         raise ConvergenceError(
             f"eigenvalue {bad + 1} not converged: relative doubling change "
-            f"{rel[bad]:.3e} >= {spec.certify_tol:g} (L={L:.2f}, M={M})"
+            f"{rel[bad]:.3e} >= {CERTIFY_TOL:g} (L={L:.2f}, M={M})"
         )
     if np.any(np.diff(lam2) <= 0):
         bad = int(np.argmax(np.diff(lam2) <= 0)) + 1
@@ -214,7 +215,7 @@ def build_oscillator(spec: OscillatorSpec) -> OscillatorResult:
             Vf[i] = -Vf[i]
     cert = {
         "max_relative_change": float(np.max(rel)),
-        "tol": spec.certify_tol,
+        "tol": CERTIFY_TOL,
         "L": L, "M": M, "L_refined": L2, "M_refined": M2,
     }
     return OscillatorResult(
@@ -306,26 +307,20 @@ def delta_boundedness_check(
     P: OperatorSeries,
     base: DiagonalPart,
     delta_grid,
-    N_values=None,
-    s: float = 0.0,
-    flat_tol: float = 0.01,
+    N_values,
 ) -> dict:
     """Empirical boundedness scan: delta-norm of leading blocks as N grows.
 
     For each delta in delta_grid, reports the weighted norm of the N' x N'
-    leading block for each N' in N_values (default N/4, N/2, N), an upper
-    bound on the strip of width s (on the real torus at the default s = 0),
-    and whether the final doubling increment stays below flat_tol relative.
-    The row-sup indicator max_i lambda_i^(-delta/d) sum_j |P_ij| is
-    included per N'.
+    leading block for each N' in N_values, an upper bound on the real torus
+    (s = 0), and whether the final doubling increment stays below FLAT_TOL
+    relative.  The row-sup indicator max_i lambda_i^(-delta/d) sum_j |P_ij|
+    is included per N'.
     """
-    N = P.N
-    if N_values is None:
-        N_values = [max(2, N // 4), max(3, N // 2), N]
     N_values = sorted(set(int(v) for v in N_values))
-    if N_values[-1] > N:
+    if N_values[-1] > P.N:
         raise KamError("N_values exceed the assembled matrix size")
-    report = {"N_values": N_values, "rows": [], "d": base.d, "s": s}
+    report = {"N_values": N_values, "rows": [], "d": base.d}
     for dl in delta_grid:
         if not (0.0 <= dl < base.d - 1.0):
             raise KamError(f"delta = {dl} outside [0, d-1) = [0, {base.d - 1.0:g})")
@@ -334,8 +329,8 @@ def delta_boundedness_check(
         for Np in N_values:
             sub = OperatorSeries(P.n, P.K, Np, P.coeffs[..., :Np, :Np])
             bsub = DiagonalPart(lam=base.lam[:Np], d=base.d, delta=dl, n=base.n)
-            norms.append(delta_norm(sub, bsub, s))
-            maj = sub.majorant_matrix(s)
+            norms.append(delta_norm(sub, bsub, 0.0))
+            maj = sub.majorant_matrix(0.0)
             weights = base.lam[:Np] ** (-dl / base.d)
             rowsup.append(float(np.max(weights * np.sum(maj, axis=1))))
         increment = (norms[-1] - norms[-2]) / max(norms[-2], 1e-300)
@@ -344,6 +339,6 @@ def delta_boundedness_check(
             "norms": [float(v) for v in norms],
             "row_sup": [float(v) for v in rowsup],
             "final_increment": float(increment),
-            "flat": bool(increment < flat_tol),
+            "flat": bool(increment < FLAT_TOL),
         })
     return report

@@ -7,7 +7,7 @@ anti-hermitian generator) one axis of the entries below the diagonal and
 a HermitianSeries (every hermitian series) one of its triangle, the
 entries on and below it.  All four share one implementation, _Series,
 which differs between them only by those trailing axes: padding and
-truncation by _box, arithmetic, majorants, grid sampling, evaluation at a
+truncation by _box, scaling, majorants, grid sampling, evaluation at a
 batch of angles (at, by direct mode summation) and one alias-free grid
 product (product, entrywise).  lie_commutator commutes a hermitian
 level's triangle with a PairSeries from their halves and returns a
@@ -330,13 +330,10 @@ class _Series:
 
     Subclasses are frozen dataclasses with fields n, K and coeffs.  _tail is
     the shape of the trailing axes held, () or (N, N) or one axis of pairs
-    or of a triangle, which _square fills into the series' values, and
-    _value turns one coefficient or value into the subclass's type.
+    or of a triangle, which _square fills into the series' values.
     Operations hand their fresh arrays over with freeze, so a series keeps
     them without a copy; a view, as truncate makes, is copied.
     """
-
-    _value = staticmethod(np.array)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -352,10 +349,6 @@ class _Series:
         """A series of the same kind with cutoff K and the given coefficients."""
         return replace(self, K=K, coeffs=coeffs)
 
-    def coeff(self, k):
-        k = (k,) if np.isscalar(k) else tuple(k)
-        return self._value(self.coeffs[tuple(x + self.K for x in k)])
-
     def _square(self, values: np.ndarray) -> np.ndarray:
         return values
 
@@ -365,10 +358,6 @@ class _Series:
     def at(self, phis: np.ndarray) -> np.ndarray:
         """Values at a batch of angles phis (T, n): _square of the held entries' sums (_values_at)."""
         return self._square(_values_at(phis, self.n, self.K, self.coeffs, self._tail))
-
-    def __call__(self, phi):
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        return self._value(self.at(phi[None, :])[0])
 
     def pad_to(self, K: int):
         if K < self.K:
@@ -391,21 +380,10 @@ class _Series:
         """
         return self.truncate(_live_band(self.coeffs, self.n, self.K))
 
-    def __add__(self, other):
-        K = max(self.K, other.K)
-        return self._like(K, freeze(self.pad_to(K).coeffs + other.pad_to(K).coeffs))
-
-    def __sub__(self, other):
-        K = max(self.K, other.K)
-        return self._like(K, freeze(self.pad_to(K).coeffs - other.pad_to(K).coeffs))
-
     def __mul__(self, scalar: complex):
         return self._like(self.K, freeze(self.coeffs * scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._like(self.K, freeze(-self.coeffs))
 
     def product(self, other):
         """Exact entrywise grid product, at band self.K + other.K.
@@ -441,13 +419,8 @@ class TorusSeries(_Series):
     coeffs: np.ndarray = field(repr=False)
 
     _tail = ()
-    _value = staticmethod(complex)
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(n: int, K: int) -> "TorusSeries":
-        return TorusSeries(n, K, np.zeros((2 * K + 1,) * n, dtype=complex))
 
     @staticmethod
     def from_modes(n: int, K: int, modes: dict) -> "TorusSeries":
@@ -492,9 +465,6 @@ class OperatorSeries(_Matrix):
     @staticmethod
     def zero(n: int, K: int, N: int) -> "OperatorSeries":
         return OperatorSeries(n, K, N, np.zeros((2 * K + 1,) * n + (N, N), dtype=complex))
-
-    def entry(self, i: int, j: int) -> TorusSeries:
-        return TorusSeries(self.n, self.K, self.coeffs[..., i, j])
 
     # -- structure -----------------------------------------------------------
 

@@ -1,11 +1,18 @@
 """Helpers shared by the test modules: a traced-memory probe, a commutator oracle, a triangle,
-and the dense N x N assembly of a pair or triangle series."""
+one entry's scalar series, and the dense N x N assembly of a pair or triangle series."""
 
 import tracemalloc
 
 import numpy as np
 
-from kamreduce.torus import HermitianSeries, OperatorSeries, _mirror, grid_to_coeffs, next_fast_len
+from kamreduce.torus import (
+    HermitianSeries,
+    OperatorSeries,
+    TorusSeries,
+    _mirror,
+    grid_to_coeffs,
+    next_fast_len,
+)
 
 
 def traced_peak(fn):
@@ -26,6 +33,11 @@ def offdiagonal(P: OperatorSeries) -> OperatorSeries:
     idx = np.arange(P.N)
     c[..., idx, idx] = 0.0
     return OperatorSeries(P.n, P.K, P.N, c)
+
+
+def entry(S: OperatorSeries, i: int, j: int) -> TorusSeries:
+    """The scalar series of S's entry (i, j)."""
+    return TorusSeries(S.n, S.K, S.coeffs[..., i, j])
 
 
 def triangle(S: OperatorSeries) -> np.ndarray:

@@ -54,17 +54,20 @@ def pruned_dio2_margins(omegas, gaps, scale, ks, tau, c_lambda, gamma):
     For omegas in [0,1]^n, a combination with |k|_1 <= c_lambda scale / 2
     and gamma / w(k) <= c_lambda / 2 has |gap + omega.k| >= c_lambda scale / 2,
     so its margin is at least gamma; it is skipped and counts as inf.
-    Margins below gamma are therefore the dense ones.
+    Margins below gamma are therefore the dense ones.  The samples go 500
+    rows at a time, so each block's projections stay small.
     """
     k1 = np.sum(np.abs(ks), axis=1)
     weight = 1.0 + k1**tau
-    proj = omegas @ ks.T
     margins = np.full(omegas.shape[0], np.inf)
-    for p in range(len(gaps)):
-        use = ~((k1 <= 0.5 * c_lambda * scale[p]) & (gamma / weight <= 0.5 * c_lambda))
-        if np.any(use):
-            vals = np.abs(gaps[p] + proj[:, use]) * (weight[use] / scale[p])[None, :]
-            margins = np.minimum(margins, np.min(vals, axis=1))
+    for start in range(0, len(omegas), 500):
+        proj = omegas[start : start + 500] @ ks.T
+        rows = margins[start : start + 500]
+        for p in range(len(gaps)):
+            use = ~((k1 <= 0.5 * c_lambda * scale[p]) & (gamma / weight <= 0.5 * c_lambda))
+            if np.any(use):
+                vals = np.abs(gaps[p] + proj[:, use]) * (weight[use] / scale[p])[None, :]
+                np.minimum(rows, np.min(vals, axis=1), out=rows)
     return margins
 
 

@@ -503,7 +503,8 @@ def test_transport_identity_after_run(run_n1):
     Ud = np.fft.ifft(Uhat * (1j * freqs * OMEGA_N1[0])[:, None, None], axis=0) * M
     normal = Uh @ H @ U - 1j * (Uh @ Ud)
     # diagonal: lambda_inf + mu_inf(phi); off-diagonal: residual size only
-    diag_expect = reduced.as_base().values_on_grid(M)
+    diag_expect = DiagonalPart(lam=reduced.lambda_inf, d=reduced.d, delta=reduced.delta, n=1,
+                               mu=reduced.mu_inf, K=reduced.K_mu).values_on_grid(M)
     got_diag = np.diagonal(normal, axis1=-2, axis2=-1)
     assert np.max(np.abs(got_diag - diag_expect)) < 1e-9
     offmask = ~np.eye(N, dtype=bool)

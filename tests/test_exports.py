@@ -1,9 +1,12 @@
-"""Every name a kamreduce module exports in __all__ resolves; every private helper is named."""
+"""Every name a kamreduce module exports in __all__ resolves and has a caller, as has every
+public method of an exported class; every private helper is named."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -44,24 +47,50 @@ def test_every_private_helper_is_referenced():
 def _references(tree) -> set:
     """Names a parsed file reads as a Name or an attribute, outside that name's own definition."""
     found = set()
-    for top in tree.body:
-        nodes = list(ast.walk(top))
-        found |= ({node.id for node in nodes if isinstance(node, ast.Name)}
-                  | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-                  ) - {getattr(top, "name", None)}
+
+    def visit(node, defining):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name is not None and name not in defining:
+            found.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
     return found
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = [*sorted(SOURCES.glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
 def test_every_export_has_a_caller():
     # the library surface is no larger than what its callers reach: the
     # package itself, the acceptance gates and the benchmark's tracer
     # (as module.name), with no allowance for any other name
-    root = Path(__file__).resolve().parents[1]
-    paths = [*sorted(SOURCES.glob("*.py")), root / "tests" / "test_acceptance.py"]
-    reached = set().union(*(_references(ast.parse(path.read_text())) for path in paths))
-    tracer = (root / "bench" / "tracer.py").read_text()
+    reached = set().union(*(_references(ast.parse(path.read_text())) for path in CALLERS))
+    tracer = (ROOT / "bench" / "tracer.py").read_text()
     unreached = [f"{name}.{attr}" for name in MODULES
                  for attr in getattr(importlib.import_module(name), "__all__", ())
                  if attr not in reached
                  and not re.search(rf"\b{name.rpartition('.')[2]}\.{attr}\b", tracer)]
+    assert not unreached
+
+
+def test_every_public_method_of_an_export_has_a_caller():
+    # one level below __all__: a method or property of an exported class,
+    # inherited ones included, is read as an attribute by the package
+    # outside its own definition, by the acceptance gates or by the tracer
+    reached = set().union(*(_references(ast.parse(path.read_text()))
+                            for path in [*CALLERS, ROOT / "bench" / "tracer.py"]))
+    members = (types.FunctionType, staticmethod, classmethod, property)
+    unreached = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for cls in (getattr(module, attr) for attr in getattr(module, "__all__", ())):
+            if isinstance(cls, type):
+                unreached += [f"{name}.{cls.__name__}.{member}" for member in dir(cls)
+                              if not member.startswith("_") and member not in reached
+                              and isinstance(inspect.getattr_static(cls, member), members)]
     assert not unreached

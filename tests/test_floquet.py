@@ -48,13 +48,14 @@ from kamreduce.floquet import (
     _moments,
     _ordered_product,
     _phase_integral,
+    _quasienergies,
+    _reconstruct,
     _sweep,
     floquet_spectrum,
     integrator_costs,
     monodromy_quasienergies,
     propagate_direct,
     propagate_step_doubled,
-    quasienergies_from_period_map,
     reconstruct_solution,
     step_plan,
 )
@@ -107,10 +108,11 @@ def test_spectrum_toy_values():
     assert spec.mode[0] == 1 and tuple(spec.k[0]) == (-1,)
 
 
-def test_spectrum_detects_collisions():
+def test_spectrum_detects_collisions(monkeypatch):
     # lambda_2 - lambda_1 = omega makes nu = 1.0 and 1.7 doubly degenerate
+    monkeypatch.setattr("kamreduce.floquet._CLUSTER_TOL", 1e-9)
     red = _plain_reduced([1.0, 1.7], 0.7)
-    spec = floquet_spectrum(red, Kmax=1, cluster_tol=1e-9)
+    spec = floquet_spectrum(red, Kmax=1)
     hit = np.isclose(spec.nu, 1.0)
     assert np.any(hit)
     assert np.all(spec.multiplicity[hit] == 2)
@@ -169,7 +171,7 @@ def test_reconstruction_is_unitary_and_solves_equation(small_run):
         grid = np.array([t - h, t, t + h])
         vals = reconstruct_solution(reduced, psi0, phi0, grid)
         dpsi = (vals[2] - vals[0]) / (2.0 * h)
-        H = np.diag(A.lam).astype(complex) + P(phi0 + OMEGA_N1 * t)
+        H = np.diag(A.lam).astype(complex) + P.at((phi0 + OMEGA_N1 * t)[None])[0]
         resid = 1j * dpsi - H @ vals[1]
         assert np.linalg.norm(resid) < 1e-7
 
@@ -200,7 +202,8 @@ def test_phase_integral_is_the_primitive_along_the_flow():
     F = _phase_integral(red, phi0 + np.outer(np.concatenate([[0.0], ts]), omega))
     for i in range(N):
         H = torus_primitive(TorusSeries(n, K, mu[i]), omega)
-        expect = [H(phi0 + omega * t) - H(phi0) for t in ts]
+        values = H.at(np.vstack([phi0, phi0 + np.outer(ts, omega)]))
+        expect = values[1:] - values[0]
         assert np.max(np.abs(F[:, i] - expect)) <= 1e-14
 
 
@@ -308,7 +311,7 @@ def test_propagate_constant_two_level_closed_form():
     c = np.zeros((3, 2, 2), dtype=complex)
     c[1] = [[0.0, 0.04], [0.04, 0.0]]  # constant coupling (mode k=0)
     P = OperatorSeries(1, 1, 2, c)
-    H = np.diag(base.lam) + P(np.zeros(1))
+    H = np.diag(base.lam) + P.at(np.zeros((1, 1)))[0]
     psi0 = np.array([1.0, 0.0], dtype=complex)
     ts = np.array([0.7, 4.4, 9.2])
     out = propagate_direct(base, P, np.array([0.31]), psi0, np.zeros(1), ts)
@@ -340,10 +343,11 @@ def test_monodromy_stable_under_dt_halving(small_run):
     assert np.max(np.abs(nu1 - nu2)) < 1e-8
 
 
-def test_monodromy_unitarity_guard(small_run):
+def test_monodromy_unitarity_guard(small_run, monkeypatch):
     A, P, _ = small_run
+    monkeypatch.setattr("kamreduce.floquet._UNITARITY_TOL", 0.0)
     with pytest.raises(KamError, match="unitar"):
-        monodromy_quasienergies(A, P, OMEGA_N1, unitarity_tol=0.0)
+        monodromy_quasienergies(A, P, OMEGA_N1)
 
 
 def test_fundamental_solution_times_out_columns(small_run):
@@ -404,7 +408,9 @@ def test_one_sweep_gives_trajectory_and_period_map(small_run, t_max):
     M = Phi[np.searchsorted(times, T)]
     period_map = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
     assert np.max(np.abs(M - period_map)) <= 1e-10
-    nu, info = quasienergies_from_period_map(M, T, reduced)
+    # verify's frame: U(phi0) as _reconstruct composes it on the way
+    U0 = _reconstruct(reduced, np.eye(A.N), np.zeros(1), ts)[1]
+    nu, info = _quasienergies(M, T, U0)
     nu_ref, _, _ = monodromy_quasienergies(A, P, OMEGA_N1, reduced=reduced)
     assert np.max(np.abs(nu - nu_ref)) <= 1e-10
     assert info["period"] == T and info["min_overlap"] > 0.99
@@ -416,7 +422,8 @@ def test_period_map_quasienergies_are_the_monodromy_ones(small_run, with_reduced
     reduced = reduced if with_reduced else None
     T = 2.0 * np.pi / OMEGA_N1[0]
     M = propagate_direct(A, P, OMEGA_N1, np.eye(A.N, dtype=complex), np.zeros(1), [T])[0]
-    nu, info = quasienergies_from_period_map(M, T, reduced)
+    U0 = None if reduced is None else _reconstruct(reduced, np.eye(A.N), np.zeros(1), [0.0])[1]
+    nu, info = _quasienergies(M, T, U0)
     nu_ref, _, info_ref = monodromy_quasienergies(A, P, OMEGA_N1, reduced=reduced)
     assert np.array_equal(nu, nu_ref)
     assert info == info_ref
@@ -594,7 +601,8 @@ def test_step_product_matches_sequential_eigh(small_run, steps, with_mu):
     expect = np.eye(A.N, dtype=complex)
     for j in range(steps):
         nodes = t0 + (j + gauss) * h
-        H1, H2 = (np.diag(A.lam + (mu @ np.exp(1j * np.arange(-K, K + 1) * phi)).real) + P(phi)
+        H1, H2 = (np.diag(A.lam + (mu @ np.exp(1j * np.arange(-K, K + 1) * phi)).real)
+                  + P.at(np.array([[phi]]))[0]
                   for phi in phi0 + nodes * OMEGA_N1[0])
         expect = _eigh_exp(a2 * H1 + a1 * H2, h) @ expect
         expect = _eigh_exp(a1 * H1 + a2 * H2, h) @ expect

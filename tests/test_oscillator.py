@@ -70,9 +70,10 @@ def test_eigenfunctions_orthonormal(harmonic40):
     assert np.max(np.abs(gram - np.eye(40))) < 1e-10
 
 
-def test_certificate_reports_first_bad_index():
+def test_certificate_reports_first_bad_index(monkeypatch):
+    monkeypatch.setattr("kamreduce.oscillator.CERTIFY_TOL", 1e-16)
     with pytest.raises(ConvergenceError, match=r"eigenvalue"):
-        build_oscillator(OscillatorSpec(alpha=4.0, N=24, certify_tol=1e-16))
+        build_oscillator(OscillatorSpec(alpha=4.0, N=24))
 
 
 def test_alpha_below_two_rejected():
